@@ -5,8 +5,11 @@
 //
 // Unlike the bench_fig* binaries (virtual cost-model seconds), this measures
 // REAL wall-clock time of:
-//   * xdrop:        seed-anchored x-drop extension over noisy overlapping and
-//                   divergent long-read pairs (ns/cell, pairs/s)
+//   * xdrop_extend: seed-anchored x-drop extension over noisy overlapping and
+//                   divergent long-read pairs, align::ref vs the kernel this
+//                   process dispatches to (ns/cell, pairs/s)
+//   * xdrop_extend_avx2: the same pairs, scalar kernel vs AVX2 kernel (only
+//                   on CPUs with AVX2)
 //   * sw:           full Smith-Waterman with traceback on short windows
 //                   (ns/cell, pairs/s)
 //   * consolidate:  overlap-stage wire-task consolidation, sort-then-group vs
@@ -44,7 +47,9 @@
 //   --out     output JSON path (default BENCH_kernels.json)
 //
 // Every (baseline, optimized) pair is checksum-verified to produce identical
-// results before the numbers are reported.
+// results before the numbers are reported. Each JSON entry carries a `kind`:
+// `kernel` (a kernel microbench), `pipeline` (whole-pipeline wall seconds) or
+// `modeled` (netsim virtual seconds).
 
 #include <algorithm>
 #include <fstream>
@@ -54,6 +59,7 @@
 #include <string>
 #include <vector>
 
+#include "align/detail/xdrop_kernels.hpp"
 #include "align/reference_kernels.hpp"
 #include "align/smith_waterman.hpp"
 #include "align/xdrop.hpp"
@@ -114,6 +120,7 @@ double best_of(int reps, Fn&& fn) {
 
 struct BenchRow {
   std::string name;
+  std::string kind = "kernel";  // "kernel", "pipeline" or "modeled"
   std::string unit;        // throughput unit, e.g. "pairs/s"
   double baseline_s = 0;   // best-of-reps wall seconds, reference kernel
   double optimized_s = 0;  // best-of-reps wall seconds, hot-path kernel
@@ -160,43 +167,71 @@ std::vector<SeedTask> make_seed_tasks(std::size_t n_pairs, std::size_t read_len,
   return tasks;
 }
 
-BenchRow bench_xdrop(std::size_t n_pairs, std::size_t read_len, int reps,
-                     util::Xoshiro256& rng) {
-  const int k = 17, xdrop = 25;
-  const align::Scoring sc;
-  auto tasks = make_seed_tasks(n_pairs, read_len, rng);
-
-  u64 sum_ref = 0, cells_ref = 0;
+/// Times `baseline` and `optimized` (each SeedTask -> SeedAlignment) over
+/// the same seed-anchored pairs and checks that they agree.
+template <class Baseline, class Optimized>
+BenchRow bench_seed_extension(std::string name, const std::vector<SeedTask>& tasks,
+                              int reps, Baseline&& baseline, Optimized&& optimized) {
   BenchRow row;
-  row.name = "xdrop_extend";
+  row.name = std::move(name);
   row.unit = "pairs/s";
   row.items = tasks.size();
+  u64 sum_base = 0, cells_base = 0;
   row.baseline_s = best_of(reps, [&] {
-    sum_ref = cells_ref = 0;
+    sum_base = cells_base = 0;
     for (const auto& t : tasks) {
-      auto sa = align::ref::align_from_seed(t.a, t.b, t.pos_a, t.pos_b, k, sc, xdrop);
-      sum_ref += static_cast<u64>(sa.score) + sa.a_end + sa.b_end;
-      cells_ref += sa.cells;
+      auto sa = baseline(t);
+      sum_base += static_cast<u64>(sa.score) + sa.a_end + sa.b_end;
+      cells_base += sa.cells;
     }
   });
-
-  align::Workspace ws;
   u64 sum_opt = 0, cells_opt = 0;
   row.optimized_s = best_of(reps, [&] {
     sum_opt = cells_opt = 0;
     for (const auto& t : tasks) {
-      auto sa = align::align_from_seed(t.a, t.b, t.pos_a, t.pos_b, k, sc, xdrop, ws);
+      auto sa = optimized(t);
       sum_opt += static_cast<u64>(sa.score) + sa.a_end + sa.b_end;
       cells_opt += sa.cells;
     }
   });
-  DIBELLA_CHECK(sum_ref == sum_opt && cells_ref == cells_opt,
-                "xdrop optimized kernel diverged from reference");
+  DIBELLA_CHECK(sum_base == sum_opt && cells_base == cells_opt,
+                row.name + ": optimized kernel diverged from its baseline");
   row.cells = cells_opt;
   row.baseline_ns_per_cell = 1e9 * row.baseline_s / static_cast<double>(cells_opt);
   row.optimized_ns_per_cell = 1e9 * row.optimized_s / static_cast<double>(cells_opt);
   row.throughput = static_cast<double>(row.items) / row.optimized_s;
   return row;
+}
+
+/// xdrop_extend (align::ref -> dispatched kernel) and, on AVX2 hosts,
+/// xdrop_extend_avx2 (scalar kernel -> AVX2 kernel), on the same pairs.
+void bench_xdrop(std::size_t n_pairs, std::size_t read_len, int reps,
+                 util::Xoshiro256& rng, std::vector<BenchRow>& rows) {
+  const int k = 17, xdrop = 25;
+  const align::Scoring sc;
+  const auto tasks = make_seed_tasks(n_pairs, read_len, rng);
+  align::Workspace ws;
+  rows.push_back(bench_seed_extension(
+      "xdrop_extend", tasks, reps,
+      [&](const SeedTask& t) {
+        return align::ref::align_from_seed(t.a, t.b, t.pos_a, t.pos_b, k, sc, xdrop);
+      },
+      [&](const SeedTask& t) {
+        return align::align_from_seed(t.a, t.b, t.pos_a, t.pos_b, k, sc, xdrop, ws);
+      }));
+  if (!align::detail::avx2_supported()) {
+    std::cout << "CPU without AVX2: no xdrop_extend_avx2 row\n";
+    return;
+  }
+  auto with = [&](align::detail::XdropKernel kernel) {
+    return [&, kernel](const SeedTask& t) {
+      return align::detail::align_from_seed_with(kernel, t.a, t.b, t.pos_a, t.pos_b, k, sc,
+                                                 xdrop, ws);
+    };
+  };
+  rows.push_back(bench_seed_extension("xdrop_extend_avx2", tasks, reps,
+                                      with(align::detail::xdrop_extend_scalar),
+                                      with(align::detail::xdrop_extend_avx2)));
 }
 
 BenchRow bench_sw(std::size_t n_pairs, std::size_t window, int reps,
@@ -382,6 +417,7 @@ BenchRow bench_minimizer_sketch(bool smoke, int reps) {
 
   BenchRow row;
   row.name = "minimizer_sketch";
+  row.kind = "pipeline";
   row.unit = "reads/s";
   row.items = sim.reads.size();
   core::PipelineOutput dense, sketched;
@@ -425,6 +461,7 @@ BenchRow bench_seed_chaining(bool smoke, int reps) {
 
   BenchRow row;
   row.name = "seed_chaining";
+  row.kind = "pipeline";
   row.unit = "pairs/s";
   core::PipelineOutput every_seed, chained;
   row.baseline_s = best_of(reps, [&] {
@@ -458,6 +495,7 @@ BenchRow bench_exchange_overlap(bool smoke) {
                  : benchx::measure_exchange_overlap(0.1, 8, 4, 1 << 18);
   BenchRow row;
   row.name = "exchange_overlap";
+  row.kind = "modeled";
   row.unit = "exchanges/s";
   row.items = r.batches_on;
   row.baseline_s = r.exposed_off();
@@ -507,6 +545,7 @@ void write_json(const std::string& path, const std::vector<BenchRow>& rows,
     const auto& r = rows[i];
     os << "    {\n";
     os << "      \"name\": \"" << r.name << "\",\n";
+    os << "      \"kind\": \"" << r.kind << "\",\n";
     os << "      \"items\": " << r.items << ",\n";
     os << "      \"cells\": " << r.cells << ",\n";
     os << "      \"baseline_s\": " << json_escapeless(r.baseline_s) << ",\n";
@@ -542,12 +581,12 @@ int main(int argc, char** argv) {
   util::Xoshiro256 rng(20260730);
   std::vector<BenchRow> rows;
   if (smoke) {
-    rows.push_back(bench_xdrop(60, 1200, reps, rng));
+    bench_xdrop(60, 1200, reps, rng, rows);
     rows.push_back(bench_sw(120, 160, reps, rng));
     rows.push_back(bench_consolidate(60'000, 4'000, reps, rng));
     rows.push_back(bench_radix_consolidate(60'000, 4'000, reps, rng));
   } else {
-    rows.push_back(bench_xdrop(400, 4000, reps, rng));
+    bench_xdrop(400, 4000, reps, rng, rows);
     rows.push_back(bench_sw(600, 300, reps, rng));
     rows.push_back(bench_consolidate(2'000'000, 60'000, reps, rng));
     rows.push_back(bench_radix_consolidate(2'000'000, 60'000, reps, rng));

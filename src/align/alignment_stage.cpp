@@ -115,6 +115,7 @@ std::vector<AlignmentRecord> run_alignment_stage(
   }
   extend_span.arg("pairs", res.pairs_aligned);
   extend_span.arg("cells", res.dp_cells);
+  extend_span.arg("lanes", static_cast<u64>(xdrop_kernel_lanes()));
   res.sw_band_fallbacks = ws.sw_band_fallbacks;
   // Work-based compute accounting: DP cells dominate; reverse-complement
   // construction and read access are byte-copy-bounded. Exact per-rank unit

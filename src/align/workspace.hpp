@@ -28,6 +28,11 @@ struct Workspace {
   /// kernel trims windows by bookkeeping only, so rotation is pointer swaps.
   std::vector<int> xband[3];
 
+  /// X-drop sequence copies for the AVX2 kernel: the two sequences of the
+  /// current extension, padded and oriented so that both characters of a
+  /// cell sit at increasing addresses along an antidiagonal.
+  std::vector<char> xseq[2];
+
   /// Smith-Waterman DP rows (previous / current).
   std::vector<int> sw_row[2];
 

@@ -1,22 +1,16 @@
 #include "align/xdrop.hpp"
 
 #include <algorithm>
-#include <limits>
+
+#include "align/detail/xdrop_kernels.hpp"
 
 namespace dibella::align {
 
+namespace detail {
+
 namespace {
 
-constexpr int kNegInf = std::numeric_limits<int>::min() / 4;
-
-/// Above this the dead-cell sentinel arithmetic could collide with the prune
-/// threshold; capping keeps behavior identical to the reference kernel for
-/// any sequences shorter than ~25 Mbp (|score| < 10^8 always holds there).
-constexpr int kMaxXdrop = 100'000'000;
-
-inline void ensure_size(std::vector<int>& v, std::size_t n) {
-  if (v.size() < n) v.resize(n);
-}
+constexpr int kNegInf = kXdropNegInf;
 
 /// Character access for one extension frame: forward (a suffix walked left
 /// to right) or reversed (a prefix walked right to left) — the reversed view
@@ -31,8 +25,8 @@ struct SeqView {
   }
 };
 
-/// The antidiagonal x-drop DP of ref::xdrop_extend, restructured to be
-/// allocation-free:
+/// The scalar kernel (dispatched on hosts without AVX2): the antidiagonal
+/// x-drop DP of ref::xdrop_extend, restructured to be allocation-free:
 ///   * the three band buffers (antidiagonals d-2, d-1, d) live in the
 ///     workspace and rotate by pointer swap;
 ///   * "trimming" a window to its live cells adjusts [lo, hi] bookkeeping
@@ -48,7 +42,7 @@ ExtendResult xdrop_extend_impl(SeqView<kReversed> a, SeqView<kReversed> b,
   const i64 m = b.len;
   ExtendResult out;  // the empty extension scores 0 at (0,0)
   if (n == 0 && m == 0) return out;
-  xdrop = std::min(xdrop, kMaxXdrop);
+  xdrop = std::min(xdrop, kXdropMaxX);
 
   // An antidiagonal of the [0,n] x [0,m] rectangle holds at most
   // min(n, m) + 1 cells, so one sizing check up front covers the whole run.
@@ -163,11 +157,75 @@ ExtendResult xdrop_extend_impl(SeqView<kReversed> a, SeqView<kReversed> b,
 
 }  // namespace
 
+ExtendResult xdrop_extend_scalar(std::string_view a, std::string_view b, bool reversed,
+                                 const Scoring& scoring, int xdrop, Workspace& ws) {
+  const i64 n = static_cast<i64>(a.size()), m = static_cast<i64>(b.size());
+  if (reversed) {
+    return xdrop_extend_impl(SeqView<true>{a.data(), n}, SeqView<true>{b.data(), m},
+                             scoring, xdrop, ws);
+  }
+  return xdrop_extend_impl(SeqView<false>{a.data(), n}, SeqView<false>{b.data(), m},
+                           scoring, xdrop, ws);
+}
+
+bool avx2_supported() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+SeedAlignment align_from_seed_with(XdropKernel kernel, std::string_view a,
+                                   std::string_view b, u64 pos_a, u64 pos_b, int k,
+                                   const Scoring& scoring, int xdrop, Workspace& ws) {
+  DIBELLA_CHECK(pos_a + static_cast<u64>(k) <= a.size() &&
+                    pos_b + static_cast<u64>(k) <= b.size(),
+                "align_from_seed: seed outside sequence bounds");
+  SeedAlignment out;
+
+  // Left extension: the prefixes ending at the seed start, walked right to
+  // left — no reversed heap copies.
+  ExtendResult left =
+      kernel(a.substr(0, pos_a), b.substr(0, pos_b), /*reversed=*/true, scoring, xdrop, ws);
+
+  // Right extension: suffixes after the seed.
+  const u64 a_tail = pos_a + static_cast<u64>(k);
+  const u64 b_tail = pos_b + static_cast<u64>(k);
+  ExtendResult right = kernel(a.substr(a_tail), b.substr(b_tail), /*reversed=*/false,
+                              scoring, xdrop, ws);
+
+  out.score = k * scoring.match + left.score + right.score;
+  out.a_begin = pos_a - left.ext_a;
+  out.b_begin = pos_b - left.ext_b;
+  out.a_end = a_tail + right.ext_a;
+  out.b_end = b_tail + right.ext_b;
+  out.cells = left.cells + right.cells;
+  return out;
+}
+
+}  // namespace detail
+
+namespace {
+
+/// The kernel this process runs, chosen on first use from the CPU's
+/// features.
+detail::XdropKernel dispatched_kernel() {
+  static const detail::XdropKernel kernel = detail::avx2_supported()
+                                                ? detail::xdrop_extend_avx2
+                                                : detail::xdrop_extend_scalar;
+  return kernel;
+}
+
+}  // namespace
+
+int xdrop_kernel_lanes() {
+  return dispatched_kernel() == detail::xdrop_extend_avx2 ? 8 : 1;
+}
+
 ExtendResult xdrop_extend(std::string_view a, std::string_view b,
                           const Scoring& scoring, int xdrop, Workspace& ws) {
-  return xdrop_extend_impl(
-      SeqView<false>{a.data(), static_cast<i64>(a.size())},
-      SeqView<false>{b.data(), static_cast<i64>(b.size())}, scoring, xdrop, ws);
+  return dispatched_kernel()(a, b, /*reversed=*/false, scoring, xdrop, ws);
 }
 
 ExtendResult xdrop_extend(std::string_view a, std::string_view b,
@@ -179,32 +237,8 @@ ExtendResult xdrop_extend(std::string_view a, std::string_view b,
 SeedAlignment align_from_seed(std::string_view a, std::string_view b, u64 pos_a,
                               u64 pos_b, int k, const Scoring& scoring, int xdrop,
                               Workspace& ws) {
-  DIBELLA_CHECK(pos_a + static_cast<u64>(k) <= a.size() &&
-                    pos_b + static_cast<u64>(k) <= b.size(),
-                "align_from_seed: seed outside sequence bounds");
-  SeedAlignment out;
-
-  // Left extension: the reversed prefixes ending at the seed start, walked
-  // through the reversed index view — no heap copies.
-  ExtendResult left = xdrop_extend_impl(
-      SeqView<true>{a.data(), static_cast<i64>(pos_a)},
-      SeqView<true>{b.data(), static_cast<i64>(pos_b)}, scoring, xdrop, ws);
-
-  // Right extension: suffixes after the seed.
-  const u64 a_tail = pos_a + static_cast<u64>(k);
-  const u64 b_tail = pos_b + static_cast<u64>(k);
-  ExtendResult right = xdrop_extend_impl(
-      SeqView<false>{a.data() + a_tail, static_cast<i64>(a.size() - a_tail)},
-      SeqView<false>{b.data() + b_tail, static_cast<i64>(b.size() - b_tail)},
-      scoring, xdrop, ws);
-
-  out.score = k * scoring.match + left.score + right.score;
-  out.a_begin = pos_a - left.ext_a;
-  out.b_begin = pos_b - left.ext_b;
-  out.a_end = a_tail + right.ext_a;
-  out.b_end = b_tail + right.ext_b;
-  out.cells = left.cells + right.cells;
-  return out;
+  return detail::align_from_seed_with(dispatched_kernel(), a, b, pos_a, pos_b, k, scoring,
+                                      xdrop, ws);
 }
 
 SeedAlignment align_from_seed(std::string_view a, std::string_view b, u64 pos_a,

@@ -11,13 +11,25 @@
 /// source of alignment-stage load imbalance), on homologous sequences the
 /// cost is near-linear in the overlap length.
 ///
-/// The hot-path implementation is allocation-free: band buffers come from a
-/// caller-provided align::Workspace, window trimming is bookkeeping (no
-/// copies), and the left extension walks the reversed prefixes through an
-/// index view instead of materializing reversed strings. It is bitwise-
-/// identical (scores, spans, `cells`) to the retained straightforward
-/// implementation in align::ref (reference_kernels.hpp); the differential
-/// suite in tests/test_align_differential.cpp enforces this.
+/// Two kernels implement this API, each bitwise-identical (scores, spans,
+/// `cells`) to the retained straightforward implementation in align::ref
+/// (reference_kernels.hpp); tests/test_align_differential.cpp holds each one
+/// against it (align/detail/xdrop_kernels.hpp declares both):
+///   * AVX2 (xdrop_avx2.cpp): eight cells of an antidiagonal per vector.
+///     Band buffers carry dead-cell padding, so every lane loads its three
+///     parents unconditionally; both sequences are copied into padded
+///     workspace buffers oriented so one 8-byte load per sequence feeds a
+///     chunk's substitutions. A chunk whose cells cannot raise the best
+///     score is pruned with one vector compare; a chunk that can goes
+///     through the scalar best/prune step lane by lane, which keeps the
+///     in-order semantics exact.
+///   * Scalar (xdrop.cpp): one cell at a time; runs on hosts without AVX2.
+/// The kernel is chosen once per process from the CPU's features
+/// (`__builtin_cpu_supports("avx2")`); there is no flag to override it.
+///
+/// Both kernels are allocation-free: band and sequence buffers come from a
+/// caller-provided align::Workspace, and window trimming is bookkeeping (no
+/// copies).
 ///
 /// The paper calls SeqAn's implementation; this is a from-scratch equivalent
 /// property-tested against our exact Smith-Waterman (see tests/test_align.cpp).
@@ -51,6 +63,10 @@ ExtendResult xdrop_extend(std::string_view a, std::string_view b,
 /// Convenience overload with a throwaway workspace (tests, one-off calls).
 ExtendResult xdrop_extend(std::string_view a, std::string_view b,
                           const Scoring& scoring, int xdrop);
+
+/// Cells the dispatched kernel computes per instruction: 8 for AVX2, 1 for
+/// the scalar kernel. Recorded on the `align:extend` span.
+int xdrop_kernel_lanes();
 
 /// One seed-anchored pairwise alignment: seed of length k at a[pos_a..],
 /// b[pos_b..] (sequences already in the same orientation). Extends left and

@@ -287,10 +287,15 @@ class WorldState {
         }
         continue;
       }
+      // Wake on a new wire copy, or on the replay entry alone: a chunk
+      // dropped in transit reaches the replay buffer but never the box, so
+      // a box-size test by itself would sleep through it until the timeout.
       std::size_t seen = box.size();
       bool ok = rank_cv_[static_cast<std::size_t>(dst)].wait_for(
-          lock, std::chrono::duration<double>(timeout_),
-          [&] { return box.size() != seen || poisoned_; });
+          lock, std::chrono::duration<double>(timeout_), [&] {
+            return box.size() != seen || poisoned_ ||
+                   find_replay(src, dst, epoch, chunk_index) != nullptr;
+          });
       if (poisoned_) throw WorldPoisoned();
       if (!ok) {
         poison_locked(std::make_exception_ptr(CommFailure(

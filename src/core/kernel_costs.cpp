@@ -142,13 +142,16 @@ KernelCosts measure() {
     });
   }
 
-  // x-drop DP cell.
+  // x-drop DP cell, through the kernel this process dispatches to. One
+  // workspace serves every call, as in the alignment stage, so the loop
+  // times DP cells rather than band allocation.
   {
     std::string a = random_dna(6, 4'000);
     std::string b = noisy_copy(a, 0.15, 7);
     align::Scoring sc;
+    align::Workspace ws;
     costs.xdrop_per_cell = calibrate([&](u64) {
-      auto r = align::xdrop_extend(a, b, sc, 25);
+      auto r = align::xdrop_extend(a, b, sc, 25, ws);
       sink = sink + static_cast<u64>(r.score);
       return r.cells;
     });

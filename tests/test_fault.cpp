@@ -188,11 +188,15 @@ namespace {
 /// Run one flushed Exchanger batch under `plan` on a P-rank world, verify
 /// every rank receives exactly what every rank sent, and return the summed
 /// fault stats.
-dcomm::CommFaultStats exchange_under_fault(int P, const std::string& plan) {
+/// `late_rank` (if >= 0) sleeps before posting, so its peers are already
+/// waiting for its chunks when they are deposited.
+dcomm::CommFaultStats exchange_under_fault(int P, const std::string& plan,
+                                           int late_rank = -1) {
   dcomm::World world(P, 60.0);
   world.set_fault_plan(dcomm::FaultPlan::parse(plan));
   world.run([&](dcomm::Communicator& comm) {
     comm.set_stage("overlap");
+    if (comm.rank() == late_rank) usleep(200'000);
     dcomm::Exchanger ex(comm);
     std::vector<u64> payload(1024);
     for (std::size_t i = 0; i < payload.size(); ++i) {
@@ -218,6 +222,15 @@ dcomm::CommFaultStats exchange_under_fault(int P, const std::string& plan) {
 
 TEST(SelfHealingExchange, DropIsRetransmittedFromReplay) {
   auto stats = exchange_under_fault(2, "drop@overlap:0");
+  EXPECT_GE(stats.retries, 1u);
+  EXPECT_EQ(stats.corrupt_chunks, 0u);
+}
+
+TEST(SelfHealingExchange, DropWhileReceiverWaitsIsRetransmitted) {
+  // Rank 1 is already blocked on rank 0's chunk when rank 0 deposits it and
+  // the drop fault discards the wire copy: the receiver must wake on the
+  // replay entry and retransmit, not sleep until the world timeout.
+  auto stats = exchange_under_fault(2, "drop@overlap:0", /*late_rank=*/0);
   EXPECT_GE(stats.retries, 1u);
   EXPECT_EQ(stats.corrupt_chunks, 0u);
 }
