@@ -1,5 +1,5 @@
 /// \file bench_ablation_design_choices.cpp
-/// Ablations of diBELLA's design choices (DESIGN.md §5):
+/// Ablations of diBELLA's design choices:
 ///   1. owner heuristic — Algorithm 1's odd/even rule vs naive
 ///      always-owner-of-min-rid assignment (task balance consequences);
 ///   2. Bloom filter stage on/off — stage-2 memory/traffic impact of

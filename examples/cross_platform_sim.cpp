@@ -60,6 +60,6 @@ int main(int argc, char** argv) {
   }
   std::cout << "(virtual seconds: measured per-rank CPU x platform core factor,\n"
                " plus the alpha-beta network model over recorded exchanges;\n"
-               " see DESIGN.md §2 and netsim/cost_model.hpp)\n";
+               " see netsim/platform.hpp and netsim/cost_model.hpp)\n";
   return 0;
 }

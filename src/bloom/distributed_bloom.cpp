@@ -54,7 +54,8 @@ BloomStageResult run_bloom_stage(core::StageContext& ctx, const io::ReadStore& r
 
   // --- memory-bounded streaming pass: pack -> exchange -> local insert.
   // Compute accounting is work-based (see core/kernel_costs.hpp): the unit
-  // counts are exact, the per-unit costs calibrated on this host.
+  // counts are exact, and the per-unit costs were calibrated once per
+  // process before the ranks started, outside this stage's span.
   // Both schedules consume each batch in source-rank order over the same
   // batch boundaries, so insertions happen in the same global order and the
   // resulting filter/table are bitwise-identical.

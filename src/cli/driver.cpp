@@ -733,7 +733,7 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
 
   obs::ProfileReport profile;
   if (result.span_trace) {
-    profile = obs::build_profile(*result.span_trace, &report);
+    profile = obs::build_profile(*result.span_trace, result.calibration_s, &report);
     if (profile_report) obs::print_profile(out, profile);
   }
 

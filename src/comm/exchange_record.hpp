@@ -6,7 +6,7 @@
 /// exactly what an MPI implementation would have put on the wire: the
 /// destination-resolved byte counts. The netsim cost model replays these
 /// records against a platform description (Table 1) to produce the paper's
-/// cross-architecture exchange times — see DESIGN.md §2.
+/// cross-architecture exchange times — see netsim/cost_model.hpp.
 ///
 /// Self-destination bytes are never recorded: a rank's payload to itself
 /// stays in memory and an MPI implementation would not put it on the wire,

@@ -4,8 +4,9 @@
 /// process, communicating only through MPI-style collectives on a
 /// Communicator (see communicator.hpp).
 ///
-/// This substitutes for MPI in the paper's design (DESIGN.md §2): pipeline
-/// code is written exactly as an MPI program would be — per-destination
+/// This substitutes for MPI in the paper's design (README "Communication
+/// substrate"): pipeline code is written exactly as an MPI program would
+/// be — per-destination
 /// buffers, irregular all-to-all exchanges, barriers — and every byte that
 /// would cross the network is recorded per (src, dst) pair for the network
 /// cost model. Payloads move through per-peer mailbox slots tagged with the

@@ -4,16 +4,25 @@
 ///
 /// Why this exists: pipeline compute segments at high simulated rank counts
 /// are sub-millisecond, and sandboxed/virtualized kernels often advance the
-/// per-thread CPU clock in multi-millisecond ticks (this host: 10 ms),
-/// making direct segment timing pure noise. Instead, every stage counts its
-/// *work units* exactly (k-mer windows parsed, Bloom insertions, table
-/// insertions, DP cells, bytes copied) and converts them to seconds with
-/// per-unit costs measured once per process by long (>= 100 ms)
-/// single-threaded calibration loops against the fine-grained monotonic
-/// clock. Compute accounting becomes deterministic while remaining tied to
-/// this machine's real kernel speeds; data-dependent behaviour (x-drop
-/// early exit, read-length variance) is preserved exactly because the unit
-/// *counts* are exact. See DESIGN.md §2 and EXPERIMENTS.md "Methodology".
+/// per-thread CPU clock in multi-millisecond ticks, making direct segment
+/// timing pure noise. Instead, every stage counts its *work units* exactly
+/// (k-mer windows parsed, Bloom insertions, table insertions, DP cells,
+/// bytes copied) and converts them to seconds with per-unit costs measured
+/// once per process against the monotonic clock. Compute accounting becomes
+/// deterministic while remaining tied to this machine's real kernel speeds;
+/// data-dependent behaviour (x-drop early exit, read-length variance) is
+/// preserved exactly because the unit *counts* are exact.
+///
+/// Calibration is fixed-work: each kernel runs a fixed number of units (a
+/// few milliseconds' worth) on state rebuilt before every rep — a fresh
+/// Bloom filter, a fresh hash table, a traversal table with a fixed number
+/// of occurrences per key — so neither the work nor the state it measures
+/// depends on elapsed time. Each kernel runs three reps and keeps the
+/// fastest, so a preemption on a shared host does not inflate it. The whole
+/// calibration takes about 0.1 s; core::run_pipeline triggers it before
+/// `World::run`, so no stage span pays for it (profile.tsv reports it as
+/// `run all calibration_s`). netsim/cost_model.hpp rescales the resulting
+/// compute seconds to the paper's platforms.
 
 #include "util/common.hpp"
 
@@ -30,8 +39,8 @@ struct KernelCosts {
   double per_byte_copy = 0.0;       ///< bulk byte marshalling
   double graph_probe = 0.0;         ///< per witness lookup of transitive reduction
 
-  /// The process-wide calibrated instance (measured on first use: eight
-  /// loops of at least 0.1 s each, about 0.8 s once).
+  /// The process-wide calibrated instance (measured on first use, about
+  /// 0.1 s once; cached for the rest of the process).
   static const KernelCosts& get();
 };
 

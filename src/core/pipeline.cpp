@@ -5,9 +5,11 @@
 #include "bella/model.hpp"
 #include "comm/exchanger.hpp"
 #include "core/checkpoint.hpp"
+#include "core/kernel_costs.hpp"
 #include "core/stage_context.hpp"
 #include "io/read_block.hpp"
 #include "util/radix_sort.hpp"
+#include "util/timer.hpp"
 
 namespace dibella::core {
 
@@ -194,6 +196,12 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
   if (B > 1 && resume_from < CheckpointStage::kAlignment) {
     spill = std::make_shared<AlignmentSpillSet>(config.spill_dir);
   }
+
+  // Calibrate the per-unit kernel costs (once per process) before the ranks
+  // start, so no stage span is charged for it.
+  util::WallTimer calibration_timer;
+  KernelCosts::get();
+  const double calibration_s = calibration_timer.seconds();
 
   world.clear_exchange_records();
   world.run([&](comm::Communicator& comm) {
@@ -413,6 +421,7 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
   // resident vectors; block mode's merge is the spill k-way merge, streamed
   // on demand via alignment_source().
   PipelineOutput out;
+  out.calibration_s = calibration_s;
   out.partition = partition;
   out.traces = std::move(traces);
   out.exchange_log = world.exchange_records();

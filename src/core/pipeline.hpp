@@ -110,6 +110,10 @@ struct PipelineOutput {
   /// Wallclock span trace (finalized); non-null iff config.collect_spans.
   std::shared_ptr<obs::Trace> span_trace;
   io::ReadPartition partition;
+  /// Wall seconds this call spent in KernelCosts::get() before the ranks
+  /// started: the one-time calibration, or ~0 when the process already had
+  /// the costs cached.
+  double calibration_s = 0.0;
   /// Alignment tasks each rank owned — the paper's §9 point that the count
   /// balance is near perfect even when the time balance is not (Fig 8).
   std::vector<u64> per_rank_pairs_aligned;

@@ -3,7 +3,7 @@
 /// Models of the paper's four evaluation platforms (Table 1), plus the
 /// machine topology a run is simulated on.
 ///
-/// Substitution rationale (DESIGN.md §2): we cannot run on Cori, Edison,
+/// Substitution rationale: we cannot run on Cori, Edison,
 /// Titan, or an AWS placement group. What the paper's cross-architecture
 /// figures measure, though, is (a) per-rank compute — which we measure for
 /// real and rescale by a per-core speed factor — and (b) irregular all-to-all

@@ -39,10 +39,11 @@ double StageProfile::exposed_max_s() const {
 }
 double StageProfile::hidden_max_s() const { return max_of(rank_hidden_s); }
 
-ProfileReport build_profile(const Trace& trace, const netsim::TimingReport* model,
-                            std::size_t top_k) {
+ProfileReport build_profile(const Trace& trace, double calibration_s,
+                            const netsim::TimingReport* model, std::size_t top_k) {
   ProfileReport rep;
   rep.ranks = trace.ranks();
+  rep.calibration_s = calibration_s;
   rep.unclosed_spans = trace.unclosed_spans();
   rep.dropped_events = trace.dropped_events();
 
@@ -165,6 +166,7 @@ void write_profile_tsv(std::ostream& os, const ProfileReport& rep) {
   row("run", "all", "critical_path_s", fmt_s(rep.critical_path_s));
   row("run", "all", "balanced_path_s", fmt_s(rep.balanced_path_s));
   row("run", "all", "imbalance_loss_s", fmt_s(rep.critical_path_s - rep.balanced_path_s));
+  row("run", "all", "calibration_s", fmt_s(rep.calibration_s));
   row("run", "all", "unclosed_spans", std::to_string(rep.unclosed_spans));
   row("run", "all", "unmatched_ends", std::to_string(rep.unmatched_ends));
   row("run", "all", "dropped_events", std::to_string(rep.dropped_events));
@@ -224,6 +226,11 @@ void print_profile(std::ostream& os, const ProfileReport& rep) {
   stages.cell("");
   stages.cell("");
   stages.cell("");
+  // Kernel-cost calibration runs before the stages, outside the critical path.
+  stages.start_row();
+  stages.cell("calibration");
+  stages.cell(rep.calibration_s, 4);
+  for (int i = 0; i < 6; ++i) stages.cell("");
   os << "\n"
      << stages.to_text("wallclock profile on " + std::to_string(rep.ranks) +
                        " ranks (balanced = zero-imbalance bound)");

@@ -1,6 +1,6 @@
 // Tests for the comm substrate: the threads-as-ranks World and its
 // MPI-style collectives. These are the MPI-semantics contracts the pipeline
-// depends on (see DESIGN.md §2).
+// depends on (see README "Communication substrate").
 
 #include <gtest/gtest.h>
 

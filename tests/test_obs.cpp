@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -401,7 +402,7 @@ TEST(ObsPipeline, ProfileReportCoversStagesAndCriticalPath) {
                 &out);
   ASSERT_TRUE(out.span_trace != nullptr);
   const auto report = out.span_trace
-                          ? obs::build_profile(*out.span_trace, nullptr, 10)
+                          ? obs::build_profile(*out.span_trace, out.calibration_s)
                           : obs::ProfileReport{};
   EXPECT_EQ(report.ranks, 3);
   ASSERT_EQ(report.stages.size(), 5u);  // bloom, ht, overlap, align, sgraph
@@ -431,6 +432,50 @@ TEST(ObsPipeline, ProfileReportCoversStagesAndCriticalPath) {
   EXPECT_NE(text.find("run\tall\tcritical_path_s\t"), std::string::npos);
   EXPECT_NE(text.find("stage\tbloom\twall_max_s\t"), std::string::npos);
   EXPECT_NE(text.find("stage_rank\tbloom.r0\twall_s\t"), std::string::npos);
+}
+
+TEST(ObsPipeline, CalibrationSecondsReachTheProfile) {
+  auto sim = dibella::simgen::make_dataset(dibella::simgen::tiny_test());
+  auto truth = std::make_shared<const dibella::io::TruthTable>(
+      dibella::simgen::truth_table(sim));
+  dc::PipelineOutput first;
+  dc::PipelineOutput second;
+  run_artifacts(sim.reads, truth, 2, /*overlap_comm=*/true, /*spans=*/true, 1, &first);
+  run_artifacts(sim.reads, truth, 2, /*overlap_comm=*/true, /*spans=*/true, 1, &second);
+  // The costs are cached for the process after the first call.
+  EXPECT_LT(second.calibration_s, 1e-3);
+
+  ASSERT_TRUE(first.span_trace != nullptr);
+  const auto report = obs::build_profile(*first.span_trace, first.calibration_s);
+  EXPECT_EQ(report.calibration_s, first.calibration_s);
+  std::ostringstream tsv;
+  obs::write_profile_tsv(tsv, report);
+  const std::string key = "run\tall\tcalibration_s\t";
+  const std::string text = tsv.str();
+  const auto at = text.find(key);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_NEAR(std::stod(text.substr(at + key.size())), first.calibration_s, 1e-6);
+  std::ostringstream table;
+  obs::print_profile(table, report);
+  EXPECT_NE(table.str().find("calibration"), std::string::npos);
+}
+
+TEST(ObsPipelineDeathTest, FirstPipelineOfAProcessTimesTheCalibration) {
+  // The "threadsafe" style re-executes the test binary for the statement, so
+  // it runs in a process whose kernel costs are not cached yet, whatever ran
+  // before this test.
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_EXIT(
+      {
+        auto sim = dibella::simgen::make_dataset(dibella::simgen::tiny_test());
+        auto truth = std::make_shared<const dibella::io::TruthTable>(
+            dibella::simgen::truth_table(sim));
+        dc::PipelineOutput out;
+        run_artifacts(sim.reads, truth, 2, /*overlap_comm=*/true, /*spans=*/false, 1, &out);
+        // Fixed-work calibration takes ~0.1 s; a cached lookup takes ns.
+        std::exit(out.calibration_s > 1e-3 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(ObsPipeline, SpansOffMeansNoTraceAllocated) {

@@ -1,5 +1,5 @@
 // Parameterized property sweeps (TEST_P / INSTANTIATE_TEST_SUITE_P): the
-// invariants of DESIGN.md §6-7 checked across the parameter ranges the
+// stage invariants of the paper's §6-7 checked across the parameter ranges the
 // paper's methods must hold over — k, rank counts, error rates, Bloom FPR
 // targets, seed-policy distances, and x-drop budgets.
 
