@@ -2,14 +2,15 @@
 // irregular all-to-all time the nonblocking Exchanger hides behind local
 // compute, per stage and in total.
 //
-// Runs the same E. coli 30x-like workload under both communication
-// schedules (--overlap-comm=off's bulk-synchronous loops vs the overlapped
-// pack/flush/consume loops), verifies the alignment outputs are identical,
-// and reports modeled Cori exchange seconds split into exposed (ranks
-// waiting on the network) and hidden (in flight behind compute). The
-// headline number — total exposed exchange seconds before/after — is the
-// `exchange_overlap` entry of BENCH_kernels.json (regenerated by
-// bench_kernel_wallclock, which folds in the same measurement).
+// Runs the same E. coli 30x-like workload under both schedules of the
+// exchange loop (--overlap-comm=off's depth-0 bulk-synchronous supersteps vs
+// the overlapped pack/flush/consume loop), verifies the alignment outputs
+// are identical, and reports modeled Cori exchange seconds split into
+// exposed (ranks waiting on the network) and hidden (in flight behind
+// compute). The headline number — total exposed exchange seconds
+// before/after — is the `exchange_overlap` entry of BENCH_kernels.json
+// (regenerated by bench_kernel_wallclock, which folds in the same
+// measurement).
 //
 // usage: bench_exchange_overlap [--smoke] [--ranks=N] [--ranks-per-node=N]
 //                               [--scale=F] [--batch-kmers=N] [--out=PATH]
@@ -80,8 +81,8 @@ int main(int argc, char** argv) {
   DIBELLA_CHECK(ranks % rpn == 0, "--ranks-per-node must divide --ranks");
 
   benchx::print_header("exchange-overlap",
-                       "exposed vs hidden exchange time: bulk-synchronous loops vs "
-                       "the nonblocking batched Exchanger (modeled Cori seconds)");
+                       "exposed vs hidden exchange time: bulk-synchronous vs "
+                       "overlapped exchange loop (modeled Cori seconds)");
 
   auto r = benchx::measure_exchange_overlap(scale, ranks, rpn, batch);
 
@@ -112,8 +113,8 @@ int main(int argc, char** argv) {
              : 0.0,
          1);
   std::cout << t.to_text("exchange overlap on " + std::to_string(ranks) + " ranks (" +
-                         std::to_string(r.batches_on) + " nonblocking vs " +
-                         std::to_string(r.batches_off) + " blocking collectives)");
+                         std::to_string(r.batches_on) + " overlapped vs " +
+                         std::to_string(r.batches_off) + " bulk-synchronous exchanges)");
   std::cout << "\nexposed exchange: " << r.exposed_off() << " s -> " << r.exposed_on()
             << " s (" << (r.exposed_on() > 0 ? r.exposed_off() / r.exposed_on() : 0)
             << "x, " << r.hidden_on() << " s hidden behind compute)\n";

@@ -30,8 +30,8 @@
 //                   chaining to one anchor per pair (optimized); the pair
 //                   universe is asserted identical
 //   * exchange_overlap: whole-pipeline exposed exchange seconds (modeled
-//                   Cori), bulk-synchronous loops (baseline) vs the
-//                   nonblocking batched Exchanger (optimized) — virtual
+//                   Cori), the exchange loop at depth 0 (bulk-synchronous,
+//                   baseline) vs overlapped (optimized) — virtual
 //                   cost-model time, deterministic by construction (see
 //                   bench_exchange_overlap for the per-stage breakdown)
 //   * sgraph_reduction: stage-5 string-graph transitive reduction,

@@ -25,7 +25,7 @@ namespace dibella::benchx {
 struct ExchangeOverlapResult {
   netsim::TimingReport report_off;  ///< bulk-synchronous schedule
   netsim::TimingReport report_on;   ///< overlapped schedule
-  u64 batches_off = 0;              ///< exchange collectives, blocking run
+  u64 batches_off = 0;              ///< exchange collectives, bulk-synchronous run
   u64 batches_on = 0;               ///< exchange collectives, overlapped run
 
   double exposed_off() const { return report_off.total_exchange_exposed_virtual(); }

@@ -59,6 +59,18 @@ struct AlignmentStageResult {
   u64 sw_band_fallbacks = 0;
   u64 chain_anchors = 0;        ///< pairs extended from a chain anchor
   u64 chain_dropped_seeds = 0;  ///< seeds subsumed by their pair's chain
+
+  /// Fold in another round's result (block mode runs one per block).
+  AlignmentStageResult& operator+=(const AlignmentStageResult& o) {
+    pairs_aligned += o.pairs_aligned;
+    alignments_computed += o.alignments_computed;
+    dp_cells += o.dp_cells;
+    records_kept += o.records_kept;
+    sw_band_fallbacks += o.sw_band_fallbacks;
+    chain_anchors += o.chain_anchors;
+    chain_dropped_seeds += o.chain_dropped_seeds;
+    return *this;
+  }
 };
 
 /// Align every task (reads must already be resident via run_read_exchange).

@@ -1,7 +1,6 @@
 #include "align/read_exchange.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <set>
 
 #include "comm/exchanger.hpp"
@@ -10,16 +9,9 @@
 namespace dibella::align {
 
 namespace {
-/// Wire header for one shipped read (blocking schedule's header alltoallv).
-struct ReadHeaderWire {
-  u64 gid = 0;
-  u32 length = 0;
-};
-static_assert(std::is_trivially_copyable_v<ReadHeaderWire>);
-
-/// Serialized reply record size in the overlapped schedule's byte stream:
-/// u64 gid + u32 length + the characters (fields are written individually,
-/// so no struct padding travels).
+/// Serialized reply record size in the reply byte stream: u64 gid + u32
+/// length + the characters (fields are written individually, so no struct
+/// padding travels).
 constexpr std::size_t kReplyHeaderBytes = sizeof(u64) + sizeof(u32);
 }  // namespace
 
@@ -52,153 +44,82 @@ ReadExchangeResult run_read_exchange(core::StageContext& ctx, io::ReadStore& sto
                           tasks.size() * sizeof(overlap::AlignmentTask));
   }
 
-  if (cfg.overlap_comm) {
-    comm::Exchanger ex(comm, comm::Exchanger::Config{cfg.exchange_chunk_bytes});
+  comm::Exchanger ex(comm, cfg.exchange);
 
-    // --- phase A: request ids travel to owners in bounded batches; each
-    // arrived batch is filed per requester while the next is in flight.
-    std::vector<std::vector<u64>> incoming_requests(static_cast<std::size_t>(P));
-    {
-      std::vector<std::size_t> cursors(static_cast<std::size_t>(P), 0);
-      comm::run_overlapped_exchange(
-          ex,
-          [&] { return comm::post_slices(ex, requests, cursors, cfg.batch_request_gids); },
-          [&](const comm::RecvBatch& batch) {
-            for (int s = 0; s < P; ++s) {
-              batch.append_from(s, incoming_requests[static_cast<std::size_t>(s)]);
-            }
-          });
-    }
-
-    // --- phase B: owners stream the requested reads back as
-    // (gid, length, chars) records. Batch i+1 is serialized and batch i-1
-    // deserialized into the cache while batch i is in flight — the stage's
-    // dominant payload (the read strings) never idles the rank.
-    std::vector<std::size_t> reply_cursors(static_cast<std::size_t>(P), 0);
-    std::vector<io::Read> fetched;
-    comm::run_overlapped_exchange(
+  // --- phase A: request ids travel to owners in bounded batches; each
+  // arrived batch is filed per requester.
+  std::vector<std::vector<u64>> incoming_requests(static_cast<std::size_t>(P));
+  {
+    std::vector<std::size_t> cursors(static_cast<std::size_t>(P), 0);
+    comm::run_exchange(
         ex,
-        [&] {
-          u64 packed = 0;
-          bool remaining = false;
-          // The byte budget applies per destination, not per batch: serving
-          // requesters round-robin keeps every batch's send/recv volumes
-          // balanced across peers, so batching costs no extra modeled
-          // bandwidth (sum of per-batch maxima == the single-exchange max).
-          for (int requester = 0; requester < P; ++requester) {
-            const auto& gids = incoming_requests[static_cast<std::size_t>(requester)];
-            auto& cur = reply_cursors[static_cast<std::size_t>(requester)];
-            u64 packed_dest = 0;
-            while (cur < gids.size() && packed_dest < cfg.batch_reply_bytes) {
-              const io::Read& r = store.local_read(gids[cur]);
-              u64 gid = gids[cur];
-              u32 len = static_cast<u32>(r.seq.size());
-              ex.post(requester, &gid, 1);
-              ex.post(requester, &len, 1);
-              ex.post(requester, r.seq.data(), r.seq.size());
-              packed_dest += kReplyHeaderBytes + r.seq.size();
-              ++res.reads_served;
-              ++cur;
-            }
-            packed += packed_dest;
-            if (cur < gids.size()) remaining = true;
-          }
-          ctx.trace.add_compute("align:pack",
-                                static_cast<double>(packed) * costs.per_byte_copy, packed);
-          return remaining;
-        },
+        [&] { return comm::post_slices(ex, requests, cursors, cfg.batch_request_gids); },
         [&](const comm::RecvBatch& batch) {
-          u64 batch_bytes = 0;
-          for (int owner = 0; owner < P; ++owner) {
-            const u8* p = batch.src_data(owner);
-            u64 left = batch.src_size_bytes(owner);
-            while (left > 0) {
-              DIBELLA_CHECK(left >= kReplyHeaderBytes,
-                            "read exchange: truncated reply record");
-              u64 gid = 0;
-              u32 len = 0;
-              std::memcpy(&gid, p, sizeof(gid));
-              std::memcpy(&len, p + sizeof(gid), sizeof(len));
-              p += kReplyHeaderBytes;
-              left -= kReplyHeaderBytes;
-              DIBELLA_CHECK(left >= len, "read exchange: payload shorter than header");
-              io::Read r;
-              r.gid = gid;
-              r.name = "remote";
-              r.seq.assign(reinterpret_cast<const char*>(p), len);
-              p += len;
-              left -= len;
-              res.bytes_received += len;
-              batch_bytes += len;
-              fetched.push_back(std::move(r));
-            }
+          for (int s = 0; s < P; ++s) {
+            batch.append_from(s, incoming_requests[static_cast<std::size_t>(s)]);
           }
-          ctx.trace.add_compute("align:cache",
-                                static_cast<double>(batch_bytes) * costs.per_byte_copy,
-                                batch_bytes);
         });
-    store.cache_remote_bulk(std::move(fetched));
-    fetch_span.arg("reads", res.reads_requested);
-    fetch_span.arg("bytes", res.bytes_received);
-    return res;
   }
 
-  // --- blocking schedule: request ids travel to owners in one alltoallv.
-  auto incoming_requests = comm.alltoallv(requests);
-
-  // --- owners serialize the requested reads per requester.
-  std::vector<std::vector<ReadHeaderWire>> reply_headers(static_cast<std::size_t>(P));
-  std::vector<std::vector<char>> reply_chars(static_cast<std::size_t>(P));
-  {
-    u64 served_bytes = 0;
-    for (int requester = 0; requester < P; ++requester) {
-      for (u64 gid : incoming_requests[static_cast<std::size_t>(requester)]) {
-        const io::Read& r = store.local_read(gid);
-        reply_headers[static_cast<std::size_t>(requester)].push_back(
-            ReadHeaderWire{gid, static_cast<u32>(r.seq.size())});
-        auto& chars = reply_chars[static_cast<std::size_t>(requester)];
-        chars.insert(chars.end(), r.seq.begin(), r.seq.end());
-        ++res.reads_served;
-        served_bytes += r.seq.size();
-      }
-    }
-    ctx.trace.add_compute("align:pack",
-                          static_cast<double>(served_bytes) * costs.per_byte_copy,
-                          served_bytes);
-  }
-
-  // --- replies: headers then characters (two alltoallvs, as real MPI codes
-  // marshal ragged payloads).
-  auto incoming_headers = comm.alltoallv(reply_headers);
-  auto incoming_chars = comm.alltoallv(reply_chars);
-
-  // --- rebuild and cache the remote reads.
-  {
-    std::vector<io::Read> fetched;
-    for (int owner = 0; owner < P; ++owner) {
-      const auto& headers = incoming_headers[static_cast<std::size_t>(owner)];
-      const auto& chars = incoming_chars[static_cast<std::size_t>(owner)];
-      std::size_t offset = 0;
-      for (const auto& h : headers) {
-        DIBELLA_CHECK(offset + h.length <= chars.size(),
-                      "read exchange: payload shorter than headers describe");
-        io::Read r;
-        r.gid = h.gid;
-        r.name = "remote";
-        r.seq.assign(chars.begin() + static_cast<std::ptrdiff_t>(offset),
-                     chars.begin() + static_cast<std::ptrdiff_t>(offset + h.length));
-        offset += h.length;
-        res.bytes_received += h.length;
-        fetched.push_back(std::move(r));
-      }
-      DIBELLA_CHECK(offset == chars.size(),
-                    "read exchange: payload longer than headers describe");
-    }
-    ctx.trace.add_compute("align:cache",
-                          static_cast<double>(res.bytes_received) * costs.per_byte_copy,
-                          res.bytes_received);
-    store.cache_remote_bulk(std::move(fetched));
-  }
+  // --- phase B: owners stream the requested reads back as framed
+  // (gid, length, chars) records. Overlapped, batch i+1 is serialized and
+  // batch i-1 deserialized into the cache while batch i is in flight — the
+  // stage's dominant payload (the read strings) never idles the rank.
+  std::vector<std::size_t> reply_cursors(static_cast<std::size_t>(P), 0);
+  std::vector<io::Read> fetched;
+  comm::run_exchange(
+      ex,
+      [&] {
+        u64 packed = 0;
+        bool remaining = false;
+        // The byte budget applies per destination, not per batch: serving
+        // requesters round-robin keeps every batch's send/recv volumes
+        // balanced across peers, so batching costs no extra modeled
+        // bandwidth (sum of per-batch maxima == the single-exchange max).
+        for (int requester = 0; requester < P; ++requester) {
+          const auto& gids = incoming_requests[static_cast<std::size_t>(requester)];
+          auto& cur = reply_cursors[static_cast<std::size_t>(requester)];
+          u64 packed_dest = 0;
+          while (cur < gids.size() && packed_dest < cfg.batch_reply_bytes) {
+            const io::Read& r = store.local_read(gids[cur]);
+            u64 gid = gids[cur];
+            u32 len = static_cast<u32>(r.seq.size());
+            ex.post(requester, &gid, 1);
+            ex.post(requester, &len, 1);
+            ex.post(requester, r.seq.data(), r.seq.size());
+            packed_dest += kReplyHeaderBytes + r.seq.size();
+            ++res.reads_served;
+            ++cur;
+          }
+          packed += packed_dest;
+          if (cur < gids.size()) remaining = true;
+        }
+        ctx.trace.add_compute("align:pack",
+                              static_cast<double>(packed) * costs.per_byte_copy, packed);
+        return remaining;
+      },
+      [&](const comm::RecvBatch& batch) {
+        u64 batch_bytes = 0;
+        for (int owner = 0; owner < P; ++owner) {
+          // A truncated header or a payload shorter than its header raises
+          // ByteReader's typed error instead of reading past the frame.
+          comm::ByteReader in(batch.src_data(owner), batch.src_size_bytes(owner));
+          while (!in.empty()) {
+            io::Read r;
+            r.gid = in.read<u64>();
+            r.name = "remote";
+            const u32 len = in.read<u32>();
+            r.seq.assign(reinterpret_cast<const char*>(in.take(len)), len);
+            res.bytes_received += len;
+            batch_bytes += len;
+            fetched.push_back(std::move(r));
+          }
+        }
+        ctx.trace.add_compute("align:cache",
+                              static_cast<double>(batch_bytes) * costs.per_byte_copy,
+                              batch_bytes);
+      });
+  store.cache_remote_bulk(std::move(fetched));
   fetch_span.arg("reads", res.reads_requested);
   fetch_span.arg("bytes", res.bytes_received);
   return res;

@@ -9,19 +9,17 @@
 /// cached in the rank's ReadStore, replicating them for the
 /// embarrassingly-parallel alignment compute.
 ///
-/// Two schedules, identical results:
-///  * blocking — requests travel in one alltoallv; replies in two more
-///    (a header all-to-all plus a character all-to-all, exactly how an MPI
-///    code marshals ragged payloads);
-///  * overlapped (default) — requests and replies travel in bounded batches
-///    on the nonblocking comm::Exchanger, with reply serialization packed
-///    while the previous batch is in flight and arrived reads deserialized
-///    while the next one travels. Replies marshal gid/length/characters
-///    into a single byte stream per peer, so the three-phase blocking
-///    marshaling collapses into request batches + reply batches.
+/// Requests and replies travel in bounded batches on comm::Exchanger. Replies
+/// marshal gid/length/characters into a single framed byte stream per peer,
+/// so a ragged payload needs no separate header exchange. Overlapped (the
+/// default), reply serialization is packed while the previous batch is in
+/// flight and arrived reads are deserialized while the next one travels;
+/// the bulk-synchronous schedule runs the same batches one at a time.
+/// Identical replication either way.
 
 #include <vector>
 
+#include "comm/exchanger.hpp"
 #include "core/stage_context.hpp"
 #include "io/read_store.hpp"
 #include "overlap/overlapper.hpp"
@@ -30,18 +28,24 @@
 namespace dibella::align {
 
 struct ReadExchangeConfig {
-  /// Overlap request/reply batches with serialization (comm::Exchanger)
-  /// instead of the three blocking alltoallvs. Identical replication.
-  bool overlap_comm = true;
-  u64 batch_request_gids = 1u << 16;    ///< request gids per destination per batch
-  u64 batch_reply_bytes = 1u << 20;     ///< serialized reply bytes per destination per batch
-  u64 exchange_chunk_bytes = 1u << 20;  ///< Exchanger chunk granularity
+  /// Exchange schedule and chunk granularity.
+  comm::Exchanger::Config exchange;
+  u64 batch_request_gids = 1u << 16;  ///< request gids per destination per batch
+  u64 batch_reply_bytes = 1u << 20;   ///< serialized reply bytes per destination per batch
 };
 
 struct ReadExchangeResult {
   u64 reads_requested = 0;  ///< distinct remote gids this rank needed
   u64 reads_served = 0;     ///< read strings this rank sent to others
   u64 bytes_received = 0;   ///< sequence bytes received (replication volume)
+
+  /// Fold in another round's result (block mode runs one per block).
+  ReadExchangeResult& operator+=(const ReadExchangeResult& o) {
+    reads_requested += o.reads_requested;
+    reads_served += o.reads_served;
+    bytes_received += o.bytes_received;
+    return *this;
+  }
 };
 
 /// Fetch every remote read referenced by `tasks` into `store`'s cache.

@@ -1,5 +1,6 @@
 #include "bloom/bloom_filter.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -105,6 +106,17 @@ bool BlockedBloomFilter::test_and_insert(u64 h1, u64 h2) {
     }
   }
   return present;
+}
+
+u64 estimate_distinct_kmers(u64 parsed_instances, double error_rate, int k) {
+  // P[a k-mer window is error-free] = (1-e)^k; erroneous windows are almost
+  // surely unique (singletons), error-free windows collapse onto ~G genomic
+  // k-mers. distinct ~ errored + genomic ~ instances*(1-(1-e)^k) + margin.
+  double p_clean = std::pow(1.0 - error_rate, k);
+  double distinct = static_cast<double>(parsed_instances) * (1.0 - p_clean) +
+                    static_cast<double>(parsed_instances) * p_clean * 0.1;
+  // 10% safety headroom, and never size for zero.
+  return std::max<u64>(64, static_cast<u64>(distinct * 1.1));
 }
 
 }  // namespace dibella::bloom

@@ -79,4 +79,11 @@ class BlockedBloomFilter {
   std::vector<u64> words_;
 };
 
+/// The paper's a-priori cardinality estimate (Eq. 2 + typical singleton
+/// ratios) that sizes the filter: the number of distinct k-mers is close to
+/// the number of parsed k-mer instances scaled by the fraction expected to
+/// be distinct. With long-read error rates, up to ~98% of k-mers are
+/// singletons, so distinct ~ instances.
+u64 estimate_distinct_kmers(u64 parsed_instances, double error_rate, int k);
+
 }  // namespace dibella::bloom

@@ -1,8 +1,6 @@
 #include "bloom/distributed_bloom.hpp"
 
 #include "bloom/bloom_filter.hpp"
-#include "bloom/distributed_cardinality.hpp"
-#include "bloom/hyperloglog.hpp"
 #include "comm/exchanger.hpp"
 #include "core/kernel_costs.hpp"
 #include "kmer/occurrence_stream.hpp"
@@ -23,23 +21,17 @@ BloomStageResult run_bloom_stage(core::StageContext& ctx, const io::ReadStore& r
   const int P = comm.size();
   BloomStageResult result;
 
-  // --- cardinality estimate sizes this rank's Bloom partition: either the
-  // a-priori Eq. 2 + singleton-ratio estimate (§6, the default) or the
-  // HipMer-style distributed HyperLogLog pass. Uniform hashing gives each
-  // rank ~1/P of the distinct set.
-  u64 est_distinct = 0;
-  if (cfg.use_hyperloglog_cardinality) {
-    auto card = estimate_cardinality_hll(ctx, reads, cfg.k);
-    est_distinct = static_cast<u64>(card.estimate * 1.1) + 64;  // 10% headroom
-  } else {
-    u64 local_windows = 0;
-    const u64 first = reads.first_local_gid();
-    for (u64 g = first; g < first + reads.local_count(); ++g) {
-      local_windows += kmer::window_count(reads.local_length(g), cfg.k);
-    }
-    u64 total_windows = comm.allreduce_sum(local_windows);
-    est_distinct = estimate_distinct_kmers(total_windows, cfg.assumed_error_rate, cfg.k);
+  // --- the a-priori Eq. 2 + singleton-ratio cardinality estimate (§6) sizes
+  // this rank's Bloom partition. Uniform hashing gives each rank ~1/P of the
+  // distinct set.
+  u64 local_windows = 0;
+  const u64 first = reads.first_local_gid();
+  for (u64 g = first; g < first + reads.local_count(); ++g) {
+    local_windows += kmer::window_count(reads.local_length(g), cfg.k);
   }
+  u64 total_windows = comm.allreduce_sum(local_windows);
+  u64 est_distinct =
+      estimate_distinct_kmers(total_windows, cfg.assumed_error_rate, cfg.k);
   if (cfg.sketch.enabled()) {
     // Sketching inserts only the sampled subset; scale the filter by the
     // scheme's expected density (an overestimate for the distinct count,
@@ -56,88 +48,49 @@ BloomStageResult run_bloom_stage(core::StageContext& ctx, const io::ReadStore& r
   // Compute accounting is work-based (see core/kernel_costs.hpp): the unit
   // counts are exact, and the per-unit costs were calibrated once per
   // process before the ranks started, outside this stage's span.
-  // Both schedules consume each batch in source-rank order over the same
-  // batch boundaries, so insertions happen in the same global order and the
-  // resulting filter/table are bitwise-identical.
+  // Under either schedule each batch is consumed in source-rank order over
+  // the same batch boundaries, so insertions happen in the same global order
+  // and the resulting filter/table are bitwise-identical.
   kmer::OccurrenceStream stream(reads, cfg.k, cfg.sketch);
-  auto insert_batch = [&](const kmer::Kmer* data, std::size_t n) {
-    obs::Span span = ctx.span("bloom:insert");
-    span.arg("kmers", n);
-    u64 hits = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const kmer::Kmer& km = data[i];
-      ++result.received_instances;
-      if (filter.test_and_insert(km.hash(kBloomSalt1), km.hash(kBloomSalt2))) {
-        table.insert_key(km);
-        ++hits;
-      }
-    }
-    ctx.trace.add_compute("bloom:local",
-                          static_cast<double>(n) * costs.bloom_insert +
-                              static_cast<double>(hits) * costs.table_insert,
-                          filter.memory_bytes() + table.memory_bytes());
-  };
-
-  if (cfg.overlap_comm) {
-    // Nonblocking schedule: pack batch i+1 and insert batch i-1 while batch
-    // i is in flight; termination piggybacks on the batches themselves.
-    comm::Exchanger ex(comm, comm::Exchanger::Config{cfg.exchange_chunk_bytes});
-    std::vector<kmer::Kmer> scratch;
-    result.batches = comm::run_overlapped_exchange(
-        ex,
-        [&] {
-          u64 parsed = 0;
-          const u64 windows_before = stream.sketch_stats().windows_scanned;
-          bool more =
-              stream.fill(cfg.batch_kmers, [&](u64 /*rid*/, const kmer::Occurrence& occ) {
-                ex.post(kmer_owner(occ.kmer, P), &occ.kmer, 1);
-                ++parsed;
-              });
-          result.parsed_instances += parsed;
-          // Parse work is per window scanned, not per seed kept — sketching
-          // still rolls every k-mer, it just posts fewer of them.
-          const u64 scanned = stream.sketch_stats().windows_scanned - windows_before;
-          ctx.trace.add_compute("bloom:pack",
-                                static_cast<double>(scanned) * costs.parse_per_kmer,
-                                ex.pending_bytes());
-          return more;
-        },
-        [&](const comm::RecvBatch& batch) {
-          scratch.clear();
-          batch.append_to(scratch);
-          insert_batch(scratch.data(), scratch.size());
-        });
-  } else {
-    // Bulk-synchronous schedule (the paper's): every batch is a full
-    // pack -> alltoallv -> insert superstep with an allreduce vote to stop.
-    bool more = true;
-    while (true) {
-      std::vector<std::vector<kmer::Kmer>> outgoing(static_cast<std::size_t>(P));
-      u64 parsed_this_batch = 0;
-      u64 scanned_this_batch = 0;
-      if (more) {
+  comm::Exchanger ex(comm, cfg.exchange);
+  std::vector<kmer::Kmer> scratch;
+  result.batches = comm::run_exchange(
+      ex,
+      [&] {
+        u64 parsed = 0;
         const u64 windows_before = stream.sketch_stats().windows_scanned;
-        more = stream.fill(cfg.batch_kmers, [&](u64 /*rid*/, const kmer::Occurrence& occ) {
-          outgoing[static_cast<std::size_t>(kmer_owner(occ.kmer, P))].push_back(occ.kmer);
-          ++parsed_this_batch;
-        });
-        result.parsed_instances += parsed_this_batch;
-        scanned_this_batch = stream.sketch_stats().windows_scanned - windows_before;
-      }
-      u64 buffered = 0;
-      for (const auto& v : outgoing) buffered += v.size() * sizeof(kmer::Kmer);
-      ctx.trace.add_compute("bloom:pack",
-                            static_cast<double>(scanned_this_batch) * costs.parse_per_kmer,
-                            buffered);
-
-      auto incoming = comm.alltoallv_flat(outgoing);
-      insert_batch(incoming.data(), incoming.size());
-      ++result.batches;
-
-      bool all_done = comm.allreduce_and(!more);
-      if (all_done) break;
-    }
-  }
+        bool more =
+            stream.fill(cfg.batch_kmers, [&](u64 /*rid*/, const kmer::Occurrence& occ) {
+              ex.post(kmer_owner(occ.kmer, P), &occ.kmer, 1);
+              ++parsed;
+            });
+        result.parsed_instances += parsed;
+        // Parse work is per window scanned, not per seed kept — sketching
+        // still rolls every k-mer, it just posts fewer of them.
+        const u64 scanned = stream.sketch_stats().windows_scanned - windows_before;
+        ctx.trace.add_compute("bloom:pack",
+                              static_cast<double>(scanned) * costs.parse_per_kmer,
+                              ex.pending_bytes());
+        return more;
+      },
+      [&](const comm::RecvBatch& batch) {
+        scratch.clear();
+        batch.append_to(scratch);
+        obs::Span span = ctx.span("bloom:insert");
+        span.arg("kmers", scratch.size());
+        u64 hits = 0;
+        for (const kmer::Kmer& km : scratch) {
+          ++result.received_instances;
+          if (filter.test_and_insert(km.hash(kBloomSalt1), km.hash(kBloomSalt2))) {
+            table.insert_key(km);
+            ++hits;
+          }
+        }
+        ctx.trace.add_compute("bloom:local",
+                              static_cast<double>(scratch.size()) * costs.bloom_insert +
+                                  static_cast<double>(hits) * costs.table_insert,
+                              filter.memory_bytes() + table.memory_bytes());
+      });
 
   result.candidate_keys = table.size();
   result.bloom_set_bits = filter.popcount();

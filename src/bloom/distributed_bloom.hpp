@@ -9,6 +9,7 @@
 /// local hash-table partition. Roughly (P-1)/P of all k-mer instances cross
 /// the network — the paper's dominant stage-1 communication volume.
 
+#include "comm/exchanger.hpp"
 #include "core/stage_context.hpp"
 #include "dht/local_table.hpp"
 #include "io/read_store.hpp"
@@ -22,20 +23,14 @@ struct BloomStageConfig {
   /// Minimizer sketch applied to the k-mer scan. Must match stage 2's so
   /// both stages sample (and therefore route) the identical seed set.
   sketch::SketchConfig sketch;
-  /// Per-rank k-mer occurrences buffered per bulk-synchronous batch. The
+  /// Per-rank k-mer occurrences buffered per exchange batch. The
   /// memory bound of the streaming pass (§4): k-mers are never all resident.
   u64 batch_kmers = 1u << 20;
   double bloom_fpr = 0.05;
   /// Assumed per-base error rate for the a-priori cardinality estimate.
   double assumed_error_rate = 0.15;
-  /// Size the Bloom filter with a distributed HyperLogLog pass instead of
-  /// the a-priori Eq. 2 estimate — HipMer's fallback for extreme genomes
-  /// (§6). Costs one extra scan over the reads.
-  bool use_hyperloglog_cardinality = false;
-  /// Overlap the batch exchange with packing/insertion (comm::Exchanger)
-  /// instead of the bulk-synchronous alltoallv loop. Identical output.
-  bool overlap_comm = true;
-  u64 exchange_chunk_bytes = 1u << 20;  ///< Exchanger chunk granularity
+  /// Exchange schedule and chunk granularity. Identical output either way.
+  comm::Exchanger::Config exchange;
 };
 
 struct BloomStageResult {
@@ -45,7 +40,7 @@ struct BloomStageResult {
   u64 candidate_keys = 0;      ///< keys initialized in this rank's table partition
   u64 bloom_bits = 0;          ///< Bloom partition size
   u64 bloom_set_bits = 0;      ///< occupancy after the pass
-  u64 batches = 0;             ///< bulk-synchronous batches executed
+  u64 batches = 0;             ///< exchange batches executed
 };
 
 /// Hash salt reserved for owner-rank assignment (uniform k-mer load balance,

@@ -77,9 +77,11 @@ pipeline:
   --xdrop=N             x-drop termination threshold (default 25)
   --min-score=N         drop alignments scoring below N (default 0)
   --bloom-fpr=F         Bloom filter false-positive rate (default 0.05)
-  --overlap-comm=MODE   on  = nonblocking batched exchanges overlapped with
-                              compute (default)
-                        off = bulk-synchronous pack -> alltoallv -> consume
+  --overlap-comm=MODE   on  = pack and consume exchange batches while the
+                              previous batch is in flight (default)
+                        off = bulk-synchronous: pack -> exchange -> consume,
+                              one batch at a time
+                        Both run the same self-healing framed exchange.
                         Alignments and counters are identical either way;
                         timings.tsv shows the exposed/hidden exchange split.
 
@@ -121,8 +123,8 @@ fault tolerance:
                         of KIND@STAGE:EPOCH[:RANK] specs, e.g. drop@overlap:0
                         or abort@align:0:2. KIND: drop | duplicate | delay |
                         truncate | bitflip are transport faults absorbed by
-                        the self-healing exchange (they need
-                        --overlap-comm=on and show up in the
+                        the self-healing exchange under either
+                        --overlap-comm schedule (they show up in the
                         comm_chunk_retries / _redeliveries / _corrupt_chunks
                         counters); abort kills the rank at that collective.
                         STAGE: bloom | ht | overlap | align | sgraph. EPOCH
@@ -611,12 +613,6 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
                          " ranks");
       }
     }
-    if (fault_plan->has_transport_faults() && !cfg.overlap_comm) {
-      throw UsageError(
-          "--inject-fault transport faults (drop/duplicate/delay/truncate/"
-          "bitflip) require --overlap-comm=on (the bulk-synchronous path has "
-          "no framed exchange to mangle)");
-    }
   }
 
   // --- ground-truth evaluation: on by default when truth is free (simulated
@@ -763,9 +759,9 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
     if (profile_report && result.span_trace) {
       std::ostringstream prof;
       obs::write_profile_tsv(prof, profile);
-      // Wire-level exchange accounting rides along as a `wire` section:
-      // schedule-dependent (chunking differs between overlapped and
-      // bulk-synchronous runs), so it belongs here, not in counters.tsv.
+      // Wire-level exchange accounting rides along as a `wire` section: it
+      // moves with the batch/chunk size knobs, so it belongs here, not in
+      // counters.tsv.
       {
         std::ostringstream wire;
         result.wire_metrics.dump_tsv(wire);

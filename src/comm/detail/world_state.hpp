@@ -366,6 +366,11 @@ class WorldState {
     }
     bool ok = cv_.wait_for(lock, std::chrono::duration<double>(timeout_),
                            [&] { return generation_ != gen || poisoned_; });
+    // Every rank arrived: the fence completed, even if a rank that left it
+    // first has failed since. That failure surfaces at this rank's next
+    // collective; work ordered after the fence (a checkpoint's completion
+    // mark) must still run.
+    if (generation_ != gen) return;
     if (poisoned_) throw WorldPoisoned();
     if (!ok) {
       // A rank never arrived: collective sequence mismatch or runaway

@@ -20,9 +20,9 @@
 namespace dibella::comm {
 
 /// Collective operation kinds (named after their MPI equivalents).
-/// kExchange is the Exchanger's nonblocking batched all-to-all: the same
-/// wire pattern as kAlltoallv, but issued with flush_async()/wait() so the
-/// transfer overlaps local compute.
+/// kExchange is the Exchanger's batched all-to-all: the same wire pattern as
+/// kAlltoallv, but issued with flush_async()/wait() so the transfer can
+/// overlap local compute.
 enum class CollectiveOp : u8 {
   kAlltoallv,
   kAllgather,

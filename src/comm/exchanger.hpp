@@ -1,7 +1,8 @@
 #pragma once
 /// \file exchanger.hpp
 /// The nonblocking batched exchange: a double-buffered, chunked irregular
-/// all-to-all with post / flush_async / wait semantics.
+/// all-to-all with post / flush_async / wait semantics, and the one exchange
+/// loop every pipeline stage runs on (run_exchange).
 ///
 /// Usage pattern (one batch in flight at a time):
 ///
@@ -20,9 +21,15 @@
 /// never block, so two ranks flushing at each other cannot deadlock); the
 /// caller is free to pack the next batch and consume the previous one while
 /// peers' chunks trickle in. wait() blocks only for the deposits that have
-/// not yet arrived and returns the batch concatenated in source-rank order —
-/// the same consumption order as the blocking alltoallv_flat, which is what
-/// keeps the overlapped and bulk-synchronous schedules bitwise-identical.
+/// not yet arrived and returns the batch concatenated in source-rank order.
+///
+/// Two schedules drive the same loop (Config::overlap): overlapped, as
+/// above, or depth 0 — the paper's bulk-synchronous superstep: pack,
+/// flush_async, wait, consume, with nothing packed while a batch is in
+/// flight. Both exchange the same batches in the same order and differ only
+/// in when pack() runs relative to the flight, so a stage's outputs are
+/// bitwise-identical under either, and both travel the same CRC-framed,
+/// self-healing chunk protocol.
 ///
 /// Each flush carries a piggybacked per-sender `done` bit, so streaming
 /// loops terminate without a separate allreduce: stop after the first batch
@@ -35,7 +42,7 @@
 /// flush-to-wait window in which the exchange was concurrent with compute.
 /// The flush also fires the communicator's exchange-start sink so the rank
 /// trace brackets the compute-concurrent window for the cost model's
-/// virtual exposed/hidden split.
+/// virtual exposed/hidden split (empty at depth 0: fully exposed).
 
 #include <algorithm>
 #include <cstring>
@@ -95,12 +102,12 @@ struct RecvBatch {
 };
 
 /// Sequential POD reader over a received byte region (one source's slice of
-/// a RecvBatch, a per-source vector from alltoallv, or bytes accumulated
-/// across several overlapped batches): the consumption-side counterpart of
-/// post()-ing a framed record stream field by field. Framed streams let a
-/// stage ship ragged records (header + variable payload) through the same
-/// byte exchanges as flat ones; the reader checks bounds so a truncated or
-/// misaligned frame fails loudly instead of reading garbage.
+/// a RecvBatch, or one source's bytes accumulated across several batches):
+/// the consumption-side counterpart of post()-ing a framed record stream
+/// field by field. Framed streams let a stage ship ragged records (header +
+/// variable payload) through the same byte exchanges as flat ones; the
+/// reader checks bounds so a truncated or misaligned frame fails loudly
+/// instead of reading garbage.
 class ByteReader {
  public:
   ByteReader(const u8* data, u64 size) : p_(data), left_(size) {}
@@ -125,12 +132,20 @@ class ByteReader {
   template <class T>
   void read_into(std::vector<T>& out, std::size_t n) {
     static_assert(std::is_trivially_copyable_v<T>, "framed payload must be POD");
-    DIBELLA_CHECK(left_ >= n * sizeof(T), "ByteReader: truncated frame payload");
+    const u8* src = take(n * sizeof(T));
     std::size_t at = out.size();
     out.resize(at + n);
-    if (n > 0) std::memcpy(out.data() + at, p_, n * sizeof(T));
-    p_ += n * sizeof(T);
-    left_ -= n * sizeof(T);
+    if (n > 0) std::memcpy(out.data() + at, src, n * sizeof(T));
+  }
+
+  /// The next `n` bytes in place (valid while the underlying buffer is);
+  /// advances past them.
+  const u8* take(u64 n) {
+    DIBELLA_CHECK(left_ >= n, "ByteReader: truncated frame payload");
+    const u8* at = p_;
+    p_ += n;
+    left_ -= n;
+    return at;
   }
 
  private:
@@ -145,6 +160,10 @@ class Exchanger {
     /// a chunk train. Bounds the granularity at which a flush's data becomes
     /// available to the receiver.
     u64 chunk_bytes = 1u << 20;
+    /// Schedule of run_exchange: true = overlapped (pack batch i+1 and
+    /// consume batch i-1 while batch i is in flight); false = depth 0, the
+    /// bulk-synchronous superstep. Identical outputs either way.
+    bool overlap = true;
   };
 
   explicit Exchanger(Communicator& comm) : Exchanger(comm, Config()) {}
@@ -159,6 +178,7 @@ class Exchanger {
 
   int rank() const { return comm_.rank(); }
   int size() const { return comm_.size(); }
+  const Config& config() const { return cfg_; }
 
   /// Append raw bytes to the current batch's payload for `dst`.
   void post_bytes(int dst, const void* data, std::size_t n);
@@ -201,40 +221,50 @@ class Exchanger {
   util::WallTimer flight_timer_;        ///< started at flush_async (hidden window)
 };
 
-/// Drive a complete overlapped exchange loop: `pack()` fills the exchanger's
-/// current batch and returns true while this rank may still have more to
-/// send; `consume(batch)` handles each arrived batch. Batch i+1 is packed
-/// and batch i-1 consumed while batch i is in flight. Equivalent, batch for
-/// batch, to the bulk-synchronous loop
+/// Drive a complete exchange loop: `pack()` fills the exchanger's current
+/// batch and returns true while this rank may still have more to send;
+/// `consume(batch)` handles each arrived batch. The loop runs until the
+/// first batch in which every rank reported done, and returns the number of
+/// batches exchanged. The only place the schedule (Config::overlap) is
+/// decided:
 ///
-///   do { pack(); exchange; } while (!allreduce_and(done));
+///  * depth 0 — `do { pack(); flush; consume(wait()); } while (!all_done)`,
+///    the bulk-synchronous superstep with the stop vote piggybacked;
+///  * overlapped — batch i+1 is packed and batch i-1 consumed while batch i
+///    is in flight.
 ///
-/// including its termination: the loop runs until the first batch in which
-/// every rank reported done. Returns the number of batches exchanged.
+/// Both call pack() the same number of times and exchange the same batches,
+/// so consumers see identical data in identical order.
 template <class PackFn, class ConsumeFn>
-u64 run_overlapped_exchange(Exchanger& ex, PackFn&& pack, ConsumeFn&& consume) {
+u64 run_exchange(Exchanger& ex, PackFn&& pack, ConsumeFn&& consume) {
+  const bool overlap = ex.config().overlap;
   bool more = pack();
   ex.flush_async(/*done=*/!more);
   u64 batches = 0;
   while (true) {
-    // Pack the next batch while the current one is in flight. Safe to do
-    // speculatively: if this rank still has data, its done bit on the
-    // in-flight batch is false, so the loop cannot terminate underneath it.
-    if (more) more = pack();
+    // Overlapped: pack the next batch while the current one is in flight.
+    // Safe to do speculatively: if this rank still has data, its done bit
+    // on the in-flight batch is false, so the loop cannot terminate
+    // underneath it.
+    if (overlap && more) more = pack();
     RecvBatch batch = ex.wait();
     ++batches;
-    bool all_done = batch.all_done();
-    if (!all_done) ex.flush_async(/*done=*/!more);
+    const bool all_done = batch.all_done();
+    if (overlap && !all_done) ex.flush_async(/*done=*/!more);
     consume(batch);
     if (all_done) return batches;
+    if (!overlap) {
+      if (more) more = pack();
+      ex.flush_async(/*done=*/!more);
+    }
   }
 }
 
 /// Post the next slice (at most `max_items` items) of every destination's
 /// vector to `ex`, advancing `cursors`; returns true while any destination
-/// has items left after this slice. The building block for overlapping a
-/// single large pre-built exchange (stage 3's task buffers, stage 4's
-/// request lists) in bounded batches.
+/// has items left after this slice. The building block for batching a
+/// single large pre-built exchange (stage 4's request lists, stage 5's byte
+/// streams) in bounded batches.
 template <class T>
 bool post_slices(Exchanger& ex, const std::vector<std::vector<T>>& per_dest,
                  std::vector<std::size_t>& cursors, std::size_t max_items) {

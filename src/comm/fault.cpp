@@ -97,13 +97,6 @@ std::shared_ptr<const FaultPlan> FaultPlan::parse(const std::string& text) {
   return std::make_shared<const FaultPlan>(FaultPlan(std::move(specs)));
 }
 
-bool FaultPlan::has_transport_faults() const {
-  for (const FaultSpec& s : specs_) {
-    if (s.kind != FaultKind::kAbort) return true;
-  }
-  return false;
-}
-
 void FaultPlan::maybe_abort(const std::string& stage, u64 index, int rank) const {
   for (std::size_t i = 0; i < specs_.size(); ++i) {
     const FaultSpec& s = specs_[i];

@@ -12,9 +12,9 @@
 /// (default rank 0) — every blocking collective and every Exchanger flush
 /// counts one. A spec arms at the first *opportunity* at or after its
 /// epoch: abort faults fire at the matching collective of any kind;
-/// transport faults need an Exchanger flush (the chunked nonblocking path
-/// is the only framed one), so they fire at the stage's first flush at or
-/// after the epoch and require --overlap-comm=on.
+/// transport faults need an Exchanger flush (the framed chunk path every
+/// stage exchange runs on, under either --overlap-comm schedule), so they
+/// fire at the stage's first flush at or after the epoch.
 ///
 /// Transport faults mangle exactly one wire chunk of the matched flush (the
 /// chunk-0 payload to neighbour (rank+1) % P): dropped, duplicated, delayed,
@@ -80,7 +80,6 @@ class FaultPlan {
   static std::shared_ptr<const FaultPlan> parse(const std::string& text);
 
   const std::vector<FaultSpec>& specs() const { return specs_; }
-  bool has_transport_faults() const;
 
   /// Called by each rank at the start of collective `index` of `stage`:
   /// throws RankFailure when an unfired abort spec matches (stage, rank,

@@ -50,12 +50,12 @@ struct PipelineConfig {
   std::string spill_dir;
 
   // --- communication schedule
-  /// Run every stage's exchanges on the nonblocking comm::Exchanger,
-  /// packing batch i+1 and consuming batch i-1 while batch i is in flight.
-  /// Off = the paper's bulk-synchronous pack -> alltoallv -> consume loops.
-  /// The alignment output and counters are bitwise-identical either way.
+  /// Schedule of every stage's comm::Exchanger loop: pack batch i+1 and
+  /// consume batch i-1 while batch i is in flight. Off = depth 0, the
+  /// paper's bulk-synchronous pack -> exchange -> consume superstep. The
+  /// alignment output and counters are bitwise-identical either way.
   bool overlap_comm = true;
-  /// Mailbox chunk granularity of the nonblocking exchanges.
+  /// Mailbox chunk granularity of the exchanges.
   u64 exchange_chunk_bytes = 1u << 20;
   /// Stage-3 wire tasks per destination per exchange batch.
   u64 batch_overlap_tasks = 1u << 18;

@@ -203,6 +203,9 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
   KernelCosts::get();
   const double calibration_s = calibration_timer.seconds();
 
+  // Every stage's exchanges run on one schedule and chunk granularity.
+  const comm::Exchanger::Config exchange{config.exchange_chunk_bytes, config.overlap_comm};
+
   world.clear_exchange_records();
   world.run([&](comm::Communicator& comm) {
     const auto rank = static_cast<std::size_t>(comm.rank());
@@ -245,8 +248,7 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
       bcfg.bloom_fpr = config.bloom_fpr;
       bcfg.assumed_error_rate = config.assumed_error_rate;
       bcfg.sketch = sketch::SketchConfig{config.minimizer_w, config.syncmer};
-      bcfg.overlap_comm = config.overlap_comm;
-      bcfg.exchange_chunk_bytes = config.exchange_chunk_bytes;
+      bcfg.exchange = exchange;
       {
         obs::Span stage_span = ctx.span("stage:bloom");
         bloom_res[rank] = bloom::run_bloom_stage(ctx, store, bcfg, table);
@@ -269,8 +271,7 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
       hcfg.min_count = config.min_kmer_count;
       hcfg.max_count = max_count;
       hcfg.sketch = sketch::SketchConfig{config.minimizer_w, config.syncmer};
-      hcfg.overlap_comm = config.overlap_comm;
-      hcfg.exchange_chunk_bytes = config.exchange_chunk_bytes;
+      hcfg.exchange = exchange;
       {
         obs::Span stage_span = ctx.span("stage:ht");
         ht_res[rank] = dht::run_hashtable_stage(ctx, store, hcfg, table);
@@ -290,9 +291,8 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
     if (resume_from < CheckpointStage::kOverlap) {
       overlap::OverlapStageConfig ocfg;
       ocfg.seed_filter = config.seed_filter;
-      ocfg.overlap_comm = config.overlap_comm;
+      ocfg.exchange = exchange;
       ocfg.batch_tasks = config.batch_overlap_tasks;
-      ocfg.exchange_chunk_bytes = config.exchange_chunk_bytes;
       {
         obs::Span stage_span = ctx.span("stage:overlap");
         tasks = overlap::run_overlap_stage(ctx, table, partition, ocfg, &ov_res[rank]);
@@ -318,8 +318,7 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
     // consolidated task order, i.e. today's behavior.
     if (resume_from < CheckpointStage::kAlignment) {
       align::ReadExchangeConfig rcfg;
-      rcfg.overlap_comm = config.overlap_comm;
-      rcfg.exchange_chunk_bytes = config.exchange_chunk_bytes;
+      rcfg.exchange = exchange;
       align::AlignmentStageConfig acfg;
       acfg.scoring = config.scoring;
       acfg.xdrop = config.xdrop;
@@ -343,17 +342,10 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
           obs::Span round_span = ctx.span("round");
           round_span.arg("block", r);
           round_span.arg("tasks", rounds[r].size());
-          const auto rx = align::run_read_exchange(ctx, store, rounds[r], rcfg);
-          rx_res[rank].reads_requested += rx.reads_requested;
-          rx_res[rank].reads_served += rx.reads_served;
-          rx_res[rank].bytes_received += rx.bytes_received;
+          rx_res[rank] += align::run_read_exchange(ctx, store, rounds[r], rcfg);
           align::AlignmentStageResult al;
           auto round_records = align::run_alignment_stage(ctx, store, rounds[r], acfg, &al);
-          al_res[rank].pairs_aligned += al.pairs_aligned;
-          al_res[rank].alignments_computed += al.alignments_computed;
-          al_res[rank].dp_cells += al.dp_cells;
-          al_res[rank].records_kept += al.records_kept;
-          al_res[rank].sw_band_fallbacks += al.sw_band_fallbacks;
+          al_res[rank] += al;
           sort_records(round_records);
           {
             obs::Span spill_span = ctx.span("spill:write");
@@ -401,9 +393,8 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
       sgraph::StringGraphConfig scfg;
       scfg.min_overlap_score = config.min_overlap_score;
       scfg.fuzz = config.sgraph_fuzz;
-      scfg.overlap_comm = config.overlap_comm;
+      scfg.exchange = exchange;
       scfg.batch_bytes = config.batch_graph_bytes;
-      scfg.exchange_chunk_bytes = config.exchange_chunk_bytes;
       obs::Span stage_span = ctx.span("stage:sgraph");
       if (!spill) {
         sg_out[rank] = sgraph::run_string_graph_stage(ctx, store, records[rank], scfg,

@@ -28,10 +28,11 @@ struct StageContext {
   obs::Trace* spans = nullptr;      ///< wallclock span lanes (null = tracing off)
   obs::Registry* metrics = nullptr; ///< this rank's metrics registry
   /// Wire-level exchange accounting (call counts, framed bytes, per-call
-  /// size histogram). Kept out of `metrics`: chunking and batching differ
-  /// between the overlapped and bulk-synchronous schedules, so these rows
-  /// would break counters.tsv's byte-identity across schedules. They dump
-  /// into profile.tsv instead.
+  /// size histogram). Both schedules batch identically, but call counts and
+  /// per-call sizes move with the batch and chunk size knobs, which no
+  /// output may depend on (the checkpoint fingerprint excludes them), so
+  /// these rows stay out of `metrics`/counters.tsv and dump into profile.tsv
+  /// instead.
   obs::Registry* wire_metrics = nullptr;
 
   /// Open a wallclock span on this rank's lane (no-op when tracing is off).
@@ -95,10 +96,9 @@ struct StageContext {
 
   void observe_exchange(const comm::ExchangeRecord& rec) {
     if (wire_metrics) {
-      // Deterministic for a fixed schedule (bytes and call counts depend on
-      // input, config, and comm schedule — never on wallclock), but framed
-      // sizes and call counts differ between overlapped and bulk-synchronous
-      // runs, hence the separate wire registry.
+      // Deterministic (bytes and call counts depend on input and config,
+      // never on wallclock), but they move with the batch/chunk knobs, hence
+      // the separate wire registry.
       obs::Labels by_stage{{"stage", rec.stage}};
       wire_metrics->counter("exchange_calls", by_stage).increment();
       wire_metrics->counter("exchange_bytes", by_stage).add(rec.total_bytes());

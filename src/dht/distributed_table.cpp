@@ -18,89 +18,50 @@ HashTableStageResult run_hashtable_stage(core::StageContext& ctx,
   HashTableStageResult result;
   result.keys_before_purge = table.size();
 
-  // As in stage 1, both schedules consume each batch in source-rank order
+  // As in stage 1, either schedule consumes each batch in source-rank order
   // over the same batch boundaries — identical insertion order, identical
   // table contents.
   kmer::OccurrenceStream stream(reads, cfg.k, cfg.sketch);
-  auto insert_batch = [&](const KmerInstance* data, std::size_t n) {
-    obs::Span span = ctx.span("ht:insert");
-    span.arg("instances", n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const KmerInstance& inst = data[i];
-      ++result.received_instances;
-      ReadOccurrence occ{inst.rid, inst.pos, inst.is_forward};
-      if (table.add_occurrence(inst.km, occ)) ++result.inserted_occurrences;
-    }
-    ctx.trace.add_compute("ht:local", static_cast<double>(n) * costs.table_insert,
-                          table.memory_bytes());
-  };
-
-  if (cfg.overlap_comm) {
-    comm::Exchanger ex(comm, comm::Exchanger::Config{cfg.exchange_chunk_bytes});
-    std::vector<KmerInstance> scratch;
-    result.batches = comm::run_overlapped_exchange(
-        ex,
-        [&] {
-          u64 parsed = 0;
-          const u64 windows_before = stream.sketch_stats().windows_scanned;
-          bool more =
-              stream.fill(cfg.batch_instances, [&](u64 rid, const kmer::Occurrence& occ) {
-                KmerInstance inst;
-                inst.km = occ.kmer;
-                inst.rid = rid;
-                inst.pos = occ.pos;
-                inst.is_forward = occ.is_forward ? 1 : 0;
-                ex.post(bloom::kmer_owner(occ.kmer, P), &inst, 1);
-                ++parsed;
-              });
-          result.parsed_instances += parsed;
-          // As in stage 1: parse work scales with windows scanned, not with
-          // the (sketched) subset that gets posted.
-          const u64 scanned = stream.sketch_stats().windows_scanned - windows_before;
-          ctx.trace.add_compute("ht:pack",
-                                static_cast<double>(scanned) * costs.parse_per_kmer,
-                                ex.pending_bytes());
-          return more;
-        },
-        [&](const comm::RecvBatch& batch) {
-          scratch.clear();
-          batch.append_to(scratch);
-          insert_batch(scratch.data(), scratch.size());
-        });
-  } else {
-    bool more = true;
-    while (true) {
-      std::vector<std::vector<KmerInstance>> outgoing(static_cast<std::size_t>(P));
-      u64 parsed_this_batch = 0;
-      u64 scanned_this_batch = 0;
-      if (more) {
+  comm::Exchanger ex(comm, cfg.exchange);
+  std::vector<KmerInstance> scratch;
+  result.batches = comm::run_exchange(
+      ex,
+      [&] {
+        u64 parsed = 0;
         const u64 windows_before = stream.sketch_stats().windows_scanned;
-        more = stream.fill(cfg.batch_instances, [&](u64 rid, const kmer::Occurrence& occ) {
-          KmerInstance inst;
-          inst.km = occ.kmer;
-          inst.rid = rid;
-          inst.pos = occ.pos;
-          inst.is_forward = occ.is_forward ? 1 : 0;
-          outgoing[static_cast<std::size_t>(bloom::kmer_owner(occ.kmer, P))].push_back(inst);
-          ++parsed_this_batch;
-        });
-        result.parsed_instances += parsed_this_batch;
-        scanned_this_batch = stream.sketch_stats().windows_scanned - windows_before;
-      }
-      u64 buffered = 0;
-      for (const auto& v : outgoing) buffered += v.size() * sizeof(KmerInstance);
-      ctx.trace.add_compute("ht:pack",
-                            static_cast<double>(scanned_this_batch) * costs.parse_per_kmer,
-                            buffered);
-
-      auto incoming = comm.alltoallv_flat(outgoing);
-      insert_batch(incoming.data(), incoming.size());
-      ++result.batches;
-
-      bool all_done = comm.allreduce_and(!more);
-      if (all_done) break;
-    }
-  }
+        bool more =
+            stream.fill(cfg.batch_instances, [&](u64 rid, const kmer::Occurrence& occ) {
+              KmerInstance inst;
+              inst.km = occ.kmer;
+              inst.rid = rid;
+              inst.pos = occ.pos;
+              inst.is_forward = occ.is_forward ? 1 : 0;
+              ex.post(bloom::kmer_owner(occ.kmer, P), &inst, 1);
+              ++parsed;
+            });
+        result.parsed_instances += parsed;
+        // As in stage 1: parse work scales with windows scanned, not with
+        // the (sketched) subset that gets posted.
+        const u64 scanned = stream.sketch_stats().windows_scanned - windows_before;
+        ctx.trace.add_compute("ht:pack",
+                              static_cast<double>(scanned) * costs.parse_per_kmer,
+                              ex.pending_bytes());
+        return more;
+      },
+      [&](const comm::RecvBatch& batch) {
+        scratch.clear();
+        batch.append_to(scratch);
+        obs::Span span = ctx.span("ht:insert");
+        span.arg("instances", scratch.size());
+        for (const KmerInstance& inst : scratch) {
+          ++result.received_instances;
+          ReadOccurrence occ{inst.rid, inst.pos, inst.is_forward};
+          if (table.add_occurrence(inst.km, occ)) ++result.inserted_occurrences;
+        }
+        ctx.trace.add_compute("ht:local",
+                              static_cast<double>(scratch.size()) * costs.table_insert,
+                              table.memory_bytes());
+      });
 
   // Purge: false-positive singletons and high-frequency k-mers (> m). The
   // partitions are traversed independently in parallel — no communication.

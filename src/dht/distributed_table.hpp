@@ -11,6 +11,7 @@
 /// metadata per instance) with an identical message pattern — the
 /// cross-stage contrast the paper draws in §7/§10.
 
+#include "comm/exchanger.hpp"
 #include "core/stage_context.hpp"
 #include "dht/local_table.hpp"
 #include "io/read_store.hpp"
@@ -27,10 +28,8 @@ struct HashTableStageConfig {
   u64 batch_instances = 1u << 20;  ///< per-rank occurrences per batch
   u32 min_count = 2;               ///< below: singleton purge
   u32 max_count = 8;               ///< above: high-frequency purge (m)
-  /// Overlap the batch exchange with packing/insertion (comm::Exchanger)
-  /// instead of the bulk-synchronous alltoallv loop. Identical output.
-  bool overlap_comm = true;
-  u64 exchange_chunk_bytes = 1u << 20;  ///< Exchanger chunk granularity
+  /// Exchange schedule and chunk granularity. Identical output either way.
+  comm::Exchanger::Config exchange;
 };
 
 struct HashTableStageResult {

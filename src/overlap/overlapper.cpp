@@ -139,114 +139,82 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
                                              OverlapStageResult* result) {
   auto& comm = ctx.comm;
   comm.set_stage("overlap");
-  const int P = comm.size();
   OverlapStageResult res;
 
   const auto& costs = core::KernelCosts::get();
 
   // --- Algorithm 1: traverse the partition, form all pairs per key, route
-  // each task to the owner of one of its reads. `emit` abstracts the
-  // destination buffer so both schedules share the pair-formation logic.
-  auto visit_key = [&](const auto& emit) {
-    return [&res, &partition, emit](const kmer::Kmer& /*km*/, u32 /*count*/,
-                                    std::vector<dht::ReadOccurrence>& occs) {
-      ++res.retained_kmers;
-      // Deterministic pair formation independent of arrival order; `occs` is
-      // the traversal's reusable scratch, sorted in place (no per-key copy).
-      std::sort(occs.begin(), occs.end(),
-                [](const dht::ReadOccurrence& x, const dht::ReadOccurrence& y) {
-                  return x.rid != y.rid ? x.rid < y.rid : x.pos < y.pos;
-                });
-      for (std::size_t i = 0; i + 1 < occs.size(); ++i) {
-        for (std::size_t j = i + 1; j < occs.size(); ++j) {
-          const auto& oa = occs[i];
-          const auto& ob = occs[j];
-          if (oa.rid == ob.rid) continue;  // a repeat within one read is not an overlap
-          OverlapTaskWire task;
-          task.rid_a = oa.rid;
-          task.rid_b = ob.rid;
-          task.pos_a = oa.pos;
-          task.pos_b = ob.pos;
-          task.same_orientation = oa.is_forward == ob.is_forward ? 1 : 0;
-          u64 owner_rid = task_owner_read(oa.rid, ob.rid) == 0 ? oa.rid : ob.rid;
-          emit(partition.owner_of(owner_rid), task);
-          ++res.pair_tasks_formed;
-        }
+  // each task to the owner of one of its reads. Tasks travel in bounded
+  // batches: each pack() traverses enough of the partition to form the next
+  // ~batch_tasks tasks (overlapped: while the previous batch is in flight).
+  // The incoming task order does not matter — consolidate_tasks sorts on
+  // the full tuple.
+  comm::Exchanger ex(comm, cfg.exchange);
+  auto visit = [&res, &partition, &ex](const kmer::Kmer& /*km*/, u32 /*count*/,
+                                       std::vector<dht::ReadOccurrence>& occs) {
+    ++res.retained_kmers;
+    // Deterministic pair formation independent of arrival order; `occs` is
+    // the traversal's reusable scratch, sorted in place (no per-key copy).
+    std::sort(occs.begin(), occs.end(),
+              [](const dht::ReadOccurrence& x, const dht::ReadOccurrence& y) {
+                return x.rid != y.rid ? x.rid < y.rid : x.pos < y.pos;
+              });
+    for (std::size_t i = 0; i + 1 < occs.size(); ++i) {
+      for (std::size_t j = i + 1; j < occs.size(); ++j) {
+        const auto& oa = occs[i];
+        const auto& ob = occs[j];
+        if (oa.rid == ob.rid) continue;  // a repeat within one read is not an overlap
+        OverlapTaskWire task;
+        task.rid_a = oa.rid;
+        task.rid_b = ob.rid;
+        task.pos_a = oa.pos;
+        task.pos_b = ob.pos;
+        task.same_orientation = oa.is_forward == ob.is_forward ? 1 : 0;
+        u64 owner_rid = task_owner_read(oa.rid, ob.rid) == 0 ? oa.rid : ob.rid;
+        ex.post(partition.owner_of(owner_rid), &task, 1);
+        ++res.pair_tasks_formed;
       }
-    };
+    }
   };
 
-  // --- pair formation + the irregular all-to-all of buffered tasks. The
-  // incoming task order differs between the schedules, but consolidate_tasks
-  // sorts on the full tuple, so the consolidated output doesn't.
   std::vector<OverlapTaskWire> incoming;
-  if (cfg.overlap_comm) {
-    // Nonblocking schedule: traverse enough of the partition to form the
-    // next ~batch_tasks tasks while the previous batch is in flight, and
-    // normalize each arrived batch (rid_a < rid_b) before the next lands —
-    // the traversal itself is the compute that hides the exchange.
-    comm::Exchanger ex(comm, comm::Exchanger::Config{cfg.exchange_chunk_bytes});
-    std::vector<dht::ReadOccurrence> scratch;
-    std::size_t slot_cursor = 0;
-    auto visit = visit_key([&ex](int dest, const OverlapTaskWire& task) {
-      ex.post(dest, &task, 1);
-    });
-    comm::run_overlapped_exchange(
-        ex,
-        [&] {
-          obs::Span span = ctx.span("overlap:traverse");
-          u64 keys_before = res.retained_kmers;
-          u64 formed_before = res.pair_tasks_formed;
-          // Visit keys in bounded strides until the task budget fills (a
-          // single hub key may overshoot by its own pair count, the same
-          // granularity the streaming stages batch at).
-          while (slot_cursor < table.capacity() &&
-                 res.pair_tasks_formed - formed_before < cfg.batch_tasks) {
-            slot_cursor = table.for_each_from(slot_cursor, 256, scratch, visit);
-          }
-          span.arg("keys", res.retained_kmers - keys_before);
-          span.arg("tasks", res.pair_tasks_formed - formed_before);
-          u64 posted = (res.pair_tasks_formed - formed_before) * sizeof(OverlapTaskWire);
-          ctx.trace.add_compute(
-              "overlap:traverse",
-              static_cast<double>(res.retained_kmers - keys_before) * costs.table_traverse +
-                  static_cast<double>(posted) * costs.per_byte_copy,
-              table.memory_bytes() + posted);
-          return slot_cursor < table.capacity();
-        },
-        [&](const comm::RecvBatch& batch) {
-          // Tasks arrive already normalized (pair formation emits sorted
-          // occurrence pairs); consolidate_tasks re-checks regardless. Only
-          // the accumulation copy happens here.
-          std::size_t at = incoming.size();
-          batch.append_to(incoming);
-          ctx.trace.add_compute(
-              "overlap:recv",
-              static_cast<double>(incoming.size() - at) * sizeof(OverlapTaskWire) *
-                  costs.per_byte_copy,
-              (incoming.size() - at) * sizeof(OverlapTaskWire));
-        });
-  } else {
-    // Bulk-synchronous schedule: full traversal into per-destination
-    // buffers, then one blocking alltoallv.
-    std::vector<std::vector<OverlapTaskWire>> outgoing(static_cast<std::size_t>(P));
-    {
-      obs::Span span = ctx.span("overlap:traverse");
-      table.for_each(visit_key([&outgoing](int dest, const OverlapTaskWire& task) {
-        outgoing[static_cast<std::size_t>(dest)].push_back(task);
-      }));
-      span.arg("keys", res.retained_kmers);
-      span.arg("tasks", res.pair_tasks_formed);
-    }
-    u64 buffered = 0;
-    for (const auto& v : outgoing) buffered += v.size() * sizeof(OverlapTaskWire);
-    ctx.trace.add_compute(
-        "overlap:traverse",
-        static_cast<double>(res.retained_kmers) * costs.table_traverse +
-            static_cast<double>(buffered) * costs.per_byte_copy,
-        table.memory_bytes() + buffered);
-    incoming = comm.alltoallv_flat(outgoing);
-  }
+  std::vector<dht::ReadOccurrence> scratch;
+  std::size_t slot_cursor = 0;
+  comm::run_exchange(
+      ex,
+      [&] {
+        obs::Span span = ctx.span("overlap:traverse");
+        u64 keys_before = res.retained_kmers;
+        u64 formed_before = res.pair_tasks_formed;
+        // Visit keys in bounded strides until the task budget fills (a
+        // single hub key may overshoot by its own pair count, the same
+        // granularity the streaming stages batch at).
+        while (slot_cursor < table.capacity() &&
+               res.pair_tasks_formed - formed_before < cfg.batch_tasks) {
+          slot_cursor = table.for_each_from(slot_cursor, 256, scratch, visit);
+        }
+        span.arg("keys", res.retained_kmers - keys_before);
+        span.arg("tasks", res.pair_tasks_formed - formed_before);
+        u64 posted = (res.pair_tasks_formed - formed_before) * sizeof(OverlapTaskWire);
+        ctx.trace.add_compute(
+            "overlap:traverse",
+            static_cast<double>(res.retained_kmers - keys_before) * costs.table_traverse +
+                static_cast<double>(posted) * costs.per_byte_copy,
+            table.memory_bytes() + posted);
+        return slot_cursor < table.capacity();
+      },
+      [&](const comm::RecvBatch& batch) {
+        // Tasks arrive already normalized (pair formation emits sorted
+        // occurrence pairs); consolidate_tasks re-checks regardless. Only
+        // the accumulation copy happens here.
+        std::size_t at = incoming.size();
+        batch.append_to(incoming);
+        ctx.trace.add_compute(
+            "overlap:recv",
+            static_cast<double>(incoming.size() - at) * sizeof(OverlapTaskWire) *
+                costs.per_byte_copy,
+            (incoming.size() - at) * sizeof(OverlapTaskWire));
+      });
 
   // --- consolidate per-pair seed lists, then apply the seed policy.
   const u64 received_bytes = incoming.size() * sizeof(OverlapTaskWire);

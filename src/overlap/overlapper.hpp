@@ -7,12 +7,13 @@
 /// reads sharing it. Each pair is an alignment task, buffered for the owner
 /// of one of its two reads chosen by the paper's odd/even heuristic (so the
 /// task's destination already holds one read locally, halving the read
-/// movement of stage 4). Tasks travel in one irregular all-to-all; the
+/// movement of stage 4). Tasks travel in batched irregular all-to-alls; the
 /// receiving rank consolidates per-pair seed lists and applies the seed
 /// policy.
 
 #include <vector>
 
+#include "comm/exchanger.hpp"
 #include "core/stage_context.hpp"
 #include "dht/local_table.hpp"
 #include "io/read_store.hpp"
@@ -41,13 +42,10 @@ static_assert(std::is_trivially_copyable_v<OverlapTaskWire>);
 
 struct OverlapStageConfig {
   SeedFilterConfig seed_filter = SeedFilterConfig::one_seed();
-  /// Overlap the task exchange with packing/accumulation (comm::Exchanger):
-  /// the buffered tasks travel in bounded batches while the receiver
-  /// normalizes the previous batch. Off = one blocking alltoallv. The
-  /// consolidated tasks are identical either way (consolidation sorts).
-  bool overlap_comm = true;
-  u64 batch_tasks = 1u << 18;           ///< wire tasks per destination per batch
-  u64 exchange_chunk_bytes = 1u << 20;  ///< Exchanger chunk granularity
+  /// Exchange schedule and chunk granularity. The consolidated tasks are
+  /// identical either way (consolidation sorts).
+  comm::Exchanger::Config exchange;
+  u64 batch_tasks = 1u << 18;  ///< wire tasks per destination per batch
 };
 
 struct OverlapStageResult {

@@ -81,13 +81,11 @@ struct WireCsr {
 };
 static_assert(std::is_trivially_copyable_v<WireCsr>);
 
-/// Irregular all-to-all of raw byte streams, schedule-selected: overlapped
-/// (bounded batches on comm::Exchanger, consuming while the next batch is
-/// in flight) or one blocking alltoallv otherwise. Returns each source
-/// rank's received stream separately — a byte slice may split a record
-/// across overlapped batches, so each source's stream is accumulated whole,
-/// and consumers parse per source (frames never span sources; ByteReader
-/// checks the framing).
+/// Irregular all-to-all of raw byte streams in bounded batches on
+/// comm::Exchanger. Returns each source rank's received stream separately —
+/// a byte slice may split a record across batches, so each source's stream
+/// is accumulated whole, and consumers parse per source (frames never span
+/// sources; ByteReader checks the framing).
 std::vector<std::vector<u8>> exchange_byte_streams(
     core::StageContext& ctx, std::vector<std::vector<u8>>& outbound,
     const StringGraphConfig& cfg, const char* pack_tag, const char* consume_tag) {
@@ -101,32 +99,27 @@ std::vector<std::vector<u8>> exchange_byte_streams(
   // the mailbox and its copies).
   std::vector<u8> self_stream = std::move(outbound[self]);
   outbound[self].clear();
-  std::vector<std::vector<u8>> per_source;
-  if (!cfg.overlap_comm) {
-    per_source = comm.alltoallv(outbound);
-  } else {
-    per_source.resize(static_cast<std::size_t>(P));
-    comm::Exchanger ex(comm, comm::Exchanger::Config{cfg.exchange_chunk_bytes});
-    std::vector<std::size_t> cursors(static_cast<std::size_t>(P), 0);
-    comm::run_overlapped_exchange(
-        ex,
-        [&] {
-          u64 before = ex.pending_bytes();
-          bool more = comm::post_slices(ex, outbound, cursors, cfg.batch_bytes);
-          u64 packed = ex.pending_bytes() - before;
-          ctx.trace.add_compute(pack_tag,
-                                static_cast<double>(packed) * costs.per_byte_copy, packed);
-          return more;
-        },
-        [&](const comm::RecvBatch& batch) {
-          for (int s = 0; s < P; ++s) {
-            batch.append_from(s, per_source[static_cast<std::size_t>(s)]);
-          }
-          ctx.trace.add_compute(
-              consume_tag, static_cast<double>(batch.bytes.size()) * costs.per_byte_copy,
-              batch.bytes.size());
-        });
-  }
+  std::vector<std::vector<u8>> per_source(static_cast<std::size_t>(P));
+  comm::Exchanger ex(comm, cfg.exchange);
+  std::vector<std::size_t> cursors(static_cast<std::size_t>(P), 0);
+  comm::run_exchange(
+      ex,
+      [&] {
+        u64 before = ex.pending_bytes();
+        bool more = comm::post_slices(ex, outbound, cursors, cfg.batch_bytes);
+        u64 packed = ex.pending_bytes() - before;
+        ctx.trace.add_compute(pack_tag, static_cast<double>(packed) * costs.per_byte_copy,
+                              packed);
+        return more;
+      },
+      [&](const comm::RecvBatch& batch) {
+        for (int s = 0; s < P; ++s) {
+          batch.append_from(s, per_source[static_cast<std::size_t>(s)]);
+        }
+        ctx.trace.add_compute(consume_tag,
+                              static_cast<double>(batch.bytes.size()) * costs.per_byte_copy,
+                              batch.bytes.size());
+      });
   per_source[self] = std::move(self_stream);
   return per_source;
 }

@@ -20,8 +20,8 @@
 ///     its dovetail edges (partitioned to the owner of each endpoint);
 ///     receivers union the contained sets and drop incident edges with a
 ///     contained endpoint — the verdicts every rank reaches are identical
-///     (comm::Exchanger batches overlapped with packing when overlap_comm,
-///     one blocking alltoallv otherwise — identical results either way);
+///     (comm::Exchanger batches, overlapped with packing or bulk-
+///     synchronous — identical results either way);
 ///  3. **ghost exchange**: each rank ships the adjacency list of every
 ///     owned vertex to the ranks owning its neighbours, giving both
 ///     endpoint owners the two-hop context around every incident edge;
@@ -54,6 +54,7 @@
 #include <vector>
 
 #include "align/record_stream.hpp"
+#include "comm/exchanger.hpp"
 #include "core/stage_context.hpp"
 #include "io/read_store.hpp"
 #include "sgraph/edge_class.hpp"
@@ -68,12 +69,10 @@ struct StringGraphConfig {
   i32 min_overlap_score = 0;
   /// End tolerance for contained/dovetail/internal classification.
   u32 fuzz = kDefaultFuzz;
-  /// Run the fused and ghost exchanges on the nonblocking comm::Exchanger,
-  /// packing/consuming while batches are in flight. Off = blocking
-  /// alltoallvs. Outputs are bitwise-identical either way.
-  bool overlap_comm = true;
-  u64 batch_bytes = 1u << 20;           ///< bytes per destination per exchange batch
-  u64 exchange_chunk_bytes = 1u << 20;  ///< Exchanger chunk granularity
+  /// Schedule and chunk granularity of the fused and ghost exchanges.
+  /// Outputs are bitwise-identical either way.
+  comm::Exchanger::Config exchange;
+  u64 batch_bytes = 1u << 20;  ///< bytes per destination per exchange batch
 };
 
 /// Per-rank stage counters. Ownership rules make each global quantity a

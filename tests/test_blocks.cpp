@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -378,6 +379,9 @@ TEST(Blocks, MergedAlignmentsMatchInMemoryVector) {
   auto sim = dibella::simgen::make_dataset(dibella::simgen::tiny_test(9));
   auto cfg = full_config();
   cfg.eval = false;  // no truth table attached in this test
+  // Every seed survives the filter, so chaining has seeds to drop and the
+  // chain counters are nonzero (they must sum across block rounds too).
+  cfg.seed_filter = dibella::overlap::SeedFilterConfig::all_seeds(cfg.k);
   dibella::comm::World world(3);
 
   auto in_mem = run_pipeline(world, sim.reads, cfg);
@@ -412,6 +416,38 @@ TEST(Blocks, MergedAlignmentsMatchInMemoryVector) {
   EXPECT_GT(blocked.counters.peak_resident_read_bytes, 0u);
   EXPECT_LT(blocked.counters.peak_resident_read_bytes,
             in_mem.counters.peak_resident_read_bytes);
+
+  // Every other counters.tsv row is a per-round sum that block mode must
+  // reproduce exactly.
+  EXPECT_GT(in_mem.counters.chain_anchors, 0u);
+  EXPECT_GT(in_mem.counters.chain_dropped_seeds, 0u);
+  const auto comparable_rows = [](const dc::PipelineOutput& out) {
+    std::ostringstream tsv;
+    out.metrics.dump_tsv(tsv);
+    std::istringstream lines(tsv.str());
+    std::map<std::string, std::string> rows;
+    std::string line;
+    while (std::getline(lines, line)) {
+      const auto tab = line.find('\t');
+      if (line.empty() || line[0] == '#' || tab == std::string::npos) continue;
+      const std::string name = line.substr(0, tab);
+      if (name == "block_loads" || name == "packed_read_bytes" ||
+          name == "peak_resident_read_bytes" || name.rfind("spill_", 0) == 0) {
+        continue;  // memory/spill telemetry, checked above
+      }
+      rows[name] = line.substr(tab + 1);
+    }
+    return rows;
+  };
+  const auto want = comparable_rows(in_mem);
+  const auto got = comparable_rows(blocked);
+  ASSERT_GT(want.size(), 30u);
+  for (const auto& [name, value] : want) {
+    const auto it = got.find(name);
+    ASSERT_NE(it, got.end()) << name;
+    EXPECT_EQ(it->second, value) << "counters.tsv row " << name;
+  }
+  EXPECT_EQ(got.size(), want.size());
 }
 
 TEST(Blocks, SpillDirectoryRemovedWithOutput) {

@@ -1,5 +1,5 @@
-// Tests for the bloom module: flat and blocked Bloom filters, HyperLogLog
-// cardinality estimation, and the distributed Bloom pipeline stage.
+// Tests for the bloom module: flat and blocked Bloom filters, the a-priori
+// cardinality estimate, and the distributed Bloom pipeline stage.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 
 #include "bloom/bloom_filter.hpp"
 #include "bloom/distributed_bloom.hpp"
-#include "bloom/hyperloglog.hpp"
 #include "comm/world.hpp"
 #include "io/read_store.hpp"
 #include "kmer/parser.hpp"
@@ -88,44 +87,6 @@ TEST(BlockedBloomFilter, SemanticsMatchFlatFilter) {
   EXPECT_LT(static_cast<double>(fp) / probes, 0.15);
   EXPECT_GT(f.memory_bytes(), 0u);
   EXPECT_GT(f.block_count(), 1u);
-}
-
-TEST(HyperLogLog, EstimatesWithinFivePercent) {
-  for (u64 n : {1'000u, 50'000u, 500'000u}) {
-    db::HyperLogLog hll(12);
-    dibella::util::Xoshiro256 rng(n);
-    for (u64 i = 0; i < n; ++i) hll.add(rng.next());
-    EXPECT_NEAR(hll.estimate(), static_cast<double>(n), 0.05 * static_cast<double>(n))
-        << "n=" << n;
-  }
-}
-
-TEST(HyperLogLog, DuplicatesDoNotInflate) {
-  db::HyperLogLog hll(12);
-  dibella::util::Xoshiro256 rng(9);
-  std::vector<u64> hashes;
-  for (int i = 0; i < 5'000; ++i) hashes.push_back(rng.next());
-  for (int round = 0; round < 10; ++round) {
-    for (u64 h : hashes) hll.add(h);
-  }
-  EXPECT_NEAR(hll.estimate(), 5'000.0, 400.0);
-}
-
-TEST(HyperLogLog, MergeEqualsUnion) {
-  db::HyperLogLog a(12), b(12), u(12);
-  dibella::util::Xoshiro256 rng(10);
-  for (int i = 0; i < 20'000; ++i) {
-    u64 h = rng.next();
-    (i % 2 ? a : b).add(h);
-    u.add(h);
-  }
-  a.merge(b);
-  EXPECT_NEAR(a.estimate(), u.estimate(), 1e-9);
-  // Round-trip through raw registers (the distributed combine path).
-  auto rebuilt = db::HyperLogLog::from_registers(12, a.registers());
-  EXPECT_DOUBLE_EQ(rebuilt.estimate(), a.estimate());
-  db::HyperLogLog wrong(10);
-  EXPECT_THROW(wrong.merge(a), dibella::Error);
 }
 
 TEST(CardinalityEstimate, UpperBoundsSimulatedData) {

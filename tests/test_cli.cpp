@@ -647,14 +647,6 @@ TEST(CliUsage, InjectFaultRankOutOfRangeIsAUsageError) {
   EXPECT_NE(r.err.find("rank 5"), std::string::npos) << r.err;
 }
 
-TEST(CliUsage, TransportFaultRequiresOverlapComm) {
-  DriverResult r = run_driver({"--preset=tiny", "--ranks=2", "--no-output",
-                               "--overlap-comm=off",
-                               "--inject-fault=drop@bloom:0"});
-  EXPECT_EQ(r.exit_code, dibella::cli::kExitUsageError);
-  EXPECT_NE(r.err.find("overlap-comm"), std::string::npos) << r.err;
-}
-
 TEST(CliUsage, FaultToleranceFlagsAreDocumented) {
   DriverResult r = run_driver({"--help"});
   ASSERT_EQ(r.exit_code, dibella::cli::kExitOk);

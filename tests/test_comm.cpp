@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <numeric>
+#include <thread>
 
 #include "comm/communicator.hpp"
 #include "comm/exchanger.hpp"
@@ -424,16 +426,17 @@ TEST(Exchanger, ChunkTrainsReassembleLargePayloads) {
 }
 
 TEST(Exchanger, OverlappedLoopMatchesBlockingLoop) {
-  // The overlapped helper must deliver, batch for batch, exactly what the
-  // blocking pack -> alltoallv_flat -> allreduce loop delivers, including
-  // the ragged termination (ranks run out of data at different times).
+  // The exchange loop helper must deliver, under either schedule and batch
+  // for batch, exactly what the reference pack -> alltoallv_flat ->
+  // allreduce loop delivers, including the ragged termination (ranks run
+  // out of data at different times).
   const int P = 5;
   const int kBatches[] = {7, 2, 5, 1, 4};  // per-rank batch counts
   auto payload = [](int src, int batch, int dst) {
     return static_cast<u64>(src * 10000 + batch * 100 + dst);
   };
 
-  // Reference: blocking schedule.
+  // Reference: the collective loop on the blocking primitives.
   std::vector<std::vector<u64>> blocking_recv(P);
   {
     dc::World world(P);
@@ -456,18 +459,22 @@ TEST(Exchanger, OverlappedLoopMatchesBlockingLoop) {
     });
   }
 
-  // Overlapped schedule on the Exchanger.
-  std::vector<std::vector<u64>> overlapped_recv(P);
-  std::vector<u64> batches(P, 0);
-  {
+  for (bool overlap : {true, false}) {
+    SCOPED_TRACE(overlap ? "overlapped" : "depth 0");
+    std::vector<std::vector<u64>> exchanged_recv(P);
+    std::vector<u64> batches(P, 0);
     dc::World world(P);
     world.run([&](dc::Communicator& comm) {
       int me = comm.rank();
-      dc::Exchanger ex(comm);
+      dc::Exchanger::Config cfg;
+      cfg.overlap = overlap;
+      dc::Exchanger ex(comm, cfg);
       int sent = 0;
-      batches[static_cast<std::size_t>(me)] = dc::run_overlapped_exchange(
+      batches[static_cast<std::size_t>(me)] = dc::run_exchange(
           ex,
           [&] {
+            // Depth 0 packs nothing while a batch is in flight.
+            EXPECT_TRUE(overlap || !ex.in_flight());
             for (int d = 0; d < P; ++d) {
               u64 v = payload(me, sent, d);
               ex.post(d, &v, 1);
@@ -476,17 +483,17 @@ TEST(Exchanger, OverlappedLoopMatchesBlockingLoop) {
             return sent < kBatches[me];
           },
           [&](const dc::RecvBatch& batch) {
-            batch.append_to(overlapped_recv[static_cast<std::size_t>(me)]);
+            batch.append_to(exchanged_recv[static_cast<std::size_t>(me)]);
           });
     });
-  }
 
-  for (int r = 0; r < P; ++r) {
-    EXPECT_EQ(overlapped_recv[static_cast<std::size_t>(r)],
-              blocking_recv[static_cast<std::size_t>(r)])
-        << "rank " << r;
-    // Same number of exchange rounds as the blocking loop (max batches = 7).
-    EXPECT_EQ(batches[static_cast<std::size_t>(r)], 7u);
+    for (int r = 0; r < P; ++r) {
+      EXPECT_EQ(exchanged_recv[static_cast<std::size_t>(r)],
+                blocking_recv[static_cast<std::size_t>(r)])
+          << "rank " << r;
+      // Same number of exchange rounds as the reference loop (max batches = 7).
+      EXPECT_EQ(batches[static_cast<std::size_t>(r)], 7u);
+    }
   }
 }
 
@@ -538,6 +545,28 @@ TEST(CommFailure, BarrierTimeoutAbortsRun) {
     if (comm.rank() == 0) ++ok;
   });
   EXPECT_EQ(ok, 1);
+}
+
+TEST(CommFailure, CompletedBarrierReturnsDespiteALaterAbort) {
+  // The last rank to arrive completes the fence and fails right after it.
+  // The rank already waiting in the fence must still return from it (the
+  // barrier did complete) and see the failure only at its next collective.
+  for (int trial = 0; trial < 20; ++trial) {
+    dc::World world(2, /*barrier_timeout_seconds=*/5.0);
+    bool passed_fence = false;
+    EXPECT_THROW(world.run([&](dc::Communicator& comm) {
+                   if (comm.rank() == 1) {
+                     std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                     comm.barrier();
+                     throw dibella::Error("rank 1 fails after the fence");
+                   }
+                   comm.barrier();
+                   passed_fence = true;
+                   comm.barrier();
+                 }),
+                 dibella::Error);
+    EXPECT_TRUE(passed_fence) << "trial " << trial;
+  }
 }
 
 TEST(CommFailure, MismatchedCollectiveKindsPoisonTheWorld) {

@@ -8,7 +8,7 @@
 //     schedules;
 //   * injected transport faults (drop / duplicate / delay / truncate /
 //     bitflip) are absorbed by the CRC + retry protocol with nonzero
-//     fault counters and byte-identical outputs;
+//     fault counters and byte-identical outputs, under both schedules;
 //   * an injected rank abort poisons the world (every sibling unwinds, no
 //     hang) and --on-rank-failure=degrade finishes the run with the lost
 //     shard dropped and eval.tsv reporting the degradation honestly.
@@ -168,8 +168,6 @@ TEST(FaultPlan, ParsesSpecLists) {
   EXPECT_EQ(plan->specs()[1].epoch, 3u);
   EXPECT_EQ(plan->specs()[1].rank, 2);
   EXPECT_EQ(plan->specs()[2].kind, dcomm::FaultKind::kBitFlip);
-  EXPECT_TRUE(plan->has_transport_faults());
-  EXPECT_FALSE(dcomm::FaultPlan::parse("abort@bloom:0")->has_transport_faults());
 }
 
 TEST(FaultPlan, RejectsMalformedSpecs) {
@@ -648,30 +646,36 @@ TEST_F(FaultCli, DropFaultIsAbsorbedWithUnchangedOutputs) {
 }
 
 TEST_F(FaultCli, MultiFaultRunAbsorbsEveryTransportKind) {
-  const fs::path ref_dir = dir_ / "ref";
-  DriverResult ref = run_driver(
-      {"--preset=tiny", "--ranks=3", "--out-dir=" + ref_dir.string()});
-  ASSERT_EQ(ref.exit_code, dibella::cli::kExitOk) << ref.err;
+  // Both schedules run the same framed exchange, so both self-heal.
+  for (const char* sched : {"on", "off"}) {
+    SCOPED_TRACE(std::string("overlap-comm=") + sched);
+    const std::string schedule = "--overlap-comm=" + std::string(sched);
+    const fs::path ref_dir = dir_ / sched / "ref";
+    DriverResult ref = run_driver(
+        {"--preset=tiny", "--ranks=3", schedule, "--out-dir=" + ref_dir.string()});
+    ASSERT_EQ(ref.exit_code, dibella::cli::kExitOk) << ref.err;
 
-  const fs::path fault_dir = dir_ / "fault";
-  DriverResult faulted = run_driver(
-      {"--preset=tiny", "--ranks=3",
-       "--inject-fault=drop@bloom:0,duplicate@ht:0,truncate@overlap:0,"
-       "bitflip@align:0,delay@align:1",
-       "--out-dir=" + fault_dir.string()});
-  ASSERT_EQ(faulted.exit_code, dibella::cli::kExitOk) << faulted.err;
+    const fs::path fault_dir = dir_ / sched / "fault";
+    DriverResult faulted = run_driver(
+        {"--preset=tiny", "--ranks=3", schedule,
+         "--inject-fault=drop@bloom:0,duplicate@ht:0,truncate@overlap:0,"
+         "bitflip@align:0,delay@align:1",
+         "--out-dir=" + fault_dir.string()});
+    ASSERT_EQ(faulted.exit_code, dibella::cli::kExitOk) << faulted.err;
 
-  expect_outputs_equal(outputs_of(ref_dir), outputs_of(fault_dir));
-  auto counters = parse_counters(load(fault_dir / dibella::cli::kCountersFile));
-  EXPECT_GE(counters.at("comm_chunk_retries"), 2u);      // drop + corruptions
-  EXPECT_GE(counters.at("comm_corrupt_chunks"), 2u);     // truncate + bitflip
-  EXPECT_GE(counters.at("comm_chunk_redeliveries"), 1u); // duplicate
-  EXPECT_NE(faulted.out.find("comm. chunk retries"), std::string::npos);
+    expect_outputs_equal(outputs_of(ref_dir), outputs_of(fault_dir));
+    auto counters = parse_counters(load(fault_dir / dibella::cli::kCountersFile));
+    EXPECT_GE(counters.at("comm_chunk_retries"), 2u);      // drop + corruptions
+    EXPECT_GE(counters.at("comm_corrupt_chunks"), 2u);     // truncate + bitflip
+    EXPECT_GE(counters.at("comm_chunk_redeliveries"), 1u); // duplicate
+    EXPECT_NE(faulted.out.find("comm. chunk retries"), std::string::npos);
+  }
 }
 
 TEST_F(FaultCli, FusedSgraphExchangeSelfHealsAndResumesByteIdentical) {
   // Stage 5 runs exactly two exchange rounds now — epoch 0 is the fused
-  // contained+edge round, epoch 1 the ghost round (blocking schedule). Both
+  // contained+edge round, epoch 1 the ghost round (one batch each at this
+  // size, under either schedule). Both
   // must (a) self-heal transport faults to byte-identical outputs and
   // (b) survive an abort at either epoch via checkpoint + --resume, pinned
   // against an unfaulted reference.
@@ -700,7 +704,8 @@ TEST_F(FaultCli, FusedSgraphExchangeSelfHealsAndResumesByteIdentical) {
     SCOPED_TRACE(fault);
     const fs::path cell = dir_ / ("abort" + std::to_string(case_index++));
     const std::string ckpt = "--checkpoint-dir=" + (cell / "ckpt").string();
-    // Blocking schedule: the per-stage epoch maps 1:1 onto the two rounds.
+    // Bulk-synchronous schedule: one flush per round, so epoch 1 is the
+    // ghost round.
     DriverResult aborted = run_driver(
         {"--preset=tiny", "--ranks=4", "--overlap-comm=off", ckpt,
          "--inject-fault=" + std::string(fault),
