@@ -10,6 +10,12 @@
 //                   process dispatches to (ns/cell, pairs/s)
 //   * xdrop_extend_avx2: the same pairs, scalar kernel vs AVX2 kernel (only
 //                   on CPUs with AVX2)
+//   * alignment_stage_pool: the whole stage-4 task loop
+//                   (align::run_alignment_stage) on one rank over seeded
+//                   x-drop pairs, 1 worker (baseline) vs one worker per
+//                   available CPU (optimized); records asserted identical,
+//                   ns/cell is wall-clock (it falls with the worker count,
+//                   the CPU cost per cell does not)
 //   * sw:           full Smith-Waterman with traceback on short windows
 //                   (ns/cell, pairs/s)
 //   * consolidate:  overlap-stage wire-task consolidation, sort-then-group vs
@@ -59,6 +65,7 @@
 #include <string>
 #include <vector>
 
+#include "align/alignment_stage.hpp"
 #include "align/detail/xdrop_kernels.hpp"
 #include "align/reference_kernels.hpp"
 #include "align/smith_waterman.hpp"
@@ -72,6 +79,7 @@
 #include "overlap/overlapper.hpp"
 #include "simgen/presets.hpp"
 #include "util/args.hpp"
+#include "util/cpus.hpp"
 #include "util/radix_sort.hpp"
 #include "util/random.hpp"
 #include "util/table.hpp"
@@ -232,6 +240,65 @@ void bench_xdrop(std::size_t n_pairs, std::size_t read_len, int reps,
   rows.push_back(bench_seed_extension("xdrop_extend_avx2", tasks, reps,
                                       with(align::detail::xdrop_extend_scalar),
                                       with(align::detail::xdrop_extend_avx2)));
+}
+
+BenchRow bench_alignment_pool(std::size_t n_pairs, std::size_t read_len, int reps) {
+  // Every seed-anchored pair becomes a stage-4 task over two reads of one
+  // rank's store, so the row times the task loop itself: chunk claiming,
+  // per-worker workspaces and the in-order record merge included. Its own
+  // seed keeps the other rows' inputs independent of this one.
+  util::Xoshiro256 rng(20261017);
+  const auto pairs = make_seed_tasks(n_pairs, read_len, rng);
+  std::vector<io::Read> reads;
+  std::vector<u64> lens;
+  std::vector<overlap::AlignmentTask> tasks;
+  for (const auto& p : pairs) {
+    overlap::AlignmentTask t;
+    t.rid_a = reads.size();
+    t.rid_b = reads.size() + 1;
+    t.seeds.push_back(overlap::SeedPair{static_cast<u32>(p.pos_a),
+                                        static_cast<u32>(p.pos_b), 1});
+    tasks.push_back(std::move(t));
+    for (const std::string* seq : {&p.a, &p.b}) {
+      io::Read r;
+      r.gid = reads.size();
+      r.seq = *seq;
+      lens.push_back(r.seq.size());
+      reads.push_back(std::move(r));
+    }
+  }
+  const io::ReadStore store(reads, io::ReadPartition(lens, 1), 0);
+  align::AlignmentStageConfig cfg;
+  const int cpus = util::available_cpus();
+
+  BenchRow row;
+  row.name = "alignment_stage_pool";
+  row.unit = "tasks/s";
+  row.items = tasks.size();
+  std::vector<align::AlignmentRecord> serial, pooled;
+  align::AlignmentStageResult serial_res, pooled_res;
+  comm::World world(1);
+  world.run([&](comm::Communicator& comm) {
+    netsim::RankTrace trace;
+    core::StageContext ctx{comm, trace};
+    cfg.workers = 1;
+    row.baseline_s = best_of(reps, [&] {
+      serial = align::run_alignment_stage(ctx, store, tasks, cfg, &serial_res);
+    });
+    cfg.workers = cpus;
+    row.optimized_s = best_of(reps, [&] {
+      pooled = align::run_alignment_stage(ctx, store, tasks, cfg, &pooled_res);
+    });
+  });
+  DIBELLA_CHECK(serial == pooled && serial_res == pooled_res,
+                "alignment_stage_pool: " + std::to_string(cpus) +
+                    " workers diverged from 1 worker");
+  std::cout << "alignment_stage_pool: " << cpus << " workers\n";
+  row.cells = pooled_res.dp_cells;
+  row.baseline_ns_per_cell = 1e9 * row.baseline_s / static_cast<double>(row.cells);
+  row.optimized_ns_per_cell = 1e9 * row.optimized_s / static_cast<double>(row.cells);
+  row.throughput = static_cast<double>(row.items) / row.optimized_s;
+  return row;
 }
 
 BenchRow bench_sw(std::size_t n_pairs, std::size_t window, int reps,
@@ -582,11 +649,13 @@ int main(int argc, char** argv) {
   std::vector<BenchRow> rows;
   if (smoke) {
     bench_xdrop(60, 1200, reps, rng, rows);
+    rows.push_back(bench_alignment_pool(400, 1200, reps));
     rows.push_back(bench_sw(120, 160, reps, rng));
     rows.push_back(bench_consolidate(60'000, 4'000, reps, rng));
     rows.push_back(bench_radix_consolidate(60'000, 4'000, reps, rng));
   } else {
     bench_xdrop(400, 4000, reps, rng, rows);
+    rows.push_back(bench_alignment_pool(4000, 4000, reps));
     rows.push_back(bench_sw(600, 300, reps, rng));
     rows.push_back(bench_consolidate(2'000'000, 60'000, reps, rng));
     rows.push_back(bench_radix_consolidate(2'000'000, 60'000, reps, rng));

@@ -8,6 +8,12 @@
 /// imbalance metric of Fig 8 — near-perfect balance in task *counts*, but
 /// imperfect in *time* because read lengths differ and x-drop returns early
 /// on divergent pairs.
+///
+/// Within a rank, the tasks are split the same way across a worker pool
+/// (`AlignmentStageConfig::workers` threads): workers claim fixed-size
+/// chunks of tasks from a shared cursor, so the uneven per-pair cost
+/// balances itself, and the records are concatenated in chunk order, so the
+/// output is byte-identical for every worker count.
 
 #include <vector>
 
@@ -30,6 +36,8 @@ struct AlignmentRecord {
   u32 a_begin = 0, a_end = 0;
   u32 b_begin = 0, b_end = 0;
   u32 seeds_explored = 0;
+
+  friend bool operator==(const AlignmentRecord&, const AlignmentRecord&) = default;
 };
 static_assert(std::is_trivially_copyable_v<AlignmentRecord>);
 
@@ -46,6 +54,12 @@ struct AlignmentStageConfig {
   /// seed and keeping the best score. Off preserves the exhaustive per-seed
   /// sweep; the pipeline turns this on by default.
   bool chain = false;
+  /// Threads aligning this rank's tasks, the calling (rank) thread included;
+  /// >= 1. Records, result counters and the RankTrace compute units are the
+  /// same for every value. Must be 1 for a block-mode store, whose lookups
+  /// are single-threaded (io::ReadStore::get). The pipeline sets it from the
+  /// CPUs per rank; it is not a user option.
+  int workers = 1;
 };
 
 struct AlignmentStageResult {
@@ -71,10 +85,16 @@ struct AlignmentStageResult {
     chain_dropped_seeds += o.chain_dropped_seeds;
     return *this;
   }
+
+  friend bool operator==(const AlignmentStageResult&, const AlignmentStageResult&) = default;
 };
 
 /// Align every task (reads must already be resident via run_read_exchange).
-/// Purely local — no communication.
+/// Purely local — no communication. Worker threads touch neither `ctx` nor
+/// its spans, metrics or trace: the calling thread opens the one
+/// `align:extend` span and records the stage's compute units. An exception
+/// on any worker (e.g. a read neither local nor cached) is rethrown here
+/// after every worker has stopped.
 std::vector<AlignmentRecord> run_alignment_stage(
     core::StageContext& ctx, const io::ReadStore& store,
     const std::vector<overlap::AlignmentTask>& tasks, const AlignmentStageConfig& cfg,

@@ -3,8 +3,8 @@
 /// Reusable scratch arena for the alignment kernels.
 ///
 /// The alignment stage is the pipeline's hottest loop (§9: the largest and
-/// most load-imbalanced stage). A rank constructs one Workspace and threads
-/// it through run_alignment_stage -> align_from_seed -> xdrop_extend /
+/// most load-imbalanced stage). Each stage-4 worker constructs one Workspace
+/// and threads it through run_alignment_stage -> align_from_seed -> xdrop_extend /
 /// smith_waterman / banded_smith_waterman; every kernel invocation then
 /// borrows buffers from the arena instead of allocating. Buffers only ever
 /// grow, so after a warm-up pass over the largest task the steady-state
@@ -14,7 +14,7 @@
 ///
 /// A Workspace is cheap to default-construct; the no-workspace kernel
 /// overloads create a throwaway one, so casual callers keep the old API.
-/// Not thread-safe: one Workspace per rank/thread.
+/// Not thread-safe: one Workspace per thread.
 
 #include <string>
 #include <vector>

@@ -8,6 +8,7 @@
 #include "core/kernel_costs.hpp"
 #include "core/stage_context.hpp"
 #include "io/read_block.hpp"
+#include "util/cpus.hpp"
 #include "util/radix_sort.hpp"
 #include "util/timer.hpp"
 
@@ -203,6 +204,10 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
   KernelCosts::get();
   const double calibration_s = calibration_timer.seconds();
 
+  // Stage 4 aligns on every CPU a rank owns. Block-mode read lookups update
+  // the store's shared LRU state, so block rounds keep one worker.
+  const int align_workers = B == 1 ? std::max(1, util::available_cpus() / P) : 1;
+
   // Every stage's exchanges run on one schedule and chunk granularity.
   const comm::Exchanger::Config exchange{config.exchange_chunk_bytes, config.overlap_comm};
 
@@ -325,6 +330,7 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
       acfg.k = config.k;
       acfg.min_score = config.min_report_score;
       acfg.chain = config.chain;
+      acfg.workers = align_workers;
       if (B == 1) {
         obs::Span stage_span = ctx.span("stage:align");
         rx_res[rank] = align::run_read_exchange(ctx, store, tasks, rcfg);

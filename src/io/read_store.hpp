@@ -141,7 +141,12 @@ class ReadStore {
   void cache_remote_bulk(std::vector<Read> rs);
 
   /// Look up a read by gid: local block first, then the remote cache.
-  /// Throws when the read is neither local nor cached.
+  /// Throws when the read is neither local nor cached. On the in-memory path
+  /// this only reads, so any number of threads may call it while nothing
+  /// modifies the store. Block-mode lookups are single-threaded: they load,
+  /// evict and LRU-stamp blocks, and a returned reference stays valid only
+  /// until two further block loads. That is why stage 4 aligns with one
+  /// worker in block mode (align::AlignmentStageConfig::workers).
   const Read& get(u64 gid) const;
 
   /// Number of remote reads currently cached (replication metric).
@@ -175,7 +180,8 @@ class ReadStore {
   // Block mode. Packed blocks are always resident; `unpacked_` entries are
   // the lazily-materialized (and budget-evictable) residency units. Mutable
   // because lookups are logically const: ranks are threads but each owns its
-  // store exclusively, so no locking is needed.
+  // store exclusively and looks reads up from one thread (see get()), so no
+  // locking is needed.
   std::vector<PackedReadBlock> packed_blocks_;
   std::vector<u64> block_first_offset_;  // blocks+1 local offsets (block manifest)
   std::vector<u32> local_lengths_;       // per-read seq lengths, always resident

@@ -26,11 +26,14 @@
 ///   collective:<op>       a blocking collective (complete event)
 ///   spill:write / checkpoint:write / checkpoint:read   I/O sections
 ///
-/// Thread safety: each RankTimeline takes a mutex per push, so a rank's
-/// lane stays valid when stage work moves onto intra-rank worker pools
-/// (planned); today's one-thread-per-rank layout never contends. Capacity
-/// is fixed up front — when a lane overflows, the oldest events are dropped
-/// and counted (`dropped()`), never reallocated mid-run.
+/// Thread safety: each RankTimeline takes a mutex per push, so concurrent
+/// pushes never corrupt a lane. Spans come only from the rank's own thread,
+/// though: nesting is positional per lane, so a span pushed from an
+/// intra-rank worker (stage 4's alignment pool) would nest inside whatever
+/// the rank thread had open at that moment. Workers push no spans; the rank
+/// thread opens one span around the pool's whole batch. Capacity is fixed
+/// up front — when a lane overflows, the oldest events are dropped and
+/// counted (`dropped()`), never reallocated mid-run.
 
 #include <cstring>
 #include <chrono>
