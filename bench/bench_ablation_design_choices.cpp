@@ -38,7 +38,7 @@ void ablate_owner_heuristic() {
   // Reconstruct the per-rank task counts under both policies from the final
   // pair list (pairs are policy-independent).
   std::vector<double> heuristic(P, 0.0), min_rid(P, 0.0);
-  for (const auto& rec : out.alignments) {
+  for (const auto& rec : out.merged_alignments()) {
     u64 ra = rec.rid_a, rb = rec.rid_b;
     u64 owner_rid = overlap::task_owner_read(ra, rb) == 0 ? ra : rb;
     heuristic[static_cast<std::size_t>(part.owner_of(owner_rid))] += 1.0;

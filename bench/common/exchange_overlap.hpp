@@ -61,11 +61,13 @@ inline ExchangeOverlapResult measure_exchange_overlap(double scale, int ranks,
 
   // The schedules must be observationally identical before their timings
   // are worth comparing.
-  DIBELLA_CHECK(off.alignments.size() == on.alignments.size(),
+  const auto off_records = off.merged_alignments();
+  const auto on_records = on.merged_alignments();
+  DIBELLA_CHECK(off_records.size() == on_records.size(),
                 "overlap bench: schedules reported different alignment counts");
-  for (std::size_t i = 0; i < off.alignments.size(); ++i) {
-    const auto& x = off.alignments[i];
-    const auto& y = on.alignments[i];
+  for (std::size_t i = 0; i < off_records.size(); ++i) {
+    const auto& x = off_records[i];
+    const auto& y = on_records[i];
     DIBELLA_CHECK(x.rid_a == y.rid_a && x.rid_b == y.rid_b && x.score == y.score &&
                       x.a_begin == y.a_begin && x.a_end == y.a_end &&
                       x.b_begin == y.b_begin && x.b_end == y.b_end,

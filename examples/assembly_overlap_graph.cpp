@@ -42,11 +42,12 @@ int main(int argc, char** argv) {
   cfg.seed_filter = overlap::SeedFilterConfig::spaced(1000);
   comm::World world(ranks);
   auto out = run_pipeline(world, sim.reads, cfg);
+  const auto alignments = out.merged_alignments();
   std::cout << "pipeline: " << out.counters.read_pairs << " candidate pairs, "
             << out.counters.alignments_reported << " alignments\n\n";
 
   // --- overlap graph and assembly-prep statistics.
-  auto g = graph::OverlapGraph::from_alignments(out.alignments, sim.reads.size(),
+  auto g = graph::OverlapGraph::from_alignments(alignments, sim.reads.size(),
                                                 min_score);
   auto comp = g.connected_components();
   std::map<u64, u64> sizes;
@@ -86,7 +87,7 @@ int main(int argc, char** argv) {
   auto true_pairs = oracle.all_true_pairs();
   u64 found = 0;
   std::set<std::pair<u64, u64>> aligned;
-  for (const auto& rec : out.alignments) {
+  for (const auto& rec : alignments) {
     if (rec.score >= min_score) aligned.insert({rec.rid_a, rec.rid_b});
   }
   for (auto& p : true_pairs) {

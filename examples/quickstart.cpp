@@ -81,17 +81,18 @@ int main(int argc, char** argv) {
 
   // --- results.
   std::cout << "\nfirst alignments (PAF):\n";
-  std::size_t shown = 0;
-  for (const auto& rec : out.alignments) {
-    if (shown++ == 5) break;
+  auto first = out.alignment_source();
+  align::AlignmentRecord rec;
+  for (int shown = 0; shown < 5 && first->next(rec); ++shown) {
     std::cout << core::paf_line(rec, reads[static_cast<std::size_t>(rec.rid_a)],
                                 reads[static_cast<std::size_t>(rec.rid_b)])
               << "\n";
   }
   if (args.has("paf")) {
     std::ofstream paf(args.get("paf", "out.paf"));
-    core::write_paf(paf, out.alignments, reads);
-    std::cout << "\nwrote " << out.alignments.size() << " records to "
+    auto all = out.alignment_source();
+    core::write_paf(paf, *all, reads);
+    std::cout << "\nwrote " << out.counters.alignments_reported << " records to "
               << args.get("paf", "out.paf") << "\n";
   }
   return 0;

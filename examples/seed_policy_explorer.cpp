@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     auto out = run_pipeline(world, sim.reads, cfg);
 
     std::set<std::pair<u64, u64>> found;
-    for (const auto& rec : out.alignments) {
+    for (const auto& rec : out.merged_alignments()) {
       if (rec.score >= 100) found.insert({rec.rid_a, rec.rid_b});
     }
     u64 hit = 0;

@@ -1,10 +1,10 @@
 #pragma once
 /// \file record_stream.hpp
 /// Pull-based streams of alignment records. Stage 5, the eval oracle, and
-/// the PAF writer consume records through this interface so they work the
-/// same whether the records sit in PipelineOutput's in-memory vector
-/// (--blocks=1) or stream out of the external-sort spill files (k-way
-/// merge, --blocks>1) without ever being resident at once.
+/// the PAF writer consume records through this interface. In the pipeline
+/// the source is always the k-way merge of stage 4's sorted spill runs
+/// (core::SpillMergeSource, at any --blocks), so the records are never
+/// resident at once; a resident vector is the test and tool seam.
 
 #include <vector>
 
@@ -20,7 +20,7 @@ class RecordSource {
   virtual bool next(AlignmentRecord& out) = 0;
 };
 
-/// Stream over a resident vector (the in-memory path and the test seam).
+/// Stream over a resident vector (the test and tool seam).
 class VectorRecordSource final : public RecordSource {
  public:
   explicit VectorRecordSource(const std::vector<AlignmentRecord>& records)

@@ -86,11 +86,12 @@ pipeline:
                         timings.tsv shows the exposed/hidden exchange split.
 
 out-of-core (scaling beyond RAM):
-  --blocks=N            split each rank's read partition into N 2-bit packed
-                        blocks, loaded/evicted lazily; stage 4 runs one
-                        read-exchange + alignment round per block and spills
-                        each round's sorted records to disk, producing the
-                        PAF by k-way merge. 1 = fully in-memory (default).
+  --blocks=N            stage 4 runs one read-exchange + alignment round per
+                        block and spills each round's sorted records to
+                        disk; stage 5, the PAF, and eval read their k-way
+                        merge. N >= 2 also splits each rank's read partition
+                        into N 2-bit packed blocks, loaded/evicted lazily.
+                        1 = one round over unpacked reads (default).
                         alignments.paf, graph.gfa, and eval.tsv are
                         byte-identical for any N.
   --memory-budget=SIZE  cap on unpacked resident sequence bytes per rank
@@ -99,7 +100,7 @@ out-of-core (scaling beyond RAM):
                         Requires --blocks >= 2.
   --spill-dir=PATH      parent directory for the per-run spill directory
                         dibella-spill-<pid>-<seq> (default: system temp).
-                        Removed when the run finishes. Requires --blocks >= 2.
+                        Removed when the run finishes or aborts.
 
 fault tolerance:
   --checkpoint-dir=DIR  persist a checksummed per-rank checkpoint after each
@@ -578,9 +579,6 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
     throw UsageError("--memory-budget requires --blocks >= 2 (nothing to evict)");
   }
   cfg.spill_dir = args.get("spill-dir", "");
-  if (!cfg.spill_dir.empty() && cfg.blocks < 2) {
-    throw UsageError("--spill-dir requires --blocks >= 2 (nothing spills in-memory)");
-  }
 
   // --- fault tolerance.
   cfg.checkpoint_dir = args.get("checkpoint-dir", "");
@@ -744,8 +742,7 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
     std::vector<std::string> extras = {kCountersFile, kTimingsFile};
     std::ostringstream paf;
     {
-      // Stream the merged records (in-memory vector or spill k-way merge —
-      // byte-identical either way) instead of requiring a resident vector.
+      // Stream the spill k-way merge instead of requiring a resident vector.
       auto source = result.alignment_source();
       core::write_paf(paf, *source, reads, cfg.sgraph_fuzz);
     }

@@ -126,7 +126,18 @@ u64 AlignmentSpillSet::add_run(int rank,
   const u64 bytes = write_alignment_run(path.string(), sorted);
   runs_.push_back({rank, path.string()});
   bytes_ += bytes;
+  ++spilled_runs_;
   return bytes;
+}
+
+u64 AlignmentSpillSet::adopt_run(int rank, const std::string& path) {
+  SpillMergeSource source({path});
+  u64 records = 0;
+  align::AlignmentRecord rec;
+  while (source.next(rec)) ++records;
+  std::lock_guard<std::mutex> lock(mu_);
+  runs_.push_back({rank, path});
+  return records;
 }
 
 std::vector<std::string> AlignmentSpillSet::rank_runs(int rank) const {
@@ -161,7 +172,7 @@ u64 AlignmentSpillSet::spill_bytes() const {
 
 u64 AlignmentSpillSet::run_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<u64>(runs_.size());
+  return spilled_runs_;
 }
 
 bool SpillMergeSource::Run::refill(std::size_t buffer_records) {
@@ -175,6 +186,9 @@ bool SpillMergeSource::Run::refill(std::size_t buffer_records) {
     DIBELLA_CHECK(stored == crc,
                   "SpillMergeSource: CRC32 mismatch in " + path +
                       " (spill run corrupted on disk)");
+    DIBELLA_CHECK(in.peek() == std::ifstream::traits_type::eof(),
+                  "SpillMergeSource: trailing bytes after the CRC32 trailer in " +
+                      path);
     eof = true;
     return false;
   }

@@ -1,29 +1,32 @@
 #pragma once
 /// \file alignment_spill.hpp
 /// External sort/merge of alignment records — the LAsort/LAmerge analog of
-/// the out-of-core pipeline. Each block round radix-sorts its records by
-/// (rid_a, rid_b) and spills them as one framed binary run file; the final
-/// PAF, stage-5 classification, and eval oracle then consume a k-way merge
-/// of the runs instead of a resident vector.
+/// the pipeline's stage 4. Every stage-4 block round (exactly one at
+/// --blocks=1) radix-sorts its records by (rid_a, rid_b) and spills them as
+/// one framed binary run file; stage 5, the final PAF, and the eval oracle
+/// then consume a k-way merge of the runs — there is no resident record
+/// vector on any path.
 ///
 /// Run file framing: a magic word and payload length up front, the raw
-/// trivially-copyable records, and a trailing CRC32 of the record bytes.
-/// SpillMergeSource validates the frame as it streams, so a truncated or
-/// bit-flipped run file fails with a clear error naming the file instead of
-/// feeding garbage records into the merge. The same format carries the
-/// stage-4 checkpoint payloads (core/checkpoint.hpp).
+/// trivially-copyable records, and a trailing CRC32 of the record bytes,
+/// which must end the file. SpillMergeSource validates the frame as it
+/// streams, so a truncated, bit-flipped, or overlong run file fails with a
+/// clear error naming the file instead of feeding garbage records into the
+/// merge. The same format carries the stage-4 checkpoint payloads
+/// (core/checkpoint.hpp), which a resumed run adopts as its runs.
 ///
 /// File lifecycle: one directory per pipeline run (`dibella-spill-<pid>-<seq>`
 /// under the configured spill dir or the system temp dir), deterministic run
 /// names `align.r<rank>.<run>.bin` inside it, everything removed when the
-/// spill set is destroyed. Creating a spill set also reclaims orphaned
-/// `dibella-spill-*` directories whose owning process is gone (a crashed or
-/// killed run cannot clean up after itself).
+/// spill set is destroyed. Adopted runs live outside it and are never
+/// removed. Creating a spill set also reclaims orphaned `dibella-spill-*`
+/// directories whose owning process is gone (a crashed or killed run cannot
+/// clean up after itself).
 ///
 /// Merge totality: every (rid_a, rid_b) pair is produced by exactly one rank
 /// in exactly one block round (the pair's task owner and the remote read's
 /// block fix both), so the runs' key sets are disjoint and the merged order
-/// is the same total (rid_a, rid_b) order as the in-memory sort.
+/// is one total (rid_a, rid_b) order for any block or rank count.
 
 #include <fstream>
 #include <memory>
@@ -72,6 +75,12 @@ class AlignmentSpillSet {
   /// (0 for a dropped empty run) — the caller's span/metrics accounting.
   u64 add_run(int rank, const std::vector<align::AlignmentRecord>& sorted);
 
+  /// Register an existing framed run file (a stage-4 checkpoint payload) as
+  /// one of `rank`'s runs. The file is streamed once to validate its frame
+  /// and is neither owned nor removed by the set, nor counted as spilled.
+  /// Thread-safe. Returns the run's record count.
+  u64 adopt_run(int rank, const std::string& path);
+
   /// Paths of rank `rank`'s runs, in spill order (stage-5 input).
   std::vector<std::string> rank_runs(int rank) const;
 
@@ -79,6 +88,7 @@ class AlignmentSpillSet {
   std::vector<std::string> all_runs() const;
 
   const std::string& dir() const { return dir_; }
+  /// Payload bytes and run files this set wrote (adopted runs excluded).
   u64 spill_bytes() const;
   u64 run_count() const;
 
@@ -92,12 +102,13 @@ class AlignmentSpillSet {
   std::vector<RunInfo> runs_;
   std::vector<u32> next_run_index_;  // per rank, for deterministic names
   u64 bytes_ = 0;
+  u64 spilled_runs_ = 0;
 };
 
 /// K-way merge of sorted run files by (rid_a, rid_b), buffered reads.
 /// Validates each run's frame while streaming: a bad magic word fails at
-/// open; a truncated payload or CRC mismatch fails at the point it is
-/// detected, naming the file.
+/// open; a truncated payload, CRC mismatch, or bytes after the CRC32
+/// trailer fail at the point they are detected, naming the file.
 class SpillMergeSource final : public align::RecordSource {
  public:
   explicit SpillMergeSource(const std::vector<std::string>& run_paths,

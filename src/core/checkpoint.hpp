@@ -21,8 +21,8 @@
 ///   manifest.tsv                     header + appended completion lines
 ///   stage<n>.<name>.r<rank>.bin      per-rank payloads
 /// Stages 1-3 use a framed byte blob (magic, length, payload, CRC32);
-/// stage 4 reuses the spill-run record format (alignment_spill.hpp) so the
-/// restore path is the very merge reader the block pipeline already trusts.
+/// stage 4 reuses the spill-run record format (alignment_spill.hpp), so a
+/// resumed run adopts each payload in place as its rank's spill run.
 /// Stage 5 is never checkpointed: it is a pure function of the stage-4
 /// records and rerunning it is cheaper than snapshotting graph state.
 ///

@@ -38,10 +38,11 @@ struct PipelineConfig {
   double bloom_fpr = 0.05;
 
   // --- out-of-core block pipeline
-  /// Split each rank's read partition into this many 2-bit packed blocks;
-  /// stage 4 runs one read-exchange + alignment round per block and spills
-  /// each round's records to an external sort/merge. 1 = the fully
-  /// in-memory path. PAF/GFA/eval output is bitwise-identical either way.
+  /// Stage 4 runs one read-exchange + alignment round per block and spills
+  /// each round's sorted records to an external sort/merge; above 1, each
+  /// rank's read partition is also split into this many 2-bit packed
+  /// blocks. 1 = one round over unpacked reads. PAF/GFA/eval output is
+  /// bitwise-identical for any value.
   u32 blocks = 1;
   /// Cap on unpacked resident sequence bytes per rank (local blocks +
   /// remote-read cache); 0 = no cap. Only meaningful with blocks > 1.

@@ -25,8 +25,8 @@ namespace dibella::core {
 void write_paf(std::ostream& os, const std::vector<align::AlignmentRecord>& alignments,
                const std::vector<io::Read>& reads, u32 fuzz = sgraph::kDefaultFuzz);
 
-/// Streaming variant: drain a record source (the spill k-way merge in block
-/// mode) line by line, never holding the records resident. Byte-identical
+/// Streaming variant: drain a record source (the pipeline's spill k-way
+/// merge) line by line, never holding the records resident. Byte-identical
 /// to the vector overload over the same record sequence.
 void write_paf(std::ostream& os, align::RecordSource& alignments,
                const std::vector<io::Read>& reads, u32 fuzz = sgraph::kDefaultFuzz);

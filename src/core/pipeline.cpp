@@ -26,12 +26,10 @@ netsim::TimingReport PipelineOutput::evaluate(const netsim::Platform& platform,
 }
 
 std::unique_ptr<align::RecordSource> PipelineOutput::alignment_source() const {
-  if (spill) return std::make_unique<SpillMergeSource>(spill->all_runs());
-  return std::make_unique<align::VectorRecordSource>(alignments);
+  return std::make_unique<SpillMergeSource>(spill->all_runs());
 }
 
 std::vector<align::AlignmentRecord> PipelineOutput::merged_alignments() const {
-  if (!spill) return alignments;
   std::vector<align::AlignmentRecord> merged;
   auto source = alignment_source();
   align::AlignmentRecord rec;
@@ -41,10 +39,9 @@ std::vector<align::AlignmentRecord> PipelineOutput::merged_alignments() const {
 
 namespace {
 
-/// Sort records into the global output order. Keys are the (rid_a, rid_b)
-/// pair, unique across the whole run (each pair has one task owner), so the
-/// chained radix passes produce the exact sequence the former comparison
-/// sort did.
+/// Sort one round's records into the global output order. Keys are the
+/// (rid_a, rid_b) pair, unique across the whole run (each pair has one task
+/// owner), so the chained radix passes give one total order.
 void sort_records(std::vector<align::AlignmentRecord>& records) {
   util::radix_sort_u64(records,
                        [](const align::AlignmentRecord& r) { return r.rid_b; });
@@ -184,19 +181,14 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
   std::vector<overlap::OverlapStageResult> ov_res(static_cast<std::size_t>(P));
   std::vector<align::ReadExchangeResult> rx_res(static_cast<std::size_t>(P));
   std::vector<align::AlignmentStageResult> al_res(static_cast<std::size_t>(P));
-  std::vector<std::vector<align::AlignmentRecord>> records(static_cast<std::size_t>(P));
   std::vector<sgraph::StringGraphStageResult> sg_res(static_cast<std::size_t>(P));
   std::vector<sgraph::StringGraphShard> sg_out(static_cast<std::size_t>(P));
   std::vector<io::ReadStoreMemoryStats> mem_res(static_cast<std::size_t>(P));
 
-  // Block mode spills each round's sorted records instead of keeping them
+  // Stage 4 spills each round's sorted records instead of keeping them
   // resident; ranks (threads) append runs concurrently. A resume past the
-  // alignment stage loads the checkpointed records resident instead — no
-  // block rounds run, so no spill set is needed.
-  std::shared_ptr<AlignmentSpillSet> spill;
-  if (B > 1 && resume_from < CheckpointStage::kAlignment) {
-    spill = std::make_shared<AlignmentSpillSet>(config.spill_dir);
-  }
+  // alignment stage adopts the checkpointed runs instead.
+  auto spill = std::make_shared<AlignmentSpillSet>(config.spill_dir);
 
   // Calibrate the per-unit kernel costs (once per process) before the ranks
   // start, so no stage span is charged for it.
@@ -204,8 +196,8 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
   KernelCosts::get();
   const double calibration_s = calibration_timer.seconds();
 
-  // Stage 4 aligns on every CPU a rank owns. Block-mode read lookups update
-  // the store's shared LRU state, so block rounds keep one worker.
+  // Stage 4 aligns on every CPU a rank owns. With B > 1 the store's read
+  // lookups update its shared LRU state, so packed stores keep one worker.
   const int align_workers = B == 1 ? std::max(1, util::available_cpus() / P) : 1;
 
   // Every stage's exchanges run on one schedule and chunk granularity.
@@ -312,15 +304,14 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
     }
 
     // Stage 4a+4b: read exchange then embarrassingly parallel x-drop
-    // alignment. In-memory mode runs them once over all tasks; block mode
-    // runs one round per block, and every task joins the round of its
+    // alignment, one round per block. Every task joins the round of its
     // *remote* read's block (both-local tasks follow rid_b's block). All
     // tasks needing a given remote gid therefore land in one round, so each
-    // remote read is still fetched exactly once, and every rank's server
-    // side only unpacks its own round block — the exchange totals match the
-    // in-memory path exactly. Every rank runs exactly B rounds (the
-    // exchange is collective), and B == 1 degenerates to one round over the
-    // consolidated task order, i.e. today's behavior.
+    // remote read is fetched exactly once, and every rank's server side only
+    // unpacks its own round block — the exchange totals do not depend on B.
+    // Every rank runs exactly B rounds (the exchange is collective); B == 1
+    // is one round over the consolidated task order. Each round's records
+    // are sorted and spilled as one run.
     if (resume_from < CheckpointStage::kAlignment) {
       align::ReadExchangeConfig rcfg;
       rcfg.exchange = exchange;
@@ -331,11 +322,7 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
       acfg.min_score = config.min_report_score;
       acfg.chain = config.chain;
       acfg.workers = align_workers;
-      if (B == 1) {
-        obs::Span stage_span = ctx.span("stage:align");
-        rx_res[rank] = align::run_read_exchange(ctx, store, tasks, rcfg);
-        records[rank] = align::run_alignment_stage(ctx, store, tasks, acfg, &al_res[rank]);
-      } else {
+      {
         obs::Span stage_span = ctx.span("stage:align");
         std::vector<std::vector<overlap::AlignmentTask>> rounds(B);
         for (auto& t : tasks) {
@@ -364,37 +351,26 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
           rounds[r].shrink_to_fit();
         }
       }
-      // The stage-4 checkpoint is this rank's records, sorted, in the framed
-      // spill-run format (block mode merges its runs while streaming — no
-      // resident copy). Keys are globally unique, so the restored sorted
-      // order merges into the same global sequence production order would.
+      // The stage-4 checkpoint is the merge of this rank's runs, streamed in
+      // the framed spill-run format. Keys are globally unique, so a resumed
+      // run that adopts it merges into the same global sequence.
       checkpoint_stage(CheckpointStage::kAlignment, [&] {
-        const std::string path =
-            ckpt->payload_path(CheckpointStage::kAlignment, comm.rank());
-        if (B == 1) {
-          std::vector<align::AlignmentRecord> sorted = records[rank];
-          sort_records(sorted);
-          write_alignment_run(path, sorted);
-        } else {
-          SpillMergeSource merged(spill->rank_runs(comm.rank()));
-          write_alignment_run(path, merged);
-        }
+        SpillMergeSource merged(spill->rank_runs(comm.rank()));
+        write_alignment_run(ckpt->payload_path(CheckpointStage::kAlignment, comm.rank()),
+                            merged);
       });
     } else if (!degraded_me) {
-      // Resume past alignment: load this rank's checkpointed records
-      // resident and run everything downstream in-memory (no spill set).
+      // Resume past alignment: this rank's checkpoint payload becomes its
+      // one run, read in place.
       obs::Span io_span = ctx.span("checkpoint:read");
-      SpillMergeSource source(std::vector<std::string>{
-          ckpt->payload_path(CheckpointStage::kAlignment, comm.rank())});
-      align::AlignmentRecord rec;
-      while (source.next(rec)) records[rank].push_back(rec);
-      al_res[rank].records_kept = records[rank].size();
+      al_res[rank].records_kept = spill->adopt_run(
+          comm.rank(), ckpt->payload_path(CheckpointStage::kAlignment, comm.rank()));
     }
 
     // Stage 5 (optional): distributed string graph — classification, edge
-    // partition, ghost-edge transitive reduction, unitig/GFA layout. Block
-    // mode replays this rank's spilled runs as a merged stream; the graph
-    // is invariant to the record regrouping (see run_string_graph_stage).
+    // partition, ghost-edge transitive reduction, unitig/GFA layout, fed by
+    // the merge of this rank's runs; the graph is invariant to the record
+    // regrouping (see run_string_graph_stage).
     if (config.stage5) {
       sgraph::StringGraphConfig scfg;
       scfg.min_overlap_score = config.min_overlap_score;
@@ -402,21 +378,15 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
       scfg.exchange = exchange;
       scfg.batch_bytes = config.batch_graph_bytes;
       obs::Span stage_span = ctx.span("stage:sgraph");
-      if (!spill) {
-        sg_out[rank] = sgraph::run_string_graph_stage(ctx, store, records[rank], scfg,
-                                                      &sg_res[rank]);
-      } else {
-        SpillMergeSource local_stream(spill->rank_runs(comm.rank()));
-        sg_out[rank] = sgraph::run_string_graph_stage(ctx, store, local_stream, scfg,
-                                                      &sg_res[rank]);
-      }
+      SpillMergeSource local_stream(spill->rank_runs(comm.rank()));
+      sg_out[rank] = sgraph::run_string_graph_stage(ctx, store, local_stream, scfg,
+                                                    &sg_res[rank]);
     }
     mem_res[rank] = store.memory_stats();
   });
 
-  // --- merge per-rank outputs. In-memory mode concatenates and sorts the
-  // resident vectors; block mode's merge is the spill k-way merge, streamed
-  // on demand via alignment_source().
+  // --- merge per-rank outputs. The records' merge is the spill k-way merge,
+  // streamed on demand via alignment_source().
   PipelineOutput out;
   out.calibration_s = calibration_s;
   out.partition = partition;
@@ -426,16 +396,6 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
   if (span_trace) {
     span_trace->finalize();  // an unclosed span would corrupt later pairing
     out.span_trace = span_trace;
-  }
-
-  if (!spill) {
-    std::size_t total_records = 0;
-    for (const auto& v : records) total_records += v.size();
-    out.alignments.reserve(total_records);
-    for (auto& v : records) {
-      out.alignments.insert(out.alignments.end(), v.begin(), v.end());
-    }
-    sort_records(out.alignments);
   }
 
   auto& c = out.counters;
@@ -477,10 +437,8 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
     c.block_loads += mem_res[rank].block_loads;
     c.block_evictions += mem_res[rank].block_evictions;
   }
-  if (spill) {
-    c.spill_bytes = spill->spill_bytes();
-    c.spill_runs = spill->run_count();
-  }
+  c.spill_bytes = spill->spill_bytes();
+  c.spill_runs = spill->run_count();
   const comm::CommFaultStats fault_stats = world.comm_fault_stats();
   c.comm_chunk_retries = fault_stats.retries;
   c.comm_chunk_redeliveries = fault_stats.redeliveries;

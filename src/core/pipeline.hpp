@@ -6,10 +6,10 @@
 /// optional stage 5 (config.stage5): distributed string-graph construction,
 /// transitive reduction, and unitig/GFA layout (src/sgraph/).
 ///
-/// The pipeline produces (a) the alignment records, (b) aggregated stage
-/// counters, and (c) the raw per-rank traces + exchange records that the
-/// netsim cost model replays to obtain platform-scaled timings for the
-/// paper's figures.
+/// The pipeline produces (a) the alignment records, as sorted spill runs,
+/// (b) aggregated stage counters, and (c) the raw per-rank traces + exchange
+/// records that the netsim cost model replays to obtain platform-scaled
+/// timings for the paper's figures.
 
 #include <memory>
 #include <vector>
@@ -71,8 +71,8 @@ struct PipelineCounters {
   u64 packed_read_bytes = 0;     ///< always-resident 2-bit footprint (sum; 0 when blocks==1)
   u64 block_loads = 0;           ///< lazy block unpacks (sum over ranks)
   u64 block_evictions = 0;       ///< budget-driven evictions (sum over ranks)
-  u64 spill_bytes = 0;           ///< alignment-record bytes spilled to disk
-  u64 spill_runs = 0;            ///< sorted runs feeding the k-way merge
+  u64 spill_bytes = 0;           ///< alignment-record bytes spilled by stage 4 (all records)
+  u64 spill_runs = 0;            ///< non-empty rounds spilled (sum over ranks)
   // self-healing exchange (comm::CommFaultStats; all zero fault-free)
   u64 comm_chunk_retries = 0;        ///< replay retransmissions requested
   u64 comm_chunk_redeliveries = 0;   ///< duplicate chunk copies discarded
@@ -83,13 +83,11 @@ struct PipelineCounters {
 
 /// Everything a pipeline run yields.
 struct PipelineOutput {
-  /// Merged records sorted by (rid_a, rid_b) — populated on the in-memory
-  /// path (config.blocks == 1) only. In block mode the records live in
-  /// `spill` and stream through alignment_source(); the sequence either
-  /// source yields is identical.
-  std::vector<align::AlignmentRecord> alignments;
-  /// External-sort runs of the block rounds; non-null iff config.blocks > 1.
-  /// Owns the spill directory (removed when the last reference drops).
+  /// The alignment records: sorted external-sort runs, one per rank and
+  /// block round (or, on a resume past alignment, each rank's adopted
+  /// checkpoint payload). Always non-null. Owns the spill directory
+  /// (removed when the last reference drops); read the records through
+  /// alignment_source() or merged_alignments().
   std::shared_ptr<AlignmentSpillSet> spill;
   PipelineCounters counters;
   /// Stage-5 string graph products (surviving edges, unitigs, components),
@@ -129,9 +127,8 @@ struct PipelineOutput {
   netsim::TimingReport evaluate(const netsim::Platform& platform,
                                 const netsim::Topology& topology) const;
 
-  /// The merged (rid_a, rid_b)-ordered record stream, whichever side it
-  /// lives on: a VectorRecordSource over `alignments`, or the spill k-way
-  /// merge. The PipelineOutput must outlive the returned source.
+  /// The merged (rid_a, rid_b)-ordered record stream: the k-way merge of
+  /// `spill`'s runs. The PipelineOutput must outlive the returned source.
   std::unique_ptr<align::RecordSource> alignment_source() const;
 
   /// Materialize the merged stream (test/diagnostic convenience; defeats

@@ -1,8 +1,7 @@
 #pragma once
 /// \file stage_context.hpp
 /// Per-rank execution context handed to every pipeline stage: the
-/// communicator plus the rank's trace, with an RAII helper for timing
-/// compute sections with the thread CPU clock.
+/// communicator plus the rank's trace.
 ///
 /// The context also carries the observability layer (src/obs/): a wallclock
 /// span lane (`spans`, null when --trace/--profile-report are off — every
@@ -17,7 +16,6 @@
 #include "netsim/rank_trace.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
-#include "util/timer.hpp"
 
 namespace dibella::core {
 
@@ -139,28 +137,6 @@ struct StageContext {
       lane.push(col);
     }
   }
-};
-
-/// RAII compute-section timer: measures thread CPU seconds and records a
-/// compute event on scope exit. The working set (for the cache model) may be
-/// set any time before destruction.
-class ComputeScope {
- public:
-  ComputeScope(StageContext& ctx, std::string stage, u64 working_set_bytes = 0)
-      : ctx_(ctx), stage_(std::move(stage)), working_set_(working_set_bytes) {}
-
-  ComputeScope(const ComputeScope&) = delete;
-  ComputeScope& operator=(const ComputeScope&) = delete;
-
-  void set_working_set(u64 bytes) { working_set_ = bytes; }
-
-  ~ComputeScope() { ctx_.trace.add_compute(std::move(stage_), timer_.seconds(), working_set_); }
-
- private:
-  StageContext& ctx_;
-  std::string stage_;
-  u64 working_set_;
-  util::ThreadCpuTimer timer_;
 };
 
 }  // namespace dibella::core

@@ -126,7 +126,7 @@ StringGraphShard run_string_graph_stage(
     align::RecordSource& local_records, const StringGraphConfig& cfg,
     StringGraphStageResult* result = nullptr);
 
-/// Vector convenience overload (the in-memory path and the test seam).
+/// Vector convenience overload (the test and bench seam).
 StringGraphShard run_string_graph_stage(
     core::StageContext& ctx, const io::ReadStore& store,
     const std::vector<align::AlignmentRecord>& local_records,

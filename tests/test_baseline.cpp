@@ -53,7 +53,7 @@ TEST(Baseline, MatchesDistributedPipelineExactly) {
   auto pipeline_out = run_pipeline(world, sim.reads, pcfg);
 
   auto bres = db::run_daligner_like(sim.reads, baseline_config(m));
-  expect_same_alignments(pipeline_out.alignments, bres.alignments);
+  expect_same_alignments(pipeline_out.merged_alignments(), bres.alignments);
   EXPECT_EQ(bres.read_pairs, pipeline_out.counters.read_pairs);
 }
 

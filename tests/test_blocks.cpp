@@ -389,12 +389,12 @@ TEST(Blocks, MergedAlignmentsMatchInMemoryVector) {
   c.blocks = 4;
   auto blocked = run_pipeline(world, sim.reads, c);
 
-  EXPECT_TRUE(blocked.alignments.empty());  // block mode keeps records spilled
-  auto merged = blocked.merged_alignments();
-  ASSERT_EQ(merged.size(), in_mem.alignments.size());
+  const auto merged = blocked.merged_alignments();
+  const auto want_records = in_mem.merged_alignments();
+  ASSERT_EQ(merged.size(), want_records.size());
   for (std::size_t i = 0; i < merged.size(); ++i) {
     const auto& x = merged[i];
-    const auto& y = in_mem.alignments[i];
+    const auto& y = want_records[i];
     EXPECT_EQ(x.rid_a, y.rid_a);
     EXPECT_EQ(x.rid_b, y.rid_b);
     EXPECT_EQ(x.score, y.score);
@@ -404,12 +404,14 @@ TEST(Blocks, MergedAlignmentsMatchInMemoryVector) {
     EXPECT_EQ(x.b_end, y.b_end);
     EXPECT_EQ(x.same_orientation, y.same_orientation);
   }
-  // Spill telemetry is live in block mode and silent otherwise.
-  EXPECT_GT(blocked.counters.spill_bytes, 0u);
-  EXPECT_GT(blocked.counters.spill_runs, 0u);
+  // Every block count spills every record exactly once.
+  for (const dc::PipelineOutput* out : {&in_mem, &blocked}) {
+    EXPECT_GT(out->counters.spill_runs, 0u);
+    EXPECT_EQ(out->counters.spill_bytes,
+              out->counters.alignments_reported * sizeof(dibella::align::AlignmentRecord));
+  }
   EXPECT_GT(blocked.counters.packed_read_bytes, 0u);
   EXPECT_GT(blocked.counters.block_loads, 0u);
-  EXPECT_EQ(in_mem.counters.spill_bytes, 0u);
   EXPECT_EQ(in_mem.counters.packed_read_bytes, 0u);
   // Both paths report peak residency; packing shrinks it.
   EXPECT_GT(in_mem.counters.peak_resident_read_bytes, 0u);
@@ -417,8 +419,8 @@ TEST(Blocks, MergedAlignmentsMatchInMemoryVector) {
   EXPECT_LT(blocked.counters.peak_resident_read_bytes,
             in_mem.counters.peak_resident_read_bytes);
 
-  // Every other counters.tsv row is a per-round sum that block mode must
-  // reproduce exactly.
+  // Every other counters.tsv row, spill_bytes included, is a per-round sum
+  // that block mode must reproduce exactly.
   EXPECT_GT(in_mem.counters.chain_anchors, 0u);
   EXPECT_GT(in_mem.counters.chain_dropped_seeds, 0u);
   const auto comparable_rows = [](const dc::PipelineOutput& out) {
@@ -432,8 +434,8 @@ TEST(Blocks, MergedAlignmentsMatchInMemoryVector) {
       if (line.empty() || line[0] == '#' || tab == std::string::npos) continue;
       const std::string name = line.substr(0, tab);
       if (name == "block_loads" || name == "packed_read_bytes" ||
-          name == "peak_resident_read_bytes" || name.rfind("spill_", 0) == 0) {
-        continue;  // memory/spill telemetry, checked above
+          name == "peak_resident_read_bytes" || name == "spill_runs") {
+        continue;  // memory telemetry and the round count, checked above
       }
       rows[name] = line.substr(tab + 1);
     }

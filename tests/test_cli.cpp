@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "align/alignment_stage.hpp"
 #include "cli/driver.hpp"
 #include "io/fastx.hpp"
 #include "io/truth.hpp"
@@ -499,7 +500,7 @@ TEST(CliUsage, TruthWithPresetIsAUsageError) {
 TEST_F(CliSmoke, BlocksModeOutputsByteIdenticalToInMemory) {
   // The out-of-core contract at the driver level: --blocks=4 with a memory
   // budget writes the very same alignments.paf, graph.gfa, and eval.tsv as
-  // the default in-memory run (this mirrors the CI blocks-mode smoke job).
+  // the default one-block run (this mirrors the CI blocks-mode smoke job).
   std::vector<std::string> common = {"--preset=tiny", "--ranks=3",
                                      "--stage5=on", "--eval=on"};
 
@@ -523,17 +524,19 @@ TEST_F(CliSmoke, BlocksModeOutputsByteIdenticalToInMemory) {
         << file;
   }
 
-  // Block mode surfaces the out-of-core telemetry rows; both modes report
-  // peak residency, and packing lowers it.
+  // Block mode surfaces the read-store telemetry rows; both modes spill
+  // every record once and report peak residency, and packing lowers it.
   auto cm = parse_counters(
       dibella::io::load_file((dir_ / "in_mem" / dibella::cli::kCountersFile).string()));
   auto cb = parse_counters(
       dibella::io::load_file((dir_ / "blocked" / dibella::cli::kCountersFile).string()));
   EXPECT_EQ(cm.at("packed_read_bytes"), 0u);
-  EXPECT_EQ(cm.at("spill_bytes"), 0u);
   EXPECT_GT(cb.at("packed_read_bytes"), 0u);
-  EXPECT_GT(cb.at("spill_bytes"), 0u);
-  EXPECT_GT(cb.at("spill_runs"), 0u);
+  for (const auto* c : {&cm, &cb}) {
+    EXPECT_GT(c->at("spill_runs"), 0u);
+    EXPECT_EQ(c->at("spill_bytes"), c->at("alignments_reported") *
+                                        sizeof(dibella::align::AlignmentRecord));
+  }
   EXPECT_GT(cb.at("block_loads"), 0u);
   EXPECT_GT(cm.at("peak_resident_read_bytes"), 0u);
   EXPECT_LT(cb.at("peak_resident_read_bytes"), cm.at("peak_resident_read_bytes"));
@@ -573,23 +576,23 @@ TEST(CliUsage, MalformedMemoryBudgetIsAUsageError) {
 }
 
 TEST_F(CliSmoke, SpillDirIsUsedAndCleaned) {
-  fs::path spill_parent = dir_ / "spill";
-  fs::create_directories(spill_parent);
-  DriverResult r = run_driver({"--preset=tiny", "--ranks=2", "--blocks=2",
-                               "--spill-dir=" + spill_parent.string(),
-                               "--out-dir=" + (dir_ / "out").string()});
-  ASSERT_EQ(r.exit_code, dibella::cli::kExitOk) << r.err;
-  // The per-run dibella-spill-* directory lived under --spill-dir and was
-  // removed when the run finished.
-  EXPECT_TRUE(fs::exists(spill_parent));
-  EXPECT_TRUE(fs::is_empty(spill_parent));
-}
-
-TEST(CliUsage, SpillDirWithoutBlocksIsAUsageError) {
-  DriverResult r = run_driver({"--preset=tiny", "--ranks=1", "--no-output",
-                               "--spill-dir=/tmp"});
-  EXPECT_EQ(r.exit_code, dibella::cli::kExitUsageError);
-  EXPECT_NE(r.err.find("spill-dir"), std::string::npos);
+  // Every block count spills stage 4's records, so every run uses the dir.
+  for (const std::string blocks : {"1", "2"}) {
+    SCOPED_TRACE("blocks=" + blocks);
+    fs::path spill_parent = dir_ / ("spill" + blocks);
+    fs::create_directories(spill_parent);
+    DriverResult r = run_driver({"--preset=tiny", "--ranks=2", "--blocks=" + blocks,
+                                 "--spill-dir=" + spill_parent.string(),
+                                 "--out-dir=" + (dir_ / "out").string()});
+    ASSERT_EQ(r.exit_code, dibella::cli::kExitOk) << r.err;
+    auto counters = parse_counters(dibella::io::load_file(
+        (dir_ / "out" / dibella::cli::kCountersFile).string()));
+    EXPECT_GT(counters.at("spill_bytes"), 0u);
+    // The per-run dibella-spill-* directory lived under --spill-dir and was
+    // removed when the run finished.
+    EXPECT_TRUE(fs::exists(spill_parent));
+    EXPECT_TRUE(fs::is_empty(spill_parent));
+  }
 }
 
 // --- fault tolerance ----------------------------------------------------------

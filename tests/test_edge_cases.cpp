@@ -43,7 +43,7 @@ std::vector<dibella::io::Read> make_reads(const std::vector<std::string>& seqs) 
 TEST(EdgeCases, EmptyReadSet) {
   dibella::comm::World world(3);
   auto out = run_pipeline(world, {}, lenient_config());
-  EXPECT_TRUE(out.alignments.empty());
+  EXPECT_TRUE(out.merged_alignments().empty());
   EXPECT_EQ(out.counters.kmers_parsed, 0u);
   EXPECT_EQ(out.counters.read_pairs, 0u);
 }
@@ -52,7 +52,7 @@ TEST(EdgeCases, AllReadsShorterThanK) {
   dibella::comm::World world(2);
   auto reads = make_reads({"ACGT", "TTTT", "ACGTACGTAC", "GG"});
   auto out = run_pipeline(world, reads, lenient_config());
-  EXPECT_TRUE(out.alignments.empty());
+  EXPECT_TRUE(out.merged_alignments().empty());
   EXPECT_EQ(out.counters.kmers_parsed, 0u);
 }
 
@@ -64,7 +64,7 @@ TEST(EdgeCases, SingleRead) {
   auto out = run_pipeline(world, make_reads({seq}), lenient_config());
   // A lone read can share k-mers only with itself; same-read pairs are
   // excluded, so no alignments.
-  EXPECT_TRUE(out.alignments.empty());
+  EXPECT_TRUE(out.merged_alignments().empty());
   EXPECT_GT(out.counters.kmers_parsed, 0u);
 }
 
@@ -75,12 +75,13 @@ TEST(EdgeCases, DuplicateReadsAlignPerfectly) {
   dibella::comm::World world(2);
   // Identical twins: every window is a shared k-mer with count 2.
   auto out = run_pipeline(world, make_reads({seq, seq}), lenient_config());
-  ASSERT_EQ(out.alignments.size(), 1u);
-  EXPECT_EQ(out.alignments[0].rid_a, 0u);
-  EXPECT_EQ(out.alignments[0].rid_b, 1u);
-  EXPECT_EQ(out.alignments[0].score, static_cast<dibella::i32>(seq.size()));
-  EXPECT_EQ(out.alignments[0].a_begin, 0u);
-  EXPECT_EQ(out.alignments[0].a_end, seq.size());
+  const auto records = out.merged_alignments();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].rid_a, 0u);
+  EXPECT_EQ(records[0].rid_b, 1u);
+  EXPECT_EQ(records[0].score, static_cast<dibella::i32>(seq.size()));
+  EXPECT_EQ(records[0].a_begin, 0u);
+  EXPECT_EQ(records[0].a_end, seq.size());
 }
 
 TEST(EdgeCases, ReadAndItsReverseComplement) {
@@ -91,9 +92,10 @@ TEST(EdgeCases, ReadAndItsReverseComplement) {
   auto out = run_pipeline(
       world, make_reads({seq, dibella::kmer::reverse_complement(seq)}),
       lenient_config());
-  ASSERT_EQ(out.alignments.size(), 1u);
-  EXPECT_EQ(out.alignments[0].same_orientation, 0u);  // detected as RC overlap
-  EXPECT_EQ(out.alignments[0].score, static_cast<dibella::i32>(seq.size()));
+  const auto records = out.merged_alignments();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].same_orientation, 0u);  // detected as RC overlap
+  EXPECT_EQ(records[0].score, static_cast<dibella::i32>(seq.size()));
 }
 
 TEST(EdgeCases, NRichReadsParseAroundInvalidBases) {
@@ -106,8 +108,9 @@ TEST(EdgeCases, NRichReadsParseAroundInvalidBases) {
   for (std::size_t i = 1200; i < 1230; ++i) holey[i] = 'N';
   dibella::comm::World world(2);
   auto out = run_pipeline(world, make_reads({clean, holey}), lenient_config());
-  ASSERT_EQ(out.alignments.size(), 1u);
-  EXPECT_GT(out.alignments[0].score, 500);
+  const auto records = out.merged_alignments();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_GT(records[0].score, 500);
 }
 
 TEST(EdgeCases, MoreRanksThanReads) {

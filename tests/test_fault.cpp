@@ -130,6 +130,18 @@ class FaultCli : public ::testing::Test {
 
   std::string load(const fs::path& p) { return dio::load_file(p.string()); }
 
+  /// --spill-dir under the test dir, so a test can check that no run left a
+  /// dibella-spill-* directory behind.
+  std::string spill_flag() {
+    fs::create_directories(dir_ / "spill");
+    return "--spill-dir=" + (dir_ / "spill").string();
+  }
+  void expect_no_spill_left() {
+    for (const auto& entry : fs::directory_iterator(dir_ / "spill")) {
+      ADD_FAILURE() << "leftover spill entry: " << entry.path();
+    }
+  }
+
   fs::path dir_;
 };
 
@@ -432,6 +444,24 @@ TEST(SpillRunFraming, TruncationIsDetected) {
   fs::remove(path);
 }
 
+TEST(SpillRunFraming, TrailingBytesAfterTheCrcAreRejected) {
+  const fs::path path = fs::path(::testing::TempDir()) / "dibella_spill_tail.bin";
+  dc::write_alignment_run(path.string(), sample_records(100));
+  std::ofstream(path, std::ios::binary | std::ios::app).put('\0');
+  try {
+    dc::SpillMergeSource source({path.string()});
+    drain(source);
+    FAIL() << "spill run with a trailing byte streamed without an error";
+  } catch (const dibella::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("trailing bytes"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find(path.filename().string()),
+              std::string::npos)
+        << e.what();
+  }
+  fs::remove(path);
+}
+
 TEST(SpillRunFraming, BadMagicFailsAtOpen) {
   const fs::path path = fs::path(::testing::TempDir()) / "dibella_spill_magic.bin";
   dc::write_alignment_run(path.string(), sample_records(10));
@@ -513,6 +543,7 @@ TEST_F(FaultCli, ResumeIsByteIdenticalAcrossRankCountsAndSchedules) {
       // Kill the last rank at the first stage-4 collective: stages 1-3 are
       // checkpointed, stage 4 is not.
       auto abort_args = common;
+      abort_args.push_back(spill_flag());
       abort_args.push_back("--checkpoint-dir=" + (cell / "ckpt").string());
       abort_args.push_back("--inject-fault=abort@align:0:" +
                            std::to_string(ranks - 1));
@@ -523,6 +554,7 @@ TEST_F(FaultCli, ResumeIsByteIdenticalAcrossRankCountsAndSchedules) {
           fs::exists(cell / "aborted" / dibella::cli::kAlignmentsFile));
 
       auto resume_args = common;
+      resume_args.push_back(spill_flag());
       resume_args.push_back("--checkpoint-dir=" + (cell / "ckpt").string());
       resume_args.push_back("--resume");
       resume_args.push_back("--out-dir=" + (cell / "resumed").string());
@@ -531,6 +563,7 @@ TEST_F(FaultCli, ResumeIsByteIdenticalAcrossRankCountsAndSchedules) {
 
       expect_outputs_equal(outputs_of(cell / "ref"),
                            outputs_of(cell / "resumed"));
+      expect_no_spill_left();
     }
   }
 }
@@ -552,16 +585,17 @@ TEST_F(FaultCli, ResumeRestoresEveryCheckpointStage) {
     const fs::path cell = dir_ / ("case" + std::to_string(case_index++));
     const std::string ckpt = "--checkpoint-dir=" + (cell / "ckpt").string();
     DriverResult aborted = run_driver(
-        {"--preset=tiny", "--ranks=3", ckpt,
+        {"--preset=tiny", "--ranks=3", ckpt, spill_flag(),
          "--inject-fault=" + std::string(fault),
          "--out-dir=" + (cell / "aborted").string()});
     EXPECT_EQ(aborted.exit_code, dibella::cli::kExitCommFailure) << aborted.err;
 
     DriverResult resumed = run_driver(
-        {"--preset=tiny", "--ranks=3", ckpt, "--resume",
+        {"--preset=tiny", "--ranks=3", ckpt, spill_flag(), "--resume",
          "--out-dir=" + (cell / "resumed").string()});
     ASSERT_EQ(resumed.exit_code, dibella::cli::kExitOk) << resumed.err;
     expect_outputs_equal(want, outputs_of(cell / "resumed"));
+    expect_no_spill_left();
   }
 
   // A run that finished cleanly left a complete stage-4 checkpoint; resume
@@ -572,10 +606,39 @@ TEST_F(FaultCli, ResumeRestoresEveryCheckpointStage) {
                                   "--out-dir=" + (cell / "first").string()});
   ASSERT_EQ(full.exit_code, dibella::cli::kExitOk) << full.err;
   DriverResult resumed = run_driver(
-      {"--preset=tiny", "--ranks=3", ckpt, "--resume",
+      {"--preset=tiny", "--ranks=3", ckpt, spill_flag(), "--resume",
        "--out-dir=" + (cell / "resumed").string()});
   ASSERT_EQ(resumed.exit_code, dibella::cli::kExitOk) << resumed.err;
   expect_outputs_equal(want, outputs_of(cell / "resumed"));
+  expect_no_spill_left();
+  // The resumed run read the stage-4 payloads in place and kept them.
+  for (int rank = 0; rank < 3; ++rank) {
+    EXPECT_TRUE(fs::exists(cell / "ckpt" /
+                           ("stage4.align.r" + std::to_string(rank) + ".bin")));
+  }
+}
+
+TEST_F(FaultCli, ResumeRejectsATrailingByteInTheStage4Payload) {
+  // A stage-4 checkpoint payload is adopted as its rank's spill run, so the
+  // run decoder's frame checks guard --resume: one byte appended after the
+  // CRC32 trailer must fail the resume with a runtime error naming the file.
+  const std::string ckpt = "--checkpoint-dir=" + (dir_ / "ckpt").string();
+  DriverResult full = run_driver({"--preset=tiny", "--ranks=2", ckpt,
+                                  "--out-dir=" + (dir_ / "first").string()});
+  ASSERT_EQ(full.exit_code, dibella::cli::kExitOk) << full.err;
+  const fs::path payload = dir_ / "ckpt" / "stage4.align.r1.bin";
+  ASSERT_TRUE(fs::exists(payload));
+  std::ofstream(payload, std::ios::binary | std::ios::app).put('\0');
+
+  DriverResult resumed = run_driver(
+      {"--preset=tiny", "--ranks=2", ckpt, spill_flag(), "--resume",
+       "--out-dir=" + (dir_ / "resumed").string()});
+  EXPECT_EQ(resumed.exit_code, dibella::cli::kExitRuntimeError) << resumed.err;
+  EXPECT_NE(resumed.err.find("trailing bytes"), std::string::npos) << resumed.err;
+  EXPECT_NE(resumed.err.find("stage4.align.r1.bin"), std::string::npos)
+      << resumed.err;
+  EXPECT_FALSE(fs::exists(dir_ / "resumed" / dibella::cli::kAlignmentsFile));
+  expect_no_spill_left();
 }
 
 TEST_F(FaultCli, ResumeUnderTheOtherScheduleStillMatches) {

@@ -141,7 +141,7 @@ TEST(OverlapGraph, PipelineAlignmentsFormMostlyOneComponent) {
   dibella::comm::World world(4);
   auto out = run_pipeline(world, sim.reads, cfg);
 
-  auto g = dg::OverlapGraph::from_alignments(out.alignments, sim.reads.size(), 50);
+  auto g = dg::OverlapGraph::from_alignments(out.merged_alignments(), sim.reads.size(), 50);
   auto comp = g.connected_components();
   std::map<u64, u64> sizes;
   for (u64 c : comp) ++sizes[c];

@@ -74,9 +74,11 @@ TEST(ParallelLoad, FeedsPipelineEndToEnd) {
     if (comm.rank() == 0) loaded = std::move(reads);
   });
   auto out_loaded = run_pipeline(world, loaded, cfg);
+  const auto out_loaded_records = out_loaded.merged_alignments();
   auto out_direct = run_pipeline(world, fx.reads, cfg);
-  ASSERT_EQ(out_loaded.alignments.size(), out_direct.alignments.size());
-  for (std::size_t i = 0; i < out_loaded.alignments.size(); ++i) {
-    EXPECT_EQ(out_loaded.alignments[i].score, out_direct.alignments[i].score);
+  const auto out_direct_records = out_direct.merged_alignments();
+  ASSERT_EQ(out_loaded_records.size(), out_direct_records.size());
+  for (std::size_t i = 0; i < out_loaded_records.size(); ++i) {
+    EXPECT_EQ(out_loaded_records[i].score, out_direct_records[i].score);
   }
 }

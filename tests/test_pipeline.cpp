@@ -40,10 +40,11 @@ TEST(Pipeline, EndToEndProducesValidAlignments) {
   auto sim = dibella::simgen::make_dataset(dibella::simgen::tiny_test());
   dibella::comm::World world(4);
   auto out = run_pipeline(world, sim.reads, tiny_config());
+  const auto records = out.merged_alignments();
 
-  ASSERT_GT(out.alignments.size(), 50u);
+  ASSERT_GT(records.size(), 50u);
   std::set<std::pair<u64, u64>> seen;
-  for (const auto& rec : out.alignments) {
+  for (const auto& rec : records) {
     EXPECT_LT(rec.rid_a, rec.rid_b);
     EXPECT_TRUE(seen.insert({rec.rid_a, rec.rid_b}).second) << "duplicate pair";
     const auto& a = sim.reads[static_cast<std::size_t>(rec.rid_a)];
@@ -58,7 +59,7 @@ TEST(Pipeline, EndToEndProducesValidAlignments) {
   }
   // Counter coherence.
   EXPECT_EQ(out.counters.read_pairs, out.counters.pairs_aligned);
-  EXPECT_EQ(out.counters.alignments_reported, out.alignments.size());
+  EXPECT_EQ(out.counters.alignments_reported, records.size());
   EXPECT_GT(out.counters.retained_kmers, 0u);
   EXPECT_GT(out.counters.kmers_parsed, out.counters.retained_kmers);
   // One-seed policy: one extension per pair.
@@ -72,12 +73,14 @@ TEST(Pipeline, OutputIndependentOfRankCount) {
 
   dibella::comm::World w1(1), w6(6);
   auto out1 = run_pipeline(w1, sim.reads, cfg);
+  const auto out1_records = out1.merged_alignments();
   auto out6 = run_pipeline(w6, sim.reads, cfg);
+  const auto out6_records = out6.merged_alignments();
 
-  ASSERT_EQ(out1.alignments.size(), out6.alignments.size());
-  for (std::size_t i = 0; i < out1.alignments.size(); ++i) {
-    const auto& x = out1.alignments[i];
-    const auto& y = out6.alignments[i];
+  ASSERT_EQ(out1_records.size(), out6_records.size());
+  for (std::size_t i = 0; i < out1_records.size(); ++i) {
+    const auto& x = out1_records[i];
+    const auto& y = out6_records[i];
     EXPECT_EQ(x.rid_a, y.rid_a);
     EXPECT_EQ(x.rid_b, y.rid_b);
     EXPECT_EQ(x.score, y.score);
@@ -96,11 +99,13 @@ TEST(Pipeline, DeterministicAcrossRuns) {
   auto cfg = tiny_config();
   dibella::comm::World world(3);
   auto a = run_pipeline(world, sim.reads, cfg);
+  const auto a_records = a.merged_alignments();
   auto b = run_pipeline(world, sim.reads, cfg);
-  ASSERT_EQ(a.alignments.size(), b.alignments.size());
-  for (std::size_t i = 0; i < a.alignments.size(); ++i) {
-    EXPECT_EQ(a.alignments[i].score, b.alignments[i].score);
-    EXPECT_EQ(a.alignments[i].rid_a, b.alignments[i].rid_a);
+  const auto b_records = b.merged_alignments();
+  ASSERT_EQ(a_records.size(), b_records.size());
+  for (std::size_t i = 0; i < a_records.size(); ++i) {
+    EXPECT_EQ(a_records[i].score, b_records[i].score);
+    EXPECT_EQ(a_records[i].rid_a, b_records[i].rid_a);
   }
 }
 
@@ -124,7 +129,7 @@ TEST(Pipeline, RecallAgainstGroundTruth) {
   auto out = run_pipeline(world, sim.reads, cfg);
 
   std::set<std::pair<u64, u64>> found;
-  for (const auto& rec : out.alignments) {
+  for (const auto& rec : out.merged_alignments()) {
     if (rec.score >= 100) found.insert({rec.rid_a, rec.rid_b});
   }
   u64 hit = 0;
@@ -213,10 +218,11 @@ TEST(Pipeline, PafOutputWellFormed) {
   auto sim = dibella::simgen::make_dataset(dibella::simgen::tiny_test(43));
   dibella::comm::World world(2);
   auto out = run_pipeline(world, sim.reads, tiny_config());
-  ASSERT_FALSE(out.alignments.empty());
+  const auto records = out.merged_alignments();
+  ASSERT_FALSE(records.empty());
 
   std::ostringstream os;
-  dc::write_paf(os, out.alignments, sim.reads);
+  dc::write_paf(os, records, sim.reads);
   std::istringstream is(os.str());
   std::string line;
   std::size_t lines = 0;
@@ -229,14 +235,14 @@ TEST(Pipeline, PafOutputWellFormed) {
     EXPECT_NE(line.find("\ttp:A:"), std::string::npos) << line;
     EXPECT_TRUE(line.find('+') != std::string::npos || line.find('-') != std::string::npos);
   }
-  EXPECT_EQ(lines, out.alignments.size());
+  EXPECT_EQ(lines, records.size());
 }
 
 TEST(Pipeline, SingleRankWorld) {
   auto sim = dibella::simgen::make_dataset(dibella::simgen::tiny_test(47));
   dibella::comm::World world(1);
   auto out = run_pipeline(world, sim.reads, tiny_config());
-  EXPECT_GT(out.alignments.size(), 0u);
+  EXPECT_GT(out.merged_alignments().size(), 0u);
   EXPECT_EQ(out.counters.reads_exchanged, 0u);  // everything is local
 }
 
@@ -251,13 +257,15 @@ TEST(Pipeline, OverlappedScheduleBitwiseIdenticalToBlocking) {
 
   cfg.overlap_comm = true;
   auto on = run_pipeline(world, sim.reads, cfg);
+  const auto on_records = on.merged_alignments();
   cfg.overlap_comm = false;
   auto off = run_pipeline(world, sim.reads, cfg);
+  const auto off_records = off.merged_alignments();
 
-  ASSERT_EQ(on.alignments.size(), off.alignments.size());
-  for (std::size_t i = 0; i < on.alignments.size(); ++i) {
-    const auto& x = on.alignments[i];
-    const auto& y = off.alignments[i];
+  ASSERT_EQ(on_records.size(), off_records.size());
+  for (std::size_t i = 0; i < on_records.size(); ++i) {
+    const auto& x = on_records[i];
+    const auto& y = off_records[i];
     EXPECT_EQ(x.rid_a, y.rid_a);
     EXPECT_EQ(x.rid_b, y.rid_b);
     EXPECT_EQ(x.score, y.score);
@@ -293,12 +301,14 @@ TEST(Pipeline, BlockingScheduleIndependentOfRankCount) {
 
   dibella::comm::World w1(1), w5(5);
   auto out1 = run_pipeline(w1, sim.reads, cfg);
+  const auto out1_records = out1.merged_alignments();
   auto out5 = run_pipeline(w5, sim.reads, cfg);
-  ASSERT_EQ(out1.alignments.size(), out5.alignments.size());
-  for (std::size_t i = 0; i < out1.alignments.size(); ++i) {
-    EXPECT_EQ(out1.alignments[i].score, out5.alignments[i].score);
-    EXPECT_EQ(out1.alignments[i].rid_a, out5.alignments[i].rid_a);
-    EXPECT_EQ(out1.alignments[i].rid_b, out5.alignments[i].rid_b);
+  const auto out5_records = out5.merged_alignments();
+  ASSERT_EQ(out1_records.size(), out5_records.size());
+  for (std::size_t i = 0; i < out1_records.size(); ++i) {
+    EXPECT_EQ(out1_records[i].score, out5_records[i].score);
+    EXPECT_EQ(out1_records[i].rid_a, out5_records[i].rid_a);
+    EXPECT_EQ(out1_records[i].rid_b, out5_records[i].rid_b);
   }
 }
 

@@ -456,7 +456,7 @@ TEST(StringGraphDifferential, DistributedMatchesOracleAcrossRanksAndSchedules) {
       if (!have_expected) {
         // The alignment set is rank-count independent (pinned elsewhere), so
         // one oracle evaluation covers every configuration.
-        expected = oracle_surviving(out.alignments, lens, scfg, &oracle_adj);
+        expected = oracle_surviving(out.merged_alignments(), lens, scfg, &oracle_adj);
         have_expected = true;
         ASSERT_GT(expected.size(), 0u);
         std::vector<dsg::DovetailEdge> expected_edges;
