@@ -1,6 +1,5 @@
 #include "common/bench_common.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -263,57 +262,16 @@ const std::vector<ScalingRun>& run_scaling(const simgen::DatasetPreset& preset,
 
   util::set_log_level(util::LogLevel::kWarn);
   const auto& reads = dataset(preset);
-  // Warmup: one throwaway run touches every allocation path of the process,
-  // taking first-run page faults and allocator growth out of the measured
-  // CPU times.
-  {
-    static bool warmed = false;
-    if (!warmed) {
-      warmed = true;
-      comm::World warm_world(bench_ranks_per_node());
-      (void)run_pipeline(warm_world, reads, cfg);
-    }
-  }
   std::vector<ScalingRun> runs;
-  // Compute accounting is work-based (core/kernel_costs.hpp) and therefore
-  // deterministic; one repetition suffices. Raise for wall-time studies.
-  const int reps = static_cast<int>(util::env_i64("DIBELLA_BENCH_REPS", 1));
+  // Compute accounting is work-based (core/kernel_costs.hpp): every segment
+  // is exact unit counts x per-unit costs cached once per process, so one
+  // run per node count is the measurement.
   for (int nodes : bench_node_counts()) {
     ScalingRun run;
     run.nodes = nodes;
     run.ranks = nodes * bench_ranks_per_node();
-    // The pipeline is deterministic, so repeated runs produce structurally
-    // identical traces (same events in the same order) differing only in
-    // measured CPU times. Replace every compute event's time with the
-    // median across repetitions — a per-event noise filter that is far more
-    // robust on oversubscribed hosts than keeping any single run.
-    std::vector<core::PipelineOutput> outs;
-    for (int rep = 0; rep < reps; ++rep) {
-      comm::World world(run.ranks);
-      outs.push_back(run_pipeline(world, reads, cfg));
-    }
-    run.out = std::move(outs.back());
-    outs.pop_back();
-    bool aligned = true;
-    for (const auto& other : outs) {
-      for (std::size_t r = 0; aligned && r < run.out.traces.size(); ++r) {
-        aligned = other.traces[r].events().size() == run.out.traces[r].events().size();
-      }
-    }
-    if (aligned && !outs.empty()) {
-      for (std::size_t r = 0; r < run.out.traces.size(); ++r) {
-        auto& events = run.out.traces[r].mutable_events();
-        for (std::size_t e = 0; e < events.size(); ++e) {
-          if (events[e].kind != netsim::TraceEvent::Kind::kCompute) continue;
-          std::vector<double> samples{events[e].cpu_seconds};
-          for (const auto& other : outs) {
-            samples.push_back(other.traces[r].events()[e].cpu_seconds);
-          }
-          std::sort(samples.begin(), samples.end());
-          events[e].cpu_seconds = samples[samples.size() / 2];
-        }
-      }
-    }
+    comm::World world(run.ranks);
+    run.out = run_pipeline(world, reads, cfg);
     runs.push_back(std::move(run));
     std::fprintf(stderr, "  [bench] %s: %d node(s) done\n", cache_key.c_str(), nodes);
   }

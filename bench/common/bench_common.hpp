@@ -53,8 +53,6 @@ struct ScalingRun {
 };
 
 /// Run the pipeline at every node count (ranks = nodes x ranks-per-node).
-/// With DIBELLA_BENCH_REPS > 1, each compute event's CPU time is replaced by
-/// its median across repetitions (suppresses scheduler noise on small hosts).
 /// Results are cached in-process AND on disk under
 /// $DIBELLA_BENCH_CACHE_DIR (default .dibella_bench_cache/) so the figure
 /// binaries that share a workload (Figs 3-9, 12, 13 all use E30 one-seed)

@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
             " ranks — virtual seconds per stage");
     std::cout << "\n";
   }
-  std::cout << "(virtual seconds: measured per-rank CPU x platform core factor,\n"
-               " plus the alpha-beta network model over recorded exchanges;\n"
-               " see netsim/platform.hpp and netsim/cost_model.hpp)\n";
+  std::cout << "(virtual seconds: per-rank work units x calibrated kernel costs\n"
+               " x platform core factor, plus the alpha-beta network model over\n"
+               " recorded exchanges; see netsim/platform.hpp and netsim/cost_model.hpp)\n";
   return 0;
 }

@@ -7,7 +7,6 @@
 
 #include "align/chain.hpp"
 #include "align/xdrop.hpp"
-#include "core/kernel_costs.hpp"
 #include "kmer/dna.hpp"
 #include "kmer/kmer.hpp"
 
@@ -134,12 +133,11 @@ std::vector<AlignmentRecord> run_alignment_stage(
   DIBELLA_CHECK(cfg.workers == 1 || store.blocks() == 1,
                 "alignment stage: a block-mode read store allows one worker");
   ctx.comm.set_stage("align");
-  const auto& costs = core::KernelCosts::get();
 
   ChainParams chain_params;
   chain_params.k = cfg.k;
 
-  obs::Span extend_span = ctx.span("align:extend");
+  auto extend = ctx.kernel("align:extend", "align:compute");
 
   // Workers claim chunks through one cursor and write only their own
   // WorkerState and the chunks they claimed; ctx, spans and metrics stay on
@@ -188,19 +186,16 @@ std::vector<AlignmentRecord> run_alignment_stage(
     records.insert(records.end(), chunk.begin(), chunk.end());
   }
 
-  extend_span.arg("pairs", res.pairs_aligned);
-  extend_span.arg("cells", res.dp_cells);
-  extend_span.arg("lanes", static_cast<u64>(xdrop_kernel_lanes()));
-  extend_span.arg("workers", workers);
-  // Work-based compute accounting: DP cells dominate; reverse-complement
-  // construction and read access are byte-copy-bounded. Exact per-rank unit
-  // counts (summed over workers, so independent of their number) preserve
-  // the data-dependent load imbalance the paper studies.
-  ctx.trace.add_compute(
-      "align:compute",
-      static_cast<double>(res.dp_cells) * costs.xdrop_per_cell +
-          static_cast<double>(revcomp_bytes + touched_bytes) * costs.per_byte_copy,
-      touched_bytes);
+  // DP cells dominate; reverse-complement construction and read access are
+  // byte-copy-bounded. Exact per-rank unit counts (summed over workers, so
+  // independent of their number) preserve the data-dependent load imbalance
+  // the paper studies.
+  extend.arg("pairs", res.pairs_aligned)
+      .units("cells", res.dp_cells, &core::KernelCosts::xdrop_per_cell)
+      .units("bytes", revcomp_bytes + touched_bytes, &core::KernelCosts::per_byte_copy)
+      .arg("lanes", static_cast<u64>(xdrop_kernel_lanes()))
+      .arg("workers", workers)
+      .working_set(touched_bytes);
 
   if (result) *result = res;
   return records;

@@ -4,7 +4,6 @@
 #include <set>
 
 #include "comm/exchanger.hpp"
-#include "core/kernel_costs.hpp"
 
 namespace dibella::align {
 
@@ -25,11 +24,12 @@ ReadExchangeResult run_read_exchange(core::StageContext& ctx, io::ReadStore& sto
   ReadExchangeResult res;
   obs::Span fetch_span = ctx.span("align:read_exchange");
 
-  const auto& costs = core::KernelCosts::get();
-
   // --- collect distinct remote gids, bucketed by owning rank.
   std::vector<std::vector<u64>> requests(static_cast<std::size_t>(P));
   {
+    auto k = ctx.kernel("align:pack");
+    k.units("tasks", tasks.size(), &core::KernelCosts::pair_consolidate)
+        .working_set(tasks.size() * sizeof(overlap::AlignmentTask));
     std::set<u64> needed;
     for (const auto& t : tasks) {
       if (!store.is_local(t.rid_a)) needed.insert(t.rid_a);
@@ -39,9 +39,6 @@ ReadExchangeResult run_read_exchange(core::StageContext& ctx, io::ReadStore& sto
     for (u64 gid : needed) {
       requests[static_cast<std::size_t>(partition.owner_of(gid))].push_back(gid);
     }
-    ctx.trace.add_compute("align:pack",
-                          static_cast<double>(tasks.size()) * costs.pair_consolidate,
-                          tasks.size() * sizeof(overlap::AlignmentTask));
   }
 
   comm::Exchanger ex(comm, cfg.exchange);
@@ -70,6 +67,7 @@ ReadExchangeResult run_read_exchange(core::StageContext& ctx, io::ReadStore& sto
   comm::run_exchange(
       ex,
       [&] {
+        auto k = ctx.kernel("align:pack");
         u64 packed = 0;
         bool remaining = false;
         // The byte budget applies per destination, not per batch: serving
@@ -94,11 +92,11 @@ ReadExchangeResult run_read_exchange(core::StageContext& ctx, io::ReadStore& sto
           packed += packed_dest;
           if (cur < gids.size()) remaining = true;
         }
-        ctx.trace.add_compute("align:pack",
-                              static_cast<double>(packed) * costs.per_byte_copy, packed);
+        k.units("bytes", packed, &core::KernelCosts::per_byte_copy).working_set(packed);
         return remaining;
       },
       [&](const comm::RecvBatch& batch) {
+        auto k = ctx.kernel("align:cache");
         u64 batch_bytes = 0;
         for (int owner = 0; owner < P; ++owner) {
           // A truncated header or a payload shorter than its header raises
@@ -115,9 +113,8 @@ ReadExchangeResult run_read_exchange(core::StageContext& ctx, io::ReadStore& sto
             fetched.push_back(std::move(r));
           }
         }
-        ctx.trace.add_compute("align:cache",
-                              static_cast<double>(batch_bytes) * costs.per_byte_copy,
-                              batch_bytes);
+        k.units("bytes", batch_bytes, &core::KernelCosts::per_byte_copy)
+            .working_set(batch_bytes);
       });
   store.cache_remote_bulk(std::move(fetched));
   fetch_span.arg("reads", res.reads_requested);

@@ -2,7 +2,6 @@
 
 #include "bloom/bloom_filter.hpp"
 #include "comm/exchanger.hpp"
-#include "core/kernel_costs.hpp"
 #include "kmer/occurrence_stream.hpp"
 
 namespace dibella::bloom {
@@ -16,7 +15,6 @@ BloomStageResult run_bloom_stage(core::StageContext& ctx, const io::ReadStore& r
                                  const BloomStageConfig& cfg,
                                  dht::LocalKmerTable& table) {
   auto& comm = ctx.comm;
-  const auto& costs = core::KernelCosts::get();
   comm.set_stage("bloom");
   const int P = comm.size();
   BloomStageResult result;
@@ -45,9 +43,6 @@ BloomStageResult run_bloom_stage(core::StageContext& ctx, const io::ReadStore& r
   result.bloom_bits = filter.bit_count();
 
   // --- memory-bounded streaming pass: pack -> exchange -> local insert.
-  // Compute accounting is work-based (see core/kernel_costs.hpp): the unit
-  // counts are exact, and the per-unit costs were calibrated once per
-  // process before the ranks started, outside this stage's span.
   // Under either schedule each batch is consumed in source-rank order over
   // the same batch boundaries, so insertions happen in the same global order
   // and the resulting filter/table are bitwise-identical.
@@ -57,6 +52,7 @@ BloomStageResult run_bloom_stage(core::StageContext& ctx, const io::ReadStore& r
   result.batches = comm::run_exchange(
       ex,
       [&] {
+        auto k = ctx.kernel("bloom:pack");
         u64 parsed = 0;
         const u64 windows_before = stream.sketch_stats().windows_scanned;
         bool more =
@@ -67,17 +63,15 @@ BloomStageResult run_bloom_stage(core::StageContext& ctx, const io::ReadStore& r
         result.parsed_instances += parsed;
         // Parse work is per window scanned, not per seed kept — sketching
         // still rolls every k-mer, it just posts fewer of them.
-        const u64 scanned = stream.sketch_stats().windows_scanned - windows_before;
-        ctx.trace.add_compute("bloom:pack",
-                              static_cast<double>(scanned) * costs.parse_per_kmer,
-                              ex.pending_bytes());
+        k.units("windows", stream.sketch_stats().windows_scanned - windows_before,
+                &core::KernelCosts::parse_per_kmer)
+            .working_set(ex.pending_bytes());
         return more;
       },
       [&](const comm::RecvBatch& batch) {
         scratch.clear();
         batch.append_to(scratch);
-        obs::Span span = ctx.span("bloom:insert");
-        span.arg("kmers", scratch.size());
+        auto k = ctx.kernel("bloom:insert", "bloom:local");
         u64 hits = 0;
         for (const kmer::Kmer& km : scratch) {
           ++result.received_instances;
@@ -86,10 +80,9 @@ BloomStageResult run_bloom_stage(core::StageContext& ctx, const io::ReadStore& r
             ++hits;
           }
         }
-        ctx.trace.add_compute("bloom:local",
-                              static_cast<double>(scratch.size()) * costs.bloom_insert +
-                                  static_cast<double>(hits) * costs.table_insert,
-                              filter.memory_bytes() + table.memory_bytes());
+        k.units("kmers", scratch.size(), &core::KernelCosts::bloom_insert)
+            .units("hits", hits, &core::KernelCosts::table_insert)
+            .working_set(filter.memory_bytes() + table.memory_bytes());
       });
 
   result.candidate_keys = table.size();

@@ -9,15 +9,77 @@
 /// (`metrics`, always attached by run_pipeline; null only in bare-bones
 /// tests, where metric() writes into a thread-local scratch registry).
 
+#include <exception>
 #include <string>
 #include <utility>
 
 #include "comm/communicator.hpp"
+#include "core/kernel_costs.hpp"
 #include "netsim/rank_trace.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 
 namespace dibella::core {
+
+/// One kernel batch, instrumented once. Compute accounting is work-based
+/// (core/kernel_costs.hpp): the batch reports exact work units whose
+/// per-unit costs were calibrated once per process. On close it emits its
+/// span, with every unit count as an arg, and appends one compute segment
+/// to the rank's trace: cpu seconds = sum of n x cost over the units()
+/// calls, in call order. A batch unwound by an exception records no segment.
+class KernelBatch {
+ public:
+  KernelBatch(netsim::RankTrace& trace, obs::Trace* spans, int rank, const char* name,
+              const char* tag)
+      : trace_(trace),
+        span_(spans, rank, name),
+        tag_(tag != nullptr ? tag : name),
+        costs_(KernelCosts::get()),
+        exceptions_(std::uncaught_exceptions()) {}
+
+  KernelBatch(const KernelBatch&) = delete;
+  KernelBatch& operator=(const KernelBatch&) = delete;
+
+  /// `n` units of work at `cost` seconds each (span arg `key` = n).
+  KernelBatch& units(const char* key, u64 n, double KernelCosts::*cost) {
+    span_.arg(key, n);
+    cpu_seconds_ += static_cast<double>(n) * (costs_.*cost);
+    return *this;
+  }
+
+  /// Bytes the batch touched (the cost model's cache input).
+  KernelBatch& working_set(u64 bytes) {
+    working_set_bytes_ = bytes;
+    return *this;
+  }
+
+  /// A span arg with no modeled cost.
+  KernelBatch& arg(const char* key, u64 value) {
+    span_.arg(key, value);
+    return *this;
+  }
+
+  /// Emit the span and the segment now instead of at scope exit.
+  void close() {
+    if (tag_ == nullptr) return;
+    span_.close();
+    if (std::uncaught_exceptions() == exceptions_) {
+      trace_.add_compute(tag_, cpu_seconds_, working_set_bytes_);
+    }
+    tag_ = nullptr;
+  }
+
+  ~KernelBatch() { close(); }
+
+ private:
+  netsim::RankTrace& trace_;
+  obs::Span span_;
+  const char* tag_;  ///< null once closed
+  const KernelCosts& costs_;
+  int exceptions_;
+  double cpu_seconds_ = 0.0;
+  u64 working_set_bytes_ = 0;
+};
 
 /// Everything a stage needs from its rank.
 struct StageContext {
@@ -35,6 +97,12 @@ struct StageContext {
 
   /// Open a wallclock span on this rank's lane (no-op when tracing is off).
   obs::Span span(const char* name) { return obs::Span(spans, comm.rank(), name); }
+
+  /// Open one kernel batch: a `<stage>:<kernel>` span named `name` whose
+  /// compute segment is recorded under `tag` (default: `name`).
+  KernelBatch kernel(const char* name, const char* tag = nullptr) {
+    return {trace, spans, comm.rank(), name, tag};
+  }
 
   /// A counter in this rank's registry; falls back to a thread-local scratch
   /// registry when none is attached so stage code never branches.

@@ -2,7 +2,6 @@
 
 #include "bloom/distributed_bloom.hpp"  // kmer_owner: same routing as stage 1
 #include "comm/exchanger.hpp"
-#include "core/kernel_costs.hpp"
 #include "kmer/occurrence_stream.hpp"
 
 namespace dibella::dht {
@@ -12,7 +11,6 @@ HashTableStageResult run_hashtable_stage(core::StageContext& ctx,
                                          const HashTableStageConfig& cfg,
                                          LocalKmerTable& table) {
   auto& comm = ctx.comm;
-  const auto& costs = core::KernelCosts::get();
   comm.set_stage("ht");
   const int P = comm.size();
   HashTableStageResult result;
@@ -27,6 +25,7 @@ HashTableStageResult run_hashtable_stage(core::StageContext& ctx,
   result.batches = comm::run_exchange(
       ex,
       [&] {
+        auto k = ctx.kernel("ht:pack");
         u64 parsed = 0;
         const u64 windows_before = stream.sketch_stats().windows_scanned;
         bool more =
@@ -42,36 +41,30 @@ HashTableStageResult run_hashtable_stage(core::StageContext& ctx,
         result.parsed_instances += parsed;
         // As in stage 1: parse work scales with windows scanned, not with
         // the (sketched) subset that gets posted.
-        const u64 scanned = stream.sketch_stats().windows_scanned - windows_before;
-        ctx.trace.add_compute("ht:pack",
-                              static_cast<double>(scanned) * costs.parse_per_kmer,
-                              ex.pending_bytes());
+        k.units("windows", stream.sketch_stats().windows_scanned - windows_before,
+                &core::KernelCosts::parse_per_kmer)
+            .working_set(ex.pending_bytes());
         return more;
       },
       [&](const comm::RecvBatch& batch) {
         scratch.clear();
         batch.append_to(scratch);
-        obs::Span span = ctx.span("ht:insert");
-        span.arg("instances", scratch.size());
+        auto k = ctx.kernel("ht:insert", "ht:local");
         for (const KmerInstance& inst : scratch) {
           ++result.received_instances;
           ReadOccurrence occ{inst.rid, inst.pos, inst.is_forward};
           if (table.add_occurrence(inst.km, occ)) ++result.inserted_occurrences;
         }
-        ctx.trace.add_compute("ht:local",
-                              static_cast<double>(scratch.size()) * costs.table_insert,
-                              table.memory_bytes());
+        k.units("instances", scratch.size(), &core::KernelCosts::table_insert)
+            .working_set(table.memory_bytes());
       });
 
   // Purge: false-positive singletons and high-frequency k-mers (> m). The
   // partitions are traversed independently in parallel — no communication.
-  u64 keys_before = table.size();
-  obs::Span purge_span = ctx.span("ht:purge");
-  purge_span.arg("keys", keys_before);
+  auto purge = ctx.kernel("ht:purge", "ht:local");
+  purge.units("keys", table.size(), &core::KernelCosts::table_traverse);
   result.purged_keys = table.purge_outside(cfg.min_count, cfg.max_count);
-  ctx.trace.add_compute("ht:local",
-                        static_cast<double>(keys_before) * costs.table_traverse,
-                        table.memory_bytes());
+  purge.working_set(table.memory_bytes()).close();
   result.retained_keys = table.size();
   return result;
 }

@@ -1,6 +1,5 @@
 #include "io/parallel_load.hpp"
 
-#include "core/kernel_costs.hpp"
 #include "io/fastx.hpp"
 
 namespace dibella::io {
@@ -19,11 +18,11 @@ static_assert(std::is_trivially_copyable_v<RecordHeaderWire>);
 std::vector<Read> load_fastq_parallel(core::StageContext& ctx,
                                       std::string_view fastq_data) {
   auto& comm = ctx.comm;
-  const auto& costs = core::KernelCosts::get();
   comm.set_stage("io");
   const int P = comm.size();
 
   // --- parse this rank's byte slice (record-boundary synchronized).
+  auto parse = ctx.kernel("io:parse");
   auto bounds = split_byte_ranges(fastq_data.size(), P);
   auto mine = parse_fastq_range(fastq_data,
                                 bounds[static_cast<std::size_t>(comm.rank())],
@@ -46,13 +45,15 @@ std::vector<Read> load_fastq_parallel(core::StageContext& ctx,
     chars.insert(chars.end(), r.qual.begin(), r.qual.end());
     payload_bytes += r.name.size() + r.seq.size() + r.qual.size();
   }
-  ctx.trace.add_compute("io:parse",
-                        static_cast<double>(payload_bytes) * costs.per_byte_copy * 4.0,
-                        payload_bytes);
+  // Parsing and serializing cost four byte copies per payload byte.
+  parse.units("byte_copies", 4 * payload_bytes, &core::KernelCosts::per_byte_copy)
+      .working_set(payload_bytes)
+      .close();
 
   auto all_headers = comm.allgatherv(headers);
   auto all_chars = comm.allgatherv(chars);
 
+  auto assemble = ctx.kernel("io:assemble");
   std::vector<Read> reads;
   reads.reserve(all_headers.size());
   std::size_t offset = 0;
@@ -75,9 +76,8 @@ std::vector<Read> load_fastq_parallel(core::StageContext& ctx,
   }
   DIBELLA_CHECK(offset == all_chars.size(),
                 "parallel load: payload longer than headers describe");
-  ctx.trace.add_compute("io:assemble",
-                        static_cast<double>(all_chars.size()) * costs.per_byte_copy,
-                        all_chars.size());
+  assemble.units("bytes", all_chars.size(), &core::KernelCosts::per_byte_copy)
+      .working_set(all_chars.size());
   return reads;
 }
 

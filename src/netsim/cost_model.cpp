@@ -207,7 +207,6 @@ TimingReport CostModel::evaluate(
 
     // --- exchange part: all ranks' cursors sit on the aligned exchange event.
     std::vector<comm::ExchangeRecord> call(static_cast<std::size_t>(P));
-    double wall_max = 0.0;
     for (int r = 0; r < P; ++r) {
       const auto& events = traces[static_cast<std::size_t>(r)].events();
       auto& c = cursor[static_cast<std::size_t>(r)];
@@ -217,7 +216,6 @@ TimingReport CostModel::evaluate(
       DIBELLA_CHECK(seq < records[static_cast<std::size_t>(r)].size(),
                     "evaluate: exchange seq out of range");
       call[static_cast<std::size_t>(r)] = records[static_cast<std::size_t>(r)][seq];
-      wall_max = std::max(wall_max, call[static_cast<std::size_t>(r)].wall_seconds);
       ++c;
     }
     bool is_first = false;
@@ -243,28 +241,12 @@ TimingReport CostModel::evaluate(
     auto& st = touch_stage(stage);
     st.exchange_virtual += t;
     st.exchange_exposed_virtual += exposed;
-    st.exchange_wall_max += wall_max;
     st.exchange_calls += 1;
     for (int r = 0; r < P; ++r) {
       st.exchange_bytes += call[static_cast<std::size_t>(r)].total_bytes();
       rank_stage_slot(stage)[static_cast<std::size_t>(r)] +=
           per_rank_secs[static_cast<std::size_t>(r)];
     }
-  }
-
-  // Measured per-rank CPU maxima per top-level stage.
-  std::map<std::string, std::vector<double>> cpu_by_stage;
-  for (int r = 0; r < P; ++r) {
-    for (const auto& ev : traces[static_cast<std::size_t>(r)].events()) {
-      if (ev.kind != TraceEvent::Kind::kCompute) continue;
-      auto& v = cpu_by_stage.try_emplace(top_level_stage(ev.stage),
-                                         static_cast<std::size_t>(P), 0.0)
-                    .first->second;
-      v[static_cast<std::size_t>(r)] += ev.cpu_seconds;
-    }
-  }
-  for (auto& [stage, v] : cpu_by_stage) {
-    touch_stage(stage).compute_cpu_max = *std::max_element(v.begin(), v.end());
   }
 
   return report;

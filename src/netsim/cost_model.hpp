@@ -5,7 +5,8 @@
 /// per-stage timings the figure benches report.
 ///
 /// Model summary (parameters in platform.hpp):
-///  * Compute: measured thread-CPU seconds x core_time_factor x
+///  * Compute: each segment's work-based cpu seconds (exact unit counts x
+///    per-unit kernel costs, core/kernel_costs.hpp) x core_time_factor x
 ///    cache_penalty(working_set / per-rank cache share). BSP semantics —
 ///    each superstep costs the max over ranks.
 ///  * Exchange (alltoallv and friends): per rank r,
@@ -30,7 +31,7 @@
 
 namespace dibella::netsim {
 
-/// Simulated + measured timing for one pipeline stage.
+/// Simulated timing for one pipeline stage.
 struct StageTiming {
   double compute_virtual = 0.0;   ///< platform-scaled compute (BSP max per superstep)
   double exchange_virtual = 0.0;  ///< modeled exchange time (full, as if exposed)
@@ -40,8 +41,6 @@ struct StageTiming {
   /// exchange was in flight; a blocking collective is fully exposed. Always
   /// <= exchange_virtual, equal when nothing overlaps.
   double exchange_exposed_virtual = 0.0;
-  double compute_cpu_max = 0.0;   ///< measured per-rank CPU seconds, max over ranks
-  double exchange_wall_max = 0.0; ///< measured wall blocked in collectives (max over ranks per call)
   u64 exchange_bytes = 0;         ///< total bytes over all ranks and calls
   u64 exchange_calls = 0;         ///< number of collectives attributed to this stage
 

@@ -27,7 +27,7 @@ struct TraceEvent {
 
   // kCompute fields:
   std::string stage;           ///< pipeline stage tag, may contain a ":sub" suffix
-  double cpu_seconds = 0.0;    ///< measured thread-CPU time of the segment
+  double cpu_seconds = 0.0;    ///< work-based: unit counts x calibrated per-unit costs
   u64 working_set_bytes = 0;   ///< approximate bytes touched (cache model input)
 
   // kExchange fields:
@@ -37,7 +37,7 @@ struct TraceEvent {
 /// Ordered trace of one rank's execution.
 class RankTrace {
  public:
-  /// Record a compute segment (CPU seconds measured with the thread clock).
+  /// Record a compute segment (stages record through core::KernelBatch).
   void add_compute(std::string stage, double cpu_seconds, u64 working_set_bytes) {
     TraceEvent ev;
     ev.kind = TraceEvent::Kind::kCompute;
@@ -65,19 +65,6 @@ class RankTrace {
   }
 
   const std::vector<TraceEvent>& events() const { return events_; }
-  /// Mutable access for post-processing (e.g. replacing measured CPU times
-  /// with medians across repeated runs in benchmark harnesses).
-  std::vector<TraceEvent>& mutable_events() { return events_; }
-  void clear() { events_.clear(); }
-
-  /// Total measured CPU seconds across all compute segments.
-  double total_cpu_seconds() const {
-    double s = 0.0;
-    for (const auto& ev : events_) {
-      if (ev.kind == TraceEvent::Kind::kCompute) s += ev.cpu_seconds;
-    }
-    return s;
-  }
 
   /// Number of exchange events in the trace.
   std::size_t exchange_count() const {

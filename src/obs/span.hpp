@@ -17,8 +17,13 @@
 ///   stage:<name>          one per pipeline stage per rank (bloom, ht,
 ///                         overlap, align, sgraph)
 ///   round                 one stage-4 block round (arg block=i)
-///   <stage>:<kernel>      a kernel batch inside a stage (bloom:insert,
-///                         align:extend, sgraph:reduce, ...)
+///   <stage>:<kernel>      a kernel batch inside a stage (bloom:pack,
+///                         bloom:insert, align:extend, sgraph:reduce, ...),
+///                         opened by core::StageContext::kernel(): its args
+///                         are the unit counts its modeled compute segment
+///                         was costed from (netsim::RankTrace)
+///   align:read_exchange, sgraph:{edge,ghost}_exchange
+///                         wrap a stage's exchange rounds and their kernels
 ///   exchange:inflight     async window of one nonblocking exchange, from
 ///                         flush_async to wait-return (args bytes, chunks,
 ///                         exposed_us, hidden_us, seq)

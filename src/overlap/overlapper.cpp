@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "comm/exchanger.hpp"
-#include "core/kernel_costs.hpp"
 #include "util/radix_sort.hpp"
 
 namespace dibella::overlap {
@@ -141,8 +140,6 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
   comm.set_stage("overlap");
   OverlapStageResult res;
 
-  const auto& costs = core::KernelCosts::get();
-
   // --- Algorithm 1: traverse the partition, form all pairs per key, route
   // each task to the owner of one of its reads. Tasks travel in bounded
   // batches: each pack() traverses enough of the partition to form the next
@@ -183,7 +180,7 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
   comm::run_exchange(
       ex,
       [&] {
-        obs::Span span = ctx.span("overlap:traverse");
+        auto k = ctx.kernel("overlap:traverse");
         u64 keys_before = res.retained_kmers;
         u64 formed_before = res.pair_tasks_formed;
         // Visit keys in bounded strides until the task budget fills (a
@@ -193,39 +190,32 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
                res.pair_tasks_formed - formed_before < cfg.batch_tasks) {
           slot_cursor = table.for_each_from(slot_cursor, 256, scratch, visit);
         }
-        span.arg("keys", res.retained_kmers - keys_before);
-        span.arg("tasks", res.pair_tasks_formed - formed_before);
-        u64 posted = (res.pair_tasks_formed - formed_before) * sizeof(OverlapTaskWire);
-        ctx.trace.add_compute(
-            "overlap:traverse",
-            static_cast<double>(res.retained_kmers - keys_before) * costs.table_traverse +
-                static_cast<double>(posted) * costs.per_byte_copy,
-            table.memory_bytes() + posted);
+        const u64 tasks = res.pair_tasks_formed - formed_before;
+        const u64 posted = tasks * sizeof(OverlapTaskWire);
+        k.units("keys", res.retained_kmers - keys_before, &core::KernelCosts::table_traverse)
+            .arg("tasks", tasks)
+            .units("bytes", posted, &core::KernelCosts::per_byte_copy)
+            .working_set(table.memory_bytes() + posted);
         return slot_cursor < table.capacity();
       },
       [&](const comm::RecvBatch& batch) {
         // Tasks arrive already normalized (pair formation emits sorted
         // occurrence pairs); consolidate_tasks re-checks regardless. Only
         // the accumulation copy happens here.
+        auto k = ctx.kernel("overlap:recv");
         std::size_t at = incoming.size();
         batch.append_to(incoming);
-        ctx.trace.add_compute(
-            "overlap:recv",
-            static_cast<double>(incoming.size() - at) * sizeof(OverlapTaskWire) *
-                costs.per_byte_copy,
-            (incoming.size() - at) * sizeof(OverlapTaskWire));
+        const u64 bytes = (incoming.size() - at) * sizeof(OverlapTaskWire);
+        k.units("bytes", bytes, &core::KernelCosts::per_byte_copy).working_set(bytes);
       });
 
   // --- consolidate per-pair seed lists, then apply the seed policy.
-  const u64 received_bytes = incoming.size() * sizeof(OverlapTaskWire);
-  obs::Span consolidate_span = ctx.span("overlap:consolidate");
-  consolidate_span.arg("wire_tasks", incoming.size());
+  auto consolidate = ctx.kernel("overlap:consolidate");
+  consolidate.units("wire_tasks", incoming.size(), &core::KernelCosts::pair_consolidate)
+      .working_set(incoming.size() * sizeof(OverlapTaskWire));
   std::vector<AlignmentTask> tasks =
       consolidate_tasks(std::move(incoming), cfg.seed_filter, &res);
-  ctx.trace.add_compute(
-      "overlap:consolidate",
-      static_cast<double>(res.pair_tasks_received) * costs.pair_consolidate,
-      received_bytes);
+  consolidate.close();
 
   if (result) *result = res;
   return tasks;

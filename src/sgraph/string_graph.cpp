@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "comm/exchanger.hpp"
-#include "core/kernel_costs.hpp"
 #include "sgraph/csr.hpp"
 
 namespace dibella::sgraph {
@@ -88,11 +87,10 @@ static_assert(std::is_trivially_copyable_v<WireCsr>);
 /// sources; ByteReader checks the framing).
 std::vector<std::vector<u8>> exchange_byte_streams(
     core::StageContext& ctx, std::vector<std::vector<u8>>& outbound,
-    const StringGraphConfig& cfg, const char* pack_tag, const char* consume_tag) {
+    const StringGraphConfig& cfg) {
   auto& comm = ctx.comm;
   const int P = comm.size();
   const std::size_t self = static_cast<std::size_t>(comm.rank());
-  const auto& costs = core::KernelCosts::get();
   // The self payload never needs the wire: hand it over directly and send
   // this rank an empty stream (the collective shape — one deposit per
   // (src, dst) pair — is preserved, the bytes just don't round-trip through
@@ -105,20 +103,20 @@ std::vector<std::vector<u8>> exchange_byte_streams(
   comm::run_exchange(
       ex,
       [&] {
+        auto k = ctx.kernel("sgraph:pack");
         u64 before = ex.pending_bytes();
         bool more = comm::post_slices(ex, outbound, cursors, cfg.batch_bytes);
         u64 packed = ex.pending_bytes() - before;
-        ctx.trace.add_compute(pack_tag, static_cast<double>(packed) * costs.per_byte_copy,
-                              packed);
+        k.units("bytes", packed, &core::KernelCosts::per_byte_copy).working_set(packed);
         return more;
       },
       [&](const comm::RecvBatch& batch) {
+        auto k = ctx.kernel("sgraph:build");
         for (int s = 0; s < P; ++s) {
           batch.append_from(s, per_source[static_cast<std::size_t>(s)]);
         }
-        ctx.trace.add_compute(consume_tag,
-                              static_cast<double>(batch.bytes.size()) * costs.per_byte_copy,
-                              batch.bytes.size());
+        k.units("bytes", batch.bytes.size(), &core::KernelCosts::per_byte_copy)
+            .working_set(batch.bytes.size());
       });
   per_source[self] = std::move(self_stream);
   return per_source;
@@ -210,7 +208,6 @@ StringGraphShard run_string_graph_stage(
   comm.set_stage("sgraph");
   const int P = comm.size();
   const auto& partition = store.partition();
-  const auto& costs = core::KernelCosts::get();
   StringGraphStageResult res;
   StringGraphShard shard;
 
@@ -226,7 +223,7 @@ StringGraphShard run_string_graph_stage(
   std::vector<DovetailEdge> dovetails;
   std::vector<u8> contained_mark(static_cast<std::size_t>(partition.total_reads()), 0);
   align::AlignmentRecord rec;
-  obs::Span classify_span = ctx.span("sgraph:classify");
+  auto classify = ctx.kernel("sgraph:classify");
   while (local_records.next(rec)) {
     ++res.records_in;
     if (rec.rid_a == rec.rid_b) {
@@ -262,11 +259,9 @@ StringGraphShard run_string_graph_stage(
         break;
     }
   }
-  classify_span.arg("records", res.records_in);
-  classify_span.close();
-  ctx.trace.add_compute("sgraph:classify",
-                        static_cast<double>(res.records_in) * costs.pair_consolidate,
-                        res.records_in * sizeof(align::AlignmentRecord));
+  classify.units("records", res.records_in, &core::KernelCosts::pair_consolidate)
+      .working_set(res.records_in * sizeof(align::AlignmentRecord))
+      .close();
 
   // --- (2) fused exchange round: one framed payload per peer carries this
   // rank's contained gid set (every peer needs it: a read contained per one
@@ -356,7 +351,7 @@ StringGraphShard run_string_graph_stage(
   {
     obs::Span span = ctx.span("sgraph:edge_exchange");
     std::vector<std::vector<u8>> streams =
-        exchange_byte_streams(ctx, fused_out, cfg, "sgraph:pack", "sgraph:build");
+        exchange_byte_streams(ctx, fused_out, cfg);
     u64 recv_bytes = 0;
     for (const auto& s : streams) recv_bytes += s.size();
     span.arg("bytes", recv_bytes);
@@ -446,6 +441,9 @@ StringGraphShard run_string_graph_stage(
   // vector per owned vertex: rows average a couple of entries, so the
   // per-vertex vectors cost more in allocator traffic than the adjacency
   // itself. Row i spans [own_off[i], own_off[i + 1]) of own_entries.
+  auto build = ctx.kernel("sgraph:build");
+  build.units("edges", incident.size(), &core::KernelCosts::pair_consolidate)
+      .working_set(incident.size() * sizeof(DovetailEdge));
   std::vector<u64> own_off(static_cast<std::size_t>(owned_count) + 1, 0);
   for (const auto& e : incident) {
     DIBELLA_CHECK(e.lo < e.hi, "sgraph: edge not normalized");
@@ -477,9 +475,7 @@ StringGraphShard run_string_graph_stage(
       }
     }
   }
-  ctx.trace.add_compute("sgraph:build",
-                        static_cast<double>(incident.size()) * costs.pair_consolidate,
-                        incident.size() * sizeof(DovetailEdge));
+  build.close();
 
   // --- (4) ghost exchange: ship each owned vertex's adjacency to every
   // rank owning one of its neighbours, framed as (gid, deg, [col, ov]*).
@@ -523,11 +519,11 @@ StringGraphShard run_string_graph_stage(
     for (const auto& v : ghost_out) ghost_bytes += v.size();
     span.arg("sent_bytes", ghost_bytes);
     std::vector<std::vector<u8>> streams =
-        exchange_byte_streams(ctx, ghost_out, cfg, "sgraph:pack", "sgraph:build");
+        exchange_byte_streams(ctx, ghost_out, cfg);
     u64 recv_bytes = 0;
     for (const auto& s : streams) recv_bytes += s.size();
     span.arg("recv_bytes", recv_bytes);
-    obs::Span csr_span = ctx.span("sgraph:csr");
+    auto csr = ctx.kernel("sgraph:csr");
     std::vector<WireCsr> wire_nbrs;
     std::vector<CsrEntry> nbrs;  // reused per frame; add_row copies the slice
     for (const auto& stream : streams) {
@@ -554,12 +550,9 @@ StringGraphShard run_string_graph_stage(
       }
     }
     adj.seal();
-    csr_span.arg("rows", adj.rows());
-    csr_span.arg("nonzeros", adj.nonzeros());
-    csr_span.close();
-    ctx.trace.add_compute("sgraph:csr",
-                          static_cast<double>(adj.nonzeros()) * costs.pair_consolidate,
-                          adj.nonzeros() * sizeof(CsrEntry));
+    csr.arg("rows", adj.rows())
+        .units("nonzeros", adj.nonzeros(), &core::KernelCosts::pair_consolidate)
+        .working_set(adj.nonzeros() * sizeof(CsrEntry));
   }
 
   // --- (5) transitive reduction as a masked CSR semiring product: one
@@ -570,8 +563,8 @@ StringGraphShard run_string_graph_stage(
   // and both endpoint owners, holding identical rows for both endpoints,
   // reach the identical verdict. Counters stay owner-of-lo so the global
   // sums are plain.
-  obs::Span reduce_span = ctx.span("sgraph:reduce");
-  reduce_span.arg("edges", incident.size());
+  auto reduce = ctx.kernel("sgraph:reduce");
+  reduce.arg("edges", incident.size());
   std::vector<std::vector<u64>> reduced(static_cast<std::size_t>(owned_count));
   for (const auto& e : incident) {
     const bool own_lo = partition.owner_of(e.lo) == comm.rank();
@@ -590,27 +583,23 @@ StringGraphShard run_string_graph_stage(
     }
   }
   res.edges_surviving = shard.surviving_edges.size();
-  reduce_span.arg("probes", res.triangle_probes);
-  reduce_span.close();
-  ctx.trace.add_compute("sgraph:reduce",
-                        static_cast<double>(res.triangle_probes) * costs.graph_probe,
-                        incident.size() * sizeof(DovetailEdge));
+  reduce.units("probes", res.triangle_probes, &core::KernelCosts::graph_probe)
+      .working_set(incident.size() * sizeof(DovetailEdge))
+      .close();
 
   // --- (6) distributed unitig walk: compress this rank's owned slice of
   // the reduced graph into terminals + interior runs + fully-owned cycles.
   // The iteration above pushed each reduced row in ascending neighbour
   // order (incident is (lo, hi)-sorted), as build_walk_fragment requires.
   {
-    obs::Span walk_span = ctx.span("sgraph:walk");
+    auto walk = ctx.kernel("sgraph:walk");
     shard.walk = build_walk_fragment(first_owned, reduced);
-    walk_span.arg("terminals", shard.walk.terminals.size());
-    walk_span.arg("runs", shard.walk.runs.size());
-    walk_span.close();
     u64 reduced_vertices = 0;
     for (const auto& row : reduced) reduced_vertices += row.empty() ? 0 : 1;
-    ctx.trace.add_compute("sgraph:walk",
-                          static_cast<double>(reduced_vertices) * costs.pair_consolidate,
-                          reduced_vertices * sizeof(u64));
+    walk.arg("terminals", shard.walk.terminals.size())
+        .arg("runs", shard.walk.runs.size())
+        .units("vertices", reduced_vertices, &core::KernelCosts::pair_consolidate)
+        .working_set(reduced_vertices * sizeof(u64));
   }
 
   if (result) *result = res;

@@ -191,8 +191,6 @@ TEST(CostModel, EvaluateAggregatesSuperstepsBspStyle) {
   EXPECT_DOUBLE_EQ(report.stage("beta").compute_virtual, 2.0);
   EXPECT_EQ(report.stage("alpha").exchange_calls, 1u);
   EXPECT_EQ(report.stage("alpha").exchange_bytes, 1000u);
-  EXPECT_DOUBLE_EQ(report.stage("alpha").exchange_wall_max, 0.25);
-  EXPECT_DOUBLE_EQ(report.stage("alpha").compute_cpu_max, 3.0);
   // Per-rank times preserved for imbalance metrics.
   ASSERT_EQ(report.per_rank_stage_seconds.at("beta").size(), 2u);
   EXPECT_DOUBLE_EQ(report.per_rank_stage_seconds.at("beta")[0], 2.0);

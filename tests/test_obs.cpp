@@ -1,20 +1,28 @@
 // Observability layer tests: span tracer semantics (nesting, misuse,
 // ring overflow), log-histogram bucket boundaries, registry dump
 // determinism, the Chrome-trace export's structure, the profile report,
-// and the tentpole pin — pipeline outputs are byte-identical with span
-// collection on or off, across rank counts, schedules, and block counts.
+// the pin that pipeline outputs are byte-identical with span collection on
+// or off, across rank counts, schedules, and block counts, and the pin that
+// every kernel span carries exactly the units its modeled compute segment
+// was costed from.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "comm/world.hpp"
+#include "core/kernel_costs.hpp"
 #include "core/output.hpp"
 #include "core/pipeline.hpp"
 #include "eval/report.hpp"
+#include "io/fastx.hpp"
+#include "io/parallel_load.hpp"
 #include "obs/profile.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
@@ -486,4 +494,136 @@ TEST(ObsPipeline, SpansOffMeansNoTraceAllocated) {
   auto out = run_pipeline(world, sim.reads, cfg);
   EXPECT_TRUE(out.span_trace == nullptr);
   EXPECT_GT(out.metrics.size(), 0u);  // metrics are always collected
+}
+
+// --- kernel batches: one instrumentation call ------------------------------
+
+namespace {
+
+using Cost = double dc::KernelCosts::*;
+
+/// A kernel span's modeled tag and the per-unit cost of each of its unit
+/// args (any other arg is a plain annotation).
+struct KernelSpec {
+  std::string tag;
+  std::map<std::string, Cost> units;
+};
+
+const std::map<std::string, KernelSpec>& kernel_specs() {
+  using K = dc::KernelCosts;
+  static const std::map<std::string, KernelSpec> specs = {
+      {"io:parse", {"io:parse", {{"byte_copies", &K::per_byte_copy}}}},
+      {"io:assemble", {"io:assemble", {{"bytes", &K::per_byte_copy}}}},
+      {"bloom:pack", {"bloom:pack", {{"windows", &K::parse_per_kmer}}}},
+      {"bloom:insert",
+       {"bloom:local", {{"kmers", &K::bloom_insert}, {"hits", &K::table_insert}}}},
+      {"ht:pack", {"ht:pack", {{"windows", &K::parse_per_kmer}}}},
+      {"ht:insert", {"ht:local", {{"instances", &K::table_insert}}}},
+      {"ht:purge", {"ht:local", {{"keys", &K::table_traverse}}}},
+      {"overlap:traverse",
+       {"overlap:traverse", {{"keys", &K::table_traverse}, {"bytes", &K::per_byte_copy}}}},
+      {"overlap:recv", {"overlap:recv", {{"bytes", &K::per_byte_copy}}}},
+      {"overlap:consolidate", {"overlap:consolidate", {{"wire_tasks", &K::pair_consolidate}}}},
+      {"align:pack",
+       {"align:pack", {{"tasks", &K::pair_consolidate}, {"bytes", &K::per_byte_copy}}}},
+      {"align:cache", {"align:cache", {{"bytes", &K::per_byte_copy}}}},
+      {"align:extend",
+       {"align:compute", {{"cells", &K::xdrop_per_cell}, {"bytes", &K::per_byte_copy}}}},
+      {"sgraph:classify", {"sgraph:classify", {{"records", &K::pair_consolidate}}}},
+      {"sgraph:pack", {"sgraph:pack", {{"bytes", &K::per_byte_copy}}}},
+      {"sgraph:build",
+       {"sgraph:build", {{"bytes", &K::per_byte_copy}, {"edges", &K::pair_consolidate}}}},
+      {"sgraph:csr", {"sgraph:csr", {{"nonzeros", &K::pair_consolidate}}}},
+      {"sgraph:reduce", {"sgraph:reduce", {{"probes", &K::graph_probe}}}},
+      {"sgraph:walk", {"sgraph:walk", {{"vertices", &K::pair_consolidate}}}},
+  };
+  return specs;
+}
+
+/// Whether a closed span is a kernel batch. Every other `<stage>:<name>` span
+/// is a stage, exchange, I/O, or exchange-wrapping span.
+bool is_kernel_span(const char* name) {
+  static const std::set<std::string> wrappers = {
+      "align:read_exchange", "sgraph:edge_exchange", "sgraph:ghost_exchange"};
+  if (std::strchr(name, ':') == nullptr || wrappers.count(name) != 0) return false;
+  for (const char* prefix : {"stage:", "exchange:", "collective:", "spill:", "checkpoint:"}) {
+    if (std::strncmp(name, prefix, std::strlen(prefix)) == 0) return false;
+  }
+  return true;
+}
+
+/// The rank's kernel spans map one-to-one, in order, onto its compute
+/// segments, and each segment's cpu seconds are exactly the sum of the
+/// span's unit args times their per-unit costs, summed in arg order.
+void expect_spans_match_segments(const obs::RankTimeline& lane,
+                                 const dibella::netsim::RankTrace& trace,
+                                 const std::string& where) {
+  const dc::KernelCosts& costs = dc::KernelCosts::get();
+  std::vector<obs::SpanEvent> kernels;
+  for (const obs::SpanEvent& ev : lane.snapshot()) {
+    if (ev.phase != obs::SpanEvent::Phase::kEnd || !is_kernel_span(ev.name)) continue;
+    ASSERT_EQ(kernel_specs().count(ev.name), 1u) << where << ": unmapped " << ev.name;
+    kernels.push_back(ev);
+  }
+  std::vector<dibella::netsim::TraceEvent> segments;
+  for (const auto& ev : trace.events()) {
+    if (ev.kind == dibella::netsim::TraceEvent::Kind::kCompute) segments.push_back(ev);
+  }
+  ASSERT_EQ(kernels.size(), segments.size()) << where;
+  ASSERT_FALSE(segments.empty()) << where;
+  for (std::size_t i = 0; i < kernels.size(); ++i) {
+    const KernelSpec& spec = kernel_specs().at(kernels[i].name);
+    EXPECT_EQ(segments[i].stage, spec.tag) << where << " #" << i << " " << kernels[i].name;
+    double cpu_seconds = 0.0;
+    int unit_args = 0;
+    for (int a = 0; a < kernels[i].n_args; ++a) {
+      const auto it = spec.units.find(kernels[i].args[a].key);
+      if (it == spec.units.end()) continue;
+      cpu_seconds += static_cast<double>(kernels[i].args[a].value) * (costs.*(it->second));
+      ++unit_args;
+    }
+    EXPECT_GE(unit_args, 1) << where << " #" << i << " " << kernels[i].name;
+    EXPECT_EQ(segments[i].cpu_seconds, cpu_seconds)
+        << where << " #" << i << " " << kernels[i].name;
+  }
+}
+
+}  // namespace
+
+TEST(ObsPipeline, KernelSpansCarryTheUnitsOfTheirComputeSegments) {
+  auto sim = dibella::simgen::make_dataset(dibella::simgen::tiny_test());
+  auto truth = std::make_shared<const dibella::io::TruthTable>(
+      dibella::simgen::truth_table(sim));
+  for (int ranks : {1, 3}) {
+    for (bool overlap_comm : {true, false}) {
+      const std::string where = "ranks=" + std::to_string(ranks) +
+                                " overlap_comm=" + std::to_string(overlap_comm);
+      dc::PipelineOutput out;
+      run_artifacts(sim.reads, truth, ranks, overlap_comm, /*spans=*/true, 1, &out);
+      ASSERT_TRUE(out.span_trace != nullptr);
+      EXPECT_EQ(out.span_trace->dropped_events(), 0u) << where;
+      ASSERT_EQ(out.traces.size(), static_cast<std::size_t>(ranks));
+      for (int r = 0; r < ranks; ++r) {
+        expect_spans_match_segments(out.span_trace->lane(r),
+                                    out.traces[static_cast<std::size_t>(r)],
+                                    where + " rank=" + std::to_string(r));
+      }
+    }
+  }
+
+  // Parallel FASTQ ingestion runs outside run_pipeline; same contract.
+  const std::string fastq = dibella::io::to_fastq(sim.reads);
+  const int P = 3;
+  dibella::comm::World world(P);
+  obs::Trace spans(P);
+  std::vector<dibella::netsim::RankTrace> traces(static_cast<std::size_t>(P));
+  world.run([&](dibella::comm::Communicator& comm) {
+    dc::StageContext ctx{comm, traces[static_cast<std::size_t>(comm.rank())], &spans};
+    ctx.attach();
+    (void)dibella::io::load_fastq_parallel(ctx, fastq);
+  });
+  for (int r = 0; r < P; ++r) {
+    expect_spans_match_segments(spans.lane(r), traces[static_cast<std::size_t>(r)],
+                                "io rank=" + std::to_string(r));
+  }
 }
