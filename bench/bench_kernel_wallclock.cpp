@@ -1,6 +1,6 @@
 // Wall-clock kernel benchmark: times the alignment/overlap hot-path kernels
 // against the retained reference implementations (align::ref and the former
-// map-based consolidation) on simulated preset-like workloads, and writes
+// sort-then-group consolidation) on simulated preset-like workloads, and writes
 // the perf-trajectory file BENCH_kernels.json.
 //
 // Unlike the bench_fig* binaries (virtual cost-model seconds), this measures
@@ -18,12 +18,14 @@
 //                   the CPU cost per cell does not)
 //   * sw:           full Smith-Waterman with traceback on short windows
 //                   (ns/cell, pairs/s)
-//   * consolidate:  overlap-stage wire-task consolidation, sort-then-group vs
-//                   the node-based std::map (tasks/s)
-//   * radix_consolidate: the consolidation's sort itself — the hybrid
-//                   overlap::sort_wire_tasks (packed-key radix passes with a
-//                   size/key-width comparison cutover) vs the former 5-tuple
-//                   comparison std::sort (tasks/s)
+//   * overlap_consolidate: overlap-stage task consolidation on many pairs
+//                   with a few seeds each, the former sort-then-group
+//                   consolidation vs the stage's pair runs: encode -> decode
+//                   -> merge -> filter, tasks asserted equal (tasks/s). Pair
+//                   runs lose here (speedup < 1): they pay off on many seeds
+//                   per pair, not one or two
+//   * pair_runs:    the same on dense seeding's shape (hundreds of seeds per
+//                   pair)
 //   * minimizer_sketch: whole-pipeline wall seconds, dense seeding
 //                   (baseline) vs w=10 window minimizers (optimized) — the
 //                   sketch layer's end-to-end payoff from cutting stage 1-3
@@ -60,9 +62,9 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "align/alignment_stage.hpp"
@@ -80,7 +82,6 @@
 #include "simgen/presets.hpp"
 #include "util/args.hpp"
 #include "util/cpus.hpp"
-#include "util/radix_sort.hpp"
 #include "util/random.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -88,6 +89,10 @@
 namespace {
 
 using namespace dibella;
+
+/// Tasks per encoded payload in the consolidation rows: one destination's
+/// share of the overlap stage's default 2^18-task batch over 4 ranks.
+constexpr std::size_t kPairRunBatch = std::size_t{1} << 16;
 
 std::string random_dna(util::Xoshiro256& rng, std::size_t n) {
   std::string s(n, 'A');
@@ -343,120 +348,107 @@ BenchRow bench_sw(std::size_t n_pairs, std::size_t window, int reps,
   return row;
 }
 
-BenchRow bench_consolidate(std::size_t n_tasks, std::size_t n_reads, int reps,
-                           util::Xoshiro256& rng) {
-  // Wire-task mix shaped like a real overlap stage: many pairs with a
-  // handful of shared seeds each.
-  std::vector<overlap::OverlapTaskWire> wire;
-  wire.reserve(n_tasks);
+/// Random wire tasks: pairs over `n_reads` reads (either rid order, never a
+/// self pair), positions below 20k, 70% same-orientation.
+std::vector<overlap::OverlapTask> random_overlap_tasks(std::size_t n_tasks, u64 n_reads,
+                                                       util::Xoshiro256& rng) {
+  std::vector<overlap::OverlapTask> tasks;
+  tasks.reserve(n_tasks);
   for (std::size_t i = 0; i < n_tasks; ++i) {
-    overlap::OverlapTaskWire t;
+    overlap::OverlapTask t;
     t.rid_a = rng.uniform_below(n_reads);
     t.rid_b = rng.uniform_below(n_reads);
     if (t.rid_a == t.rid_b) t.rid_b = (t.rid_a + 1) % n_reads;
     t.pos_a = static_cast<u32>(rng.uniform_below(20'000));
     t.pos_b = static_cast<u32>(rng.uniform_below(20'000));
     t.same_orientation = rng.bernoulli(0.7) ? 1 : 0;
-    wire.push_back(t);
+    tasks.push_back(t);
   }
-  const auto policy = overlap::SeedFilterConfig::all_seeds(17);
+  return tasks;
+}
 
+/// The overlap stage's consolidation without the exchange: each slice of
+/// `batch` tasks is one sender's payload of one batch (encode); the
+/// receiver decodes every payload, merges them by pair and filters each
+/// pair.
+std::vector<overlap::AlignmentTask> consolidate_pair_runs(
+    const std::vector<overlap::OverlapTask>& tasks, const overlap::SeedFilterConfig& policy,
+    std::size_t batch) {
+  overlap::PairSeedTable table;
+  std::vector<overlap::OverlapTask> payload;
+  std::vector<u8> bytes;
+  for (std::size_t at = 0; at < tasks.size(); at += batch) {
+    payload.assign(tasks.begin() + static_cast<std::ptrdiff_t>(at),
+                   tasks.begin() + static_cast<std::ptrdiff_t>(std::min(tasks.size(), at + batch)));
+    bytes.clear();
+    overlap::encode_pair_runs(payload, bytes);
+    table.add_runs(bytes.data(), bytes.size());
+  }
+  return table.consolidate(policy);
+}
+
+/// One consolidation row: baseline = the sort-then-group consolidation the
+/// pair runs replaced (canonicalize, full-tuple sort, group, filter);
+/// optimized = consolidate_pair_runs. The tasks are asserted equal.
+BenchRow bench_pair_runs(std::string name, const std::vector<overlap::OverlapTask>& wire,
+                         const overlap::SeedFilterConfig& policy, int reps) {
   BenchRow row;
-  row.name = "overlap_consolidate";
+  row.name = std::move(name);
   row.unit = "tasks/s";
   row.items = wire.size();
-  // Baseline: the former node-based std::map consolidation, verbatim.
-  u64 sum_ref = 0;
+  std::vector<overlap::AlignmentTask> ref, opt;
   row.baseline_s = best_of(reps, [&] {
-    sum_ref = 0;
-    std::map<std::pair<u64, u64>, std::vector<overlap::SeedPair>> pairs;
-    for (const auto& t : wire) {
-      u64 a = t.rid_a, b = t.rid_b;
-      u32 pa = t.pos_a, pb = t.pos_b;
-      if (a > b) {
-        std::swap(a, b);
-        std::swap(pa, pb);
+    auto v = wire;
+    for (auto& t : v) {
+      if (t.rid_a > t.rid_b) {
+        std::swap(t.rid_a, t.rid_b);
+        std::swap(t.pos_a, t.pos_b);
       }
-      pairs[{a, b}].push_back(overlap::SeedPair{pa, pb, t.same_orientation});
     }
-    for (auto& [key, seeds] : pairs) {
-      auto filtered = overlap::filter_seeds(std::move(seeds), policy);
-      sum_ref += key.first + filtered.size();
+    std::sort(v.begin(), v.end(), [](const overlap::OverlapTask& x, const overlap::OverlapTask& y) {
+      return std::tie(x.rid_a, x.rid_b, x.pos_a, x.pos_b, x.same_orientation) <
+             std::tie(y.rid_a, y.rid_b, y.pos_a, y.pos_b, y.same_orientation);
+    });
+    ref.clear();
+    for (std::size_t run = 0; run < v.size();) {
+      std::vector<overlap::SeedPair> seeds;
+      std::size_t end = run;
+      for (; end < v.size() && v[end].rid_a == v[run].rid_a && v[end].rid_b == v[run].rid_b;
+           ++end) {
+        seeds.push_back({v[end].pos_a, v[end].pos_b, v[end].same_orientation});
+      }
+      ref.push_back({v[run].rid_a, v[run].rid_b, overlap::filter_seeds(std::move(seeds), policy)});
+      run = end;
     }
   });
-  u64 sum_opt = 0;
-  row.optimized_s = best_of(reps, [&] {
-    sum_opt = 0;
-    auto tasks = overlap::consolidate_tasks(wire, policy);
-    for (const auto& t : tasks) sum_opt += t.rid_a + t.seeds.size();
-  });
-  DIBELLA_CHECK(sum_ref == sum_opt,
-                "sort-based consolidation diverged from the map-based baseline");
+  row.optimized_s = best_of(reps, [&] { opt = consolidate_pair_runs(wire, policy, kPairRunBatch); });
+  DIBELLA_CHECK(ref.size() == opt.size(), "pair runs lost or invented a pair");
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    DIBELLA_CHECK(ref[i].rid_a == opt[i].rid_a && ref[i].rid_b == opt[i].rid_b &&
+                      ref[i].seeds == opt[i].seeds,
+                  "pair-run consolidation diverged from the sort-then-group oracle");
+  }
   row.throughput = static_cast<double>(row.items) / row.optimized_s;
   return row;
 }
 
-BenchRow bench_radix_consolidate(std::size_t n_tasks, std::size_t n_reads, int reps,
-                                 util::Xoshiro256& rng) {
-  // The sort inside consolidate_tasks, isolated: canonicalized wire tasks
-  // ordered by the 5-tuple (rid_a, rid_b, pos_a, pos_b, same_orientation).
-  // baseline = the former comparison std::sort; optimized = the hybrid
-  // overlap::sort_wire_tasks the overlap stage now runs (packed two-key
-  // radix with a size/key-width cutover to a packed-key comparison sort).
-  std::vector<overlap::OverlapTaskWire> wire;
-  wire.reserve(n_tasks);
-  for (std::size_t i = 0; i < n_tasks; ++i) {
-    overlap::OverlapTaskWire t;
-    t.rid_a = rng.uniform_below(n_reads);
-    t.rid_b = rng.uniform_below(n_reads);
-    if (t.rid_a == t.rid_b) t.rid_b = (t.rid_a + 1) % n_reads;
-    t.pos_a = static_cast<u32>(rng.uniform_below(20'000));
-    t.pos_b = static_cast<u32>(rng.uniform_below(20'000));
-    t.same_orientation = rng.bernoulli(0.7) ? 1 : 0;
-    if (t.rid_a > t.rid_b) {
-      std::swap(t.rid_a, t.rid_b);
-      std::swap(t.pos_a, t.pos_b);
-    }
-    wire.push_back(t);
-  }
-  auto order_hash = [](const std::vector<overlap::OverlapTaskWire>& v) {
-    u64 h = 0;
-    for (const auto& t : v) {
-      h = h * 1099511628211ull + t.rid_a;
-      h = h * 1099511628211ull + t.rid_b;
-      h = h * 1099511628211ull + t.pos_a;
-      h = h * 1099511628211ull + t.pos_b;
-      h = h * 1099511628211ull + t.same_orientation;
-    }
-    return h;
-  };
+BenchRow bench_consolidate(std::size_t n_tasks, std::size_t n_reads, int reps,
+                           util::Xoshiro256& rng) {
+  // Wire-task mix shaped like a sparse overlap stage: many pairs with a
+  // handful of shared seeds each.
+  return bench_pair_runs("overlap_consolidate", random_overlap_tasks(n_tasks, n_reads, rng),
+                         overlap::SeedFilterConfig::all_seeds(17), reps);
+}
 
-  BenchRow row;
-  row.name = "radix_consolidate";
-  row.unit = "tasks/s";
-  row.items = wire.size();
-  u64 hash_ref = 0, hash_opt = 0;
-  row.baseline_s = best_of(reps, [&] {
-    auto v = wire;
-    std::sort(v.begin(), v.end(),
-              [](const overlap::OverlapTaskWire& x, const overlap::OverlapTaskWire& y) {
-                if (x.rid_a != y.rid_a) return x.rid_a < y.rid_a;
-                if (x.rid_b != y.rid_b) return x.rid_b < y.rid_b;
-                if (x.pos_a != y.pos_a) return x.pos_a < y.pos_a;
-                if (x.pos_b != y.pos_b) return x.pos_b < y.pos_b;
-                return x.same_orientation < y.same_orientation;
-              });
-    hash_ref = order_hash(v);
-  });
-  row.optimized_s = best_of(reps, [&] {
-    auto v = wire;
-    overlap::sort_wire_tasks(v);
-    hash_opt = order_hash(v);
-  });
-  DIBELLA_CHECK(hash_ref == hash_opt,
-                "radix consolidation order diverged from the comparison sort");
-  row.throughput = static_cast<double>(row.items) / row.optimized_s;
-  return row;
+BenchRow bench_dense_consolidate(std::size_t n_tasks, std::size_t n_pairs, int reps,
+                                 util::Xoshiro256& rng) {
+  // Dense seeding's shape (hifi-dense: ~280 reads, hundreds of seeds per
+  // pair): n_pairs pairs of 280 reads share the tasks.
+  std::vector<std::pair<u64, u64>> pairs;
+  for (const auto& t : random_overlap_tasks(n_pairs, 280, rng)) pairs.emplace_back(t.rid_a, t.rid_b);
+  auto wire = random_overlap_tasks(n_tasks, 280, rng);
+  for (auto& t : wire) std::tie(t.rid_a, t.rid_b) = pairs[rng.uniform_below(pairs.size())];
+  return bench_pair_runs("pair_runs", wire, overlap::SeedFilterConfig::one_seed(), reps);
 }
 
 BenchRow bench_minimizer_sketch(bool smoke, int reps) {
@@ -652,13 +644,13 @@ int main(int argc, char** argv) {
     rows.push_back(bench_alignment_pool(400, 1200, reps));
     rows.push_back(bench_sw(120, 160, reps, rng));
     rows.push_back(bench_consolidate(60'000, 4'000, reps, rng));
-    rows.push_back(bench_radix_consolidate(60'000, 4'000, reps, rng));
+    rows.push_back(bench_dense_consolidate(60'000, 400, reps, rng));
   } else {
     bench_xdrop(400, 4000, reps, rng, rows);
     rows.push_back(bench_alignment_pool(4000, 4000, reps));
     rows.push_back(bench_sw(600, 300, reps, rng));
     rows.push_back(bench_consolidate(2'000'000, 60'000, reps, rng));
-    rows.push_back(bench_radix_consolidate(2'000'000, 60'000, reps, rng));
+    rows.push_back(bench_dense_consolidate(2'000'000, 4'000, reps, rng));
   }
   rows.push_back(bench_minimizer_sketch(smoke, reps));
   rows.push_back(bench_seed_chaining(smoke, reps));

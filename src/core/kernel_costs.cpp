@@ -10,6 +10,7 @@
 #include "bloom/bloom_filter.hpp"
 #include "dht/local_table.hpp"
 #include "kmer/parser.hpp"
+#include "overlap/overlapper.hpp"
 #include "util/random.hpp"
 #include "util/timer.hpp"
 
@@ -33,6 +34,10 @@ constexpr u32 kTraverseOccurrences = 3;
 constexpr int kTraversePasses = 2;
 constexpr std::size_t kConsolidateTasks = 20'000;
 constexpr int kConsolidateBatches = 2;
+// Tasks per payload of the pair-run calibration: two payloads keep its reps
+// near a millisecond, so it adds little to the calibration's wall time.
+constexpr std::size_t kPairRunTasks = 2'500;
+constexpr int kPairRunPayloads = 2;
 constexpr int kXdropCalls = 8;
 constexpr int kProbes = 100'000;
 constexpr int kCopies = 64;
@@ -166,9 +171,8 @@ KernelCosts measure() {
     });
   }
 
-  // Pair consolidation: sort-then-group over a flat task vector — mirrors
-  // overlap::consolidate_tasks (the map-based consolidation it replaced was
-  // ~10x more expensive per task; see BENCH_kernels.json).
+  // Pair consolidation: sort-then-group over a flat task vector, the
+  // per-record cost of the stage-4 task packing and the stage-5 kernels.
   {
     std::vector<std::pair<u64, u64>> tasks(kConsolidateTasks);
     costs.pair_consolidate = fastest_rep([&] {
@@ -185,6 +189,38 @@ KernelCosts measure() {
       }
       sink = sink + groups;
       return static_cast<u64>(kConsolidateBatches) * tasks.size();
+    });
+  }
+
+  // Stage-3 consolidation through pair runs: each payload is encoded
+  // (overlap::encode_pair_runs) and decoded, then the runs are merged by
+  // pair and filtered (overlap::PairSeedTable). Pairs over 2,000 reads, so
+  // most carry one seed.
+  {
+    std::vector<overlap::OverlapTask> tasks(kPairRunTasks * kPairRunPayloads);
+    util::Xoshiro256 rng(5);
+    for (auto& t : tasks) {
+      t.rid_a = rng.uniform_below(2'000);
+      t.rid_b = rng.uniform_below(2'000);
+      if (t.rid_a == t.rid_b) t.rid_b = (t.rid_a + 1) % 2'000;
+      t.pos_a = static_cast<u32>(rng.uniform_below(20'000));
+      t.pos_b = static_cast<u32>(rng.uniform_below(20'000));
+    }
+    // Each payload's tasks are staged by copy, as the stage stages them.
+    std::vector<overlap::OverlapTask> staged;
+    std::vector<u8> bytes;
+    costs.pair_runs = fastest_rep([&] {
+      overlap::PairSeedTable table;
+      for (int payload = 0; payload < kPairRunPayloads; ++payload) {
+        const auto first = tasks.begin() + static_cast<std::ptrdiff_t>(payload) *
+                                               static_cast<std::ptrdiff_t>(kPairRunTasks);
+        staged.assign(first, first + static_cast<std::ptrdiff_t>(kPairRunTasks));
+        bytes.clear();
+        overlap::encode_pair_runs(staged, bytes);
+        table.add_runs(bytes.data(), bytes.size());
+      }
+      sink = sink + table.consolidate(overlap::SeedFilterConfig::one_seed()).size();
+      return static_cast<u64>(tasks.size());
     });
   }
 

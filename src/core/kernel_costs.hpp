@@ -35,6 +35,7 @@ struct KernelCosts {
   double table_insert = 0.0;        ///< hash table insert/add_occurrence
   double table_traverse = 0.0;      ///< per-key traversal (overlap stage)
   double pair_consolidate = 0.0;    ///< per-task sort-then-group consolidation
+  double pair_runs = 0.0;           ///< per-task pair-run encode, decode, merge, filter
   double xdrop_per_cell = 0.0;      ///< per DP cell of x-drop extension
   double per_byte_copy = 0.0;       ///< bulk byte marshalling
   double graph_probe = 0.0;         ///< per witness lookup of transitive reduction

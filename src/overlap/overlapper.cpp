@@ -17,117 +17,183 @@ int task_owner_read(u64 ra, u64 rb) {
   return 1;                                  // owner of rb
 }
 
-void sort_wire_tasks(std::vector<OverlapTaskWire>& tasks) {
-  const std::size_t n = tasks.size();
-  if (n < 2) return;
+namespace {
 
-  // Tuple order (rid_a, rid_b, pos_a, pos_b, same_orientation) packs into
-  // two u64 keys when pos_a < 2^31 and both rids < 2^32 — sorting by the
-  // position key then (stably) by the rid key reproduces the full-tuple
-  // order with two radix calls instead of four.
-  auto pos_key = [](const OverlapTaskWire& t) {
-    return (static_cast<u64>(t.pos_a) << 33) |
-           (static_cast<u64>(t.pos_b) << 1) | static_cast<u64>(t.same_orientation);
-  };
-  auto rid_key = [](const OverlapTaskWire& t) { return (t.rid_a << 32) | t.rid_b; };
+/// Longest encodings: a 64-bit varint, and one seed (pos_a, then pos_b << 1
+/// | orientation).
+constexpr std::size_t kMaxVarint = 10;
+constexpr std::size_t kMaxSeedBytes = 10;
 
-  // One scan: packability, plus each key's per-byte constancy. A byte whose
-  // OR- and AND-aggregates agree holds one value across the whole set, and
-  // radix_sort_u64 skips it — the remaining bytes are the passes a radix
-  // chain would actually stream the element array through.
-  bool packable = true;
-  u64 or_pos = 0, and_pos = ~u64{0}, or_rid = 0, and_rid = ~u64{0};
-  for (const auto& t : tasks) {
-    if (t.pos_a >= (u32{1} << 31) || (t.rid_a >> 32) != 0 || (t.rid_b >> 32) != 0) {
-      packable = false;
-      break;
-    }
-    const u64 pk = pos_key(t), rk = rid_key(t);
-    or_pos |= pk;
-    and_pos &= pk;
-    or_rid |= rk;
-    and_rid &= rk;
+u8* put_varint(u8* p, u64 v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<u8>(v | 0x80);
+    v >>= 7;
   }
-  if (!packable) {
-    // Arbitrary-width fallback: the original four-component chain.
-    util::radix_sort_u64(tasks, [](const OverlapTaskWire& t) {
-      return (static_cast<u64>(t.pos_b) << 1) | static_cast<u64>(t.same_orientation);
-    });
-    util::radix_sort_u64(tasks,
-                         [](const OverlapTaskWire& t) { return static_cast<u64>(t.pos_a); });
-    util::radix_sort_u64(tasks, [](const OverlapTaskWire& t) { return t.rid_b; });
-    util::radix_sort_u64(tasks, [](const OverlapTaskWire& t) { return t.rid_a; });
-    return;
-  }
+  *p++ = static_cast<u8>(v);
+  return p;
+}
 
-  int passes = 0;
-  for (int b = 0; b < 8; ++b) {
-    const int shift = 8 * b;
-    if (((or_pos >> shift) & 0xFFu) != ((and_pos >> shift) & 0xFFu)) ++passes;
-    if (((or_rid >> shift) & 0xFFu) != ((and_rid >> shift) & 0xFFu)) ++passes;
-  }
-
-  // Cutover (measured on this element type): each radix pass streams the
-  // whole array, so at >= 7 passes comparison sort overtakes it once n is
-  // large enough that the passes outweigh log2(n) cheap comparisons. Ties in
-  // the full tuple are identical elements, so the unstable std::sort still
-  // yields a deterministic sequence.
-  const bool use_comparison = n > (std::size_t{1} << 17) && passes >= 7;
-  if (use_comparison) {
-    std::sort(tasks.begin(), tasks.end(),
-              [&](const OverlapTaskWire& x, const OverlapTaskWire& y) {
-                const u64 rx = rid_key(x), ry = rid_key(y);
-                return rx != ry ? rx < ry : pos_key(x) < pos_key(y);
-              });
-  } else {
-    util::radix_sort_u64(tasks, pos_key);
-    util::radix_sort_u64(tasks, rid_key);
+/// Decode one varint from [p, end), advancing p. The tenth byte holds only
+/// bit 63, so it must be 0 or 1: anything else is an eleventh byte or a
+/// value past 64 bits.
+u64 get_varint(const u8*& p, const u8* end) {
+  u64 v = 0;
+  for (int shift = 0;; shift += 7) {
+    DIBELLA_CHECK(p != end, "pair run: truncated varint");
+    const u8 byte = *p++;
+    if (shift == 63) DIBELLA_CHECK(byte <= 1, "pair run: varint longer than 64 bits");
+    v |= static_cast<u64>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) return v;
   }
 }
 
-std::vector<AlignmentTask> consolidate_tasks(std::vector<OverlapTaskWire> incoming,
-                                             const SeedFilterConfig& seed_filter,
-                                             OverlapStageResult* result) {
-  if (result) result->pair_tasks_received = incoming.size();
+}  // namespace
 
-  // Normalize to rid_a < rid_b, then sort the flat vector and group equal
-  // runs — the former node-per-pair std::map made every insertion an
-  // allocation plus a pointer chase. The sort picks radix or comparison by
-  // input size and key width (see sort_wire_tasks). The full-tuple key keeps
-  // the order (and thus the output) deterministic regardless of arrival
-  // order; filter_seeds re-sorts and deduplicates per pair anyway.
-  for (auto& t : incoming) {
+void encode_pair_runs(std::vector<OverlapTask>& tasks, std::vector<u8>& out) {
+  for (auto& t : tasks) {
+    DIBELLA_CHECK(t.rid_a != t.rid_b, "overlap task pairs a read with itself");
+    DIBELLA_CHECK(t.same_orientation <= 1, "overlap task orientation is not 0 or 1");
     if (t.rid_a > t.rid_b) {
       std::swap(t.rid_a, t.rid_b);
       std::swap(t.pos_a, t.pos_b);
     }
   }
-  sort_wire_tasks(incoming);
+  // Group by pair: two stable LSD radix calls, least significant component
+  // first. Constant key bytes are skipped, so dense read ids cost only the
+  // digits they use.
+  util::radix_sort_u64(tasks, [](const OverlapTask& t) { return t.rid_b; });
+  util::radix_sort_u64(tasks, [](const OverlapTask& t) { return t.rid_a; });
 
-  std::vector<AlignmentTask> tasks;
-  std::size_t run = 0;
-  while (run < incoming.size()) {
-    std::size_t end = run;
-    while (end < incoming.size() && incoming[end].rid_a == incoming[run].rid_a &&
-           incoming[end].rid_b == incoming[run].rid_b) {
-      ++end;
-    }
-    std::vector<SeedPair> seeds;
-    seeds.reserve(end - run);
+  const auto same_pair = [&tasks](std::size_t i, std::size_t j) {
+    return tasks[i].rid_a == tasks[j].rid_a && tasks[i].rid_b == tasks[j].rid_b;
+  };
+  std::size_t runs = tasks.empty() ? 0 : 1;
+  for (std::size_t i = 1; i < tasks.size(); ++i) runs += same_pair(i, i - 1) ? 0 : 1;
+  const std::size_t base = out.size();
+  out.resize(base + runs * 3 * kMaxVarint + tasks.size() * kMaxSeedBytes);
+  u8* p = out.data() + base;
+  u64 prev_rid_a = 0;
+  for (std::size_t run = 0; run < tasks.size();) {
+    std::size_t end = run + 1;
+    while (end < tasks.size() && same_pair(end, run)) ++end;
+    p = put_varint(p, tasks[run].rid_a - prev_rid_a);
+    p = put_varint(p, tasks[run].rid_b);
+    p = put_varint(p, end - run);
     for (std::size_t i = run; i < end; ++i) {
-      seeds.push_back(SeedPair{incoming[i].pos_a, incoming[i].pos_b,
-                               incoming[i].same_orientation});
+      p = put_varint(p, tasks[i].pos_a);
+      p = put_varint(p, (static_cast<u64>(tasks[i].pos_b) << 1) | tasks[i].same_orientation);
     }
-    if (result) result->seeds_before_filter += seeds.size();
-    AlignmentTask task;
-    task.rid_a = incoming[run].rid_a;
-    task.rid_b = incoming[run].rid_b;
-    task.seeds = filter_seeds(std::move(seeds), seed_filter);
-    if (result) result->seeds_after_filter += task.seeds.size();
-    tasks.push_back(std::move(task));
+    prev_rid_a = tasks[run].rid_a;
     run = end;
   }
-  if (result) result->distinct_pairs = tasks.size();
+  out.resize(static_cast<std::size_t>(p - out.data()));
+}
+
+void PairSeedTable::add_runs(const u8* data, std::size_t size) {
+  const Payload before{runs_.size(), seeds_.size()};
+  try {
+    decode_runs(data, size);
+  } catch (...) {
+    // A rejected payload adds nothing.
+    runs_.resize(before.run);
+    seeds_.resize(before.seed);
+    throw;
+  }
+  if (size > 0) payloads_.push_back(before);
+}
+
+void PairSeedTable::decode_runs(const u8* data, std::size_t size) {
+  const u8* p = data;
+  const u8* const end = data + size;
+  bool first = true;
+  u64 rid_a = 0, rid_b = 0;
+  while (p != end) {
+    const u64 delta = get_varint(p, end);
+    DIBELLA_CHECK(delta <= ~u64{0} - rid_a, "pair run: rid_a overflows the pair key");
+    const u64 next_a = rid_a + delta;
+    const u64 next_b = get_varint(p, end);
+    DIBELLA_CHECK(next_a < next_b, "pair run: rid_a must be below rid_b");
+    DIBELLA_CHECK(first || delta > 0 || next_b > rid_b, "pair run: runs out of order");
+    first = false;
+    rid_a = next_a;
+    rid_b = next_b;
+    const u64 count = get_varint(p, end);
+    // A seed is at least two bytes: bound the count before any append.
+    DIBELLA_CHECK(count >= 1 && count <= static_cast<u64>(end - p) / 2,
+                  "pair run: seed count does not fit the payload");
+    runs_.push_back(Run{rid_a, rid_b, count});
+    for (u64 i = 0; i < count; ++i) {
+      const u64 pos_a = get_varint(p, end);
+      const u64 pos_b = get_varint(p, end);
+      DIBELLA_CHECK(pos_a <= ~u32{0} && (pos_b >> 33) == 0,
+                    "pair run: seed position out of range");
+      seeds_.push_back(SeedPair{static_cast<u32>(pos_a), static_cast<u32>(pos_b >> 1),
+                                static_cast<u8>(pos_b & 1u)});
+    }
+  }
+}
+
+std::vector<AlignmentTask> PairSeedTable::consolidate(const SeedFilterConfig& seed_filter,
+                                                      OverlapStageResult* result) {
+  std::vector<Run> runs = std::move(runs_);
+  std::vector<SeedPair> seeds = std::move(seeds_);
+  std::vector<Payload> bounds = std::move(payloads_);
+  runs_.clear();
+  seeds_.clear();
+  payloads_.clear();
+  bounds.push_back(Payload{runs.size(), seeds.size()});
+
+  // K-way merge of the payloads, each ascending by pair: a min-heap of one
+  // cursor per payload yields every run of a pair consecutively, and reads
+  // each payload's runs and seeds front to back.
+  struct Cursor {
+    u64 rid_a = 0;
+    u64 rid_b = 0;
+    std::size_t run = 0;   ///< the payload's next run
+    std::size_t end = 0;   ///< past the payload's last run
+    std::size_t seed = 0;  ///< first seed of `run`
+  };
+  const auto later = [](const Cursor& x, const Cursor& y) {
+    return x.rid_a != y.rid_a ? x.rid_a > y.rid_a : x.rid_b > y.rid_b;
+  };
+  std::vector<Cursor> heap;
+  for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
+    const Run& r = runs[bounds[i].run];
+    heap.push_back(Cursor{r.rid_a, r.rid_b, bounds[i].run, bounds[i + 1].run, bounds[i].seed});
+  }
+  std::make_heap(heap.begin(), heap.end(), later);
+
+  // Per pair, its seeds from every payload go through filter_seeds, which
+  // sorts and deduplicates them, so the arrival order does not matter.
+  std::vector<AlignmentTask> tasks;
+  u64 after = 0;
+  while (!heap.empty()) {
+    const u64 rid_a = heap.front().rid_a, rid_b = heap.front().rid_b;
+    std::vector<SeedPair> pair_seeds;
+    while (!heap.empty() && heap.front().rid_a == rid_a && heap.front().rid_b == rid_b) {
+      std::pop_heap(heap.begin(), heap.end(), later);
+      Cursor& cur = heap.back();
+      const auto first = seeds.begin() + static_cast<std::ptrdiff_t>(cur.seed);
+      cur.seed += runs[cur.run].count;
+      pair_seeds.insert(pair_seeds.end(), first,
+                        seeds.begin() + static_cast<std::ptrdiff_t>(cur.seed));
+      if (++cur.run < cur.end) {
+        cur.rid_a = runs[cur.run].rid_a;
+        cur.rid_b = runs[cur.run].rid_b;
+        std::push_heap(heap.begin(), heap.end(), later);
+      } else {
+        heap.pop_back();
+      }
+    }
+    tasks.push_back(AlignmentTask{rid_a, rid_b, filter_seeds(std::move(pair_seeds), seed_filter)});
+    after += tasks.back().seeds.size();
+  }
+  if (result) {
+    result->pair_tasks_received = seeds.size();
+    result->distinct_pairs = tasks.size();
+    result->seeds_before_filter = seeds.size();
+    result->seeds_after_filter = after;
+  }
   return tasks;
 }
 
@@ -143,12 +209,12 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
   // --- Algorithm 1: traverse the partition, form all pairs per key, route
   // each task to the owner of one of its reads. Tasks travel in bounded
   // batches: each pack() traverses enough of the partition to form the next
-  // ~batch_tasks tasks (overlapped: while the previous batch is in flight).
-  // The incoming task order does not matter — consolidate_tasks sorts on
-  // the full tuple.
+  // ~batch_tasks tasks (overlapped: while the previous batch is in flight),
+  // stages them per destination and posts them as pair runs.
   comm::Exchanger ex(comm, cfg.exchange);
-  auto visit = [&res, &partition, &ex](const kmer::Kmer& /*km*/, u32 /*count*/,
-                                       std::vector<dht::ReadOccurrence>& occs) {
+  std::vector<std::vector<OverlapTask>> staged(static_cast<std::size_t>(ex.size()));
+  auto visit = [&res, &partition, &staged](const kmer::Kmer& /*km*/, u32 /*count*/,
+                                           std::vector<dht::ReadOccurrence>& occs) {
     ++res.retained_kmers;
     // Deterministic pair formation independent of arrival order; `occs` is
     // the traversal's reusable scratch, sorted in place (no per-key copy).
@@ -161,20 +227,17 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
         const auto& oa = occs[i];
         const auto& ob = occs[j];
         if (oa.rid == ob.rid) continue;  // a repeat within one read is not an overlap
-        OverlapTaskWire task;
-        task.rid_a = oa.rid;
-        task.rid_b = ob.rid;
-        task.pos_a = oa.pos;
-        task.pos_b = ob.pos;
-        task.same_orientation = oa.is_forward == ob.is_forward ? 1 : 0;
-        u64 owner_rid = task_owner_read(oa.rid, ob.rid) == 0 ? oa.rid : ob.rid;
-        ex.post(partition.owner_of(owner_rid), &task, 1);
+        const u64 owner_rid = task_owner_read(oa.rid, ob.rid) == 0 ? oa.rid : ob.rid;
+        staged[static_cast<std::size_t>(partition.owner_of(owner_rid))].push_back(
+            OverlapTask{oa.rid, ob.rid, oa.pos, ob.pos,
+                        static_cast<u8>(oa.is_forward == ob.is_forward ? 1 : 0)});
         ++res.pair_tasks_formed;
       }
     }
   };
 
-  std::vector<OverlapTaskWire> incoming;
+  PairSeedTable received;
+  std::vector<u8> runs;
   std::vector<dht::ReadOccurrence> scratch;
   std::size_t slot_cursor = 0;
   comm::run_exchange(
@@ -190,31 +253,37 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
                res.pair_tasks_formed - formed_before < cfg.batch_tasks) {
           slot_cursor = table.for_each_from(slot_cursor, 256, scratch, visit);
         }
-        const u64 tasks = res.pair_tasks_formed - formed_before;
-        const u64 posted = tasks * sizeof(OverlapTaskWire);
+        u64 posted = 0;
+        for (int d = 0; d < ex.size(); ++d) {
+          auto& tasks = staged[static_cast<std::size_t>(d)];
+          runs.clear();
+          encode_pair_runs(tasks, runs);
+          tasks.clear();
+          ex.post_bytes(d, runs.data(), runs.size());
+          posted += runs.size();
+        }
         k.units("keys", res.retained_kmers - keys_before, &core::KernelCosts::table_traverse)
-            .arg("tasks", tasks)
+            .arg("tasks", res.pair_tasks_formed - formed_before)
             .units("bytes", posted, &core::KernelCosts::per_byte_copy)
             .working_set(table.memory_bytes() + posted);
         return slot_cursor < table.capacity();
       },
       [&](const comm::RecvBatch& batch) {
-        // Tasks arrive already normalized (pair formation emits sorted
-        // occurrence pairs); consolidate_tasks re-checks regardless. Only
-        // the accumulation copy happens here.
+        // Each source's payload is a whole number of runs, decoded and
+        // validated here (overlapped: while the next batch is in flight).
         auto k = ctx.kernel("overlap:recv");
-        std::size_t at = incoming.size();
-        batch.append_to(incoming);
-        const u64 bytes = (incoming.size() - at) * sizeof(OverlapTaskWire);
+        for (int src = 0; src < ex.size(); ++src) {
+          received.add_runs(batch.src_data(src), batch.src_size_bytes(src));
+        }
+        const u64 bytes = batch.bytes.size();
         k.units("bytes", bytes, &core::KernelCosts::per_byte_copy).working_set(bytes);
       });
 
-  // --- consolidate per-pair seed lists, then apply the seed policy.
+  // --- merge the payloads by pair, then apply the seed policy per pair.
   auto consolidate = ctx.kernel("overlap:consolidate");
-  consolidate.units("wire_tasks", incoming.size(), &core::KernelCosts::pair_consolidate)
-      .working_set(incoming.size() * sizeof(OverlapTaskWire));
-  std::vector<AlignmentTask> tasks =
-      consolidate_tasks(std::move(incoming), cfg.seed_filter, &res);
+  consolidate.units("tasks", received.seeds(), &core::KernelCosts::pair_runs)
+      .working_set(received.seeds() * sizeof(SeedPair));
+  std::vector<AlignmentTask> tasks = received.consolidate(cfg.seed_filter, &res);
   consolidate.close();
 
   if (result) *result = res;

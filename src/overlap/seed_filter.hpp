@@ -18,7 +18,7 @@ namespace dibella::overlap {
 struct SeedPair {
   u32 pos_a = 0;
   u32 pos_b = 0;
-  u8 same_orientation = 1;  ///< 1: reads share the k-mer in the same strand sense
+  u8 same_orientation = 1;  ///< 1: reads share the k-mer in the same strand sense, else 0
 
   friend bool operator==(const SeedPair&, const SeedPair&) = default;
 };

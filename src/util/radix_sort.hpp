@@ -1,12 +1,13 @@
 #pragma once
 /// \file radix_sort.hpp
 /// Stable LSD radix sort on u64 keys — the DALIGNER-style replacement for
-/// comparison sorts on the pipeline's record streams (seed/task records in
-/// the overlap consolidation, alignment records ahead of the per-block
-/// spill). A counting pass per byte touches memory sequentially and costs
-/// O(n) per digit instead of O(n log n) comparisons; bytes that are constant
-/// across the whole key set are skipped, so narrow keys (dense read ids,
-/// positions) cost only the digits they actually use.
+/// comparison sorts on the pipeline's record streams (overlap tasks grouped
+/// by read pair before they are sent, a dense pair's seeds, alignment
+/// records ahead of the per-block spill). A counting pass per byte touches
+/// memory sequentially and costs O(n) per digit instead of O(n log n)
+/// comparisons; bytes that are constant across the whole key set are
+/// skipped, so narrow keys (dense read ids, positions) cost only the digits
+/// they actually use.
 ///
 /// Multi-component keys wider than 64 bits sort with repeated calls, least
 /// significant component first — stability chains the passes exactly like

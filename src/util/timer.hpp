@@ -1,11 +1,7 @@
 #pragma once
 /// \file timer.hpp
-/// Wall-clock and per-thread CPU timers.
-///
-/// The distinction matters for this project: rank "compute" time must be
-/// measured with the per-thread CPU clock so that oversubscription (running
-/// 128 simulated ranks on 2 physical cores) does not inflate measurements,
-/// while end-to-end runs (Table 2) use wall clock.
+/// Wall-clock timers. Modeled compute time comes from work counts
+/// (core::KernelCosts), not from clocks, so only wall time is measured here.
 
 #include <chrono>
 
@@ -27,25 +23,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Per-thread CPU-time stopwatch (CLOCK_THREAD_CPUTIME_ID).
-/// Only counts time the calling thread actually spent on a core, so it is
-/// immune to scheduling delays from rank oversubscription.
-class ThreadCpuTimer {
- public:
-  ThreadCpuTimer() { reset(); }
-
-  void reset() { start_ = now(); }
-
-  /// CPU seconds consumed by this thread since construction/reset.
-  double seconds() const { return now() - start_; }
-
-  /// Current per-thread CPU time in seconds (monotonic within a thread).
-  static double now();
-
- private:
-  double start_ = 0.0;
 };
 
 /// RAII helper: adds elapsed wall seconds to a target accumulator on scope exit.

@@ -251,6 +251,51 @@ TEST_F(CliSmoke, OverlapCommSchedulesProduceIdenticalOutputs) {
   EXPECT_NE(timings[0].find("exchange_hidden_s"), std::string::npos);
 }
 
+TEST_F(CliSmoke, DenseSeedingPinnedAcrossRanksAndSchedules) {
+  // Dense seeding (--minimizer-w=0, every k-mer a seed) gives stage 3 the
+  // most seeds per read pair. PAF, GFA and eval.tsv are byte-identical over
+  // ranks {1,2,3,5} x both schedules; counters.tsv is byte-identical across
+  // the schedules at each rank count, and equal across rank counts except
+  // the rows that count per-partition work.
+  const std::vector<std::string> per_partition = {
+      "candidate_keys", "purged_keys", "ranks", "read_bytes_exchanged",
+      "reads_exchanged", "spill_runs"};
+  struct Outputs {
+    std::string paf, gfa, eval, counters;
+  };
+  auto run = [&](int ranks, const std::string& schedule) {
+    const fs::path out = dir_ / (std::to_string(ranks) + schedule);
+    DriverResult r = run_driver({"--preset=tiny", "--minimizer-w=0", "--eval=on",
+                                 "--ranks=" + std::to_string(ranks),
+                                 "--overlap-comm=" + schedule, "--out-dir=" + out.string()});
+    EXPECT_EQ(r.exit_code, dibella::cli::kExitOk) << r.err;
+    return Outputs{dibella::io::load_file((out / dibella::cli::kAlignmentsFile).string()),
+                   dibella::io::load_file((out / "graph.gfa").string()),
+                   dibella::io::load_file((out / "eval.tsv").string()),
+                   dibella::io::load_file((out / dibella::cli::kCountersFile).string())};
+  };
+  const Outputs base = run(1, "on");
+  ASSERT_FALSE(base.paf.empty());
+  auto base_counters = parse_counters(base.counters);
+  ASSERT_GT(base_counters.at("overlap_tasks"), 10 * base_counters.at("read_pairs"));
+  for (const auto& name : per_partition) base_counters.erase(name);
+  for (int ranks : {1, 2, 3, 5}) {
+    const Outputs on = ranks == 1 ? base : run(ranks, "on");
+    const Outputs off = run(ranks, "off");
+    for (const Outputs* got : {&on, &off}) {
+      const std::string where = "ranks=" + std::to_string(ranks) +
+                                (got == &on ? " overlapped" : " bulk-synchronous");
+      EXPECT_EQ(got->paf, base.paf) << where;
+      EXPECT_EQ(got->gfa, base.gfa) << where;
+      EXPECT_EQ(got->eval, base.eval) << where;
+      auto counters = parse_counters(got->counters);
+      for (const auto& name : per_partition) counters.erase(name);
+      EXPECT_EQ(counters, base_counters) << where;
+    }
+    EXPECT_EQ(on.counters, off.counters) << "ranks=" << ranks;
+  }
+}
+
 TEST_F(CliSmoke, GfaLinksCrossCheckAgainstPaf) {
   // Every GFA L line must be derivable from alignments.paf: the read pair
   // appears there as a dovetail (tp:A:D) with the same overlap length

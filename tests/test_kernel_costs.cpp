@@ -26,6 +26,7 @@ TEST(KernelCosts, EveryCostIsFiniteAndPositive) {
       {"table_insert", c.table_insert},
       {"table_traverse", c.table_traverse},
       {"pair_consolidate", c.pair_consolidate},
+      {"pair_runs", c.pair_runs},
       {"xdrop_per_cell", c.xdrop_per_cell},
       {"per_byte_copy", c.per_byte_copy},
       {"graph_probe", c.graph_probe},

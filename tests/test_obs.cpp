@@ -523,7 +523,7 @@ const std::map<std::string, KernelSpec>& kernel_specs() {
       {"overlap:traverse",
        {"overlap:traverse", {{"keys", &K::table_traverse}, {"bytes", &K::per_byte_copy}}}},
       {"overlap:recv", {"overlap:recv", {{"bytes", &K::per_byte_copy}}}},
-      {"overlap:consolidate", {"overlap:consolidate", {{"wire_tasks", &K::pair_consolidate}}}},
+      {"overlap:consolidate", {"overlap:consolidate", {{"tasks", &K::pair_runs}}}},
       {"align:pack",
        {"align:pack", {{"tasks", &K::pair_consolidate}, {"bytes", &K::per_byte_copy}}}},
       {"align:cache", {"align:cache", {{"bytes", &K::per_byte_copy}}}},

@@ -1,11 +1,14 @@
 // Tests for the overlap module: seed policies, the Algorithm-1 owner
-// heuristic, and the distributed overlap stage cross-checked against a
-// serial all-pairs oracle.
+// heuristic, the pair-run wire format (differential against the
+// sort-then-group oracle, malformed and mutated payloads), and the
+// distributed overlap stage cross-checked against a serial all-pairs oracle.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "bloom/distributed_bloom.hpp"
 #include "comm/world.hpp"
@@ -73,6 +76,30 @@ TEST(SeedFilter, DeduplicatesAndCaps) {
   EXPECT_EQ(out[0].pos_a, 10u);
   EXPECT_EQ(out[1].pos_a, 40u);
   EXPECT_TRUE(dov::filter_seeds({}, cfg).empty());
+}
+
+TEST(SeedFilter, SortOrderHoldsOnBothSidesOfTheRadixCutover) {
+  // spaced(0) keeps every distinct seed, so the output is the sorted,
+  // deduplicated input: same orientation first, then (pos_a, pos_b). Sizes
+  // straddle the switch from comparison to radix sorting.
+  dibella::util::Xoshiro256 rng(31);
+  for (std::size_t n : {1u, 2u, 100u, 160u, 161u, 300u, 2000u}) {
+    std::vector<dov::SeedPair> seeds;
+    for (std::size_t i = 0; i < n; ++i) {
+      const u32 high = rng.bernoulli(0.1) ? u32{1} << 31 : 0;
+      seeds.push_back({high | static_cast<u32>(rng.uniform_below(400)),
+                       high | static_cast<u32>(rng.uniform_below(400)),
+                       static_cast<u8>(rng.bernoulli(0.6) ? 1 : 0)});
+      if (rng.bernoulli(0.2)) seeds.push_back(seeds.back());
+    }
+    auto expected = seeds;
+    std::sort(expected.begin(), expected.end(), [](const dov::SeedPair& x, const dov::SeedPair& y) {
+      return std::tuple(1 - x.same_orientation, x.pos_a, x.pos_b) <
+             std::tuple(1 - y.same_orientation, y.pos_a, y.pos_b);
+    });
+    expected.erase(std::unique(expected.begin(), expected.end()), expected.end());
+    EXPECT_EQ(dov::filter_seeds(seeds, dov::SeedFilterConfig::spaced(0)), expected) << n;
+  }
 }
 
 TEST(OwnerHeuristic, DeterministicAndBalanced) {
@@ -251,28 +278,157 @@ TEST(OverlapStage, SeedPolicyControlsSeedVolume) {
   EXPECT_GT(s_all, s_one);  // the dataset has multi-seed pairs
 }
 
+// --- pair runs: the stage-3 wire format and the receiver's grouping ---------
+
+namespace {
+
+/// Reference oracle, the consolidation the pair runs replaced: canonicalize
+/// every task to rid_a < rid_b, sort the flat vector by the full
+/// (rid_a, rid_b, pos_a, pos_b, same_orientation) tuple, group equal-pair
+/// runs, and apply the seed policy per group.
+std::vector<dov::AlignmentTask> oracle_consolidate(std::vector<dov::OverlapTask> incoming,
+                                                   const dov::SeedFilterConfig& seed_filter,
+                                                   dov::OverlapStageResult* result) {
+  result->pair_tasks_received = incoming.size();
+  for (auto& t : incoming) {
+    if (t.rid_a > t.rid_b) {
+      std::swap(t.rid_a, t.rid_b);
+      std::swap(t.pos_a, t.pos_b);
+    }
+  }
+  std::sort(incoming.begin(), incoming.end(),
+            [](const dov::OverlapTask& x, const dov::OverlapTask& y) {
+              return std::tie(x.rid_a, x.rid_b, x.pos_a, x.pos_b, x.same_orientation) <
+                     std::tie(y.rid_a, y.rid_b, y.pos_a, y.pos_b, y.same_orientation);
+            });
+  std::vector<dov::AlignmentTask> tasks;
+  for (std::size_t run = 0; run < incoming.size();) {
+    std::size_t end = run;
+    std::vector<dov::SeedPair> seeds;
+    while (end < incoming.size() && incoming[end].rid_a == incoming[run].rid_a &&
+           incoming[end].rid_b == incoming[run].rid_b) {
+      seeds.push_back({incoming[end].pos_a, incoming[end].pos_b,
+                       incoming[end].same_orientation});
+      ++end;
+    }
+    result->seeds_before_filter += seeds.size();
+    dov::AlignmentTask task{incoming[run].rid_a, incoming[run].rid_b,
+                            dov::filter_seeds(std::move(seeds), seed_filter)};
+    result->seeds_after_filter += task.seeds.size();
+    tasks.push_back(std::move(task));
+    run = end;
+  }
+  result->distinct_pairs = tasks.size();
+  return tasks;
+}
+
+std::vector<u8> encode(std::vector<dov::OverlapTask> tasks) {
+  std::vector<u8> bytes;
+  dov::encode_pair_runs(tasks, bytes);
+  return bytes;
+}
+
+/// The stage's path without the exchange: split the tasks into `payloads`
+/// random slices (one sender's share of one batch each), encode every slice
+/// as pair runs, decode the payloads in a shuffled order, consolidate.
+std::vector<dov::AlignmentTask> consolidate_via_runs(const std::vector<dov::OverlapTask>& all,
+                                                     const dov::SeedFilterConfig& seed_filter,
+                                                     std::size_t payloads,
+                                                     dibella::util::Xoshiro256& rng,
+                                                     dov::OverlapStageResult* result) {
+  std::vector<std::vector<dov::OverlapTask>> slices(payloads);
+  for (const auto& t : all) slices[rng.uniform_below(payloads)].push_back(t);
+  std::vector<std::vector<u8>> bytes(payloads);
+  for (std::size_t i = 0; i < payloads; ++i) bytes[i] = encode(slices[i]);
+  for (std::size_t i = payloads; i > 1; --i) std::swap(bytes[i - 1], bytes[rng.uniform_below(i)]);
+  dov::PairSeedTable table;
+  for (const auto& b : bytes) table.add_runs(b.data(), b.size());
+  return table.consolidate(seed_filter, result);
+}
+
+std::vector<dov::OverlapTask> random_tasks(dibella::util::Xoshiro256& rng, int n, u64 reads,
+                                           u32 max_pos) {
+  std::vector<dov::OverlapTask> tasks;
+  for (int i = 0; i < n; ++i) {
+    dov::OverlapTask t;
+    t.rid_a = rng.uniform_below(reads);
+    t.rid_b = rng.uniform_below(reads);
+    if (t.rid_a == t.rid_b) t.rid_b = t.rid_a + 1;  // rid_a > rid_b stays in the mix
+    t.pos_a = static_cast<u32>(rng.uniform_below(max_pos));
+    t.pos_b = static_cast<u32>(rng.uniform_below(max_pos));
+    t.same_orientation = rng.bernoulli(0.7) ? 1 : 0;
+    tasks.push_back(t);
+    if (rng.bernoulli(0.1)) tasks.push_back(t);  // exact duplicate seed
+  }
+  return tasks;
+}
+
+void expect_same_tasks(const std::vector<dov::AlignmentTask>& got,
+                       const std::vector<dov::AlignmentTask>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].rid_a, want[i].rid_a);
+    EXPECT_EQ(got[i].rid_b, want[i].rid_b);
+    EXPECT_EQ(got[i].seeds, want[i].seeds) << "pair " << i;
+  }
+}
+
+void put_varint(std::vector<u8>& out, u64 v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<u8>(v | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<u8>(v));
+}
+
+u64 get_varint(const std::vector<u8>& in, std::size_t& at) {
+  u64 v = 0;
+  for (int shift = 0;; shift += 7) {
+    const u8 byte = in.at(at++);
+    v |= static_cast<u64>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) return v;
+  }
+}
+
+/// Byte offsets at which the runs of a valid payload end (0 included).
+std::vector<std::size_t> run_boundaries(const std::vector<u8>& bytes) {
+  std::vector<std::size_t> ends = {0};
+  std::size_t at = 0;
+  while (at < bytes.size()) {
+    get_varint(bytes, at);  // delta rid_a
+    get_varint(bytes, at);  // rid_b
+    for (u64 n = get_varint(bytes, at) * 2; n > 0; --n) get_varint(bytes, at);
+    ends.push_back(at);
+  }
+  return ends;
+}
+
+/// Decode `bytes` into a fresh table; true on success, false on
+/// dibella::Error (any other exception escapes and fails the test).
+bool decodes(const std::vector<u8>& bytes, u64* seeds = nullptr) {
+  dov::PairSeedTable table;
+  try {
+    table.add_runs(bytes.data(), bytes.size());
+  } catch (const dibella::Error&) {
+    return false;
+  }
+  if (seeds) *seeds = table.seeds();
+  return true;
+}
+
+}  // namespace
+
 TEST(ConsolidateTasks, MatchesMapBasedOracle) {
-  // The sort-then-group consolidation must reproduce the former node-based
-  // std::map consolidation exactly: same pairs in the same order, same
-  // filtered seeds, same counters.
+  // Pair runs must reproduce the former node-based std::map consolidation
+  // exactly: same pairs in the same order, same filtered seeds, same
+  // counters.
   dibella::util::Xoshiro256 rng(77);
   for (auto policy : {dov::SeedFilterConfig::one_seed(), dov::SeedFilterConfig::spaced(40),
                       dov::SeedFilterConfig::all_seeds(17)}) {
-    std::vector<dov::OverlapTaskWire> wire;
-    for (int i = 0; i < 4000; ++i) {
-      dov::OverlapTaskWire t;
-      t.rid_a = rng.uniform_below(60);
-      t.rid_b = rng.uniform_below(60);
-      if (t.rid_a == t.rid_b) t.rid_b = t.rid_a + 1;
-      t.pos_a = static_cast<u32>(rng.uniform_below(2000));
-      t.pos_b = static_cast<u32>(rng.uniform_below(2000));
-      t.same_orientation = rng.bernoulli(0.7) ? 1 : 0;
-      wire.push_back(t);
-    }
+    auto wire = random_tasks(rng, 4000, 60, 2000);
 
     // Map-based oracle (the pre-refactor consolidation).
     std::map<std::pair<u64, u64>, std::vector<dov::SeedPair>> oracle;
-    u64 oracle_seeds_before = 0;
     for (const auto& t : wire) {
       u64 a = t.rid_a, b = t.rid_b;
       u32 pa = t.pos_a, pb = t.pos_b;
@@ -281,29 +437,198 @@ TEST(ConsolidateTasks, MatchesMapBasedOracle) {
         std::swap(pa, pb);
       }
       oracle[{a, b}].push_back(dov::SeedPair{pa, pb, t.same_orientation});
-      ++oracle_seeds_before;
     }
 
     dov::OverlapStageResult res;
-    auto tasks = dov::consolidate_tasks(wire, policy, &res);
+    auto tasks = consolidate_via_runs(wire, policy, 7, rng, &res);
     EXPECT_EQ(res.pair_tasks_received, wire.size());
     EXPECT_EQ(res.distinct_pairs, oracle.size());
-    EXPECT_EQ(res.seeds_before_filter, oracle_seeds_before);
+    EXPECT_EQ(res.seeds_before_filter, wire.size());
     ASSERT_EQ(tasks.size(), oracle.size());
     u64 seeds_after = 0;
     std::size_t i = 0;
     for (auto& [key, seeds] : oracle) {  // map iteration = (rid_a, rid_b) order
       EXPECT_EQ(tasks[i].rid_a, key.first);
       EXPECT_EQ(tasks[i].rid_b, key.second);
-      auto want = dov::filter_seeds(seeds, policy);
-      ASSERT_EQ(tasks[i].seeds.size(), want.size());
-      for (std::size_t s = 0; s < want.size(); ++s) {
-        EXPECT_EQ(tasks[i].seeds[s], want[s]);
-      }
-      seeds_after += want.size();
+      EXPECT_EQ(tasks[i].seeds, dov::filter_seeds(seeds, policy));
+      seeds_after += tasks[i].seeds.size();
       ++i;
     }
     EXPECT_EQ(res.seeds_after_filter, seeds_after);
+  }
+}
+
+TEST(PairRuns, MatchSortThenGroupOracle) {
+  // Differential: random task sets (duplicates, both orientations,
+  // rid_a > rid_b inputs, dense and sparse pairs) split over 1..9 payloads,
+  // under every seed policy with and without a seed cap. Tasks and all four
+  // consolidation counters must equal the sort-then-group oracle's.
+  dibella::util::Xoshiro256 rng(2026);
+  std::vector<dov::SeedFilterConfig> policies = {dov::SeedFilterConfig::one_seed(),
+                                                 dov::SeedFilterConfig::spaced(300),
+                                                 dov::SeedFilterConfig::all_seeds(17)};
+  for (std::size_t i = 0, n = policies.size(); i < n; ++i) {
+    auto capped = policies[i];
+    capped.max_seeds = 3;
+    policies.push_back(capped);
+  }
+  for (int trial = 0; trial < 12; ++trial) {
+    const u64 reads = trial % 3 == 0 ? 6 : (trial % 3 == 1 ? 200 : 5000);
+    auto all = random_tasks(rng, 1 + static_cast<int>(rng.uniform_below(3000)), reads,
+                            trial % 2 ? 30'000 : 100);
+    for (const auto& policy : policies) {
+      dov::OverlapStageResult want_res, got_res;
+      auto want = oracle_consolidate(all, policy, &want_res);
+      auto got = consolidate_via_runs(all, policy, 1 + rng.uniform_below(9), rng, &got_res);
+      expect_same_tasks(got, want);
+      EXPECT_EQ(got_res.pair_tasks_received, want_res.pair_tasks_received);
+      EXPECT_EQ(got_res.distinct_pairs, want_res.distinct_pairs);
+      EXPECT_EQ(got_res.seeds_before_filter, want_res.seeds_before_filter);
+      EXPECT_EQ(got_res.seeds_after_filter, want_res.seeds_after_filter);
+    }
+  }
+  // No tasks at all: no bytes, no pairs.
+  auto bytes = encode({});
+  EXPECT_TRUE(bytes.empty());
+  dov::PairSeedTable table;
+  table.add_runs(bytes.data(), bytes.size());
+  EXPECT_TRUE(table.consolidate(dov::SeedFilterConfig::one_seed()).empty());
+}
+
+TEST(PairRuns, RoundTripWideRidsAndPositions) {
+  // Read ids >= 2^32 and positions >= 2^31, which a packed 64-bit sort key
+  // cannot hold, round-trip through the varint codec; so do the extremes.
+  const u64 big = u64{1} << 40;
+  const u32 max32 = ~u32{0};
+  std::vector<dov::OverlapTask> tasks = {
+      {big + 7, big + 3, u32{1} << 31, max32, 1},
+      {big + 3, big + 7, 5, max32 - 1, 0},
+      {0, ~u64{0}, max32, 0, 0},
+      {~u64{0} - 1, ~u64{0}, 0, max32, 1},
+      {u64{1} << 32, 1, 0x80000000u, 0x7FFFFFFFu, 1},
+  };
+  dov::OverlapStageResult want_res, got_res;
+  auto want = oracle_consolidate(tasks, dov::SeedFilterConfig::all_seeds(17), &want_res);
+  dibella::util::Xoshiro256 rng(3);
+  auto got =
+      consolidate_via_runs(tasks, dov::SeedFilterConfig::all_seeds(17), 2, rng, &got_res);
+  expect_same_tasks(got, want);
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(got[0].rid_a, 0u);
+  EXPECT_EQ(got[0].rid_b, ~u64{0});
+  EXPECT_EQ(got[0].seeds, (std::vector<dov::SeedPair>{{max32, 0, 0}}));
+  EXPECT_EQ(got_res.seeds_after_filter, want_res.seeds_after_filter);
+
+  // Every bit width of rids and positions, across the varint length steps.
+  std::vector<dov::OverlapTask> widths;
+  for (int bits = 1; bits <= 64; ++bits) {
+    const u64 hi = bits == 64 ? ~u64{0} : (u64{1} << bits) - 1;
+    const u32 pos = static_cast<u32>(bits >= 32 ? ~u32{0} : (u32{1} << bits) - 1);
+    widths.push_back({hi - 1, hi, pos, pos / 3, static_cast<u8>(bits % 2)});
+    widths.push_back({hi / 2, hi, pos / 5, pos, 1});
+  }
+  want = oracle_consolidate(widths, dov::SeedFilterConfig::all_seeds(1), &want_res);
+  got = consolidate_via_runs(widths, dov::SeedFilterConfig::all_seeds(1), 3, rng, &got_res);
+  expect_same_tasks(got, want);
+
+  EXPECT_THROW(encode({{4, 4, 0, 0, 1}}), dibella::Error);
+  EXPECT_THROW(encode({{4, 5, 0, 0, 2}}), dibella::Error);
+}
+
+TEST(PairRuns, DecoderRejectsEachMalformedField) {
+  auto run = [](std::initializer_list<u64> fields) {
+    std::vector<u8> b;
+    for (u64 f : fields) put_varint(b, f);
+    return b;
+  };
+  u64 seeds = 0;
+  ASSERT_TRUE(decodes(run({3, 9, 2, 10, 21, 11, 20}), &seeds));  // a valid baseline
+  EXPECT_EQ(seeds, 2u);
+  EXPECT_FALSE(decodes(run({3, 9, 0})));                   // empty run
+  EXPECT_FALSE(decodes(run({3, 9, 3, 10, 21, 11, 20})));   // count > seeds present
+  EXPECT_FALSE(decodes(run({3, 9, u64{1} << 62, 1, 1})));  // count vs remaining bytes
+  EXPECT_FALSE(decodes(run({9, 9, 1, 1, 1})));             // rid_a == rid_b
+  EXPECT_FALSE(decodes(run({9, 3, 1, 1, 1})));             // rid_a > rid_b
+  EXPECT_FALSE(decodes(run({3, 9, 1, 1, 1, 0, 9, 1, 1, 1})));  // same pair again
+  EXPECT_FALSE(decodes(run({3, 9, 1, 1, 1, 0, 5, 1, 1, 1})));  // pairs descend
+  EXPECT_TRUE(decodes(run({3, 9, 1, 1, 1, 0, 10, 1, 1, 1})));  // ... ascend is fine
+  EXPECT_FALSE(decodes(run({3, 9, 1, u64{1} << 32, 1})));      // pos_a past u32
+  EXPECT_FALSE(decodes(run({3, 9, 1, 1, u64{1} << 33})));      // pos_b past u32
+  // rid_a = previous rid_a + delta must not wrap the 64-bit pair key.
+  EXPECT_FALSE(decodes(run({~u64{0} - 1, ~u64{0}, 1, 1, 1, 2, ~u64{0}, 1, 1, 1})));
+  EXPECT_TRUE(decodes(run({~u64{0} - 2, ~u64{0}, 1, 1, 1, 1, ~u64{0}, 1, 1, 1})));
+
+  // Varints: ten bytes carry 64 bits; an eleventh byte, or bits past 63 in
+  // the tenth, are rejected; so is a varint cut off mid-way.
+  // delta 0, rid_b = ~u64{0} in ten bytes, count 1, seed (0, 0).
+  const std::vector<u8> ok = {0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                              0xFF, 0xFF, 0x01, 0x01, 0x00, 0x00};
+  EXPECT_TRUE(decodes(ok));
+  std::vector<u8> bits65 = ok;
+  bits65[10] = 0x02;  // tenth byte of rid_b holds bit 64
+  EXPECT_FALSE(decodes(bits65));
+  std::vector<u8> eleven = ok;
+  eleven[10] = 0x81;  // a continuation bit on the tenth byte: eleven bytes
+  EXPECT_FALSE(decodes(eleven));
+  EXPECT_FALSE(decodes({0x03, 0x89}));  // rid_b's continuation bit, then nothing
+}
+
+TEST(PairRuns, RejectedPayloadLeavesTheTableUnchanged) {
+  // A payload that fails validation part-way adds nothing: the table still
+  // consolidates exactly the payloads accepted before it.
+  dibella::util::Xoshiro256 rng(8);
+  const auto kept = random_tasks(rng, 300, 40, 5'000);
+  auto bad = encode(random_tasks(rng, 300, 40, 5'000));
+  bad.resize(bad.size() - 1);  // cuts the last seed's varint
+  dov::PairSeedTable table;
+  const auto good = encode(kept);
+  table.add_runs(good.data(), good.size());
+  EXPECT_THROW(table.add_runs(bad.data(), bad.size()), dibella::Error);
+  EXPECT_EQ(table.seeds(), kept.size());
+  dov::OverlapStageResult want_res, got_res;
+  const auto policy = dov::SeedFilterConfig::all_seeds(17);
+  expect_same_tasks(table.consolidate(policy, &got_res), oracle_consolidate(kept, policy, &want_res));
+  EXPECT_EQ(got_res.pair_tasks_received, want_res.pair_tasks_received);
+}
+
+TEST(PairRuns, SeededMutationsEndInErrorOrAValidDecode) {
+  // Truncate, flip and splice encoded runs. A mutation may still form a
+  // valid stream (a cut between runs, a flipped position bit), so each case
+  // must either decode or throw dibella::Error: never another exception,
+  // never more seeds than half the bytes. Cuts inside a run must throw.
+  dibella::util::Xoshiro256 rng(4242);
+  for (int trial = 0; trial < 40; ++trial) {
+    auto tasks = random_tasks(rng, 1 + static_cast<int>(rng.uniform_below(200)),
+                              trial % 2 ? 20 : (u64{1} << 36), 50'000);
+    const auto bytes = encode(tasks);
+    const auto boundaries = run_boundaries(bytes);
+    ASSERT_EQ(boundaries.back(), bytes.size());
+    u64 seeds = 0;
+    ASSERT_TRUE(decodes(bytes, &seeds));
+    EXPECT_EQ(seeds, tasks.size());
+
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+      std::vector<u8> b(bytes.begin(), bytes.begin() + cut);
+      const bool at_boundary =
+          std::find(boundaries.begin(), boundaries.end(), cut) != boundaries.end();
+      EXPECT_EQ(decodes(b), at_boundary) << "cut at " << cut;
+    }
+    for (int f = 0; f < 64; ++f) {
+      std::vector<u8> b = bytes;
+      b[rng.uniform_below(b.size())] ^= static_cast<u8>(1u << rng.uniform_below(8));
+      if (decodes(b, &seeds)) {
+        EXPECT_LE(seeds, b.size() / 2);
+      }
+    }
+    for (int f = 0; f < 16; ++f) {
+      const auto other =
+          encode(random_tasks(rng, 1 + static_cast<int>(rng.uniform_below(50)), 1000, 70'000));
+      std::vector<u8> b(bytes.begin(), bytes.begin() + rng.uniform_below(bytes.size() + 1));
+      b.insert(b.end(), other.begin() + rng.uniform_below(other.size()), other.end());
+      if (decodes(b, &seeds)) {
+        EXPECT_LE(seeds, b.size() / 2);
+      }
+    }
   }
 }
 

@@ -133,7 +133,8 @@ TEST(RadixSort, SawtoothAndOrganPipe) {
 }
 
 TEST(RadixSort, ChainedPassesSortMultiComponentKeys) {
-  // The consolidate_tasks pattern: sorting by a tuple (hi, lo) via two
+  // The pair-run grouping pattern (overlap::encode_pair_runs groups a batch
+  // by (rid_a, rid_b)): sorting by a tuple (hi, lo) via two
   // chained stable passes, least-significant component first, must equal a
   // single comparison sort on the tuple.
   struct Task {

@@ -36,25 +36,6 @@ TEST(WallTimer, MeasuresElapsedTime) {
   EXPECT_LT(t.seconds(), 0.015);
 }
 
-TEST(ThreadCpuTimer, CountsCpuNotSleep) {
-  // Sandboxed kernels advance the thread-CPU clock in coarse (up to 10 ms)
-  // ticks, so assertions must be tick-tolerant: a sleep may be charged one
-  // spurious tick, and short busy loops may be charged zero.
-  du::ThreadCpuTimer t;
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  // Sleeping burns far less CPU than its wall duration.
-  EXPECT_LT(t.seconds(), 0.06);
-  // Sustained busy work (>= 5 ticks of wall time) registers CPU time.
-  t.reset();
-  du::WallTimer wall;
-  volatile double x = 1.0;
-  while (wall.seconds() < 0.08) {
-    for (int i = 0; i < 100'000; ++i) x = x * 1.0000001 + 0.5;
-  }
-  EXPECT_GT(t.seconds(), 0.02);
-  EXPECT_LE(t.seconds(), 0.5);
-}
-
 TEST(SplitMix64, DeterministicAndDistinct) {
   du::SplitMix64 a(123), b(123), c(124);
   EXPECT_EQ(a.next(), b.next());
