@@ -11,6 +11,7 @@
 #include "align/xdrop.hpp"
 #include "bloom/bloom_filter.hpp"
 #include "comm/communicator.hpp"
+#include "comm/exchanger.hpp"
 #include "comm/world.hpp"
 #include "dht/local_table.hpp"
 #include "kmer/parser.hpp"
@@ -148,10 +149,12 @@ void BM_Alltoallv(benchmark::State& state) {
   comm::World world(P);
   for (auto _ : state) {
     world.run([&](comm::Communicator& comm) {
-      std::vector<std::vector<u64>> send(static_cast<std::size_t>(P));
-      for (auto& v : send) v.assign(per_peer / 8, comm.rank());
-      auto recv = comm.alltoallv(send);
-      benchmark::DoNotOptimize(recv.size());
+      const std::vector<u64> send(per_peer / 8, static_cast<u64>(comm.rank()));
+      comm::Exchanger ex(comm);
+      for (int d = 0; d < P; ++d) ex.post(d, send);
+      ex.flush_async(/*done=*/true);
+      auto recv = ex.wait();
+      benchmark::DoNotOptimize(recv.bytes.size());
     });
   }
   state.SetBytesProcessed(static_cast<i64>(state.iterations()) * P * P *

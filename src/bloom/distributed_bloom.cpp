@@ -21,13 +21,13 @@ BloomStageResult run_bloom_stage(core::StageContext& ctx, const io::ReadStore& r
 
   // --- the a-priori Eq. 2 + singleton-ratio cardinality estimate (§6) sizes
   // this rank's Bloom partition. Uniform hashing gives each rank ~1/P of the
-  // distinct set.
-  u64 local_windows = 0;
-  const u64 first = reads.first_local_gid();
-  for (u64 g = first; g < first + reads.local_count(); ++g) {
-    local_windows += kmer::window_count(reads.local_length(g), cfg.k);
+  // distinct set. The partition replicates every read's length on every
+  // rank, so the global window count needs no collective.
+  const io::ReadPartition& partition = reads.partition();
+  u64 total_windows = 0;
+  for (u64 g = 0; g < partition.total_reads(); ++g) {
+    total_windows += kmer::window_count(partition.length(g), cfg.k);
   }
-  u64 total_windows = comm.allreduce_sum(local_windows);
   u64 est_distinct =
       estimate_distinct_kmers(total_windows, cfg.assumed_error_rate, cfg.k);
   if (cfg.sketch.enabled()) {

@@ -2,6 +2,7 @@
 
 #include "comm/detail/world_state.hpp"
 #include "comm/fault.hpp"
+#include "util/timer.hpp"
 
 namespace dibella::comm {
 
@@ -37,18 +38,6 @@ void Communicator::finish_record(ExchangeRecord rec, double wall_seconds) {
   rec.wall_seconds = wall_seconds;
   const ExchangeRecord& stored = state_.append_record(rank_, std::move(rec));
   if (sink_) sink_(stored);
-}
-
-void Communicator::post_payload(int dst, CollectiveOp op, std::vector<u8> data) {
-  detail::MailboxMessage msg;
-  msg.epoch = epoch_;
-  msg.op = op;
-  msg.bytes = std::move(data);
-  state_.deposit(rank_, dst, std::move(msg));
-}
-
-std::vector<u8> Communicator::take_payload(int src, CollectiveOp op) {
-  return state_.consume(src, rank_, epoch_, op, /*chunk_index=*/0).bytes;
 }
 
 }  // namespace dibella::comm

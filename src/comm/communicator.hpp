@@ -1,31 +1,24 @@
 #pragma once
 /// \file communicator.hpp
-/// Per-rank handle providing MPI-style collectives over the in-process
-/// World. All operations are collective: every rank of the world must call
-/// them in the same order (standard SPMD contract). Payload element types
-/// must be trivially copyable — strings and other dynamic payloads are
-/// serialized explicitly by callers (as real MPI codes do).
+/// Per-rank handle on the in-process World: rank and size, the stage tag
+/// every exchange record carries, the record and exchange-start sinks, the
+/// collective epoch, and the one blocking collective, barrier().
 ///
-/// Collectives run over the World's per-peer mailbox slots: each call
-/// deposits epoch-tagged payloads for its destinations and consumes the
-/// matching deposits from its sources, blocking only on the specific peers
-/// it needs (there is no whole-world synchronization inside a collective —
-/// the only fence is the explicit barrier()). The blocking calls here are
-/// thin wrappers over that protocol; the nonblocking batched path is
-/// comm::Exchanger (exchanger.hpp), which shares the same epoch stream so
-/// blocking and nonblocking calls may be freely interleaved.
+/// Every payload between ranks travels through comm::Exchanger
+/// (exchanger.hpp): flushes deposit CRC-framed, epoch-tagged chunks into the
+/// World's per-peer mailbox slots and the matching wait() consumes them,
+/// retransmitting from the sender's replay copy when a chunk is lost or
+/// mangled. There is no unframed payload path. Operations are collective:
+/// every rank calls barrier() and flushes in the same order (standard SPMD
+/// contract), and each one consumes exactly one epoch.
 
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
-#include <type_traits>
-#include <vector>
 
 #include "comm/exchange_record.hpp"
 #include "util/common.hpp"
-#include "util/timer.hpp"
 
 namespace dibella::comm {
 
@@ -63,188 +56,11 @@ class Communicator {
   /// Synchronize all ranks (the World's single phase fence).
   void barrier();
 
-  /// Irregular all-to-all (MPI_Alltoallv): send[d] goes to rank d; returns
-  /// recv where recv[s] is the payload from rank s.
-  template <class T>
-  std::vector<std::vector<T>> alltoallv(const std::vector<std::vector<T>>& send) {
-    static_assert(std::is_trivially_copyable_v<T>, "alltoallv payload must be POD");
-    DIBELLA_CHECK(static_cast<int>(send.size()) == size_, "alltoallv: send.size() != P");
-    fault_point();
-    util::WallTimer timer;
-    ExchangeRecord rec = start_record(CollectiveOp::kAlltoallv);
-    for (int d = 0; d < size_; ++d) {
-      if (d != rank_) {
-        rec.bytes_to_peer[static_cast<std::size_t>(d)] =
-            send[static_cast<std::size_t>(d)].size() * sizeof(T);
-      }
-      post_payload(d, CollectiveOp::kAlltoallv, to_bytes(send[static_cast<std::size_t>(d)]));
-    }
-    std::vector<std::vector<T>> recv(static_cast<std::size_t>(size_));
-    for (int s = 0; s < size_; ++s) {
-      recv[static_cast<std::size_t>(s)] =
-          from_bytes<T>(take_payload(s, CollectiveOp::kAlltoallv));
-    }
-    advance_epoch();
-    finish_record(std::move(rec), timer.seconds());
-    return recv;
-  }
-
-  /// All-to-all returning the concatenation of all received payloads in
-  /// source-rank order (the common consumption pattern in the pipeline).
-  /// Receives each source's bytes directly into one contiguous buffer — no
-  /// per-source intermediate vectors. When `src_offsets` is non-null it
-  /// receives P+1 element offsets: source s's payload occupies
-  /// [src_offsets[s], src_offsets[s+1]) of the result.
-  template <class T>
-  std::vector<T> alltoallv_flat(const std::vector<std::vector<T>>& send,
-                                std::vector<u64>* src_offsets = nullptr) {
-    static_assert(std::is_trivially_copyable_v<T>, "alltoallv payload must be POD");
-    DIBELLA_CHECK(static_cast<int>(send.size()) == size_, "alltoallv: send.size() != P");
-    fault_point();
-    util::WallTimer timer;
-    ExchangeRecord rec = start_record(CollectiveOp::kAlltoallv);
-    for (int d = 0; d < size_; ++d) {
-      if (d != rank_) {
-        rec.bytes_to_peer[static_cast<std::size_t>(d)] =
-            send[static_cast<std::size_t>(d)].size() * sizeof(T);
-      }
-      post_payload(d, CollectiveOp::kAlltoallv, to_bytes(send[static_cast<std::size_t>(d)]));
-    }
-    // Consume every source's bytes before sizing the output, then copy each
-    // payload once, straight into its slice of the contiguous result.
-    std::vector<std::vector<u8>> raw(static_cast<std::size_t>(size_));
-    std::size_t total = 0;
-    for (int s = 0; s < size_; ++s) {
-      raw[static_cast<std::size_t>(s)] = take_payload(s, CollectiveOp::kAlltoallv);
-      DIBELLA_CHECK(raw[static_cast<std::size_t>(s)].size() % sizeof(T) == 0,
-                    "payload size not a multiple of element");
-      total += raw[static_cast<std::size_t>(s)].size();
-    }
-    advance_epoch();
-    std::vector<T> flat(total / sizeof(T));
-    if (src_offsets) src_offsets->assign(static_cast<std::size_t>(size_) + 1, 0);
-    std::size_t at = 0;
-    for (int s = 0; s < size_; ++s) {
-      const auto& bytes = raw[static_cast<std::size_t>(s)];
-      if (!bytes.empty()) {
-        std::memcpy(reinterpret_cast<u8*>(flat.data()) + at, bytes.data(), bytes.size());
-      }
-      at += bytes.size();
-      if (src_offsets) (*src_offsets)[static_cast<std::size_t>(s) + 1] = at / sizeof(T);
-    }
-    finish_record(std::move(rec), timer.seconds());
-    return flat;
-  }
-
-  /// MPI_Allgather of one element per rank.
-  template <class T>
-  std::vector<T> allgather(const T& v) {
-    auto per_rank = allgatherv(std::vector<T>{v});
-    return per_rank;
-  }
-
-  /// MPI_Allgatherv: concatenation of every rank's vector, in rank order.
-  template <class T>
-  std::vector<T> allgatherv(const std::vector<T>& v) {
-    static_assert(std::is_trivially_copyable_v<T>, "allgatherv payload must be POD");
-    fault_point();
-    util::WallTimer timer;
-    ExchangeRecord rec = start_record(CollectiveOp::kAllgather);
-    for (int d = 0; d < size_; ++d) {
-      if (d != rank_) rec.bytes_to_peer[static_cast<std::size_t>(d)] = v.size() * sizeof(T);
-      post_payload(d, CollectiveOp::kAllgather, to_bytes(v));
-    }
-    std::vector<T> out;
-    for (int s = 0; s < size_; ++s) {
-      auto part = from_bytes<T>(take_payload(s, CollectiveOp::kAllgather));
-      out.insert(out.end(), part.begin(), part.end());
-    }
-    advance_epoch();
-    finish_record(std::move(rec), timer.seconds());
-    return out;
-  }
-
-  /// MPI_Allreduce with an arbitrary associative op; deterministic
-  /// (reduction always applied in rank order).
-  template <class T, class Op>
-  T allreduce(const T& v, Op op) {
-    auto all = allgather(v);
-    T acc = all[0];
-    for (std::size_t i = 1; i < all.size(); ++i) acc = op(acc, all[i]);
-    return acc;
-  }
-
-  u64 allreduce_sum(u64 v) {
-    return allreduce(v, [](u64 a, u64 b) { return a + b; });
-  }
-  double allreduce_sum(double v) {
-    return allreduce(v, [](double a, double b) { return a + b; });
-  }
-  u64 allreduce_max(u64 v) {
-    return allreduce(v, [](u64 a, u64 b) { return a > b ? a : b; });
-  }
-  double allreduce_max(double v) {
-    return allreduce(v, [](double a, double b) { return a > b ? a : b; });
-  }
-  bool allreduce_and(bool v) {
-    return allreduce(u8{v ? u8{1} : u8{0}}, [](u8 a, u8 b) { return static_cast<u8>(a & b); }) != 0;
-  }
-
-  /// Exclusive prefix sum over ranks (MPI_Exscan); rank 0 receives 0.
-  u64 exscan_sum(u64 v) {
-    auto all = allgather(v);
-    u64 acc = 0;
-    for (int r = 0; r < rank_; ++r) acc += all[static_cast<std::size_t>(r)];
-    return acc;
-  }
-
-  /// MPI_Bcast of a trivially-copyable value from `root`.
-  template <class T>
-  T broadcast(const T& v, int root) {
-    static_assert(std::is_trivially_copyable_v<T>, "broadcast payload must be POD");
-    fault_point();
-    util::WallTimer timer;
-    ExchangeRecord rec = start_record(CollectiveOp::kBroadcast);
-    if (rank_ == root) {
-      for (int d = 0; d < size_; ++d) {
-        if (d != root) rec.bytes_to_peer[static_cast<std::size_t>(d)] = sizeof(T);
-        post_payload(d, CollectiveOp::kBroadcast, to_bytes(std::vector<T>{v}));
-      }
-    }
-    auto got = from_bytes<T>(take_payload(root, CollectiveOp::kBroadcast));
-    advance_epoch();
-    finish_record(std::move(rec), timer.seconds());
-    DIBELLA_CHECK(got.size() == 1, "broadcast: bad payload");
-    return got[0];
-  }
-
-  /// MPI_Gatherv to `root`: root receives every rank's vector (indexed by
-  /// source rank); non-roots receive an empty result.
-  template <class T>
-  std::vector<std::vector<T>> gather(const std::vector<T>& v, int root) {
-    static_assert(std::is_trivially_copyable_v<T>, "gather payload must be POD");
-    fault_point();
-    util::WallTimer timer;
-    ExchangeRecord rec = start_record(CollectiveOp::kGather);
-    if (root != rank_) rec.bytes_to_peer[static_cast<std::size_t>(root)] = v.size() * sizeof(T);
-    post_payload(root, CollectiveOp::kGather, to_bytes(v));
-    std::vector<std::vector<T>> out;
-    if (rank_ == root) {
-      out.resize(static_cast<std::size_t>(size_));
-      for (int s = 0; s < size_; ++s) {
-        out[static_cast<std::size_t>(s)] = from_bytes<T>(take_payload(s, CollectiveOp::kGather));
-      }
-    }
-    advance_epoch();
-    finish_record(std::move(rec), timer.seconds());
-    return out;
-  }
-
  private:
   friend class Exchanger;
 
-  /// Every collective operation (blocking collectives and Exchanger flushes
-  /// alike) announces itself here before touching the wire: the call assigns
+  /// Every collective operation (barriers and Exchanger flushes alike)
+  /// announces itself here before touching the wire: the call assigns
   /// the operation's 0-based index within the current stage on this rank —
   /// the `epoch` coordinate of `--inject-fault=kind@stage:epoch[:rank]` —
   /// and throws RankFailure if an unfired abort spec matches. Returns the
@@ -254,31 +70,10 @@ class Communicator {
   ExchangeRecord start_record(CollectiveOp op);
   void finish_record(ExchangeRecord rec, double wall_seconds);
 
-  /// Deposit `data` for rank `dst`, tagged with the current epoch and `op`.
-  /// Nonblocking.
-  void post_payload(int dst, CollectiveOp op, std::vector<u8> data);
-  /// Consume the payload rank `src` deposited for this rank at the current
-  /// epoch; blocks until it arrives.
-  std::vector<u8> take_payload(int src, CollectiveOp op);
-  /// Move to the next collective epoch; every collective (including the
-  /// barrier and each Exchanger flush) consumes exactly one epoch on every
-  /// rank, which is what keeps mailbox tags aligned across ranks.
+  /// Move to the next collective epoch; every collective (the barrier and
+  /// each Exchanger flush) consumes exactly one epoch on every rank, which is
+  /// what keeps mailbox tags aligned across ranks.
   void advance_epoch() { ++epoch_; }
-
-  template <class T>
-  static std::vector<u8> to_bytes(const std::vector<T>& v) {
-    std::vector<u8> out(v.size() * sizeof(T));
-    if (!v.empty()) std::memcpy(out.data(), v.data(), out.size());
-    return out;
-  }
-
-  template <class T>
-  static std::vector<T> from_bytes(std::vector<u8> bytes) {
-    DIBELLA_CHECK(bytes.size() % sizeof(T) == 0, "payload size not a multiple of element");
-    std::vector<T> out(bytes.size() / sizeof(T));
-    if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
-    return out;
-  }
 
   detail::WorldState& state_;
   int rank_;

@@ -20,26 +20,22 @@
 
 namespace dibella::comm::detail {
 
-/// One staged payload travelling src -> dst. Every message is tagged with the
-/// sender's collective epoch and operation so a consumer can detect
-/// mismatched collective sequences instead of silently mixing payloads, and
-/// chunk-indexed so a single logical exchange may travel as several pieces
-/// (the Exchanger's chunked batches). Exchanger chunks additionally carry a
-/// reliability frame — wire sequence number, payload length, CRC32 — so a
-/// truncated or bit-flipped chunk is detected on receive and replaced from
-/// the sender's replay buffer instead of being consumed as garbage.
+/// One Exchanger chunk travelling src -> dst. Every chunk is tagged with the
+/// sender's collective epoch and its position in that epoch's chunk train,
+/// and carries a reliability frame — wire sequence number, payload length,
+/// CRC32 — so a truncated or bit-flipped chunk is detected on receive and
+/// replaced from the sender's replay buffer instead of being consumed as
+/// garbage.
 struct MailboxMessage {
   u64 epoch = 0;             ///< sender's collective epoch at deposit time
-  CollectiveOp op = CollectiveOp::kBarrier;
   u32 chunk_index = 0;       ///< position within this epoch's chunk train
   u32 chunk_count = 1;       ///< total chunks this (src, dst, epoch) sends
-  u8 sender_done = 0;        ///< piggybacked termination bit (Exchanger)
-  u8 framed = 0;             ///< carries the reliability frame (Exchanger path)
+  u8 sender_done = 0;        ///< piggybacked termination bit
   u64 chunk_seq = 0;         ///< per-(src, dst) wire sequence number
-  u64 payload_bytes = 0;     ///< framed: expected bytes.size()
-  u32 payload_crc = 0;       ///< framed: CRC32 of the pristine payload
-  /// Framed: instant the wire copy becomes visible to the receiver (a delay
-  /// fault pushes this into the future; default epoch == always visible).
+  u64 payload_bytes = 0;     ///< expected bytes.size()
+  u32 payload_crc = 0;       ///< CRC32 of the pristine payload
+  /// Instant the wire copy becomes visible to the receiver (a delay fault
+  /// pushes this into the future; default epoch == always visible).
   std::chrono::steady_clock::time_point visible_at{};
   std::vector<u8> bytes;
 };
@@ -48,29 +44,25 @@ struct MailboxMessage {
 /// payload bytes between ranks, a single generation-counting phase fence with
 /// poison support, and the per-rank exchange-record logs.
 ///
-/// The mailbox protocol replaces the former two-barrier post/take scheme:
-/// a sender deposits epoch-tagged messages into the (src, dst) mailbox and
-/// continues immediately (deposits never block, so a nonblocking flush can
-/// never deadlock against another rank's flush); the receiver consumes the
-/// message matching its own epoch, blocking only until that specific deposit
-/// arrives. Collectives therefore need no whole-world synchronization at
-/// all — the only fence is the explicit barrier() collective.
-/// Consumption validates the (epoch, op) tag and poisons the world on a
-/// mismatched collective sequence; a consume or fence that waits longer than
-/// the timeout poisons the world as well, so misuse aborts instead of
-/// deadlocking. Mailbox depth is unbounded, but bounded in practice by the
-/// SPMD discipline: blocking collectives drain every epoch they participate
-/// in, and the Exchanger keeps at most one flush in flight.
+/// One deposit path and one consume path move every payload: a sender's
+/// Exchanger flush deposits epoch-tagged, framed chunks into the (src, dst)
+/// mailbox and continues immediately (deposits never block, so two ranks
+/// flushing at each other cannot deadlock); the receiver consumes the chunk
+/// matching its own epoch, blocking only until that specific deposit
+/// arrives. Payload exchange therefore needs no whole-world synchronization
+/// — the only fence is the explicit barrier() collective. A consume or fence
+/// that waits longer than the timeout poisons the world, so mismatched
+/// collective sequences abort instead of deadlocking. Mailbox depth is
+/// unbounded, but bounded in practice by the SPMD discipline: the Exchanger
+/// keeps at most one flush in flight and drains every epoch it flushes.
 ///
-/// Exchanger chunks travel through the framed variant of that protocol
-/// (deposit_framed / consume_reliable): the deposit and the sender-side
-/// replay copy are stored under one lock, so a receiver that sees the replay
-/// entry without a consumable wire copy knows the chunk was lost or mangled
-/// in transit — never merely "not sent yet" — and requests a retransmission
-/// (bounded, with exponential backoff). In a fault-free run the replay
-/// buffer is not even populated (it only exists while a FaultPlan is
-/// installed), so the retry counters stay exactly zero and byte-identity of
-/// counters.tsv across schedules is preserved.
+/// deposit() stores the wire copy and the sender-side replay copy under one
+/// lock, so a receiver in consume() that sees the replay entry without a
+/// consumable wire copy knows the chunk was lost or mangled in transit — never merely "not sent yet" — and requests a
+/// retransmission (bounded, with exponential backoff). In a fault-free run
+/// the replay buffer is not even populated (it only exists while a
+/// FaultPlan is installed), so the retry counters stay exactly zero and
+/// byte-identity of counters.tsv across schedules is preserved.
 class WorldState {
  public:
   /// Bounded retransmission: a chunk that cannot be validated after this
@@ -100,29 +92,19 @@ class WorldState {
     return fault_plan_;
   }
 
-  /// Deposit a message into the src -> dst mailbox. Never blocks. Only the
-  /// destination rank's thread ever consumes from its mailboxes, so the
-  /// notify targets its cv alone — with ranks oversubscribed on few cores,
-  /// waking every sleeping rank per deposit costs a context switch each.
-  void deposit(int src, int dst, MailboxMessage msg) {
+  /// Deposit an Exchanger chunk into the src -> dst mailbox with the
+  /// reliability frame stamped (wire sequence number, payload length,
+  /// CRC32). Never blocks. Only the destination rank's thread ever consumes
+  /// from its mailboxes, so the notify targets its cv alone — with ranks
+  /// oversubscribed on few cores, waking every sleeping rank per deposit
+  /// costs a context switch each. When a FaultPlan is installed the pristine
+  /// copy is also stored in the sender's replay buffer — under the same lock
+  /// as the wire deposit, which is what makes the receiver's "replay entry
+  /// but no wire copy" test mean *lost*, never *early*. An injected
+  /// transport `fault` then mangles only the wire copy.
+  void deposit(int src, int dst, MailboxMessage msg, std::optional<FaultKind> fault) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      mailbox(src, dst).push_back(std::move(msg));
-    }
-    rank_cv_[static_cast<std::size_t>(dst)].notify_all();
-  }
-
-  /// Deposit an Exchanger chunk with the reliability frame stamped (wire
-  /// sequence number, payload length, CRC32). When a FaultPlan is installed
-  /// the pristine copy is also stored in the sender's replay buffer — under
-  /// the same lock as the wire deposit, which is what makes the receiver's
-  /// "replay entry but no wire copy" test mean *lost*, never *early*. An
-  /// injected transport `fault` then mangles only the wire copy.
-  void deposit_framed(int src, int dst, MailboxMessage msg,
-                      std::optional<FaultKind> fault) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      msg.framed = 1;
       msg.chunk_seq = next_seq_[pair_index(src, dst)]++;
       msg.payload_bytes = msg.bytes.size();
       // The CRC backs the self-healing retransmission protocol, which only
@@ -167,46 +149,10 @@ class WorldState {
     rank_cv_[static_cast<std::size_t>(dst)].notify_all();
   }
 
-  /// Consume the message of the src -> dst mailbox carrying
-  /// `(epoch, op, chunk_index)`. Blocks until that deposit arrives; poisons
-  /// on timeout (a peer never reached this collective). Messages of *other*
-  /// epochs may sit in the box while we wait — an in-flight Exchanger batch
-  /// whose wait() comes after a later blocking collective, or a sender that
-  /// has run ahead — but a message of the *same* epoch with a different op
-  /// is a mismatched collective sequence and poisons the world immediately.
-  MailboxMessage consume(int src, int dst, u64 epoch, CollectiveOp op, u32 chunk_index) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    auto& box = mailbox(src, dst);
-    while (true) {
-      if (poisoned_) throw WorldPoisoned();
-      for (auto it = box.begin(); it != box.end(); ++it) {
-        if (it->epoch != epoch) continue;
-        if (it->op != op) {
-          poison_locked(std::make_exception_ptr(CommFailure(
-              std::string("collective sequence mismatch: expected ") +
-              collective_op_name(op) + " (epoch " + std::to_string(epoch) + "), got " +
-              collective_op_name(it->op) + " (epoch " + std::to_string(it->epoch) + ")")));
-          throw WorldPoisoned();
-        }
-        if (it->chunk_index != chunk_index) continue;
-        MailboxMessage msg = std::move(*it);
-        box.erase(it);
-        return msg;
-      }
-      std::size_t seen = box.size();
-      bool ok = rank_cv_[static_cast<std::size_t>(dst)].wait_for(
-          lock, std::chrono::duration<double>(timeout_),
-          [&] { return box.size() != seen || poisoned_; });
-      if (poisoned_) throw WorldPoisoned();
-      if (!ok) {
-        poison_locked(std::make_exception_ptr(CommFailure(
-            "exchange timeout: ranks executed mismatched collective sequences")));
-        throw WorldPoisoned();
-      }
-    }
-  }
-
-  /// Consume a framed Exchanger chunk, validating its reliability frame.
+  /// Consume the src -> dst Exchanger chunk `(epoch, chunk_index)`,
+  /// validating its reliability frame. Blocks until the chunk arrives;
+  /// poisons on timeout (a peer never reached this flush). Chunks of *other*
+  /// epochs may sit in the box while we wait — a sender that has run ahead.
   /// A wire copy failing length/CRC validation is discarded (counted as a
   /// corrupt chunk); a chunk whose replay entry exists but which has no
   /// consumable wire copy — dropped, delayed past patience, or just
@@ -215,7 +161,7 @@ class WorldState {
   /// Successful consumption purges every other wire copy of the same chunk
   /// (duplicate deliveries, late delayed originals) so redelivery is
   /// idempotent.
-  MailboxMessage consume_reliable(int src, int dst, u64 epoch, u32 chunk_index) {
+  MailboxMessage consume(int src, int dst, u64 epoch, u32 chunk_index) {
     std::unique_lock<std::mutex> lock(mutex_);
     auto& box = mailbox(src, dst);
     u32 attempts = 0;
@@ -224,15 +170,7 @@ class WorldState {
       const auto now = std::chrono::steady_clock::now();
       bool rescan = false;
       for (auto it = box.begin(); it != box.end(); ++it) {
-        if (it->epoch != epoch) continue;
-        if (it->op != CollectiveOp::kExchange) {
-          poison_locked(std::make_exception_ptr(CommFailure(
-              std::string("collective sequence mismatch: expected exchange (epoch ") +
-              std::to_string(epoch) + "), got " + collective_op_name(it->op) +
-              " (epoch " + std::to_string(it->epoch) + ")")));
-          throw WorldPoisoned();
-        }
-        if (it->chunk_index != chunk_index) continue;
+        if (it->epoch != epoch || it->chunk_index != chunk_index) continue;
         if (it->visible_at > now) continue;  // delayed on the wire
         if (it->bytes.size() != it->payload_bytes ||
             (fault_plan_ &&
@@ -247,8 +185,7 @@ class WorldState {
         // Idempotent receive: purge every other wire copy of this chunk
         // (duplicate deliveries, late-arriving delayed originals).
         for (auto jt = box.begin(); jt != box.end();) {
-          if (jt->epoch == epoch && jt->op == CollectiveOp::kExchange &&
-              jt->chunk_index == chunk_index) {
+          if (jt->epoch == epoch && jt->chunk_index == chunk_index) {
             jt = box.erase(jt);
             ++fault_stats_[static_cast<std::size_t>(dst)].redeliveries;
           } else {
@@ -306,7 +243,7 @@ class WorldState {
   }
 
   /// Called by receiver `dst` after a full Exchanger wait(): the batch of
-  /// `epoch` is consumed, so drop its replay entries and purge any framed
+  /// `epoch` is consumed, so drop its replay entries and purge any
   /// stragglers of that epoch still sitting in the mailboxes (counted as
   /// discarded redeliveries).
   void ack_exchange_epoch(int dst, u64 epoch) {
@@ -315,7 +252,7 @@ class WorldState {
       replay_[pair_index(src, dst)].erase(epoch);
       auto& box = mailbox(src, dst);
       for (auto it = box.begin(); it != box.end();) {
-        if (it->framed && it->epoch == epoch) {
+        if (it->epoch == epoch) {
           it = box.erase(it);
           ++fault_stats_[static_cast<std::size_t>(dst)].redeliveries;
         } else {
@@ -458,7 +395,7 @@ class WorldState {
   const double timeout_;
   std::vector<std::deque<MailboxMessage>> mailboxes_;
   std::vector<u64> next_seq_;  ///< per (src, dst) wire sequence counters
-  /// Per (src, dst): pristine framed chunks keyed by epoch, kept until the
+  /// Per (src, dst): pristine chunks keyed by epoch, kept until the
   /// receiver acks the epoch. Populated only while a FaultPlan is installed.
   std::vector<std::map<u64, std::vector<MailboxMessage>>> replay_;
   std::vector<CommFaultStats> fault_stats_;  ///< per receiving rank

@@ -19,16 +19,11 @@
 
 namespace dibella::comm {
 
-/// Collective operation kinds (named after their MPI equivalents).
-/// kExchange is the Exchanger's batched all-to-all: the same wire pattern as
-/// kAlltoallv, but issued with flush_async()/wait() so the transfer can
-/// overlap local compute.
+/// Collective operation kinds. kExchange is one Exchanger flush/wait pair:
+/// a batched irregular all-to-all (the wire pattern of MPI_Alltoallv),
+/// issued with flush_async()/wait() so the transfer can overlap local
+/// compute. Every payload between ranks travels as one.
 enum class CollectiveOp : u8 {
-  kAlltoallv,
-  kAllgather,
-  kAllreduce,
-  kBroadcast,
-  kGather,
   kBarrier,
   kExchange,
 };
@@ -44,11 +39,11 @@ struct ExchangeRecord {
   double wall_seconds = 0.0;     ///< measured wall time the rank was blocked in the call
   /// Measured wall time between flush_async() and wait() during which the
   /// exchange was in flight while this rank computed (kExchange only; 0 for
-  /// blocking collectives). The cost model's exposed/hidden split is virtual
+  /// the barrier). The cost model's exposed/hidden split is virtual
   /// (trace-derived); this is the measured counterpart.
   double hidden_wall_seconds = 0.0;
   /// Wire chunks this flush put on the mailboxes, peers only (kExchange
-  /// only; blocking collectives are modeled as one message per peer).
+  /// only; the barrier moves no payload).
   u64 chunks = 0;
   /// Replay retransmissions this rank requested while receiving this batch
   /// (kExchange only; nonzero only under injected transport faults).

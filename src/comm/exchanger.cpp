@@ -57,7 +57,6 @@ void Exchanger::flush_async(bool done) {
     for (u32 c = 0; c < chunks; ++c) {
       detail::MailboxMessage msg;
       msg.epoch = flight_epoch_;
-      msg.op = CollectiveOp::kExchange;
       msg.chunk_index = c;
       msg.chunk_count = chunks;
       msg.sender_done = done ? 1 : 0;
@@ -70,8 +69,7 @@ void Exchanger::flush_async(bool done) {
                          buf.begin() + static_cast<std::ptrdiff_t>(end));
       }
       const bool mangle = fault && d == fault_dst && c == 0;
-      comm_.state_.deposit_framed(comm_.rank(), d, std::move(msg),
-                                  mangle ? fault : std::nullopt);
+      comm_.state_.deposit(comm_.rank(), d, std::move(msg), mangle ? fault : std::nullopt);
     }
     buf.clear();
   }
@@ -92,12 +90,11 @@ RecvBatch Exchanger::wait() {
   batch.src_offsets.assign(static_cast<std::size_t>(P) + 1, 0);
   batch.done_flags.assign(static_cast<std::size_t>(P), 0);
   for (int s = 0; s < P; ++s) {
-    auto first = comm_.state_.consume_reliable(s, comm_.rank(), flight_epoch_,
-                                               /*chunk_index=*/0);
+    auto first = comm_.state_.consume(s, comm_.rank(), flight_epoch_, /*chunk_index=*/0);
     batch.done_flags[static_cast<std::size_t>(s)] = first.sender_done;
     batch.bytes.insert(batch.bytes.end(), first.bytes.begin(), first.bytes.end());
     for (u32 c = 1; c < first.chunk_count; ++c) {
-      auto next = comm_.state_.consume_reliable(s, comm_.rank(), flight_epoch_, c);
+      auto next = comm_.state_.consume(s, comm_.rank(), flight_epoch_, c);
       batch.bytes.insert(batch.bytes.end(), next.bytes.begin(), next.bytes.end());
     }
     batch.src_offsets[static_cast<std::size_t>(s) + 1] = batch.bytes.size();

@@ -128,10 +128,12 @@ class ByteReader {
     return v;
   }
 
-  /// Append `n` items of T to `out`.
+  /// Append `n` items of T to `out`. `n` is checked against the bytes
+  /// left before it is scaled, so a wire count near 2^64 cannot wrap.
   template <class T>
-  void read_into(std::vector<T>& out, std::size_t n) {
+  void read_into(std::vector<T>& out, u64 n) {
     static_assert(std::is_trivially_copyable_v<T>, "framed payload must be POD");
+    DIBELLA_CHECK(n <= left_ / sizeof(T), "ByteReader: truncated frame payload");
     const u8* src = take(n * sizeof(T));
     std::size_t at = out.size();
     out.resize(at + n);

@@ -9,12 +9,11 @@
 /// several). `stage` is the pipeline stage tag the communicator is in
 /// (bloom | ht | overlap | align | sgraph), `epoch` is the 0-based index of
 /// a collective operation within that stage on the injecting `rank`
-/// (default rank 0) — every blocking collective and every Exchanger flush
-/// counts one. A spec arms at the first *opportunity* at or after its
-/// epoch: abort faults fire at the matching collective of any kind;
-/// transport faults need an Exchanger flush (the framed chunk path every
-/// stage exchange runs on, under either --overlap-comm schedule), so they
-/// fire at the stage's first flush at or after the epoch.
+/// (default rank 0) — every barrier and every Exchanger flush counts one. A spec arms at the first *opportunity*
+/// at or after its epoch: abort faults fire at the matching collective of
+/// either kind; transport faults need an Exchanger flush (the framed chunk
+/// path every payload travels, under either --overlap-comm schedule), so
+/// they fire at the stage's first flush at or after the epoch.
 ///
 /// Transport faults mangle exactly one wire chunk of the matched flush (the
 /// chunk-0 payload to neighbour (rank+1) % P): dropped, duplicated, delayed,
@@ -50,7 +49,7 @@ const char* fault_kind_name(FaultKind kind);
 /// index, and the injecting rank.
 struct FaultSpec {
   FaultKind kind = FaultKind::kDrop;
-  std::string stage;  ///< bloom | ht | overlap | align | sgraph
+  std::string stage;  ///< bloom | ht | overlap | align | sgraph (io: the loader)
   u64 epoch = 0;      ///< 0-based collective index within `stage` on `rank`
   int rank = 0;       ///< the rank that injects (sender / aborter)
 };
@@ -90,6 +89,9 @@ class FaultPlan {
   /// consumes and returns the first unfired matching transport spec's kind.
   std::optional<FaultKind> transport_fault(const std::string& stage, u64 index,
                                            int rank) const;
+
+  /// Whether spec `i` (an index into specs()) has fired.
+  bool fired(std::size_t i) const { return fired_[i].load(); }
 
  private:
   std::vector<FaultSpec> specs_;

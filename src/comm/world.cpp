@@ -11,11 +11,6 @@ namespace dibella::comm {
 
 const char* collective_op_name(CollectiveOp op) {
   switch (op) {
-    case CollectiveOp::kAlltoallv: return "alltoallv";
-    case CollectiveOp::kAllgather: return "allgather";
-    case CollectiveOp::kAllreduce: return "allreduce";
-    case CollectiveOp::kBroadcast: return "broadcast";
-    case CollectiveOp::kGather: return "gather";
     case CollectiveOp::kBarrier: return "barrier";
     case CollectiveOp::kExchange: return "exchange";
   }

@@ -1,25 +1,24 @@
 #pragma once
 /// \file world.hpp
 /// The SPMD execution substrate: P "ranks" run as OS threads inside one
-/// process, communicating only through MPI-style collectives on a
-/// Communicator (see communicator.hpp).
+/// process, communicating only through collectives on a Communicator (see
+/// communicator.hpp): comm::Exchanger flushes and barrier().
 ///
 /// This substitutes for MPI in the paper's design (README "Communication
 /// substrate"): pipeline code is written exactly as an MPI program would
-/// be — per-destination
-/// buffers, irregular all-to-all exchanges, barriers — and every byte that
-/// would cross the network is recorded per (src, dst) pair for the network
-/// cost model. Payloads move through per-peer mailbox slots tagged with the
-/// sender's collective epoch: a collective deposits for its destinations
-/// without blocking and consumes from its sources as their deposits arrive,
-/// so ranks synchronize only pairwise and only on the data they actually
-/// need — which is what lets comm::Exchanger overlap an in-flight batch
-/// with local compute. The blocking collectives (communicator.hpp) are thin
-/// wrappers over the same protocol, and barrier() is the one remaining
-/// whole-world phase fence. Rank failures (and epoch/op tag mismatches,
-/// i.e. mismatched collective sequences) poison the world so sibling ranks
-/// blocked in collectives terminate instead of deadlocking, and the first
-/// exception is rethrown from World::run.
+/// be — per-destination buffers, irregular all-to-all exchanges, barriers —
+/// and every byte that would cross the network is recorded per (src, dst)
+/// pair for the network cost model. Payloads move through per-peer mailbox
+/// slots as CRC-framed chunks tagged with the sender's collective epoch: a
+/// flush deposits for its destinations without blocking and wait() consumes
+/// from its sources as their deposits arrive, so ranks synchronize only
+/// pairwise and only on the data they actually need — which is what lets
+/// comm::Exchanger overlap an in-flight batch with local compute. barrier()
+/// is the one whole-world phase fence. Rank failures (and collective
+/// timeouts or barrier-epoch mismatches, i.e. mismatched collective
+/// sequences) poison the world so sibling ranks blocked in collectives
+/// terminate instead of deadlocking, and the first exception is rethrown
+/// from World::run.
 
 #include <functional>
 #include <memory>

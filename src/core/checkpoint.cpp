@@ -197,6 +197,14 @@ std::vector<u8> CheckpointSet::read_payload(CheckpointStage stage, int rank) con
   in.read(reinterpret_cast<char*>(&payload), sizeof(payload));
   DIBELLA_CHECK(in.good() && magic == kPayloadMagic,
                 "CheckpointSet: " + path + " is not a checkpoint payload (bad magic)");
+  // Check the length field against the file before allocating: a corrupted
+  // header must fail as a typed error, not as a huge allocation.
+  std::error_code ec;
+  const u64 file_bytes = std::filesystem::file_size(path, ec);
+  constexpr u64 kFraming = sizeof(magic) + sizeof(payload) + sizeof(u32);
+  DIBELLA_CHECK(!ec && file_bytes >= kFraming && payload == file_bytes - kFraming,
+                "CheckpointSet: length field of " + path +
+                    " does not match the file size (truncated or trailing bytes)");
   std::vector<u8> bytes(static_cast<std::size_t>(payload));
   in.read(reinterpret_cast<char*>(bytes.data()),
           static_cast<std::streamsize>(payload));

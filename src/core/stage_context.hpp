@@ -149,11 +149,6 @@ struct StageContext {
  private:
   static const char* collective_span_name(comm::CollectiveOp op) {
     switch (op) {
-      case comm::CollectiveOp::kAlltoallv: return "collective:alltoallv";
-      case comm::CollectiveOp::kAllgather: return "collective:allgather";
-      case comm::CollectiveOp::kAllreduce: return "collective:allreduce";
-      case comm::CollectiveOp::kBroadcast: return "collective:broadcast";
-      case comm::CollectiveOp::kGather: return "collective:gather";
       case comm::CollectiveOp::kBarrier: return "collective:barrier";
       case comm::CollectiveOp::kExchange: return "collective:exchange";
     }

@@ -1,5 +1,6 @@
 #include "io/parallel_load.hpp"
 
+#include "comm/exchanger.hpp"
 #include "io/fastx.hpp"
 
 namespace dibella::io {
@@ -28,21 +29,20 @@ std::vector<Read> load_fastq_parallel(core::StageContext& ctx,
                                 bounds[static_cast<std::size_t>(comm.rank())],
                                 bounds[static_cast<std::size_t>(comm.rank()) + 1]);
 
-  // --- dense global ids: my block starts after all lower ranks' reads.
-  u64 my_first_gid = comm.exscan_sum(mine.size());
-  for (std::size_t i = 0; i < mine.size(); ++i) mine[i].gid = my_first_gid + i;
-
-  // --- serialize and allgather; every rank reassembles the global list.
-  std::vector<RecordHeaderWire> headers;
-  std::vector<char> chars;
+  // --- serialize once (header + name/seq/qual bytes per record) and send
+  // the same payload to every rank in one exchange batch; every rank
+  // reassembles the global list in source-rank order, which is gid order.
+  std::vector<u8> wire;
   u64 payload_bytes = 0;
   for (const auto& r : mine) {
-    headers.push_back(RecordHeaderWire{static_cast<u32>(r.name.size()),
-                                       static_cast<u32>(r.seq.size()),
-                                       static_cast<u32>(r.qual.size())});
-    chars.insert(chars.end(), r.name.begin(), r.name.end());
-    chars.insert(chars.end(), r.seq.begin(), r.seq.end());
-    chars.insert(chars.end(), r.qual.begin(), r.qual.end());
+    const RecordHeaderWire h{static_cast<u32>(r.name.size()),
+                             static_cast<u32>(r.seq.size()),
+                             static_cast<u32>(r.qual.size())};
+    const u8* hp = reinterpret_cast<const u8*>(&h);
+    wire.insert(wire.end(), hp, hp + sizeof(h));
+    wire.insert(wire.end(), r.name.begin(), r.name.end());
+    wire.insert(wire.end(), r.seq.begin(), r.seq.end());
+    wire.insert(wire.end(), r.qual.begin(), r.qual.end());
     payload_bytes += r.name.size() + r.seq.size() + r.qual.size();
   }
   // Parsing and serializing cost four byte copies per payload byte.
@@ -50,34 +50,35 @@ std::vector<Read> load_fastq_parallel(core::StageContext& ctx,
       .working_set(payload_bytes)
       .close();
 
-  auto all_headers = comm.allgatherv(headers);
-  auto all_chars = comm.allgatherv(chars);
-
-  auto assemble = ctx.kernel("io:assemble");
   std::vector<Read> reads;
-  reads.reserve(all_headers.size());
-  std::size_t offset = 0;
-  for (const auto& h : all_headers) {
-    Read r;
-    r.gid = reads.size();
-    std::size_t need = static_cast<std::size_t>(h.name_len) + h.seq_len + h.qual_len;
-    DIBELLA_CHECK(offset + need <= all_chars.size(),
-                  "parallel load: payload shorter than headers describe");
-    r.name.assign(all_chars.begin() + static_cast<std::ptrdiff_t>(offset),
-                  all_chars.begin() + static_cast<std::ptrdiff_t>(offset + h.name_len));
-    offset += h.name_len;
-    r.seq.assign(all_chars.begin() + static_cast<std::ptrdiff_t>(offset),
-                 all_chars.begin() + static_cast<std::ptrdiff_t>(offset + h.seq_len));
-    offset += h.seq_len;
-    r.qual.assign(all_chars.begin() + static_cast<std::ptrdiff_t>(offset),
-                  all_chars.begin() + static_cast<std::ptrdiff_t>(offset + h.qual_len));
-    offset += h.qual_len;
-    reads.push_back(std::move(r));
-  }
-  DIBELLA_CHECK(offset == all_chars.size(),
-                "parallel load: payload longer than headers describe");
-  assemble.units("bytes", all_chars.size(), &core::KernelCosts::per_byte_copy)
-      .working_set(all_chars.size());
+  comm::Exchanger ex(comm);
+  comm::run_exchange(
+      ex,
+      [&] {
+        for (int d = 0; d < P; ++d) ex.post(d, wire);
+        return false;
+      },
+      [&](const comm::RecvBatch& batch) {
+        auto assemble = ctx.kernel("io:assemble");
+        const auto take_string = [](comm::ByteReader& in, u32 n) {
+          const char* p = reinterpret_cast<const char*>(in.take(n));
+          return std::string(p, n);
+        };
+        for (int s = 0; s < P; ++s) {
+          comm::ByteReader in(batch.src_data(s), batch.src_size_bytes(s));
+          while (!in.empty()) {
+            const auto h = in.read<RecordHeaderWire>();
+            Read r;
+            r.gid = reads.size();
+            r.name = take_string(in, h.name_len);
+            r.seq = take_string(in, h.seq_len);
+            r.qual = take_string(in, h.qual_len);
+            reads.push_back(std::move(r));
+          }
+        }
+        assemble.units("bytes", batch.bytes.size(), &core::KernelCosts::per_byte_copy)
+            .working_set(batch.bytes.size());
+      });
   return reads;
 }
 

@@ -4,8 +4,9 @@
 /// are distributed roughly uniformly over the processors using parallel
 /// I/O" (§6). Each rank parses only its byte slice of the file (with
 /// record-boundary synchronization), then the ranks cooperatively assemble
-/// the gid-ordered global read list: counts via exclusive scan, payloads
-/// via an allgatherv of serialized records.
+/// the gid-ordered global read list: each rank sends its serialized records
+/// to every rank in one comm::Exchanger batch, and the receivers concatenate
+/// them in source-rank order.
 
 #include <string_view>
 #include <vector>

@@ -122,8 +122,7 @@ double CostModel::exchange_time(const std::vector<comm::ExchangeRecord>& per_ran
     if (bw_rank_intra > 0.0) {
       t += (send_intra + recv_intra[static_cast<std::size_t>(r)]) / bw_rank_intra;
     }
-    if (is_first_alltoallv && (per_rank[0].op == comm::CollectiveOp::kAlltoallv ||
-                               per_rank[0].op == comm::CollectiveOp::kExchange)) {
+    if (is_first_alltoallv && per_rank[0].op == comm::CollectiveOp::kExchange) {
       t += platform_.first_alltoallv_setup_s_per_peer * static_cast<double>(P);
     }
     if (per_rank_seconds) (*per_rank_seconds)[static_cast<std::size_t>(r)] = t;
@@ -219,9 +218,7 @@ TimingReport CostModel::evaluate(
       ++c;
     }
     bool is_first = false;
-    if ((call[0].op == comm::CollectiveOp::kAlltoallv ||
-         call[0].op == comm::CollectiveOp::kExchange) &&
-        !seen_alltoallv) {
+    if (call[0].op == comm::CollectiveOp::kExchange && !seen_alltoallv) {
       is_first = true;
       seen_alltoallv = true;
     }

@@ -9,11 +9,11 @@
 ///    per-unit kernel costs, core/kernel_costs.hpp) x core_time_factor x
 ///    cache_penalty(working_set / per-rank cache share). BSP semantics —
 ///    each superstep costs the max over ranks.
-///  * Exchange (alltoallv and friends): per rank r,
+///  * Exchange (one Exchanger flush, an irregular all-to-all): per rank r,
 ///        t_r = sum_msgs latency + max(send_inter, recv_inter)/bw_rank
 ///              + (send_intra + recv_intra)/intra_bw
 ///    with bw_rank = node injection bandwidth / ranks-per-node; the
-///    collective costs max_r t_r. The first alltoallv additionally pays a
+///    collective costs max_r t_r. The first exchange additionally pays a
 ///    per-peer setup cost (the paper's observed first-call anomaly, §6/§10).
 ///  * Barrier: a log2(P)-depth latency tree.
 ///  * Overlap: a nonblocking exchange (kExchangeStart ... kExchange trace

@@ -1,78 +1,23 @@
 #include "sgraph/string_graph.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "comm/exchanger.hpp"
 #include "sgraph/csr.hpp"
+#include "sgraph/fused_frame.hpp"
 
 namespace dibella::sgraph {
 
 namespace {
 
-/// Fused-round frame header: one frame per (source, destination) pair
-/// carrying the source's locally-discovered contained gid set followed by
-/// the dovetail edges routed to that destination. The contained set rides
-/// as `contained_words` u64s — a sorted gid list, or (when denser than one
-/// mark per 64 reads, the common case on coverage-heavy layouts) a bitmap
-/// over the global gid space; the sender picks whichever is smaller since
-/// the same payload goes to every peer.
-struct FusedHeader {
-  u64 contained_words = 0;
-  u64 n_edges = 0;
-  u64 contained_as_bitmap = 0;
-  u64 edges_packed = 0;  ///< edges ride as WireEdge (16 B), not DovetailEdge
-};
-static_assert(std::is_trivially_copyable_v<FusedHeader>);
-
-/// Compact wire form of a DovetailEdge — half the fat struct. Usable when
-/// every gid fits u32 and every overlap length fits 28 bits (any realistic
-/// read set); the four orientation flags ride the top nibble of ov_flags.
-/// Senders fall back to fat DovetailEdge frames otherwise (edges_packed=0),
-/// and the round-trip is value-exact either way.
-struct WireEdge {
-  u32 lo = 0;
-  u32 hi = 0;
-  u32 ov_flags = 0;
-  i32 score = 0;
-};
-static_assert(std::is_trivially_copyable_v<WireEdge>);
-constexpr u32 kWireOverlapBits = 28;
-constexpr u32 kWireOverlapMask = (u32{1} << kWireOverlapBits) - 1;
-
-WireEdge pack_edge(const DovetailEdge& e) {
-  u32 flags = static_cast<u32>(e.same_orientation != 0) |
-              (static_cast<u32>(e.from_is_lo != 0) << 1) |
-              (static_cast<u32>(e.rc_from != 0) << 2) |
-              (static_cast<u32>(e.rc_to != 0) << 3);
-  return WireEdge{static_cast<u32>(e.lo), static_cast<u32>(e.hi),
-                  e.overlap_len | (flags << kWireOverlapBits), e.score};
-}
-
-DovetailEdge unpack_edge(const WireEdge& w) {
-  DovetailEdge e;
-  e.lo = w.lo;
-  e.hi = w.hi;
-  e.overlap_len = w.ov_flags & kWireOverlapMask;
-  e.score = w.score;
-  const u32 flags = w.ov_flags >> kWireOverlapBits;
-  e.same_orientation = static_cast<u8>(flags & 1);
-  e.from_is_lo = static_cast<u8>((flags >> 1) & 1);
-  e.rc_from = static_cast<u8>((flags >> 2) & 1);
-  e.rc_to = static_cast<u8>((flags >> 3) & 1);
-  return e;
-}
-
-/// Ghost frame header: the vertex whose adjacency follows, as packed
-/// WireCsr rows when `packed` (gids fit u32), CsrEntry rows otherwise.
+/// Ghost frame header: the vertex whose adjacency follows as `deg` WireCsr
+/// rows (gids ride as u32; the stage checks the read count fits).
 struct FrameHeader {
-  u64 gid = 0;
+  u32 gid = 0;
   u32 deg = 0;
-  u32 packed = 0;
 };
 static_assert(std::is_trivially_copyable_v<FrameHeader>);
-static_assert(std::is_trivially_copyable_v<CsrEntry>);
 
 struct WireCsr {
   u32 col = 0;
@@ -128,14 +73,6 @@ void append_bytes(std::vector<u8>& out, const T& v) {
   std::size_t at = out.size();
   out.resize(at + sizeof(T));
   std::memcpy(out.data() + at, &v, sizeof(T));
-}
-
-template <class T>
-void append_array(std::vector<u8>& out, const T* v, std::size_t n) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  std::size_t at = out.size();
-  out.resize(at + n * sizeof(T));
-  if (n != 0) std::memcpy(out.data() + at, v, n * sizeof(T));
 }
 
 /// Strict total order on dovetail edges: (lo, hi) groups first, then the
@@ -210,6 +147,9 @@ StringGraphShard run_string_graph_stage(
   const auto& partition = store.partition();
   StringGraphStageResult res;
   StringGraphShard shard;
+  // Both exchange rounds carry gids as u32 wire fields.
+  DIBELLA_CHECK(partition.total_reads() <= (u64{1} << 32),
+                "sgraph: more than 2^32 reads do not fit the u32 gid wire fields");
 
   // --- (1) classify this rank's records; collect dovetails and mark
   // contained read ids in a gid-indexed byte map (the partition already
@@ -277,23 +217,15 @@ StringGraphShard run_string_graph_stage(
   // under the same total order the owners use, so the owner-side merge picks
   // the identical global winner from far fewer copies. On coverage-heavy
   // layouts this cuts the fused-round payload by an order of magnitude. The
-  // wire carries the marks as a sorted gid list or a bitmap (FusedHeader),
-  // built by one scan of the byte map and shared by every peer's frame.
+  // wire carries the marks as a sorted gid list or a bitmap
+  // (sgraph/fused_frame.hpp), built by one scan of the byte map and shared
+  // by every peer's frame.
   std::vector<u64> contained_local;
   for (u64 g = 0; g < partition.total_reads(); ++g) {
     if (contained_mark[static_cast<std::size_t>(g)]) contained_local.push_back(g);
   }
-  const u64 bitmap_words = (partition.total_reads() + 63) / 64;
-  const bool contained_as_bitmap = bitmap_words < contained_local.size();
-  std::vector<u64> contained_wire;
-  if (contained_as_bitmap) {
-    contained_wire.assign(static_cast<std::size_t>(bitmap_words), 0);
-    for (u64 g : contained_local) {
-      contained_wire[static_cast<std::size_t>(g >> 6)] |= u64{1} << (g & 63);
-    }
-  } else {
-    contained_wire = contained_local;
-  }
+  const fused_frame::ContainedSet contained_wire =
+      fused_frame::encode_contained(contained_local, partition.total_reads());
   dovetails.erase(std::remove_if(dovetails.begin(), dovetails.end(),
                                  [&](const DovetailEdge& e) {
                                    if (!contained_mark[static_cast<std::size_t>(e.lo)] &&
@@ -308,42 +240,25 @@ StringGraphShard run_string_graph_stage(
   // Route each surviving edge to both endpoint owners, serialized straight
   // into the per-destination wire buffers (no per-destination edge vectors
   // in between): one counting pass sizes each buffer and writes its header,
-  // a second pass appends the edges — still in dovetail_order, since a
+  // a second pass appends the edges — still in (lo, hi) order, since a
   // per-destination subsequence of a sorted sequence stays sorted.
-  const bool gids_fit_u32 = partition.total_reads() <= 0xFFFFFFFFull;
-  bool edges_packed = gids_fit_u32;
   std::vector<u64> n_edges_for(static_cast<std::size_t>(P), 0);
   for (const auto& e : dovetails) {
     const int d1 = partition.owner_of(e.lo);
     const int d2 = partition.owner_of(e.hi);
     ++n_edges_for[static_cast<std::size_t>(d1)];
     if (d2 != d1) ++n_edges_for[static_cast<std::size_t>(d2)];
-    edges_packed = edges_packed && e.overlap_len <= kWireOverlapMask;
   }
-  const std::size_t edge_wire_size =
-      edges_packed ? sizeof(WireEdge) : sizeof(DovetailEdge);
   std::vector<std::vector<u8>> fused_out(static_cast<std::size_t>(P));
   for (int d = 0; d < P; ++d) {
-    auto& buf = fused_out[static_cast<std::size_t>(d)];
-    buf.reserve(sizeof(FusedHeader) + contained_wire.size() * sizeof(u64) +
-                n_edges_for[static_cast<std::size_t>(d)] * edge_wire_size);
-    append_bytes(buf, FusedHeader{contained_wire.size(),
-                                  n_edges_for[static_cast<std::size_t>(d)],
-                                  contained_as_bitmap ? u64{1} : u64{0},
-                                  edges_packed ? u64{1} : u64{0}});
-    append_array(buf, contained_wire.data(), contained_wire.size());
+    fused_frame::append_header(fused_out[static_cast<std::size_t>(d)], contained_wire,
+                               n_edges_for[static_cast<std::size_t>(d)]);
   }
   for (const auto& e : dovetails) {
     const int d1 = partition.owner_of(e.lo);
     const int d2 = partition.owner_of(e.hi);
-    if (edges_packed) {
-      const WireEdge w = pack_edge(e);
-      append_bytes(fused_out[static_cast<std::size_t>(d1)], w);
-      if (d2 != d1) append_bytes(fused_out[static_cast<std::size_t>(d2)], w);
-    } else {
-      append_bytes(fused_out[static_cast<std::size_t>(d1)], e);
-      if (d2 != d1) append_bytes(fused_out[static_cast<std::size_t>(d2)], e);
-    }
+    fused_frame::append_edge(fused_out[static_cast<std::size_t>(d1)], e);
+    if (d2 != d1) fused_frame::append_edge(fused_out[static_cast<std::size_t>(d2)], e);
   }
 
   std::vector<DovetailEdge> incident;  // every edge with an owned endpoint
@@ -355,38 +270,9 @@ StringGraphShard run_string_graph_stage(
     u64 recv_bytes = 0;
     for (const auto& s : streams) recv_bytes += s.size();
     span.arg("bytes", recv_bytes);
-    std::vector<u64> words;
-    std::vector<WireEdge> wire_edges;
     for (const auto& stream : streams) {
-      comm::ByteReader reader(stream);
-      while (!reader.empty()) {
-        auto h = reader.read<FusedHeader>();
-        words.clear();
-        reader.read_into(words, h.contained_words);
-        // Fold the sender's marks straight into this rank's byte map: after
-        // the round it holds the global union.
-        if (h.contained_as_bitmap) {
-          for (std::size_t wi = 0; wi < words.size(); ++wi) {
-            u64 w = words[wi];
-            while (w != 0) {
-              const auto bit = static_cast<std::size_t>(std::countr_zero(w));
-              contained_mark[wi * 64 + bit] = 1;
-              w &= w - 1;
-            }
-          }
-        } else {
-          for (u64 g : words) contained_mark[static_cast<std::size_t>(g)] = 1;
-        }
-        if (h.edges_packed != 0) {
-          wire_edges.clear();
-          reader.read_into(wire_edges, h.n_edges);
-          incident.reserve(incident.size() + wire_edges.size());
-          for (const WireEdge& w : wire_edges) incident.push_back(unpack_edge(w));
-        } else {
-          reader.read_into(incident, h.n_edges);
-        }
-        if (incident.size() != bounds.back()) bounds.push_back(incident.size());
-      }
+      fused_frame::decode_stream(stream.data(), stream.size(), contained_mark, incident,
+                                 bounds);
     }
     span.arg("edges", incident.size());
   }
@@ -446,7 +332,6 @@ StringGraphShard run_string_graph_stage(
       .working_set(incident.size() * sizeof(DovetailEdge));
   std::vector<u64> own_off(static_cast<std::size_t>(owned_count) + 1, 0);
   for (const auto& e : incident) {
-    DIBELLA_CHECK(e.lo < e.hi, "sgraph: edge not normalized");
     if (partition.owner_of(e.lo) == comm.rank()) {
       ++own_off[static_cast<std::size_t>(e.lo - first_owned) + 1];
       ++res.edges_owned;
@@ -500,14 +385,9 @@ StringGraphShard run_string_graph_stage(
       dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
       for (int d : dests) {
         auto& buf = ghost_out[static_cast<std::size_t>(d)];
-        append_bytes(buf, FrameHeader{first_owned + i, static_cast<u32>(deg),
-                                      gids_fit_u32 ? u32{1} : u32{0}});
-        if (gids_fit_u32) {
-          for (std::size_t k = 0; k < deg; ++k) {
-            append_bytes(buf, WireCsr{static_cast<u32>(row[k].col), row[k].ov});
-          }
-        } else {
-          append_array(buf, row, deg);
+        append_bytes(buf, FrameHeader{static_cast<u32>(first_owned + i), static_cast<u32>(deg)});
+        for (std::size_t k = 0; k < deg; ++k) {
+          append_bytes(buf, WireCsr{static_cast<u32>(row[k].col), row[k].ov});
         }
       }
     }
@@ -531,13 +411,9 @@ StringGraphShard run_string_graph_stage(
       while (!reader.empty()) {
         auto h = reader.read<FrameHeader>();
         nbrs.clear();
-        if (h.packed != 0) {
-          wire_nbrs.clear();
-          reader.read_into(wire_nbrs, h.deg);
-          for (const WireCsr& w : wire_nbrs) nbrs.push_back(CsrEntry{w.col, w.ov});
-        } else {
-          reader.read_into(nbrs, h.deg);
-        }
+        wire_nbrs.clear();
+        reader.read_into(wire_nbrs, h.deg);
+        for (const WireCsr& w : wire_nbrs) nbrs.push_back(CsrEntry{w.col, w.ov});
         adj.add_row(h.gid, nbrs.data(), nbrs.size());
       }
     }

@@ -1,9 +1,11 @@
-// Tests for the comm substrate: the threads-as-ranks World and its
-// MPI-style collectives. These are the MPI-semantics contracts the pipeline
-// depends on (see README "Communication substrate").
+// Tests for the comm substrate: the threads-as-ranks World, its barrier,
+// and the Exchanger rounds every payload travels. These are the
+// MPI-semantics contracts the pipeline depends on (see README
+// "Communication substrate").
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -19,6 +21,36 @@ namespace dc = dibella::comm;
 using dibella::u32;
 using dibella::u64;
 using dibella::u8;
+
+namespace {
+
+/// One Exchanger round, the irregular all-to-all every payload travels:
+/// send[d] goes to rank d; returns recv where recv[s] came from rank s.
+template <class T>
+std::vector<std::vector<T>> exchange_round(dc::Communicator& comm,
+                                           const std::vector<std::vector<T>>& send) {
+  dc::Exchanger ex(comm);
+  for (int d = 0; d < comm.size(); ++d) ex.post(d, send[static_cast<std::size_t>(d)]);
+  ex.flush_async(/*done=*/true);
+  const dc::RecvBatch batch = ex.wait();
+  std::vector<std::vector<T>> recv(static_cast<std::size_t>(comm.size()));
+  for (int s = 0; s < comm.size(); ++s) batch.append_from(s, recv[static_cast<std::size_t>(s)]);
+  return recv;
+}
+
+/// Every rank's `v`, in rank order (the allgather pattern: one round in
+/// which each rank sends the same payload to every rank).
+template <class T>
+std::vector<T> gather_all(dc::Communicator& comm, const std::vector<T>& v) {
+  std::vector<T> out;
+  for (const auto& part : exchange_round(
+           comm, std::vector<std::vector<T>>(static_cast<std::size_t>(comm.size()), v))) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
+}
+
+}  // namespace
 
 TEST(World, SingleRankRuns) {
   dc::World world(1);
@@ -92,7 +124,7 @@ TEST(Comm, AlltoallvDeliversExactPayloads) {
             static_cast<u32>(me * 1000 + d * 10 + i));
       }
     }
-    auto recv = comm.alltoallv(send);
+    auto recv = exchange_round(comm, send);
     ASSERT_EQ(recv.size(), static_cast<std::size_t>(P));
     for (int s = 0; s < P; ++s) {
       const auto& v = recv[static_cast<std::size_t>(s)];
@@ -120,7 +152,7 @@ TEST(Comm, AlltoallvRandomizedMatchesReference) {
   dc::World world(P);
   world.run([&](dc::Communicator& comm) {
     int me = comm.rank();
-    auto recv = comm.alltoallv(payload[static_cast<std::size_t>(me)]);
+    auto recv = exchange_round(comm, payload[static_cast<std::size_t>(me)]);
     for (int s = 0; s < P; ++s) {
       EXPECT_EQ(recv[static_cast<std::size_t>(s)],
                 payload[static_cast<std::size_t>(s)][static_cast<std::size_t>(me)]);
@@ -132,9 +164,14 @@ TEST(Comm, AlltoallvFlatConcatenatesInRankOrder) {
   const int P = 3;
   dc::World world(P);
   world.run([&](dc::Communicator& comm) {
-    std::vector<std::vector<u32>> send(P);
-    for (int d = 0; d < P; ++d) send[static_cast<std::size_t>(d)] = {static_cast<u32>(comm.rank())};
-    auto flat = comm.alltoallv_flat(send);
+    dc::Exchanger ex(comm);
+    for (int d = 0; d < P; ++d) {
+      const u32 v = static_cast<u32>(comm.rank());
+      ex.post(d, &v, 1);
+    }
+    ex.flush_async(/*done=*/true);
+    std::vector<u32> flat;
+    ex.wait().append_to(flat);
     ASSERT_EQ(flat.size(), static_cast<std::size_t>(P));
     for (int s = 0; s < P; ++s) EXPECT_EQ(flat[static_cast<std::size_t>(s)], static_cast<u32>(s));
   });
@@ -144,13 +181,13 @@ TEST(Comm, AllgatherAndAllgatherv) {
   const int P = 6;
   dc::World world(P);
   world.run([&](dc::Communicator& comm) {
-    auto all = comm.allgather(static_cast<u64>(comm.rank() * comm.rank()));
+    auto all = gather_all(comm, std::vector<u64>{static_cast<u64>(comm.rank() * comm.rank())});
     ASSERT_EQ(all.size(), static_cast<std::size_t>(P));
     for (int r = 0; r < P; ++r) EXPECT_EQ(all[static_cast<std::size_t>(r)], static_cast<u64>(r * r));
 
-    // allgatherv with rank-dependent sizes.
+    // Rank-dependent sizes, rank 0 sending nothing.
     std::vector<u32> mine(static_cast<std::size_t>(comm.rank()), static_cast<u32>(comm.rank()));
-    auto cat = comm.allgatherv(mine);
+    auto cat = gather_all(comm, mine);
     std::size_t expected_size = static_cast<std::size_t>(P * (P - 1) / 2);
     ASSERT_EQ(cat.size(), expected_size);
     std::size_t at = 0;
@@ -161,22 +198,37 @@ TEST(Comm, AllgatherAndAllgatherv) {
 }
 
 TEST(Comm, Reductions) {
+  // The one reduction the exchange provides itself is the stop vote: a
+  // batch's all_done() is the AND of every sender's done bit. Sums, maxima
+  // and prefix sums are local folds over one round's rank-ordered values.
   const int P = 9;
   dc::World world(P);
   world.run([&](dc::Communicator& comm) {
-    u64 r = static_cast<u64>(comm.rank());
-    EXPECT_EQ(comm.allreduce_sum(r), static_cast<u64>(P * (P - 1) / 2));
-    EXPECT_EQ(comm.allreduce_max(r), static_cast<u64>(P - 1));
-    EXPECT_DOUBLE_EQ(comm.allreduce_sum(0.5), 0.5 * P);
-    EXPECT_FALSE(comm.allreduce_and(comm.rank() != 3));
-    EXPECT_TRUE(comm.allreduce_and(true));
-    EXPECT_EQ(comm.exscan_sum(1), static_cast<u64>(comm.rank()));
-    // exscan with rank-dependent values: rank r holds r, prefix = r(r-1)/2.
-    EXPECT_EQ(comm.exscan_sum(r), static_cast<u64>(comm.rank() * (comm.rank() - 1) / 2));
+    const u64 r = static_cast<u64>(comm.rank());
+    dc::Exchanger ex(comm);
+    for (int d = 0; d < P; ++d) ex.post(d, &r, 1);
+    ex.flush_async(/*done=*/comm.rank() != 3);
+    const dc::RecvBatch batch = ex.wait();
+    EXPECT_FALSE(batch.all_done());
+    std::vector<u64> all;
+    batch.append_to(all);
+    ASSERT_EQ(all.size(), static_cast<std::size_t>(P));
+    EXPECT_EQ(std::accumulate(all.begin(), all.end(), u64{0}), static_cast<u64>(P * (P - 1) / 2));
+    EXPECT_EQ(*std::max_element(all.begin(), all.end()), static_cast<u64>(P - 1));
+    // Exclusive prefix sum: the values of the lower ranks, rank r holds r.
+    EXPECT_EQ(std::accumulate(all.begin(), all.begin() + comm.rank(), u64{0}),
+              static_cast<u64>(comm.rank() * (comm.rank() - 1) / 2));
+
+    ex.flush_async(/*done=*/true);
+    const dc::RecvBatch last = ex.wait();
+    EXPECT_TRUE(last.all_done());
+    EXPECT_TRUE(last.bytes.empty());
   });
 }
 
 TEST(Comm, BroadcastAndGather) {
+  // One-sided rounds: only the root sends (broadcast), then everyone sends
+  // to the root alone (gather). Every other pair carries an empty chunk.
   const int P = 4;
   dc::World world(P);
   world.run([&](dc::Communicator& comm) {
@@ -184,22 +236,28 @@ TEST(Comm, BroadcastAndGather) {
       u64 a;
       double b;
     };
-    Payload p{0, 0.0};
-    if (comm.rank() == 2) p = {77, 2.5};
-    Payload got = comm.broadcast(p, 2);
-    EXPECT_EQ(got.a, 77u);
-    EXPECT_DOUBLE_EQ(got.b, 2.5);
+    std::vector<std::vector<Payload>> bcast(P);
+    if (comm.rank() == 2) {
+      for (auto& v : bcast) v.push_back(Payload{77, 2.5});
+    }
+    auto got = exchange_round(comm, bcast);
+    for (int s = 0; s < P; ++s) {
+      ASSERT_EQ(got[static_cast<std::size_t>(s)].size(), s == 2 ? 1u : 0u) << "from " << s;
+    }
+    EXPECT_EQ(got[2][0].a, 77u);
+    EXPECT_DOUBLE_EQ(got[2][0].b, 2.5);
 
-    std::vector<u32> mine = {static_cast<u32>(comm.rank() + 100)};
-    auto rows = comm.gather(mine, 1);
-    if (comm.rank() == 1) {
-      ASSERT_EQ(rows.size(), static_cast<std::size_t>(P));
-      for (int s = 0; s < P; ++s) {
-        ASSERT_EQ(rows[static_cast<std::size_t>(s)].size(), 1u);
-        EXPECT_EQ(rows[static_cast<std::size_t>(s)][0], static_cast<u32>(s + 100));
+    std::vector<std::vector<u32>> to_root(P);
+    to_root[1] = {static_cast<u32>(comm.rank() + 100)};
+    auto rows = exchange_round(comm, to_root);
+    for (int s = 0; s < P; ++s) {
+      const auto& row = rows[static_cast<std::size_t>(s)];
+      if (comm.rank() == 1) {
+        ASSERT_EQ(row.size(), 1u);
+        EXPECT_EQ(row[0], static_cast<u32>(s + 100));
+      } else {
+        EXPECT_TRUE(row.empty());
       }
-    } else {
-      EXPECT_TRUE(rows.empty());
     }
   });
 }
@@ -213,7 +271,7 @@ TEST(Comm, ExchangeRecordsAlignedAndAccurate) {
     for (int d = 0; d < P; ++d) {
       send[static_cast<std::size_t>(d)].assign(static_cast<std::size_t>(comm.rank() + 1), 7);
     }
-    comm.alltoallv(send);
+    exchange_round(comm, send);
     comm.set_stage("phase_two");
     comm.barrier();
   });
@@ -223,7 +281,7 @@ TEST(Comm, ExchangeRecordsAlignedAndAccurate) {
     const auto& log = records[static_cast<std::size_t>(r)];
     ASSERT_EQ(log.size(), 2u);
     EXPECT_EQ(log[0].seq, 0u);
-    EXPECT_EQ(log[0].op, dc::CollectiveOp::kAlltoallv);
+    EXPECT_EQ(log[0].op, dc::CollectiveOp::kExchange);
     EXPECT_EQ(log[0].stage, "phase_one");
     // Rank r sent (r+1) u64s to each of P-1 peers; the self-destination
     // payload never touches the wire and is excluded from the record.
@@ -240,37 +298,45 @@ TEST(Comm, ExchangeRecordsAlignedAndAccurate) {
 TEST(Comm, RecordSinkObservesCalls) {
   const int P = 2;
   dc::World world(P);
-  std::atomic<int> observed{0};
+  std::atomic<int> exchanges{0}, barriers{0};
   world.run([&](dc::Communicator& comm) {
     comm.set_record_sink([&](const dc::ExchangeRecord& rec) {
-      if (rec.op == dc::CollectiveOp::kAllgather) ++observed;
+      if (rec.op == dc::CollectiveOp::kExchange) ++exchanges;
+      if (rec.op == dc::CollectiveOp::kBarrier) ++barriers;
     });
-    comm.allgather(u64{1});
-    comm.allgather(u64{2});
+    gather_all(comm, std::vector<u64>{1});
+    comm.barrier();
+    gather_all(comm, std::vector<u64>{2});
   });
-  EXPECT_EQ(observed.load(), 2 * P);
+  EXPECT_EQ(exchanges.load(), 2 * P);
+  EXPECT_EQ(barriers.load(), P);
 }
 
 TEST(Comm, ManySuccessiveCollectivesStayAligned) {
-  // Stress: a mixed sequence of collectives with data-dependent sizes.
+  // Stress: exchange rounds with data-dependent sizes, interleaved with
+  // barriers.
   const int P = 4;
   dc::World world(P);
   world.run([&](dc::Communicator& comm) {
     u64 acc = static_cast<u64>(comm.rank());
     for (int round = 0; round < 30; ++round) {
-      acc = comm.allreduce_sum(acc) % 1000 + static_cast<u64>(comm.rank());
+      const auto all = gather_all(comm, std::vector<u64>{acc});
+      acc = std::accumulate(all.begin(), all.end(), u64{0}) % 1000 +
+            static_cast<u64>(comm.rank());
       std::vector<std::vector<u64>> send(P);
       for (int d = 0; d < P; ++d) {
         send[static_cast<std::size_t>(d)].assign((acc + static_cast<u64>(d)) % 5, acc);
       }
-      auto recv = comm.alltoallv(send);
+      auto recv = exchange_round(comm, send);
       u64 sum = 0;
       for (const auto& v : recv) sum += std::accumulate(v.begin(), v.end(), u64{0});
-      acc = comm.allreduce_max(sum);
+      const auto sums = gather_all(comm, std::vector<u64>{sum});
+      acc = *std::max_element(sums.begin(), sums.end());
+      if (round % 7 == 0) comm.barrier();
     }
     // All ranks converge to the same value because every input to acc is a
-    // collective result (plus the rank term removed by the final max).
-    auto all = comm.allgather(acc);
+    // round's result (plus the rank term removed by the final max).
+    auto all = gather_all(comm, std::vector<u64>{acc});
     for (u64 v : all) EXPECT_EQ(v, all[0]);
   });
 }
@@ -285,7 +351,7 @@ TEST(Comm, LargePayloadIntegrity) {
       send[static_cast<std::size_t>(d)].resize(100'000);
       for (auto& v : send[static_cast<std::size_t>(d)]) v = rng.next();
     }
-    auto recv = comm.alltoallv(send);
+    auto recv = exchange_round(comm, send);
     // Regenerate the peer's stream to verify integrity.
     for (int s = 0; s < P; ++s) {
       dibella::util::Xoshiro256 peer(static_cast<u64>(s) + 1);
@@ -304,37 +370,35 @@ TEST(Comm, LargePayloadIntegrity) {
 // --- self-byte accounting ----------------------------------------------------
 
 TEST(Comm, RecordsExcludeSelfBytesEverywhere) {
-  // Regression: alltoallv used to record the self-destination payload in
-  // bytes_to_peer while allgatherv/gather excluded it. Self bytes never
-  // touch the wire, so every collective must record bytes_to_peer[self]==0.
+  // Self bytes never touch the wire, so every record — exchange rounds of
+  // any shape and the barrier — must have bytes_to_peer[self] == 0.
   const int P = 4;
   dc::World world(P);
   world.run([&](dc::Communicator& comm) {
     std::vector<std::vector<u64>> send(P);
     for (int d = 0; d < P; ++d) send[static_cast<std::size_t>(d)].assign(3, 7);
-    comm.alltoallv(send);
-    comm.alltoallv_flat(send);
-    comm.allgatherv(std::vector<u64>{1, 2});
-    comm.broadcast(u64{9}, 1);
-    comm.gather(std::vector<u64>{5}, 2);
-    dc::Exchanger ex(comm);
-    for (int d = 0; d < P; ++d) ex.post(d, send[static_cast<std::size_t>(d)]);
-    ex.flush_async(/*done=*/true);
-    ex.wait();
+    exchange_round(comm, send);
+    gather_all(comm, std::vector<u64>{1, 2});
+    std::vector<std::vector<u64>> to_root(P);
+    to_root[2] = {5};
+    exchange_round(comm, to_root);
+    comm.barrier();
   });
   auto records = world.exchange_records();
   for (int r = 0; r < P; ++r) {
-    for (const auto& rec : records[static_cast<std::size_t>(r)]) {
+    const auto& log = records[static_cast<std::size_t>(r)];
+    ASSERT_EQ(log.size(), 4u);
+    for (const auto& rec : log) {
       EXPECT_EQ(rec.bytes_to_peer[static_cast<std::size_t>(r)], 0u)
           << dc::collective_op_name(rec.op) << " recorded self bytes on rank " << r;
     }
-    // alltoallv: 3 u64s to each of P-1 wire peers.
-    EXPECT_EQ(records[static_cast<std::size_t>(r)][0].total_bytes(),
-              static_cast<u64>(3 * 8 * (P - 1)));
-    // The Exchanger batch has the same wire footprint as the alltoallv.
-    const auto& ex_rec = records[static_cast<std::size_t>(r)].back();
-    EXPECT_EQ(ex_rec.op, dc::CollectiveOp::kExchange);
-    EXPECT_EQ(ex_rec.total_bytes(), static_cast<u64>(3 * 8 * (P - 1)));
+    // 3 u64s to each of P-1 wire peers.
+    EXPECT_EQ(log[0].op, dc::CollectiveOp::kExchange);
+    EXPECT_EQ(log[0].total_bytes(), static_cast<u64>(3 * 8 * (P - 1)));
+    EXPECT_EQ(log[1].total_bytes(), static_cast<u64>(2 * 8 * (P - 1)));
+    EXPECT_EQ(log[2].total_bytes(), r == 2 ? 0u : 8u);
+    EXPECT_EQ(log[3].op, dc::CollectiveOp::kBarrier);
+    EXPECT_EQ(log[3].total_bytes(), 0u);
   }
 }
 
@@ -343,20 +407,24 @@ TEST(Comm, AlltoallvFlatReportsSourceOffsets) {
   dc::World world(P);
   world.run([&](dc::Communicator& comm) {
     // Rank r sends r+1 copies of its rank id to every destination.
-    std::vector<std::vector<u32>> send(P);
+    dc::Exchanger ex(comm);
     for (int d = 0; d < P; ++d) {
-      send[static_cast<std::size_t>(d)].assign(static_cast<std::size_t>(comm.rank() + 1),
-                                               static_cast<u32>(comm.rank()));
+      ex.post(d, std::vector<u32>(static_cast<std::size_t>(comm.rank() + 1),
+                                  static_cast<u32>(comm.rank())));
     }
-    std::vector<u64> offsets;
-    auto flat = comm.alltoallv_flat(send, &offsets);
+    ex.flush_async(/*done=*/true);
+    const dc::RecvBatch batch = ex.wait();
+    const auto& offsets = batch.src_offsets;  // byte offsets
     ASSERT_EQ(offsets.size(), static_cast<std::size_t>(P) + 1);
     EXPECT_EQ(offsets[0], 0u);
-    EXPECT_EQ(offsets.back(), flat.size());
+    EXPECT_EQ(offsets.back(), batch.bytes.size());
+    std::vector<u32> flat;
+    batch.append_to(flat);
     for (int s = 0; s < P; ++s) {
-      u64 lo = offsets[static_cast<std::size_t>(s)];
-      u64 hi = offsets[static_cast<std::size_t>(s) + 1];
+      u64 lo = offsets[static_cast<std::size_t>(s)] / sizeof(u32);
+      u64 hi = offsets[static_cast<std::size_t>(s) + 1] / sizeof(u32);
       ASSERT_EQ(hi - lo, static_cast<u64>(s + 1)) << "from " << s;
+      ASSERT_EQ(batch.src_size_bytes(s), (hi - lo) * sizeof(u32));
       for (u64 i = lo; i < hi; ++i) EXPECT_EQ(flat[i], static_cast<u32>(s));
     }
   });
@@ -427,36 +495,24 @@ TEST(Exchanger, ChunkTrainsReassembleLargePayloads) {
 
 TEST(Exchanger, OverlappedLoopMatchesBlockingLoop) {
   // The exchange loop helper must deliver, under either schedule and batch
-  // for batch, exactly what the reference pack -> alltoallv_flat ->
-  // allreduce loop delivers, including the ragged termination (ranks run
-  // out of data at different times).
+  // for batch, exactly the closed-form sequence below, including the ragged
+  // termination (ranks run out of data at different times).
   const int P = 5;
   const int kBatches[] = {7, 2, 5, 1, 4};  // per-rank batch counts
+  const int kRounds = 7;                   // max batches: every rank sees 7
   auto payload = [](int src, int batch, int dst) {
     return static_cast<u64>(src * 10000 + batch * 100 + dst);
   };
 
-  // Reference: the collective loop on the blocking primitives.
-  std::vector<std::vector<u64>> blocking_recv(P);
-  {
-    dc::World world(P);
-    world.run([&](dc::Communicator& comm) {
-      int me = comm.rank();
-      int sent = 0;
-      bool more = true;
-      while (true) {
-        std::vector<std::vector<u64>> send(P);
-        if (more) {
-          for (int d = 0; d < P; ++d) send[static_cast<std::size_t>(d)] = {payload(me, sent, d)};
-          ++sent;
-          more = sent < kBatches[me];
-        }
-        auto flat = comm.alltoallv_flat(send);
-        auto& sink = blocking_recv[static_cast<std::size_t>(me)];
-        sink.insert(sink.end(), flat.begin(), flat.end());
-        if (comm.allreduce_and(!more)) break;
+  // Oracle: round b carries payload(s, b, r) from every source s that still
+  // had a batch b, in source-rank order.
+  std::vector<std::vector<u64>> expected_recv(P);
+  for (int r = 0; r < P; ++r) {
+    for (int b = 0; b < kRounds; ++b) {
+      for (int s = 0; s < P; ++s) {
+        if (b < kBatches[s]) expected_recv[static_cast<std::size_t>(r)].push_back(payload(s, b, r));
       }
-    });
+    }
   }
 
   for (bool overlap : {true, false}) {
@@ -489,10 +545,9 @@ TEST(Exchanger, OverlappedLoopMatchesBlockingLoop) {
 
     for (int r = 0; r < P; ++r) {
       EXPECT_EQ(exchanged_recv[static_cast<std::size_t>(r)],
-                blocking_recv[static_cast<std::size_t>(r)])
+                expected_recv[static_cast<std::size_t>(r)])
           << "rank " << r;
-      // Same number of exchange rounds as the reference loop (max batches = 7).
-      EXPECT_EQ(batches[static_cast<std::size_t>(r)], 7u);
+      EXPECT_EQ(batches[static_cast<std::size_t>(r)], static_cast<u64>(kRounds));
     }
   }
 }
@@ -506,9 +561,9 @@ TEST(Exchanger, RecordsHiddenWindowAndInterleavesWithCollectives) {
     std::vector<u32> v{1, 2, 3};
     for (int d = 0; d < P; ++d) ex.post(d, v);
     ex.flush_async(true);
-    // A blocking collective result computed while the batch is in flight
-    // must coexist with the pending exchange (distinct epoch tags).
-    EXPECT_EQ(comm.allreduce_sum(u64{1}), static_cast<u64>(P));
+    // A barrier while the batch is in flight must coexist with the pending
+    // exchange (distinct epoch tags).
+    comm.barrier();
     auto got = ex.wait();
     std::vector<u32> items;
     got.append_to(items);
@@ -517,9 +572,9 @@ TEST(Exchanger, RecordsHiddenWindowAndInterleavesWithCollectives) {
   auto records = world.exchange_records();
   for (int r = 0; r < P; ++r) {
     const auto& log = records[static_cast<std::size_t>(r)];
-    // allgather (from allreduce) finishes before the exchange's wait().
+    // The barrier finishes before the exchange's wait().
     ASSERT_EQ(log.size(), 2u);
-    EXPECT_EQ(log[0].op, dc::CollectiveOp::kAllgather);
+    EXPECT_EQ(log[0].op, dc::CollectiveOp::kBarrier);
     EXPECT_EQ(log[1].op, dc::CollectiveOp::kExchange);
     EXPECT_EQ(log[1].stage, "overlap_test");
     EXPECT_GE(log[1].hidden_wall_seconds, 0.0);
@@ -570,17 +625,16 @@ TEST(CommFailure, CompletedBarrierReturnsDespiteALaterAbort) {
 }
 
 TEST(CommFailure, MismatchedCollectiveKindsPoisonTheWorld) {
-  // Rank 0 calls alltoallv while the others call allgatherv at the same
-  // epoch: the mailbox tags disagree, which must abort the run with a
-  // sequence-mismatch error, not mix payloads or deadlock.
-  dc::World world(3, /*barrier_timeout_seconds=*/5.0);
+  // Rank 0 enters a barrier while the others run an exchange round at the
+  // same epoch: neither can complete, which must abort the run with a
+  // mismatched-sequence error instead of deadlocking.
+  dc::World world(3, /*barrier_timeout_seconds=*/0.5);
   try {
     world.run([&](dc::Communicator& comm) {
       if (comm.rank() == 0) {
-        std::vector<std::vector<u64>> send(3);
-        comm.alltoallv(send);
+        comm.barrier();
       } else {
-        comm.allgatherv(std::vector<u64>{1});
+        exchange_round(comm, std::vector<std::vector<u64>>(3, std::vector<u64>{1}));
       }
     });
     FAIL() << "mismatched collectives must throw";
@@ -590,15 +644,16 @@ TEST(CommFailure, MismatchedCollectiveKindsPoisonTheWorld) {
 }
 
 TEST(CommFailure, MismatchedBarrierEpochPoisonsTheWorld) {
-  // Rank 0 runs one collective before its barrier, the others none: all
+  // Rank 0 flushes once before its barrier, the other rank does not: both
   // ranks meet at the fence but disagree on the epoch — a mismatched
   // sequence that must abort, not silently desynchronize the record logs.
   dc::World world(2, /*barrier_timeout_seconds=*/1.5);
   try {
     world.run([&](dc::Communicator& comm) {
-      if (comm.rank() == 0) comm.allgatherv(std::vector<u64>{});
+      dc::Exchanger ex(comm);
+      if (comm.rank() == 0) ex.flush_async(/*done=*/true);
       comm.barrier();
-      if (comm.rank() == 1) comm.allgatherv(std::vector<u64>{});
+      ex.wait();
     });
     FAIL() << "mismatched barrier epochs must throw";
   } catch (const dibella::Error& e) {

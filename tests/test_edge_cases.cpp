@@ -9,6 +9,7 @@
 
 #include "baseline/daligner_like.hpp"
 #include "comm/communicator.hpp"
+#include "comm/exchanger.hpp"
 #include "comm/world.hpp"
 #include "core/output.hpp"
 #include "core/pipeline.hpp"
@@ -172,11 +173,15 @@ TEST(FailureInjection, ExceptionDuringExchangeUnwindsAllRanks) {
                    std::atomic<int>& n;
                    ~Guard() { ++n; }
                  } guard{unwound};
-                 std::vector<std::vector<u64>> send(4);
-                 comm.alltoallv(send);
+                 const auto round = [&] {
+                   dibella::comm::Exchanger ex(comm);
+                   ex.flush_async(/*done=*/true);
+                   ex.wait();
+                 };
+                 round();
                  if (comm.rank() == 1) throw dibella::Error("injected");
-                 comm.alltoallv(send);
-                 comm.alltoallv(send);
+                 round();
+                 round();
                }),
                dibella::Error);
   EXPECT_EQ(unwound.load(), 4);  // every rank's stack unwound

@@ -30,10 +30,14 @@
 #include "comm/world.hpp"
 #include "core/alignment_spill.hpp"
 #include "core/checkpoint.hpp"
+#include "core/output.hpp"
 #include "core/pipeline.hpp"
+#include "eval/report.hpp"
 #include "io/fastx.hpp"
 #include "io/truth.hpp"
+#include "sgraph/unitig.hpp"
 #include "simgen/presets.hpp"
+#include "util/random.hpp"
 
 namespace dc = dibella::core;
 namespace dcomm = dibella::comm;
@@ -276,6 +280,91 @@ TEST(SelfHealingExchange, FaultFreeRunHasZeroFaultCounters) {
   EXPECT_EQ(stats.corrupt_chunks, 0u);
 }
 
+namespace {
+
+/// The pinned output bytes of an in-process run: PAF, GFA and eval.tsv.
+Outputs pinned_outputs(const dc::PipelineOutput& out) {
+  const auto& reads = tiny_dataset().reads;
+  std::ostringstream paf, gfa, eval_tsv;
+  dc::write_paf(paf, out.merged_alignments(), reads);
+  dibella::sgraph::write_gfa(gfa, out.string_graph.surviving_edges, reads);
+  dibella::eval::write_eval_tsv(eval_tsv, out.eval);
+  return Outputs{paf.str(), gfa.str(), eval_tsv.str()};
+}
+
+}  // namespace
+
+TEST(SelfHealingExchange, SeededTransportPlansAreAbsorbedEverywhere) {
+  // Random transport plans — one spec per stage, each with a random kind,
+  // epoch in {0, 1} and injecting rank — at ranks {2, 3, 5} under both
+  // schedules. Every run must write the fault-free PAF/GFA/eval bytes, and
+  // every fault that fired must show in the comm_chunk_* counters: each
+  // drop, truncation or bit flip costs at least one replay retry, each
+  // duplicate one discarded redelivery, and only truncations and bit flips
+  // produce corrupt chunks. A delay shows only when the receiver asks for
+  // the chunk before it becomes visible, so it is pinned by the output
+  // bytes alone.
+  const dcomm::FaultKind kKinds[] = {dcomm::FaultKind::kDrop, dcomm::FaultKind::kDuplicate,
+                                     dcomm::FaultKind::kDelay, dcomm::FaultKind::kTruncate,
+                                     dcomm::FaultKind::kBitFlip};
+  const char* const kStages[] = {"bloom", "ht", "overlap", "align", "sgraph"};
+  dibella::util::Xoshiro256 rng(2019);
+  dc::PipelineConfig cfg = tiny_config();
+  cfg.eval = true;
+  for (int P : {2, 3, 5}) {
+    for (bool overlap : {true, false}) {
+      cfg.overlap_comm = overlap;
+      dcomm::World world(P, 60.0);
+      const Outputs want =
+          pinned_outputs(dc::run_pipeline(world, tiny_dataset().reads, cfg, tiny_dataset().truth));
+      for (int trial = 0; trial < 2; ++trial) {
+        std::vector<dcomm::FaultSpec> specs;
+        std::string where = "P=" + std::to_string(P) + (overlap ? " overlapped" : " depth 0");
+        for (const char* stage : kStages) {
+          dcomm::FaultSpec spec;
+          spec.kind = kKinds[rng.uniform_below(5)];
+          spec.stage = stage;
+          spec.epoch = rng.uniform_below(2);
+          spec.rank = static_cast<int>(rng.uniform_below(static_cast<u64>(P)));
+          where += std::string(" ") + dcomm::fault_kind_name(spec.kind) + "@" + stage + ":" +
+                   std::to_string(spec.epoch) + ":" + std::to_string(spec.rank);
+          specs.push_back(spec);
+        }
+        SCOPED_TRACE(where);
+        auto plan = std::make_shared<const dcomm::FaultPlan>(specs);
+        world.set_fault_plan(plan);
+        const dc::PipelineOutput out =
+            dc::run_pipeline(world, tiny_dataset().reads, cfg, tiny_dataset().truth);
+        world.set_fault_plan(nullptr);
+        expect_outputs_equal(want, pinned_outputs(out));
+
+        u64 must_retry = 0, must_redeliver = 0, may_corrupt = 0, delays = 0;
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+          // Every stage flushes at least once on every rank.
+          if (specs[i].epoch == 0) {
+            EXPECT_TRUE(plan->fired(i)) << specs[i].stage;
+          }
+          if (!plan->fired(i)) continue;
+          switch (specs[i].kind) {
+            case dcomm::FaultKind::kDuplicate: ++must_redeliver; break;
+            case dcomm::FaultKind::kDelay: ++delays; break;
+            case dcomm::FaultKind::kTruncate:
+            case dcomm::FaultKind::kBitFlip: ++may_corrupt; [[fallthrough]];
+            default: ++must_retry; break;
+          }
+        }
+        // A delay that bites costs exactly one retry and one redelivery.
+        const auto& c = out.counters;
+        EXPECT_GE(c.comm_chunk_retries, must_retry);
+        EXPECT_LE(c.comm_chunk_retries, must_retry + delays);
+        EXPECT_GE(c.comm_chunk_redeliveries, must_redeliver);
+        EXPECT_LE(c.comm_chunk_redeliveries, must_redeliver + delays);
+        EXPECT_LE(c.comm_corrupt_chunks, may_corrupt);
+      }
+    }
+  }
+}
+
 // --- poison propagation ------------------------------------------------------
 
 TEST(PoisonPropagation, AbortInEachStageUnwindsEverySiblingWithoutHanging) {
@@ -361,6 +450,43 @@ TEST(Checkpoint, ManifestRoundTripAndMismatchDetection) {
   }
   EXPECT_THROW(reopened->read_payload(dc::CheckpointStage::kBloom, 0),
                dibella::Error);
+  fs::remove_all(dir);
+}
+
+TEST(Checkpoint, OversizedLengthFieldIsATypedError) {
+  // The payload length is checked against the file before anything is
+  // allocated: a length field of ~0 must fail as a typed Error, not as a
+  // std::length_error from a huge allocation. A length that disagrees with
+  // the file in either direction, or a trailing byte, fails the same way.
+  const fs::path dir = fs::path(::testing::TempDir()) / "dibella_ckpt_length";
+  fs::remove_all(dir);
+  auto set = dc::CheckpointSet::start(dir.string(), 0x1234u, 1);
+  set->write_payload(dc::CheckpointStage::kBloom, 0, {1, 2, 3});
+  set->mark_complete(dc::CheckpointStage::kBloom);
+  for (u64 length : {~u64{0}, u64{4}, u64{2}, u64{1} << 40}) {
+    SCOPED_TRACE(length);
+    {
+      std::fstream f(set->payload_path(dc::CheckpointStage::kBloom, 0),
+                     std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(static_cast<std::streamoff>(sizeof(u32)));
+      f.write(reinterpret_cast<const char*>(&length), sizeof(length));
+    }
+    try {
+      (void)set->read_payload(dc::CheckpointStage::kBloom, 0);
+      ADD_FAILURE() << "a length field that disagrees with the file must throw";
+    } catch (const dibella::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("length field"), std::string::npos) << e.what();
+    }
+  }
+  // A well-formed payload followed by one stray byte.
+  set->write_payload(dc::CheckpointStage::kBloom, 0, {1, 2, 3});
+  EXPECT_EQ(set->read_payload(dc::CheckpointStage::kBloom, 0), (std::vector<u8>{1, 2, 3}));
+  {
+    std::ofstream f(set->payload_path(dc::CheckpointStage::kBloom, 0),
+                    std::ios::binary | std::ios::app);
+    f.put('x');
+  }
+  EXPECT_THROW(set->read_payload(dc::CheckpointStage::kBloom, 0), dibella::Error);
   fs::remove_all(dir);
 }
 

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "comm/communicator.hpp"
+#include "comm/exchanger.hpp"
 #include "comm/world.hpp"
 #include "netsim/cost_model.hpp"
 #include "netsim/platform.hpp"
@@ -17,12 +18,12 @@ using dibella::u64;
 
 namespace {
 
-/// Build a P-rank alltoallv record set where rank r sends bytes[r][d] to d.
+/// Build a P-rank exchange record set where rank r sends bytes[r][d] to d.
 std::vector<dc::ExchangeRecord> make_alltoallv(
     const std::vector<std::vector<u64>>& bytes, const std::string& stage = "s") {
   std::vector<dc::ExchangeRecord> recs(bytes.size());
   for (std::size_t r = 0; r < bytes.size(); ++r) {
-    recs[r].op = dc::CollectiveOp::kAlltoallv;
+    recs[r].op = dc::CollectiveOp::kExchange;
     recs[r].stage = stage;
     recs[r].bytes_to_peer = bytes[r];
     recs[r].seq = 0;
@@ -175,7 +176,7 @@ TEST(CostModel, EvaluateAggregatesSuperstepsBspStyle) {
   std::vector<std::vector<dc::ExchangeRecord>> records(2);
   for (int r = 0; r < 2; ++r) {
     dc::ExchangeRecord rec;
-    rec.op = dc::CollectiveOp::kAlltoallv;
+    rec.op = dc::CollectiveOp::kExchange;
     rec.stage = "alpha";
     rec.seq = 0;
     rec.bytes_to_peer = {0, 0};
@@ -238,9 +239,10 @@ TEST(CostModel, EndToEndWithRealWorldRecords) {
         [&trace](const dc::ExchangeRecord& rec) { trace.add_exchange(rec.seq); });
     comm.set_stage("work");
     trace.add_compute("work", 0.001 * (comm.rank() + 1), 1 << 20);
-    std::vector<std::vector<u64>> send(P);
-    for (int d = 0; d < P; ++d) send[static_cast<std::size_t>(d)].assign(100, 1);
-    comm.alltoallv(send);
+    dc::Exchanger ex(comm);
+    for (int d = 0; d < P; ++d) ex.post(d, std::vector<u64>(100, 1));
+    ex.flush_async(/*done=*/true);
+    ex.wait();
   });
   dn::CostModel model(dn::titan(), dn::Topology{2, 2});
   auto report = model.evaluate(traces, world.exchange_records());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "comm/fault.hpp"
 #include "comm/world.hpp"
 #include "core/pipeline.hpp"
 #include "io/fastx.hpp"
@@ -51,6 +52,46 @@ TEST(ParallelLoad, MatchesSerialParse) {
         EXPECT_EQ(got[i].seq, serial[i].seq);
         EXPECT_EQ(got[i].qual, serial[i].qual);
       }
+    }
+  }
+}
+
+TEST(ParallelLoad, DroppedChunkIsRetransmitted) {
+  // The loader's records travel the framed exchange, so a dropped chunk is
+  // replayed and the load equals the fault-free one.
+  Fixture fx(71, 1);
+  const std::string fastq = dibella::io::to_fastq(fx.reads);
+  const int P = 3;
+  auto load = [&](dibella::comm::World& world) {
+    std::vector<dibella::netsim::RankTrace> traces(static_cast<std::size_t>(P));
+    std::vector<std::vector<dibella::io::Read>> results(static_cast<std::size_t>(P));
+    world.run([&](dibella::comm::Communicator& comm) {
+      dibella::core::StageContext ctx{comm, traces[static_cast<std::size_t>(comm.rank())]};
+      ctx.attach();
+      results[static_cast<std::size_t>(comm.rank())] =
+          dibella::io::load_fastq_parallel(ctx, fastq);
+    });
+    return results;
+  };
+  dibella::comm::World clean(P);
+  const auto want = load(clean);
+  EXPECT_EQ(clean.comm_fault_stats().retries, 0u);
+
+  dibella::comm::World faulty(P);
+  faulty.set_fault_plan(std::make_shared<const dibella::comm::FaultPlan>(
+      std::vector<dibella::comm::FaultSpec>{{dibella::comm::FaultKind::kDrop, "io", 0, 0}}));
+  const auto got = load(faulty);
+  EXPECT_GE(faulty.comm_fault_stats().retries, 1u);
+  for (int r = 0; r < P; ++r) {
+    const auto& a = want[static_cast<std::size_t>(r)];
+    const auto& b = got[static_cast<std::size_t>(r)];
+    ASSERT_EQ(a.size(), b.size()) << "rank " << r;
+    ASSERT_EQ(a.size(), fx.reads.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].gid, b[i].gid);
+      EXPECT_EQ(a[i].name, b[i].name);
+      EXPECT_EQ(a[i].seq, b[i].seq);
+      EXPECT_EQ(a[i].qual, b[i].qual);
     }
   }
 }

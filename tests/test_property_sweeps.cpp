@@ -18,6 +18,7 @@
 #include "bella/model.hpp"
 #include "bloom/bloom_filter.hpp"
 #include "comm/communicator.hpp"
+#include "comm/exchanger.hpp"
 #include "comm/world.hpp"
 #include "core/pipeline.hpp"
 #include "eval/report.hpp"
@@ -443,13 +444,23 @@ TEST_P(CollectivesRankSweep, RandomizedAlltoallvAndReductions) {
   }
   dibella::comm::World world(P);
   world.run([&](dibella::comm::Communicator& comm) {
-    auto recv = comm.alltoallv(payload[static_cast<std::size_t>(comm.rank())]);
+    // One Exchanger round carries the payloads and, piggybacked, the stop
+    // vote: all_done() is the AND over every sender's done bit.
+    dibella::comm::Exchanger ex(comm);
+    for (int d = 0; d < P; ++d) {
+      ex.post(d, payload[static_cast<std::size_t>(comm.rank())][static_cast<std::size_t>(d)]);
+    }
+    ex.flush_async(/*done=*/comm.rank() != P - 1);
+    const dibella::comm::RecvBatch batch = ex.wait();
     for (int s = 0; s < P; ++s) {
-      EXPECT_EQ(recv[static_cast<std::size_t>(s)],
+      std::vector<u64> recv;
+      batch.append_from(s, recv);
+      EXPECT_EQ(recv,
                 payload[static_cast<std::size_t>(s)][static_cast<std::size_t>(comm.rank())]);
     }
-    EXPECT_EQ(comm.allreduce_sum(u64{1}), static_cast<u64>(P));
-    EXPECT_EQ(comm.exscan_sum(2), static_cast<u64>(2 * comm.rank()));
+    EXPECT_FALSE(batch.all_done());
+    ex.flush_async(/*done=*/true);
+    EXPECT_TRUE(ex.wait().all_done());
   });
 }
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
 #include <sstream>
@@ -16,9 +18,11 @@
 #include "core/stage_context.hpp"
 #include "graph/overlap_graph.hpp"
 #include "sgraph/edge_class.hpp"
+#include "sgraph/fused_frame.hpp"
 #include "sgraph/string_graph.hpp"
 #include "sgraph/unitig.hpp"
 #include "simgen/presets.hpp"
+#include "util/random.hpp"
 
 namespace dsg = dibella::sgraph;
 using dibella::u32;
@@ -531,4 +535,195 @@ TEST(StringGraphStage, Stage5OffLeavesOutputEmpty) {
   auto report = out.evaluate(dibella::netsim::local_host(),
                              dibella::netsim::Topology{1, 2});
   EXPECT_FALSE(report.has_stage("sgraph"));
+}
+
+// --- fused-frame wire format -----------------------------------------------
+
+namespace {
+
+namespace ff = dsg::fused_frame;
+
+struct FrameSpec {
+  std::vector<u64> contained;  // sorted gids
+  std::vector<dsg::DovetailEdge> edges;  // strictly increasing (lo, hi)
+};
+
+FrameSpec random_frame(dibella::util::Xoshiro256& rng, u64 n_reads) {
+  FrameSpec f;
+  // Sparse sets ride as gid lists, dense ones as bitmaps.
+  const u64 per_mille = rng.uniform_below(2) ? 2 : 300;
+  for (u64 g = 0; g < n_reads; ++g) {
+    if (rng.uniform_below(1000) < per_mille) f.contained.push_back(g);
+  }
+  std::set<std::pair<u64, u64>> pairs;
+  const u64 n_edges = rng.uniform_below(40);
+  for (u64 i = 0; i < n_edges && n_reads > 1; ++i) {
+    const u64 a = rng.uniform_below(n_reads), b = rng.uniform_below(n_reads);
+    if (a != b) pairs.insert({std::min(a, b), std::max(a, b)});
+  }
+  for (const auto& [lo, hi] : pairs) {
+    dsg::DovetailEdge e;
+    e.lo = lo;
+    e.hi = hi;
+    e.overlap_len = static_cast<u32>(rng.uniform_below(u64{1} << 28));
+    e.score = static_cast<dibella::i32>(rng.uniform_below(100000));
+    e.same_orientation = static_cast<dibella::u8>(rng.uniform_below(2));
+    e.from_is_lo = static_cast<dibella::u8>(rng.uniform_below(2));
+    e.rc_from = static_cast<dibella::u8>(rng.uniform_below(2));
+    e.rc_to = static_cast<dibella::u8>(rng.uniform_below(2));
+    f.edges.push_back(e);
+  }
+  return f;
+}
+
+/// Encode `frames` as one stream; `boundaries` receives every frame end.
+std::vector<dibella::u8> encode_frames(const std::vector<FrameSpec>& frames, u64 n_reads,
+                                       std::vector<std::size_t>* boundaries = nullptr) {
+  std::vector<dibella::u8> buf;
+  if (boundaries) boundaries->assign(1, 0);
+  for (const auto& f : frames) {
+    ff::append_header(buf, ff::encode_contained(f.contained, n_reads), f.edges.size());
+    for (const auto& e : f.edges) ff::append_edge(buf, e);
+    if (boundaries) boundaries->push_back(buf.size());
+  }
+  return buf;
+}
+
+struct Decoded {
+  std::vector<dibella::u8> marks;
+  std::vector<dsg::DovetailEdge> edges;
+};
+
+/// Decode `bytes` over an `n_reads` read set; false on a typed Error (any
+/// other exception escapes and fails the test).
+bool decodes(const std::vector<dibella::u8>& bytes, u64 n_reads, Decoded* out = nullptr) {
+  Decoded d;
+  d.marks.assign(static_cast<std::size_t>(n_reads), 0);
+  std::vector<std::size_t> bounds{0};
+  try {
+    ff::decode_stream(bytes.data(), bytes.size(), d.marks, d.edges, bounds);
+  } catch (const dibella::Error&) {
+    return false;
+  }
+  for (const auto& e : d.edges) {
+    EXPECT_LT(e.lo, e.hi);
+    EXPECT_LT(e.hi, n_reads);
+  }
+  if (out) *out = std::move(d);
+  return true;
+}
+
+}  // namespace
+
+TEST(FusedFrame, RoundTripsListAndBitmapFrames) {
+  dibella::util::Xoshiro256 rng(77);
+  for (int trial = 0; trial < 20; ++trial) {
+    const u64 n_reads = 1 + rng.uniform_below(3000);
+    std::vector<FrameSpec> frames;
+    for (u64 i = 0, n = 1 + rng.uniform_below(3); i < n; ++i) {
+      frames.push_back(random_frame(rng, n_reads));
+    }
+    Decoded d;
+    ASSERT_TRUE(decodes(encode_frames(frames, n_reads), n_reads, &d));
+    std::vector<dibella::u8> marks(static_cast<std::size_t>(n_reads), 0);
+    std::vector<dsg::DovetailEdge> edges;
+    for (const auto& f : frames) {
+      for (u64 g : f.contained) marks[static_cast<std::size_t>(g)] = 1;
+      edges.insert(edges.end(), f.edges.begin(), f.edges.end());
+    }
+    EXPECT_EQ(d.marks, marks);
+    ASSERT_EQ(d.edges.size(), edges.size());
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      const auto& a = d.edges[i];
+      const auto& b = edges[i];
+      EXPECT_TRUE(a.lo == b.lo && a.hi == b.hi && a.overlap_len == b.overlap_len &&
+                  a.score == b.score && a.same_orientation == b.same_orientation &&
+                  a.from_is_lo == b.from_is_lo && a.rc_from == b.rc_from &&
+                  a.rc_to == b.rc_to)
+          << "edge " << i;
+    }
+  }
+}
+
+TEST(FusedFrame, EncoderRejectsValuesTheWireCannotCarry) {
+  std::vector<dibella::u8> buf;
+  dsg::DovetailEdge e;
+  e.lo = 1;
+  e.hi = u64{1} << 32;
+  EXPECT_THROW(ff::append_edge(buf, e), dibella::Error);
+  e.hi = 2;
+  e.overlap_len = u32{1} << 28;
+  EXPECT_THROW(ff::append_edge(buf, e), dibella::Error);
+}
+
+TEST(FusedFrame, MalformedValuesAreTypedErrors) {
+  // Each of these used to index the contained byte map out of bounds.
+  const u64 n_reads = 100;
+  auto frame_bytes = [&](const std::vector<u64>& header, const std::vector<u64>& words,
+                         const std::vector<u32>& edge_words) {
+    std::vector<dibella::u8> b;
+    const auto append = [&b](const auto& v) {
+      const auto* p = reinterpret_cast<const dibella::u8*>(v.data());
+      b.insert(b.end(), p, p + v.size() * sizeof(v[0]));
+    };
+    append(header);
+    append(words);
+    append(edge_words);
+    return b;
+  };
+  EXPECT_TRUE(decodes(frame_bytes({1, 0, 0}, {99}, {}), n_reads));
+  EXPECT_FALSE(decodes(frame_bytes({1, 0, 0}, {100}, {}), n_reads));  // list gid >= N
+  EXPECT_TRUE(decodes(frame_bytes({2, 0, 1}, {0, u64{1} << 35}, {}), n_reads));
+  EXPECT_FALSE(decodes(frame_bytes({3, 0, 1}, {0, 0, 0}, {}), n_reads));  // > ceil(N/64)
+  EXPECT_FALSE(decodes(frame_bytes({2, 0, 1}, {0, u64{1} << 36}, {}), n_reads));  // bit N
+  EXPECT_FALSE(decodes(frame_bytes({0, 0, 2}, {}, {}), n_reads));  // unknown mode
+  EXPECT_TRUE(decodes(frame_bytes({0, 1, 0}, {}, {3, 99, 10, 5}), n_reads));
+  EXPECT_FALSE(decodes(frame_bytes({0, 1, 0}, {}, {5, 5, 10, 5}), n_reads));    // lo == hi
+  EXPECT_FALSE(decodes(frame_bytes({0, 1, 0}, {}, {7, 5, 10, 5}), n_reads));    // lo > hi
+  EXPECT_FALSE(decodes(frame_bytes({0, 1, 0}, {}, {3, 100, 10, 5}), n_reads));  // hi >= N
+  EXPECT_FALSE(decodes(frame_bytes({0, 2, 0}, {}, {3, 9, 1, 1, 3, 9, 1, 1}), n_reads));
+  // A count near 2^64 must not wrap the byte length it is scaled to.
+  EXPECT_FALSE(decodes(frame_bytes({u64{1} << 61, 0, 0}, {7}, {}), n_reads));
+  EXPECT_FALSE(decodes(frame_bytes({0, u64{1} << 60, 0}, {}, {3, 9, 1, 1}), n_reads));
+}
+
+TEST(FusedFrame, SeededMutationsEndInErrorOrAValidDecode) {
+  // Truncate, flip and splice encoded streams. A mutation may still form a
+  // valid stream (a cut between frames, a flipped score bit), so each case
+  // must either decode to in-range values or throw dibella::Error, never
+  // another exception and never an out-of-bounds access (run under ASan to
+  // see the latter). Cuts inside a frame must throw.
+  dibella::util::Xoshiro256 rng(4243);
+  for (int trial = 0; trial < 30; ++trial) {
+    const u64 n_reads = 1 + rng.uniform_below(trial % 2 ? 200 : 5000);
+    std::vector<FrameSpec> frames;
+    for (u64 i = 0, n = 1 + rng.uniform_below(3); i < n; ++i) {
+      frames.push_back(random_frame(rng, n_reads));
+    }
+    std::vector<std::size_t> boundaries;
+    const auto bytes = encode_frames(frames, n_reads, &boundaries);
+    ASSERT_TRUE(decodes(bytes, n_reads));
+
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+      std::vector<dibella::u8> b(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(cut));
+      const bool at_boundary =
+          std::find(boundaries.begin(), boundaries.end(), cut) != boundaries.end();
+      EXPECT_EQ(decodes(b, n_reads), at_boundary) << "cut at " << cut;
+    }
+    for (int f = 0; f < 64; ++f) {
+      std::vector<dibella::u8> b = bytes;
+      b[rng.uniform_below(b.size())] ^= static_cast<dibella::u8>(1u << rng.uniform_below(8));
+      decodes(b, n_reads);
+    }
+    for (int f = 0; f < 16; ++f) {
+      const u64 other_n = 1 + rng.uniform_below(20000);
+      const auto other = encode_frames({random_frame(rng, other_n)}, other_n);
+      std::vector<dibella::u8> b(bytes.begin(),
+                                 bytes.begin() + static_cast<std::ptrdiff_t>(
+                                                     rng.uniform_below(bytes.size() + 1)));
+      b.insert(b.end(), other.begin() + static_cast<std::ptrdiff_t>(rng.uniform_below(other.size())),
+               other.end());
+      decodes(b, n_reads);
+    }
+  }
 }
