@@ -16,8 +16,6 @@
 //                   available CPU (optimized); records asserted identical,
 //                   ns/cell is wall-clock (it falls with the worker count,
 //                   the CPU cost per cell does not)
-//   * sw:           full Smith-Waterman with traceback on short windows
-//                   (ns/cell, pairs/s)
 //   * overlap_consolidate: overlap-stage task consolidation on many pairs
 //                   with a few seeds each, the former sort-then-group
 //                   consolidation vs the stage's pair runs: encode -> decode
@@ -70,7 +68,6 @@
 #include "align/alignment_stage.hpp"
 #include "align/detail/xdrop_kernels.hpp"
 #include "align/reference_kernels.hpp"
-#include "align/smith_waterman.hpp"
 #include "align/xdrop.hpp"
 #include "common/bench_common.hpp"
 #include "common/exchange_overlap.hpp"
@@ -302,48 +299,6 @@ BenchRow bench_alignment_pool(std::size_t n_pairs, std::size_t read_len, int rep
   row.cells = pooled_res.dp_cells;
   row.baseline_ns_per_cell = 1e9 * row.baseline_s / static_cast<double>(row.cells);
   row.optimized_ns_per_cell = 1e9 * row.optimized_s / static_cast<double>(row.cells);
-  row.throughput = static_cast<double>(row.items) / row.optimized_s;
-  return row;
-}
-
-BenchRow bench_sw(std::size_t n_pairs, std::size_t window, int reps,
-                  util::Xoshiro256& rng) {
-  const align::Scoring sc;
-  std::vector<std::pair<std::string, std::string>> pairs;
-  pairs.reserve(n_pairs);
-  for (std::size_t i = 0; i < n_pairs; ++i) {
-    std::string a = random_dna(rng, window);
-    pairs.emplace_back(a, mutate(a, 0.15, rng));
-  }
-
-  BenchRow row;
-  row.name = "smith_waterman";
-  row.unit = "pairs/s";
-  row.items = pairs.size();
-  u64 sum_ref = 0, cells_ref = 0;
-  row.baseline_s = best_of(reps, [&] {
-    sum_ref = cells_ref = 0;
-    for (const auto& [a, b] : pairs) {
-      auto r = align::ref::smith_waterman(a, b, sc);
-      sum_ref += static_cast<u64>(r.score) + r.a_begin + r.b_end;
-      cells_ref += r.cells;
-    }
-  });
-  align::Workspace ws;
-  u64 sum_opt = 0, cells_opt = 0;
-  row.optimized_s = best_of(reps, [&] {
-    sum_opt = cells_opt = 0;
-    for (const auto& [a, b] : pairs) {
-      auto r = align::smith_waterman(a, b, sc, ws);
-      sum_opt += static_cast<u64>(r.score) + r.a_begin + r.b_end;
-      cells_opt += r.cells;
-    }
-  });
-  DIBELLA_CHECK(sum_ref == sum_opt && cells_ref == cells_opt,
-                "smith_waterman optimized kernel diverged from reference");
-  row.cells = cells_opt;
-  row.baseline_ns_per_cell = 1e9 * row.baseline_s / static_cast<double>(cells_opt);
-  row.optimized_ns_per_cell = 1e9 * row.optimized_s / static_cast<double>(cells_opt);
   row.throughput = static_cast<double>(row.items) / row.optimized_s;
   return row;
 }
@@ -642,13 +597,11 @@ int main(int argc, char** argv) {
   if (smoke) {
     bench_xdrop(60, 1200, reps, rng, rows);
     rows.push_back(bench_alignment_pool(400, 1200, reps));
-    rows.push_back(bench_sw(120, 160, reps, rng));
     rows.push_back(bench_consolidate(60'000, 4'000, reps, rng));
     rows.push_back(bench_dense_consolidate(60'000, 400, reps, rng));
   } else {
     bench_xdrop(400, 4000, reps, rng, rows);
     rows.push_back(bench_alignment_pool(4000, 4000, reps));
-    rows.push_back(bench_sw(600, 300, reps, rng));
     rows.push_back(bench_consolidate(2'000'000, 60'000, reps, rng));
     rows.push_back(bench_dense_consolidate(2'000'000, 4'000, reps, rng));
   }

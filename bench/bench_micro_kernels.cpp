@@ -1,13 +1,13 @@
 /// \file bench_micro_kernels.cpp
 /// google-benchmark microbenchmarks of the per-kernel building blocks:
 /// k-mer parsing, Bloom filter variants (flat vs cache-line blocked), the
-/// local hash table, x-drop extension, Smith-Waterman, and the in-process
-/// alltoallv transport. These quantify the constants behind the stage-level
-/// figures.
+/// local hash table, x-drop extension, the reference Smith-Waterman kernels
+/// (align::ref, the x-drop oracle), and the in-process alltoallv transport.
+/// These quantify the constants behind the stage-level figures.
 
 #include <benchmark/benchmark.h>
 
-#include "align/smith_waterman.hpp"
+#include "align/reference_kernels.hpp"
 #include "align/xdrop.hpp"
 #include "bloom/bloom_filter.hpp"
 #include "comm/communicator.hpp"
@@ -126,7 +126,7 @@ void BM_SmithWaterman(benchmark::State& state) {
   std::string b = noisy_copy(a, 0.15, 10);
   align::Scoring sc;
   for (auto _ : state) {
-    auto r = align::smith_waterman(a, b, sc);
+    auto r = align::ref::smith_waterman(a, b, sc);
     benchmark::DoNotOptimize(r.score);
   }
 }
@@ -137,7 +137,7 @@ void BM_BandedSmithWaterman(benchmark::State& state) {
   std::string b = noisy_copy(a, 0.15, 12);
   align::Scoring sc;
   for (auto _ : state) {
-    auto r = align::banded_smith_waterman(a, b, sc, 64);
+    auto r = align::ref::banded_smith_waterman(a, b, sc, 64);
     benchmark::DoNotOptimize(r.score);
   }
 }

@@ -20,8 +20,8 @@ namespace {
 constexpr std::size_t kChunkTasks = 32;
 
 /// Everything one worker writes, so workers share no mutable state (and,
-/// cache-line aligned, no line of it either). The Workspace (DP bands, SW
-/// rows/traceback, the reverse-complement buffer) is reused across every
+/// cache-line aligned, no line of it either). The Workspace (x-drop bands
+/// and sequence copies, the reverse-complement buffer) is reused across every
 /// task and seed the worker aligns, so its steady-state loop performs zero
 /// heap allocations per seed.
 struct alignas(64) WorkerState {
@@ -176,7 +176,6 @@ std::vector<AlignmentRecord> run_alignment_stage(
   for (const WorkerState& w : states) {
     if (w.error) std::rethrow_exception(w.error);
     res += w.res;
-    res.sw_band_fallbacks += w.ws.sw_band_fallbacks;
     touched_bytes += w.touched_bytes;
     revcomp_bytes += w.revcomp_bytes;
   }

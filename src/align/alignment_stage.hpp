@@ -67,10 +67,6 @@ struct AlignmentStageResult {
   u64 alignments_computed = 0; ///< seed extensions performed (Fig 7's unit)
   u64 dp_cells = 0;            ///< total DP cells (the real work metric)
   u64 records_kept = 0;        ///< alignments above min_score
-  /// Times smith_waterman hit its traceback cell budget and fell back to
-  /// the banded score-only kernel (from the stage workspace; 0 unless an
-  /// exact-SW path runs through it).
-  u64 sw_band_fallbacks = 0;
   u64 chain_anchors = 0;        ///< pairs extended from a chain anchor
   u64 chain_dropped_seeds = 0;  ///< seeds subsumed by their pair's chain
 
@@ -80,7 +76,6 @@ struct AlignmentStageResult {
     alignments_computed += o.alignments_computed;
     dp_cells += o.dp_cells;
     records_kept += o.records_kept;
-    sw_band_fallbacks += o.sw_band_fallbacks;
     chain_anchors += o.chain_anchors;
     chain_dropped_seeds += o.chain_dropped_seeds;
     return *this;

@@ -32,7 +32,8 @@
 /// copies).
 ///
 /// The paper calls SeqAn's implementation; this is a from-scratch equivalent
-/// property-tested against our exact Smith-Waterman (see tests/test_align.cpp).
+/// property-tested against the exact Smith-Waterman oracle
+/// align::ref::smith_waterman (reference_kernels.hpp; see tests/test_align.cpp).
 
 #include <string_view>
 

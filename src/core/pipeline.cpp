@@ -419,7 +419,6 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
     c.alignments_computed += al_res[rank].alignments_computed;
     c.dp_cells += al_res[rank].dp_cells;
     c.alignments_reported += al_res[rank].records_kept;
-    c.sw_band_fallbacks += al_res[rank].sw_band_fallbacks;
     c.chain_anchors += al_res[rank].chain_anchors;
     c.chain_dropped_seeds += al_res[rank].chain_dropped_seeds;
     // Stage-5 ownership rules (records where produced, contained reads by
@@ -484,7 +483,6 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
     put("alignments_computed", c.alignments_computed);
     put("dp_cells", c.dp_cells);
     put("alignments_reported", c.alignments_reported);
-    put("sw_band_fallbacks", c.sw_band_fallbacks);
     put("chain_anchors", c.chain_anchors);
     put("chain_dropped_seeds", c.chain_dropped_seeds);
     put("sg_contained_reads", c.sg_contained_reads);

@@ -55,7 +55,6 @@ struct PipelineCounters {
   u64 alignments_computed = 0;   ///< seed extensions (Fig 7/13's unit)
   u64 dp_cells = 0;
   u64 alignments_reported = 0;
-  u64 sw_band_fallbacks = 0;     ///< exact-SW traceback budget fallbacks
   u64 chain_anchors = 0;         ///< pairs extended from a colinear chain anchor
   u64 chain_dropped_seeds = 0;   ///< seeds subsumed by their pair's chain
   // stage 5 (string graph; all zero when stage5 is off)

@@ -44,19 +44,40 @@ void save_file(const std::string& path, std::string_view data) {
 }
 
 std::vector<Read> parse_fastq(std::string_view data) {
-  // Strict whole-file parse: unlike the byte-range form there is no record
-  // synchronization, so malformed leading data is an error rather than
-  // silently skipped.
+  // Strict whole-file parse: malformed leading data is an error rather than
+  // silently skipped by record synchronization.
+  std::size_t pos = sync_to_fastq_record(data, 0);
   if (!data.empty()) {
     std::size_t first = data.find_first_not_of("\r\n");
     DIBELLA_CHECK(first != std::string_view::npos ? data[first] == '@' : true,
                   "malformed FASTQ: file does not start with '@'");
-    DIBELLA_CHECK(sync_to_fastq_record(data, 0) == (first == std::string_view::npos
-                                                        ? data.size()
-                                                        : first),
+    DIBELLA_CHECK(pos == (first == std::string_view::npos ? data.size() : first),
                   "malformed FASTQ: no valid record at file start");
   }
-  return parse_fastq_range(data, 0, data.size());
+  std::vector<Read> reads;
+  while (pos < data.size()) {
+    std::string_view header, seq, plus, qual;
+    std::size_t scan = pos;
+    if (!next_line(data, scan, header)) break;
+    if (header.empty()) {  // tolerate blank lines between records
+      pos = scan;
+      continue;
+    }
+    DIBELLA_CHECK(header[0] == '@', "malformed FASTQ: expected '@' header");
+    DIBELLA_CHECK(next_line(data, scan, seq), "malformed FASTQ: missing sequence");
+    DIBELLA_CHECK(next_line(data, scan, plus) && !plus.empty() && plus[0] == '+',
+                  "malformed FASTQ: missing '+' separator");
+    DIBELLA_CHECK(next_line(data, scan, qual), "malformed FASTQ: missing quality");
+    DIBELLA_CHECK(qual.size() == seq.size(), "malformed FASTQ: quality length mismatch");
+    Read r;
+    r.gid = reads.size();
+    r.name = std::string(header.substr(1));
+    r.seq = std::string(seq);
+    r.qual = std::string(qual);
+    reads.push_back(std::move(r));
+    pos = scan;
+  }
+  return reads;
 }
 
 std::vector<Read> parse_fasta(std::string_view data) {
@@ -143,45 +164,6 @@ std::size_t sync_to_fastq_record(std::string_view data, std::size_t from) {
     pos = nl + 1;
   }
   return data.size();
-}
-
-std::vector<Read> parse_fastq_range(std::string_view data, std::size_t begin,
-                                    std::size_t end) {
-  std::vector<Read> reads;
-  std::size_t pos = sync_to_fastq_record(data, begin);
-  while (pos < data.size() && pos < end) {
-    std::string_view header, seq, plus, qual;
-    std::size_t scan = pos;
-    if (!next_line(data, scan, header)) break;
-    if (header.empty()) {  // tolerate blank lines between records
-      pos = scan;
-      continue;
-    }
-    DIBELLA_CHECK(header[0] == '@', "malformed FASTQ: expected '@' header");
-    DIBELLA_CHECK(next_line(data, scan, seq), "malformed FASTQ: missing sequence");
-    DIBELLA_CHECK(next_line(data, scan, plus) && !plus.empty() && plus[0] == '+',
-                  "malformed FASTQ: missing '+' separator");
-    DIBELLA_CHECK(next_line(data, scan, qual), "malformed FASTQ: missing quality");
-    DIBELLA_CHECK(qual.size() == seq.size(), "malformed FASTQ: quality length mismatch");
-    Read r;
-    r.gid = reads.size();  // provisional; global ids assigned by the caller
-    r.name = std::string(header.substr(1));
-    r.seq = std::string(seq);
-    r.qual = std::string(qual);
-    reads.push_back(std::move(r));
-    pos = scan;
-  }
-  return reads;
-}
-
-std::vector<std::size_t> split_byte_ranges(std::size_t total_bytes, int parts) {
-  DIBELLA_CHECK(parts >= 1, "split_byte_ranges: parts must be >= 1");
-  std::vector<std::size_t> bounds(static_cast<std::size_t>(parts) + 1, 0);
-  for (int i = 0; i <= parts; ++i) {
-    bounds[static_cast<std::size_t>(i)] =
-        total_bytes * static_cast<std::size_t>(i) / static_cast<std::size_t>(parts);
-  }
-  return bounds;
 }
 
 }  // namespace dibella::io

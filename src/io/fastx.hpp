@@ -2,10 +2,7 @@
 /// \file fastx.hpp
 /// FASTQ and FASTA parsing / writing.
 ///
-/// The readers work off an in-memory buffer; `load_file` slurps a path. A
-/// byte-range parse with record-boundary synchronization emulates the
-/// parallel file I/O of the paper (each rank reads its own slice of the
-/// input FASTQ and syncs forward to the next record start).
+/// The readers work off an in-memory buffer; `load_file` slurps a path.
 
 #include <string>
 #include <string_view>
@@ -40,16 +37,5 @@ std::string to_fasta(const std::vector<Read>& reads);
 /// third line begins with '+' — this disambiguates '@' appearing as a
 /// quality character. Returns data.size() when none found.
 std::size_t sync_to_fastq_record(std::string_view data, std::size_t from);
-
-/// Parse only the FASTQ records whose first byte lies in [begin, end) after
-/// record-boundary synchronization. Rank r calling this with its byte slice
-/// of the file gets exactly the reads it owns, with no duplicates or gaps
-/// across ranks. gids are assigned later (they require a global prefix sum).
-std::vector<Read> parse_fastq_range(std::string_view data, std::size_t begin,
-                                    std::size_t end);
-
-/// Split [0, total_bytes) into `parts` contiguous byte ranges of near-equal
-/// size; range i is [result[i], result[i+1]).
-std::vector<std::size_t> split_byte_ranges(std::size_t total_bytes, int parts);
 
 }  // namespace dibella::io

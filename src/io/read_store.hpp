@@ -105,17 +105,8 @@ class ReadStore {
   ReadStore(const std::vector<Read>& all, const ReadPartition& partition, int rank,
             const BlockConfig& cfg);
 
-  /// Construct from already-local reads (e.g. parsed from this rank's file
-  /// byte range). `local` must be this rank's contiguous gid block.
-  static ReadStore from_local_block(std::vector<Read> local,
-                                    const ReadPartition& partition, int rank);
-
   int rank() const { return rank_; }
   const ReadPartition& partition() const { return partition_; }
-
-  /// The resident local read vector. Only valid on the in-memory path
-  /// (blocks() == 1); block-mode callers must iterate via local_read().
-  const std::vector<Read>& local_reads() const;
 
   /// Number of out-of-core blocks (1 = in-memory path).
   u32 blocks() const { return block_cfg_.blocks; }
@@ -134,10 +125,8 @@ class ReadStore {
   /// (always resident, even in block mode).
   u64 local_length(u64 gid) const;
 
-  /// Add a remote read fetched in the alignment read-exchange.
-  void cache_remote(Read r);
-
-  /// Bulk-add remote reads (single index rebuild; use for the read exchange).
+  /// Add the remote reads fetched in the alignment read-exchange (one index
+  /// rebuild per call).
   void cache_remote_bulk(std::vector<Read> rs);
 
   /// Look up a read by gid: local block first, then the remote cache.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "io/fastx.hpp"
@@ -41,6 +42,20 @@ u64 parse_u64(std::string_view field, const char* what, std::size_t line_no) {
                 " '" + s + "'");
   }
   return v;
+}
+
+/// A genome id sizes the genome-length table, so it is bounded before use:
+/// below 2^32 (TruthEntry::genome_id is a u32) and below the input's byte
+/// count (a real table numbers its genomes 0..G-1, and G lines take more
+/// than G bytes), so a single row cannot allocate beyond the input's size.
+u32 parse_genome_id(std::string_view field, std::size_t line_no, std::size_t input_bytes) {
+  const u64 id = parse_u64(field, "genome id", line_no);
+  if (id > std::numeric_limits<u32>::max() || id >= input_bytes) {
+    throw Error("truth TSV line " + std::to_string(line_no) + ": genome id " +
+                std::to_string(id) + " out of range (must be below 2^32 and below the " +
+                std::to_string(input_bytes) + "-byte input size)");
+  }
+  return static_cast<u32>(id);
 }
 
 }  // namespace
@@ -102,11 +117,10 @@ TruthTable TruthTable::parse_tsv(std::string_view data) {
         throw Error("truth TSV line " + std::to_string(line_no) +
                     ": #genome wants 'id<TAB>length'");
       }
-      u64 id = parse_u64(fields[1], "genome id", line_no);
-      table.set_genome_length(static_cast<u32>(id),
-                              parse_u64(fields[2], "genome length", line_no));
+      const u32 id = parse_genome_id(fields[1], line_no, data.size());
+      table.set_genome_length(id, parse_u64(fields[2], "genome length", line_no));
       if (declared.size() <= id) declared.resize(static_cast<std::size_t>(id) + 1);
-      declared[static_cast<std::size_t>(id)] = true;
+      declared[id] = true;
       continue;
     }
     if (!saw_header) {
@@ -128,7 +142,7 @@ TruthTable TruthTable::parse_tsv(std::string_view data) {
                   std::to_string(table.size()) + ")");
     }
     TruthEntry e;
-    e.genome_id = static_cast<u32>(parse_u64(fields[1], "genome id", line_no));
+    e.genome_id = parse_genome_id(fields[1], line_no, data.size());
     e.lo = parse_u64(fields[2], "start", line_no);
     e.hi = parse_u64(fields[3], "end", line_no);
     if (e.lo > e.hi) {

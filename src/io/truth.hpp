@@ -70,7 +70,8 @@ class TruthTable {
   /// Serialize as the sidecar TSV (see file comment).
   std::string to_tsv() const;
 
-  /// Parse a sidecar TSV. Throws dibella::Error on malformed input; infers
+  /// Parse a sidecar TSV. Throws dibella::Error on malformed input, which
+  /// includes a genome id at or above 2^32 or the input's byte count; infers
   /// genome lengths from interval ends when no #genome lines are present.
   static TruthTable parse_tsv(std::string_view data);
 

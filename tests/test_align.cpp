@@ -1,13 +1,14 @@
 // Tests for the alignment kernels: x-drop extension (vs an exact
-// no-pruning oracle), seed-anchored alignment, full and banded
-// Smith-Waterman, and orientation handling.
+// no-pruning oracle), seed-anchored alignment, the full and banded
+// Smith-Waterman kernels of align::ref (x-drop's score oracle), and
+// orientation handling.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 
-#include "align/smith_waterman.hpp"
+#include "align/reference_kernels.hpp"
 #include "align/xdrop.hpp"
 #include "kmer/dna.hpp"
 #include "util/random.hpp"
@@ -163,15 +164,15 @@ TEST(AlignFromSeed, SeedAtSequenceEdges) {
 
 TEST(SmithWaterman, TextbookExamples) {
   da::Scoring sc;
-  auto r = da::smith_waterman("ACGT", "ACGT", sc);
+  auto r = da::ref::smith_waterman("ACGT", "ACGT", sc);
   EXPECT_EQ(r.score, 4);
   EXPECT_EQ(r.a_begin, 0u);
   EXPECT_EQ(r.a_end, 4u);
   // Local alignment finds the embedded common substring.
-  r = da::smith_waterman("TTTTACGTACGTTTTT", "GGGGACGTACGGGG", sc);
+  r = da::ref::smith_waterman("TTTTACGTACGTTTTT", "GGGGACGTACGGGG", sc);
   EXPECT_GE(r.score, 7);  // ACGTACG common
   // Empty inputs.
-  r = da::smith_waterman("", "ACGT", sc);
+  r = da::ref::smith_waterman("", "ACGT", sc);
   EXPECT_EQ(r.score, 0);
 }
 
@@ -181,7 +182,7 @@ TEST(SmithWaterman, TracebackSpansAreConsistent) {
   for (int trial = 0; trial < 10; ++trial) {
     std::string a = random_dna(rng, 60);
     std::string b = mutate(a, 0.1, rng);
-    auto r = da::smith_waterman(a, b, sc);
+    auto r = da::ref::smith_waterman(a, b, sc);
     EXPECT_LE(r.a_begin, r.a_end);
     EXPECT_LE(r.b_begin, r.b_end);
     EXPECT_LE(r.a_end, a.size());
@@ -201,7 +202,7 @@ TEST(SmithWaterman, LocalBeatsExtensionScore) {
   std::string core = random_dna(rng, 100);
   std::string a = random_dna(rng, 30) + core;
   std::string b = random_dna(rng, 25) + core;
-  auto sw = da::smith_waterman(a, b, sc);
+  auto sw = da::ref::smith_waterman(a, b, sc);
   auto ext = da::xdrop_extend(a, b, sc, 1'000'000);
   EXPECT_GE(sw.score, ext.score);
   EXPECT_GE(sw.score, 100);  // finds the planted core
@@ -213,8 +214,8 @@ TEST(BandedSmithWaterman, WideBandEqualsFull) {
   for (int trial = 0; trial < 8; ++trial) {
     std::string a = random_dna(rng, 50 + rng.uniform_below(30));
     std::string b = mutate(a, 0.15, rng);
-    auto full = da::smith_waterman(a, b, sc);
-    auto banded = da::banded_smith_waterman(
+    auto full = da::ref::smith_waterman(a, b, sc);
+    auto banded = da::ref::banded_smith_waterman(
         a, b, sc, static_cast<dibella::i64>(a.size() + b.size()));
     EXPECT_EQ(banded.score, full.score) << trial;
   }
@@ -225,8 +226,8 @@ TEST(BandedSmithWaterman, NarrowBandBoundsWorkAndScore) {
   da::Scoring sc;
   std::string a = random_dna(rng, 500);
   std::string b = mutate(a, 0.1, rng);
-  auto full = da::smith_waterman(a, b, sc);
-  auto banded = da::banded_smith_waterman(a, b, sc, 32);
+  auto full = da::ref::smith_waterman(a, b, sc);
+  auto banded = da::ref::banded_smith_waterman(a, b, sc, 32);
   EXPECT_LE(banded.score, full.score);
   EXPECT_LT(banded.cells, full.cells / 3);  // linear-in-L work (§2)
   // Homologous pair with mostly diagonal alignment: a modest band loses
@@ -235,7 +236,7 @@ TEST(BandedSmithWaterman, NarrowBandBoundsWorkAndScore) {
 }
 
 TEST(BandedSmithWaterman, RejectsNegativeBand) {
-  EXPECT_THROW(da::banded_smith_waterman("AC", "AC", da::Scoring{}, -1), dibella::Error);
+  EXPECT_THROW(da::ref::banded_smith_waterman("AC", "AC", da::Scoring{}, -1), dibella::Error);
 }
 
 TEST(Alignment, ReverseComplementOverlapViaManualFrames) {

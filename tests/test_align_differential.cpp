@@ -1,7 +1,7 @@
 // Differential property suite for the allocation-free alignment kernels:
-// the optimized x-drop / Smith-Waterman implementations must produce
-// bitwise-identical scores, spans, and `cells` counters to the retained
-// reference kernels (align::ref) across randomized (length, error rate,
+// the optimized x-drop implementations must produce bitwise-identical
+// scores, spans, and `cells` counters to the retained reference kernels
+// (align::ref) across randomized (length, error rate,
 // scoring, x-drop) combinations — including empty and one-sided extensions,
 // lengths around the AVX2 vector width, wide bands spanning many vectors,
 // non-ACGT bytes, and reverse-complement-orientation seeds. Every x-drop
@@ -23,7 +23,6 @@
 
 #include "align/detail/xdrop_kernels.hpp"
 #include "align/reference_kernels.hpp"
-#include "align/smith_waterman.hpp"
 #include "align/workspace.hpp"
 #include "align/xdrop.hpp"
 #include "kmer/dna.hpp"
@@ -140,16 +139,6 @@ void expect_extend_equal(const da::ExtendResult& got, const da::ExtendResult& wa
 
 void expect_seed_equal(const da::SeedAlignment& got, const da::SeedAlignment& want,
                        const std::string& what) {
-  EXPECT_EQ(got.score, want.score) << what;
-  EXPECT_EQ(got.a_begin, want.a_begin) << what;
-  EXPECT_EQ(got.a_end, want.a_end) << what;
-  EXPECT_EQ(got.b_begin, want.b_begin) << what;
-  EXPECT_EQ(got.b_end, want.b_end) << what;
-  EXPECT_EQ(got.cells, want.cells) << what;
-}
-
-void expect_local_equal(const da::LocalAlignment& got, const da::LocalAlignment& want,
-                        const std::string& what) {
   EXPECT_EQ(got.score, want.score) << what;
   EXPECT_EQ(got.a_begin, want.a_begin) << what;
   EXPECT_EQ(got.a_end, want.a_end) << what;
@@ -344,70 +333,6 @@ TEST(AlignDifferential, AlignFromSeedMatchesReferenceInRcFrames) {
   }
 }
 
-TEST(AlignDifferential, SmithWatermanMatchesReference) {
-  dibella::util::Xoshiro256 rng(404);
-  da::Workspace ws;
-  int cases = 0;
-  for (int trial = 0; trial < 100; ++trial) {
-    const std::size_t len = 1 + rng.uniform_below(200);
-    const double rate = kErrorRates[rng.uniform_below(kErrorRates.size())];
-    const auto& sc = kScorings[trial % kScorings.size()];
-    std::string a = random_dna(rng, len);
-    std::string b = partner(a, rate, rng);
-    auto want = da::ref::smith_waterman(a, b, sc);
-    auto got = da::smith_waterman(a, b, sc, ws);
-    expect_local_equal(got, want, "sw trial=" + std::to_string(trial));
-    ++cases;
-
-    // Banded variant across band widths (0 = diagonal only, through full).
-    for (dibella::i64 band : {dibella::i64{0}, dibella::i64{1}, dibella::i64{8},
-                              static_cast<dibella::i64>(a.size() + b.size())}) {
-      auto want_b = da::ref::banded_smith_waterman(a, b, sc, band);
-      auto got_b = da::banded_smith_waterman(a, b, sc, band, ws);
-      expect_local_equal(got_b, want_b,
-                         "banded trial=" + std::to_string(trial) +
-                             " band=" + std::to_string(band));
-      ++cases;
-    }
-  }
-  // Empty inputs.
-  auto want = da::ref::smith_waterman("", "ACGT", da::Scoring{});
-  auto got = da::smith_waterman("", "ACGT", da::Scoring{}, ws);
-  expect_local_equal(got, want, "empty");
-  EXPECT_GE(cases, 500);
-}
-
-TEST(AlignDifferential, SmithWatermanBudgetFallsBackToBanded) {
-  dibella::util::Xoshiro256 rng(505);
-  std::string a = random_dna(rng, 300);
-  std::string b = mutate(a, 0.1, rng);
-  da::Scoring sc;
-  da::Workspace ws;
-
-  // Budget big enough: identical to the reference, no fallback.
-  auto full = da::smith_waterman(a, b, sc, ws, /*cell_budget=*/1u << 20);
-  expect_local_equal(full, da::ref::smith_waterman(a, b, sc), "within budget");
-  EXPECT_EQ(ws.sw_band_fallbacks, 0u);
-
-  // Budget too small: falls back to the score-only banded kernel with
-  // band = budget / (2 * max(n, m)), and counts the event.
-  const u64 budget = 20'000;
-  auto fb = da::smith_waterman(a, b, sc, ws, budget);
-  EXPECT_EQ(ws.sw_band_fallbacks, 1u);
-  const dibella::i64 band =
-      static_cast<dibella::i64>(budget / (2 * std::max(a.size(), b.size())));
-  expect_local_equal(fb, da::ref::banded_smith_waterman(a, b, sc, band), "fallback");
-  // Score-only: no traceback, so begin positions stay zero.
-  EXPECT_EQ(fb.a_begin, 0u);
-  EXPECT_EQ(fb.b_begin, 0u);
-  EXPECT_LT(fb.cells, full.cells);
-
-  // budget 0 disables the guard.
-  auto unguarded = da::smith_waterman(a, b, sc, ws, 0);
-  expect_local_equal(unguarded, full, "unguarded");
-  EXPECT_EQ(ws.sw_band_fallbacks, 1u);
-}
-
 TEST(AlignDifferential, SteadyStateAlignmentLoopIsAllocationFree) {
   // Build a PacBio-like workload: overlapping noisy read pairs with known
   // anchors, including reverse-complement-orientation pairs.
@@ -446,10 +371,6 @@ TEST(AlignDifferential, SteadyStateAlignmentLoopIsAllocationFree) {
       auto sa =
           da::detail::align_from_seed_with(kernel, t.a, bseq, t.pos_a, t.pos_b, k, sc, 25, ws);
       checksum += static_cast<u64>(sa.score) + sa.cells;
-      // Exercise the SW workspace path too (short windows).
-      auto sw = da::smith_waterman(std::string_view(t.a).substr(0, 120),
-                                   bseq.substr(0, 120), sc, ws);
-      checksum += static_cast<u64>(sw.score) + sw.cells;
     }
     return checksum;
   };

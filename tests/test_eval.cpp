@@ -20,6 +20,7 @@
 #include "eval/unitig_fidelity.hpp"
 #include "io/read_store.hpp"
 #include "io/truth.hpp"
+#include "mutation.hpp"
 #include "sgraph/unitig.hpp"
 #include "simgen/presets.hpp"
 #include "simgen/read_sim.hpp"
@@ -116,6 +117,72 @@ TEST(TruthTable, MalformedInputsThrow) {
   EXPECT_THROW(dio::TruthTable::parse_tsv("#genome\t0\t1000\n" + header +
                                           "0\t0\t0\t5000\t+\n"),
                Error);
+}
+
+TEST(TruthTable, GenomeIdPastU32IsRejected) {
+  // TruthEntry::genome_id is a u32: 2^32 must not narrow to genome 0.
+  const std::string header = "gid\tgenome\tstart\tend\tstrand\n";
+  try {
+    (void)dio::TruthTable::parse_tsv(header + "0\t4294967296\t0\t100\t+\n");
+    ADD_FAILURE() << "a genome id of 2^32 must throw";
+  } catch (const dibella::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("genome id 4294967296 out of range"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TruthTable, GenomeIdsAreBoundedByTheInputSize) {
+  // A genome id sizes the genome-length table, so ids at or past the input's
+  // byte count are rejected before anything is allocated from them: one
+  // line cannot ask for gigabytes, and 2^64-1 cannot overflow `id + 1`.
+  using dibella::Error;
+  const std::string header = "gid\tgenome\tstart\tend\tstrand\n";
+  for (const char* id : {"268435456", "4294967295", "18446744073709551615"}) {
+    SCOPED_TRACE(id);
+    EXPECT_THROW(dio::TruthTable::parse_tsv(header + "0\t" + id + "\t0\t100\t+\n"), Error);
+    EXPECT_THROW(dio::TruthTable::parse_tsv("#genome\t" + std::string(id) + "\t1\n" + header),
+                 Error);
+  }
+  // The bound is exact: a two-digit id equal to the input's size fails,
+  // one below it parses.
+  auto with_id = [&](const std::string& id) { return header + "0\t" + id + "\t0\t100\t+\n"; };
+  const std::size_t bytes = with_id("00").size();
+  ASSERT_EQ(std::to_string(bytes).size(), 2u);
+  EXPECT_THROW(dio::TruthTable::parse_tsv(with_id(std::to_string(bytes))), Error);
+  EXPECT_EQ(dio::TruthTable::parse_tsv(with_id(std::to_string(bytes - 1))).genome_count(), bytes);
+  // An id below the bound sizes the table; unused genomes get length 0.
+  dio::TruthTable parsed = dio::TruthTable::parse_tsv(header + "0\t3\t0\t100\t+\n");
+  EXPECT_EQ(parsed.genome_count(), 4u);
+  EXPECT_EQ(parsed.genome_length(3), 100u);
+}
+
+TEST(TruthTable, SeededMutationsEndInErrorOrAValidParse) {
+  // Truncate, flip and splice a sidecar. Each mutant either parses into a
+  // consistent table no larger than its input or throws dibella::Error.
+  dibella::util::Xoshiro256 rng(3141);
+  dio::TruthTable other;
+  other.set_genome_length(1, 5'000);
+  other.add({1, 10, 900, true});
+  other.add({0, 2'000, 2'500, false});
+  const std::string splice = other.to_tsv();
+  for (const std::string& text : {fixture_table().to_tsv(), splice}) {
+    for (const std::string& m : dibella::test::seeded_mutants(text, splice, rng, 256, 64)) {
+      dio::TruthTable t;
+      try {
+        t = dio::TruthTable::parse_tsv(m);
+      } catch (const dibella::Error&) {
+        continue;
+      }
+      EXPECT_LE(t.size(), m.size());
+      EXPECT_LE(t.genome_count(), m.size());
+      for (const auto& e : t.entries()) {
+        EXPECT_LE(e.lo, e.hi);
+        ASSERT_LT(e.genome_id, t.genome_count());
+        EXPECT_LE(e.hi, t.genome_length(e.genome_id));
+      }
+    }
+  }
 }
 
 // --- provenance through the read store ---------------------------------------

@@ -35,6 +35,7 @@
 #include "eval/report.hpp"
 #include "io/fastx.hpp"
 #include "io/truth.hpp"
+#include "mutation.hpp"
 #include "sgraph/unitig.hpp"
 #include "simgen/presets.hpp"
 #include "util/random.hpp"
@@ -488,6 +489,43 @@ TEST(Checkpoint, OversizedLengthFieldIsATypedError) {
   }
   EXPECT_THROW(set->read_payload(dc::CheckpointStage::kBloom, 0), dibella::Error);
   fs::remove_all(dir);
+}
+
+TEST(Checkpoint, SeededManifestMutationsEndInErrorOrAValidOpen) {
+  // Truncate, flip and splice the manifest. `open` either refuses it with
+  // dibella::Error or resumes from a stage it can restore.
+  const fs::path dir = fs::path(::testing::TempDir()) / "dibella_ckpt_mutations";
+  const fs::path other_dir = fs::path(::testing::TempDir()) / "dibella_ckpt_mutations_other";
+  fs::remove_all(dir);
+  fs::remove_all(other_dir);
+  auto manifest = [](const fs::path& d) {
+    return dibella::io::load_file((d / "manifest.tsv").string());
+  };
+  auto other = dc::CheckpointSet::start(other_dir.string(), 0x77u, 5);
+  other->mark_complete(dc::CheckpointStage::kHashTable);
+  const std::string splice = manifest(other_dir);
+
+  dibella::util::Xoshiro256 rng(1618);
+  for (auto last : {dc::CheckpointStage::kBloom, dc::CheckpointStage::kOverlap,
+                    dc::CheckpointStage::kAlignment}) {
+    auto set = dc::CheckpointSet::start(dir.string(), 0xabcdu, 3);
+    for (u32 s = 1; s <= static_cast<u32>(last); ++s) {
+      set->mark_complete(static_cast<dc::CheckpointStage>(s));
+    }
+    const std::string text = manifest(dir);
+    ASSERT_EQ(dc::CheckpointSet::open(dir.string(), 0xabcdu, 3)->last_complete(), last);
+    for (const std::string& m : dibella::test::seeded_mutants(text, splice, rng)) {
+      dibella::io::save_file((dir / "manifest.tsv").string(), m);
+      try {
+        const auto opened = dc::CheckpointSet::open(dir.string(), 0xabcdu, 3);
+        EXPECT_GE(opened->last_complete(), dc::CheckpointStage::kBloom);
+        EXPECT_LE(opened->last_complete(), dc::CheckpointStage::kAlignment);
+      } catch (const dibella::Error&) {
+      }
+    }
+  }
+  fs::remove_all(dir);
+  fs::remove_all(other_dir);
 }
 
 // --- spill-run framing -------------------------------------------------------

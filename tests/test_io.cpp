@@ -1,6 +1,5 @@
-// Unit tests for the io module: FASTQ/FASTA parse & write, byte-range
-// record synchronization (parallel-I/O emulation), read partitioning, and
-// the per-rank ReadStore.
+// Unit tests for the io module: FASTQ/FASTA parse & write, FASTQ record
+// synchronization, read partitioning, and the per-rank ReadStore.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +8,7 @@
 
 #include "io/fastx.hpp"
 #include "io/read_store.hpp"
+#include "mutation.hpp"
 #include "simgen/presets.hpp"
 #include "util/random.hpp"
 
@@ -85,20 +85,35 @@ TEST(Fastx, SyncFindsRecordStartEvenWithAtInQuality) {
   EXPECT_EQ(dio::sync_to_fastq_record(text, 0), 0u);
 }
 
-TEST(Fastx, RangePartitionCoversAllReadsExactlyOnce) {
-  auto reads = sample_reads(101);
-  std::string text = dio::to_fastq(reads);
-  for (int parts : {1, 2, 3, 7, 16}) {
-    auto bounds = dio::split_byte_ranges(text.size(), parts);
-    std::vector<std::string> names;
-    for (int p = 0; p < parts; ++p) {
-      auto part = dio::parse_fastq_range(text, bounds[static_cast<std::size_t>(p)],
-                                         bounds[static_cast<std::size_t>(p) + 1]);
-      for (auto& r : part) names.push_back(r.name);
-    }
-    ASSERT_EQ(names.size(), reads.size()) << "parts=" << parts;
-    for (std::size_t i = 0; i < reads.size(); ++i) {
-      EXPECT_EQ(names[i], reads[i].name) << "parts=" << parts << " i=" << i;
+TEST(Fastx, SeededMutationsEndInErrorOrAValidParse) {
+  // Truncate, flip and splice FASTQ and FASTA text. A mutant may still be
+  // well-formed (a cut between records, a flipped base), so each one must
+  // either parse into gid-ordered reads built from its own bytes or throw
+  // dibella::Error; any other exception fails the test.
+  dibella::util::Xoshiro256 rng(2718);
+  for (int trial = 0; trial < 8; ++trial) {
+    const auto reads = sample_reads(1 + static_cast<int>(rng.uniform_below(5)), 100 + trial);
+    const auto other = sample_reads(3, 200 + trial);
+    for (const bool fastq : {true, false}) {
+      const std::string text = fastq ? dio::to_fastq(reads) : dio::to_fasta(reads);
+      const std::string splice = fastq ? dio::to_fastq(other) : dio::to_fasta(other);
+      for (const std::string& m : dibella::test::seeded_mutants(text, splice, rng)) {
+        std::vector<dio::Read> parsed;
+        try {
+          parsed = fastq ? dio::parse_fastq(m) : dio::parse_fasta(m);
+        } catch (const dibella::Error&) {
+          continue;
+        }
+        std::size_t bytes = 0;
+        for (std::size_t i = 0; i < parsed.size(); ++i) {
+          EXPECT_EQ(parsed[i].gid, i);
+          if (fastq) {
+            EXPECT_EQ(parsed[i].qual.size(), parsed[i].seq.size());
+          }
+          bytes += parsed[i].name.size() + parsed[i].seq.size() + parsed[i].qual.size();
+        }
+        EXPECT_LE(bytes, m.size());
+      }
     }
   }
 }
@@ -167,24 +182,14 @@ TEST(ReadStore, LocalAndRemoteLookup) {
   // A read from rank 0's block is not local; caching makes it visible.
   EXPECT_FALSE(store.is_local(0));
   EXPECT_THROW(store.get(0), dibella::Error);
-  store.cache_remote(reads[0]);
+  store.cache_remote_bulk({reads[0]});
   EXPECT_EQ(store.get(0).name, reads[0].name);
   EXPECT_EQ(store.remote_cache_size(), 1u);
-  // Bulk cache.
+  // A second batch adds to the cache rather than replacing it.
   store.cache_remote_bulk({reads[1], reads[2]});
   EXPECT_EQ(store.get(2).name, reads[2].name);
+  EXPECT_EQ(store.get(0).name, reads[0].name);
+  EXPECT_EQ(store.remote_cache_size(), 3u);
   store.clear_remote_cache();
   EXPECT_THROW(store.get(0), dibella::Error);
-}
-
-TEST(ReadStore, RejectsWrongBlock) {
-  auto reads = sample_reads(10, 11);
-  std::vector<u64> lens;
-  for (auto& r : reads) lens.push_back(r.seq.size());
-  dio::ReadPartition part(lens, 2);
-  // Construct with a block that is not rank 1's: must throw.
-  std::vector<dio::Read> wrong(reads.begin(), reads.begin() + 2);
-  if (part.count(1) != 2 || part.first_gid(1) != 0) {
-    EXPECT_THROW(dio::ReadStore::from_local_block(wrong, part, 1), dibella::Error);
-  }
 }

@@ -21,8 +21,6 @@
 #include "core/output.hpp"
 #include "core/pipeline.hpp"
 #include "eval/report.hpp"
-#include "io/fastx.hpp"
-#include "io/parallel_load.hpp"
 #include "obs/profile.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
@@ -512,8 +510,6 @@ struct KernelSpec {
 const std::map<std::string, KernelSpec>& kernel_specs() {
   using K = dc::KernelCosts;
   static const std::map<std::string, KernelSpec> specs = {
-      {"io:parse", {"io:parse", {{"byte_copies", &K::per_byte_copy}}}},
-      {"io:assemble", {"io:assemble", {{"bytes", &K::per_byte_copy}}}},
       {"bloom:pack", {"bloom:pack", {{"windows", &K::parse_per_kmer}}}},
       {"bloom:insert",
        {"bloom:local", {{"kmers", &K::bloom_insert}, {"hits", &K::table_insert}}}},
@@ -609,21 +605,5 @@ TEST(ObsPipeline, KernelSpansCarryTheUnitsOfTheirComputeSegments) {
                                     where + " rank=" + std::to_string(r));
       }
     }
-  }
-
-  // Parallel FASTQ ingestion runs outside run_pipeline; same contract.
-  const std::string fastq = dibella::io::to_fastq(sim.reads);
-  const int P = 3;
-  dibella::comm::World world(P);
-  obs::Trace spans(P);
-  std::vector<dibella::netsim::RankTrace> traces(static_cast<std::size_t>(P));
-  world.run([&](dibella::comm::Communicator& comm) {
-    dc::StageContext ctx{comm, traces[static_cast<std::size_t>(comm.rank())], &spans};
-    ctx.attach();
-    (void)dibella::io::load_fastq_parallel(ctx, fastq);
-  });
-  for (int r = 0; r < P; ++r) {
-    expect_spans_match_segments(spans.lane(r), traces[static_cast<std::size_t>(r)],
-                                "io rank=" + std::to_string(r));
   }
 }

@@ -13,7 +13,6 @@
 #include <string>
 #include <tuple>
 
-#include "align/smith_waterman.hpp"
 #include "align/xdrop.hpp"
 #include "bella/model.hpp"
 #include "bloom/bloom_filter.hpp"
