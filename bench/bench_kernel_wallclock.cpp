@@ -8,8 +8,12 @@
 //   * xdrop_extend: seed-anchored x-drop extension over noisy overlapping and
 //                   divergent long-read pairs, align::ref vs the kernel this
 //                   process dispatches to (ns/cell, pairs/s)
-//   * xdrop_extend_avx2: the same pairs, scalar kernel vs AVX2 kernel (only
-//                   on CPUs with AVX2)
+//   * xdrop_extend_avx2: the same pairs, scalar kernel vs int32 AVX2 kernel
+//                   (only on CPUs with AVX2)
+//   * xdrop_extend_i8: the same pairs, int32 AVX2 kernel vs int8 AVX2 kernel
+//                   (only on CPUs with AVX2)
+//   * xdrop_extend*_hifi: the three x-drop rows on pairs at 2% error per
+//                   read (HiFi-like: long homologous extensions, narrow bands)
 //   * alignment_stage_pool: the whole stage-4 task loop
 //                   (align::run_alignment_stage) on one rank over seeded
 //                   x-drop pairs, 1 worker (baseline) vs one worker per
@@ -149,11 +153,12 @@ struct SeedTask {
   u64 pos_a = 0, pos_b = 0;
 };
 
-/// PacBio-like pairs in the spirit of the paper's E. coli presets: mostly
-/// true overlaps at ~15% per-read error, plus divergent (false-seed) pairs
-/// that exercise the early-termination path (§9's load-imbalance source).
+/// Long-read pairs in the spirit of the paper's E. coli presets: mostly
+/// true overlaps at `error` per-read error (0.15 is PacBio CLR-like), plus
+/// divergent (false-seed) pairs that exercise the early-termination path
+/// (§9's load-imbalance source).
 std::vector<SeedTask> make_seed_tasks(std::size_t n_pairs, std::size_t read_len,
-                                      util::Xoshiro256& rng) {
+                                      double error, util::Xoshiro256& rng) {
   std::vector<SeedTask> tasks;
   tasks.reserve(n_pairs);
   for (std::size_t i = 0; i < n_pairs; ++i) {
@@ -167,8 +172,8 @@ std::vector<SeedTask> make_seed_tasks(std::size_t n_pairs, std::size_t read_len,
     } else {
       // True overlap over the second half of a / first half of b.
       std::string genome = random_dna(rng, read_len + read_len / 2);
-      t.a = mutate(genome.substr(0, read_len), 0.15, rng);
-      t.b = mutate(genome.substr(read_len / 2, read_len), 0.15, rng);
+      t.a = mutate(genome.substr(0, read_len), error, rng);
+      t.b = mutate(genome.substr(read_len / 2, read_len), error, rng);
       t.pos_a = std::min<u64>(t.a.size() - 32, 3 * read_len / 4);
       t.pos_b = std::min<u64>(t.b.size() - 32, read_len / 4);
     }
@@ -214,15 +219,18 @@ BenchRow bench_seed_extension(std::string name, const std::vector<SeedTask>& tas
 }
 
 /// xdrop_extend (align::ref -> dispatched kernel) and, on AVX2 hosts,
-/// xdrop_extend_avx2 (scalar kernel -> AVX2 kernel), on the same pairs.
-void bench_xdrop(std::size_t n_pairs, std::size_t read_len, int reps,
-                 util::Xoshiro256& rng, std::vector<BenchRow>& rows) {
+/// xdrop_extend_avx2 (scalar kernel -> int32 AVX2 kernel) and
+/// xdrop_extend_i8 (int32 AVX2 kernel -> int8 AVX2 kernel), on the same
+/// pairs; `suffix` names the pair set.
+void bench_xdrop(std::size_t n_pairs, std::size_t read_len, double error, u64 seed,
+                 const std::string& suffix, int reps, std::vector<BenchRow>& rows) {
   const int k = 17, xdrop = 25;
   const align::Scoring sc;
-  const auto tasks = make_seed_tasks(n_pairs, read_len, rng);
+  util::Xoshiro256 rng(seed);
+  const auto tasks = make_seed_tasks(n_pairs, read_len, error, rng);
   align::Workspace ws;
   rows.push_back(bench_seed_extension(
-      "xdrop_extend", tasks, reps,
+      "xdrop_extend" + suffix, tasks, reps,
       [&](const SeedTask& t) {
         return align::ref::align_from_seed(t.a, t.b, t.pos_a, t.pos_b, k, sc, xdrop);
       },
@@ -230,7 +238,8 @@ void bench_xdrop(std::size_t n_pairs, std::size_t read_len, int reps,
         return align::align_from_seed(t.a, t.b, t.pos_a, t.pos_b, k, sc, xdrop, ws);
       }));
   if (!align::detail::avx2_supported()) {
-    std::cout << "CPU without AVX2: no xdrop_extend_avx2 row\n";
+    std::cout << "CPU without AVX2: no xdrop_extend_avx2" << suffix << " / xdrop_extend_i8"
+              << suffix << " rows\n";
     return;
   }
   auto with = [&](align::detail::XdropKernel kernel) {
@@ -239,9 +248,15 @@ void bench_xdrop(std::size_t n_pairs, std::size_t read_len, int reps,
                                                  xdrop, ws);
     };
   };
-  rows.push_back(bench_seed_extension("xdrop_extend_avx2", tasks, reps,
+  rows.push_back(bench_seed_extension("xdrop_extend_avx2" + suffix, tasks, reps,
                                       with(align::detail::xdrop_extend_scalar),
                                       with(align::detail::xdrop_extend_avx2)));
+  ws.xdrop_restarts = 0;
+  rows.push_back(bench_seed_extension("xdrop_extend_i8" + suffix, tasks, reps,
+                                      with(align::detail::xdrop_extend_avx2),
+                                      with(align::detail::xdrop_extend_i8)));
+  std::cout << "xdrop_extend_i8" << suffix << ": " << ws.xdrop_restarts
+            << " extensions restarted on the int32 kernel over " << reps << " passes\n";
 }
 
 BenchRow bench_alignment_pool(std::size_t n_pairs, std::size_t read_len, int reps) {
@@ -250,7 +265,7 @@ BenchRow bench_alignment_pool(std::size_t n_pairs, std::size_t read_len, int rep
   // per-worker workspaces and the in-order record merge included. Its own
   // seed keeps the other rows' inputs independent of this one.
   util::Xoshiro256 rng(20261017);
-  const auto pairs = make_seed_tasks(n_pairs, read_len, rng);
+  const auto pairs = make_seed_tasks(n_pairs, read_len, 0.15, rng);
   std::vector<io::Read> reads;
   std::vector<u64> lens;
   std::vector<overlap::AlignmentTask> tasks;
@@ -387,18 +402,18 @@ BenchRow bench_pair_runs(std::string name, const std::vector<overlap::OverlapTas
   return row;
 }
 
-BenchRow bench_consolidate(std::size_t n_tasks, std::size_t n_reads, int reps,
-                           util::Xoshiro256& rng) {
+BenchRow bench_consolidate(std::size_t n_tasks, std::size_t n_reads, int reps) {
   // Wire-task mix shaped like a sparse overlap stage: many pairs with a
   // handful of shared seeds each.
+  util::Xoshiro256 rng(20261101);
   return bench_pair_runs("overlap_consolidate", random_overlap_tasks(n_tasks, n_reads, rng),
                          overlap::SeedFilterConfig::all_seeds(17), reps);
 }
 
-BenchRow bench_dense_consolidate(std::size_t n_tasks, std::size_t n_pairs, int reps,
-                                 util::Xoshiro256& rng) {
+BenchRow bench_dense_consolidate(std::size_t n_tasks, std::size_t n_pairs, int reps) {
   // Dense seeding's shape (hifi-dense: ~280 reads, hundreds of seeds per
   // pair): n_pairs pairs of 280 reads share the tasks.
+  util::Xoshiro256 rng(20261102);
   std::vector<std::pair<u64, u64>> pairs;
   for (const auto& t : random_overlap_tasks(n_pairs, 280, rng)) pairs.emplace_back(t.rid_a, t.rid_b);
   auto wire = random_overlap_tasks(n_tasks, 280, rng);
@@ -592,18 +607,22 @@ int main(int argc, char** argv) {
   benchx::print_header(
       "kernels", "wall-clock hot-path kernels vs retained reference implementations");
 
-  util::Xoshiro256 rng(20260730);
+  // Every row seeds its own generator, so adding or deleting a row leaves
+  // the inputs of the others as they were.
+  constexpr u64 kClrSeed = 20260730, kHifiSeed = 20261018;
   std::vector<BenchRow> rows;
   if (smoke) {
-    bench_xdrop(60, 1200, reps, rng, rows);
+    bench_xdrop(60, 1200, 0.15, kClrSeed, "", reps, rows);
+    bench_xdrop(60, 1200, 0.02, kHifiSeed, "_hifi", reps, rows);
     rows.push_back(bench_alignment_pool(400, 1200, reps));
-    rows.push_back(bench_consolidate(60'000, 4'000, reps, rng));
-    rows.push_back(bench_dense_consolidate(60'000, 400, reps, rng));
+    rows.push_back(bench_consolidate(60'000, 4'000, reps));
+    rows.push_back(bench_dense_consolidate(60'000, 400, reps));
   } else {
-    bench_xdrop(400, 4000, reps, rng, rows);
+    bench_xdrop(400, 4000, 0.15, kClrSeed, "", reps, rows);
+    bench_xdrop(400, 4000, 0.02, kHifiSeed, "_hifi", reps, rows);
     rows.push_back(bench_alignment_pool(4000, 4000, reps));
-    rows.push_back(bench_consolidate(2'000'000, 60'000, reps, rng));
-    rows.push_back(bench_dense_consolidate(2'000'000, 4'000, reps, rng));
+    rows.push_back(bench_consolidate(2'000'000, 60'000, reps));
+    rows.push_back(bench_dense_consolidate(2'000'000, 4'000, reps));
   }
   rows.push_back(bench_minimizer_sketch(smoke, reps));
   rows.push_back(bench_seed_chaining(smoke, reps));

@@ -7,7 +7,6 @@
 
 #include "comm/world.hpp"
 #include "util/env.hpp"
-#include "util/logging.hpp"
 
 namespace dibella::benchx {
 
@@ -260,7 +259,6 @@ const std::vector<ScalingRun>& run_scaling(const simgen::DatasetPreset& preset,
     }
   }
 
-  util::set_log_level(util::LogLevel::kWarn);
   const auto& reads = dataset(preset);
   std::vector<ScalingRun> runs;
   // Compute accounting is work-based (core/kernel_costs.hpp): every segment

@@ -173,11 +173,13 @@ std::vector<AlignmentRecord> run_alignment_stage(
   AlignmentStageResult res;
   u64 touched_bytes = 0;
   u64 revcomp_bytes = 0;
+  u64 restarts = 0;
   for (const WorkerState& w : states) {
     if (w.error) std::rethrow_exception(w.error);
     res += w.res;
     touched_bytes += w.touched_bytes;
     revcomp_bytes += w.revcomp_bytes;
+    restarts += w.ws.xdrop_restarts;
   }
   std::vector<AlignmentRecord> records;
   records.reserve(res.records_kept);
@@ -193,6 +195,7 @@ std::vector<AlignmentRecord> run_alignment_stage(
       .units("cells", res.dp_cells, &core::KernelCosts::xdrop_per_cell)
       .units("bytes", revcomp_bytes + touched_bytes, &core::KernelCosts::per_byte_copy)
       .arg("lanes", static_cast<u64>(xdrop_kernel_lanes()))
+      .arg("restarts", restarts)
       .arg("workers", workers)
       .working_set(touched_bytes);
 

@@ -212,7 +212,7 @@ namespace {
 /// features.
 detail::XdropKernel dispatched_kernel() {
   static const detail::XdropKernel kernel = detail::avx2_supported()
-                                                ? detail::xdrop_extend_avx2
+                                                ? detail::xdrop_extend_i8
                                                 : detail::xdrop_extend_scalar;
   return kernel;
 }
@@ -220,7 +220,7 @@ detail::XdropKernel dispatched_kernel() {
 }  // namespace
 
 int xdrop_kernel_lanes() {
-  return dispatched_kernel() == detail::xdrop_extend_avx2 ? 8 : 1;
+  return dispatched_kernel() == detail::xdrop_extend_i8 ? 32 : 1;
 }
 
 ExtendResult xdrop_extend(std::string_view a, std::string_view b,

@@ -1,7 +1,7 @@
-// The AVX2 x-drop kernel: the antidiagonal DP of xdrop.cpp's scalar kernel,
-// eight cells of an antidiagonal per 256-bit vector. See xdrop.hpp for the
-// design; the invariants the unconditional loads rely on are spelled out
-// below.
+// The int32 AVX2 x-drop kernel: the antidiagonal DP of xdrop.cpp's scalar
+// kernel, eight cells of an antidiagonal per 256-bit vector. See xdrop.hpp
+// for when it runs; the invariants the unconditional loads rely on are
+// spelled out below.
 
 #include <algorithm>
 #include <cstring>
@@ -14,22 +14,6 @@
 
 namespace dibella::align::detail {
 
-#if defined(__x86_64__) || defined(__i386__)
-
-namespace {
-
-constexpr int kNegInf = kXdropNegInf;
-constexpr i64 kLanes = 8;
-/// Elements (band buffers) or bytes (sequence buffers) of padding on each
-/// side of the data.
-constexpr i64 kPad = 8;
-
-/// Copies view indices [from, to) of one extension frame into the oriented
-/// sequence buffers: A[x] holds the x-th character of a's walk, and
-/// B[m-1-y] the y-th character of b's walk, so that the two characters of
-/// cell (i, d-i), a-walk[i-1] and b-walk[d-i-1], both sit at increasing
-/// addresses as i grows. Only one side needs reversing: b on a forward walk,
-/// a on a reversed one.
 void fill_oriented(std::string_view a, std::string_view b, bool reversed, i64 from,
                    i64 to, char* A, char* B) {
   const i64 n = static_cast<i64>(a.size()), m = static_cast<i64>(b.size());
@@ -42,6 +26,16 @@ void fill_oriented(std::string_view a, std::string_view b, bool reversed, i64 fr
     for (i64 y = from; y < b_to; ++y) B[m - 1 - y] = b[static_cast<std::size_t>(y)];
   }
 }
+
+#if defined(__x86_64__) || defined(__i386__)
+
+namespace {
+
+constexpr int kNegInf = kXdropNegInf;
+constexpr i64 kLanes = 8;
+/// Elements (band buffers) or bytes (sequence buffers) of padding on each
+/// side of the data.
+constexpr i64 kPad = 8;
 
 }  // namespace
 

@@ -1,29 +1,15 @@
 #include "sgraph/string_graph.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "comm/exchanger.hpp"
 #include "sgraph/csr.hpp"
 #include "sgraph/fused_frame.hpp"
+#include "sgraph/ghost_frame.hpp"
 
 namespace dibella::sgraph {
 
 namespace {
-
-/// Ghost frame header: the vertex whose adjacency follows as `deg` WireCsr
-/// rows (gids ride as u32; the stage checks the read count fits).
-struct FrameHeader {
-  u32 gid = 0;
-  u32 deg = 0;
-};
-static_assert(std::is_trivially_copyable_v<FrameHeader>);
-
-struct WireCsr {
-  u32 col = 0;
-  u32 ov = 0;
-};
-static_assert(std::is_trivially_copyable_v<WireCsr>);
 
 /// Irregular all-to-all of raw byte streams in bounded batches on
 /// comm::Exchanger. Returns each source rank's received stream separately —
@@ -65,14 +51,6 @@ std::vector<std::vector<u8>> exchange_byte_streams(
       });
   per_source[self] = std::move(self_stream);
   return per_source;
-}
-
-template <class T>
-void append_bytes(std::vector<u8>& out, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  std::size_t at = out.size();
-  out.resize(at + sizeof(T));
-  std::memcpy(out.data() + at, &v, sizeof(T));
 }
 
 /// Strict total order on dovetail edges: (lo, hi) groups first, then the
@@ -384,11 +362,8 @@ StringGraphShard run_string_graph_stage(
       std::sort(dests.begin(), dests.end());
       dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
       for (int d : dests) {
-        auto& buf = ghost_out[static_cast<std::size_t>(d)];
-        append_bytes(buf, FrameHeader{static_cast<u32>(first_owned + i), static_cast<u32>(deg)});
-        for (std::size_t k = 0; k < deg; ++k) {
-          append_bytes(buf, WireCsr{static_cast<u32>(row[k].col), row[k].ov});
-        }
+        ghost_frame::append_row(ghost_out[static_cast<std::size_t>(d)], first_owned + i, row,
+                                deg);
       }
     }
   }
@@ -404,18 +379,10 @@ StringGraphShard run_string_graph_stage(
     for (const auto& s : streams) recv_bytes += s.size();
     span.arg("recv_bytes", recv_bytes);
     auto csr = ctx.kernel("sgraph:csr");
-    std::vector<WireCsr> wire_nbrs;
-    std::vector<CsrEntry> nbrs;  // reused per frame; add_row copies the slice
-    for (const auto& stream : streams) {
-      comm::ByteReader reader(stream);
-      while (!reader.empty()) {
-        auto h = reader.read<FrameHeader>();
-        nbrs.clear();
-        wire_nbrs.clear();
-        reader.read_into(wire_nbrs, h.deg);
-        for (const WireCsr& w : wire_nbrs) nbrs.push_back(CsrEntry{w.col, w.ov});
-        adj.add_row(h.gid, nbrs.data(), nbrs.size());
-      }
+    for (int src = 0; src < P; ++src) {
+      const auto& stream = streams[static_cast<std::size_t>(src)];
+      ghost_frame::decode_stream(stream.data(), stream.size(), partition.total_reads(),
+                                 partition.first_gid(src), partition.first_gid(src + 1), adj);
     }
     for (u64 i = 0; i < owned_count; ++i) {
       const std::size_t deg = static_cast<std::size_t>(

@@ -3,10 +3,12 @@
 // scores, spans, and `cells` counters to the retained reference kernels
 // (align::ref) across randomized (length, error rate,
 // scoring, x-drop) combinations — including empty and one-sided extensions,
-// lengths around the AVX2 vector width, wide bands spanning many vectors,
+// lengths around the AVX2 vector widths, wide bands spanning many vectors,
 // non-ACGT bytes, and reverse-complement-orientation seeds. Every x-drop
 // case runs through each kernel this host can execute (the scalar kernel
-// always, the AVX2 kernel where the CPU has it), not only the dispatched one.
+// always, the int32 and int8 AVX2 kernels where the CPU has AVX2), not only
+// the dispatched one; the int8 kernel's fallbacks (an X or scoring outside
+// its range, a band wider than its 32 lanes) get cases on both sides.
 //
 // This binary also replaces the global operator new/delete with counting
 // versions to prove the tentpole claim directly: after a warm-up pass, the
@@ -14,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <climits>
 #include <cstdlib>
@@ -120,13 +123,27 @@ struct KernelUnderTest {
   da::detail::XdropKernel fn;
 };
 
-/// The scalar kernel always; the AVX2 kernel too where this CPU runs it.
+/// The scalar kernel always; the two AVX2 kernels too where this CPU runs
+/// them.
 std::vector<KernelUnderTest> kernels_under_test() {
   std::vector<KernelUnderTest> kernels = {{"scalar", da::detail::xdrop_extend_scalar}};
   if (da::detail::avx2_supported()) {
     kernels.push_back({"avx2", da::detail::xdrop_extend_avx2});
+    kernels.push_back({"i8", da::detail::xdrop_extend_i8});
   }
   return kernels;
+}
+
+/// `s` walked from its end: the reference's view of a reversed frame.
+std::string reversed(std::string s) {
+  std::reverse(s.begin(), s.end());
+  return s;
+}
+
+/// The largest X the int8 kernel runs itself under `sc` (xdrop.hpp):
+/// 127 minus the largest single-step gain.
+int i8_xdrop_limit(const da::Scoring& sc) {
+  return 127 - std::max({sc.match, sc.mismatch, sc.gap, 0});
 }
 
 void expect_extend_equal(const da::ExtendResult& got, const da::ExtendResult& want,
@@ -176,9 +193,10 @@ TEST(AlignDifferential, XdropExtendMatchesReferenceEverywhere) {
     ++cases;
   };
 
-  // Lengths around the 8-lane vector width sit beside the original grid.
-  const std::vector<std::size_t> lens = {0,  1,  2,  3,  7,  8,  9,  15,
-                                         16, 17, 31, 32, 33, 64, 200};
+  // Lengths around the 8- and 32-lane vector widths sit beside the original
+  // grid.
+  const std::vector<std::size_t> lens = {0,  1,  2,  3,  7,  8,  9,  15, 16, 17,
+                                         31, 32, 33, 63, 64, 65, 200};
   const std::vector<int> xdrops = {1, 5, 25, 1000000};
   for (std::size_t len : lens) {
     for (double rate : kErrorRates) {
@@ -243,6 +261,81 @@ TEST(AlignDifferential, XdropExtendMatchesReferenceEverywhere) {
     }
   }
   EXPECT_GE(cases, 1000);
+}
+
+TEST(AlignDifferential, Int8KernelFallbacksMatchReference) {
+  if (!da::detail::avx2_supported()) {
+    GTEST_SKIP() << "CPU without AVX2: the int8 x-drop kernel cannot run here";
+  }
+  dibella::util::Xoshiro256 rng(404);
+  da::Workspace ws;
+  // Forward and reversed frames through the int8 kernel (and the dispatched
+  // entry point, forward), each against the reference.
+  auto check = [&](const std::string& a, const std::string& b, const da::Scoring& sc,
+                   int xd, const std::string& what) {
+    expect_extend_equal(da::detail::xdrop_extend_i8(a, b, /*reversed=*/false, sc, xd, ws),
+                        da::ref::xdrop_extend(a, b, sc, xd), "forward " + what);
+    expect_extend_equal(da::detail::xdrop_extend_i8(a, b, /*reversed=*/true, sc, xd, ws),
+                        da::ref::xdrop_extend(reversed(a), reversed(b), sc, xd),
+                        "reversed " + what);
+    expect_extend_equal(da::xdrop_extend(a, b, sc, xd, ws),
+                        da::ref::xdrop_extend(a, b, sc, xd), "dispatched " + what);
+  };
+
+  // X one below and one above the int8 limit of each scoring; {2,-3,-4}
+  // raises best by up to 2 per antidiagonal (the prefix-max path). Above
+  // the limit the call goes straight to the int32 kernel: no restart.
+  for (const auto& sc : kScorings) {
+    const int limit = i8_xdrop_limit(sc);
+    EXPECT_TRUE(da::detail::xdrop_i8_fits(sc, limit));
+    EXPECT_FALSE(da::detail::xdrop_i8_fits(sc, limit + 1));
+    EXPECT_FALSE(da::detail::xdrop_i8_fits(sc, -1));
+    for (int xd : {limit - 1, limit, limit + 1}) {
+      for (std::size_t len : {31u, 32u, 33u, 63u, 64u, 65u, 300u}) {
+        for (double rate : kErrorRates) {
+          const std::string a = random_dna(rng, len);
+          const u64 restarts = ws.xdrop_restarts;
+          check(a, partner(a, rate, rng), sc, xd,
+                "len=" + std::to_string(len) + " rate=" + std::to_string(rate) +
+                    " xd=" + std::to_string(xd));
+          if (xd > limit) {
+            EXPECT_EQ(ws.xdrop_restarts, restarts) << "xd=" << xd;
+          }
+        }
+      }
+    }
+  }
+  // Scorings whose values do not fit the int8 lanes fall back as a whole.
+  EXPECT_FALSE(da::detail::xdrop_i8_fits({64, -1, -1}, 10));
+  EXPECT_TRUE(da::detail::xdrop_i8_fits({63, -1, -1}, 64));
+  EXPECT_FALSE(da::detail::xdrop_i8_fits({1, -129, -2}, 25));
+  EXPECT_TRUE(da::detail::xdrop_i8_fits({1, -128, -128}, 25));
+  for (const da::Scoring sc : {da::Scoring{64, -1, -1}, da::Scoring{1, -129, -2},
+                               da::Scoring{63, -1, -1}, da::Scoring{1, -128, -128}}) {
+    const std::string a = random_dna(rng, 120);
+    check(a, mutate(a, 0.1, rng), sc, 25, "scoring " + std::to_string(sc.match) + "," +
+                                              std::to_string(sc.mismatch));
+  }
+
+  // Bands that pass 32 lanes mid-extension: at X = 100 under {1,-1,-1} the
+  // window widens by a cell per antidiagonal until it outgrows the register,
+  // and the extension restarts on the int32 kernel.
+  for (double rate : {0.0, 0.05, 0.15}) {
+    for (std::size_t len : {65u, 400u}) {
+      const std::string a = random_dna(rng, len);
+      const std::string b = partner(a, rate, rng);
+      const u64 restarts = ws.xdrop_restarts;
+      check(a, b, da::Scoring{1, -1, -1}, 100, "restart len=" + std::to_string(len));
+      EXPECT_EQ(ws.xdrop_restarts, restarts + 3) << "one restart per int8 call";
+    }
+  }
+  // A narrow band for most of the extension that widens near its end: a
+  // 2 kbp homologous stretch, then a shared poly-A run.
+  const std::string a = random_dna(rng, 2000) + std::string(300, 'A');
+  const std::string b = mutate(a.substr(0, 2000), 0.02, rng) + std::string(300, 'A');
+  const u64 restarts = ws.xdrop_restarts;
+  check(a, b, da::Scoring{1, -1, -1}, 100, "late restart");
+  EXPECT_GE(ws.xdrop_restarts, restarts + 1);
 }
 
 TEST(AlignDifferential, AlignFromSeedMatchesReferenceOnRandomSeeds) {
@@ -398,5 +491,5 @@ TEST(AlignDifferential, DispatchPicksAvx2WhereSupported) {
     EXPECT_EQ(da::xdrop_kernel_lanes(), 1);
     GTEST_SKIP() << "CPU without AVX2: only the scalar x-drop kernel runs here";
   }
-  EXPECT_EQ(da::xdrop_kernel_lanes(), 8);
+  EXPECT_EQ(da::xdrop_kernel_lanes(), 32);
 }

@@ -19,10 +19,13 @@
 #include "graph/overlap_graph.hpp"
 #include "sgraph/edge_class.hpp"
 #include "sgraph/fused_frame.hpp"
+#include "sgraph/ghost_frame.hpp"
 #include "sgraph/string_graph.hpp"
 #include "sgraph/unitig.hpp"
 #include "simgen/presets.hpp"
 #include "util/random.hpp"
+
+#include "mutation.hpp"
 
 namespace dsg = dibella::sgraph;
 using dibella::u32;
@@ -724,6 +727,140 @@ TEST(FusedFrame, SeededMutationsEndInErrorOrAValidDecode) {
       b.insert(b.end(), other.begin() + static_cast<std::ptrdiff_t>(rng.uniform_below(other.size())),
                other.end());
       decodes(b, n_reads);
+    }
+  }
+}
+
+namespace {
+
+namespace gf = dsg::ghost_frame;
+
+/// A source rank's ghost stream: `rows` random adjacency rows of vertices in
+/// [first, end), neighbours anywhere in [0, n_reads) but the vertex itself.
+std::vector<dibella::u8> ghost_stream(dibella::util::Xoshiro256& rng, u64 n_reads, u64 first,
+                                      u64 end, std::size_t rows,
+                                      std::vector<std::size_t>* boundaries = nullptr) {
+  std::vector<dibella::u8> buf;
+  std::set<u64> gids;
+  while (gids.size() < rows) gids.insert(first + rng.uniform_below(end - first));
+  for (u64 gid : gids) {
+    std::vector<dsg::CsrEntry> row;
+    for (u64 k = 0, deg = 1 + rng.uniform_below(5); k < deg; ++k) {
+      u64 col = rng.uniform_below(n_reads - 1);
+      if (col >= gid) ++col;
+      row.push_back(dsg::CsrEntry{col, static_cast<u32>(rng.uniform_below(20000))});
+    }
+    gf::append_row(buf, gid, row.data(), row.size());
+    if (boundaries) boundaries->push_back(buf.size());
+  }
+  return buf;
+}
+
+/// Decode `bytes` as the stream of a source owning [first, end) and seal
+/// it; false on dibella::Error (any other exception fails the test).
+bool ghost_decodes(const std::vector<dibella::u8>& bytes, u64 n_reads, u64 first, u64 end,
+                   dsg::CsrAdjacency* out = nullptr) {
+  dsg::CsrAdjacency adj;
+  try {
+    gf::decode_stream(bytes.data(), bytes.size(), n_reads, first, end, adj);
+    adj.seal();
+  } catch (const dibella::Error&) {
+    return false;
+  }
+  if (out) *out = std::move(adj);
+  return true;
+}
+
+}  // namespace
+
+TEST(GhostFrame, RoundTripsRows) {
+  dibella::util::Xoshiro256 rng(31);
+  const u64 n_reads = 500, first = 100, end = 200;
+  std::vector<dibella::u8> buf;
+  std::map<u64, std::vector<dsg::CsrEntry>> rows;
+  for (u64 gid : {100u, 117u, 199u}) {
+    auto& row = rows[gid];
+    for (u64 col : {u64{0}, gid + 1, u64{499}}) {
+      row.push_back(dsg::CsrEntry{col, static_cast<u32>(rng.uniform_below(1000))});
+    }
+    gf::append_row(buf, gid, row.data(), row.size());
+  }
+  dsg::CsrAdjacency adj;
+  ASSERT_TRUE(ghost_decodes(buf, n_reads, first, end, &adj));
+  EXPECT_EQ(adj.rows(), rows.size());
+  for (const auto& [gid, row] : rows) {
+    const auto got = adj.row(gid);
+    ASSERT_EQ(static_cast<std::size_t>(got.end - got.begin), row.size());
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      EXPECT_EQ(got.begin[k].col, row[k].col);
+      EXPECT_EQ(got.begin[k].ov, row[k].ov);
+    }
+  }
+}
+
+TEST(GhostFrame, MalformedFramesAreTypedErrors) {
+  const u64 n_reads = 100, first = 10, end = 20;
+  auto frame = [](const std::vector<u32>& words) {
+    std::vector<dibella::u8> b(words.size() * sizeof(u32));
+    std::memcpy(b.data(), words.data(), b.size());
+    return b;
+  };
+  EXPECT_TRUE(ghost_decodes(frame({10, 1, 99, 7}), n_reads, first, end));
+  EXPECT_TRUE(ghost_decodes(frame({19, 2, 0, 7, 18, 1}), n_reads, first, end));
+  EXPECT_FALSE(ghost_decodes(frame({10, 0}), n_reads, first, end));         // deg 0
+  EXPECT_FALSE(ghost_decodes(frame({9, 1, 50, 7}), n_reads, first, end));   // not the source's
+  EXPECT_FALSE(ghost_decodes(frame({20, 1, 50, 7}), n_reads, first, end));  // not the source's
+  EXPECT_FALSE(ghost_decodes(frame({10, 1, 100, 7}), n_reads, first, end));  // col >= N
+  EXPECT_FALSE(ghost_decodes(frame({10, 1, 10, 7}), n_reads, first, end));   // self loop
+  EXPECT_FALSE(ghost_decodes(frame({10, 2, 99, 7}), n_reads, first, end));   // truncated row
+  EXPECT_FALSE(ghost_decodes(frame({10, 0xFFFFFFFFu, 99, 7}), n_reads, first, end));
+  EXPECT_FALSE(ghost_decodes(frame({10, 1, 99, 7, 10, 1, 98, 7}), n_reads, first, end));
+  // A source whose range reaches past the read set still checks gid < N.
+  EXPECT_FALSE(ghost_decodes(frame({100, 1, 5, 7}), n_reads, 90, 110));
+}
+
+TEST(GhostFrame, SeededMutationsEndInErrorOrAValidDecode) {
+  // Truncate, flip and splice ghost streams. A mutant may still be a valid
+  // stream (a cut between frames, a flipped overlap bit); it must then
+  // decode to rows that keep every rule, and otherwise throw dibella::Error.
+  // Cuts inside a frame must throw.
+  dibella::util::Xoshiro256 rng(5150);
+  for (int trial = 0; trial < 20; ++trial) {
+    const u64 n_reads = 40 + rng.uniform_below(trial % 2 ? 100 : 5000);
+    const u64 first = rng.uniform_below(n_reads / 2);
+    const u64 end = first + 8 + rng.uniform_below(std::min<u64>(n_reads / 2 - 8, 64));
+    std::vector<std::size_t> boundaries{0};
+    const auto bytes = ghost_stream(rng, n_reads, first, end, 1 + rng.uniform_below(6),
+                                    &boundaries);
+    ASSERT_TRUE(ghost_decodes(bytes, n_reads, first, end));
+    const auto other = ghost_stream(rng, n_reads + 1000, 0, n_reads + 1000, 4);
+    const std::string text(bytes.begin(), bytes.end());
+    const std::string other_text(other.begin(), other.end());
+    const auto mutants = dibella::test::seeded_mutants(text, other_text, rng);
+    for (std::size_t i = 0; i < mutants.size(); ++i) {
+      const std::vector<dibella::u8> m(mutants[i].begin(), mutants[i].end());
+      dsg::CsrAdjacency adj;
+      const bool ok = ghost_decodes(m, n_reads, first, end, &adj);
+      if (i < text.size()) {  // the proper prefixes come first
+        const bool at_boundary =
+            std::find(boundaries.begin(), boundaries.end(), i) != boundaries.end();
+        EXPECT_EQ(ok, at_boundary) << "cut at " << i;
+      }
+      if (!ok) continue;
+      EXPECT_LE(adj.rows(), end - first);
+      for (u64 gid = first; gid < end; ++gid) {
+        dsg::CsrAdjacency::RowSpan row;
+        try {
+          row = adj.row(gid);
+        } catch (const dibella::Error&) {
+          continue;  // no row for this vertex
+        }
+        EXPECT_NE(row.begin, row.end);
+        for (auto* e = row.begin; e != row.end; ++e) {
+          EXPECT_LT(e->col, n_reads);
+          EXPECT_NE(e->col, gid);
+        }
+      }
     }
   }
 }
