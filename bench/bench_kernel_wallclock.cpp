@@ -8,18 +8,19 @@
 //   * xdrop_extend: seed-anchored x-drop extension over noisy overlapping and
 //                   divergent long-read pairs, align::ref vs the kernel this
 //                   process dispatches to (ns/cell, pairs/s)
-//   * xdrop_extend_avx2: the same pairs, scalar kernel vs int32 AVX2 kernel
+//   * xdrop_extend_i8: the same pairs, scalar kernel vs int8 AVX2 kernel
 //                   (only on CPUs with AVX2)
-//   * xdrop_extend_i8: the same pairs, int32 AVX2 kernel vs int8 AVX2 kernel
-//                   (only on CPUs with AVX2)
-//   * xdrop_extend*_hifi: the three x-drop rows on pairs at 2% error per
+//   * xdrop_extend*_hifi: the two x-drop rows on pairs at 2% error per
 //                   read (HiFi-like: long homologous extensions, narrow bands)
 //   * alignment_stage_pool: the whole stage-4 task loop
 //                   (align::run_alignment_stage) on one rank over seeded
 //                   x-drop pairs, 1 worker (baseline) vs one worker per
 //                   available CPU (optimized); records asserted identical,
 //                   ns/cell is wall-clock (it falls with the worker count,
-//                   the CPU cost per cell does not)
+//                   the CPU cost per cell does not). The pooled run's
+//                   process CPU seconds (`optimized_cpu_s`) sit beside its
+//                   wall seconds: a host that serializes the workers shows
+//                   CPU ~= wall, a slower pool shows CPU grown
 //   * overlap_consolidate: overlap-stage task consolidation on many pairs
 //                   with a few seeds each, the former sort-then-group
 //                   consolidation vs the stage's pair runs: encode -> decode
@@ -62,6 +63,7 @@
 // `modeled` (netsim virtual seconds).
 
 #include <algorithm>
+#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -121,13 +123,19 @@ std::string mutate(const std::string& s, double rate, util::Xoshiro256& rng) {
 }
 
 /// Best-of-N wall time of fn() (first call also warms caches/buffers).
+/// With `cpu_s`, also the process CPU seconds (every thread) of that rep.
 template <class Fn>
-double best_of(int reps, Fn&& fn) {
+double best_of(int reps, Fn&& fn, double* cpu_s = nullptr) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
+    const std::clock_t c0 = std::clock();
     util::WallTimer t;
     fn();
-    best = std::min(best, t.seconds());
+    const double wall = t.seconds();
+    if (wall < best) {
+      best = wall;
+      if (cpu_s) *cpu_s = static_cast<double>(std::clock() - c0) / CLOCKS_PER_SEC;
+    }
   }
   return best;
 }
@@ -138,6 +146,7 @@ struct BenchRow {
   std::string unit;        // throughput unit, e.g. "pairs/s"
   double baseline_s = 0;   // best-of-reps wall seconds, reference kernel
   double optimized_s = 0;  // best-of-reps wall seconds, hot-path kernel
+  double optimized_cpu_s = 0;  // process CPU seconds of that rep (0 = not measured)
   double baseline_ns_per_cell = 0;  // 0 when cells don't apply
   double optimized_ns_per_cell = 0;
   double throughput = 0;  // optimized items/s
@@ -219,9 +228,8 @@ BenchRow bench_seed_extension(std::string name, const std::vector<SeedTask>& tas
 }
 
 /// xdrop_extend (align::ref -> dispatched kernel) and, on AVX2 hosts,
-/// xdrop_extend_avx2 (scalar kernel -> int32 AVX2 kernel) and
-/// xdrop_extend_i8 (int32 AVX2 kernel -> int8 AVX2 kernel), on the same
-/// pairs; `suffix` names the pair set.
+/// xdrop_extend_i8 (scalar kernel -> int8 AVX2 kernel), on the same pairs;
+/// `suffix` names the pair set.
 void bench_xdrop(std::size_t n_pairs, std::size_t read_len, double error, u64 seed,
                  const std::string& suffix, int reps, std::vector<BenchRow>& rows) {
   const int k = 17, xdrop = 25;
@@ -238,8 +246,7 @@ void bench_xdrop(std::size_t n_pairs, std::size_t read_len, double error, u64 se
         return align::align_from_seed(t.a, t.b, t.pos_a, t.pos_b, k, sc, xdrop, ws);
       }));
   if (!align::detail::avx2_supported()) {
-    std::cout << "CPU without AVX2: no xdrop_extend_avx2" << suffix << " / xdrop_extend_i8"
-              << suffix << " rows\n";
+    std::cout << "CPU without AVX2: no xdrop_extend_i8" << suffix << " row\n";
     return;
   }
   auto with = [&](align::detail::XdropKernel kernel) {
@@ -248,15 +255,12 @@ void bench_xdrop(std::size_t n_pairs, std::size_t read_len, double error, u64 se
                                                  xdrop, ws);
     };
   };
-  rows.push_back(bench_seed_extension("xdrop_extend_avx2" + suffix, tasks, reps,
-                                      with(align::detail::xdrop_extend_scalar),
-                                      with(align::detail::xdrop_extend_avx2)));
   ws.xdrop_restarts = 0;
   rows.push_back(bench_seed_extension("xdrop_extend_i8" + suffix, tasks, reps,
-                                      with(align::detail::xdrop_extend_avx2),
+                                      with(align::detail::xdrop_extend_scalar),
                                       with(align::detail::xdrop_extend_i8)));
   std::cout << "xdrop_extend_i8" << suffix << ": " << ws.xdrop_restarts
-            << " extensions restarted on the int32 kernel over " << reps << " passes\n";
+            << " extensions restarted on the scalar kernel over " << reps << " passes\n";
 }
 
 BenchRow bench_alignment_pool(std::size_t n_pairs, std::size_t read_len, int reps) {
@@ -303,14 +307,16 @@ BenchRow bench_alignment_pool(std::size_t n_pairs, std::size_t read_len, int rep
       serial = align::run_alignment_stage(ctx, store, tasks, cfg, &serial_res);
     });
     cfg.workers = cpus;
-    row.optimized_s = best_of(reps, [&] {
-      pooled = align::run_alignment_stage(ctx, store, tasks, cfg, &pooled_res);
-    });
+    row.optimized_s = best_of(
+        reps,
+        [&] { pooled = align::run_alignment_stage(ctx, store, tasks, cfg, &pooled_res); },
+        &row.optimized_cpu_s);
   });
   DIBELLA_CHECK(serial == pooled && serial_res == pooled_res,
                 "alignment_stage_pool: " + std::to_string(cpus) +
                     " workers diverged from 1 worker");
-  std::cout << "alignment_stage_pool: " << cpus << " workers\n";
+  std::cout << "alignment_stage_pool: " << cpus << " workers, " << row.optimized_s
+            << " s wall, " << row.optimized_cpu_s << " s CPU\n";
   row.cells = pooled_res.dp_cells;
   row.baseline_ns_per_cell = 1e9 * row.baseline_s / static_cast<double>(row.cells);
   row.optimized_ns_per_cell = 1e9 * row.optimized_s / static_cast<double>(row.cells);
@@ -579,6 +585,9 @@ void write_json(const std::string& path, const std::vector<BenchRow>& rows,
     os << "      \"cells\": " << r.cells << ",\n";
     os << "      \"baseline_s\": " << json_escapeless(r.baseline_s) << ",\n";
     os << "      \"optimized_s\": " << json_escapeless(r.optimized_s) << ",\n";
+    if (r.optimized_cpu_s > 0) {
+      os << "      \"optimized_cpu_s\": " << json_escapeless(r.optimized_cpu_s) << ",\n";
+    }
     os << "      \"baseline_ns_per_cell\": " << json_escapeless(r.baseline_ns_per_cell)
        << ",\n";
     os << "      \"optimized_ns_per_cell\": " << json_escapeless(r.optimized_ns_per_cell)

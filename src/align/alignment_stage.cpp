@@ -194,7 +194,7 @@ std::vector<AlignmentRecord> run_alignment_stage(
   extend.arg("pairs", res.pairs_aligned)
       .units("cells", res.dp_cells, &core::KernelCosts::xdrop_per_cell)
       .units("bytes", revcomp_bytes + touched_bytes, &core::KernelCosts::per_byte_copy)
-      .arg("lanes", static_cast<u64>(xdrop_kernel_lanes()))
+      .arg("lanes", static_cast<u64>(xdrop_kernel_lanes(cfg.scoring, cfg.xdrop)))
       .arg("restarts", restarts)
       .arg("workers", workers)
       .working_set(touched_bytes);

@@ -4,7 +4,7 @@
 ///
 /// These are the original straightforward implementations of x-drop
 /// extension and seed-anchored alignment, kept verbatim when the hot-path
-/// kernels in xdrop.cpp / xdrop_avx2.cpp were rebuilt around reusable
+/// kernels in xdrop.cpp / xdrop_i8.cpp were rebuilt around reusable
 /// workspaces, plus the exact (banded) Smith-Waterman kernels. They are the
 /// correctness oracles: the optimized x-drop kernels must produce
 /// bitwise-identical scores, spans, and `cells` counters (see

@@ -27,12 +27,12 @@ struct Workspace {
   /// kernel trims windows by bookkeeping only, so rotation is pointer swaps.
   std::vector<int> xband[3];
 
-  /// X-drop sequence copies for the AVX2 kernels: the two sequences of the
+  /// X-drop sequence copies for the int8 kernel: the two sequences of the
   /// current extension, padded and oriented so that both characters of a
   /// cell sit at increasing addresses along an antidiagonal.
   std::vector<char> xseq[2];
 
-  /// Extensions the int8 kernel restarted on the int32 kernel because the
+  /// Extensions the int8 kernel restarted on the scalar kernel because the
   /// band outgrew its 32 lanes (a running count; the alignment stage reports
   /// it on the `align:extend` span).
   u64 xdrop_restarts = 0;

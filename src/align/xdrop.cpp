@@ -1,6 +1,7 @@
 #include "align/xdrop.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "align/detail/xdrop_kernels.hpp"
 
@@ -10,7 +11,11 @@ namespace detail {
 
 namespace {
 
-constexpr int kNegInf = kXdropNegInf;
+/// Dead-cell sentinel: far enough below any live score that adding a
+/// substitution or gap to it never wins a max, never beats `best`, and
+/// always fails the prune, and far enough above INT_MIN that it never
+/// overflows.
+constexpr int kNegInf = std::numeric_limits<int>::min() / 4;
 
 /// Character access for one extension frame: forward (a suffix walked left
 /// to right) or reversed (a prefix walked right to left) — the reversed view
@@ -219,8 +224,10 @@ detail::XdropKernel dispatched_kernel() {
 
 }  // namespace
 
-int xdrop_kernel_lanes() {
-  return dispatched_kernel() == detail::xdrop_extend_i8 ? 32 : 1;
+int xdrop_kernel_lanes(const Scoring& scoring, int xdrop) {
+  return dispatched_kernel() == detail::xdrop_extend_i8 && detail::xdrop_i8_fits(scoring, xdrop)
+             ? 32
+             : 1;
 }
 
 ExtendResult xdrop_extend(std::string_view a, std::string_view b,

@@ -11,10 +11,10 @@
 /// source of alignment-stage load imbalance), on homologous sequences the
 /// cost is near-linear in the overlap length.
 ///
-/// Three kernels implement this API, each bitwise-identical (scores, spans,
+/// Two kernels implement this API, each bitwise-identical (scores, spans,
 /// `cells`) to the retained straightforward implementation in align::ref
 /// (reference_kernels.hpp); tests/test_align_differential.cpp holds each one
-/// against it (align/detail/xdrop_kernels.hpp declares all three):
+/// against it (align/detail/xdrop_kernels.hpp declares both):
 ///   * int8 (xdrop_i8.cpp), the kernel AVX2 hosts dispatch to: a whole
 ///     antidiagonal band in one 32 x int8 register. The bands of
 ///     antidiagonals d-1 and d-2 share one lane base, so a cell's three
@@ -22,28 +22,25 @@
 ///     up 8 lanes once those lanes are dead in both. Scores are stored
 ///     relative to a reference that moves by 64 once `best` is 64 above it,
 ///     so the prune threshold is one broadcast. When `best` rises, the first
-///     raising lane comes from one ctz; a scoring that can raise `best` by
-///     more than 1 per antidiagonal prunes through an in-vector prefix max.
-///   * int32 (xdrop_avx2.cpp): eight cells of an antidiagonal per vector,
-///     band buffers padded with dead cells so every lane loads its parents
-///     unconditionally. It runs what the int8 kernel cannot: a call whose X
-///     or scoring does not fit int8 (below), and, from the start again, an
-///     extension whose band outgrows 32 lanes (the `align:extend` span's
-///     `restarts` arg counts those).
-///   * Scalar (xdrop.cpp): one cell at a time; runs on hosts without AVX2.
+///     raising lane comes from one ctz.
+///   * Scalar (xdrop.cpp): one cell at a time; runs on hosts without AVX2,
+///     and runs what the int8 kernel cannot: a call whose X or scoring does
+///     not fit int8 (below), and, from the start again, an extension whose
+///     band outgrows 32 lanes (the `align:extend` span's `restarts` arg
+///     counts those).
 /// The kernel is chosen once per process from the CPU's features
 /// (`__builtin_cpu_supports("avx2")`); there is no flag to override it.
 ///
 /// Why int8 holds every score that matters. Let rise = max(match, mismatch,
-/// gap, 0), the most one step can add. A kept cell scores in
+/// gap, 0), the most one step can add; the int8 kernel takes rise <= 1, so
+/// `best` rises by at most 1 per antidiagonal. A kept cell scores in
 /// [best - X, best], and a new cell at most best + rise. With best - ref in
-/// [0, 64) when an antidiagonal starts, a stored value is at most
-/// 63 + rise < 127 when rise < 64, and a kept one at least -X. A dead cell
-/// is -128, and saturating adds keep it at or below -128 + rise, which must
-/// prune: -128 + rise < -X, i.e. X <= 127 - rise. And each of match,
-/// mismatch and gap must itself fit a lane (>= -128). The test is
-/// detail::xdrop_i8_fits(scoring, X); at the default +1/-2/-2 it admits
-/// X <= 126.
+/// [0, 64) when an antidiagonal starts, a stored value is at most 64, and a
+/// kept one at least -X. A dead cell is -128, and saturating adds keep it
+/// at or below -128 + rise, which must prune: -128 + rise < -X, i.e.
+/// X <= 127 - rise. And each of match, mismatch and gap must itself fit a
+/// lane (>= -128). The test is detail::xdrop_i8_fits(scoring, X); at the
+/// default +1/-2/-2 it admits X <= 126.
 ///
 /// The kernels are allocation-free: band and sequence buffers come from a
 /// caller-provided align::Workspace, and window trimming is bookkeeping (no
@@ -83,10 +80,11 @@ ExtendResult xdrop_extend(std::string_view a, std::string_view b,
 ExtendResult xdrop_extend(std::string_view a, std::string_view b,
                           const Scoring& scoring, int xdrop);
 
-/// Cells the dispatched kernel computes per instruction: 32 for the int8
-/// AVX2 kernel, 1 for the scalar kernel. Recorded on the `align:extend`
-/// span.
-int xdrop_kernel_lanes();
+/// Cells per instruction of the kernel that runs calls under `scoring` and
+/// `xdrop`: 32 when the int8 AVX2 kernel is dispatched and takes them
+/// (detail::xdrop_i8_fits), else 1 (the scalar kernel). Recorded on the
+/// `align:extend` span.
+int xdrop_kernel_lanes(const Scoring& scoring, int xdrop);
 
 /// One seed-anchored pairwise alignment: seed of length k at a[pos_a..],
 /// b[pos_b..] (sequences already in the same orientation). Extends left and

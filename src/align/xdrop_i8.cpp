@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
 
 #include "align/detail/xdrop_kernels.hpp"
 
@@ -29,7 +30,7 @@ constexpr int kDead = -128;
 bool xdrop_i8_fits(const Scoring& scoring, int xdrop) {
   const int rise = std::max({scoring.match, scoring.mismatch, scoring.gap, 0});
   const int fall = std::min({scoring.match, scoring.mismatch, scoring.gap});
-  return xdrop >= 0 && rise < kRebase && xdrop <= 127 - rise && fall >= kDead;
+  return xdrop >= 0 && rise <= 1 && xdrop <= 127 - rise && fall >= kDead;
 }
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -41,29 +42,34 @@ namespace {
 /// the matrix edge j = m, a few bytes before the start of B.
 constexpr i64 kPad = kLanes;
 
-/// Lane k <- lane k - kShift; the lowest kShift lanes become dead.
-template <int kShift>
-__attribute__((target("avx2"))) inline __m256i shift_up(__m256i v, __m256i dead) {
-  const __m256i low = _mm256_permute2x128_si256(v, dead, 0x02);  // [dead.lo, v.lo]
-  if constexpr (kShift == 16) {
-    return low;
+/// Copies view indices [from, to) of one extension frame into the oriented
+/// sequence buffers: A[x] holds the x-th character of a's walk, and
+/// B[m-1-y] the y-th character of b's walk, so that the two characters of
+/// cell (i, d-i), a-walk[i-1] and b-walk[d-i-1], both sit at increasing
+/// addresses as i grows. Only one side needs reversing: b on a forward walk,
+/// a on a reversed one.
+void fill_oriented(std::string_view a, std::string_view b, bool reversed, i64 from,
+                   i64 to, char* A, char* B) {
+  const i64 n = static_cast<i64>(a.size()), m = static_cast<i64>(b.size());
+  const i64 a_to = std::min(to, n), b_to = std::min(to, m);
+  if (reversed) {
+    for (i64 x = from; x < a_to; ++x) A[x] = a[static_cast<std::size_t>(n - 1 - x)];
+    if (from < b_to) std::memcpy(B + (m - b_to), b.data() + (m - b_to), b_to - from);
   } else {
-    return _mm256_alignr_epi8(v, low, 16 - kShift);
+    if (from < a_to) std::memcpy(A + from, a.data() + from, a_to - from);
+    for (i64 y = from; y < b_to; ++y) B[m - 1 - y] = b[static_cast<std::size_t>(y)];
   }
+}
+
+/// Lane k <- lane k - 1; the lowest lane becomes dead.
+__attribute__((target("avx2"))) inline __m256i shift_up1(__m256i v, __m256i dead) {
+  const __m256i low = _mm256_permute2x128_si256(v, dead, 0x02);  // [dead.lo, v.lo]
+  return _mm256_alignr_epi8(v, low, 15);
 }
 
 /// Lane k <- lane k + 8; the highest 8 lanes become dead.
 __attribute__((target("avx2"))) inline __m256i shift_down8(__m256i v, __m256i dead) {
   return _mm256_blend_epi32(_mm256_permute4x64_epi64(v, _MM_SHUFFLE(3, 3, 2, 1)), dead, 0xC0);
-}
-
-/// Lane k <- max(lanes 0..k).
-__attribute__((target("avx2"))) inline __m256i prefix_max(__m256i v, __m256i dead) {
-  v = _mm256_max_epi8(v, shift_up<1>(v, dead));
-  v = _mm256_max_epi8(v, shift_up<2>(v, dead));
-  v = _mm256_max_epi8(v, shift_up<4>(v, dead));
-  v = _mm256_max_epi8(v, shift_up<8>(v, dead));
-  return _mm256_max_epi8(v, shift_up<16>(v, dead));
 }
 
 /// Window caps: a 32-byte load at kCap + 32 - k0 is 127 in lanes >= k0 and
@@ -102,23 +108,25 @@ __attribute__((target("avx2"))) inline Thresholds thresholds(int best, int xdrop
 ///   * v1 and v2 hold antidiagonals d-1 and d-2 against one lane base: lane
 ///     k is cell i = base + k of both. So cell i's parents are lane k-1 of
 ///     v2 (diag), lane k-1 of v1 (up) and lane k of v1 (left), i.e.
-///     shift_up<1>(v2), shift_up<1>(v1) and v1, for every lane at once.
+///     shift_up1(v2), shift_up1(v1) and v1, for every lane at once.
 ///     live1 / live2 are the bitmasks of their live lanes, so the window
 ///     [lo, hi] of antidiagonal d is the lowest and highest bit of
 ///     live1 | (live1 | live2) << 1, before the matrix edges clip it.
 ///   * Every lane outside a band's live cells is kDead, so a cell outside
-///     that window has only dead parents: its score is at most kDead + rise
+///     that window has only dead parents: its score is at most kDead + 1
 ///     < best - xdrop, which prunes it to kDead. Only the matrix edges
 ///     (j <= m, i <= n) can clip a window while a parent beyond it is live;
 ///     those antidiagonals mask the lanes outside [lo, hi] explicitly.
 ///   * The base moves up 8 lanes when lanes 0..7 are dead in both bands. A
 ///     window that still reaches past lane 31 restarts the extension on the
-///     int32 kernel.
+///     scalar kernel.
 ///   * Scores are stored as score - ref, with 0 <= best - ref < kRebase at
 ///     the start of every antidiagonal (ref moves by kRebase), so a cell is
-///     at most kRebase - 1 + rise <= 126 and a kept cell is at least
-///     -xdrop > kDead: saturating adds never clip a value that matters.
-template <bool kUnitRise>
+///     at most kRebase and a kept cell is at least -xdrop > kDead:
+///     saturating adds never clip a value that matters.
+///   * No step adds more than 1, so best rises by at most 1 per
+///     antidiagonal: every parent of a cell is at most the best of earlier
+///     antidiagonals.
 __attribute__((target("avx2"))) ExtendResult extend_i8(std::string_view a,
                                                        std::string_view b, bool reversed,
                                                        const Scoring& scoring, int xdrop,
@@ -139,7 +147,6 @@ __attribute__((target("avx2"))) ExtendResult extend_i8(std::string_view a,
   const __m256i gap_v = _mm256_set1_epi8(static_cast<char>(scoring.gap));
   const __m256i rebase_v = _mm256_set1_epi8(static_cast<char>(kRebase));
   const __m256i one_v = _mm256_set1_epi8(1);
-  const __m256i xdrop_v = _mm256_set1_epi8(static_cast<char>(xdrop));
   const __m256i lane_idx =
       _mm256_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19,
                        20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31);
@@ -176,15 +183,15 @@ __attribute__((target("avx2"))) ExtendResult extend_i8(std::string_view a,
       const u64 window = live1 | (u64{live1 | live2} << 1);
       if ((window >> kLanes) != 0) {  // the band outgrew the register
         ++ws.xdrop_restarts;
-        return xdrop_extend_avx2(a, b, reversed, scoring, xdrop, ws);
+        return xdrop_extend_scalar(a, b, reversed, scoring, xdrop, ws);
       }
       // Lane k is cell i = base + k; its characters are a-walk[i-1] = A[i-1]
       // and b-walk[d-i-1] = B[m-d+i].
       const __m256i eq = _mm256_cmpeq_epi8(load(A + base - 1), load(B + (m - d + base)));
       const __m256i sub = _mm256_blendv_epi8(mismatch_v, match_v, eq);
       __m256i s = _mm256_max_epi8(
-          _mm256_adds_epi8(shift_up<1>(v2, dead), sub),
-          _mm256_adds_epi8(_mm256_max_epi8(shift_up<1>(v1, dead), v1), gap_v));
+          _mm256_adds_epi8(shift_up1(v2, dead), sub),
+          _mm256_adds_epi8(_mm256_max_epi8(shift_up1(v1, dead), v1), gap_v));
 
       i64 lo = __builtin_ctzll(window), hi = 63 - __builtin_clzll(window);  // lanes
       if (d - m - base > lo || n - base < hi) {  // a matrix edge clips the window
@@ -202,36 +209,23 @@ __attribute__((target("avx2"))) ExtendResult extend_i8(std::string_view a,
       unsigned live = movemask(keep);
       const unsigned rise = movemask(_mm256_cmpgt_epi8(s, th.best));
       if (rise != 0) {
-        if constexpr (kUnitRise) {
-          // best rises by exactly 1, at the first raising lane k0: lanes
-          // after it prune against a threshold one higher, so those exactly
-          // at the old one die.
-          const int k0 = __builtin_ctz(rise);
-          const __m256i at_old = _mm256_cmpeq_epi8(s, th.at_old);
-          const unsigned late_at_old = movemask(at_old) & (~1u << k0);
-          if (late_at_old != 0) [[unlikely]] {
-            const __m256i late =
-                _mm256_cmpgt_epi8(lane_idx, _mm256_set1_epi8(static_cast<char>(k0)));
-            v = _mm256_blendv_epi8(v, dead, _mm256_and_si256(at_old, late));
-            live &= ~late_at_old;
-          }
-          ++best;
-          best_i = base + k0;
-          th = {_mm256_add_epi8(th.best, one_v), _mm256_add_epi8(th.keep_above, one_v),
-                _mm256_add_epi8(th.at_old, one_v)};
-        } else {
-          // best may rise more than once along the band: each lane prunes
-          // against the prefix max of best and the lanes up to it.
-          const __m256i running = _mm256_max_epi8(prefix_max(s, dead), th.best);
-          const __m256i drop = _mm256_cmpgt_epi8(_mm256_subs_epi8(running, xdrop_v), s);
-          v = _mm256_blendv_epi8(s, dead, drop);
-          live = ~movemask(drop);
-          best = static_cast<std::int8_t>(_mm256_extract_epi8(running, 31));
-          best_i = base + __builtin_ctz(movemask(
-                              _mm256_cmpeq_epi8(s, _mm256_set1_epi8(static_cast<char>(best)))));
-          th = thresholds(best, xdrop);
+        // best rises by exactly 1, at the first raising lane k0: lanes after
+        // it prune against a threshold one higher, so those exactly at the
+        // old one die.
+        const int k0 = __builtin_ctz(rise);
+        const __m256i at_old = _mm256_cmpeq_epi8(s, th.at_old);
+        const unsigned late_at_old = movemask(at_old) & (~1u << k0);
+        if (late_at_old != 0) [[unlikely]] {
+          const __m256i late =
+              _mm256_cmpgt_epi8(lane_idx, _mm256_set1_epi8(static_cast<char>(k0)));
+          v = _mm256_blendv_epi8(v, dead, _mm256_and_si256(at_old, late));
+          live &= ~late_at_old;
         }
+        ++best;
+        best_i = base + k0;
         best_d = d;
+        th = {_mm256_add_epi8(th.best, one_v), _mm256_add_epi8(th.keep_above, one_v),
+              _mm256_add_epi8(th.at_old, one_v)};
       }
       if (live == 0) break;  // antidiagonal fully dead: terminate
       live2 = live1;
@@ -261,12 +255,9 @@ __attribute__((target("avx2"))) ExtendResult extend_i8(std::string_view a,
 ExtendResult xdrop_extend_i8(std::string_view a, std::string_view b, bool reversed,
                              const Scoring& scoring, int xdrop, Workspace& ws) {
   if (!xdrop_i8_fits(scoring, xdrop)) {
-    return xdrop_extend_avx2(a, b, reversed, scoring, xdrop, ws);
+    return xdrop_extend_scalar(a, b, reversed, scoring, xdrop, ws);
   }
-  if (std::max({scoring.match, scoring.mismatch, scoring.gap}) <= 1) {
-    return extend_i8<true>(a, b, reversed, scoring, xdrop, ws);
-  }
-  return extend_i8<false>(a, b, reversed, scoring, xdrop, ws);
+  return extend_i8(a, b, reversed, scoring, xdrop, ws);
 }
 
 #else  // no x86: avx2_supported() is false, so this is never dispatched

@@ -3,12 +3,13 @@
 // scores, spans, and `cells` counters to the retained reference kernels
 // (align::ref) across randomized (length, error rate,
 // scoring, x-drop) combinations — including empty and one-sided extensions,
-// lengths around the AVX2 vector widths, wide bands spanning many vectors,
+// lengths around the AVX2 register width, wide bands spanning many vectors,
 // non-ACGT bytes, and reverse-complement-orientation seeds. Every x-drop
 // case runs through each kernel this host can execute (the scalar kernel
-// always, the int32 and int8 AVX2 kernels where the CPU has AVX2), not only
-// the dispatched one; the int8 kernel's fallbacks (an X or scoring outside
-// its range, a band wider than its 32 lanes) get cases on both sides.
+// always, the int8 AVX2 kernel where the CPU has AVX2), not only the
+// dispatched one; the int8 kernel's fallbacks to the scalar kernel (an X or
+// scoring outside its range, a band wider than its 32 lanes) get cases on
+// both sides.
 //
 // This binary also replaces the global operator new/delete with counting
 // versions to prove the tentpole claim directly: after a warm-up pass, the
@@ -123,14 +124,11 @@ struct KernelUnderTest {
   da::detail::XdropKernel fn;
 };
 
-/// The scalar kernel always; the two AVX2 kernels too where this CPU runs
-/// them.
+/// The scalar kernel always; the int8 AVX2 kernel too where this CPU runs
+/// it.
 std::vector<KernelUnderTest> kernels_under_test() {
   std::vector<KernelUnderTest> kernels = {{"scalar", da::detail::xdrop_extend_scalar}};
-  if (da::detail::avx2_supported()) {
-    kernels.push_back({"avx2", da::detail::xdrop_extend_avx2});
-    kernels.push_back({"i8", da::detail::xdrop_extend_i8});
-  }
+  if (da::detail::avx2_supported()) kernels.push_back({"i8", da::detail::xdrop_extend_i8});
   return kernels;
 }
 
@@ -140,8 +138,8 @@ std::string reversed(std::string s) {
   return s;
 }
 
-/// The largest X the int8 kernel runs itself under `sc` (xdrop.hpp):
-/// 127 minus the largest single-step gain.
+/// The largest X the int8 kernel runs itself under `sc` (xdrop.hpp) when
+/// no step gains more than 1: 127 minus the largest single-step gain.
 int i8_xdrop_limit(const da::Scoring& sc) {
   return 127 - std::max({sc.match, sc.mismatch, sc.gap, 0});
 }
@@ -167,7 +165,7 @@ void expect_seed_equal(const da::SeedAlignment& got, const da::SeedAlignment& wa
 const std::vector<da::Scoring> kScorings = {
     {1, -2, -2},  // project default
     {1, -1, -1},  // the classic scheme the scoring header warns about
-    {2, -3, -4},
+    {2, -3, -4},  // a step can add 2: runs on the scalar kernel only
 };
 
 // rate -1 = unrelated random partner (one-sided / dead extensions).
@@ -193,8 +191,7 @@ TEST(AlignDifferential, XdropExtendMatchesReferenceEverywhere) {
     ++cases;
   };
 
-  // Lengths around the 8- and 32-lane vector widths sit beside the original
-  // grid.
+  // Lengths around the 32-lane register width sit beside the original grid.
   const std::vector<std::size_t> lens = {0,  1,  2,  3,  7,  8,  9,  15, 16, 17,
                                          31, 32, 33, 63, 64, 65, 200};
   const std::vector<int> xdrops = {1, 5, 25, 1000000};
@@ -282,12 +279,14 @@ TEST(AlignDifferential, Int8KernelFallbacksMatchReference) {
                         da::ref::xdrop_extend(a, b, sc, xd), "dispatched " + what);
   };
 
-  // X one below and one above the int8 limit of each scoring; {2,-3,-4}
-  // raises best by up to 2 per antidiagonal (the prefix-max path). Above
-  // the limit the call goes straight to the int32 kernel: no restart.
+  // X one below and one above the int8 limit of each scoring. {2,-3,-4}
+  // raises best by up to 2 per antidiagonal, so it runs on the scalar
+  // kernel at every X. A call outside the int8 range runs on the scalar
+  // kernel from the start: no restart.
   for (const auto& sc : kScorings) {
     const int limit = i8_xdrop_limit(sc);
-    EXPECT_TRUE(da::detail::xdrop_i8_fits(sc, limit));
+    const bool unit_rise = std::max({sc.match, sc.mismatch, sc.gap}) <= 1;
+    EXPECT_EQ(da::detail::xdrop_i8_fits(sc, limit), unit_rise);
     EXPECT_FALSE(da::detail::xdrop_i8_fits(sc, limit + 1));
     EXPECT_FALSE(da::detail::xdrop_i8_fits(sc, -1));
     for (int xd : {limit - 1, limit, limit + 1}) {
@@ -298,16 +297,18 @@ TEST(AlignDifferential, Int8KernelFallbacksMatchReference) {
           check(a, partner(a, rate, rng), sc, xd,
                 "len=" + std::to_string(len) + " rate=" + std::to_string(rate) +
                     " xd=" + std::to_string(xd));
-          if (xd > limit) {
+          if (!da::detail::xdrop_i8_fits(sc, xd)) {
             EXPECT_EQ(ws.xdrop_restarts, restarts) << "xd=" << xd;
           }
         }
       }
     }
   }
-  // Scorings whose values do not fit the int8 lanes fall back as a whole.
+  // Scorings whose values do not fit the int8 lanes, or that can raise best
+  // by more than 1 per antidiagonal, run on the scalar kernel as a whole.
   EXPECT_FALSE(da::detail::xdrop_i8_fits({64, -1, -1}, 10));
-  EXPECT_TRUE(da::detail::xdrop_i8_fits({63, -1, -1}, 64));
+  EXPECT_FALSE(da::detail::xdrop_i8_fits({63, -1, -1}, 64));
+  EXPECT_FALSE(da::detail::xdrop_i8_fits({2, -3, -4}, 25));
   EXPECT_FALSE(da::detail::xdrop_i8_fits({1, -129, -2}, 25));
   EXPECT_TRUE(da::detail::xdrop_i8_fits({1, -128, -128}, 25));
   for (const da::Scoring sc : {da::Scoring{64, -1, -1}, da::Scoring{1, -129, -2},
@@ -319,7 +320,7 @@ TEST(AlignDifferential, Int8KernelFallbacksMatchReference) {
 
   // Bands that pass 32 lanes mid-extension: at X = 100 under {1,-1,-1} the
   // window widens by a cell per antidiagonal until it outgrows the register,
-  // and the extension restarts on the int32 kernel.
+  // and the extension restarts on the scalar kernel.
   for (double rate : {0.0, 0.05, 0.15}) {
     for (std::size_t len : {65u, 400u}) {
       const std::string a = random_dna(rng, len);
@@ -469,7 +470,7 @@ TEST(AlignDifferential, SteadyStateAlignmentLoopIsAllocationFree) {
   };
 
   // Each kernel on a fresh workspace: its own warm-up must size every buffer
-  // it uses (bands and, for AVX2, the padded sequence copies).
+  // it uses (bands and, for the int8 kernel, the padded sequence copies).
   std::vector<u64> checksums;
   for (const auto& kernel : kernels_under_test()) {
     da::Workspace ws;
@@ -487,9 +488,13 @@ TEST(AlignDifferential, SteadyStateAlignmentLoopIsAllocationFree) {
 }
 
 TEST(AlignDifferential, DispatchPicksAvx2WhereSupported) {
+  // Calls outside the int8 range run on the scalar kernel on every host.
+  EXPECT_EQ(da::xdrop_kernel_lanes(da::Scoring{}, 127), 1);
+  EXPECT_EQ(da::xdrop_kernel_lanes(da::Scoring{2, -3, -4}, 25), 1);
   if (!da::detail::avx2_supported()) {
-    EXPECT_EQ(da::xdrop_kernel_lanes(), 1);
+    EXPECT_EQ(da::xdrop_kernel_lanes(da::Scoring{}, 25), 1);
     GTEST_SKIP() << "CPU without AVX2: only the scalar x-drop kernel runs here";
   }
-  EXPECT_EQ(da::xdrop_kernel_lanes(), 32);
+  EXPECT_EQ(da::xdrop_kernel_lanes(da::Scoring{}, 25), 32);
+  EXPECT_EQ(da::xdrop_kernel_lanes(da::Scoring{}, 126), 32);
 }

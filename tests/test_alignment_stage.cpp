@@ -1,18 +1,23 @@
 // Tests for the stage-4 task loop (align/alignment_stage.hpp) driven
 // directly: its worker pool must produce the same records, counters and
-// RankTrace compute units for every worker count, and must hand a worker's
-// exception back to the calling thread.
+// RankTrace compute units for every worker count, must hand a worker's
+// exception back to the calling thread, and must report on its
+// `align:extend` span the lanes of the x-drop kernel that ran.
 
 #include "align/alignment_stage.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "align/detail/xdrop_kernels.hpp"
 #include "comm/world.hpp"
 #include "kmer/dna.hpp"
+#include "obs/span.hpp"
 #include "util/random.hpp"
 
 using dibella::u32;
@@ -120,11 +125,11 @@ struct StageRun {
 };
 
 StageRun run_stage(const dibella::io::ReadStore& store, const std::vector<AlignmentTask>& tasks,
-                   const AlignmentStageConfig& cfg) {
+                   const AlignmentStageConfig& cfg, dibella::obs::Trace* spans = nullptr) {
   StageRun out;
   dibella::comm::World world(1);
   world.run([&](dibella::comm::Communicator& comm) {
-    dibella::core::StageContext ctx{comm, out.trace};
+    dibella::core::StageContext ctx{comm, out.trace, spans};
     out.records = dibella::align::run_alignment_stage(ctx, store, tasks, cfg, &out.result);
   });
   return out;
@@ -249,4 +254,36 @@ TEST(AlignmentStage, BlockModeStoreRefusesExtraWorkers) {
   EXPECT_EQ(serial.result.pairs_aligned, tasks.size());
   cfg.workers = 2;
   EXPECT_THROW(run_stage(store, tasks, cfg), dibella::Error);
+}
+
+TEST(AlignmentStage, ExtendSpanReportsTheLanesOfTheKernelThatRan) {
+  // At X = 25 the int8 kernel runs every call on an AVX2 host; at X = 200
+  // (above its int8 limit of 126) every call runs on the scalar kernel from
+  // the start, so nothing restarts.
+  const ReadSet rs = make_reads(0x1A4E5, 30);
+  const auto tasks = make_tasks(rs, 0xD44);
+  const dibella::io::ReadStore store(rs.reads, partition_of(rs.reads, 1), 0);
+  const auto extend_args = [&](int xdrop) {
+    AlignmentStageConfig cfg;
+    cfg.k = kK;
+    cfg.xdrop = xdrop;
+    dibella::obs::Trace spans(1);
+    run_stage(store, tasks, cfg, &spans);
+    std::map<std::string, u64> args;
+    for (const auto& ev : spans.lane(0).snapshot()) {
+      if (ev.phase != dibella::obs::SpanEvent::Phase::kEnd ||
+          std::string(ev.name) != "align:extend") {
+        continue;
+      }
+      for (int a = 0; a < ev.n_args; ++a) args[ev.args[a].key] = ev.args[a].value;
+    }
+    return args;
+  };
+  const auto at25 = extend_args(25);
+  EXPECT_EQ(at25.at("pairs"), tasks.size());
+  EXPECT_EQ(at25.at("lanes"), dibella::align::detail::avx2_supported() ? 32u : 1u);
+  const auto at200 = extend_args(200);
+  EXPECT_EQ(at200.at("pairs"), tasks.size());
+  EXPECT_EQ(at200.at("lanes"), 1u);
+  EXPECT_EQ(at200.at("restarts"), 0u);
 }

@@ -639,6 +639,43 @@ TEST(SpillRunFraming, BadMagicFailsAtOpen) {
   fs::remove(path);
 }
 
+TEST(SpillRunFraming, SeededMutationsEndInErrorOrAValidRead) {
+  // Truncate, flip and splice a real run. Streaming a mutant either throws
+  // dibella::Error or yields, in full, the records of one of the two runs
+  // the mutant was cut from.
+  const fs::path path = fs::path(::testing::TempDir()) / "dibella_spill_mutant.bin";
+  auto read_run = [&] {
+    std::vector<dibella::align::AlignmentRecord> got;
+    dc::SpillMergeSource source({path.string()});
+    dibella::align::AlignmentRecord rec;
+    while (source.next(rec)) got.push_back(rec);
+    return got;
+  };
+  const auto records = sample_records(40);
+  auto other_records = sample_records(25);
+  for (auto& r : other_records) r.score += 3;
+  dc::write_alignment_run(path.string(), other_records);
+  const std::string other = dibella::io::load_file(path.string());
+  dc::write_alignment_run(path.string(), records);
+  const std::string text = dibella::io::load_file(path.string());
+  ASSERT_EQ(read_run(), records);
+
+  dibella::util::Xoshiro256 rng(2718);
+  std::size_t rejected = 0;
+  for (const std::string& m : dibella::test::seeded_mutants(text, other, rng)) {
+    dibella::io::save_file(path.string(), m);
+    try {
+      const auto got = read_run();
+      EXPECT_TRUE(got == records || got == other_records)
+          << "a mutant of " << m.size() << " bytes read as " << got.size() << " records";
+    } catch (const dibella::Error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GE(rejected, text.size()) << "every proper prefix must be rejected";
+  fs::remove(path);
+}
+
 // --- orphan spill reclamation ------------------------------------------------
 
 TEST(SpillReclamation, RemovesDeadOwnersKeepsLiveAndUnrelated) {
