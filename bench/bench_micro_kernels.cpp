@@ -1,8 +1,8 @@
 /// \file bench_micro_kernels.cpp
 /// google-benchmark microbenchmarks of the per-kernel building blocks:
-/// k-mer parsing, Bloom filter variants (flat vs cache-line blocked), the
-/// local hash table, x-drop extension, the reference Smith-Waterman kernels
-/// (align::ref, the x-drop oracle), and the in-process alltoallv transport.
+/// k-mer parsing, the Bloom filter, the local hash table, x-drop extension,
+/// the reference Smith-Waterman kernels (align::ref, the x-drop oracle), and
+/// the in-process alltoallv transport.
 /// These quantify the constants behind the stage-level figures.
 
 #include <benchmark/benchmark.h>
@@ -62,17 +62,15 @@ void BM_KmerParse(benchmark::State& state) {
 }
 BENCHMARK(BM_KmerParse)->Arg(17)->Arg(31);
 
-template <class Filter>
 void BM_BloomInsert(benchmark::State& state) {
-  Filter filter(1u << 20, 0.05);
+  bloom::BloomFilter filter(1u << 20, 0.05);
   util::Xoshiro256 rng(2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(filter.test_and_insert(rng.next(), rng.next()));
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()));
 }
-BENCHMARK_TEMPLATE(BM_BloomInsert, bloom::BloomFilter);
-BENCHMARK_TEMPLATE(BM_BloomInsert, bloom::BlockedBloomFilter);
+BENCHMARK(BM_BloomInsert);
 
 void BM_LocalTableInsert(benchmark::State& state) {
   util::Xoshiro256 rng(3);

@@ -237,6 +237,16 @@ double parse_double(const util::Args& args, const std::string& key, double fallb
   return parsed;
 }
 
+/// An on|off switch; any other value is a usage error.
+bool parse_on_off(const util::Args& args, const std::string& key, bool fallback) {
+  if (!args.has(key)) return fallback;
+  const std::string v = args.get(key, "");
+  if (v != "on" && v != "off") {
+    throw UsageError("unknown --" + key + "=" + v + " (expected on|off)");
+  }
+  return v == "on";
+}
+
 /// Byte sizes with optional K/M/G binary suffix: "64M" -> 64 * 2^20.
 u64 parse_size(const util::Args& args, const std::string& key, u64 fallback) {
   if (!args.has(key)) return fallback;
@@ -529,43 +539,15 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
     throw UsageError("--minimizer-w must be in [0, 255]");
   }
   cfg.minimizer_w = static_cast<u32>(minimizer_w);
-  const std::string syncmer_mode = args.get("syncmer", "off");
-  if (syncmer_mode == "on") {
-    cfg.syncmer = true;
-  } else if (syncmer_mode == "off") {
-    cfg.syncmer = false;
-  } else {
-    throw UsageError("unknown --syncmer=" + syncmer_mode + " (expected on|off)");
-  }
+  cfg.syncmer = parse_on_off(args, "syncmer", false);
   if (cfg.syncmer &&
       (cfg.minimizer_w < 2 || cfg.minimizer_w > static_cast<u32>(cfg.k) - 1)) {
     throw UsageError("--syncmer=on needs 2 <= --minimizer-w <= k-1 (s = k - w + 1 "
                      "s-mers must fit inside a k-mer)");
   }
-  const std::string chain_mode = args.get("chain", "on");
-  if (chain_mode == "on") {
-    cfg.chain = true;
-  } else if (chain_mode == "off") {
-    cfg.chain = false;
-  } else {
-    throw UsageError("unknown --chain=" + chain_mode + " (expected on|off)");
-  }
-  const std::string overlap_mode = args.get("overlap-comm", "on");
-  if (overlap_mode == "on") {
-    cfg.overlap_comm = true;
-  } else if (overlap_mode == "off") {
-    cfg.overlap_comm = false;
-  } else {
-    throw UsageError("unknown --overlap-comm=" + overlap_mode + " (expected on|off)");
-  }
-  const std::string stage5_mode = args.get("stage5", "on");
-  if (stage5_mode == "on") {
-    cfg.stage5 = true;
-  } else if (stage5_mode == "off") {
-    cfg.stage5 = false;
-  } else {
-    throw UsageError("unknown --stage5=" + stage5_mode + " (expected on|off)");
-  }
+  cfg.chain = parse_on_off(args, "chain", true);
+  cfg.overlap_comm = parse_on_off(args, "overlap-comm", true);
+  cfg.stage5 = parse_on_off(args, "stage5", true);
   cfg.min_overlap_score =
       static_cast<i32>(parse_i64(args, "min-overlap-score", cfg.min_overlap_score));
   if (args.has("gfa") && !cfg.stage5) {
@@ -618,17 +600,7 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
   if (args.has("truth") && simulated) {
     throw UsageError("--truth only applies to --input (presets carry their own truth)");
   }
-  bool eval_on = simulated || args.has("truth");
-  if (args.has("eval")) {
-    const std::string eval_mode = args.get("eval", "");
-    if (eval_mode == "on") {
-      eval_on = true;
-    } else if (eval_mode == "off") {
-      eval_on = false;
-    } else {
-      throw UsageError("unknown --eval=" + eval_mode + " (expected on|off)");
-    }
-  }
+  const bool eval_on = parse_on_off(args, "eval", simulated || args.has("truth"));
   if (eval_on && !truth) {
     // File-based input: the provenance must come from a sidecar TSV.
     std::string truth_path;
@@ -685,8 +657,9 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
   } else {
     out << "dense";
   }
-  out << "  chain=" << chain_mode
-      << "  overlap-comm=" << overlap_mode << "  blocks=" << cfg.blocks << "\n\n";
+  out << "  chain=" << (cfg.chain ? "on" : "off")
+      << "  overlap-comm=" << (cfg.overlap_comm ? "on" : "off")
+      << "  blocks=" << cfg.blocks << "\n\n";
 
   // --- run.
   core::PipelineOutput result;

@@ -39,7 +39,7 @@ const char* checkpoint_stage_name(CheckpointStage stage) {
 
 u32 checkpoint_fingerprint(const std::vector<io::Read>& reads,
                            const PipelineConfig& config, int ranks) {
-  u32 crc = util::crc32("dibella-ckpt-v1", 15);
+  u32 crc = util::crc32("dibella-ckpt-v2", 15);
   crc = crc_value(ranks, crc);
   const u64 n = reads.size();
   crc = crc_value(n, crc);

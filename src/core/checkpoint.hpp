@@ -20,8 +20,15 @@
 /// Layout under the checkpoint directory:
 ///   manifest.tsv                     header + appended completion lines
 ///   stage<n>.<name>.r<rank>.bin      per-rank payloads
-/// Stages 1-3 use a framed byte blob (magic, length, payload, CRC32);
-/// stage 4 reuses the spill-run record format (alignment_spill.hpp), so a
+/// Stages 1-3 use a framed byte blob (magic, length, payload, CRC32) whose
+/// payload is the records that stage ships on the wire, restored through
+/// the stage's own receive path:
+///   stage 1  the candidate keys as a flat kmer::Kmer array (insert_key);
+///   stage 2  one dht::KmerInstance per stored occurrence, in traversal
+///            order (insert_key + add_occurrence rebuild counts and order);
+///   stage 3  the owned tasks as pair runs (overlap::encode_pair_runs;
+///            PairSeedTable::add_runs + consolidate restore them).
+/// Stage 4 reuses the spill-run record format (alignment_spill.hpp), so a
 /// resumed run adopts each payload in place as its rank's spill run.
 /// Stage 5 is never checkpointed: it is a pure function of the stage-4
 /// records and rerunning it is cheaper than snapshotting graph state.
@@ -32,7 +39,6 @@
 /// dropped), surviving shards restore normally, and the quality report
 /// states the degradation honestly (eval.tsv's degraded_ranks row).
 
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -66,28 +72,6 @@ const char* checkpoint_stage_name(CheckpointStage stage);
 /// them, so a run may resume under a different schedule).
 u32 checkpoint_fingerprint(const std::vector<io::Read>& reads,
                            const PipelineConfig& config, int ranks);
-
-/// Growable byte sink for serializing checkpoint payloads; read back with
-/// comm::ByteReader.
-struct ByteWriter {
-  std::vector<u8> bytes;
-
-  template <class T>
-  void write(const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>, "checkpoint payload must be POD");
-    const std::size_t at = bytes.size();
-    bytes.resize(at + sizeof(T));
-    std::memcpy(bytes.data() + at, &v, sizeof(T));
-  }
-
-  template <class T>
-  void write_array(const T* p, std::size_t n) {
-    static_assert(std::is_trivially_copyable_v<T>, "checkpoint payload must be POD");
-    const std::size_t at = bytes.size();
-    bytes.resize(at + n * sizeof(T));
-    if (n > 0) std::memcpy(bytes.data() + at, p, n * sizeof(T));
-  }
-};
 
 /// One run's checkpoint directory: manifest + per-rank stage payloads.
 /// write_payload is thread-safe across ranks (distinct files, no shared

@@ -49,77 +49,59 @@ void sort_records(std::vector<align::AlignmentRecord>& records) {
                        [](const align::AlignmentRecord& r) { return r.rid_a; });
 }
 
-// --- checkpoint payload codecs (framed with comm::ByteReader on the way
-// back). Traversal order of the table does not matter: restores rebuild a
-// table whose slot layout may differ, and downstream stages canonicalize.
+// --- checkpoint payloads: each stage's state in the records that stage
+// ships, restored through its own receive path. A restored table's slot
+// layout may differ from the original's; stage 3 sorts its tasks, so the
+// outputs do not.
 
-std::vector<u8> serialize_table_keys(const dht::LocalKmerTable& table) {
-  ByteWriter w;
-  w.write<u64>(table.size());
+template <class T>
+std::vector<u8> payload_bytes(const std::vector<T>& records) {
+  const auto* p = reinterpret_cast<const u8*>(records.data());
+  return {p, p + records.size() * sizeof(T)};
+}
+
+/// Stage 1: the candidate keys as a flat kmer::Kmer array.
+std::vector<u8> bloom_payload(const dht::LocalKmerTable& table) {
+  std::vector<kmer::Kmer> keys;
+  keys.reserve(table.size());
   table.for_each(
-      [&](const kmer::Kmer& key, u32, std::vector<dht::ReadOccurrence>&) { w.write(key); });
-  return std::move(w.bytes);
+      [&](const kmer::Kmer& key, u32, std::vector<dht::ReadOccurrence>&) { keys.push_back(key); });
+  return payload_bytes(keys);
 }
 
-void restore_table_keys(dht::LocalKmerTable& table, const std::vector<u8>& bytes) {
-  comm::ByteReader r(bytes);
-  const u64 n = r.read<u64>();
-  for (u64 i = 0; i < n; ++i) table.insert_key(r.read<kmer::Kmer>());
-  DIBELLA_CHECK(r.empty(), "checkpoint: trailing bytes in bloom payload");
-}
-
-std::vector<u8> serialize_table_full(const dht::LocalKmerTable& table) {
-  ByteWriter w;
-  w.write<u64>(table.size());
+/// Stage 2: one dht::KmerInstance per stored occurrence, in traversal
+/// order. Stage 1 admits only keys the same sketch rescans in stage 2, and
+/// the purge keeps count <= m below the occurrence cap m + 1, so every count
+/// equals its stored occurrences and replaying them rebuilds the table.
+std::vector<u8> ht_payload(const dht::LocalKmerTable& table) {
+  std::vector<dht::KmerInstance> records;
   table.for_each(
       [&](const kmer::Kmer& key, u32 count, std::vector<dht::ReadOccurrence>& occs) {
-        w.write(key);
-        w.write(count);
-        w.write<u32>(static_cast<u32>(occs.size()));
-        w.write_array(occs.data(), occs.size());
+        DIBELLA_CHECK(count >= 1 && count == occs.size(),
+                      "checkpoint: a retained key's count differs from its stored occurrences");
+        for (const dht::ReadOccurrence& occ : occs) {
+          dht::KmerInstance& inst = records.emplace_back();  // zeroed padding
+          inst.km = key;
+          inst.rid = occ.rid;
+          inst.pos = occ.pos;
+          inst.is_forward = occ.is_forward;
+        }
       });
-  return std::move(w.bytes);
+  return payload_bytes(records);
 }
 
-void restore_table_full(dht::LocalKmerTable& table, const std::vector<u8>& bytes) {
-  comm::ByteReader r(bytes);
-  const u64 n = r.read<u64>();
-  std::vector<dht::ReadOccurrence> occs;
-  for (u64 i = 0; i < n; ++i) {
-    const auto key = r.read<kmer::Kmer>();
-    const u32 count = r.read<u32>();
-    const u32 n_occ = r.read<u32>();
-    occs.clear();
-    r.read_into(occs, n_occ);
-    table.restore_key(key, count, occs.data(), n_occ);
-  }
-  DIBELLA_CHECK(r.empty(), "checkpoint: trailing bytes in ht payload");
-}
-
-std::vector<u8> serialize_tasks(const std::vector<overlap::AlignmentTask>& tasks) {
-  ByteWriter w;
-  w.write<u64>(tasks.size());
+/// Stage 3: the owned tasks as pair runs. filter_seeds maps its own output
+/// to itself, so consolidating them again gives back the same tasks.
+std::vector<u8> overlap_payload(const std::vector<overlap::AlignmentTask>& tasks) {
+  std::vector<overlap::OverlapTask> seeds;
   for (const overlap::AlignmentTask& t : tasks) {
-    w.write(t.rid_a);
-    w.write(t.rid_b);
-    w.write<u32>(static_cast<u32>(t.seeds.size()));
-    w.write_array(t.seeds.data(), t.seeds.size());
+    for (const overlap::SeedPair& s : t.seeds) {
+      seeds.push_back({t.rid_a, t.rid_b, s.pos_a, s.pos_b, s.same_orientation});
+    }
   }
-  return std::move(w.bytes);
-}
-
-std::vector<overlap::AlignmentTask> restore_tasks(const std::vector<u8>& bytes) {
-  comm::ByteReader r(bytes);
-  std::vector<overlap::AlignmentTask> tasks(static_cast<std::size_t>(r.read<u64>()));
-  for (overlap::AlignmentTask& t : tasks) {
-    t.rid_a = r.read<u64>();
-    t.rid_b = r.read<u64>();
-    const u32 n_seeds = r.read<u32>();
-    t.seeds.reserve(n_seeds);
-    r.read_into(t.seeds, n_seeds);
-  }
-  DIBELLA_CHECK(r.empty(), "checkpoint: trailing bytes in overlap payload");
-  return tasks;
+  std::vector<u8> bytes;
+  overlap::encode_pair_runs(seeds, bytes);
+  return bytes;
 }
 
 }  // namespace
@@ -236,6 +218,17 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
       if (comm.rank() == 0) ckpt->mark_complete(stage);
     };
 
+    // Restore this rank's payload for `stage`; a decode error names the file.
+    const auto restore_stage = [&](CheckpointStage stage, auto&& decode) {
+      obs::Span io_span = ctx.span("checkpoint:read");
+      const std::vector<u8> bytes = ckpt->read_payload(stage, comm.rank());
+      try {
+        decode(bytes);
+      } catch (const Error& e) {
+        throw Error(ckpt->payload_path(stage, comm.rank()) + ": " + e.what());
+      }
+    };
+
     // Stage 1: distributed Bloom filter; initializes candidate keys.
     dht::LocalKmerTable table(1024, max_count + 1);
     if (resume_from < CheckpointStage::kBloom) {
@@ -251,13 +244,13 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
         bloom_res[rank] = bloom::run_bloom_stage(ctx, store, bcfg, table);
       }
       checkpoint_stage(CheckpointStage::kBloom, [&] {
-        ckpt->write_payload(CheckpointStage::kBloom, comm.rank(),
-                            serialize_table_keys(table));
+        ckpt->write_payload(CheckpointStage::kBloom, comm.rank(), bloom_payload(table));
       });
     } else if (resume_from == CheckpointStage::kBloom && !degraded_me) {
-      obs::Span io_span = ctx.span("checkpoint:read");
-      restore_table_keys(table,
-                         ckpt->read_payload(CheckpointStage::kBloom, comm.rank()));
+      restore_stage(CheckpointStage::kBloom, [&](const std::vector<u8>& bytes) {
+        comm::ByteReader in(bytes);
+        while (!in.empty()) table.insert_key(in.read<kmer::Kmer>());
+      });
     }
 
     // Stage 2: distributed hash table with occurrence metadata + purge.
@@ -274,13 +267,18 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
         ht_res[rank] = dht::run_hashtable_stage(ctx, store, hcfg, table);
       }
       checkpoint_stage(CheckpointStage::kHashTable, [&] {
-        ckpt->write_payload(CheckpointStage::kHashTable, comm.rank(),
-                            serialize_table_full(table));
+        ckpt->write_payload(CheckpointStage::kHashTable, comm.rank(), ht_payload(table));
       });
     } else if (resume_from == CheckpointStage::kHashTable && !degraded_me) {
-      obs::Span io_span = ctx.span("checkpoint:read");
-      restore_table_full(table,
-                         ckpt->read_payload(CheckpointStage::kHashTable, comm.rank()));
+      restore_stage(CheckpointStage::kHashTable, [&](const std::vector<u8>& bytes) {
+        comm::ByteReader in(bytes);
+        while (!in.empty()) {
+          const auto inst = in.read<dht::KmerInstance>();
+          DIBELLA_CHECK(inst.rid < partition.total_reads(), "checkpoint: read id out of range");
+          table.insert_key(inst.km);
+          table.add_occurrence(inst.km, {inst.rid, inst.pos, inst.is_forward});
+        }
+      });
     }
 
     // Stage 3: overlap detection (Algorithm 1) + task exchange.
@@ -295,12 +293,17 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
         tasks = overlap::run_overlap_stage(ctx, table, partition, ocfg, &ov_res[rank]);
       }
       checkpoint_stage(CheckpointStage::kOverlap, [&] {
-        ckpt->write_payload(CheckpointStage::kOverlap, comm.rank(),
-                            serialize_tasks(tasks));
+        ckpt->write_payload(CheckpointStage::kOverlap, comm.rank(), overlap_payload(tasks));
       });
     } else if (resume_from == CheckpointStage::kOverlap && !degraded_me) {
-      obs::Span io_span = ctx.span("checkpoint:read");
-      tasks = restore_tasks(ckpt->read_payload(CheckpointStage::kOverlap, comm.rank()));
+      restore_stage(CheckpointStage::kOverlap, [&](const std::vector<u8>& bytes) {
+        overlap::PairSeedTable runs;
+        runs.add_runs(bytes.data(), bytes.size());
+        tasks = runs.consolidate(config.seed_filter);
+        for (const overlap::AlignmentTask& t : tasks) {
+          DIBELLA_CHECK(t.rid_b < partition.total_reads(), "checkpoint: read id out of range");
+        }
+      });
     }
 
     // Stage 4a+4b: read exchange then embarrassingly parallel x-drop

@@ -115,26 +115,6 @@ void LocalKmerTable::append_occurrences(const kmer::Kmer& km,
   append_occurrences_of_slot(i, out);
 }
 
-void LocalKmerTable::restore_key(const kmer::Kmer& km, u32 count,
-                                 const ReadOccurrence* occs, u32 n) {
-  maybe_grow();
-  std::size_t i = probe(km);
-  DIBELLA_CHECK(state_[i] != SlotState::kFull,
-                "LocalKmerTable::restore_key: key already resident");
-  slots_[i] = Slot{};
-  slots_[i].key = km;
-  slots_[i].count = count;
-  state_[i] = SlotState::kFull;
-  ++size_;
-  // Head-linked newest-first, as add_occurrence builds them; traversal
-  // reverses back to insertion order.
-  for (u32 o = 0; o < n; ++o) {
-    pool_.push_back(OccNode{occs[o], slots_[i].head});
-    slots_[i].head = static_cast<i32>(pool_.size()) - 1;
-    ++slots_[i].stored;
-  }
-}
-
 std::size_t LocalKmerTable::purge_outside(u32 min_count, u32 max_count) {
   // Collect survivors, rebuild both the table and the occurrence pool
   // (purging typically removes 85-98% of keys — §9 — so rebuilding is far

@@ -54,13 +54,6 @@ class LocalKmerTable {
   /// the key is absent.
   void append_occurrences(const kmer::Kmer& km, std::vector<ReadOccurrence>& out) const;
 
-  /// Reinstall a key with its full stage-2 payload (checkpoint restore):
-  /// global count plus the stored occurrences in insertion order. The key
-  /// must not already be resident. Slot layout after a restore need not
-  /// match the original table's — downstream consumers canonicalize (the
-  /// overlap stage sorts its tasks), so the pipeline output is invariant.
-  void restore_key(const kmer::Kmer& km, u32 count, const ReadOccurrence* occs, u32 n);
-
   /// Remove every key whose count lies outside [min_count, max_count] —
   /// the singleton / high-frequency purge of §7. Returns number removed.
   std::size_t purge_outside(u32 min_count, u32 max_count);

@@ -10,14 +10,11 @@
 /// k-mer count, which is the same granularity the paper's implementation
 /// batches at).
 ///
-/// Two iteration sources share identical fill() semantics: a resident read
-/// vector, or a ReadStore walked lazily in gid order (the out-of-core path —
-/// gid-order iteration loads each packed block exactly once, and the pause
-/// points depend only on the budget and per-read k-mer counts, so the
-/// emission sequence and batch boundaries are bitwise-independent of the
-/// block count).
-
-#include <vector>
+/// The stream walks a rank's owned reads through its ReadStore in gid order
+/// (the out-of-core path: gid-order iteration loads each packed block
+/// exactly once, and the pause points depend only on the budget and
+/// per-read k-mer counts, so the emission sequence and batch boundaries are
+/// bitwise-independent of the block count).
 
 #include "io/read.hpp"
 #include "io/read_store.hpp"
@@ -28,17 +25,12 @@ namespace dibella::kmer {
 
 class OccurrenceStream {
  public:
-  OccurrenceStream(const std::vector<io::Read>& reads, int k,
-                   const sketch::SketchConfig& sk = {})
-      : reads_(&reads), count_(reads.size()), k_(k), sketcher_(k, sk) {}
-
   /// Iterate a rank's owned reads through the store (block-mode safe).
   OccurrenceStream(const io::ReadStore& store, int k,
                    const sketch::SketchConfig& sk = {})
       : store_(&store),
         first_gid_(store.first_local_gid()),
         count_(static_cast<std::size_t>(store.local_count())),
-        k_(k),
         sketcher_(k, sk) {}
 
   /// Emit occurrences of whole reads until at least `budget` occurrences
@@ -52,8 +44,7 @@ class OccurrenceStream {
   bool fill(u64 budget, Fn&& fn) {
     u64 produced = 0;
     while (next_read_ < count_ && produced < budget) {
-      const io::Read& r = store_ ? store_->local_read(first_gid_ + next_read_)
-                                 : (*reads_)[next_read_];
+      const io::Read& r = store_->local_read(first_gid_ + next_read_);
       sketcher_.for_each_seed(r.seq, [&](const Occurrence& occ) {
         fn(r.gid, occ);
         ++produced;
@@ -63,19 +54,13 @@ class OccurrenceStream {
     return next_read_ < count_;
   }
 
-  bool exhausted() const { return next_read_ >= count_; }
-
-  void reset() { next_read_ = 0; }
-
   /// Windows scanned / seeds kept so far (cumulative across fill calls).
   const sketch::SketchStats& sketch_stats() const { return sketcher_.stats(); }
 
  private:
-  const std::vector<io::Read>* reads_ = nullptr;
-  const io::ReadStore* store_ = nullptr;
+  const io::ReadStore* store_;
   u64 first_gid_ = 0;
   std::size_t count_ = 0;
-  int k_;
   std::size_t next_read_ = 0;
   sketch::Sketcher sketcher_;
 };

@@ -6,6 +6,7 @@
 #include "sgraph/csr.hpp"
 #include "sgraph/fused_frame.hpp"
 #include "sgraph/ghost_frame.hpp"
+#include "util/radix_sort.hpp"
 
 namespace dibella::sgraph {
 
@@ -76,30 +77,12 @@ bool same_pair(const DovetailEdge& x, const DovetailEdge& y) {
 
 /// Consolidate `edges` to the single best record per (lo, hi) under
 /// dovetail_order, leaving the result sorted by (lo, hi) — the same output
-/// as sort(dovetail_order) + unique(same_pair). When the gid space is small
-/// relative to the edge count the comparison sort is replaced by two stable
-/// counting passes (by hi, then by lo) and a best-of-group scan; otherwise
-/// the counting arrays would blow the cache and the comparison sort wins.
-void consolidate_best_per_pair(std::vector<DovetailEdge>& edges, u64 total_reads) {
-  if (edges.size() < 2) return;
-  if (total_reads > 16 * edges.size() + 4096) {
-    std::sort(edges.begin(), edges.end(), dovetail_order);
-    edges.erase(std::unique(edges.begin(), edges.end(), same_pair), edges.end());
-    return;
-  }
-  const auto n_keys = static_cast<std::size_t>(total_reads);
-  std::vector<u32> count(n_keys + 1, 0);
-  std::vector<DovetailEdge> tmp(edges.size());
-  for (const auto& e : edges) ++count[static_cast<std::size_t>(e.hi) + 1];
-  for (std::size_t k = 1; k <= n_keys; ++k) count[k] += count[k - 1];
-  for (const auto& e : edges) tmp[count[static_cast<std::size_t>(e.hi)]++] = e;
-  count.assign(n_keys + 1, 0);
-  for (const auto& e : tmp) ++count[static_cast<std::size_t>(e.lo) + 1];
-  for (std::size_t k = 1; k <= n_keys; ++k) count[k] += count[k - 1];
-  for (const auto& e : tmp) edges[count[static_cast<std::size_t>(e.lo)]++] = e;
-  // Groups of equal (lo, hi) are now contiguous (the second pass is stable);
-  // keep each group's dovetail_order minimum, which is the copy unique()
-  // would have kept after a full sort.
+/// as sort(dovetail_order) + unique(same_pair). Two stable radix passes (by
+/// hi, then by lo) make each pair's records contiguous; a scan keeps each
+/// group's dovetail_order minimum, the copy unique() keeps after a full sort.
+void consolidate_best_per_pair(std::vector<DovetailEdge>& edges) {
+  util::radix_sort_u64(edges, [](const DovetailEdge& e) { return e.hi; });
+  util::radix_sort_u64(edges, [](const DovetailEdge& e) { return e.lo; });
   std::size_t out = 0;
   for (std::size_t i = 0; i < edges.size();) {
     std::size_t best = i;
@@ -214,7 +197,7 @@ StringGraphShard run_string_graph_stage(
                                    return true;
                                  }),
                   dovetails.end());
-  consolidate_best_per_pair(dovetails, partition.total_reads());
+  consolidate_best_per_pair(dovetails);
   // Route each surviving edge to both endpoint owners, serialized straight
   // into the per-destination wire buffers (no per-destination edge vectors
   // in between): one counting pass sizes each buffer and writes its header,

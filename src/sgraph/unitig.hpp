@@ -1,10 +1,12 @@
 #pragma once
 /// \file unitig.hpp
 /// Unitig extraction and GFA1 emission over a (reduced) string graph's
-/// surviving edge set. Sequential: stage 5 funnels the surviving edges to
-/// rank 0 (exactly as an MPI assembler funnels the final graph to a writer
-/// rank), so extraction and serialization see the canonical sorted edge
-/// list and are byte-deterministic regardless of rank count or schedule.
+/// surviving edge set. `extract_unitigs` is the sequential oracle: stage 5
+/// walks unitigs distributed (unitig_walk.hpp), and the differential tests
+/// pin `stitch_unitigs` over its per-rank fragments to `extract_unitigs`
+/// over the merged, canonically sorted edge list. The GFA writer reads that
+/// same merged list, so both are byte-deterministic regardless of rank
+/// count or schedule.
 ///
 /// A unitig is a maximal simple path: every interior vertex has degree 2,
 /// and a chain terminates at a tip (degree 1), a branch (degree >= 3), or —

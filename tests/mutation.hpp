@@ -11,14 +11,20 @@
 
 namespace dibella::test {
 
-/// The mutants of `text`: every proper prefix (truncation), `flips` copies
-/// with one random bit flipped, and `splices` joins of a random prefix of
-/// `text` onto a random suffix of `other`.
+/// The mutants of `text`: every proper prefix (truncation), or `cuts`
+/// random ones when `cuts` > 0, `flips` copies with one random bit flipped,
+/// and `splices` joins of a random prefix of `text` onto a random suffix of
+/// `other`.
 inline std::vector<std::string> seeded_mutants(std::string_view text, std::string_view other,
                                                util::Xoshiro256& rng, int flips = 64,
-                                               int splices = 32) {
+                                               int splices = 32, int cuts = 0) {
   std::vector<std::string> out;
-  for (std::size_t cut = 0; cut < text.size(); ++cut) out.emplace_back(text.substr(0, cut));
+  if (cuts == 0) {
+    for (std::size_t cut = 0; cut < text.size(); ++cut) out.emplace_back(text.substr(0, cut));
+  }
+  for (int c = 0; c < cuts && !text.empty(); ++c) {
+    out.emplace_back(text.substr(0, rng.uniform_below(text.size())));
+  }
   for (int f = 0; f < flips && !text.empty(); ++f) {
     std::string m(text);
     m[rng.uniform_below(m.size())] ^= static_cast<char>(1u << rng.uniform_below(8));

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -38,6 +39,7 @@
 #include "mutation.hpp"
 #include "sgraph/unitig.hpp"
 #include "simgen/presets.hpp"
+#include "util/checksum.hpp"
 #include "util/random.hpp"
 
 namespace dc = dibella::core;
@@ -770,33 +772,40 @@ TEST_F(FaultCli, ResumeIsByteIdenticalAcrossRankCountsAndSchedules) {
 }
 
 TEST_F(FaultCli, ResumeRestoresEveryCheckpointStage) {
-  // Abort progressively later, so --resume exercises each restore codec:
-  // stage-1 candidate keys, stage-2 table shards, stage-3 tasks, and (for a
-  // run that completed) the stage-4 record runs.
-  const fs::path ref_dir = dir_ / "ref";
-  DriverResult ref = run_driver(
-      {"--preset=tiny", "--ranks=3", "--out-dir=" + ref_dir.string()});
-  ASSERT_EQ(ref.exit_code, dibella::cli::kExitOk) << ref.err;
-  const Outputs want = outputs_of(ref_dir);
-
+  // Abort progressively later, so --resume exercises each restore: stage-1
+  // candidate keys, stage-2 k-mer instances, stage-3 pair runs (which run
+  // the seed policy again: hence the spaced and all policies), and (for a
+  // run that completed) the stage-4 record runs. --blocks=4 restores into
+  // the out-of-core read store.
+  Outputs want;
   int case_index = 0;
-  for (const char* fault : {"abort@ht:0:1", "abort@overlap:0:2",
-                            "abort@align:0:0"}) {
-    SCOPED_TRACE(fault);
-    const fs::path cell = dir_ / ("case" + std::to_string(case_index++));
-    const std::string ckpt = "--checkpoint-dir=" + (cell / "ckpt").string();
-    DriverResult aborted = run_driver(
-        {"--preset=tiny", "--ranks=3", ckpt, spill_flag(),
-         "--inject-fault=" + std::string(fault),
-         "--out-dir=" + (cell / "aborted").string()});
-    EXPECT_EQ(aborted.exit_code, dibella::cli::kExitCommFailure) << aborted.err;
+  for (const char* variant : {"--seed-policy=one", "--seed-policy=spaced",
+                              "--seed-policy=all", "--blocks=4"}) {
+    const fs::path ref_dir = dir_ / ("ref" + std::to_string(case_index));
+    DriverResult ref = run_driver(
+        {"--preset=tiny", "--ranks=3", variant, "--out-dir=" + ref_dir.string()});
+    ASSERT_EQ(ref.exit_code, dibella::cli::kExitOk) << ref.err;
+    const Outputs variant_want = outputs_of(ref_dir);
+    if (case_index == 0) want = variant_want;
 
-    DriverResult resumed = run_driver(
-        {"--preset=tiny", "--ranks=3", ckpt, spill_flag(), "--resume",
-         "--out-dir=" + (cell / "resumed").string()});
-    ASSERT_EQ(resumed.exit_code, dibella::cli::kExitOk) << resumed.err;
-    expect_outputs_equal(want, outputs_of(cell / "resumed"));
-    expect_no_spill_left();
+    for (const char* fault : {"abort@ht:0:1", "abort@overlap:0:2",
+                              "abort@align:0:0"}) {
+      SCOPED_TRACE(std::string(variant) + " " + fault);
+      const fs::path cell = dir_ / ("case" + std::to_string(case_index++));
+      const std::string ckpt = "--checkpoint-dir=" + (cell / "ckpt").string();
+      DriverResult aborted = run_driver(
+          {"--preset=tiny", "--ranks=3", variant, ckpt, spill_flag(),
+           "--inject-fault=" + std::string(fault),
+           "--out-dir=" + (cell / "aborted").string()});
+      EXPECT_EQ(aborted.exit_code, dibella::cli::kExitCommFailure) << aborted.err;
+
+      DriverResult resumed = run_driver(
+          {"--preset=tiny", "--ranks=3", variant, ckpt, spill_flag(), "--resume",
+           "--out-dir=" + (cell / "resumed").string()});
+      ASSERT_EQ(resumed.exit_code, dibella::cli::kExitOk) << resumed.err;
+      expect_outputs_equal(variant_want, outputs_of(cell / "resumed"));
+      expect_no_spill_left();
+    }
   }
 
   // A run that finished cleanly left a complete stage-4 checkpoint; resume
@@ -817,6 +826,104 @@ TEST_F(FaultCli, ResumeRestoresEveryCheckpointStage) {
     EXPECT_TRUE(fs::exists(cell / "ckpt" /
                            ("stage4.align.r" + std::to_string(rank) + ".bin")));
   }
+}
+
+TEST_F(FaultCli, SeededPayloadMutationsEndInATypedErrorOrACompleteResume) {
+  // Truncate, flip and splice each rank's stage 1-3 payload and rewrite its
+  // CRC32 trailer, so every mutant reaches the stage's decoder. A resume
+  // from it must exit 1 with a typed error or finish with its outputs
+  // written: never crash or hang. A mutant that decodes into well-formed
+  // records (a flipped bit inside a k-mer or a position, a cut between two
+  // records) is a different valid state, so its outputs may differ from the
+  // reference's; only the unmutated payload is pinned to them.
+  const int ranks = 2;
+  const std::vector<std::string> common = {"--preset=tiny",
+                                           "--ranks=" + std::to_string(ranks),
+                                           "--seed-policy=spaced", spill_flag()};
+  auto with = [&common](std::vector<std::string> extra) {
+    extra.insert(extra.begin(), common.begin(), common.end());
+    return extra;
+  };
+  DriverResult ref = run_driver(with({"--out-dir=" + (dir_ / "ref").string()}));
+  ASSERT_EQ(ref.exit_code, dibella::cli::kExitOk) << ref.err;
+  const Outputs want = outputs_of(dir_ / "ref");
+
+  // Payload framing (CheckpointSet::write_payload): magic, length, payload,
+  // CRC32 of the payload.
+  constexpr std::size_t kHeader = sizeof(u32) + sizeof(u64);
+  const auto frame = [](const std::string& payload) {
+    std::string framed(kHeader, '\0');
+    const u32 magic = 0x4442434Bu;
+    const u64 length = payload.size();
+    std::memcpy(framed.data(), &magic, sizeof(magic));
+    std::memcpy(framed.data() + sizeof(magic), &length, sizeof(length));
+    framed += payload;
+    const u32 crc = dibella::util::crc32(payload.data(), payload.size());
+    framed.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    return framed;
+  };
+
+  dibella::util::Xoshiro256 rng(1414);
+  int stage_index = 0;
+  for (const char* fault : {"abort@ht:0:1", "abort@overlap:0:1", "abort@align:0:1"}) {
+    const auto stage = static_cast<dc::CheckpointStage>(++stage_index);
+    const fs::path cell = dir_ / ("stage" + std::to_string(stage_index));
+    const std::string ckpt = "--checkpoint-dir=" + (cell / "ckpt").string();
+    DriverResult aborted = run_driver(
+        with({ckpt, "--inject-fault=" + std::string(fault), "--no-output"}));
+    ASSERT_EQ(aborted.exit_code, dibella::cli::kExitCommFailure) << aborted.err;
+    // A resume appends completion lines; restore the manifest before each run.
+    const fs::path manifest = cell / "ckpt" / "manifest.tsv";
+    const std::string manifest_text = load(manifest);
+    const auto resume = [&] {
+      dio::save_file(manifest.string(), manifest_text);
+      return run_driver(with({ckpt, "--resume", "--out-dir=" + (cell / "out").string()}));
+    };
+
+    const auto path_of = [&](int rank) {
+      return cell / "ckpt" /
+             ("stage" + std::to_string(stage_index) + "." +
+              dc::checkpoint_stage_name(stage) + ".r" + std::to_string(rank) + ".bin");
+    };
+    for (int rank = 0; rank < ranks; ++rank) {
+      SCOPED_TRACE(path_of(rank).filename().string());
+      const std::string original = load(path_of(rank));
+      const std::string other = load(path_of(1 - rank));
+      ASSERT_GT(original.size(), kHeader + sizeof(u32));
+      const auto payload_of = [](const std::string& framed) {
+        return framed.substr(kHeader, framed.size() - kHeader - sizeof(u32));
+      };
+      ASSERT_EQ(frame(payload_of(original)), original);
+
+      DriverResult clean = resume();
+      ASSERT_EQ(clean.exit_code, dibella::cli::kExitOk) << clean.err;
+      expect_outputs_equal(want, outputs_of(cell / "out"));
+
+      int rejected = 0;
+      for (const std::string& m : dibella::test::seeded_mutants(
+               payload_of(original), payload_of(other), rng, 12, 6, 12)) {
+        dio::save_file(path_of(rank).string(), frame(m));
+        fs::remove_all(cell / "out");
+        DriverResult r = resume();
+        if (r.exit_code == dibella::cli::kExitRuntimeError) {
+          ++rejected;
+          EXPECT_NE(r.err.find(path_of(rank).filename().string()), std::string::npos)
+              << r.err;
+        } else {
+          ASSERT_EQ(r.exit_code, dibella::cli::kExitOk) << r.err;
+          for (const char* file : {dibella::cli::kAlignmentsFile, dibella::cli::kGfaFile,
+                                   dibella::cli::kEvalFile}) {
+            EXPECT_TRUE(fs::exists(cell / "out" / file)) << file;
+          }
+        }
+      }
+      // Stage 1-2 records have a fixed width and stage 3's pair runs end
+      // on a seed, so some cut lands inside a record.
+      EXPECT_GT(rejected, 0);
+      dio::save_file(path_of(rank).string(), original);
+    }
+  }
+  expect_no_spill_left();
 }
 
 TEST_F(FaultCli, ResumeRejectsATrailingByteInTheStage4Payload) {
