@@ -21,6 +21,13 @@
 //                   process CPU seconds (`optimized_cpu_s`) sit beside its
 //                   wall seconds: a host that serializes the workers shows
 //                   CPU ~= wall, a slower pool shows CPU grown
+//   * sketch_pack:  one rank's stage-1 pack (kmer::OccurrenceStream: w=10
+//                   minimizer sketch, owner routing, per-destination slices)
+//                   over CLR-like reads, 1 worker (baseline) vs one worker
+//                   per available CPU (optimized); the posted keys are
+//                   asserted identical, ns/cell is wall-clock ns per k-mer
+//                   window, and the pooled run's process CPU seconds sit
+//                   beside its wall seconds as in alignment_stage_pool
 //   * overlap_consolidate: overlap-stage task consolidation on many pairs
 //                   with a few seeds each, the former sort-then-group
 //                   consolidation vs the stage's pair runs: encode -> decode
@@ -81,6 +88,7 @@
 #include "comm/world.hpp"
 #include "core/pipeline.hpp"
 #include "kmer/dna.hpp"
+#include "kmer/occurrence_stream.hpp"
 #include "overlap/overlapper.hpp"
 #include "simgen/presets.hpp"
 #include "util/args.hpp"
@@ -318,6 +326,57 @@ BenchRow bench_alignment_pool(std::size_t n_pairs, std::size_t read_len, int rep
   std::cout << "alignment_stage_pool: " << cpus << " workers, " << row.optimized_s
             << " s wall, " << row.optimized_cpu_s << " s CPU\n";
   row.cells = pooled_res.dp_cells;
+  row.baseline_ns_per_cell = 1e9 * row.baseline_s / static_cast<double>(row.cells);
+  row.optimized_ns_per_cell = 1e9 * row.optimized_s / static_cast<double>(row.cells);
+  row.throughput = static_cast<double>(row.items) / row.optimized_s;
+  return row;
+}
+
+BenchRow bench_sketch_pack(bool smoke, int reps) {
+  // Stage 1's pack loop on one rank, without the exchange: every read is
+  // sketched, each seed routed to its owner among 4 ranks, and each batch's
+  // per-destination slices appended to that destination's buffer as
+  // Exchanger::post does. The reads are the pipeline benchmark's CLR input.
+  const auto sim = simgen::make_dataset(smoke ? simgen::tiny_test(42)
+                                              : simgen::ecoli30x_like(0.02));
+  std::vector<u64> lens;
+  for (const auto& r : sim.reads) lens.push_back(r.seq.size());
+  const io::ReadStore store(sim.reads, io::ReadPartition(lens, 1), 0);
+  const int k = 17;
+  const int ranks = 4;
+  const sketch::SketchConfig sketch{10, false};
+  const auto route = [](u64, const kmer::Occurrence& occ, kmer::Kmer& key) {
+    key = occ.kmer;
+    return static_cast<int>(occ.kmer.hash(0x0B7A1A5C) % ranks);
+  };
+  const auto pack = [&](int workers, std::vector<std::vector<kmer::Kmer>>& posted) {
+    kmer::OccurrenceStream<kmer::Kmer> stream(store, k, sketch, ranks, workers);
+    posted.assign(ranks, {});
+    u64 windows = 0;
+    do {
+      windows += stream
+                     .fill(u64{1} << 20, route,
+                           [&](int d, const kmer::Kmer* keys, std::size_t n) {
+                             auto& out = posted[static_cast<std::size_t>(d)];
+                             out.insert(out.end(), keys, keys + n);
+                           })
+                     .windows;
+    } while (stream.more());
+    return windows;
+  };
+  const int cpus = util::available_cpus();
+
+  BenchRow row;
+  row.name = "sketch_pack";
+  row.unit = "reads/s";
+  row.items = sim.reads.size();
+  std::vector<std::vector<kmer::Kmer>> serial, pooled;
+  row.baseline_s = best_of(reps, [&] { row.cells = pack(1, serial); });
+  row.optimized_s = best_of(reps, [&] { pack(cpus, pooled); }, &row.optimized_cpu_s);
+  DIBELLA_CHECK(serial == pooled, "sketch_pack: " + std::to_string(cpus) +
+                                      " workers diverged from 1 worker");
+  std::cout << "sketch_pack: " << cpus << " workers, " << row.optimized_s << " s wall, "
+            << row.optimized_cpu_s << " s CPU\n";
   row.baseline_ns_per_cell = 1e9 * row.baseline_s / static_cast<double>(row.cells);
   row.optimized_ns_per_cell = 1e9 * row.optimized_s / static_cast<double>(row.cells);
   row.throughput = static_cast<double>(row.items) / row.optimized_s;
@@ -624,12 +683,14 @@ int main(int argc, char** argv) {
     bench_xdrop(60, 1200, 0.15, kClrSeed, "", reps, rows);
     bench_xdrop(60, 1200, 0.02, kHifiSeed, "_hifi", reps, rows);
     rows.push_back(bench_alignment_pool(400, 1200, reps));
+    rows.push_back(bench_sketch_pack(smoke, reps));
     rows.push_back(bench_consolidate(60'000, 4'000, reps));
     rows.push_back(bench_dense_consolidate(60'000, 400, reps));
   } else {
     bench_xdrop(400, 4000, 0.15, kClrSeed, "", reps, rows);
     bench_xdrop(400, 4000, 0.02, kHifiSeed, "_hifi", reps, rows);
     rows.push_back(bench_alignment_pool(4000, 4000, reps));
+    rows.push_back(bench_sketch_pack(smoke, reps));
     rows.push_back(bench_consolidate(2'000'000, 60'000, reps));
     rows.push_back(bench_dense_consolidate(2'000'000, 4'000, reps));
   }

@@ -1,14 +1,12 @@
 #include "align/alignment_stage.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <thread>
 
 #include "align/chain.hpp"
 #include "align/xdrop.hpp"
 #include "kmer/dna.hpp"
 #include "kmer/kmer.hpp"
+#include "util/chunk_pool.hpp"
 
 namespace dibella::align {
 
@@ -29,7 +27,6 @@ struct alignas(64) WorkerState {
   AlignmentStageResult res;
   u64 touched_bytes = 0;
   u64 revcomp_bytes = 0;
-  std::exception_ptr error;
 };
 
 /// Align one task and append its best alignment to `out` when it clears
@@ -139,53 +136,29 @@ std::vector<AlignmentRecord> run_alignment_stage(
 
   auto extend = ctx.kernel("align:extend", "align:compute");
 
-  // Workers claim chunks through one cursor and write only their own
-  // WorkerState and the chunks they claimed; ctx, spans and metrics stay on
-  // this (the rank's) thread. Joining the pool publishes every write.
+  // Workers write only their own WorkerState and the chunks they claimed;
+  // ctx, spans and metrics stay on this (the rank's) thread.
   const std::size_t n_chunks = (tasks.size() + kChunkTasks - 1) / kChunkTasks;
-  const auto workers = std::max<std::size_t>(
-      1, std::min(static_cast<std::size_t>(cfg.workers), n_chunks));
   std::vector<std::vector<AlignmentRecord>> chunk_records(n_chunks);
-  std::vector<WorkerState> states(workers);
-  std::atomic<std::size_t> cursor{0};
-  const auto work = [&](WorkerState& w) {
-    try {
-      for (std::size_t c = cursor++; c < n_chunks; c = cursor++) {
-        const std::size_t end = std::min(tasks.size(), (c + 1) * kChunkTasks);
-        for (std::size_t t = c * kChunkTasks; t < end; ++t) {
-          align_task(tasks[t], store, cfg, chain_params, w, chunk_records[c]);
-        }
-      }
-    } catch (...) {
-      w.error = std::current_exception();
-      cursor = n_chunks;  // the other workers stop at their next claim
+  util::ChunkPool<WorkerState> pool(static_cast<std::size_t>(cfg.workers));
+  const std::size_t workers = pool.run(n_chunks, [&](WorkerState& w, std::size_t c) {
+    const std::size_t end = std::min(tasks.size(), (c + 1) * kChunkTasks);
+    for (std::size_t t = c * kChunkTasks; t < end; ++t) {
+      align_task(tasks[t], store, cfg, chain_params, w, chunk_records[c]);
     }
-  };
-  {
-    std::vector<std::jthread> pool;
-    pool.reserve(workers - 1);
-    for (std::size_t i = 1; i < workers; ++i) {
-      pool.emplace_back([&work, &w = states[i]] { work(w); });
-    }
-    work(states[0]);
-  }
+  });
 
   AlignmentStageResult res;
   u64 touched_bytes = 0;
   u64 revcomp_bytes = 0;
   u64 restarts = 0;
-  for (const WorkerState& w : states) {
-    if (w.error) std::rethrow_exception(w.error);
+  for (const WorkerState& w : pool.states()) {
     res += w.res;
     touched_bytes += w.touched_bytes;
     revcomp_bytes += w.revcomp_bytes;
     restarts += w.ws.xdrop_restarts;
   }
-  std::vector<AlignmentRecord> records;
-  records.reserve(res.records_kept);
-  for (const auto& chunk : chunk_records) {
-    records.insert(records.end(), chunk.begin(), chunk.end());
-  }
+  std::vector<AlignmentRecord> records = util::concat_chunks(chunk_records);
 
   // DP cells dominate; reverse-complement construction and read access are
   // byte-copy-bounded. Exact per-rank unit counts (summed over workers, so

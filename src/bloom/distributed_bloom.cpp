@@ -46,48 +46,45 @@ BloomStageResult run_bloom_stage(core::StageContext& ctx, const io::ReadStore& r
   // Under either schedule each batch is consumed in source-rank order over
   // the same batch boundaries, so insertions happen in the same global order
   // and the resulting filter/table are bitwise-identical.
-  kmer::OccurrenceStream stream(reads, cfg.k, cfg.sketch);
+  kmer::OccurrenceStream<kmer::Kmer> stream(reads, cfg.k, cfg.sketch, P, cfg.workers);
+  const auto route = [P](u64 /*rid*/, const kmer::Occurrence& occ, kmer::Kmer& key) {
+    key = occ.kmer;
+    return kmer_owner(occ.kmer, P);
+  };
   comm::Exchanger ex(comm, cfg.exchange);
-  std::vector<kmer::Kmer> scratch;
   result.batches = comm::run_exchange(
       ex,
       [&] {
         auto k = ctx.kernel("bloom:pack");
-        u64 parsed = 0;
-        const u64 windows_before = stream.sketch_stats().windows_scanned;
-        bool more =
-            stream.fill(cfg.batch_kmers, [&](u64 /*rid*/, const kmer::Occurrence& occ) {
-              ex.post(kmer_owner(occ.kmer, P), &occ.kmer, 1);
-              ++parsed;
-            });
-        result.parsed_instances += parsed;
+        const auto filled = stream.fill(
+            cfg.batch_kmers, route,
+            [&](int dst, const kmer::Kmer* keys, std::size_t n) { ex.post(dst, keys, n); });
+        result.parsed_instances += filled.seeds;
+        result.windows_scanned += filled.windows;
         // Parse work is per window scanned, not per seed kept — sketching
         // still rolls every k-mer, it just posts fewer of them.
-        k.units("windows", stream.sketch_stats().windows_scanned - windows_before,
-                &core::KernelCosts::parse_per_kmer)
+        k.units("windows", filled.windows, &core::KernelCosts::parse_per_kmer)
+            .arg("workers", stream.workers())
             .working_set(ex.pending_bytes());
-        return more;
+        return stream.more();
       },
       [&](const comm::RecvBatch& batch) {
-        scratch.clear();
-        batch.append_to(scratch);
         auto k = ctx.kernel("bloom:insert", "bloom:local");
         u64 hits = 0;
-        for (const kmer::Kmer& km : scratch) {
-          ++result.received_instances;
+        const u64 kmers = batch.for_each_item<kmer::Kmer>([&](const kmer::Kmer& km) {
           if (filter.test_and_insert(km.hash(kBloomSalt1), km.hash(kBloomSalt2))) {
             table.insert_key(km);
             ++hits;
           }
-        }
-        k.units("kmers", scratch.size(), &core::KernelCosts::bloom_insert)
+        });
+        result.received_instances += kmers;
+        k.units("kmers", kmers, &core::KernelCosts::bloom_insert)
             .units("hits", hits, &core::KernelCosts::table_insert)
             .working_set(filter.memory_bytes() + table.memory_bytes());
       });
 
   result.candidate_keys = table.size();
   result.bloom_set_bits = filter.popcount();
-  result.windows_scanned = stream.sketch_stats().windows_scanned;
   // The Bloom filter is freed here (scope exit) once the table holds the
   // candidate keys — matching §6: "After the hash table is initialized with
   // k-mer keys, the Bloom filter is freed."

@@ -31,6 +31,11 @@ struct BloomStageConfig {
   double assumed_error_rate = 0.15;
   /// Exchange schedule and chunk granularity. Identical output either way.
   comm::Exchanger::Config exchange;
+  /// Threads sketching this rank's reads, the calling (rank) thread
+  /// included; >= 1. The posted batches, and so the filter, the table and
+  /// the compute units, are the same for every value. Must be 1 for a
+  /// block-mode store. The pipeline gives it stage 4's worker count.
+  int workers = 1;
 };
 
 struct BloomStageResult {

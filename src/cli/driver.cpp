@@ -512,8 +512,18 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
   // --- pipeline configuration.
   core::PipelineConfig cfg;
   cfg.k = static_cast<int>(parse_i64(args, "k", 17));
-  cfg.min_kmer_count = static_cast<u32>(parse_i64(args, "min-kmer-count", 2));
-  cfg.max_kmer_count = static_cast<u32>(parse_i64(args, "max-kmer-count", 0));
+  // The table stores up to m + 1 occurrences per key, so m itself stops at
+  // 2^32 - 2; a wrapped value would silently purge every k-mer.
+  const i64 min_kmer_count = parse_i64(args, "min-kmer-count", 2);
+  if (min_kmer_count < 0 || min_kmer_count > i64{0xFFFFFFFF}) {
+    throw UsageError("--min-kmer-count must be in [0, 4294967295]");
+  }
+  const i64 max_kmer_count = parse_i64(args, "max-kmer-count", 0);
+  if (max_kmer_count < 0 || max_kmer_count > i64{0xFFFFFFFE}) {
+    throw UsageError("--max-kmer-count must be in [0, 4294967294]");
+  }
+  cfg.min_kmer_count = static_cast<u32>(min_kmer_count);
+  cfg.max_kmer_count = static_cast<u32>(max_kmer_count);
   cfg.assumed_coverage = coverage;
   cfg.assumed_error_rate = error_rate;
   cfg.bloom_fpr = parse_double(args, "bloom-fpr", cfg.bloom_fpr);

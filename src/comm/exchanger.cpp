@@ -86,18 +86,32 @@ RecvBatch Exchanger::wait() {
   const double hidden = flight_timer_.seconds();
   util::WallTimer exposed_timer;
 
+  // Take every source's chunk train first, then size the batch once and
+  // copy each chunk into place.
   RecvBatch batch;
   batch.src_offsets.assign(static_cast<std::size_t>(P) + 1, 0);
   batch.done_flags.assign(static_cast<std::size_t>(P), 0);
+  std::vector<detail::MailboxMessage> chunks;
+  u64 total = 0;
   for (int s = 0; s < P; ++s) {
-    auto first = comm_.state_.consume(s, comm_.rank(), flight_epoch_, /*chunk_index=*/0);
-    batch.done_flags[static_cast<std::size_t>(s)] = first.sender_done;
-    batch.bytes.insert(batch.bytes.end(), first.bytes.begin(), first.bytes.end());
-    for (u32 c = 1; c < first.chunk_count; ++c) {
-      auto next = comm_.state_.consume(s, comm_.rank(), flight_epoch_, c);
-      batch.bytes.insert(batch.bytes.end(), next.bytes.begin(), next.bytes.end());
+    const std::size_t first = chunks.size();
+    chunks.push_back(comm_.state_.consume(s, comm_.rank(), flight_epoch_, /*chunk_index=*/0));
+    for (u32 c = 1; c < chunks[first].chunk_count; ++c) {
+      chunks.push_back(comm_.state_.consume(s, comm_.rank(), flight_epoch_, c));
     }
-    batch.src_offsets[static_cast<std::size_t>(s) + 1] = batch.bytes.size();
+    batch.done_flags[static_cast<std::size_t>(s)] = chunks[first].sender_done;
+    for (std::size_t i = first; i < chunks.size(); ++i) total += chunks[i].bytes.size();
+    batch.src_offsets[static_cast<std::size_t>(s) + 1] = total;
+  }
+  if (chunks.size() == 1) {
+    batch.bytes = std::move(chunks[0].bytes);  // one rank, one chunk: no copy
+  } else {
+    batch.bytes.resize(total);
+    u8* at = batch.bytes.data();
+    for (const detail::MailboxMessage& m : chunks) {
+      if (!m.bytes.empty()) std::memcpy(at, m.bytes.data(), m.bytes.size());
+      at += m.bytes.size();
+    }
   }
   comm_.state_.ack_exchange_epoch(comm_.rank(), flight_epoch_);
   in_flight_ = false;

@@ -88,6 +88,20 @@ struct RecvBatch {
     if (n > 0) std::memcpy(out.data() + at, bytes.data(), bytes.size());
   }
 
+  /// Call `fn(const T&)` for every item of the whole batch, in order,
+  /// without copying the batch first; returns the item count.
+  template <class T, class Fn>
+  u64 for_each_item(Fn&& fn) const {
+    static_assert(std::is_trivially_copyable_v<T>, "batch payload must be POD");
+    DIBELLA_CHECK(bytes.size() % sizeof(T) == 0, "batch size not a multiple of element");
+    for (const u8* p = bytes.data(), *end = p + bytes.size(); p != end; p += sizeof(T)) {
+      T item;
+      std::memcpy(&item, p, sizeof(T));
+      fn(static_cast<const T&>(item));
+    }
+    return bytes.size() / sizeof(T);
+  }
+
   /// Append one source's payload, reinterpreted as items of T, to `out`.
   template <class T>
   void append_from(int src, std::vector<T>& out) const {

@@ -80,7 +80,7 @@ std::vector<u8> ht_payload(const dht::LocalKmerTable& table) {
         DIBELLA_CHECK(count >= 1 && count == occs.size(),
                       "checkpoint: a retained key's count differs from its stored occurrences");
         for (const dht::ReadOccurrence& occ : occs) {
-          dht::KmerInstance& inst = records.emplace_back();  // zeroed padding
+          dht::KmerInstance& inst = records.emplace_back();
           inst.km = key;
           inst.rid = occ.rid;
           inst.pos = occ.pos;
@@ -178,9 +178,11 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
   KernelCosts::get();
   const double calibration_s = calibration_timer.seconds();
 
-  // Stage 4 aligns on every CPU a rank owns. With B > 1 the store's read
-  // lookups update its shared LRU state, so packed stores keep one worker.
-  const int align_workers = B == 1 ? std::max(1, util::available_cpus() / P) : 1;
+  // Stages 1, 2 and 4 run on every CPU a rank owns. With B > 1 the store's
+  // read lookups update its shared LRU state, so packed stores keep one
+  // worker.
+  const int workers =
+      B > 1 ? 1 : config.workers > 0 ? config.workers : std::max(1, util::available_cpus() / P);
 
   // Every stage's exchanges run on one schedule and chunk granularity.
   const comm::Exchanger::Config exchange{config.exchange_chunk_bytes, config.overlap_comm};
@@ -239,6 +241,7 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
       bcfg.assumed_error_rate = config.assumed_error_rate;
       bcfg.sketch = sketch::SketchConfig{config.minimizer_w, config.syncmer};
       bcfg.exchange = exchange;
+      bcfg.workers = workers;
       {
         obs::Span stage_span = ctx.span("stage:bloom");
         bloom_res[rank] = bloom::run_bloom_stage(ctx, store, bcfg, table);
@@ -262,6 +265,7 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
       hcfg.max_count = max_count;
       hcfg.sketch = sketch::SketchConfig{config.minimizer_w, config.syncmer};
       hcfg.exchange = exchange;
+      hcfg.workers = workers;
       {
         obs::Span stage_span = ctx.span("stage:ht");
         ht_res[rank] = dht::run_hashtable_stage(ctx, store, hcfg, table);
@@ -324,7 +328,7 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
       acfg.k = config.k;
       acfg.min_score = config.min_report_score;
       acfg.chain = config.chain;
-      acfg.workers = align_workers;
+      acfg.workers = workers;
       {
         obs::Span stage_span = ctx.span("stage:align");
         std::vector<std::vector<overlap::AlignmentTask>> rounds(B);

@@ -19,43 +19,38 @@ HashTableStageResult run_hashtable_stage(core::StageContext& ctx,
   // As in stage 1, either schedule consumes each batch in source-rank order
   // over the same batch boundaries — identical insertion order, identical
   // table contents.
-  kmer::OccurrenceStream stream(reads, cfg.k, cfg.sketch);
+  kmer::OccurrenceStream<KmerInstance> stream(reads, cfg.k, cfg.sketch, P, cfg.workers);
+  const auto route = [P](u64 rid, const kmer::Occurrence& occ, KmerInstance& inst) {
+    inst.km = occ.kmer;
+    inst.rid = rid;
+    inst.pos = occ.pos;
+    inst.is_forward = occ.is_forward ? 1 : 0;
+    return bloom::kmer_owner(occ.kmer, P);
+  };
   comm::Exchanger ex(comm, cfg.exchange);
-  std::vector<KmerInstance> scratch;
   result.batches = comm::run_exchange(
       ex,
       [&] {
         auto k = ctx.kernel("ht:pack");
-        u64 parsed = 0;
-        const u64 windows_before = stream.sketch_stats().windows_scanned;
-        bool more =
-            stream.fill(cfg.batch_instances, [&](u64 rid, const kmer::Occurrence& occ) {
-              KmerInstance inst;
-              inst.km = occ.kmer;
-              inst.rid = rid;
-              inst.pos = occ.pos;
-              inst.is_forward = occ.is_forward ? 1 : 0;
-              ex.post(bloom::kmer_owner(occ.kmer, P), &inst, 1);
-              ++parsed;
-            });
-        result.parsed_instances += parsed;
+        const auto filled = stream.fill(
+            cfg.batch_instances, route,
+            [&](int dst, const KmerInstance* insts, std::size_t n) { ex.post(dst, insts, n); });
+        result.parsed_instances += filled.seeds;
         // As in stage 1: parse work scales with windows scanned, not with
         // the (sketched) subset that gets posted.
-        k.units("windows", stream.sketch_stats().windows_scanned - windows_before,
-                &core::KernelCosts::parse_per_kmer)
+        k.units("windows", filled.windows, &core::KernelCosts::parse_per_kmer)
+            .arg("workers", stream.workers())
             .working_set(ex.pending_bytes());
-        return more;
+        return stream.more();
       },
       [&](const comm::RecvBatch& batch) {
-        scratch.clear();
-        batch.append_to(scratch);
         auto k = ctx.kernel("ht:insert", "ht:local");
-        for (const KmerInstance& inst : scratch) {
-          ++result.received_instances;
+        const u64 instances = batch.for_each_item<KmerInstance>([&](const KmerInstance& inst) {
           ReadOccurrence occ{inst.rid, inst.pos, inst.is_forward};
           if (table.add_occurrence(inst.km, occ)) ++result.inserted_occurrences;
-        }
-        k.units("instances", scratch.size(), &core::KernelCosts::table_insert)
+        });
+        result.received_instances += instances;
+        k.units("instances", instances, &core::KernelCosts::table_insert)
             .working_set(table.memory_bytes());
       });
 

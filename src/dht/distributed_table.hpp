@@ -30,6 +30,8 @@ struct HashTableStageConfig {
   u32 max_count = 8;               ///< above: high-frequency purge (m)
   /// Exchange schedule and chunk granularity. Identical output either way.
   comm::Exchanger::Config exchange;
+  /// Threads sketching this rank's reads, as bloom::BloomStageConfig::workers.
+  int workers = 1;
 };
 
 struct HashTableStageResult {
@@ -42,14 +44,18 @@ struct HashTableStageResult {
   u64 batches = 0;
 };
 
-/// The wire format of one k-mer instance (stage 2 payload).
+/// The wire format of one k-mer instance (stage 2 payload and checkpoint
+/// record): 24 bytes with no padding, so every byte shipped or CRC'd is a
+/// defined field.
 struct KmerInstance {
   kmer::Kmer km;
   u64 rid = 0;
   u32 pos = 0;
   u8 is_forward = 1;
+  u8 reserved[3] = {};  ///< always zero
 };
-static_assert(std::is_trivially_copyable_v<KmerInstance>);
+static_assert(sizeof(KmerInstance) == 24);
+static_assert(std::has_unique_object_representations_v<KmerInstance>);
 
 /// Run stage 2 for this rank. `table` must hold stage 1's candidate keys;
 /// on return it holds only retained k-mers with their occurrence lists.

@@ -134,7 +134,7 @@ class ReadStore {
   /// this only reads, so any number of threads may call it while nothing
   /// modifies the store. Block-mode lookups are single-threaded: they load,
   /// evict and LRU-stamp blocks, and a returned reference stays valid only
-  /// until two further block loads. That is why stage 4 aligns with one
+  /// until two further block loads. That is why stages 1, 2 and 4 run one
   /// worker in block mode (align::AlignmentStageConfig::workers).
   const Read& get(u64 gid) const;
 

@@ -15,6 +15,7 @@
 #include <compare>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "kmer/dna.hpp"
 #include "util/common.hpp"
@@ -167,6 +168,8 @@ class PackedKmer {
 #define DIBELLA_MAX_K 32
 #endif
 using Kmer = PackedKmer<DIBELLA_MAX_K>;
+// Shipped and checkpointed as raw bytes: no padding byte may go undefined.
+static_assert(std::has_unique_object_representations_v<Kmer>);
 
 /// Hash functor for unordered containers keyed by k-mers.
 struct KmerHasher {

@@ -9,76 +9,32 @@ Sketcher::Sketcher(int k, const SketchConfig& cfg) : k_(k), cfg_(cfg) {
     DIBELLA_CHECK(cfg_.w <= static_cast<u32>(k) - 1,
                   "syncmer mode needs w <= k - 1 (s = k - w + 1 must be >= 2)");
   }
-}
-
-void Sketcher::keep_single_minimum() {
-  std::size_t arg = 0;
-  for (std::size_t i = 1; i < hash_.size(); ++i) {
-    if (hash_[i] <= hash_[arg]) arg = i;  // rightmost tie, as in winnowing
-  }
-  kept_[arg] = 1;
-}
-
-void Sketcher::select_minimizers() {
-  const std::size_t n = occ_.size();
-  kept_.assign(n, 0);
-  if (n == 0) return;
-  hash_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) hash_[i] = occ_[i].kmer.hash(kSketchSalt);
-
-  const std::size_t w = cfg_.w;
-  if (n < w) {
-    keep_single_minimum();
-    return;
-  }
-  // Sliding-window minimum via a monotone deque over the valid-window list.
-  // Popping on >= makes the rightmost of equal hashes win — robust
-  // winnowing's tie rule, so a repeat run contributes one seed per window.
-  deque_.clear();
-  std::size_t head = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    while (deque_.size() > head && hash_[deque_.back()] >= hash_[i]) deque_.pop_back();
-    deque_.push_back(static_cast<u32>(i));
-    if (deque_[head] + w == i) ++head;  // left edge slid out of the window
-    if (i + 1 >= w) kept_[deque_[head]] = 1;
+  if (cfg_.enabled() && !cfg_.syncmer) {
+    ring_hash_.resize(cfg_.w);
+    ring_occ_.resize(cfg_.w);
   }
 }
 
-void Sketcher::select_syncmers(std::string_view seq) {
-  const std::size_t n = occ_.size();
-  kept_.assign(n, 0);
-  if (n == 0) return;
-
-  // Canonical s-mer hash at every valid position; every s-mer inside a valid
-  // k-mer window is itself valid, so the lookups below never see the
-  // sentinel.
+void Sketcher::hash_smers(std::string_view seq) {
+  // Every s-mer inside a valid k-mer window is itself valid, so the lookups
+  // in closed_syncmer never see the sentinel.
   const int s = k_ - static_cast<int>(cfg_.w) + 1;
   shash_.assign(seq.size(), ~u64{0});
   kmer::for_each_canonical_kmer(seq, s, [&](const kmer::Occurrence& so) {
     shash_[so.pos] = so.kmer.hash(kSketchSalt);
   });
+}
 
+bool Sketcher::closed_syncmer(u32 pos) const {
   // Closed syncmer: the k-mer's minimal s-mer sits at its first or last
   // offset. Testing "an argmin is at either end" (rather than picking one
   // argmin) keeps the rule strand-symmetric: reverse-complementing maps
   // offset o to w-1-o, so the end set {0, w-1} maps to itself.
   const std::size_t w = cfg_.w;
-  bool any = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t p = occ_[i].pos;
-    u64 mn = shash_[p];
-    for (std::size_t j = 1; j < w; ++j) mn = std::min(mn, shash_[p + j]);
-    if (shash_[p] == mn || shash_[p + w - 1] == mn) {
-      kept_[i] = 1;
-      any = true;
-    }
-  }
-  if (!any) {
-    // A read too short to carry a closed syncmer still contributes a seed.
-    hash_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) hash_[i] = occ_[i].kmer.hash(kSketchSalt);
-    keep_single_minimum();
-  }
+  const u64* h = shash_.data() + pos;
+  u64 mn = h[0];
+  for (std::size_t j = 1; j < w; ++j) mn = std::min(mn, h[j]);
+  return h[0] == mn || h[w - 1] == mn;
 }
 
 double expected_density(const SketchConfig& cfg) {

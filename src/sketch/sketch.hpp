@@ -57,6 +57,17 @@ struct SketchStats {
 
 /// Per-read seed sampler. Holds reusable scratch so the steady-state scan
 /// performs no per-read allocations; not thread-safe, one per stream.
+///
+/// Window minimizers are picked in the same single pass that rolls the
+/// k-mers. A ring holds the last `w` (hash, occurrence) entries and the
+/// ring slot of the current window's minimum. A new k-mer whose hash is <=
+/// that minimum becomes the minimum (so equal hashes resolve to the
+/// rightmost: robust winnowing's tie rule, one seed per window of a repeat
+/// run). Otherwise the ring is rescanned, oldest to newest with the same
+/// <=, only when the minimum has just slid out of the window. The rightmost
+/// minimum of a sliding window never moves left, so emitting the minimum
+/// whenever it moves, from the first full window on, emits each window
+/// minimizer exactly once and in position order.
 class Sketcher {
  public:
   Sketcher(int k, const SketchConfig& cfg);
@@ -72,22 +83,10 @@ class Sketcher {
         ++stats_.seeds_kept;
         fn(occ);
       });
-      return;
-    }
-    occ_.clear();
-    kmer::for_each_canonical_kmer(
-        seq, k_, [&](const kmer::Occurrence& occ) { occ_.push_back(occ); });
-    stats_.windows_scanned += occ_.size();
-    if (cfg_.syncmer) {
-      select_syncmers(seq);
+    } else if (cfg_.syncmer) {
+      for_each_syncmer(seq, fn);
     } else {
-      select_minimizers();
-    }
-    for (std::size_t i = 0; i < occ_.size(); ++i) {
-      if (kept_[i]) {
-        ++stats_.seeds_kept;
-        fn(static_cast<const kmer::Occurrence&>(occ_[i]));
-      }
+      for_each_minimizer(seq, fn);
     }
   }
 
@@ -95,21 +94,98 @@ class Sketcher {
   const SketchConfig& config() const { return cfg_; }
 
  private:
-  void select_minimizers();
-  void select_syncmers(std::string_view seq);
-  /// Fallback for reads no full window fits: keep the winnowed (rightmost)
-  /// hash minimum so every read with >= 1 valid k-mer contributes a seed.
-  void keep_single_minimum();
+  template <class Fn>
+  void for_each_minimizer(std::string_view seq, Fn& fn) {
+    const std::size_t w = cfg_.w;
+    u64* hashes = ring_hash_.data();
+    kmer::Occurrence* occs = ring_occ_.data();
+    u64 n = 0;             // valid k-mer windows seen in this read
+    std::size_t slot = 0;  // ring slot of window n
+    std::size_t min_slot = 0;
+    u64 min_hash = ~u64{0};
+    u64 min_index = 0;      // window index of the current minimum
+    u64 emitted = ~u64{0};  // window index of the last emitted minimum
+    kmer::for_each_canonical_kmer(seq, k_, [&](const kmer::Occurrence& occ) {
+      const u64 h = occ.kmer.hash(kSketchSalt);
+      hashes[slot] = h;  // overwrites window n - w
+      occs[slot] = occ;
+      // Selects, not branches: a new minimum is a coin flip per window.
+      const bool take = h <= min_hash;
+      min_slot = take ? slot : min_slot;
+      min_hash = take ? h : min_hash;
+      min_index = take ? n : min_index;
+      if (min_index + w == n) [[unlikely]] {
+        // The minimum slid out: rescan windows n-w+1..n, oldest first.
+        std::size_t s = slot + 1 == w ? 0 : slot + 1;
+        min_slot = s;
+        min_hash = hashes[s];
+        for (std::size_t j = 1; j < w; ++j) {
+          s = s + 1 == w ? 0 : s + 1;
+          const bool le = hashes[s] <= min_hash;
+          min_slot = le ? s : min_slot;
+          min_hash = le ? hashes[s] : min_hash;
+        }
+        min_index = n - (slot >= min_slot ? slot - min_slot : slot + w - min_slot);
+      }
+      if (n + 1 >= w && min_index != emitted) {
+        emitted = min_index;
+        ++stats_.seeds_kept;
+        fn(static_cast<const kmer::Occurrence&>(occs[min_slot]));
+      }
+      ++n;
+      slot = slot + 1 == w ? 0 : slot + 1;
+    });
+    stats_.windows_scanned += n;
+    if (n > 0 && n < w) {
+      // No full window fits: keep the read's (rightmost) minimum, so every
+      // read with >= 1 valid k-mer contributes a seed.
+      ++stats_.seeds_kept;
+      fn(static_cast<const kmer::Occurrence&>(occs[min_slot]));
+    }
+  }
+
+  template <class Fn>
+  void for_each_syncmer(std::string_view seq, Fn& fn) {
+    hash_smers(seq);
+    u64 n = 0;
+    bool any = false;
+    // The read's rightmost hash minimum, tracked while nothing is kept.
+    u64 fallback_hash = ~u64{0};
+    kmer::Occurrence fallback;
+    kmer::for_each_canonical_kmer(seq, k_, [&](const kmer::Occurrence& occ) {
+      ++n;
+      if (closed_syncmer(occ.pos)) {
+        any = true;
+        ++stats_.seeds_kept;
+        fn(occ);
+      } else if (!any) {
+        const u64 h = occ.kmer.hash(kSketchSalt);
+        if (h <= fallback_hash) {
+          fallback_hash = h;
+          fallback = occ;
+        }
+      }
+    });
+    stats_.windows_scanned += n;
+    if (n > 0 && !any) {
+      // A read too short to carry a closed syncmer still contributes a seed.
+      ++stats_.seeds_kept;
+      fn(static_cast<const kmer::Occurrence&>(fallback));
+    }
+  }
+
+  /// Canonical s-mer hash (s = k - w + 1) at every valid position of `seq`.
+  void hash_smers(std::string_view seq);
+  /// Whether the k-mer at `pos` is a closed syncmer (see the file comment).
+  bool closed_syncmer(u32 pos) const;
 
   int k_;
   SketchConfig cfg_;
   SketchStats stats_;
-  // per-read scratch
-  std::vector<kmer::Occurrence> occ_;
-  std::vector<u64> hash_;
-  std::vector<u8> kept_;
-  std::vector<u32> deque_;
-  std::vector<u64> shash_;
+  // Minimizer scan: hash and occurrence of the last w windows, by slot.
+  std::vector<u64> ring_hash_;
+  std::vector<kmer::Occurrence> ring_occ_;
+  std::vector<u64> shash_;  // syncmer scan: s-mer hash per position
 };
 
 /// Expected sampled fraction of k-mer windows under `cfg` (1.0 when dense).

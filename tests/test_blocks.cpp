@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "comm/fault.hpp"
 #include "comm/world.hpp"
 #include "core/output.hpp"
 #include "core/pipeline.hpp"
@@ -373,6 +375,101 @@ TEST(Blocks, MinimizerModeOutputBytewiseIdenticalAcrossGrid) {
       }
     }
   }
+}
+
+TEST(WorkerPool, OutputsIdenticalAcrossWorkersRanksSchedulesAndResume) {
+  // Stages 1, 2 and 4 run on `workers` threads per rank. PAF, GFA and
+  // eval.tsv are byte-identical over workers {1,2,4} x ranks {1,2,3,5} x
+  // both schedules, and over a resume from the stage-1 or stage-2
+  // checkpoint at another worker count. counters.tsv is byte-identical
+  // across workers and schedules at each rank count, and equal across rank
+  // counts except the rows that count per-partition work.
+  auto sim = dibella::simgen::make_dataset(dibella::simgen::tiny_test(3));
+  auto truth = std::make_shared<const dibella::io::TruthTable>(
+      dibella::simgen::truth_table(sim));
+  auto cfg = full_config();
+  cfg.minimizer_w = 10;
+  cfg.batch_kmers = 4'000;  // several stage-1/2 batches per rank
+  const std::vector<std::string> per_partition = {
+      "candidate_keys", "purged_keys", "ranks", "read_bytes_exchanged",
+      "reads_exchanged", "spill_runs"};
+  struct Outputs {
+    RunArtifacts files;
+    std::string counters;
+  };
+  const auto outputs = [&](const dc::PipelineOutput& out) {
+    std::ostringstream counters;
+    out.metrics.dump_tsv(counters);
+    return Outputs{artifacts(out, sim.reads, cfg.sgraph_fuzz), counters.str()};
+  };
+  const auto comparable_counters = [&](const std::string& tsv) {
+    std::string kept;
+    std::istringstream in(tsv);
+    for (std::string line; std::getline(in, line);) {
+      const std::string name = line.substr(0, line.find('\t'));
+      if (std::find(per_partition.begin(), per_partition.end(), name) ==
+          per_partition.end()) {
+        kept += line + "\n";
+      }
+    }
+    return kept;
+  };
+
+  dibella::comm::World w1(1);
+  auto c1 = cfg;
+  c1.workers = 1;
+  const Outputs base = outputs(run_pipeline(w1, sim.reads, c1, truth));
+  ASSERT_FALSE(base.files.paf.empty());
+  ASSERT_FALSE(base.files.gfa.empty());
+  for (int ranks : {1, 2, 3, 5}) {
+    std::string rank_counters;
+    for (bool overlap_comm : {true, false}) {
+      for (int workers : {1, 2, 4}) {
+        const std::string where = "ranks=" + std::to_string(ranks) +
+                                  " workers=" + std::to_string(workers) +
+                                  (overlap_comm ? " overlapped" : " bulk-synchronous");
+        auto c = cfg;
+        c.workers = workers;
+        c.overlap_comm = overlap_comm;
+        dibella::comm::World world(ranks);
+        const Outputs got = outputs(run_pipeline(world, sim.reads, c, truth));
+        EXPECT_EQ(got.files.paf, base.files.paf) << where;
+        EXPECT_EQ(got.files.gfa, base.files.gfa) << where;
+        EXPECT_EQ(got.files.eval_tsv, base.files.eval_tsv) << where;
+        EXPECT_EQ(comparable_counters(got.counters), comparable_counters(base.counters))
+            << where;
+        if (rank_counters.empty()) rank_counters = got.counters;
+        EXPECT_EQ(got.counters, rank_counters) << where;
+      }
+    }
+  }
+
+  // Abort in stage 2 (stage 1 checkpointed) or stage 3 (stages 1-2
+  // checkpointed) at one worker count, resume at another.
+  const fs::path dir = fs::path(::testing::TempDir()) / "dibella_worker_pool_resume";
+  int cell = 0;
+  for (const char* fault : {"abort@ht:0:1", "abort@overlap:0:2"}) {
+    for (auto [first, then] : {std::pair{1, 4}, std::pair{4, 2}}) {
+      SCOPED_TRACE(std::string(fault) + " workers " + std::to_string(first) + " -> " +
+                   std::to_string(then));
+      const fs::path ckpt = dir / std::to_string(cell++);
+      fs::remove_all(ckpt);
+      auto c = cfg;
+      c.checkpoint_dir = ckpt.string();
+      c.workers = first;
+      dibella::comm::World aborted(3);
+      aborted.set_fault_plan(dibella::comm::FaultPlan::parse(fault));
+      EXPECT_ANY_THROW(run_pipeline(aborted, sim.reads, c, truth));
+      c.workers = then;
+      c.resume = true;
+      dibella::comm::World resumed(3);
+      const Outputs got = outputs(run_pipeline(resumed, sim.reads, c, truth));
+      EXPECT_EQ(got.files.paf, base.files.paf);
+      EXPECT_EQ(got.files.gfa, base.files.gfa);
+      EXPECT_EQ(got.files.eval_tsv, base.files.eval_tsv);
+    }
+  }
+  fs::remove_all(dir);
 }
 
 TEST(Blocks, MergedAlignmentsMatchInMemoryVector) {

@@ -482,6 +482,31 @@ TEST(CliUsage, BadMinimizerWidthIsAUsageError) {
   }
 }
 
+TEST(CliUsage, MaxKmerCountOutOfRangeIsAUsageError) {
+  // The table keeps up to m + 1 occurrences per key, so m = 2^32 - 1 would
+  // wrap the cap to 0 and purge every k-mer of an otherwise clean run.
+  for (const char* bad : {"--max-kmer-count=4294967295", "--max-kmer-count=-1",
+                          "--max-kmer-count=8589934592"}) {
+    DriverResult r = run_driver({"--preset=tiny", "--ranks=1", "--no-output", bad});
+    EXPECT_EQ(r.exit_code, dibella::cli::kExitUsageError) << bad;
+    EXPECT_NE(r.err.find("max-kmer-count"), std::string::npos) << bad;
+  }
+  DriverResult top = run_driver(
+      {"--preset=tiny", "--ranks=1", "--no-output", "--max-kmer-count=4294967294"});
+  ASSERT_EQ(top.exit_code, dibella::cli::kExitOk) << top.err;
+}
+
+TEST(CliUsage, MinKmerCountOutOfRangeIsAUsageError) {
+  for (const char* bad : {"--min-kmer-count=4294967296", "--min-kmer-count=-1"}) {
+    DriverResult r = run_driver({"--preset=tiny", "--ranks=1", "--no-output", bad});
+    EXPECT_EQ(r.exit_code, dibella::cli::kExitUsageError) << bad;
+    EXPECT_NE(r.err.find("min-kmer-count"), std::string::npos) << bad;
+  }
+  DriverResult top = run_driver(
+      {"--preset=tiny", "--ranks=1", "--no-output", "--min-kmer-count=4294967295"});
+  ASSERT_EQ(top.exit_code, dibella::cli::kExitOk) << top.err;
+}
+
 TEST(CliUsage, SyncmerNeedsACompatibleWindow) {
   // s = k - w + 1 must leave 2 <= w <= k-1; the tiny preset's k is 17.
   DriverResult dense = run_driver({"--preset=tiny", "--ranks=1", "--no-output",

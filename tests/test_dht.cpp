@@ -8,6 +8,8 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "bloom/distributed_bloom.hpp"
 #include "comm/world.hpp"
@@ -305,4 +307,94 @@ TEST(DistributedHashTable, ParsedEqualsReceivedGlobally) {
   // §9: filtering typically removes the vast majority of candidate keys'
   // singleton fraction; retained is far below parsed instances.
   EXPECT_LT(retained, parsed / 10);
+}
+
+// --- stages 1-2 on a rank's worker pool --------------------------------------
+
+namespace {
+
+/// Everything stages 1+2 leave behind on one rank, in the order it was
+/// built: the table in traversal order (which follows insertion order), the
+/// stage results, and the RankTrace compute segments (one per kernel batch,
+/// carrying its unit counts and working set).
+struct StageDigest {
+  std::vector<std::tuple<u64, u32, std::vector<std::tuple<u64, u32, dibella::u8>>>> table;
+  std::vector<u64> results;
+  std::vector<std::tuple<std::string, double, u64>> compute;
+
+  friend bool operator==(const StageDigest&, const StageDigest&) = default;
+};
+
+std::vector<StageDigest> run_stages_on_workers(int P, int workers, bool overlap,
+                                               const dibella::sketch::SketchConfig& sk,
+                                               const std::vector<dibella::io::Read>& reads,
+                                               u64 batch) {
+  std::vector<u64> lens;
+  for (auto& r : reads) lens.push_back(r.seq.size());
+  dibella::io::ReadPartition part(lens, P);
+  dibella::comm::World world(P);
+  std::vector<dibella::netsim::RankTrace> traces(static_cast<std::size_t>(P));
+  std::vector<StageDigest> digests(static_cast<std::size_t>(P));
+  world.run([&](dibella::comm::Communicator& comm) {
+    const auto rank = static_cast<std::size_t>(comm.rank());
+    dibella::core::StageContext ctx{comm, traces[rank]};
+    ctx.attach();
+    dibella::io::ReadStore store(reads, part, comm.rank());
+    dd::LocalKmerTable table(1024, 9);
+    dibella::bloom::BloomStageConfig bcfg;
+    bcfg.sketch = sk;
+    bcfg.batch_kmers = batch;
+    bcfg.exchange.overlap = overlap;
+    bcfg.workers = workers;
+    const auto b = dibella::bloom::run_bloom_stage(ctx, store, bcfg, table);
+    dd::HashTableStageConfig hcfg;
+    hcfg.sketch = sk;
+    hcfg.batch_instances = batch;
+    hcfg.exchange.overlap = overlap;
+    hcfg.workers = workers;
+    const auto h = run_hashtable_stage(ctx, store, hcfg, table);
+    StageDigest& d = digests[rank];
+    d.results = {b.parsed_instances, b.windows_scanned, b.received_instances,
+                 b.candidate_keys, b.bloom_set_bits, b.batches,
+                 h.parsed_instances, h.received_instances, h.inserted_occurrences,
+                 h.retained_keys, h.batches};
+    table.for_each([&](const dk::Kmer& km, u32 count,
+                       const std::vector<dd::ReadOccurrence>& occs) {
+      auto& row = d.table.emplace_back(km.words()[0], count,
+                                       std::vector<std::tuple<u64, u32, dibella::u8>>{});
+      for (const auto& o : occs) std::get<2>(row).emplace_back(o.rid, o.pos, o.is_forward);
+    });
+    for (const auto& ev : traces[rank].events()) {
+      if (ev.kind == dibella::netsim::TraceEvent::Kind::kCompute) {
+        d.compute.emplace_back(ev.stage, ev.cpu_seconds, ev.working_set_bytes);
+      }
+    }
+  });
+  return digests;
+}
+
+}  // namespace
+
+TEST(DistributedHashTable, StagesOneAndTwoIdenticalAcrossWorkerCounts) {
+  // Workers sketch a look-ahead of reads and the rank thread posts them in
+  // read order, pausing after the same read as one worker does: the batches,
+  // the Bloom/table insertion order, the results and every kernel batch's
+  // compute segment match the one-worker run, at a budget small enough for
+  // many batches per stage.
+  auto sim = dibella::simgen::make_dataset(dibella::simgen::tiny_test(17));
+  for (const dibella::sketch::SketchConfig sk :
+       {dibella::sketch::SketchConfig{0, false}, dibella::sketch::SketchConfig{10, false}}) {
+    for (int P : {1, 3}) {
+      for (bool overlap : {true, false}) {
+        const auto want = run_stages_on_workers(P, 1, overlap, sk, sim.reads, 997);
+        ASSERT_FALSE(want[0].table.empty());
+        ASSERT_GT(want[0].results[5], 2u);  // stage-1 batches
+        for (int workers : {2, 4}) {
+          EXPECT_TRUE(run_stages_on_workers(P, workers, overlap, sk, sim.reads, 997) == want)
+              << "w=" << sk.w << " ranks=" << P << " overlap=" << overlap
+              << " workers=" << workers;
+        }
+      }
+    }
+  }
 }

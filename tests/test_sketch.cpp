@@ -1,7 +1,8 @@
 // Unit tests for the minimizer sketch layer (src/sketch/): dense-mode
 // identity, subset + window-coverage guarantees, expected density, strand
 // symmetry (the property that makes sampled seeding find shared seeds), the
-// closed-syncmer scheme, and the short-read fallback.
+// closed-syncmer scheme, the short-read fallback, the one-pass scans against
+// brute-force oracles, and the pooled stage 1-2 stream against the serial one.
 
 #include "sketch/sketch.hpp"
 
@@ -12,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "io/read_store.hpp"
+#include "kmer/occurrence_stream.hpp"
 #include "kmer/parser.hpp"
 #include "util/random.hpp"
 
@@ -199,4 +202,206 @@ TEST(Sketch, ExpectedDensityFormula) {
                    2.0 / 10.0);
   EXPECT_DOUBLE_EQ(dibella::sketch::expected_density(SketchConfig{10, true}),
                    2.0 / 10.0);
+}
+
+// --- the one-pass scans against brute-force oracles --------------------------
+
+namespace {
+
+/// Robust winnowing by definition: the rightmost hash minimum of every
+/// window of w consecutive valid k-mers (the read's rightmost minimum when
+/// no full window fits), each kept once, in position order.
+std::vector<Occurrence> minimizer_oracle(const std::string& seq, int k, u32 w) {
+  const auto dense = dense_occurrences(seq, k);
+  const std::size_t n = dense.size();
+  std::set<std::size_t> kept;
+  const auto rightmost_min = [&](std::size_t begin, std::size_t end) {
+    std::size_t arg = begin;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (dense[i].kmer.hash(dibella::sketch::kSketchSalt) <=
+          dense[arg].kmer.hash(dibella::sketch::kSketchSalt)) {
+        arg = i;
+      }
+    }
+    return arg;
+  };
+  if (n > 0 && n < w) kept.insert(rightmost_min(0, n));
+  for (std::size_t i = 0; n >= w && i + w <= n; ++i) kept.insert(rightmost_min(i, i + w));
+  std::vector<Occurrence> out;
+  for (std::size_t i : kept) out.push_back(dense[i]);
+  return out;
+}
+
+/// Closed syncmers by definition, with the same rightmost-minimum fallback
+/// for a read that carries none.
+std::vector<Occurrence> syncmer_oracle(const std::string& seq, int k, u32 w) {
+  const int s = k - static_cast<int>(w) + 1;
+  const auto dense = dense_occurrences(seq, k);
+  std::vector<Occurrence> out;
+  for (const Occurrence& o : dense) {
+    std::vector<u64> h;
+    for (const Occurrence& so : dense_occurrences(seq.substr(o.pos, k), s)) {
+      h.push_back(so.kmer.hash(dibella::sketch::kSketchSalt));
+    }
+    const u64 mn = *std::min_element(h.begin(), h.end());
+    if (h.front() == mn || h.back() == mn) out.push_back(o);
+  }
+  if (out.empty() && !dense.empty()) {
+    std::size_t arg = 0;
+    for (std::size_t i = 0; i < dense.size(); ++i) {
+      if (dense[i].kmer.hash(dibella::sketch::kSketchSalt) <=
+          dense[arg].kmer.hash(dibella::sketch::kSketchSalt)) {
+        arg = i;
+      }
+    }
+    out.push_back(dense[arg]);
+  }
+  return out;
+}
+
+/// Reads that stress the scans: random, N-broken runs, shorter than a
+/// window, and tie-heavy repeats (homopolymers, short tandem repeats, a
+/// repeated block) where many windows hold equal hashes.
+std::vector<std::string> scan_corpus(u64 seed) {
+  std::vector<std::string> reads;
+  reads.push_back(random_dna(seed, 700));
+  std::string broken = random_dna(seed + 1, 600);
+  for (std::size_t i = 37; i < broken.size(); i += 53 + (i % 29)) broken[i] = 'N';
+  broken.replace(300, 12, std::string(12, 'N'));
+  reads.push_back(broken);
+  reads.push_back(std::string(90, 'A'));
+  std::string str;
+  while (str.size() < 240) str += "ACG";
+  reads.push_back(str);
+  str.clear();
+  while (str.size() < 240) str += "ACGTTGCA";
+  reads.push_back(str);
+  const std::string block = random_dna(seed + 2, 23);
+  str = block + block + random_dna(seed + 3, 7) + block + block + block;
+  reads.push_back(str);
+  for (std::size_t len : {0u, 5u, 16u, 17u, 18u, 20u, 25u, 31u, 32u, 33u}) {
+    reads.push_back(random_dna(seed + 4 + len, len));
+  }
+  reads.push_back(std::string("ACGTACGTACGTACGTACGTN") + random_dna(seed + 5, 19));
+  return reads;
+}
+
+void expect_same_seeds(const std::vector<Occurrence>& got,
+                       const std::vector<Occurrence>& want, const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].pos, want[i].pos) << where << " seed " << i;
+    EXPECT_EQ(got[i].kmer, want[i].kmer) << where << " seed " << i;
+    EXPECT_EQ(got[i].is_forward, want[i].is_forward) << where << " seed " << i;
+  }
+}
+
+}  // namespace
+
+TEST(SketchScan, MinimizerScanMatchesRightmostMinimumOracle) {
+  const int k = 17;
+  for (u32 w = 2; w <= 16; ++w) {
+    // One Sketcher per w streams the whole corpus, so ring state carried
+    // from read to read would show.
+    Sketcher sk(k, SketchConfig{w, false});
+    u64 windows = 0;
+    u64 seeds = 0;
+    for (const std::string& read : scan_corpus(100 + w)) {
+      std::vector<Occurrence> got;
+      sk.for_each_seed(read, [&](const Occurrence& o) { got.push_back(o); });
+      const auto want = minimizer_oracle(read, k, w);
+      expect_same_seeds(got, want,
+                        "w=" + std::to_string(w) + " len=" + std::to_string(read.size()));
+      windows += dense_occurrences(read, k).size();
+      seeds += want.size();
+    }
+    EXPECT_EQ(sk.stats().windows_scanned, windows) << "w=" << w;
+    EXPECT_EQ(sk.stats().seeds_kept, seeds) << "w=" << w;
+  }
+}
+
+TEST(SketchScan, SyncmerScanMatchesClosedSyncmerOracle) {
+  const int k = 17;
+  for (u32 w = 2; w <= 16; ++w) {
+    Sketcher sk(k, SketchConfig{w, true});
+    for (const std::string& read : scan_corpus(200 + w)) {
+      std::vector<Occurrence> got;
+      sk.for_each_seed(read, [&](const Occurrence& o) { got.push_back(o); });
+      expect_same_seeds(got, syncmer_oracle(read, k, w),
+                        "w=" + std::to_string(w) + " len=" + std::to_string(read.size()));
+    }
+  }
+}
+
+// --- kmer::OccurrenceStream: the sketch pool posts the serial stream ---------
+
+TEST(OccurrenceStream, PostsTheSerialStreamBatchesForEveryWorkerCount) {
+  // Oracle: one Sketcher walks the reads in order, routes each seed to
+  // hash % ranks, and closes a batch after the first read that brings it to
+  // the budget. Every worker count must post the same records per
+  // destination per batch, with the same seed and window counts.
+  const int k = 17;
+  const int ranks = 3;
+  std::vector<dibella::io::Read> reads;
+  std::vector<u64> lens;
+  for (u64 g = 0; g < 60; ++g) {
+    dibella::io::Read r;
+    r.gid = g;
+    r.seq = random_dna(300 + g, g % 7 == 0 ? 10 : 2'000 + 1'500 * (g % 13));
+    if (g % 5 == 0) r.seq[r.seq.size() / 2] = 'N';
+    lens.push_back(r.seq.size());
+    reads.push_back(std::move(r));
+  }
+  const dibella::io::ReadStore store(reads, dibella::io::ReadPartition(lens, 1), 0);
+  const auto owner = [&](const Occurrence& occ) {
+    return static_cast<int>(occ.kmer.hash(7) % ranks);
+  };
+  struct Batch {
+    std::vector<std::vector<dibella::kmer::Kmer>> keys =
+        std::vector<std::vector<dibella::kmer::Kmer>>(ranks);
+    u64 seeds = 0;
+    u64 windows = 0;
+    bool operator==(const Batch&) const = default;
+  };
+  for (const SketchConfig cfg :
+       {SketchConfig{0, false}, SketchConfig{10, false}, SketchConfig{10, true}}) {
+    for (u64 budget : {u64{1}, u64{150}, u64{2'000}, u64{1} << 30}) {
+      std::vector<Batch> want;
+      Sketcher sk(k, cfg);
+      for (std::size_t r = 0; r < reads.size();) {
+        Batch& b = want.emplace_back();
+        for (; r < reads.size() && b.seeds < budget; ++r) {
+          const u64 windows_before = sk.stats().windows_scanned;
+          sk.for_each_seed(reads[r].seq, [&](const Occurrence& occ) {
+            b.keys[static_cast<std::size_t>(owner(occ))].push_back(occ.kmer);
+            ++b.seeds;
+          });
+          b.windows += sk.stats().windows_scanned - windows_before;
+        }
+      }
+      for (int workers : {1, 2, 4}) {
+        dibella::kmer::OccurrenceStream<dibella::kmer::Kmer> stream(store, k, cfg, ranks,
+                                                                     workers);
+        const auto route = [&](u64, const Occurrence& occ, dibella::kmer::Kmer& key) {
+          key = occ.kmer;
+          return owner(occ);
+        };
+        std::vector<Batch> got;
+        do {
+          Batch& b = got.emplace_back();
+          const auto f = stream.fill(
+              budget, route, [&](int d, const dibella::kmer::Kmer* keys, std::size_t n) {
+                auto& out = b.keys[static_cast<std::size_t>(d)];
+                out.insert(out.end(), keys, keys + n);
+              });
+          b.seeds = f.seeds;
+          b.windows = f.windows;
+        } while (stream.more());
+        EXPECT_TRUE(got == want) << "w=" << cfg.w << " syncmer=" << cfg.syncmer
+                                 << " budget=" << budget
+                                 << " workers=" << workers << ": " << got.size()
+                                 << " batches, want " << want.size();
+      }
+    }
+  }
 }

@@ -1,13 +1,18 @@
 // Unit tests for the util module: timers, RNG, histogram, stats, table,
-// args, env helpers.
+// args, env helpers, the chunk pool.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <numeric>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "util/args.hpp"
+#include "util/chunk_pool.hpp"
 #include "util/common.hpp"
 #include "util/env.hpp"
 #include "util/histogram.hpp"
@@ -184,4 +189,87 @@ TEST(Env, FallbacksAndParsing) {
   EXPECT_EQ(du::env_i64("DIBELLA_TEST_ENV", 5), 5);
   EXPECT_EQ(du::env_string("DIBELLA_TEST_ENV", ""), "abc");
   ::unsetenv("DIBELLA_TEST_ENV");
+}
+
+// --- ChunkPool ---------------------------------------------------------------
+
+namespace {
+
+struct PoolWorker {
+  u64 chunks = 0;
+  std::set<std::thread::id> threads;
+};
+
+}  // namespace
+
+TEST(ChunkPool, ConcatenatesInChunkOrderForEveryWorkerCount) {
+  const std::size_t n_chunks = 97;
+  std::vector<u64> want;
+  for (std::size_t workers : {1u, 2u, 3u, 8u}) {
+    du::ChunkPool<PoolWorker> pool(workers);
+    std::vector<std::vector<u64>> out(n_chunks);
+    const std::size_t used = pool.run(n_chunks, [&](PoolWorker& w, std::size_t c) {
+      ++w.chunks;
+      for (u64 i = 0; i < c % 5; ++i) out[c].push_back(c * 10 + i);
+    });
+    EXPECT_EQ(used, workers);
+    u64 claimed = 0;
+    for (const PoolWorker& w : pool.states()) claimed += w.chunks;
+    EXPECT_EQ(claimed, n_chunks) << "workers=" << workers;
+    const auto flat = du::concat_chunks(out);
+    if (workers == 1) want = flat;
+    EXPECT_EQ(flat, want) << "workers=" << workers;
+  }
+  ASSERT_FALSE(want.empty());
+  EXPECT_TRUE(std::is_sorted(want.begin(), want.end()));
+}
+
+TEST(ChunkPool, RethrowsAWorkersErrorAfterJoining) {
+  du::ChunkPool<PoolWorker> pool(4);
+  std::atomic<u64> ran{0};
+  EXPECT_THROW(pool.run(1000,
+                        [&](PoolWorker&, std::size_t c) {
+                          ++ran;
+                          if (c == 10) throw std::runtime_error("chunk 10");
+                          std::this_thread::sleep_for(std::chrono::microseconds(50));
+                        }),
+               std::runtime_error);
+  // The failing worker stopped the others at their next claim.
+  EXPECT_LT(ran.load(), 1000u);
+  // The pool stays usable.
+  u64 total = 0;
+  pool.run(3, [&](PoolWorker& w, std::size_t) { ++w.chunks; });
+  for (const PoolWorker& w : pool.states()) total += w.chunks;
+  EXPECT_EQ(total, 3u);
+}
+
+TEST(ChunkPool, OneWorkerRunsInlineOnTheCallingThread) {
+  du::ChunkPool<PoolWorker> pool(1);
+  std::vector<std::size_t> order;
+  const std::size_t used = pool.run(6, [&](PoolWorker& w, std::size_t c) {
+    w.threads.insert(std::this_thread::get_id());
+    order.push_back(c);
+  });
+  EXPECT_EQ(used, 1u);
+  EXPECT_EQ(pool.states()[0].threads, std::set<std::thread::id>{std::this_thread::get_id()});
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+  // An error thrown inline propagates as is.
+  EXPECT_THROW(pool.run(2, [](PoolWorker&, std::size_t) { throw std::logic_error("x"); }),
+               std::logic_error);
+}
+
+TEST(ChunkPool, MoreWorkersThanChunksStartsOnlyWhatItNeeds) {
+  du::ChunkPool<PoolWorker> pool(8);
+  EXPECT_EQ(pool.workers(), 8u);
+  std::vector<int> hits(3, 0);
+  const std::size_t used = pool.run(3, [&](PoolWorker& w, std::size_t c) {
+    w.threads.insert(std::this_thread::get_id());
+    ++hits[c];
+  });
+  EXPECT_EQ(used, 3u);
+  EXPECT_EQ(hits, (std::vector<int>{1, 1, 1}));
+  // Only the first three states can have run; a single chunk runs inline.
+  for (std::size_t i = 3; i < pool.workers(); ++i) EXPECT_TRUE(pool.states()[i].threads.empty());
+  EXPECT_EQ(pool.run(1, [](PoolWorker&, std::size_t) {}), 1u);
+  EXPECT_EQ(pool.run(0, [](PoolWorker&, std::size_t) { FAIL(); }), 1u);
 }
