@@ -14,7 +14,7 @@
 /// The stream walks a rank's owned reads through its ReadStore in gid order
 /// (the out-of-core path: gid-order iteration loads each packed block
 /// exactly once). Seeds are sketched ahead of posting, a bounded look-ahead
-/// of reads at a time: the look-ahead is cut into chunks of about
+/// of reads at a time: the look-ahead is cut into chunks of at least
 /// kChunkWindows k-mer windows, the rank's util::ChunkPool sketches the
 /// chunks into per-worker buffers split by destination rank, and fill()
 /// posts each chunk's per-destination slices in read order. So the posted

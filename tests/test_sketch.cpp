@@ -344,10 +344,10 @@ TEST(OccurrenceStream, PostsTheSerialStreamBatchesForEveryWorkerCount) {
   const int ranks = 3;
   std::vector<dibella::io::Read> reads;
   std::vector<u64> lens;
-  for (u64 g = 0; g < 60; ++g) {
+  for (u64 g = 0; g < 200; ++g) {
     dibella::io::Read r;
     r.gid = g;
-    r.seq = random_dna(300 + g, g % 7 == 0 ? 10 : 2'000 + 1'500 * (g % 13));
+    r.seq = random_dna(300 + g, g % 7 == 0 ? 10 : 2'000 + 500 * (g % 13));
     if (g % 5 == 0) r.seq[r.seq.size() / 2] = 'N';
     lens.push_back(r.seq.size());
     reads.push_back(std::move(r));
