@@ -77,17 +77,6 @@ struct RecvBatch {
            src_offsets[static_cast<std::size_t>(src)];
   }
 
-  /// Append the whole batch, reinterpreted as items of T, to `out`.
-  template <class T>
-  void append_to(std::vector<T>& out) const {
-    static_assert(std::is_trivially_copyable_v<T>, "batch payload must be POD");
-    DIBELLA_CHECK(bytes.size() % sizeof(T) == 0, "batch size not a multiple of element");
-    std::size_t n = bytes.size() / sizeof(T);
-    std::size_t at = out.size();
-    out.resize(at + n);
-    if (n > 0) std::memcpy(out.data() + at, bytes.data(), bytes.size());
-  }
-
   /// Call `fn(const T&)` for every item of the whole batch, in order,
   /// without copying the batch first; returns the item count.
   template <class T, class Fn>

@@ -171,7 +171,7 @@ TEST(Comm, AlltoallvFlatConcatenatesInRankOrder) {
     }
     ex.flush_async(/*done=*/true);
     std::vector<u32> flat;
-    ex.wait().append_to(flat);
+    ex.wait().for_each_item<u32>([&](u32 v) { flat.push_back(v); });
     ASSERT_EQ(flat.size(), static_cast<std::size_t>(P));
     for (int s = 0; s < P; ++s) EXPECT_EQ(flat[static_cast<std::size_t>(s)], static_cast<u32>(s));
   });
@@ -211,7 +211,7 @@ TEST(Comm, Reductions) {
     const dc::RecvBatch batch = ex.wait();
     EXPECT_FALSE(batch.all_done());
     std::vector<u64> all;
-    batch.append_to(all);
+    batch.for_each_item<u64>([&](u64 v) { all.push_back(v); });
     ASSERT_EQ(all.size(), static_cast<std::size_t>(P));
     EXPECT_EQ(std::accumulate(all.begin(), all.end(), u64{0}), static_cast<u64>(P * (P - 1) / 2));
     EXPECT_EQ(*std::max_element(all.begin(), all.end()), static_cast<u64>(P - 1));
@@ -419,7 +419,7 @@ TEST(Comm, AlltoallvFlatReportsSourceOffsets) {
     EXPECT_EQ(offsets[0], 0u);
     EXPECT_EQ(offsets.back(), batch.bytes.size());
     std::vector<u32> flat;
-    batch.append_to(flat);
+    batch.for_each_item<u32>([&](u32 v) { flat.push_back(v); });
     for (int s = 0; s < P; ++s) {
       u64 lo = offsets[static_cast<std::size_t>(s)] / sizeof(u32);
       u64 hi = offsets[static_cast<std::size_t>(s) + 1] / sizeof(u32);
@@ -448,7 +448,7 @@ TEST(Exchanger, DeliversBatchesInSourceRankOrder) {
       auto got = ex.wait();
       EXPECT_EQ(got.all_done(), batch == 1);
       std::vector<u32> items;
-      got.append_to(items);
+      got.for_each_item<u32>([&](u32 v) { items.push_back(v); });
       std::size_t at = 0;
       for (int s = 0; s < P; ++s) {
         // Source s's slice: s+1 copies of s*10+batch, in source-rank order.
@@ -539,7 +539,8 @@ TEST(Exchanger, OverlappedLoopMatchesBlockingLoop) {
             return sent < kBatches[me];
           },
           [&](const dc::RecvBatch& batch) {
-            batch.append_to(exchanged_recv[static_cast<std::size_t>(me)]);
+            auto& mine = exchanged_recv[static_cast<std::size_t>(me)];
+            batch.for_each_item<u64>([&](u64 v) { mine.push_back(v); });
           });
     });
 
@@ -566,7 +567,7 @@ TEST(Exchanger, RecordsHiddenWindowAndInterleavesWithCollectives) {
     comm.barrier();
     auto got = ex.wait();
     std::vector<u32> items;
-    got.append_to(items);
+    got.for_each_item<u32>([&](u32 v) { items.push_back(v); });
     ASSERT_EQ(items.size(), static_cast<std::size_t>(P) * 3);
   });
   auto records = world.exchange_records();
