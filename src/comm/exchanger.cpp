@@ -50,13 +50,9 @@ void Exchanger::flush_async(bool done) {
     auto& buf = pack_[static_cast<std::size_t>(d)];
     flushed_bytes_[static_cast<std::size_t>(d)] = buf.size();
     // Split into a chunk train of >= 1 chunks (an empty payload still sends
-    // one empty chunk so the receiver always has a deposit to match). The
-    // payload to self crosses no wire, so it moves as one chunk uncopied.
-    const u32 chunks =
-        d == comm_.rank()
-            ? 1
-            : static_cast<u32>(
-                  std::max<u64>(1, (buf.size() + cfg_.chunk_bytes - 1) / cfg_.chunk_bytes));
+    // one empty chunk so the receiver always has a deposit to match).
+    u32 chunks = static_cast<u32>(
+        std::max<u64>(1, (buf.size() + cfg_.chunk_bytes - 1) / cfg_.chunk_bytes));
     if (d != comm_.rank()) flushed_chunks_ += chunks;
     for (u32 c = 0; c < chunks; ++c) {
       detail::MailboxMessage msg;

@@ -163,7 +163,7 @@ class Exchanger {
   struct Config {
     /// Maximum bytes per mailbox chunk; a larger per-peer payload travels as
     /// a chunk train. Bounds the granularity at which a flush's data becomes
-    /// available to the receiver. The payload to self is always one chunk.
+    /// available to the receiver.
     u64 chunk_bytes = 1u << 20;
     /// Schedule of run_exchange: true = overlapped (pack batch i+1 and
     /// consume batch i-1 while batch i is in flight); false = depth 0, the
