@@ -64,7 +64,7 @@ BloomStageResult run_bloom_stage(core::StageContext& ctx, const io::ReadStore& r
         // Parse work is per window scanned, not per seed kept — sketching
         // still rolls every k-mer, it just posts fewer of them.
         k.units("windows", filled.windows, &core::KernelCosts::parse_per_kmer)
-            .arg("workers", stream.workers())
+            .arg("workers", filled.workers)
             .working_set(ex.pending_bytes());
         return stream.more();
       },

@@ -56,11 +56,6 @@ struct PipelineConfig {
   /// paper's bulk-synchronous pack -> exchange -> consume superstep. The
   /// alignment output and counters are bitwise-identical either way.
   bool overlap_comm = true;
-  /// Threads per rank in stages 1, 2 and 4; 0 = the CPUs in the affinity
-  /// mask divided by the rank count (at least 1). Block mode (blocks > 1)
-  /// always runs one. Outputs and counters are identical for every value;
-  /// not a driver option.
-  int workers = 0;
   /// Mailbox chunk granularity of the exchanges.
   u64 exchange_chunk_bytes = 1u << 20;
   /// Stage-3 wire tasks per destination per exchange batch.

@@ -181,8 +181,7 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
   // Stages 1, 2 and 4 run on every CPU a rank owns. With B > 1 the store's
   // read lookups update its shared LRU state, so packed stores keep one
   // worker.
-  const int workers =
-      B > 1 ? 1 : config.workers > 0 ? config.workers : std::max(1, util::available_cpus() / P);
+  const int workers = B > 1 ? 1 : std::max(1, util::available_cpus() / P);
 
   // Every stage's exchanges run on one schedule and chunk granularity.
   const comm::Exchanger::Config exchange{config.exchange_chunk_bytes, config.overlap_comm};

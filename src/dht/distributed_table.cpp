@@ -39,7 +39,7 @@ HashTableStageResult run_hashtable_stage(core::StageContext& ctx,
         // As in stage 1: parse work scales with windows scanned, not with
         // the (sketched) subset that gets posted.
         k.units("windows", filled.windows, &core::KernelCosts::parse_per_kmer)
-            .arg("workers", stream.workers())
+            .arg("workers", filled.workers)
             .working_set(ex.pending_bytes());
         return stream.more();
       },

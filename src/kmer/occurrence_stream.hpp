@@ -22,6 +22,7 @@
 /// and per-read seed counts) and the per-batch window counts are
 /// bitwise-independent of the worker count and of the block count.
 
+#include <algorithm>
 #include <vector>
 
 #include "io/read.hpp"
@@ -42,10 +43,13 @@ class OccurrenceStream {
   /// of uneven length. One worker sketches one chunk at a time.
   static constexpr std::size_t kChunksPerWorker = 8;
 
-  /// Seeds and k-mer windows of the reads one fill() posted.
+  /// Seeds and k-mer windows of the reads one fill() posted, and the most
+  /// threads that sketched any look-ahead round those reads came from (1
+  /// when it posted none).
   struct Fill {
     u64 seeds = 0;
     u64 windows = 0;
+    std::size_t workers = 1;
   };
 
   /// Scan the store's owned reads with `workers` threads; a block-mode
@@ -78,6 +82,7 @@ class OccurrenceStream {
     Fill f;
     while (next_read_ < count_ && f.seeds < budget) {
       if (chunk_ == chunks_.size()) sketch_ahead(route);
+      f.workers = std::max(f.workers, round_threads_);
       const Chunk& ch = chunks_[chunk_];
       const Worker& w = *ch.worker;
       const std::size_t stride = ranks_ + 2;
@@ -117,7 +122,6 @@ class OccurrenceStream {
 
   /// True while reads remain to be posted.
   bool more() const { return next_read_ < count_; }
-  std::size_t workers() const { return pool_.workers(); }
 
  private:
   /// One worker's sketcher and output. `out[d]` holds the records for
@@ -163,7 +167,7 @@ class OccurrenceStream {
       for (auto& v : w.out) v.clear();
       w.marks.clear();
     }
-    pool_.run(chunks_.size(), [&](Worker& w, std::size_t c) {
+    round_threads_ = pool_.run(chunks_.size(), [&](Worker& w, std::size_t c) {
       Chunk& ch = chunks_[c];
       ch.worker = &w;
       ch.first_mark = w.marks.size() / (ranks_ + 2);
@@ -192,8 +196,9 @@ class OccurrenceStream {
   int k_ = 0;
   u64 next_read_ = 0;  ///< first read not yet posted
   util::ChunkPool<Worker> pool_;
-  std::vector<Chunk> chunks_;  ///< the current look-ahead round
-  std::size_t chunk_ = 0;      ///< first chunk with reads left to post
+  std::vector<Chunk> chunks_;      ///< the current look-ahead round
+  std::size_t round_threads_ = 1;  ///< threads that sketched chunks_
+  std::size_t chunk_ = 0;          ///< first chunk with reads left to post
   std::size_t read_in_chunk_ = 0;
 };
 

@@ -377,13 +377,15 @@ TEST(Blocks, MinimizerModeOutputBytewiseIdenticalAcrossGrid) {
   }
 }
 
-TEST(WorkerPool, OutputsIdenticalAcrossWorkersRanksSchedulesAndResume) {
-  // Stages 1, 2 and 4 run on `workers` threads per rank. PAF, GFA and
-  // eval.tsv are byte-identical over workers {1,2,4} x ranks {1,2,3,5} x
-  // both schedules, and over a resume from the stage-1 or stage-2
-  // checkpoint at another worker count. counters.tsv is byte-identical
-  // across workers and schedules at each rank count, and equal across rank
-  // counts except the rows that count per-partition work.
+TEST(WorkerPool, OutputsIdenticalAcrossRanksSchedulesAndResume) {
+  // With one block, stages 1, 2 and 4 run available_cpus() / ranks threads
+  // per rank (on 4 CPUs: 4, 2, 1, 1 at ranks 1, 2, 3, 5). PAF, GFA and
+  // eval.tsv are byte-identical over ranks {1,2,3,5} x both schedules and
+  // over a resume from the stage-1 or stage-2 checkpoint. counters.tsv is
+  // byte-identical across schedules at each rank count, and equal across
+  // rank counts except the rows that count per-partition work. The stage
+  // configs' `workers` are pinned directly in test_dht and
+  // test_alignment_stage.
   auto sim = dibella::simgen::make_dataset(dibella::simgen::tiny_test(3));
   auto truth = std::make_shared<const dibella::io::TruthTable>(
       dibella::simgen::truth_table(sim));
@@ -416,58 +418,47 @@ TEST(WorkerPool, OutputsIdenticalAcrossWorkersRanksSchedulesAndResume) {
   };
 
   dibella::comm::World w1(1);
-  auto c1 = cfg;
-  c1.workers = 1;
-  const Outputs base = outputs(run_pipeline(w1, sim.reads, c1, truth));
+  const Outputs base = outputs(run_pipeline(w1, sim.reads, cfg, truth));
   ASSERT_FALSE(base.files.paf.empty());
   ASSERT_FALSE(base.files.gfa.empty());
   for (int ranks : {1, 2, 3, 5}) {
     std::string rank_counters;
     for (bool overlap_comm : {true, false}) {
-      for (int workers : {1, 2, 4}) {
-        const std::string where = "ranks=" + std::to_string(ranks) +
-                                  " workers=" + std::to_string(workers) +
-                                  (overlap_comm ? " overlapped" : " bulk-synchronous");
-        auto c = cfg;
-        c.workers = workers;
-        c.overlap_comm = overlap_comm;
-        dibella::comm::World world(ranks);
-        const Outputs got = outputs(run_pipeline(world, sim.reads, c, truth));
-        EXPECT_EQ(got.files.paf, base.files.paf) << where;
-        EXPECT_EQ(got.files.gfa, base.files.gfa) << where;
-        EXPECT_EQ(got.files.eval_tsv, base.files.eval_tsv) << where;
-        EXPECT_EQ(comparable_counters(got.counters), comparable_counters(base.counters))
-            << where;
-        if (rank_counters.empty()) rank_counters = got.counters;
-        EXPECT_EQ(got.counters, rank_counters) << where;
-      }
+      const std::string where = "ranks=" + std::to_string(ranks) +
+                                (overlap_comm ? " overlapped" : " bulk-synchronous");
+      auto c = cfg;
+      c.overlap_comm = overlap_comm;
+      dibella::comm::World world(ranks);
+      const Outputs got = outputs(run_pipeline(world, sim.reads, c, truth));
+      EXPECT_EQ(got.files.paf, base.files.paf) << where;
+      EXPECT_EQ(got.files.gfa, base.files.gfa) << where;
+      EXPECT_EQ(got.files.eval_tsv, base.files.eval_tsv) << where;
+      EXPECT_EQ(comparable_counters(got.counters), comparable_counters(base.counters))
+          << where;
+      if (rank_counters.empty()) rank_counters = got.counters;
+      EXPECT_EQ(got.counters, rank_counters) << where;
     }
   }
 
   // Abort in stage 2 (stage 1 checkpointed) or stage 3 (stages 1-2
-  // checkpointed) at one worker count, resume at another.
+  // checkpointed) on one rank, which runs the most workers, and resume.
   const fs::path dir = fs::path(::testing::TempDir()) / "dibella_worker_pool_resume";
   int cell = 0;
-  for (const char* fault : {"abort@ht:0:1", "abort@overlap:0:2"}) {
-    for (auto [first, then] : {std::pair{1, 4}, std::pair{4, 2}}) {
-      SCOPED_TRACE(std::string(fault) + " workers " + std::to_string(first) + " -> " +
-                   std::to_string(then));
-      const fs::path ckpt = dir / std::to_string(cell++);
-      fs::remove_all(ckpt);
-      auto c = cfg;
-      c.checkpoint_dir = ckpt.string();
-      c.workers = first;
-      dibella::comm::World aborted(3);
-      aborted.set_fault_plan(dibella::comm::FaultPlan::parse(fault));
-      EXPECT_ANY_THROW(run_pipeline(aborted, sim.reads, c, truth));
-      c.workers = then;
-      c.resume = true;
-      dibella::comm::World resumed(3);
-      const Outputs got = outputs(run_pipeline(resumed, sim.reads, c, truth));
-      EXPECT_EQ(got.files.paf, base.files.paf);
-      EXPECT_EQ(got.files.gfa, base.files.gfa);
-      EXPECT_EQ(got.files.eval_tsv, base.files.eval_tsv);
-    }
+  for (const char* fault : {"abort@ht:0:0", "abort@overlap:0:0"}) {
+    SCOPED_TRACE(fault);
+    const fs::path ckpt = dir / std::to_string(cell++);
+    fs::remove_all(ckpt);
+    auto c = cfg;
+    c.checkpoint_dir = ckpt.string();
+    dibella::comm::World aborted(1);
+    aborted.set_fault_plan(dibella::comm::FaultPlan::parse(fault));
+    EXPECT_ANY_THROW(run_pipeline(aborted, sim.reads, c, truth));
+    c.resume = true;
+    dibella::comm::World resumed(1);
+    const Outputs got = outputs(run_pipeline(resumed, sim.reads, c, truth));
+    EXPECT_EQ(got.files.paf, base.files.paf);
+    EXPECT_EQ(got.files.gfa, base.files.gfa);
+    EXPECT_EQ(got.files.eval_tsv, base.files.eval_tsv);
   }
   fs::remove_all(dir);
 }

@@ -16,8 +16,10 @@
 #include "dht/distributed_table.hpp"
 #include "dht/local_table.hpp"
 #include "io/read_store.hpp"
+#include "kmer/occurrence_stream.hpp"
 #include "kmer/parser.hpp"
 #include "kmer/spectrum.hpp"
+#include "obs/span.hpp"
 #include "simgen/presets.hpp"
 #include "util/random.hpp"
 
@@ -328,7 +330,7 @@ struct StageDigest {
 std::vector<StageDigest> run_stages_on_workers(int P, int workers, bool overlap,
                                                const dibella::sketch::SketchConfig& sk,
                                                const std::vector<dibella::io::Read>& reads,
-                                               u64 batch) {
+                                               u64 batch, dibella::obs::Trace* spans = nullptr) {
   std::vector<u64> lens;
   for (auto& r : reads) lens.push_back(r.seq.size());
   dibella::io::ReadPartition part(lens, P);
@@ -337,7 +339,7 @@ std::vector<StageDigest> run_stages_on_workers(int P, int workers, bool overlap,
   std::vector<StageDigest> digests(static_cast<std::size_t>(P));
   world.run([&](dibella::comm::Communicator& comm) {
     const auto rank = static_cast<std::size_t>(comm.rank());
-    dibella::core::StageContext ctx{comm, traces[rank]};
+    dibella::core::StageContext ctx{comm, traces[rank], spans};
     ctx.attach();
     dibella::io::ReadStore store(reads, part, comm.rank());
     dd::LocalKmerTable table(1024, 9);
@@ -396,5 +398,35 @@ TEST(DistributedHashTable, StagesOneAndTwoIdenticalAcrossWorkerCounts) {
         }
       }
     }
+  }
+}
+
+TEST(DistributedHashTable, PackSpansReportTheThreadsThatSketched) {
+  // A pack span's `workers` is the most threads any look-ahead round behind
+  // its batch ran: the configured count when the round has that many
+  // chunks, one when the rank's reads fit in one chunk.
+  const auto pack_workers = [](const std::vector<dibella::io::Read>& reads, int workers) {
+    dibella::obs::Trace spans(1);
+    run_stages_on_workers(1, workers, true, dibella::sketch::SketchConfig{10, false}, reads,
+                          u64{1} << 30, &spans);
+    std::map<std::string, std::vector<u64>> args;
+    for (const auto& ev : spans.lane(0).snapshot()) {
+      if (ev.phase != dibella::obs::SpanEvent::Phase::kEnd) continue;
+      for (int a = 0; a < ev.n_args; ++a) {
+        if (std::string(ev.args[a].key) == "workers") args[ev.name].push_back(ev.args[a].value);
+      }
+    }
+    return args;
+  };
+  auto sim = dibella::simgen::make_dataset(dibella::simgen::tiny_test(17));
+  u64 windows = 0;
+  for (const auto& r : sim.reads) windows += dk::window_count(r.seq.size(), 17);
+  ASSERT_GE(windows, 4 * dk::OccurrenceStream<dk::Kmer>::kChunkWindows);
+  const std::vector<dibella::io::Read> one_read(sim.reads.begin(), sim.reads.begin() + 1);
+  auto all = pack_workers(sim.reads, 4);
+  auto one = pack_workers(one_read, 4);
+  for (const char* pack : {"bloom:pack", "ht:pack"}) {
+    EXPECT_EQ(all[pack], std::vector<u64>{4}) << pack;
+    EXPECT_EQ(one[pack], std::vector<u64>{1}) << pack;
   }
 }
