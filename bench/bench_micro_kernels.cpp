@@ -152,7 +152,7 @@ void BM_Alltoallv(benchmark::State& state) {
       for (int d = 0; d < P; ++d) ex.post(d, send);
       ex.flush_async(/*done=*/true);
       auto recv = ex.wait();
-      benchmark::DoNotOptimize(recv.bytes.size());
+      benchmark::DoNotOptimize(recv.total_bytes());
     });
   }
   state.SetBytesProcessed(static_cast<i64>(state.iterations()) * P * P *

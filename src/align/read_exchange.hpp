@@ -28,7 +28,7 @@
 namespace dibella::align {
 
 struct ReadExchangeConfig {
-  /// Exchange schedule and chunk granularity.
+  /// Exchange schedule.
   comm::Exchanger::Config exchange;
   u64 batch_request_gids = 1u << 16;  ///< request gids per destination per batch
   u64 batch_reply_bytes = 1u << 20;   ///< serialized reply bytes per destination per batch

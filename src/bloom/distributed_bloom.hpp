@@ -29,7 +29,7 @@ struct BloomStageConfig {
   double bloom_fpr = 0.05;
   /// Assumed per-base error rate for the a-priori cardinality estimate.
   double assumed_error_rate = 0.15;
-  /// Exchange schedule and chunk granularity. Identical output either way.
+  /// Exchange schedule. Identical output either way.
   comm::Exchanger::Config exchange;
   /// Threads sketching this rank's reads, the calling (rank) thread
   /// included; >= 1. The posted batches, and so the filter, the table and

@@ -740,7 +740,7 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
       std::ostringstream prof;
       obs::write_profile_tsv(prof, profile);
       // Wire-level exchange accounting rides along as a `wire` section: it
-      // moves with the batch/chunk size knobs, so it belongs here, not in
+      // moves with the batch size knobs, so it belongs here, not in
       // counters.tsv.
       {
         std::ostringstream wire;

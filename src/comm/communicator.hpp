@@ -5,10 +5,10 @@
 /// collective epoch, and the one blocking collective, barrier().
 ///
 /// Every payload between ranks travels through comm::Exchanger
-/// (exchanger.hpp): flushes deposit CRC-framed, epoch-tagged chunks into the
-/// World's per-peer mailbox slots and the matching wait() consumes them,
-/// retransmitting from the sender's replay copy when a chunk is lost or
-/// mangled. There is no unframed payload path. Operations are collective:
+/// (exchanger.hpp): each flush deposits one CRC-framed, epoch-tagged message
+/// per peer into the World's mailbox slots and the matching wait() consumes
+/// them, retransmitting from the sender's replay copy when a message is lost
+/// or mangled. There is no unframed payload path. Operations are collective:
 /// every rank calls barrier() and flushes in the same order (standard SPMD
 /// contract), and each one consumes exactly one epoch.
 

@@ -20,18 +20,16 @@
 
 namespace dibella::comm::detail {
 
-/// One Exchanger chunk travelling src -> dst. Every chunk is tagged with the
-/// sender's collective epoch and its position in that epoch's chunk train,
-/// and carries a reliability frame — wire sequence number, payload length,
-/// CRC32 — so a truncated or bit-flipped chunk is detected on receive and
-/// replaced from the sender's replay buffer instead of being consumed as
-/// garbage.
+/// One Exchanger message travelling src -> dst: a flush's whole payload for
+/// that destination. Every message is tagged with the sender's collective
+/// epoch — one message per (src, dst, epoch) — and carries a reliability
+/// frame — wire sequence number, payload length, CRC32 — so a truncated or
+/// bit-flipped message is detected on receive and replaced from the
+/// sender's replay buffer instead of being consumed as garbage.
 struct MailboxMessage {
   u64 epoch = 0;             ///< sender's collective epoch at deposit time
-  u32 chunk_index = 0;       ///< position within this epoch's chunk train
-  u32 chunk_count = 1;       ///< total chunks this (src, dst, epoch) sends
   u8 sender_done = 0;        ///< piggybacked termination bit
-  u64 chunk_seq = 0;         ///< per-(src, dst) wire sequence number
+  u64 wire_seq = 0;          ///< per-(src, dst) wire sequence number
   u64 payload_bytes = 0;     ///< expected bytes.size()
   u32 payload_crc = 0;       ///< CRC32 of the pristine payload
   /// Instant the wire copy becomes visible to the receiver (a delay fault
@@ -45,11 +43,11 @@ struct MailboxMessage {
 /// poison support, and the per-rank exchange-record logs.
 ///
 /// One deposit path and one consume path move every payload: a sender's
-/// Exchanger flush deposits epoch-tagged, framed chunks into the (src, dst)
-/// mailbox and continues immediately (deposits never block, so two ranks
-/// flushing at each other cannot deadlock); the receiver consumes the chunk
-/// matching its own epoch, blocking only until that specific deposit
-/// arrives. Payload exchange therefore needs no whole-world synchronization
+/// Exchanger flush deposits one epoch-tagged, framed message into each
+/// (src, dst) mailbox and continues immediately (deposits never block, so
+/// two ranks flushing at each other cannot deadlock); the receiver consumes
+/// the message matching its own epoch, blocking only until that specific
+/// deposit arrives. Payload exchange therefore needs no whole-world synchronization
 /// — the only fence is the explicit barrier() collective. A consume or fence
 /// that waits longer than the timeout poisons the world, so mismatched
 /// collective sequences abort instead of deadlocking. Mailbox depth is
@@ -58,17 +56,18 @@ struct MailboxMessage {
 ///
 /// deposit() stores the wire copy and the sender-side replay copy under one
 /// lock, so a receiver in consume() that sees the replay entry without a
-/// consumable wire copy knows the chunk was lost or mangled in transit — never merely "not sent yet" — and requests a
-/// retransmission (bounded, with exponential backoff). In a fault-free run
-/// the replay buffer is not even populated (it only exists while a
-/// FaultPlan is installed), so the retry counters stay exactly zero and
-/// byte-identity of counters.tsv across schedules is preserved.
+/// consumable wire copy knows the message was lost or mangled in transit —
+/// never merely "not sent yet" — and requests a retransmission (bounded,
+/// with exponential backoff). In a fault-free run the replay buffer is not
+/// even populated (it only exists while a FaultPlan is installed), so the
+/// retry counters stay exactly zero and byte-identity of counters.tsv
+/// across schedules is preserved.
 class WorldState {
  public:
-  /// Bounded retransmission: a chunk that cannot be validated after this
+  /// Bounded retransmission: a message that cannot be validated after this
   /// many replay deliveries poisons the world (the transport is broken
   /// beyond what redundancy can absorb).
-  static constexpr u32 kMaxChunkRetransmits = 4;
+  static constexpr u32 kMaxRetransmits = 4;
 
   WorldState(int ranks, double timeout_seconds)
       : ranks_(ranks),
@@ -92,7 +91,7 @@ class WorldState {
     return fault_plan_;
   }
 
-  /// Deposit an Exchanger chunk into the src -> dst mailbox with the
+  /// Deposit an Exchanger message into the src -> dst mailbox with the
   /// reliability frame stamped (wire sequence number, payload length,
   /// CRC32). Never blocks. Only the destination rank's thread ever consumes
   /// from its mailboxes, so the notify targets its cv alone — with ranks
@@ -105,7 +104,7 @@ class WorldState {
   void deposit(int src, int dst, MailboxMessage msg, std::optional<FaultKind> fault) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      msg.chunk_seq = next_seq_[pair_index(src, dst)]++;
+      msg.wire_seq = next_seq_[pair_index(src, dst)]++;
       msg.payload_bytes = msg.bytes.size();
       // The CRC backs the self-healing retransmission protocol, which only
       // operates while a FaultPlan is installed — without one, in-process
@@ -113,7 +112,7 @@ class WorldState {
       // the checksum would cost (stamped here, validated at consume).
       if (fault_plan_) {
         msg.payload_crc = util::crc32(msg.bytes.data(), msg.bytes.size());
-        replay_[pair_index(src, dst)][msg.epoch].push_back(msg);
+        replay_[pair_index(src, dst)].insert_or_assign(msg.epoch, msg);
       } else {
         msg.payload_crc = 0;
       }
@@ -149,19 +148,18 @@ class WorldState {
     rank_cv_[static_cast<std::size_t>(dst)].notify_all();
   }
 
-  /// Consume the src -> dst Exchanger chunk `(epoch, chunk_index)`,
-  /// validating its reliability frame. Blocks until the chunk arrives;
-  /// poisons on timeout (a peer never reached this flush). Chunks of *other*
-  /// epochs may sit in the box while we wait — a sender that has run ahead.
-  /// A wire copy failing length/CRC validation is discarded (counted as a
-  /// corrupt chunk); a chunk whose replay entry exists but which has no
-  /// consumable wire copy — dropped, delayed past patience, or just
-  /// discarded as corrupt — is retransmitted from the sender's pristine
-  /// replay copy (counted as a retry; bounded, exponential backoff).
-  /// Successful consumption purges every other wire copy of the same chunk
-  /// (duplicate deliveries, late delayed originals) so redelivery is
-  /// idempotent.
-  MailboxMessage consume(int src, int dst, u64 epoch, u32 chunk_index) {
+  /// Consume the src -> dst Exchanger message of `epoch`, validating its
+  /// reliability frame. Blocks until the message arrives; poisons on timeout
+  /// (a peer never reached this flush). Messages of *other* epochs may sit
+  /// in the box while we wait — a sender that has run ahead. A wire copy
+  /// failing length/CRC validation is discarded (counted as corrupt); a
+  /// message whose replay entry exists but which has no consumable wire copy
+  /// — dropped, delayed past patience, or just discarded as corrupt — is
+  /// retransmitted from the sender's pristine replay copy (counted as a
+  /// retry; bounded, exponential backoff). Successful consumption purges
+  /// every other wire copy of the same message (duplicate deliveries, late
+  /// delayed originals) so redelivery is idempotent.
+  MailboxMessage consume(int src, int dst, u64 epoch) {
     std::unique_lock<std::mutex> lock(mutex_);
     auto& box = mailbox(src, dst);
     u32 attempts = 0;
@@ -170,7 +168,7 @@ class WorldState {
       const auto now = std::chrono::steady_clock::now();
       bool rescan = false;
       for (auto it = box.begin(); it != box.end(); ++it) {
-        if (it->epoch != epoch || it->chunk_index != chunk_index) continue;
+        if (it->epoch != epoch) continue;
         if (it->visible_at > now) continue;  // delayed on the wire
         if (it->bytes.size() != it->payload_bytes ||
             (fault_plan_ &&
@@ -182,10 +180,10 @@ class WorldState {
         }
         MailboxMessage msg = std::move(*it);
         box.erase(it);
-        // Idempotent receive: purge every other wire copy of this chunk
+        // Idempotent receive: purge every other wire copy of this message
         // (duplicate deliveries, late-arriving delayed originals).
         for (auto jt = box.begin(); jt != box.end();) {
-          if (jt->epoch == epoch && jt->chunk_index == chunk_index) {
+          if (jt->epoch == epoch) {
             jt = box.erase(jt);
             ++fault_stats_[static_cast<std::size_t>(dst)].redeliveries;
           } else {
@@ -196,22 +194,21 @@ class WorldState {
       }
       if (rescan) continue;
       // No valid visible wire copy. If the sender's replay buffer holds the
-      // pristine chunk, the wire copy was lost or mangled (the replay entry
+      // pristine message, the wire copy was lost or mangled (the replay entry
       // and the wire deposit are stored atomically, so "replayed but not
       // delivered" can never mean "not sent yet") — retransmit it.
-      const MailboxMessage* pristine = find_replay(src, dst, epoch, chunk_index);
+      const MailboxMessage* pristine = find_replay(src, dst, epoch);
       if (pristine != nullptr) {
-        if (attempts >= kMaxChunkRetransmits) {
+        if (attempts >= kMaxRetransmits) {
           poison_locked(std::make_exception_ptr(CommFailure(
-              "exchange chunk retransmission exhausted: chunk " +
-              std::to_string(chunk_index) + " of epoch " + std::to_string(epoch) +
-              " (" + std::to_string(src) + " -> " + std::to_string(dst) +
-              ") failed validation " + std::to_string(kMaxChunkRetransmits) +
-              " times")));
+              "exchange retransmission exhausted: message of epoch " +
+              std::to_string(epoch) + " (" + std::to_string(src) + " -> " +
+              std::to_string(dst) + ") failed validation " +
+              std::to_string(kMaxRetransmits) + " times")));
           throw WorldPoisoned();
         }
         MailboxMessage copy = *pristine;
-        copy.chunk_seq = next_seq_[pair_index(src, dst)]++;
+        copy.wire_seq = next_seq_[pair_index(src, dst)]++;
         copy.visible_at = {};
         box.push_back(std::move(copy));
         ++fault_stats_[static_cast<std::size_t>(dst)].retries;
@@ -224,14 +221,14 @@ class WorldState {
         }
         continue;
       }
-      // Wake on a new wire copy, or on the replay entry alone: a chunk
+      // Wake on a new wire copy, or on the replay entry alone: a message
       // dropped in transit reaches the replay buffer but never the box, so
       // a box-size test by itself would sleep through it until the timeout.
       std::size_t seen = box.size();
       bool ok = rank_cv_[static_cast<std::size_t>(dst)].wait_for(
           lock, std::chrono::duration<double>(timeout_), [&] {
             return box.size() != seen || poisoned_ ||
-                   find_replay(src, dst, epoch, chunk_index) != nullptr;
+                   find_replay(src, dst, epoch) != nullptr;
           });
       if (poisoned_) throw WorldPoisoned();
       if (!ok) {
@@ -372,14 +369,10 @@ class WorldState {
     return mailboxes_[pair_index(src, dst)];
   }
 
-  const MailboxMessage* find_replay(int src, int dst, u64 epoch, u32 chunk_index) const {
+  const MailboxMessage* find_replay(int src, int dst, u64 epoch) const {
     const auto& per_epoch = replay_[pair_index(src, dst)];
     auto it = per_epoch.find(epoch);
-    if (it == per_epoch.end()) return nullptr;
-    for (const MailboxMessage& m : it->second) {
-      if (m.chunk_index == chunk_index) return &m;
-    }
-    return nullptr;
+    return it == per_epoch.end() ? nullptr : &it->second;
   }
 
   void poison_locked(std::exception_ptr error) {
@@ -395,9 +388,9 @@ class WorldState {
   const double timeout_;
   std::vector<std::deque<MailboxMessage>> mailboxes_;
   std::vector<u64> next_seq_;  ///< per (src, dst) wire sequence counters
-  /// Per (src, dst): pristine chunks keyed by epoch, kept until the
+  /// Per (src, dst): the pristine message of each epoch, kept until the
   /// receiver acks the epoch. Populated only while a FaultPlan is installed.
-  std::vector<std::map<u64, std::vector<MailboxMessage>>> replay_;
+  std::vector<std::map<u64, MailboxMessage>> replay_;
   std::vector<CommFaultStats> fault_stats_;  ///< per receiving rank
   std::vector<std::vector<ExchangeRecord>> records_;  // written by owner rank only
 

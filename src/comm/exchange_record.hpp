@@ -42,9 +42,6 @@ struct ExchangeRecord {
   /// the barrier). The cost model's exposed/hidden split is virtual
   /// (trace-derived); this is the measured counterpart.
   double hidden_wall_seconds = 0.0;
-  /// Wire chunks this flush put on the mailboxes, peers only (kExchange
-  /// only; the barrier moves no payload).
-  u64 chunks = 0;
   /// Replay retransmissions this rank requested while receiving this batch
   /// (kExchange only; nonzero only under injected transport faults).
   u64 retries = 0;

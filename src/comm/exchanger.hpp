@@ -1,6 +1,6 @@
 #pragma once
 /// \file exchanger.hpp
-/// The nonblocking batched exchange: a double-buffered, chunked irregular
+/// The nonblocking batched exchange: a double-buffered irregular
 /// all-to-all with post / flush_async / wait semantics, and the one exchange
 /// loop every pipeline stage runs on (run_exchange).
 ///
@@ -16,12 +16,13 @@
 ///     consume(batch);              // insert batch i   } of batch i+1
 ///   }
 ///
-/// flush_async seals the current pack buffers into per-peer chunk trains and
-/// deposits them into the World's mailbox slots without blocking (deposits
-/// never block, so two ranks flushing at each other cannot deadlock); the
-/// caller is free to pack the next batch and consume the previous one while
-/// peers' chunks trickle in. wait() blocks only for the deposits that have
-/// not yet arrived and returns the batch concatenated in source-rank order.
+/// flush_async seals the current pack buffers and deposits each one, moved
+/// in whole, as one framed message per peer into the World's mailbox slots
+/// without blocking (deposits never block, so two ranks flushing at each
+/// other cannot deadlock); the caller is free to pack the next batch and
+/// consume the previous one while peers' messages arrive. wait() blocks only
+/// for the deposits that have not yet arrived and returns each source's
+/// payload as it arrived, in source-rank order, copying nothing.
 ///
 /// Two schedules drive the same loop (Config::overlap): overlapped, as
 /// above, or depth 0 — the paper's bulk-synchronous superstep: pack,
@@ -29,7 +30,7 @@
 /// flight. Both exchange the same batches in the same order and differ only
 /// in when pack() runs relative to the flight, so a stage's outputs are
 /// bitwise-identical under either, and both travel the same CRC-framed,
-/// self-healing chunk protocol.
+/// self-healing message protocol.
 ///
 /// Each flush carries a piggybacked per-sender `done` bit, so streaming
 /// loops terminate without a separate allreduce: stop after the first batch
@@ -54,12 +55,11 @@
 
 namespace dibella::comm {
 
-/// One received batch: every source's payload, concatenated in source-rank
-/// order into a single contiguous buffer.
+/// One received batch: every source's payload as it arrived, one vector per
+/// source rank.
 struct RecvBatch {
-  std::vector<u8> bytes;
-  std::vector<u64> src_offsets;  ///< size P+1 byte offsets; src s owns [s, s+1)
-  std::vector<u8> done_flags;    ///< size P: sender s's piggybacked done bit
+  std::vector<std::vector<u8>> from;  ///< size P: source s's payload
+  std::vector<u8> done_flags;         ///< size P: sender s's piggybacked done bit
 
   /// True when every sender (including self) reported done with this batch.
   bool all_done() const {
@@ -69,26 +69,32 @@ struct RecvBatch {
     return true;
   }
 
-  const u8* src_data(int src) const {
-    return bytes.data() + src_offsets[static_cast<std::size_t>(src)];
-  }
-  u64 src_size_bytes(int src) const {
-    return src_offsets[static_cast<std::size_t>(src) + 1] -
-           src_offsets[static_cast<std::size_t>(src)];
+  const u8* src_data(int src) const { return from[static_cast<std::size_t>(src)].data(); }
+  u64 src_size_bytes(int src) const { return from[static_cast<std::size_t>(src)].size(); }
+
+  /// Payload bytes summed over every source.
+  u64 total_bytes() const {
+    u64 total = 0;
+    for (const auto& b : from) total += b.size();
+    return total;
   }
 
-  /// Call `fn(const T&)` for every item of the whole batch, in order,
-  /// without copying the batch first; returns the item count.
+  /// Call `fn(const T&)` for every item of the whole batch, source by source
+  /// in rank order, without copying the batch first; returns the item count.
   template <class T, class Fn>
   u64 for_each_item(Fn&& fn) const {
     static_assert(std::is_trivially_copyable_v<T>, "batch payload must be POD");
-    DIBELLA_CHECK(bytes.size() % sizeof(T) == 0, "batch size not a multiple of element");
-    for (const u8* p = bytes.data(), *end = p + bytes.size(); p != end; p += sizeof(T)) {
-      T item;
-      std::memcpy(&item, p, sizeof(T));
-      fn(static_cast<const T&>(item));
+    u64 items = 0;
+    for (const auto& b : from) {
+      DIBELLA_CHECK(b.size() % sizeof(T) == 0, "batch size not a multiple of element");
+      for (const u8* p = b.data(), *end = p + b.size(); p != end; p += sizeof(T)) {
+        T item;
+        std::memcpy(&item, p, sizeof(T));
+        fn(static_cast<const T&>(item));
+      }
+      items += b.size() / sizeof(T);
     }
-    return bytes.size() / sizeof(T);
+    return items;
   }
 
   /// Append one source's payload, reinterpreted as items of T, to `out`.
@@ -161,10 +167,6 @@ class ByteReader {
 class Exchanger {
  public:
   struct Config {
-    /// Maximum bytes per mailbox chunk; a larger per-peer payload travels as
-    /// a chunk train. Bounds the granularity at which a flush's data becomes
-    /// available to the receiver.
-    u64 chunk_bytes = 1u << 20;
     /// Schedule of run_exchange: true = overlapped (pack batch i+1 and
     /// consume batch i-1 while batch i is in flight); false = depth 0, the
     /// bulk-synchronous superstep. Identical outputs either way.
@@ -218,7 +220,6 @@ class Exchanger {
   Config cfg_;
   std::vector<std::vector<u8>> pack_;   ///< per-dst payload of the batch being packed
   std::vector<u64> flushed_bytes_;      ///< per-dst bytes of the in-flight batch
-  u64 flushed_chunks_ = 0;              ///< wire chunks of the in-flight batch (peers only)
   u64 retries_before_ = 0;              ///< this rank's replay-retry tally at flush time
   u64 pending_bytes_ = 0;
   bool in_flight_ = false;

@@ -11,17 +11,18 @@
 /// a collective operation within that stage on the injecting `rank`
 /// (default rank 0) — every barrier and every Exchanger flush counts one. A spec arms at the first *opportunity*
 /// at or after its epoch: abort faults fire at the matching collective of
-/// either kind; transport faults need an Exchanger flush (the framed chunk
+/// either kind; transport faults need an Exchanger flush (the framed message
 /// path every payload travels, under either --overlap-comm schedule), so
 /// they fire at the stage's first flush at or after the epoch.
 ///
-/// Transport faults mangle exactly one wire chunk of the matched flush (the
-/// chunk-0 payload to neighbour (rank+1) % P): dropped, duplicated, delayed,
-/// truncated, or bit-flipped. The pristine copy stays in the sender's replay
-/// buffer, so the receiver's CRC + retry protocol (world_state.hpp) absorbs
-/// the fault. Every spec is one-shot — it fires at most once per plan
-/// lifetime — which is what lets a retransmission succeed and a degraded
-/// re-run over the same World proceed past the original abort.
+/// Transport faults mangle exactly one wire message of the matched flush
+/// (the whole payload to neighbour (rank+1) % P; at one rank, the payload
+/// to self): dropped, duplicated, delayed, truncated, or bit-flipped. The
+/// pristine copy stays in the sender's replay buffer, so the receiver's
+/// CRC + retry protocol (world_state.hpp) absorbs the fault. Every spec is
+/// one-shot — it fires at most once per plan lifetime — which is what lets a
+/// retransmission succeed and a degraded re-run over the same World proceed
+/// past the original abort.
 
 #include <atomic>
 #include <memory>
@@ -35,10 +36,10 @@
 namespace dibella::comm {
 
 enum class FaultKind : u8 {
-  kDrop,       ///< chunk never reaches the mailbox (replay copy survives)
-  kDuplicate,  ///< chunk deposited twice (idempotent receive discards one)
-  kDelay,      ///< chunk invisible to the receiver for a short window
-  kTruncate,   ///< chunk delivered with half its bytes missing
+  kDrop,       ///< message never reaches the mailbox (replay copy survives)
+  kDuplicate,  ///< message deposited twice (idempotent receive discards one)
+  kDelay,      ///< message invisible to the receiver for a short window
+  kTruncate,   ///< message delivered with half its bytes missing
   kBitFlip,    ///< one payload bit flipped on the wire copy
   kAbort,      ///< injecting rank throws RankFailure at the collective
 };

@@ -9,9 +9,10 @@
 /// be — per-destination buffers, irregular all-to-all exchanges, barriers —
 /// and every byte that would cross the network is recorded per (src, dst)
 /// pair for the network cost model. Payloads move through per-peer mailbox
-/// slots as CRC-framed chunks tagged with the sender's collective epoch: a
-/// flush deposits for its destinations without blocking and wait() consumes
-/// from its sources as their deposits arrive, so ranks synchronize only
+/// slots as CRC-framed messages tagged with the sender's collective epoch,
+/// one per peer per flush: a flush deposits for its destinations without
+/// blocking and wait() consumes from its sources as their deposits arrive,
+/// so ranks synchronize only
 /// pairwise and only on the data they actually need — which is what lets
 /// comm::Exchanger overlap an in-flight batch with local compute. barrier()
 /// is the one whole-world phase fence. Rank failures (and collective
@@ -36,7 +37,7 @@ class WorldState;
 }
 
 /// Base of every comm-substrate failure that poisons the World: collective
-/// timeouts, mismatched collective sequences, exhausted chunk
+/// timeouts, mismatched collective sequences, exhausted message
 /// retransmissions, and injected rank aborts (RankFailure, fault.hpp). The
 /// driver maps this family to its own exit code (poisoned-world abort)
 /// distinct from ordinary runtime errors.
@@ -53,13 +54,13 @@ class WorldPoisoned : public CommFailure {
 };
 
 /// Per-receiver tallies of the self-healing exchange protocol (summed over
-/// ranks by World::comm_fault_stats): chunks redelivered from the sender's
+/// ranks by World::comm_fault_stats): messages redelivered from the sender's
 /// replay buffer after a drop/corruption, duplicate deliveries discarded by
 /// the idempotent receive path, and CRC/length validation failures.
 struct CommFaultStats {
   u64 retries = 0;          ///< replay-buffer retransmissions requested
-  u64 redeliveries = 0;     ///< duplicate chunk copies discarded
-  u64 corrupt_chunks = 0;   ///< chunks failing CRC32/length validation
+  u64 redeliveries = 0;     ///< duplicate message copies discarded
+  u64 corrupt_chunks = 0;   ///< messages failing CRC32/length validation
 };
 
 /// A fixed-size group of SPMD ranks.

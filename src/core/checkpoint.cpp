@@ -48,7 +48,7 @@ u32 checkpoint_fingerprint(const std::vector<io::Read>& reads,
     crc = util::crc32(r.seq.data(), r.seq.size(), crc);
   }
   // Output-determining config fields only; schedule knobs (overlap_comm,
-  // blocks, chunk/batch sizes) are excluded — outputs are invariant to them.
+  // blocks, batch sizes) are excluded — outputs are invariant to them.
   crc = crc_value(config.k, crc);
   crc = crc_value(config.min_kmer_count, crc);
   crc = crc_value(config.resolved_max_kmer_count(), crc);

@@ -67,7 +67,7 @@ const char* checkpoint_stage_name(CheckpointStage stage);
 
 /// Fingerprint binding a checkpoint set to its run: CRC32 over the read
 /// sequences, the rank count, and the config fields that determine the
-/// pipeline's outputs (schedule knobs — overlap_comm, chunk/batch sizes,
+/// pipeline's outputs (schedule knobs — overlap_comm, batch sizes,
 /// blocks — are deliberately excluded: outputs are pinned invariant to
 /// them, so a run may resume under a different schedule).
 u32 checkpoint_fingerprint(const std::vector<io::Read>& reads,

@@ -56,8 +56,6 @@ struct PipelineConfig {
   /// paper's bulk-synchronous pack -> exchange -> consume superstep. The
   /// alignment output and counters are bitwise-identical either way.
   bool overlap_comm = true;
-  /// Mailbox chunk granularity of the exchanges.
-  u64 exchange_chunk_bytes = 1u << 20;
   /// Stage-3 wire tasks per destination per exchange batch.
   u64 batch_overlap_tasks = 1u << 18;
 

@@ -183,8 +183,8 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
   // worker.
   const int workers = B > 1 ? 1 : std::max(1, util::available_cpus() / P);
 
-  // Every stage's exchanges run on one schedule and chunk granularity.
-  const comm::Exchanger::Config exchange{config.exchange_chunk_bytes, config.overlap_comm};
+  // Every stage's exchanges run on one schedule.
+  const comm::Exchanger::Config exchange{config.overlap_comm};
 
   world.clear_exchange_records();
   world.run([&](comm::Communicator& comm) {

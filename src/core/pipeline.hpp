@@ -73,9 +73,10 @@ struct PipelineCounters {
   u64 spill_bytes = 0;           ///< alignment-record bytes spilled by stage 4 (all records)
   u64 spill_runs = 0;            ///< non-empty rounds spilled (sum over ranks)
   // self-healing exchange (comm::CommFaultStats; all zero fault-free)
+  // Each counts Exchanger messages (one per peer per flush).
   u64 comm_chunk_retries = 0;        ///< replay retransmissions requested
-  u64 comm_chunk_redeliveries = 0;   ///< duplicate chunk copies discarded
-  u64 comm_corrupt_chunks = 0;       ///< chunks failing CRC32/length checks
+  u64 comm_chunk_redeliveries = 0;   ///< duplicate message copies discarded
+  u64 comm_corrupt_chunks = 0;       ///< messages failing CRC32/length checks
   // resolved parameters
   u32 max_kmer_count = 0;        ///< the m actually used
 };

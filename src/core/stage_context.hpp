@@ -89,7 +89,7 @@ struct StageContext {
   obs::Registry* metrics = nullptr; ///< this rank's metrics registry
   /// Wire-level exchange accounting (call counts, framed bytes, per-call
   /// size histogram). Both schedules batch identically, but call counts and
-  /// per-call sizes move with the batch and chunk size knobs, which no
+  /// per-call sizes move with the batch size knobs, which no
   /// output may depend on (the checkpoint fingerprint excludes them), so
   /// these rows stay out of `metrics`/counters.tsv and dump into profile.tsv
   /// instead.
@@ -117,8 +117,8 @@ struct StageContext {
   /// exchanges with start markers so the cost model can tell which compute
   /// ran while an exchange was in flight. When span collection is on, the
   /// same sinks emit the wallclock counterpart: an async
-  /// `exchange:inflight` window per nonblocking exchange (bytes / chunks /
-  /// retries / exposed_us / hidden_us args) plus complete events for the
+  /// `exchange:inflight` window per nonblocking exchange (bytes / retries /
+  /// exposed_us / hidden_us args) plus complete events for the
   /// blocked portions. Call once per rank before any stage runs; `this`
   /// must outlive the communicator's sinks (it does — both live for the
   /// whole World::run closure).
@@ -158,7 +158,7 @@ struct StageContext {
   void observe_exchange(const comm::ExchangeRecord& rec) {
     if (wire_metrics) {
       // Deterministic (bytes and call counts depend on input and config,
-      // never on wallclock), but they move with the batch/chunk knobs, hence
+      // never on wallclock), but they move with the batch knobs, hence
       // the separate wire registry.
       obs::Labels by_stage{{"stage", rec.stage}};
       wire_metrics->counter("exchange_calls", by_stage).increment();
@@ -176,7 +176,6 @@ struct StageContext {
       done.t_ns = now;
       done.id = inflight_async_id_;
       done.add_arg("bytes", rec.total_bytes());
-      done.add_arg("chunks", rec.chunks);
       done.add_arg("retries", rec.retries);
       done.add_arg("seq", rec.seq);
       done.add_arg("exposed_us", to_ns(rec.wall_seconds) / 1000);

@@ -28,7 +28,7 @@ struct HashTableStageConfig {
   u64 batch_instances = 1u << 20;  ///< per-rank occurrences per batch
   u32 min_count = 2;               ///< below: singleton purge
   u32 max_count = 8;               ///< above: high-frequency purge (m)
-  /// Exchange schedule and chunk granularity. Identical output either way.
+  /// Exchange schedule. Identical output either way.
   comm::Exchanger::Config exchange;
   /// Threads sketching this rank's reads, as bloom::BloomStageConfig::workers.
   int workers = 1;

@@ -25,7 +25,7 @@
 ///   align:read_exchange, sgraph:{edge,ghost}_exchange
 ///                         wrap a stage's exchange rounds and their kernels
 ///   exchange:inflight     async window of one nonblocking exchange, from
-///                         flush_async to wait-return (args bytes, chunks,
+///                         flush_async to wait-return (args bytes, retries,
 ///                         exposed_us, hidden_us, seq)
 ///   exchange:exposed      the blocked portion of wait() (complete event)
 ///   collective:<op>       a blocking collective (complete event)

@@ -11,7 +11,7 @@
 ///   * kComplete events as "X" events with an explicit dur;
 ///   * kAsyncBegin/kAsyncEnd as "b"/"e" async events (cat "exchange") — the
 ///     in-flight window of each nonblocking exchange renders as an arrowed
-///     bar above the rank's track, carrying bytes/chunks/retries args;
+///     bar above the rank's track, carrying bytes/retries args;
 ///   * timestamps in microseconds (3 fractional digits) from the trace epoch.
 ///
 /// Every event a lane recorded is exported; a trace whose rings overflowed

@@ -275,7 +275,7 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
         for (int src = 0; src < ex.size(); ++src) {
           received.add_runs(batch.src_data(src), batch.src_size_bytes(src));
         }
-        const u64 bytes = batch.bytes.size();
+        const u64 bytes = batch.total_bytes();
         k.units("bytes", bytes, &core::KernelCosts::per_byte_copy).working_set(bytes);
       });
 

@@ -60,9 +60,9 @@ struct OverlapTask {
 
 struct OverlapStageConfig {
   SeedFilterConfig seed_filter = SeedFilterConfig::one_seed();
-  /// Exchange schedule and chunk granularity. The consolidated tasks are
-  /// identical either way (consolidation sorts the pairs and filter_seeds
-  /// orders each pair's seeds).
+  /// Exchange schedule. The consolidated tasks are identical either way
+  /// (consolidation sorts the pairs and filter_seeds orders each pair's
+  /// seeds).
   comm::Exchanger::Config exchange;
   /// Tasks formed per batch, summed over all destinations (a key's pairs are
   /// never split, so a batch may overshoot by one key's pair count).

@@ -47,8 +47,8 @@ std::vector<std::vector<u8>> exchange_byte_streams(
         for (int s = 0; s < P; ++s) {
           batch.append_from(s, per_source[static_cast<std::size_t>(s)]);
         }
-        k.units("bytes", batch.bytes.size(), &core::KernelCosts::per_byte_copy)
-            .working_set(batch.bytes.size());
+        k.units("bytes", batch.total_bytes(), &core::KernelCosts::per_byte_copy)
+            .working_set(batch.total_bytes());
       });
   per_source[self] = std::move(self_stream);
   return per_source;

@@ -69,7 +69,7 @@ struct StringGraphConfig {
   i32 min_overlap_score = 0;
   /// End tolerance for contained/dovetail/internal classification.
   u32 fuzz = kDefaultFuzz;
-  /// Schedule and chunk granularity of the fused and ghost exchanges.
+  /// Schedule of the fused and ghost exchanges.
   /// Outputs are bitwise-identical either way.
   comm::Exchanger::Config exchange;
   u64 batch_bytes = 1u << 20;  ///< bytes per destination per exchange batch

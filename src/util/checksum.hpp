@@ -1,7 +1,7 @@
 #pragma once
 /// \file checksum.hpp
 /// CRC-32 (the zlib/IEEE 802.3 polynomial) for payload framing: exchange
-/// chunks, alignment spill runs, and stage checkpoints all carry a CRC so a
+/// messages, alignment spill runs, and stage checkpoints all carry a CRC so a
 /// dropped, truncated, or bit-flipped payload is detected instead of being
 /// consumed as garbage.
 

@@ -222,13 +222,13 @@ TEST(Comm, Reductions) {
     ex.flush_async(/*done=*/true);
     const dc::RecvBatch last = ex.wait();
     EXPECT_TRUE(last.all_done());
-    EXPECT_TRUE(last.bytes.empty());
+    EXPECT_EQ(last.total_bytes(), 0u);
   });
 }
 
 TEST(Comm, BroadcastAndGather) {
   // One-sided rounds: only the root sends (broadcast), then everyone sends
-  // to the root alone (gather). Every other pair carries an empty chunk.
+  // to the root alone (gather). Every other pair carries an empty message.
   const int P = 4;
   dc::World world(P);
   world.run([&](dc::Communicator& comm) {
@@ -402,7 +402,7 @@ TEST(Comm, RecordsExcludeSelfBytesEverywhere) {
   }
 }
 
-TEST(Comm, AlltoallvFlatReportsSourceOffsets) {
+TEST(Comm, AlltoallvReportsSourceSizes) {
   const int P = 3;
   dc::World world(P);
   world.run([&](dc::Communicator& comm) {
@@ -414,18 +414,22 @@ TEST(Comm, AlltoallvFlatReportsSourceOffsets) {
     }
     ex.flush_async(/*done=*/true);
     const dc::RecvBatch batch = ex.wait();
-    const auto& offsets = batch.src_offsets;  // byte offsets
-    ASSERT_EQ(offsets.size(), static_cast<std::size_t>(P) + 1);
-    EXPECT_EQ(offsets[0], 0u);
-    EXPECT_EQ(offsets.back(), batch.bytes.size());
-    std::vector<u32> flat;
-    batch.for_each_item<u32>([&](u32 v) { flat.push_back(v); });
+    ASSERT_EQ(batch.from.size(), static_cast<std::size_t>(P));
+    u64 total = 0;
     for (int s = 0; s < P; ++s) {
-      u64 lo = offsets[static_cast<std::size_t>(s)] / sizeof(u32);
-      u64 hi = offsets[static_cast<std::size_t>(s) + 1] / sizeof(u32);
-      ASSERT_EQ(hi - lo, static_cast<u64>(s + 1)) << "from " << s;
-      ASSERT_EQ(batch.src_size_bytes(s), (hi - lo) * sizeof(u32));
-      for (u64 i = lo; i < hi; ++i) EXPECT_EQ(flat[i], static_cast<u32>(s));
+      ASSERT_EQ(batch.src_size_bytes(s), static_cast<u64>(s + 1) * sizeof(u32)) << "from " << s;
+      std::vector<u32> got;
+      batch.append_from(s, got);
+      EXPECT_EQ(got, std::vector<u32>(static_cast<std::size_t>(s + 1), static_cast<u32>(s)));
+      total += batch.src_size_bytes(s);
+    }
+    EXPECT_EQ(batch.total_bytes(), total);
+    // for_each_item walks the sources in rank order: 0, 1, 1, 2, 2, 2.
+    std::vector<u32> flat;
+    EXPECT_EQ(batch.for_each_item<u32>([&](u32 v) { flat.push_back(v); }), total / sizeof(u32));
+    std::size_t at = 0;
+    for (int s = 0; s < P; ++s) {
+      for (int i = 0; i <= s; ++i) EXPECT_EQ(flat[at++], static_cast<u32>(s));
     }
   });
 }
@@ -462,35 +466,60 @@ TEST(Exchanger, DeliversBatchesInSourceRankOrder) {
   });
 }
 
-TEST(Exchanger, ChunkTrainsReassembleLargePayloads) {
+TEST(Exchanger, WholePayloadsRoundTripUnderBothSchedules) {
+  // Each flush carries one message per (source, destination), whatever its
+  // size: ragged payloads from empty to ~3 MiB, self included, arrive whole
+  // and in source-rank order under either schedule.
   const int P = 3;
-  dc::World world(P);
-  world.run([&](dc::Communicator& comm) {
-    // 64-byte chunks force multi-chunk trains with ragged tails.
-    dc::Exchanger ex(comm, dc::Exchanger::Config{64});
-    dibella::util::Xoshiro256 rng(static_cast<u64>(comm.rank()) + 41);
-    std::vector<std::vector<u64>> sent(P);
-    for (int d = 0; d < P; ++d) {
-      sent[static_cast<std::size_t>(d)].resize(100 + rng.uniform_below(200));
-      for (auto& v : sent[static_cast<std::size_t>(d)]) v = rng.next();
-      ex.post(d, sent[static_cast<std::size_t>(d)]);
-    }
-    ex.flush_async(true);
-    auto got = ex.wait();
-    for (int s = 0; s < P; ++s) {
-      // Regenerate the peer's stream to verify chunk reassembly.
-      dibella::util::Xoshiro256 peer(static_cast<u64>(s) + 41);
-      std::vector<u64> expect;
-      for (int d = 0; d < P; ++d) {
-        std::vector<u64> block(100 + peer.uniform_below(200));
-        for (auto& v : block) v = peer.next();
-        if (d == comm.rank()) expect = std::move(block);
-      }
-      std::vector<u64> items;
-      got.append_from(s, items);
-      EXPECT_EQ(items, expect);
-    }
-  });
+  const int kBatches = 3;
+  // u64 items: 0 B, 8 B, 1 MiB, 1 MiB + 8 B, 3 MiB - 8 B, 3 MiB.
+  const u64 kItems[] = {0, 1, 1u << 17, (1u << 17) + 1, (3u << 17) - 1, 3u << 17};
+  auto items = [&](int src, int dst, int batch) {
+    return kItems[static_cast<std::size_t>(src * 5 + dst * 3 + batch * 2 + src * dst) % 6];
+  };
+  auto value = [](int src, int dst, int batch, u64 i) {
+    return static_cast<u64>(src) << 56 | static_cast<u64>(dst) << 48 |
+           static_cast<u64>(batch) << 40 | i;
+  };
+  for (bool overlap : {true, false}) {
+    SCOPED_TRACE(overlap ? "overlapped" : "depth 0");
+    dc::World world(P);
+    world.run([&](dc::Communicator& comm) {
+      const int me = comm.rank();
+      dc::Exchanger::Config cfg;
+      cfg.overlap = overlap;
+      dc::Exchanger ex(comm, cfg);
+      int packed = 0;
+      int consumed = 0;
+      const u64 batches = dc::run_exchange(
+          ex,
+          [&] {
+            for (int d = 0; d < P; ++d) {
+              std::vector<u64> payload(items(me, d, packed));
+              for (u64 i = 0; i < payload.size(); ++i) payload[i] = value(me, d, packed, i);
+              ex.post(d, payload);
+            }
+            return ++packed < kBatches;
+          },
+          [&](const dc::RecvBatch& batch) {
+            u64 total = 0;
+            for (int s = 0; s < P; ++s) {
+              const u64 n = items(s, me, consumed);
+              ASSERT_EQ(batch.src_size_bytes(s), n * sizeof(u64)) << "from " << s;
+              std::vector<u64> got;
+              batch.append_from(s, got);
+              for (u64 i = 0; i < n; ++i) {
+                ASSERT_EQ(got[i], value(s, me, consumed, i)) << "from " << s << " item " << i;
+              }
+              total += n * sizeof(u64);
+            }
+            EXPECT_EQ(batch.total_bytes(), total);
+            ++consumed;
+          });
+      EXPECT_EQ(batches, static_cast<u64>(kBatches));
+      EXPECT_EQ(consumed, kBatches);
+    });
+  }
 }
 
 TEST(Exchanger, OverlappedLoopMatchesBlockingLoop) {

@@ -1,5 +1,5 @@
 // Fault-tolerance suite: deterministic fault injection, the self-healing
-// chunk exchange, stage checkpoint/restart, and graceful degradation.
+// exchange, stage checkpoint/restart, and graceful degradation.
 //
 // The acceptance pins:
 //   * a run aborted after stage 3 and restarted with --resume writes
@@ -202,20 +202,20 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
 
 namespace {
 
-/// Run one flushed Exchanger batch under `plan` on a P-rank world, verify
-/// every rank receives exactly what every rank sent, and return the summed
-/// fault stats.
+/// Run one flushed Exchanger batch of `items` u64s per destination under
+/// `plan` on a P-rank world, verify every rank receives exactly what every
+/// rank sent, and return the summed fault stats.
 /// `late_rank` (if >= 0) sleeps before posting, so its peers are already
-/// waiting for its chunks when they are deposited.
+/// waiting for its messages when they are deposited.
 dcomm::CommFaultStats exchange_under_fault(int P, const std::string& plan,
-                                           int late_rank = -1) {
+                                           int late_rank = -1, std::size_t items = 1024) {
   dcomm::World world(P, 60.0);
   world.set_fault_plan(dcomm::FaultPlan::parse(plan));
   world.run([&](dcomm::Communicator& comm) {
     comm.set_stage("overlap");
     if (comm.rank() == late_rank) usleep(200'000);
     dcomm::Exchanger ex(comm);
-    std::vector<u64> payload(1024);
+    std::vector<u64> payload(items);
     for (std::size_t i = 0; i < payload.size(); ++i) {
       payload[i] = static_cast<u64>(comm.rank()) * 1'000'000 + i;
     }
@@ -244,7 +244,7 @@ TEST(SelfHealingExchange, DropIsRetransmittedFromReplay) {
 }
 
 TEST(SelfHealingExchange, DropWhileReceiverWaitsIsRetransmitted) {
-  // Rank 1 is already blocked on rank 0's chunk when rank 0 deposits it and
+  // Rank 1 is already blocked on rank 0's message when rank 0 deposits it and
   // the drop fault discards the wire copy: the receiver must wake on the
   // replay entry and retransmit, not sleep until the world timeout.
   auto stats = exchange_under_fault(2, "drop@overlap:0", /*late_rank=*/0);
@@ -273,6 +273,31 @@ TEST(SelfHealingExchange, DelayedChunkIsRecoveredWithoutHanging) {
   auto stats = exchange_under_fault(2, "delay@overlap:0");
   EXPECT_GE(stats.retries, 1u);
   EXPECT_GE(stats.redeliveries, 1u);
+}
+
+TEST(SelfHealingExchange, EveryFaultKindHealsAPayloadOverOneMiB) {
+  // A flush sends each peer its whole payload as one framed message, so a
+  // fault mangles all ~1.5 MiB of it at once. Each kind must heal into the
+  // intact batch (checked inside exchange_under_fault) with the same tallies
+  // as on an 8 KiB payload. A delay is the exception: a receiver that asks
+  // only after the copy became visible consumes it (no retry, nothing to
+  // discard), which a slow build does at this size; either way each retry
+  // leaves exactly one late original to discard.
+  const std::size_t kLarge = (3u << 16) + 5;  // 1,572,904 B
+  for (const char* kind : {"drop", "duplicate", "delay", "truncate", "bitflip"}) {
+    SCOPED_TRACE(kind);
+    const std::string plan = std::string(kind) + "@overlap:0";
+    const auto small = exchange_under_fault(2, plan);
+    const auto large = exchange_under_fault(2, plan, /*late_rank=*/-1, kLarge);
+    EXPECT_EQ(large.corrupt_chunks, small.corrupt_chunks);
+    if (std::string(kind) == "delay") {
+      EXPECT_LE(large.retries, 1u);
+      EXPECT_EQ(large.redeliveries, large.retries);
+    } else {
+      EXPECT_EQ(large.retries, small.retries);
+      EXPECT_EQ(large.redeliveries, small.redeliveries);
+    }
+  }
 }
 
 TEST(SelfHealingExchange, FaultFreeRunHasZeroFaultCounters) {
@@ -304,8 +329,8 @@ TEST(SelfHealingExchange, SeededTransportPlansAreAbsorbedEverywhere) {
   // every fault that fired must show in the comm_chunk_* counters: each
   // drop, truncation or bit flip costs at least one replay retry, each
   // duplicate one discarded redelivery, and only truncations and bit flips
-  // produce corrupt chunks. A delay shows only when the receiver asks for
-  // the chunk before it becomes visible, so it is pinned by the output
+  // produce corrupt messages. A delay shows only when the receiver asks for
+  // the message before it becomes visible, so it is pinned by the output
   // bytes alone.
   const dcomm::FaultKind kKinds[] = {dcomm::FaultKind::kDrop, dcomm::FaultKind::kDuplicate,
                                      dcomm::FaultKind::kDelay, dcomm::FaultKind::kTruncate,
@@ -415,7 +440,6 @@ TEST(Checkpoint, FingerprintTracksOutputDeterminingInputs) {
   changed = cfg;
   changed.overlap_comm = !changed.overlap_comm;
   changed.blocks = 4;
-  changed.exchange_chunk_bytes = 1024;
   EXPECT_EQ(base, dc::checkpoint_fingerprint(data.reads, changed, 3));
 }
 

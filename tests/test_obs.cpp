@@ -392,7 +392,7 @@ TEST(ObsPipeline, ChromeTraceExportHasPerRankTracksAndAsyncExchanges) {
   EXPECT_NE(json.find("\"name\":\"exchange:inflight\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"exchange\""), std::string::npos);
   EXPECT_NE(json.find("\"bytes\":"), std::string::npos);
-  EXPECT_NE(json.find("\"chunks\":"), std::string::npos);
+  EXPECT_NE(json.find("\"retries\":"), std::string::npos);
   // Async begin/end events pair up.
   EXPECT_EQ(count_of(json, "\"ph\":\"b\""), count_of(json, "\"ph\":\"e\""));
   // Duration events balance.
