@@ -50,7 +50,11 @@
 //   * exchange_overlap: whole-pipeline exposed exchange seconds (modeled
 //                   Cori), the exchange loop at depth 0 (bulk-synchronous,
 //                   baseline) vs overlapped (optimized) — virtual
-//                   cost-model time, deterministic by construction (see
+//                   cost-model time from exact work counts and wire bytes.
+//                   The overlapped side hides modeled exchange time behind
+//                   compute charged at this process's calibrated kernel
+//                   costs (core::KernelCosts), so it moves with the host
+//                   and the calibration from run to run (see
 //                   bench_exchange_overlap for the per-stage breakdown)
 //   * sgraph_reduction: stage-5 string-graph transitive reduction,
 //                   sequential graph::OverlapGraph oracle (baseline) vs the
@@ -59,10 +63,9 @@
 //                   `items` the dovetail edges entering reduction (see
 //                   bench_sgraph_reduction for the workload sweep)
 //
-// usage: bench_kernel_wallclock [--smoke] [--reps=N] [--out=PATH]
-//   --smoke   tiny workload + fewer reps (CI-sized; shape, not significance)
-//   --reps=N  timing repetitions per kernel, best-of-N (default 5; smoke 2)
-//   --out     output JSON path (default BENCH_kernels.json)
+// usage: kUsage below. An option it does not list, or a positional
+// argument, is a usage error (exit 2), reported before any row runs or the
+// JSON is opened.
 //
 // Every (baseline, optimized) pair is checksum-verified to produce identical
 // results before the numbers are reported. Each JSON entry carries a `kind`:
@@ -100,6 +103,14 @@
 namespace {
 
 using namespace dibella;
+
+constexpr const char* kUsage =
+    "usage: bench_kernel_wallclock [--smoke] [--reps=N] [--out=PATH]\n"
+    "  --smoke   tiny workload + fewer reps (CI-sized; shape, not significance)\n"
+    "  --reps=N  timing repetitions per kernel, best-of-N (default 5; smoke 2)\n"
+    "  --out     output JSON path (default BENCH_kernels.json)\n"
+    "  --help    print this message and exit\n";
+constexpr int kExitUsageError = 2;
 
 /// Tasks per encoded payload in the consolidation rows: one destination's
 /// share of the overlap stage's default 2^18-task batch over 4 ranks.
@@ -668,6 +679,22 @@ void write_json(const std::string& path, const std::vector<BenchRow>& rows,
 
 int main(int argc, char** argv) {
   util::Args args(argc, argv);
+  if (args.has("help")) {
+    std::cout << kUsage;
+    return 0;
+  }
+  for (const auto& key : args.keys()) {
+    if (key != "smoke" && key != "reps" && key != "out") {
+      std::cerr << "bench_kernel_wallclock: unknown option --" << key << "\n" << kUsage;
+      return kExitUsageError;
+    }
+  }
+  if (!args.positional().empty()) {
+    std::cerr << "bench_kernel_wallclock: unexpected argument '" << args.positional()[0]
+              << "'\n"
+              << kUsage;
+    return kExitUsageError;
+  }
   const bool smoke = args.get_bool("smoke", false);
   const int reps = static_cast<int>(args.get_i64("reps", smoke ? 2 : 5));
   const std::string out_path = args.get("out", "BENCH_kernels.json");

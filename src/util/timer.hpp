@@ -1,7 +1,11 @@
 #pragma once
 /// \file timer.hpp
-/// Wall-clock timers. Modeled compute time comes from work counts
-/// (core::KernelCosts), not from clocks, so only wall time is measured here.
+/// Stopwatches. Modeled compute time comes from work counts times per-unit
+/// kernel costs (core::KernelCosts), not from clocks: WallTimer times runs
+/// and spans, and ThreadCpuTimer times the calibration reps that measure
+/// those per-unit costs.
+
+#include <time.h>
 
 #include <chrono>
 
@@ -23,6 +27,23 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
+};
+
+/// The calling thread's CPU clock (CLOCK_THREAD_CPUTIME_ID): the seconds
+/// this thread ran, which do not grow while it waits for a CPU. Starts
+/// running on construction; read it on the thread that constructed it.
+class ThreadCpuTimer {
+ public:
+  /// CPU seconds this thread ran since construction.
+  double seconds() const { return now() - start_; }
+
+ private:
+  static double now() {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+  }
+  double start_ = now();
 };
 
 /// RAII helper: adds elapsed wall seconds to a target accumulator on scope exit.

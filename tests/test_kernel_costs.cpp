@@ -1,13 +1,15 @@
 // Kernel-cost calibration: every per-unit cost is measured (finite and
-// positive), and each is measured on state that does not depend on how long
-// calibration has been running. The traversal pin guards the latter: a
-// traversal table whose occurrence lists grew during a time-budgeted insert
-// loop reads a per-key scan over 10x dearer than an insert, while the overlap
-// stage's traversal over a table of short lists is far cheaper than one.
+// positive), inline on the calling thread and on a pool of threads, and each
+// is measured on state that does not depend on how long calibration has been
+// running. The traversal pin guards the latter: a traversal table whose
+// occurrence lists grew during a time-budgeted insert loop reads a per-key
+// scan over 10x dearer than an insert, while the overlap stage's traversal
+// over a table of short lists is far cheaper than one.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 
 #include "core/kernel_costs.hpp"
 
@@ -15,8 +17,7 @@ namespace dc = dibella::core;
 
 namespace {
 
-TEST(KernelCosts, EveryCostIsFiniteAndPositive) {
-  const dc::KernelCosts& c = dc::KernelCosts::get();
+void expect_finite_and_positive(const dc::KernelCosts& c) {
   const struct {
     const char* name;
     double value;
@@ -37,11 +38,27 @@ TEST(KernelCosts, EveryCostIsFiniteAndPositive) {
   }
 }
 
-TEST(KernelCosts, TraversingAKeyIsCheaperThanInsertingIt) {
-  const dc::KernelCosts& c = dc::KernelCosts::get();
+void expect_traverse_below_insert(const dc::KernelCosts& c) {
   EXPECT_LT(c.table_traverse, c.table_insert)
       << "traverse " << c.table_traverse * 1e9 << " ns/key vs insert "
       << c.table_insert * 1e9 << " ns/key";
+}
+
+TEST(KernelCosts, EveryCostIsFiniteAndPositive) {
+  expect_finite_and_positive(dc::KernelCosts::get());
+}
+
+TEST(KernelCosts, TraversingAKeyIsCheaperThanInsertingIt) {
+  expect_traverse_below_insert(dc::KernelCosts::get());
+}
+
+TEST(KernelCosts, InlineAndPooledCalibrationsMeasureEveryCost) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    const dc::KernelCosts c = dc::KernelCosts::measure(workers);
+    expect_finite_and_positive(c);
+    expect_traverse_below_insert(c);
+  }
 }
 
 }  // namespace
