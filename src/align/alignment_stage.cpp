@@ -137,7 +137,7 @@ std::vector<AlignmentRecord> run_alignment_stage(
   auto extend = ctx.kernel("align:extend", "align:compute");
 
   // Workers write only their own WorkerState and the chunks they claimed;
-  // ctx, spans and metrics stay on this (the rank's) thread.
+  // ctx and its spans stay on this (the rank's) thread.
   const std::size_t n_chunks = (tasks.size() + kChunkTasks - 1) / kChunkTasks;
   std::vector<std::vector<AlignmentRecord>> chunk_records(n_chunks);
   util::ChunkPool<WorkerState> pool(static_cast<std::size_t>(cfg.workers));

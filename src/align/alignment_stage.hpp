@@ -86,7 +86,7 @@ struct AlignmentStageResult {
 
 /// Align every task (reads must already be resident via run_read_exchange).
 /// Purely local — no communication. Worker threads touch neither `ctx` nor
-/// its spans, metrics or trace: the calling thread opens the one
+/// its spans or trace: the calling thread opens the one
 /// `align:extend` span and records the stage's compute units. An exception
 /// on any worker (e.g. a read neither local nor cached) is rethrown here
 /// after every worker has stopped.

@@ -22,7 +22,6 @@
 #include "netsim/cost_model.hpp"
 #include "netsim/platform.hpp"
 #include "obs/profile.hpp"
-#include "obs/registry.hpp"
 #include "obs/trace_export.hpp"
 #include "sgraph/unitig.hpp"
 #include "simgen/presets.hpp"
@@ -732,28 +731,13 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
     write_file(dir / kAlignmentsFile, paf.str());
     {
       std::ostringstream counters;
-      result.metrics.dump_tsv(counters);
+      result.write_counters_tsv(counters);
       write_file(dir / kCountersFile, counters.str());
     }
     write_file(dir / kTimingsFile, timings_tsv(report));
     if (profile_report && result.span_trace) {
       std::ostringstream prof;
       obs::write_profile_tsv(prof, profile);
-      // Wire-level exchange accounting rides along as a `wire` section: it
-      // moves with the batch size knobs, so it belongs here, not in
-      // counters.tsv.
-      {
-        std::ostringstream wire;
-        result.wire_metrics.dump_tsv(wire);
-        std::istringstream rows(wire.str());
-        std::string row;
-        while (std::getline(rows, row)) {
-          if (row.empty() || row[0] == '#' || row == "counter\tvalue") continue;
-          const auto tab = row.find('\t');
-          prof << "wire\t" << row.substr(0, tab) << "\tvalue\t"
-               << row.substr(tab + 1) << "\n";
-        }
-      }
       write_file(dir / kProfileFile, prof.str());
       extras.push_back(kProfileFile);
     }

@@ -72,7 +72,7 @@ class AlignmentSpillSet {
 
   /// Spill one run of records already sorted by (rid_a, rid_b). Empty runs
   /// are dropped (no file). Thread-safe. Returns the payload bytes written
-  /// (0 for a dropped empty run) — the caller's span/metrics accounting.
+  /// (0 for a dropped empty run) — the caller's `spill:write` span arg.
   u64 add_run(int rank, const std::vector<align::AlignmentRecord>& sorted);
 
   /// Register an existing framed run file (a stage-4 checkpoint payload) as

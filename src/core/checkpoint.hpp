@@ -114,7 +114,8 @@ class CheckpointSet {
 
   /// Checkpoint I/O accounting (payload bytes only; frame overhead and the
   /// manifest are noise). Summed over ranks and stages; deterministic in
-  /// (reads, config), so it feeds the obs::Registry directly.
+  /// (reads, config), so it goes into counters.tsv's `checkpoint_*` rows
+  /// (PipelineOutput::checkpoint_io).
   struct IoStats {
     u64 payloads_written = 0;
     u64 bytes_written = 0;

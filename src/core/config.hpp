@@ -93,8 +93,8 @@ struct PipelineConfig {
 
   // --- observability (src/obs/)
   /// Collect wallclock spans on every rank (the --trace/--profile-report
-  /// input). Purely additive: PAF/GFA/eval outputs and the metrics registry
-  /// are byte-identical with spans on or off.
+  /// input). Purely additive: PAF/GFA/eval outputs and counters.tsv are
+  /// byte-identical with spans on or off.
   bool collect_spans = false;
   /// Per-rank span ring capacity (events); oldest events drop on overflow.
   u64 span_events_per_rank = u64{1} << 17;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <future>
 #include <limits>
 #include <new>
 #include <optional>
@@ -343,12 +344,18 @@ struct NoState {};
 }  // namespace
 
 KernelCosts KernelCosts::measure(std::size_t workers) {
-  KernelCosts costs;
-  util::ChunkPool<NoState> pool(std::min(workers, kJobs.size()));
-  pool.run(kJobs.size(), [&](NoState&, std::size_t j) {
-    costs.*kJobs[j].cost = kJobs[j].time();
-  });
-  return costs;
+  // Run the pool from a fresh thread, so that no job, not even the ones the
+  // pool's calling thread claims, allocates from glibc's main arena. No
+  // rank does either: World::run starts one thread per rank.
+  return std::async(std::launch::async, [workers] {
+           KernelCosts costs;
+           util::ChunkPool<NoState> pool(std::min(workers, kJobs.size()));
+           pool.run(kJobs.size(), [&](NoState&, std::size_t j) {
+             costs.*kJobs[j].cost = kJobs[j].time();
+           });
+           return costs;
+         })
+      .get();
 }
 
 const KernelCosts& KernelCosts::get() {

@@ -23,7 +23,11 @@
 /// Each cost is one job that builds its own inputs and state and writes
 /// only its own field. The nine jobs run concurrently on a util::ChunkPool
 /// of one thread per available CPU (at most nine), longest first; one CPU
-/// runs them inline on the caller. A rep is timed on its own thread's CPU
+/// runs them one after another. The pool starts from a fresh thread, not
+/// the caller's, so every job allocates from a thread arena of glibc's
+/// malloc, as the rank threads' kernels do: a job on the process's main
+/// thread allocated from the main arena and read pair_runs a few percent
+/// low. A rep is timed on its own thread's CPU
 /// clock (CLOCK_THREAD_CPUTIME_ID), not the wall clock: a shared host can
 /// give several threads one CPU's worth of time for minutes at a time, and
 /// a wall-timed rep would then read the jobs it waited behind (2-5x too
@@ -60,7 +64,7 @@ struct KernelCosts {
   double graph_probe = 0.0;         ///< per witness lookup of transitive reduction
 
   /// Calibrate every cost afresh, running the per-cost jobs on `workers`
-  /// threads (at most one per job; 1 runs them inline on the caller).
+  /// threads (at most one per job) started from a fresh thread.
   static KernelCosts measure(std::size_t workers);
 
   /// The process-wide calibrated instance: measure(available_cpus()) on

@@ -1,6 +1,8 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <string_view>
+#include <utility>
 
 #include "bella/model.hpp"
 #include "comm/exchanger.hpp"
@@ -8,6 +10,7 @@
 #include "core/kernel_costs.hpp"
 #include "core/stage_context.hpp"
 #include "io/read_block.hpp"
+#include "obs/profile.hpp"
 #include "util/cpus.hpp"
 #include "util/radix_sort.hpp"
 #include "util/timer.hpp"
@@ -23,6 +26,61 @@ netsim::TimingReport PipelineOutput::evaluate(const netsim::Platform& platform,
                                               const netsim::Topology& topology) const {
   netsim::CostModel model(platform, topology);
   return model.evaluate(traces, exchange_log);
+}
+
+void PipelineOutput::write_counters_tsv(std::ostream& os) const {
+  const PipelineCounters& c = counters;
+  std::vector<std::pair<std::string_view, u64>> rows = {
+      {"kmers_parsed", c.kmers_parsed},
+      {"candidate_keys", c.candidate_keys},
+      {"sketch_windows", c.sketch_windows},
+      {"sketch_seeds_kept", c.sketch_seeds_kept},
+      // Achieved sampling density in parts-per-million (kept / windows);
+      // 10^6 when dense, ~2/(w+1) * 10^6 under minimizers. Integer so the
+      // TSV stays locale-proof and byte-comparable.
+      {"sketch_density_ppm",
+       c.sketch_windows == 0 ? 0 : c.sketch_seeds_kept * 1'000'000 / c.sketch_windows},
+      {"retained_kmers", c.retained_kmers},
+      {"purged_keys", c.purged_keys},
+      {"overlap_tasks", c.overlap_tasks},
+      {"read_pairs", c.read_pairs},
+      {"seeds_after_filter", c.seeds_after_filter},
+      {"reads_exchanged", c.reads_exchanged},
+      {"read_bytes_exchanged", c.read_bytes_exchanged},
+      {"pairs_aligned", c.pairs_aligned},
+      {"alignments_computed", c.alignments_computed},
+      {"dp_cells", c.dp_cells},
+      {"alignments_reported", c.alignments_reported},
+      {"chain_anchors", c.chain_anchors},
+      {"chain_dropped_seeds", c.chain_dropped_seeds},
+      {"sg_contained_reads", c.sg_contained_reads},
+      {"sg_internal_records", c.sg_internal_records},
+      {"sg_dovetail_edges", c.sg_dovetail_edges},
+      {"sg_edges_removed", c.sg_edges_removed},
+      {"sg_edges_surviving", c.sg_edges_surviving},
+      {"sg_unitigs", c.sg_unitigs},
+      {"sg_components", c.sg_components},
+      {"peak_resident_read_bytes", c.peak_resident_read_bytes},
+      {"packed_read_bytes", c.packed_read_bytes},
+      {"block_loads", c.block_loads},
+      {"block_evictions", c.block_evictions},
+      {"spill_bytes", c.spill_bytes},
+      {"spill_runs", c.spill_runs},
+      {"comm_chunk_retries", c.comm_chunk_retries},
+      {"comm_chunk_redeliveries", c.comm_chunk_redeliveries},
+      {"comm_corrupt_chunks", c.comm_corrupt_chunks},
+      {"ranks", c.ranks},
+      {"max_kmer_count", c.max_kmer_count},
+  };
+  if (checkpoint_io) {
+    rows.insert(rows.end(), {{"checkpoint_payloads_written", checkpoint_io->payloads_written},
+                             {"checkpoint_bytes_written", checkpoint_io->bytes_written},
+                             {"checkpoint_payloads_read", checkpoint_io->payloads_read},
+                             {"checkpoint_bytes_read", checkpoint_io->bytes_read}});
+  }
+  std::sort(rows.begin(), rows.end());
+  os << obs::tsv_schema_header() << "\ncounter\tvalue\n";
+  for (const auto& [name, value] : rows) os << name << '\t' << value << '\n';
 }
 
 std::unique_ptr<align::RecordSource> PipelineOutput::alignment_source() const {
@@ -145,16 +203,12 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
     }
   }
 
-  // Observability: one wallclock span lane per rank when tracing is on, and
-  // one metrics registry per rank always (merged into the run registry after
-  // the ranks join; single-writer during the run, so no contention).
+  // Observability: one wallclock span lane per rank when tracing is on.
   std::shared_ptr<obs::Trace> span_trace;
   if (config.collect_spans) {
     span_trace = std::make_shared<obs::Trace>(
         P, static_cast<std::size_t>(config.span_events_per_rank));
   }
-  std::vector<obs::Registry> rank_metrics(static_cast<std::size_t>(P));
-  std::vector<obs::Registry> rank_wire_metrics(static_cast<std::size_t>(P));
 
   // Per-rank result slots (each rank writes only its own index).
   std::vector<netsim::RankTrace> traces(static_cast<std::size_t>(P));
@@ -189,8 +243,7 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
   world.clear_exchange_records();
   world.run([&](comm::Communicator& comm) {
     const auto rank = static_cast<std::size_t>(comm.rank());
-    StageContext ctx{comm, traces[rank], span_trace.get(), &rank_metrics[rank],
-                     &rank_wire_metrics[rank]};
+    StageContext ctx{comm, traces[rank], span_trace.get()};
     ctx.attach();
 
     io::BlockConfig block_cfg;
@@ -350,7 +403,6 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
             obs::Span spill_span = ctx.span("spill:write");
             const u64 spilled = spill->add_run(comm.rank(), round_records);
             spill_span.arg("bytes", spilled);
-            ctx.metric("spill_write_bytes").add(spilled);
           }
           store.clear_remote_cache();
           rounds[r].clear();
@@ -405,6 +457,7 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
   }
 
   auto& c = out.counters;
+  c.ranks = static_cast<u64>(P);
   c.max_kmer_count = max_count;
   out.per_rank_pairs_aligned.resize(static_cast<std::size_t>(P));
   for (int r = 0; r < P; ++r) {
@@ -457,65 +510,7 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
     c.sg_components = out.string_graph.layout.components.size();
   }
 
-  // The run registry: fold in the per-rank registries (labeled exchange
-  // accounting from the comm sinks, spill activity), then mirror every
-  // aggregated pipeline counter so counters.tsv is one deterministic,
-  // schema-versioned dump. No wallclock values enter here — measured time
-  // lives in the span trace — so the dump is byte-stable run over run.
-  {
-    obs::Registry& m = out.metrics;
-    for (const obs::Registry& rm : rank_metrics) m.merge(rm);
-    for (const obs::Registry& rm : rank_wire_metrics) out.wire_metrics.merge(rm);
-    const auto put = [&m](const char* name, u64 v) { m.counter(name).add(v); };
-    put("ranks", static_cast<u64>(P));
-    put("kmers_parsed", c.kmers_parsed);
-    put("candidate_keys", c.candidate_keys);
-    put("sketch_windows", c.sketch_windows);
-    put("sketch_seeds_kept", c.sketch_seeds_kept);
-    // Achieved sampling density in parts-per-million (kept / windows); 10^6
-    // when dense, ~2/(w+1) * 10^6 under minimizers. Integer so the TSV stays
-    // locale-proof and byte-comparable.
-    put("sketch_density_ppm", c.sketch_windows == 0
-                                  ? 0
-                                  : c.sketch_seeds_kept * 1'000'000 / c.sketch_windows);
-    put("retained_kmers", c.retained_kmers);
-    put("purged_keys", c.purged_keys);
-    put("overlap_tasks", c.overlap_tasks);
-    put("read_pairs", c.read_pairs);
-    put("seeds_after_filter", c.seeds_after_filter);
-    put("reads_exchanged", c.reads_exchanged);
-    put("read_bytes_exchanged", c.read_bytes_exchanged);
-    put("pairs_aligned", c.pairs_aligned);
-    put("alignments_computed", c.alignments_computed);
-    put("dp_cells", c.dp_cells);
-    put("alignments_reported", c.alignments_reported);
-    put("chain_anchors", c.chain_anchors);
-    put("chain_dropped_seeds", c.chain_dropped_seeds);
-    put("sg_contained_reads", c.sg_contained_reads);
-    put("sg_internal_records", c.sg_internal_records);
-    put("sg_dovetail_edges", c.sg_dovetail_edges);
-    put("sg_edges_removed", c.sg_edges_removed);
-    put("sg_edges_surviving", c.sg_edges_surviving);
-    put("sg_unitigs", c.sg_unitigs);
-    put("sg_components", c.sg_components);
-    m.gauge("peak_resident_read_bytes").set_max(c.peak_resident_read_bytes);
-    put("packed_read_bytes", c.packed_read_bytes);
-    put("block_loads", c.block_loads);
-    put("block_evictions", c.block_evictions);
-    put("spill_bytes", c.spill_bytes);
-    put("spill_runs", c.spill_runs);
-    put("comm_chunk_retries", c.comm_chunk_retries);
-    put("comm_chunk_redeliveries", c.comm_chunk_redeliveries);
-    put("comm_corrupt_chunks", c.comm_corrupt_chunks);
-    put("max_kmer_count", c.max_kmer_count);
-    if (ckpt) {
-      const auto io = ckpt->io_stats();
-      put("checkpoint_payloads_written", io.payloads_written);
-      put("checkpoint_bytes_written", io.bytes_written);
-      put("checkpoint_payloads_read", io.payloads_read);
-      put("checkpoint_bytes_read", io.bytes_read);
-    }
-  }
+  if (ckpt) out.checkpoint_io = ckpt->io_stats();
 
   // Ground-truth evaluation over the merged (rank-independent) outputs, so
   // the report is as schedule- and rank-count-invariant as the PAF itself.

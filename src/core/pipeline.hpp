@@ -12,6 +12,8 @@
 /// timings for the paper's figures.
 
 #include <memory>
+#include <optional>
+#include <ostream>
 #include <vector>
 
 #include "align/alignment_stage.hpp"
@@ -20,13 +22,13 @@
 #include "bloom/distributed_bloom.hpp"
 #include "comm/world.hpp"
 #include "core/alignment_spill.hpp"
+#include "core/checkpoint.hpp"
 #include "core/config.hpp"
 #include "dht/distributed_table.hpp"
 #include "eval/report.hpp"
 #include "io/read_store.hpp"
 #include "io/truth.hpp"
 #include "netsim/cost_model.hpp"
-#include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "overlap/overlapper.hpp"
 #include "sgraph/string_graph.hpp"
@@ -78,6 +80,7 @@ struct PipelineCounters {
   u64 comm_chunk_redeliveries = 0;   ///< duplicate message copies discarded
   u64 comm_corrupt_chunks = 0;       ///< messages failing CRC32/length checks
   // resolved parameters
+  u64 ranks = 0;                 ///< world size
   u32 max_kmer_count = 0;        ///< the m actually used
 };
 
@@ -96,15 +99,9 @@ struct PipelineOutput {
   sgraph::StringGraphOutput string_graph;
   std::vector<netsim::RankTrace> traces;                       ///< per rank
   std::vector<std::vector<comm::ExchangeRecord>> exchange_log;  ///< per rank
-  /// The run's metrics registry (src/obs/): every counters.tsv row, merged
-  /// over ranks. Deterministic in (reads, config) — dump_tsv() is byte-stable
-  /// run over run and byte-identical across comm schedules and block counts.
-  obs::Registry metrics;
-  /// Wire-level exchange accounting (labeled per-stage call counts, framed
-  /// bytes, per-call size histogram), merged over ranks. Deterministic for a
-  /// fixed schedule but schedule-dependent, so it dumps into profile.tsv
-  /// rather than counters.tsv.
-  obs::Registry wire_metrics;
+  /// Checkpoint payload I/O over every rank and stage; set iff the run had
+  /// a checkpoint_dir.
+  std::optional<CheckpointSet::IoStats> checkpoint_io;
   /// Wallclock span trace (finalized); non-null iff config.collect_spans.
   std::shared_ptr<obs::Trace> span_trace;
   io::ReadPartition partition;
@@ -121,6 +118,13 @@ struct PipelineOutput {
   /// (reads, truth, config) like the alignments it is computed from.
   bool eval_ran = false;
   eval::EvalReport eval;
+
+  /// counters.tsv: `#schema=2`, `counter\tvalue`, then one row per
+  /// PipelineCounters field plus `sketch_density_ppm` and, iff checkpoint_io
+  /// is set, the four `checkpoint_*` rows, sorted by name. No value
+  /// depends on wallclock or scheduling, so the file is byte-stable run over
+  /// run and byte-identical across comm schedules.
+  void write_counters_tsv(std::ostream& os) const;
 
   /// Per-rank alignment-stage virtual seconds under a cost model — the Fig 8
   /// load-imbalance input.

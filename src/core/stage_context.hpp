@@ -3,20 +3,17 @@
 /// Per-rank execution context handed to every pipeline stage: the
 /// communicator plus the rank's trace.
 ///
-/// The context also carries the observability layer (src/obs/): a wallclock
-/// span lane (`spans`, null when --trace/--profile-report are off — every
-/// span call degrades to a no-op) and the rank's metrics registry
-/// (`metrics`, always attached by run_pipeline; null only in bare-bones
-/// tests, where metric() writes into a thread-local scratch registry).
+/// The context also carries the rank's wallclock span lane (src/obs/;
+/// `spans`, null when --trace/--profile-report are off — every span call
+/// degrades to a no-op). Stage counters are not kept here: each stage
+/// returns them in its result, and run_pipeline sums them into
+/// PipelineCounters.
 
 #include <exception>
-#include <string>
-#include <utility>
 
 #include "comm/communicator.hpp"
 #include "core/kernel_costs.hpp"
 #include "netsim/rank_trace.hpp"
-#include "obs/registry.hpp"
 #include "obs/span.hpp"
 
 namespace dibella::core {
@@ -85,15 +82,7 @@ class KernelBatch {
 struct StageContext {
   comm::Communicator& comm;
   netsim::RankTrace& trace;
-  obs::Trace* spans = nullptr;      ///< wallclock span lanes (null = tracing off)
-  obs::Registry* metrics = nullptr; ///< this rank's metrics registry
-  /// Wire-level exchange accounting (call counts, framed bytes, per-call
-  /// size histogram). Both schedules batch identically, but call counts and
-  /// per-call sizes move with the batch size knobs, which no
-  /// output may depend on (the checkpoint fingerprint excludes them), so
-  /// these rows stay out of `metrics`/counters.tsv and dump into profile.tsv
-  /// instead.
-  obs::Registry* wire_metrics = nullptr;
+  obs::Trace* spans = nullptr;  ///< wallclock span lanes (null = tracing off)
 
   /// Open a wallclock span on this rank's lane (no-op when tracing is off).
   obs::Span span(const char* name) { return obs::Span(spans, comm.rank(), name); }
@@ -102,14 +91,6 @@ struct StageContext {
   /// compute segment is recorded under `tag` (default: `name`).
   KernelBatch kernel(const char* name, const char* tag = nullptr) {
     return {trace, spans, comm.rank(), name, tag};
-  }
-
-  /// A counter in this rank's registry; falls back to a thread-local scratch
-  /// registry when none is attached so stage code never branches.
-  obs::Counter& metric(const std::string& name, obs::Labels labels = {}) {
-    if (metrics) return metrics->counter(name, std::move(labels));
-    thread_local obs::Registry scratch;
-    return scratch.counter("scratch");
   }
 
   /// Wire the communicator's record stream into the trace so exchange
@@ -156,15 +137,6 @@ struct StageContext {
   }
 
   void observe_exchange(const comm::ExchangeRecord& rec) {
-    if (wire_metrics) {
-      // Deterministic (bytes and call counts depend on input and config,
-      // never on wallclock), but they move with the batch knobs, hence
-      // the separate wire registry.
-      obs::Labels by_stage{{"stage", rec.stage}};
-      wire_metrics->counter("exchange_calls", by_stage).increment();
-      wire_metrics->counter("exchange_bytes", by_stage).add(rec.total_bytes());
-      wire_metrics->histogram("exchange_bytes_per_call").add(rec.total_bytes());
-    }
     if (!spans) return;
     obs::RankTimeline& lane = spans->lane(comm.rank());
     const u64 now = spans->now_ns();

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <map>
 
-#include "obs/registry.hpp"
 #include "util/table.hpp"
 
 namespace dibella::obs {

@@ -21,7 +21,7 @@
 /// `section\tkey\tmetric\tvalue` and deterministic row order (sections in
 /// fixed order; stages in pipeline order; ranks ascending). Values are
 /// wallclock measurements, so the *values* vary run to run — the row set and
-/// ordering do not.
+/// ordering do not, except for which span names make the `hot` top-k.
 
 #include <ostream>
 #include <string>
@@ -31,6 +31,11 @@
 #include "obs/span.hpp"
 
 namespace dibella::obs {
+
+/// The first line of every TSV artifact (counters.tsv, timings.tsv,
+/// profile.tsv), without its newline. Version 1 was the headerless form;
+/// loaders skip `#`-prefixed lines, so they read both.
+inline const char* tsv_schema_header() { return "#schema=2"; }
 
 /// Aggregate stats for one span name across every rank.
 struct SpanStat {

@@ -1,6 +1,7 @@
 #include "sgraph/string_graph.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "comm/exchanger.hpp"
 #include "sgraph/csr.hpp"
@@ -16,19 +17,14 @@ namespace {
 /// comm::Exchanger. Returns each source rank's received stream separately —
 /// a byte slice may split a record across batches, so each source's stream
 /// is accumulated whole, and consumers parse per source (frames never span
-/// sources; ByteReader checks the framing).
+/// sources; ByteReader checks the framing). This rank's stream to itself
+/// travels the exchange like every other, so transport faults reach it too.
+/// Takes `outbound` by value, so its buffers are freed on return.
 std::vector<std::vector<u8>> exchange_byte_streams(
-    core::StageContext& ctx, std::vector<std::vector<u8>>& outbound,
+    core::StageContext& ctx, std::vector<std::vector<u8>> outbound,
     const StringGraphConfig& cfg) {
   auto& comm = ctx.comm;
   const int P = comm.size();
-  const std::size_t self = static_cast<std::size_t>(comm.rank());
-  // The self payload never needs the wire: hand it over directly and send
-  // this rank an empty stream (the collective shape — one deposit per
-  // (src, dst) pair — is preserved, the bytes just don't round-trip through
-  // the mailbox and its copies).
-  std::vector<u8> self_stream = std::move(outbound[self]);
-  outbound[self].clear();
   std::vector<std::vector<u8>> per_source(static_cast<std::size_t>(P));
   comm::Exchanger ex(comm, cfg.exchange);
   std::vector<std::size_t> cursors(static_cast<std::size_t>(P), 0);
@@ -50,7 +46,6 @@ std::vector<std::vector<u8>> exchange_byte_streams(
         k.units("bytes", batch.total_bytes(), &core::KernelCosts::per_byte_copy)
             .working_set(batch.total_bytes());
       });
-  per_source[self] = std::move(self_stream);
   return per_source;
 }
 
@@ -227,7 +222,7 @@ StringGraphShard run_string_graph_stage(
   {
     obs::Span span = ctx.span("sgraph:edge_exchange");
     std::vector<std::vector<u8>> streams =
-        exchange_byte_streams(ctx, fused_out, cfg);
+        exchange_byte_streams(ctx, std::move(fused_out), cfg);
     u64 recv_bytes = 0;
     for (const auto& s : streams) recv_bytes += s.size();
     span.arg("bytes", recv_bytes);
@@ -357,7 +352,7 @@ StringGraphShard run_string_graph_stage(
     for (const auto& v : ghost_out) ghost_bytes += v.size();
     span.arg("sent_bytes", ghost_bytes);
     std::vector<std::vector<u8>> streams =
-        exchange_byte_streams(ctx, ghost_out, cfg);
+        exchange_byte_streams(ctx, std::move(ghost_out), cfg);
     u64 recv_bytes = 0;
     for (const auto& s : streams) recv_bytes += s.size();
     span.arg("recv_bytes", recv_bytes);

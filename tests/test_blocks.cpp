@@ -401,7 +401,7 @@ TEST(WorkerPool, OutputsIdenticalAcrossRanksSchedulesAndResume) {
   };
   const auto outputs = [&](const dc::PipelineOutput& out) {
     std::ostringstream counters;
-    out.metrics.dump_tsv(counters);
+    out.write_counters_tsv(counters);
     return Outputs{artifacts(out, sim.reads, cfg.sgraph_fuzz), counters.str()};
   };
   const auto comparable_counters = [&](const std::string& tsv) {
@@ -513,7 +513,7 @@ TEST(Blocks, MergedAlignmentsMatchInMemoryVector) {
   EXPECT_GT(in_mem.counters.chain_dropped_seeds, 0u);
   const auto comparable_rows = [](const dc::PipelineOutput& out) {
     std::ostringstream tsv;
-    out.metrics.dump_tsv(tsv);
+    out.write_counters_tsv(tsv);
     std::istringstream lines(tsv.str());
     std::map<std::string, std::string> rows;
     std::string line;

@@ -1115,6 +1115,28 @@ TEST_F(FaultCli, FusedSgraphExchangeSelfHealsAndResumesByteIdentical) {
   }
 }
 
+TEST_F(FaultCli, StageFiveSelfPayloadCrossesTheFaultLayer) {
+  // At one rank every stage-5 byte is the rank's payload to itself. It
+  // travels the exchange like any other, so a bit flip at the stage's first
+  // flush lands on it: the CRC rejects it, the replay heals it, and the
+  // outputs are the fault-free ones.
+  const fs::path ref_dir = dir_ / "ref";
+  DriverResult ref = run_driver(
+      {"--preset=tiny", "--ranks=1", "--eval=on", "--out-dir=" + ref_dir.string()});
+  ASSERT_EQ(ref.exit_code, dibella::cli::kExitOk) << ref.err;
+
+  const fs::path fault_dir = dir_ / "fault";
+  DriverResult faulted = run_driver(
+      {"--preset=tiny", "--ranks=1", "--eval=on", "--inject-fault=bitflip@sgraph:0",
+       "--out-dir=" + fault_dir.string()});
+  ASSERT_EQ(faulted.exit_code, dibella::cli::kExitOk) << faulted.err;
+
+  expect_outputs_equal(outputs_of(ref_dir), outputs_of(fault_dir));
+  auto counters = parse_counters(load(fault_dir / dibella::cli::kCountersFile));
+  EXPECT_GE(counters.at("comm_corrupt_chunks"), 1u);
+  EXPECT_GE(counters.at("comm_chunk_retries"), 1u);
+}
+
 // --- graceful degradation ----------------------------------------------------
 
 TEST_F(FaultCli, DegradeFinishesWithHonestlyReducedEval) {

@@ -1,10 +1,10 @@
 // Kernel-cost calibration: every per-unit cost is measured (finite and
-// positive), inline on the calling thread and on a pool of threads, and each
-// is measured on state that does not depend on how long calibration has been
-// running. The traversal pin guards the latter: a traversal table whose
-// occurrence lists grew during a time-budgeted insert loop reads a per-key
-// scan over 10x dearer than an insert, while the overlap stage's traversal
-// over a table of short lists is far cheaper than one.
+// positive), on one worker and on a pool of them, and each is measured on
+// state that does not depend on how long calibration has been running. The
+// traversal pin guards the latter: a traversal table whose occurrence lists
+// grew during a time-budgeted insert loop reads a per-key scan over 10x
+// dearer than an insert, while the overlap stage's traversal over a table of
+// short lists is far cheaper than one.
 
 #include <gtest/gtest.h>
 

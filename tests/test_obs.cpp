@@ -1,6 +1,6 @@
 // Observability layer tests: span tracer semantics (nesting, misuse,
-// ring overflow), log-histogram bucket boundaries, registry dump
-// determinism, the Chrome-trace export's structure, the profile report,
+// ring overflow), the counters.tsv writer and its determinism, the
+// Chrome-trace export's structure, the profile report,
 // the pin that pipeline outputs are byte-identical with span collection on
 // or off, across rank counts, schedules, and block counts, and the pin that
 // every kernel span carries exactly the units its modeled compute segment
@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <sstream>
@@ -22,7 +23,6 @@
 #include "core/pipeline.hpp"
 #include "eval/report.hpp"
 #include "obs/profile.hpp"
-#include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "obs/trace_export.hpp"
 #include "sgraph/unitig.hpp"
@@ -141,110 +141,6 @@ TEST(ObsSpan, AsyncIdsAreUniquePerLane) {
   EXPECT_EQ(trace.lane(1).next_async_id(), 1u);  // per-lane counters
 }
 
-// --- histogram ------------------------------------------------------------
-
-TEST(ObsHistogram, BucketBoundariesAreLog2) {
-  using H = obs::LogHistogram;
-  EXPECT_EQ(H::bucket_of(0), 0);
-  EXPECT_EQ(H::bucket_of(1), 1);
-  EXPECT_EQ(H::bucket_of(2), 2);
-  EXPECT_EQ(H::bucket_of(3), 2);
-  EXPECT_EQ(H::bucket_of(4), 3);
-  EXPECT_EQ(H::bucket_of(7), 3);
-  EXPECT_EQ(H::bucket_of(8), 4);
-  EXPECT_EQ(H::bucket_of((u64{1} << 63) - 1), 63);
-  EXPECT_EQ(H::bucket_of(u64{1} << 63), 64);
-  EXPECT_EQ(H::bucket_of(~u64{0}), 64);
-
-  EXPECT_EQ(H::bucket_upper(0), 0u);
-  EXPECT_EQ(H::bucket_upper(1), 1u);
-  EXPECT_EQ(H::bucket_upper(2), 3u);
-  EXPECT_EQ(H::bucket_upper(3), 7u);
-  EXPECT_EQ(H::bucket_upper(64), ~u64{0});
-
-  // Every value lands inside its own bucket's bounds.
-  for (u64 v : {u64{0}, u64{1}, u64{2}, u64{3}, u64{4}, u64{100}, u64{65536}}) {
-    const int b = H::bucket_of(v);
-    EXPECT_LE(v, H::bucket_upper(b)) << v;
-    if (b > 1) {
-      EXPECT_GT(v, H::bucket_upper(b - 1)) << v;
-    }
-  }
-}
-
-TEST(ObsHistogram, AddAccumulatesCountAndSum) {
-  obs::LogHistogram h;
-  h.add(0);
-  h.add(5);
-  h.add(5);
-  h.add(1000, 3);
-  EXPECT_EQ(h.total_count(), 6u);
-  EXPECT_EQ(h.sum(), 0u + 5 + 5 + 3000);
-  EXPECT_EQ(h.bucket_count(0), 1u);
-  EXPECT_EQ(h.bucket_count(obs::LogHistogram::bucket_of(5)), 2u);
-  EXPECT_EQ(h.bucket_count(obs::LogHistogram::bucket_of(1000)), 3u);
-}
-
-// --- registry -------------------------------------------------------------
-
-TEST(ObsRegistry, DumpIsDeterministicAndLabelOrderCanonical) {
-  // Two registries populated in different orders, with label pairs given in
-  // different orders, must dump byte-identically.
-  obs::Registry a;
-  a.counter("zeta").add(1);
-  a.counter("alpha", {{"stage", "bloom"}, {"kind", "bytes"}}).add(9);
-  a.gauge("peak").set_max(42);
-
-  obs::Registry b;
-  b.gauge("peak").set_max(42);
-  b.counter("alpha", {{"kind", "bytes"}, {"stage", "bloom"}}).add(9);
-  b.counter("zeta").add(1);
-
-  std::ostringstream da, db;
-  a.dump_tsv(da);
-  b.dump_tsv(db);
-  EXPECT_EQ(da.str(), db.str());
-  // Schema header first, then the legacy column header.
-  EXPECT_EQ(da.str().rfind("#schema=2\ncounter\tvalue\n", 0), 0u);
-  EXPECT_NE(da.str().find("alpha{kind=bytes,stage=bloom}\t9"), std::string::npos);
-}
-
-TEST(ObsRegistry, SameIdentityReturnsSameInstrument) {
-  obs::Registry r;
-  r.counter("c", {{"a", "1"}, {"b", "2"}}).add(5);
-  r.counter("c", {{"b", "2"}, {"a", "1"}}).add(5);
-  EXPECT_EQ(r.counter("c", {{"a", "1"}, {"b", "2"}}).value(), 10u);
-  EXPECT_EQ(r.size(), 1u);
-}
-
-TEST(ObsRegistry, MergeAddsCountersAndMaxesGauges) {
-  obs::Registry a, b;
-  a.counter("n").add(3);
-  b.counter("n").add(4);
-  a.gauge("peak").set(10);
-  b.gauge("peak").set(7);
-  a.histogram("h").add(2);
-  b.histogram("h").add(900);
-  a.merge(b);
-  EXPECT_EQ(a.counter("n").value(), 7u);
-  EXPECT_EQ(a.gauge("peak").value(), 10u);
-  EXPECT_EQ(a.histogram("h").total_count(), 2u);
-  EXPECT_EQ(a.histogram("h").sum(), 902u);
-}
-
-TEST(ObsRegistry, HistogramDumpsCumulativeBucketsCountAndSum) {
-  obs::Registry r;
-  r.histogram("bytes").add(0);
-  r.histogram("bytes").add(5);
-  std::ostringstream os;
-  r.dump_tsv(os);
-  const std::string dump = os.str();
-  EXPECT_NE(dump.find("bytes{le=0}\t1"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("bytes{le=7}\t2"), std::string::npos) << dump;  // cumulative
-  EXPECT_NE(dump.find("bytes_count\t2"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("bytes_sum\t5"), std::string::npos) << dump;
-}
-
 // --- pipeline integration -------------------------------------------------
 
 namespace {
@@ -294,7 +190,7 @@ Artifacts run_artifacts(const std::vector<dibella::io::Read>& reads,
   }
   {
     std::ostringstream cs;
-    out.metrics.dump_tsv(cs);
+    out.write_counters_tsv(cs);
     art.counters = cs.str();
   }
   if (keep) *keep = std::move(out);
@@ -351,9 +247,8 @@ TEST(ObsPipeline, TracingOnOffByteIdenticalInBlockMode) {
 }
 
 TEST(ObsPipeline, MetricsDumpIsByteStableRunOverRun) {
-  // The registry's determinism contract: values depend only on (input,
-  // config) — two identical runs dump identical bytes, and the dump is also
-  // schedule-invariant.
+  // counters.tsv's determinism contract: values depend only on (input,
+  // config) — two identical runs write identical bytes.
   auto sim = dibella::simgen::make_dataset(dibella::simgen::tiny_test());
   auto truth = std::make_shared<const dibella::io::TruthTable>(
       dibella::simgen::truth_table(sim));
@@ -361,6 +256,99 @@ TEST(ObsPipeline, MetricsDumpIsByteStableRunOverRun) {
   Artifacts b = run_artifacts(sim.reads, truth, 3, true, true, 1);
   EXPECT_EQ(a.counters, b.counters);
   EXPECT_EQ(a.counters.rfind("#schema=2\n", 0), 0u);
+}
+
+TEST(ObsPipeline, CountersTsvHasOneSortedRowPerCounter) {
+  // Every PipelineCounters field, by its row name.
+  using Field = u64 dc::PipelineCounters::*;
+  const std::map<std::string, Field> fields = {
+      {"kmers_parsed", &dc::PipelineCounters::kmers_parsed},
+      {"candidate_keys", &dc::PipelineCounters::candidate_keys},
+      {"sketch_windows", &dc::PipelineCounters::sketch_windows},
+      {"sketch_seeds_kept", &dc::PipelineCounters::sketch_seeds_kept},
+      {"retained_kmers", &dc::PipelineCounters::retained_kmers},
+      {"purged_keys", &dc::PipelineCounters::purged_keys},
+      {"overlap_tasks", &dc::PipelineCounters::overlap_tasks},
+      {"read_pairs", &dc::PipelineCounters::read_pairs},
+      {"seeds_after_filter", &dc::PipelineCounters::seeds_after_filter},
+      {"reads_exchanged", &dc::PipelineCounters::reads_exchanged},
+      {"read_bytes_exchanged", &dc::PipelineCounters::read_bytes_exchanged},
+      {"pairs_aligned", &dc::PipelineCounters::pairs_aligned},
+      {"alignments_computed", &dc::PipelineCounters::alignments_computed},
+      {"dp_cells", &dc::PipelineCounters::dp_cells},
+      {"alignments_reported", &dc::PipelineCounters::alignments_reported},
+      {"chain_anchors", &dc::PipelineCounters::chain_anchors},
+      {"chain_dropped_seeds", &dc::PipelineCounters::chain_dropped_seeds},
+      {"sg_contained_reads", &dc::PipelineCounters::sg_contained_reads},
+      {"sg_internal_records", &dc::PipelineCounters::sg_internal_records},
+      {"sg_dovetail_edges", &dc::PipelineCounters::sg_dovetail_edges},
+      {"sg_edges_removed", &dc::PipelineCounters::sg_edges_removed},
+      {"sg_edges_surviving", &dc::PipelineCounters::sg_edges_surviving},
+      {"sg_unitigs", &dc::PipelineCounters::sg_unitigs},
+      {"sg_components", &dc::PipelineCounters::sg_components},
+      {"peak_resident_read_bytes", &dc::PipelineCounters::peak_resident_read_bytes},
+      {"packed_read_bytes", &dc::PipelineCounters::packed_read_bytes},
+      {"block_loads", &dc::PipelineCounters::block_loads},
+      {"block_evictions", &dc::PipelineCounters::block_evictions},
+      {"spill_bytes", &dc::PipelineCounters::spill_bytes},
+      {"spill_runs", &dc::PipelineCounters::spill_runs},
+      {"comm_chunk_retries", &dc::PipelineCounters::comm_chunk_retries},
+      {"comm_chunk_redeliveries", &dc::PipelineCounters::comm_chunk_redeliveries},
+      {"comm_corrupt_chunks", &dc::PipelineCounters::comm_corrupt_chunks},
+      {"ranks", &dc::PipelineCounters::ranks},
+  };
+  // The map's 34 u64 fields plus max_kmer_count (u32, padded).
+  static_assert(sizeof(dc::PipelineCounters) == 35 * sizeof(u64),
+                "a new PipelineCounters field needs a counters.tsv row and an entry here");
+
+  auto sim = dibella::simgen::make_dataset(dibella::simgen::tiny_test());
+  const std::string ckpt_dir = ::testing::TempDir() + "/dibella_obs_counters_ckpt";
+  std::filesystem::remove_all(ckpt_dir);
+  for (bool checkpointed : {false, true}) {
+    SCOPED_TRACE(checkpointed ? "checkpoint_dir set" : "no checkpoint_dir");
+    dibella::comm::World world(2);
+    auto cfg = obs_config(true, /*spans=*/false, /*blocks=*/2);
+    cfg.eval = false;  // no truth table in this test
+    if (checkpointed) cfg.checkpoint_dir = ckpt_dir;
+    const auto out = run_pipeline(world, sim.reads, cfg);
+    ASSERT_EQ(out.checkpoint_io.has_value(), checkpointed);
+
+    std::ostringstream os;
+    out.write_counters_tsv(os);
+    std::istringstream lines(os.str());
+    std::string line;
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_EQ(line, "#schema=2");
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_EQ(line, "counter\tvalue");
+    std::vector<std::string> names;
+    std::map<std::string, u64> rows;
+    while (std::getline(lines, line)) {
+      const auto tab = line.find('\t');
+      ASSERT_NE(tab, std::string::npos) << line;
+      names.push_back(line.substr(0, tab));
+      rows[names.back()] = std::stoull(line.substr(tab + 1));
+    }
+    for (std::size_t i = 1; i < names.size(); ++i) {
+      EXPECT_LT(names[i - 1], names[i]) << "rows not strictly ascending";
+    }
+
+    const dc::PipelineCounters& c = out.counters;
+    std::map<std::string, u64> want;
+    for (const auto& [name, field] : fields) want[name] = c.*field;
+    want["max_kmer_count"] = c.max_kmer_count;
+    want["sketch_density_ppm"] = c.sketch_seeds_kept * 1'000'000 / c.sketch_windows;
+    if (checkpointed) {
+      want["checkpoint_payloads_written"] = out.checkpoint_io->payloads_written;
+      want["checkpoint_bytes_written"] = out.checkpoint_io->bytes_written;
+      want["checkpoint_payloads_read"] = out.checkpoint_io->payloads_read;
+      want["checkpoint_bytes_read"] = out.checkpoint_io->bytes_read;
+      EXPECT_GT(out.checkpoint_io->payloads_written, 0u);
+    }
+    EXPECT_EQ(rows, want);
+    EXPECT_EQ(rows.count("spill_write_bytes"), 0u);
+  }
+  std::filesystem::remove_all(ckpt_dir);
 }
 
 TEST(ObsPipeline, ChromeTraceExportHasPerRankTracksAndAsyncExchanges) {
@@ -491,7 +479,10 @@ TEST(ObsPipeline, SpansOffMeansNoTraceAllocated) {
   cfg.eval = false;  // no truth table in this test
   auto out = run_pipeline(world, sim.reads, cfg);
   EXPECT_TRUE(out.span_trace == nullptr);
-  EXPECT_GT(out.metrics.size(), 0u);  // metrics are always collected
+  // Counters are always collected.
+  std::ostringstream counters;
+  out.write_counters_tsv(counters);
+  EXPECT_NE(counters.str().find("\nalignments_reported\t"), std::string::npos);
 }
 
 // --- kernel batches: one instrumentation call ------------------------------
