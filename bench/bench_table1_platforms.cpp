@@ -43,7 +43,6 @@ int main() {
   const int P = nodes * rpn;
   std::vector<comm::ExchangeRecord> call(static_cast<std::size_t>(P));
   for (int r = 0; r < P; ++r) {
-    call[static_cast<std::size_t>(r)].op = comm::CollectiveOp::kExchange;
     call[static_cast<std::size_t>(r)].bytes_to_peer.assign(static_cast<std::size_t>(P),
                                                            1u << 20);
     call[static_cast<std::size_t>(r)].bytes_to_peer[static_cast<std::size_t>(r)] = 0;

@@ -3,8 +3,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 
+#include "comm/exchanger.hpp"
 #include "comm/world.hpp"
 #include "util/env.hpp"
 
@@ -15,32 +17,17 @@ namespace {
 // ---- on-disk cache of ScalingRun vectors --------------------------------
 // A simple versioned little-endian binary format; bump kCacheVersion when
 // any serialized structure changes.
-constexpr u64 kCacheVersion = 4;
+constexpr u64 kCacheVersion = 5;
 
 void put_u64(std::ostream& os, u64 v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
-u64 get_u64(std::istream& is) {
-  u64 v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
-}
 void put_f64(std::ostream& os, double v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-double get_f64(std::istream& is) {
-  double v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
 }
 void put_str(std::ostream& os, const std::string& s) {
   put_u64(os, s.size());
   os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-std::string get_str(std::istream& is) {
-  std::string s(get_u64(is), '\0');
-  is.read(s.data(), static_cast<std::streamsize>(s.size()));
-  return s;
 }
 
 void save_runs(const std::string& path, const std::vector<ScalingRun>& runs) {
@@ -77,7 +64,6 @@ void save_runs(const std::string& path, const std::vector<ScalingRun>& runs) {
       put_u64(os, log.size());
       for (const auto& rec : log) {
         put_u64(os, rec.seq);
-        put_u64(os, static_cast<u64>(rec.op));
         put_str(os, rec.stage);
         put_f64(os, rec.wall_seconds);
         put_f64(os, rec.hidden_wall_seconds);
@@ -88,67 +74,129 @@ void save_runs(const std::string& path, const std::vector<ScalingRun>& runs) {
   }
 }
 
-bool load_runs(const std::string& path, std::vector<ScalingRun>* runs) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) return false;
-  if (get_u64(is) != kCacheVersion) return false;
-  std::size_t n = get_u64(is);
-  runs->clear();
-  for (std::size_t r = 0; r < n; ++r) {
-    ScalingRun run;
-    run.nodes = static_cast<int>(get_u64(is));
-    run.ranks = static_cast<int>(get_u64(is));
+/// A count of items that take at least `min_item_bytes` each, checked
+/// against the bytes left before anything is sized from it.
+std::size_t get_count(comm::ByteReader& in, u64 min_item_bytes) {
+  const u64 n = in.read<u64>();
+  DIBELLA_CHECK(n <= in.remaining() / min_item_bytes, "bench cache: count past the end");
+  return static_cast<std::size_t>(n);
+}
+
+/// A per-rank vector's length, which must equal the run's rank count.
+std::size_t get_rank_count(comm::ByteReader& in, int ranks) {
+  DIBELLA_CHECK(in.read<u64>() == static_cast<u64>(ranks), "bench cache: rank count");
+  return static_cast<std::size_t>(ranks);
+}
+
+std::string get_str(comm::ByteReader& in) {
+  const u64 n = in.read<u64>();
+  return std::string(reinterpret_cast<const char*>(in.take(n)), n);
+}
+
+/// Smallest serialized run (nodes, ranks, 14 counters, three per-rank
+/// counts), trace event and exchange record (empty strings, no peers): the
+/// per-item floors get_count checks counts against.
+constexpr u64 kMinRunBytes = 19 * sizeof(u64);
+constexpr u64 kMinEventBytes = 5 * sizeof(u64);
+constexpr u64 kMinRecordBytes = 5 * sizeof(u64);
+
+/// The invariants run_scaling's runs hold and the cost model checks: the
+/// run's rank count is its node count times the ranks per node, and on
+/// every rank the i-th exchange event and the i-th record both carry seq i,
+/// with the same number of exchanges on every rank.
+bool consistent(const ScalingRun& run) {
+  if (i64{run.nodes} * bench_ranks_per_node() != run.ranks) return false;
+  const std::size_t calls = run.out.exchange_log.front().size();
+  for (std::size_t r = 0; r < run.out.traces.size(); ++r) {
+    const auto& log = run.out.exchange_log[r];
+    u64 seq = 0;
+    for (const auto& ev : run.out.traces[r].events()) {
+      if (ev.kind == netsim::TraceEvent::Kind::kExchange && ev.exchange_seq != seq++) {
+        return false;
+      }
+    }
+    if (seq != calls || log.size() != calls) return false;
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      if (log[i].seq != i) return false;
+    }
+  }
+  return true;
+}
+
+/// Parse a whole cache file; any failed check throws Error.
+std::vector<ScalingRun> read_runs(comm::ByteReader& in) {
+  DIBELLA_CHECK(in.read<u64>() == kCacheVersion, "bench cache: version");
+  std::vector<ScalingRun> runs(get_count(in, kMinRunBytes));
+  for (auto& run : runs) {
+    run.nodes = static_cast<int>(in.read<u64>());
+    // Every rank has at least its per_rank_pairs_aligned entry below.
+    run.ranks = static_cast<int>(get_count(in, sizeof(u64)));
+    DIBELLA_CHECK(run.ranks >= 1, "bench cache: no ranks");
     auto& c = run.out.counters;
-    c.kmers_parsed = get_u64(is);
-    c.candidate_keys = get_u64(is);
-    c.retained_kmers = get_u64(is);
-    c.purged_keys = get_u64(is);
-    c.overlap_tasks = get_u64(is);
-    c.read_pairs = get_u64(is);
-    c.seeds_after_filter = get_u64(is);
-    c.reads_exchanged = get_u64(is);
-    c.read_bytes_exchanged = get_u64(is);
-    c.pairs_aligned = get_u64(is);
-    c.alignments_computed = get_u64(is);
-    c.dp_cells = get_u64(is);
-    c.alignments_reported = get_u64(is);
-    c.max_kmer_count = static_cast<u32>(get_u64(is));
-    run.out.per_rank_pairs_aligned.resize(get_u64(is));
-    for (auto& v : run.out.per_rank_pairs_aligned) v = get_u64(is);
-    run.out.traces.resize(get_u64(is));
+    for (u64* v : {&c.kmers_parsed, &c.candidate_keys, &c.retained_kmers, &c.purged_keys,
+                   &c.overlap_tasks, &c.read_pairs, &c.seeds_after_filter,
+                   &c.reads_exchanged, &c.read_bytes_exchanged, &c.pairs_aligned,
+                   &c.alignments_computed, &c.dp_cells, &c.alignments_reported}) {
+      *v = in.read<u64>();
+    }
+    c.max_kmer_count = static_cast<u32>(in.read<u64>());
+    run.out.per_rank_pairs_aligned.resize(get_rank_count(in, run.ranks));
+    for (auto& v : run.out.per_rank_pairs_aligned) v = in.read<u64>();
+    run.out.traces.resize(get_rank_count(in, run.ranks));
     for (auto& trace : run.out.traces) {
-      std::size_t events = get_u64(is);
+      const std::size_t events = get_count(in, kMinEventBytes);
       for (std::size_t e = 0; e < events; ++e) {
-        auto kind = static_cast<netsim::TraceEvent::Kind>(get_u64(is));
-        std::string stage = get_str(is);
-        double cpu = get_f64(is);
-        u64 ws = get_u64(is);
-        u64 seq = get_u64(is);
-        if (kind == netsim::TraceEvent::Kind::kCompute) {
-          trace.add_compute(std::move(stage), cpu, ws);
-        } else if (kind == netsim::TraceEvent::Kind::kExchangeStart) {
-          trace.add_exchange_start();
-        } else {
-          trace.add_exchange(seq);
+        const u64 kind = in.read<u64>();
+        std::string stage = get_str(in);
+        const double cpu = in.read<double>();
+        const u64 ws = in.read<u64>();
+        const u64 seq = in.read<u64>();
+        switch (static_cast<netsim::TraceEvent::Kind>(kind)) {
+          case netsim::TraceEvent::Kind::kCompute:
+            trace.add_compute(std::move(stage), cpu, ws);
+            break;
+          case netsim::TraceEvent::Kind::kExchange:
+            trace.add_exchange(seq);
+            break;
+          case netsim::TraceEvent::Kind::kExchangeStart:
+            trace.add_exchange_start();
+            break;
+          default:
+            throw Error("bench cache: unknown trace event kind");
         }
       }
     }
-    run.out.exchange_log.resize(get_u64(is));
+    run.out.exchange_log.resize(get_rank_count(in, run.ranks));
     for (auto& log : run.out.exchange_log) {
-      log.resize(get_u64(is));
+      log.resize(get_count(in, kMinRecordBytes));
       for (auto& rec : log) {
-        rec.seq = get_u64(is);
-        rec.op = static_cast<comm::CollectiveOp>(get_u64(is));
-        rec.stage = get_str(is);
-        rec.wall_seconds = get_f64(is);
-        rec.hidden_wall_seconds = get_f64(is);
-        rec.bytes_to_peer.resize(get_u64(is));
-        for (auto& b : rec.bytes_to_peer) b = get_u64(is);
+        rec.seq = in.read<u64>();
+        rec.stage = get_str(in);
+        rec.wall_seconds = in.read<double>();
+        rec.hidden_wall_seconds = in.read<double>();
+        rec.bytes_to_peer.resize(get_rank_count(in, run.ranks));
+        for (auto& b : rec.bytes_to_peer) b = in.read<u64>();
       }
     }
-    runs->push_back(std::move(run));
+    DIBELLA_CHECK(consistent(run), "bench cache: inconsistent run");
   }
-  return is.good();
+  DIBELLA_CHECK(in.empty(), "bench cache: trailing bytes");
+  return runs;
+}
+
+/// Load a cache file; a missing, stale or corrupt one is a miss.
+bool load_runs(const std::string& path, std::vector<ScalingRun>* runs) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is.good()) return false;
+  const std::vector<u8> bytes{std::istreambuf_iterator<char>(is),
+                              std::istreambuf_iterator<char>()};
+  comm::ByteReader in(bytes);
+  try {
+    *runs = read_runs(in);
+  } catch (const Error&) {
+    return false;
+  }
+  return true;
 }
 
 std::string cache_path(const std::string& key) {

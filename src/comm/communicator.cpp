@@ -2,7 +2,6 @@
 
 #include "comm/detail/world_state.hpp"
 #include "comm/fault.hpp"
-#include "util/timer.hpp"
 
 namespace dibella::comm {
 
@@ -11,24 +10,14 @@ Communicator::Communicator(detail::WorldState& state, int rank)
   DIBELLA_CHECK(rank >= 0 && rank < size_, "Communicator: rank out of range");
 }
 
-void Communicator::barrier() {
-  fault_point();
-  util::WallTimer timer;
-  ExchangeRecord rec = start_record(CollectiveOp::kBarrier);
-  state_.fence(epoch_);
-  advance_epoch();
-  finish_record(std::move(rec), timer.seconds());
-}
-
 u64 Communicator::fault_point() {
   const u64 index = stage_collective_index_[stage_]++;
   if (fault_plan_) fault_plan_->maybe_abort(stage_, index, rank_);
   return index;
 }
 
-ExchangeRecord Communicator::start_record(CollectiveOp op) {
+ExchangeRecord Communicator::start_record() {
   ExchangeRecord rec;
-  rec.op = op;
   rec.stage = stage_;
   rec.bytes_to_peer.assign(static_cast<std::size_t>(size_), 0);
   return rec;

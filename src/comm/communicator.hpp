@@ -1,16 +1,20 @@
 #pragma once
 /// \file communicator.hpp
 /// Per-rank handle on the in-process World: rank and size, the stage tag
-/// every exchange record carries, the record and exchange-start sinks, the
-/// collective epoch, and the one blocking collective, barrier().
+/// every exchange record carries, the record and exchange-start sinks, and
+/// the collective epoch. It moves no payload and has no collective of its
+/// own.
 ///
-/// Every payload between ranks travels through comm::Exchanger
-/// (exchanger.hpp): each flush deposits one CRC-framed, epoch-tagged message
-/// per peer into the World's mailbox slots and the matching wait() consumes
-/// them, retransmitting from the sender's replay copy when a message is lost
-/// or mangled. There is no unframed payload path. Operations are collective:
-/// every rank calls barrier() and flushes in the same order (standard SPMD
-/// contract), and each one consumes exactly one epoch.
+/// Every payload and every synchronization between ranks is a
+/// comm::Exchanger round (exchanger.hpp): each flush deposits one
+/// CRC-framed, epoch-tagged message per peer into the World's mailbox slots
+/// and the matching wait() consumes them, retransmitting from the sender's
+/// replay copy when a message is lost or mangled. There is no unframed
+/// payload path. Rounds are collective: every rank flushes the same number
+/// of times in the same order (standard SPMD contract), and each flush
+/// consumes exactly one epoch. An empty round (flush_async then wait with
+/// nothing posted) is the barrier: no rank's wait() returns before every
+/// rank has flushed.
 
 #include <functional>
 #include <map>
@@ -53,26 +57,23 @@ class Communicator {
     start_sink_ = std::move(sink);
   }
 
-  /// Synchronize all ranks (the World's single phase fence).
-  void barrier();
-
  private:
   friend class Exchanger;
 
-  /// Every collective operation (barriers and Exchanger flushes alike)
-  /// announces itself here before touching the wire: the call assigns
-  /// the operation's 0-based index within the current stage on this rank —
-  /// the `epoch` coordinate of `--inject-fault=kind@stage:epoch[:rank]` —
-  /// and throws RankFailure if an unfired abort spec matches. Returns the
-  /// index so the Exchanger can also match transport faults against it.
+  /// Every Exchanger flush announces itself here before touching the wire:
+  /// the call assigns the flush's 0-based index within the current stage on
+  /// this rank — the `epoch` coordinate of
+  /// `--inject-fault=kind@stage:epoch[:rank]` — and throws RankFailure if an
+  /// unfired abort spec matches. Returns the index so the Exchanger can also
+  /// match transport faults against it.
   u64 fault_point();
 
-  ExchangeRecord start_record(CollectiveOp op);
+  ExchangeRecord start_record();
   void finish_record(ExchangeRecord rec, double wall_seconds);
 
-  /// Move to the next collective epoch; every collective (the barrier and
-  /// each Exchanger flush) consumes exactly one epoch on every rank, which is
-  /// what keeps mailbox tags aligned across ranks.
+  /// Move to the next collective epoch; every Exchanger flush consumes
+  /// exactly one epoch on every rank, which is what keeps mailbox tags
+  /// aligned across ranks.
   void advance_epoch() { ++epoch_; }
 
   detail::WorldState& state_;

@@ -39,20 +39,21 @@ struct MailboxMessage {
 };
 
 /// Shared state of all ranks of a World: per-peer mailbox slots used to move
-/// payload bytes between ranks, a single generation-counting phase fence with
-/// poison support, and the per-rank exchange-record logs.
+/// payload bytes between ranks, the poison flag, and the per-rank
+/// exchange-record logs.
 ///
 /// One deposit path and one consume path move every payload: a sender's
 /// Exchanger flush deposits one epoch-tagged, framed message into each
 /// (src, dst) mailbox and continues immediately (deposits never block, so
 /// two ranks flushing at each other cannot deadlock); the receiver consumes
 /// the message matching its own epoch, blocking only until that specific
-/// deposit arrives. Payload exchange therefore needs no whole-world synchronization
-/// — the only fence is the explicit barrier() collective. A consume or fence
-/// that waits longer than the timeout poisons the world, so mismatched
-/// collective sequences abort instead of deadlocking. Mailbox depth is
-/// unbounded, but bounded in practice by the SPMD discipline: the Exchanger
-/// keeps at most one flush in flight and drains every epoch it flushes.
+/// deposit arrives. Exchange therefore needs no whole-world synchronization;
+/// an empty round (every message without payload) serves as the barrier. A
+/// consume that waits longer than the timeout poisons the world, so
+/// mismatched collective sequences abort instead of deadlocking. Mailbox
+/// depth is unbounded, but bounded in practice by the SPMD discipline: the
+/// Exchanger keeps at most one flush in flight and drains every epoch it
+/// flushes.
 ///
 /// deposit() stores the wire copy and the sender-side replay copy under one
 /// lock, so a receiver in consume() that sees the replay entry without a
@@ -159,12 +160,17 @@ class WorldState {
   /// retry; bounded, exponential backoff). Successful consumption purges
   /// every other wire copy of the same message (duplicate deliveries, late
   /// delayed originals) so redelivery is idempotent.
+  ///
+  /// Poison is honoured only once the message is neither in the box nor in
+  /// the replay buffer: a message deposited before a sibling failed is still
+  /// delivered, so a round every rank completed returns everywhere (rank 0
+  /// may then mark a checkpoint whose payloads are all durable) and the
+  /// failure surfaces at the rank's next consume.
   MailboxMessage consume(int src, int dst, u64 epoch) {
     std::unique_lock<std::mutex> lock(mutex_);
     auto& box = mailbox(src, dst);
     u32 attempts = 0;
     while (true) {
-      if (poisoned_) throw WorldPoisoned();
       const auto now = std::chrono::steady_clock::now();
       bool rescan = false;
       for (auto it = box.begin(); it != box.end(); ++it) {
@@ -217,10 +223,10 @@ class WorldState {
           // Exponential backoff between repeated retransmissions.
           rank_cv_[static_cast<std::size_t>(dst)].wait_for(
               lock, std::chrono::milliseconds(1LL << attempts));
-          if (poisoned_) throw WorldPoisoned();
         }
         continue;
       }
+      if (poisoned_) throw WorldPoisoned();
       // Wake on a new wire copy, or on the replay entry alone: a message
       // dropped in transit reaches the replay buffer but never the box, so
       // a box-size test by itself would sleep through it until the timeout.
@@ -230,7 +236,6 @@ class WorldState {
             return box.size() != seen || poisoned_ ||
                    find_replay(src, dst, epoch) != nullptr;
           });
-      if (poisoned_) throw WorldPoisoned();
       if (!ok) {
         poison_locked(std::make_exception_ptr(CommFailure(
             "exchange timeout: ranks executed mismatched collective sequences")));
@@ -278,44 +283,7 @@ class WorldState {
     return total;
   }
 
-  /// The single phase fence: synchronize all ranks, verifying they agree on
-  /// the collective epoch. Throws WorldPoisoned if any rank failed.
-  void fence(u64 epoch) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (poisoned_) throw WorldPoisoned();
-    if (arrived_ == 0) {
-      fence_epoch_ = epoch;
-    } else if (epoch != fence_epoch_) {
-      poison_locked(std::make_exception_ptr(CommFailure(
-          "collective sequence mismatch: ranks disagree on barrier epoch (" +
-          std::to_string(epoch) + " vs " + std::to_string(fence_epoch_) + ")")));
-      throw WorldPoisoned();
-    }
-    u64 gen = generation_;
-    if (++arrived_ == ranks_) {
-      arrived_ = 0;
-      ++generation_;
-      cv_.notify_all();
-      return;
-    }
-    bool ok = cv_.wait_for(lock, std::chrono::duration<double>(timeout_),
-                           [&] { return generation_ != gen || poisoned_; });
-    // Every rank arrived: the fence completed, even if a rank that left it
-    // first has failed since. That failure surfaces at this rank's next
-    // collective; work ordered after the fence (a checkpoint's completion
-    // mark) must still run.
-    if (generation_ != gen) return;
-    if (poisoned_) throw WorldPoisoned();
-    if (!ok) {
-      // A rank never arrived: collective sequence mismatch or runaway
-      // compute. Poison so everything unwinds instead of hanging.
-      poison_locked(std::make_exception_ptr(CommFailure(
-          "barrier timeout: ranks executed mismatched collective sequences")));
-      throw WorldPoisoned();
-    }
-  }
-
-  /// Record a failure; wakes all mailbox and fence waiters. First failure wins.
+  /// Record a failure; wakes every mailbox waiter. First failure wins.
   void poison(std::exception_ptr error) {
     std::lock_guard<std::mutex> lock(mutex_);
     poison_locked(std::move(error));
@@ -338,7 +306,6 @@ class WorldState {
     std::lock_guard<std::mutex> lock(mutex_);
     poisoned_ = false;
     first_error_ = nullptr;
-    arrived_ = 0;
     for (auto& box : mailboxes_) box.clear();
     for (auto& r : replay_) r.clear();
     for (auto& s : fault_stats_) s = CommFaultStats{};
@@ -380,7 +347,6 @@ class WorldState {
       poisoned_ = true;
       first_error_ = std::move(error);
     }
-    cv_.notify_all();
     for (auto& cv : rank_cv_) cv.notify_all();
   }
 
@@ -395,14 +361,9 @@ class WorldState {
   std::vector<std::vector<ExchangeRecord>> records_;  // written by owner rank only
 
   mutable std::mutex mutex_;
-  /// Fence/generation waiters (every rank sleeps here at a barrier).
-  std::condition_variable cv_;
   /// Per-destination-rank mailbox waiters: rank r's thread is the only
   /// consumer of its mailboxes, so deposits for r wake rank_cv_[r] alone.
   std::vector<std::condition_variable> rank_cv_;
-  int arrived_ = 0;
-  u64 generation_ = 0;
-  u64 fence_epoch_ = 0;  ///< epoch claimed by the fence's first arriver
   bool poisoned_ = false;
   std::exception_ptr first_error_;
   std::shared_ptr<const FaultPlan> fault_plan_;

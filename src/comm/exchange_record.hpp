@@ -1,16 +1,18 @@
 #pragma once
 /// \file exchange_record.hpp
-/// Per-collective communication accounting.
+/// Per-exchange communication accounting.
 ///
-/// Every collective a rank executes produces one ExchangeRecord describing
-/// exactly what an MPI implementation would have put on the wire: the
-/// destination-resolved byte counts. The netsim cost model replays these
-/// records against a platform description (Table 1) to produce the paper's
-/// cross-architecture exchange times — see netsim/cost_model.hpp.
+/// Every Exchanger flush/wait pair a rank executes produces one
+/// ExchangeRecord describing exactly what an MPI implementation would have
+/// put on the wire: the destination-resolved byte counts of a batched
+/// irregular all-to-all (the wire pattern of MPI_Alltoallv). The netsim cost
+/// model replays these records against a platform description (Table 1) to
+/// produce the paper's cross-architecture exchange times — see
+/// netsim/cost_model.hpp.
 ///
 /// Self-destination bytes are never recorded: a rank's payload to itself
 /// stays in memory and an MPI implementation would not put it on the wire,
-/// so `bytes_to_peer[self]` is always 0 for every collective kind.
+/// so `bytes_to_peer[self]` is always 0.
 
 #include <string>
 #include <vector>
@@ -19,31 +21,19 @@
 
 namespace dibella::comm {
 
-/// Collective operation kinds. kExchange is one Exchanger flush/wait pair:
-/// a batched irregular all-to-all (the wire pattern of MPI_Alltoallv),
-/// issued with flush_async()/wait() so the transfer can overlap local
-/// compute. Every payload between ranks travels as one.
-enum class CollectiveOp : u8 {
-  kBarrier,
-  kExchange,
-};
-
-const char* collective_op_name(CollectiveOp op);
-
-/// One rank's view of one collective call.
+/// One rank's view of one exchange.
 struct ExchangeRecord {
-  u64 seq = 0;                   ///< collective sequence number (aligned across ranks)
-  CollectiveOp op = CollectiveOp::kBarrier;
+  u64 seq = 0;                   ///< exchange sequence number (aligned across ranks)
   std::string stage;             ///< pipeline stage tag active at call time
   std::vector<u64> bytes_to_peer;  ///< bytes this rank sent to each peer (size P, self = 0)
-  double wall_seconds = 0.0;     ///< measured wall time the rank was blocked in the call
+  double wall_seconds = 0.0;     ///< measured wall time the rank was blocked in wait()
   /// Measured wall time between flush_async() and wait() during which the
-  /// exchange was in flight while this rank computed (kExchange only; 0 for
-  /// the barrier). The cost model's exposed/hidden split is virtual
-  /// (trace-derived); this is the measured counterpart.
+  /// exchange was in flight while this rank computed. The cost model's
+  /// exposed/hidden split is virtual (trace-derived); this is the measured
+  /// counterpart.
   double hidden_wall_seconds = 0.0;
   /// Replay retransmissions this rank requested while receiving this batch
-  /// (kExchange only; nonzero only under injected transport faults).
+  /// (nonzero only under injected transport faults).
   u64 retries = 0;
 
   u64 total_bytes() const {

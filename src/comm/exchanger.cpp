@@ -79,7 +79,7 @@ RecvBatch Exchanger::wait() {
   comm_.state_.ack_exchange_epoch(comm_.rank(), flight_epoch_);
   in_flight_ = false;
 
-  ExchangeRecord rec = comm_.start_record(CollectiveOp::kExchange);
+  ExchangeRecord rec = comm_.start_record();
   for (int d = 0; d < P; ++d) {
     if (d != comm_.rank()) {
       rec.bytes_to_peer[static_cast<std::size_t>(d)] =

@@ -37,11 +37,10 @@
 /// in which every sender (including self) reported done. All ranks observe
 /// the same done bits for a given epoch, so the decision is SPMD-consistent.
 ///
-/// Accounting: each flush/wait pair produces one ExchangeRecord with op
-/// kExchange. wall_seconds measures only the time blocked inside wait()
-/// (the *exposed* exchange time); hidden_wall_seconds measures the
-/// flush-to-wait window in which the exchange was concurrent with compute.
-/// The flush also fires the communicator's exchange-start sink so the rank
+/// Accounting: each flush/wait pair produces one ExchangeRecord.
+/// wall_seconds measures only the time blocked inside wait() (the *exposed*
+/// exchange time); hidden_wall_seconds measures the flush-to-wait window in
+/// which the exchange was concurrent with compute. The flush also fires the communicator's exchange-start sink so the rank
 /// trace brackets the compute-concurrent window for the cost model's
 /// virtual exposed/hidden split (empty at depth 0: fully exposed).
 

@@ -8,12 +8,11 @@
 /// `--inject-fault=kind@stage:epoch[:rank]` syntax (comma-separated for
 /// several). `stage` is the pipeline stage tag the communicator is in
 /// (bloom | ht | overlap | align | sgraph), `epoch` is the 0-based index of
-/// a collective operation within that stage on the injecting `rank`
-/// (default rank 0) — every barrier and every Exchanger flush counts one. A spec arms at the first *opportunity*
-/// at or after its epoch: abort faults fire at the matching collective of
-/// either kind; transport faults need an Exchanger flush (the framed message
-/// path every payload travels, under either --overlap-comm schedule), so
-/// they fire at the stage's first flush at or after the epoch.
+/// an Exchanger flush within that stage on the injecting `rank` (default
+/// rank 0) — every flush counts one, the empty round that closes a stage's
+/// checkpoint included. A spec arms at the first flush at or after its
+/// epoch, under either --overlap-comm schedule: an abort fault throws
+/// there, a transport fault mangles one of its messages.
 ///
 /// Transport faults mangle exactly one wire message of the matched flush
 /// (the whole payload to neighbour (rank+1) % P; at one rank, the payload

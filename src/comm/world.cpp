@@ -9,17 +9,9 @@
 
 namespace dibella::comm {
 
-const char* collective_op_name(CollectiveOp op) {
-  switch (op) {
-    case CollectiveOp::kBarrier: return "barrier";
-    case CollectiveOp::kExchange: return "exchange";
-  }
-  return "unknown";
-}
-
-World::World(int ranks, double barrier_timeout_seconds) : ranks_(ranks) {
+World::World(int ranks, double timeout_seconds) : ranks_(ranks) {
   DIBELLA_CHECK(ranks >= 1, "World needs at least 1 rank");
-  state_ = std::make_shared<detail::WorldState>(ranks, barrier_timeout_seconds);
+  state_ = std::make_shared<detail::WorldState>(ranks, timeout_seconds);
 }
 
 World::~World() = default;

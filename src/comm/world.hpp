@@ -1,25 +1,23 @@
 #pragma once
 /// \file world.hpp
 /// The SPMD execution substrate: P "ranks" run as OS threads inside one
-/// process, communicating only through collectives on a Communicator (see
-/// communicator.hpp): comm::Exchanger flushes and barrier().
+/// process, communicating only through comm::Exchanger rounds on a
+/// Communicator (see communicator.hpp).
 ///
 /// This substitutes for MPI in the paper's design (README "Communication
 /// substrate"): pipeline code is written exactly as an MPI program would
-/// be — per-destination buffers, irregular all-to-all exchanges, barriers —
-/// and every byte that would cross the network is recorded per (src, dst)
-/// pair for the network cost model. Payloads move through per-peer mailbox
-/// slots as CRC-framed messages tagged with the sender's collective epoch,
-/// one per peer per flush: a flush deposits for its destinations without
-/// blocking and wait() consumes from its sources as their deposits arrive,
-/// so ranks synchronize only
-/// pairwise and only on the data they actually need — which is what lets
-/// comm::Exchanger overlap an in-flight batch with local compute. barrier()
-/// is the one whole-world phase fence. Rank failures (and collective
-/// timeouts or barrier-epoch mismatches, i.e. mismatched collective
-/// sequences) poison the world so sibling ranks blocked in collectives
-/// terminate instead of deadlocking, and the first exception is rethrown
-/// from World::run.
+/// be — per-destination buffers, irregular all-to-all exchanges — and every
+/// byte that would cross the network is recorded per (src, dst) pair for
+/// the network cost model. Payloads move through per-peer mailbox slots as
+/// CRC-framed messages tagged with the sender's collective epoch, one per
+/// peer per flush: a flush deposits for its destinations without blocking
+/// and wait() consumes from its sources as their deposits arrive, so ranks
+/// synchronize only pairwise and only on the data they actually need —
+/// which is what lets comm::Exchanger overlap an in-flight batch with local
+/// compute. An empty round is the whole-world barrier. Rank failures (and
+/// exchange timeouts, i.e. mismatched collective sequences) poison the
+/// world so sibling ranks blocked in a wait() terminate instead of
+/// deadlocking, and the first exception is rethrown from World::run.
 
 #include <functional>
 #include <memory>
@@ -36,8 +34,8 @@ namespace detail {
 class WorldState;
 }
 
-/// Base of every comm-substrate failure that poisons the World: collective
-/// timeouts, mismatched collective sequences, exhausted message
+/// Base of every comm-substrate failure that poisons the World: exchange
+/// timeouts (mismatched collective sequences), exhausted message
 /// retransmissions, and injected rank aborts (RankFailure, fault.hpp). The
 /// driver maps this family to its own exit code (poisoned-world abort)
 /// distinct from ordinary runtime errors.
@@ -66,10 +64,10 @@ struct CommFaultStats {
 /// A fixed-size group of SPMD ranks.
 class World {
  public:
-  /// Create a world of `ranks` ranks. Barrier or mailbox waits exceeding
-  /// `barrier_timeout_seconds` abort the run (guards against mismatched
-  /// collective sequences, which would otherwise deadlock).
-  explicit World(int ranks, double barrier_timeout_seconds = 300.0);
+  /// Create a world of `ranks` ranks. A mailbox wait exceeding
+  /// `timeout_seconds` aborts the run (guards against mismatched collective
+  /// sequences, which would otherwise deadlock).
+  explicit World(int ranks, double timeout_seconds = 300.0);
   ~World();
 
   World(const World&) = delete;
@@ -85,7 +83,7 @@ class World {
 
   /// All exchange records accumulated so far, indexed [rank][call].
   /// Records are aligned: records[r][i] across ranks r describe the same
-  /// collective (same seq).
+  /// exchange (same seq).
   std::vector<std::vector<ExchangeRecord>> exchange_records() const;
 
   /// Drop accumulated exchange records (e.g. between benchmark repetitions).

@@ -6,7 +6,8 @@
 /// checksummed snapshot of the state the *next* stage needs — the candidate
 /// key set (stage 1), the full k-mer table shard (stage 2), the owned
 /// alignment tasks (stage 3), the sorted alignment records (stage 4) — and
-/// rank 0 appends a completion line to the manifest once a barrier
+/// rank 0 appends a completion line to the manifest once an empty exchange
+/// round, which every rank enters only after writing its payload,
 /// guarantees every payload is durable. A run restarted with --resume opens
 /// the set, validates the run fingerprint (reads + the config fields that
 /// determine the outputs; a checkpoint from a different input or parameter
@@ -75,7 +76,7 @@ u32 checkpoint_fingerprint(const std::vector<io::Read>& reads,
 
 /// One run's checkpoint directory: manifest + per-rank stage payloads.
 /// write_payload is thread-safe across ranks (distinct files, no shared
-/// mutation); mark_complete is rank 0's alone, after a barrier.
+/// mutation); mark_complete is rank 0's alone, after the empty round.
 class CheckpointSet {
  public:
   /// Create (or reset) the checkpoint directory for a fresh run and write
@@ -109,7 +110,7 @@ class CheckpointSet {
   std::vector<u8> read_payload(CheckpointStage stage, int rank) const;
 
   /// Append the completion line for `stage` to the manifest. Call only after
-  /// a barrier has made every rank's payload durable.
+  /// an empty exchange round has made every rank's payload durable.
   void mark_complete(CheckpointStage stage);
 
   /// Checkpoint I/O accounting (payload bytes only; frame overhead and the

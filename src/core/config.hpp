@@ -74,7 +74,6 @@ struct PipelineConfig {
   bool stage5 = false;          ///< classify + reduce + lay out the string graph
   i32 min_overlap_score = 0;    ///< drop records below this before the graph
   u32 sgraph_fuzz = sgraph::kDefaultFuzz;  ///< end tolerance (bp) for classification
-  u64 batch_graph_bytes = 1u << 20;  ///< stage-5 bytes per destination per batch
 
   // --- fault tolerance (src/core/checkpoint.hpp)
   /// Directory for stage checkpoints (empty = checkpointing off). Each
@@ -96,15 +95,12 @@ struct PipelineConfig {
   /// input). Purely additive: PAF/GFA/eval outputs and counters.tsv are
   /// byte-identical with spans on or off.
   bool collect_spans = false;
-  /// Per-rank span ring capacity (events); oldest events drop on overflow.
-  u64 span_events_per_rank = u64{1} << 17;
 
   // --- ground-truth evaluation (src/eval/; needs a TruthTable at run time)
   /// Score the run against ground truth: overlap recall/precision/F1 plus
   /// stage-5 unitig fidelity. run_pipeline must be handed the truth table.
   bool eval = false;
   u64 eval_min_overlap = 2000;  ///< genomic bases that make a pair a true overlap
-  u32 eval_len_bin = 500;       ///< recall-histogram bin width (bases)
 
   /// Resolved high-frequency ceiling (max_kmer_count, or the BELLA model
   /// value when max_kmer_count == 0).

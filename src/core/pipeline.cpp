@@ -205,10 +205,7 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
 
   // Observability: one wallclock span lane per rank when tracing is on.
   std::shared_ptr<obs::Trace> span_trace;
-  if (config.collect_spans) {
-    span_trace = std::make_shared<obs::Trace>(
-        P, static_cast<std::size_t>(config.span_events_per_rank));
-  }
+  if (config.collect_spans) span_trace = std::make_shared<obs::Trace>(P);
 
   // Per-rank result slots (each rank writes only its own index).
   std::vector<netsim::RankTrace> traces(static_cast<std::size_t>(P));
@@ -258,17 +255,21 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
         std::find(config.degraded_ranks.begin(), config.degraded_ranks.end(),
                   comm.rank()) != config.degraded_ranks.end();
 
-    // Persist a completed stage: every rank writes its payload, a barrier
-    // makes them all durable, then rank 0 alone appends the manifest line.
-    // Any abort past the barrier therefore sees the stage as complete, and
-    // any abort before it sees the stage as absent — never half a set.
+    // Persist a completed stage: every rank writes its payload, then runs
+    // one empty exchange round. Each rank flushes only after its payload is
+    // written, so rank 0's wait() returns only once every payload is
+    // durable, and rank 0 alone then appends the manifest line. Any abort
+    // past the round therefore sees the stage as complete, and any abort
+    // before it sees the stage as absent — never half a set.
     const auto checkpoint_stage = [&](CheckpointStage stage, auto&& write_payload) {
       if (!ckpt) return;
       {
         obs::Span io_span = ctx.span("checkpoint:write");
         write_payload();
       }
-      comm.barrier();
+      comm::Exchanger ex(comm);
+      ex.flush_async(/*done=*/true);
+      ex.wait();
       if (comm.rank() == 0) ckpt->mark_complete(stage);
     };
 
@@ -434,7 +435,6 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
       scfg.min_overlap_score = config.min_overlap_score;
       scfg.fuzz = config.sgraph_fuzz;
       scfg.exchange = exchange;
-      scfg.batch_bytes = config.batch_graph_bytes;
       obs::Span stage_span = ctx.span("stage:sgraph");
       SpillMergeSource local_stream(spill->rank_runs(comm.rank()));
       sg_out[rank] = sgraph::run_string_graph_stage(ctx, store, local_stream, scfg,
@@ -517,7 +517,6 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
   if (config.eval) {
     eval::EvalConfig ecfg;
     ecfg.min_true_overlap = config.eval_min_overlap;
-    ecfg.len_bin = config.eval_len_bin;
     auto source = out.alignment_source();
     out.eval = eval::evaluate(*truth, *source,
                               config.stage5 ? &out.string_graph.layout : nullptr,

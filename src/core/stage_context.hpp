@@ -98,9 +98,9 @@ struct StageContext {
   /// exchanges with start markers so the cost model can tell which compute
   /// ran while an exchange was in flight. When span collection is on, the
   /// same sinks emit the wallclock counterpart: an async
-  /// `exchange:inflight` window per nonblocking exchange (bytes / retries /
-  /// exposed_us / hidden_us args) plus complete events for the
-  /// blocked portions. Call once per rank before any stage runs; `this`
+  /// `exchange:inflight` window per exchange (bytes / retries / seq /
+  /// exposed_us / hidden_us args) plus an `exchange:exposed` complete event
+  /// for its blocked portion. Call once per rank before any stage runs; `this`
   /// must outlive the communicator's sinks (it does — both live for the
   /// whole World::run closure).
   void attach() {
@@ -128,48 +128,30 @@ struct StageContext {
   u64 inflight_async_id_ = 0;
 
  private:
-  static const char* collective_span_name(comm::CollectiveOp op) {
-    switch (op) {
-      case comm::CollectiveOp::kBarrier: return "collective:barrier";
-      case comm::CollectiveOp::kExchange: return "collective:exchange";
-    }
-    return "collective";
-  }
-
   void observe_exchange(const comm::ExchangeRecord& rec) {
     if (!spans) return;
     obs::RankTimeline& lane = spans->lane(comm.rank());
     const u64 now = spans->now_ns();
     const auto to_ns = [](double s) { return static_cast<u64>(s * 1e9); };
-    if (rec.op == comm::CollectiveOp::kExchange && inflight_async_id_ != 0) {
-      obs::SpanEvent done;
-      done.phase = obs::SpanEvent::Phase::kAsyncEnd;
-      done.name = "exchange:inflight";
-      done.t_ns = now;
-      done.id = inflight_async_id_;
-      done.add_arg("bytes", rec.total_bytes());
-      done.add_arg("retries", rec.retries);
-      done.add_arg("seq", rec.seq);
-      done.add_arg("exposed_us", to_ns(rec.wall_seconds) / 1000);
-      done.add_arg("hidden_us", to_ns(rec.hidden_wall_seconds) / 1000);
-      lane.push(done);
-      inflight_async_id_ = 0;
-      obs::SpanEvent waited;
-      waited.phase = obs::SpanEvent::Phase::kComplete;
-      waited.name = "exchange:exposed";
-      waited.t_ns = now;
-      waited.dur_ns = to_ns(rec.wall_seconds);
-      waited.add_arg("bytes", rec.total_bytes());
-      lane.push(waited);
-    } else {
-      obs::SpanEvent col;
-      col.phase = obs::SpanEvent::Phase::kComplete;
-      col.name = collective_span_name(rec.op);
-      col.t_ns = now;
-      col.dur_ns = to_ns(rec.wall_seconds);
-      col.add_arg("bytes", rec.total_bytes());
-      lane.push(col);
-    }
+    obs::SpanEvent done;
+    done.phase = obs::SpanEvent::Phase::kAsyncEnd;
+    done.name = "exchange:inflight";
+    done.t_ns = now;
+    done.id = inflight_async_id_;
+    done.add_arg("bytes", rec.total_bytes());
+    done.add_arg("retries", rec.retries);
+    done.add_arg("seq", rec.seq);
+    done.add_arg("exposed_us", to_ns(rec.wall_seconds) / 1000);
+    done.add_arg("hidden_us", to_ns(rec.hidden_wall_seconds) / 1000);
+    lane.push(done);
+    inflight_async_id_ = 0;
+    obs::SpanEvent waited;
+    waited.phase = obs::SpanEvent::Phase::kComplete;
+    waited.name = "exchange:exposed";
+    waited.t_ns = now;
+    waited.dur_ns = to_ns(rec.wall_seconds);
+    waited.add_arg("bytes", rec.total_bytes());
+    lane.push(waited);
   }
 };
 

@@ -17,7 +17,7 @@ EvalReport evaluate(const io::TruthTable& truth, align::RecordSource& alignments
   OverlapTruth oracle(truth, cfg.min_true_overlap);
   EvalReport report;
   report.config = cfg;
-  report.overlap = oracle.score_alignments(alignments, cfg.len_bin);
+  report.overlap = oracle.score_alignments(alignments);
   if (layout != nullptr) {
     report.has_unitigs = true;
     report.unitigs = score_unitigs(layout->unitigs, truth, oracle);

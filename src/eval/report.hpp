@@ -28,8 +28,6 @@ inline constexpr const char* kEvalTsvHeader = "section\tmetric\tvalue";
 struct EvalConfig {
   /// Genomic bases two reads must share to count as a true overlap.
   u64 min_true_overlap = 2000;
-  /// Recall-histogram bin width (bases).
-  u32 len_bin = 500;
 };
 
 struct EvalReport {

@@ -1,7 +1,6 @@
 #include "netsim/cost_model.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace dibella::netsim {
 
@@ -69,15 +68,6 @@ double CostModel::exchange_time(const std::vector<comm::ExchangeRecord>& per_ran
                 "exchange_time: record count != total ranks");
   if (per_rank_seconds) per_rank_seconds->assign(static_cast<std::size_t>(P), 0.0);
 
-  // Barriers are latency-only: a log2(P)-depth combine/release tree.
-  if (per_rank[0].op == comm::CollectiveOp::kBarrier) {
-    double lat = topology_.nodes > 1 ? platform_.inter_latency_s : platform_.intra_latency_s;
-    double depth = std::ceil(std::log2(std::max(2, P)));
-    double t = 2.0 * depth * lat;
-    if (per_rank_seconds) per_rank_seconds->assign(static_cast<std::size_t>(P), t);
-    return t;
-  }
-
   // Receive-side byte totals: recv[r] split intra/inter.
   std::vector<double> recv_inter(static_cast<std::size_t>(P), 0.0);
   std::vector<double> recv_intra(static_cast<std::size_t>(P), 0.0);
@@ -122,7 +112,7 @@ double CostModel::exchange_time(const std::vector<comm::ExchangeRecord>& per_ran
     if (bw_rank_intra > 0.0) {
       t += (send_intra + recv_intra[static_cast<std::size_t>(r)]) / bw_rank_intra;
     }
-    if (is_first_alltoallv && per_rank[0].op == comm::CollectiveOp::kExchange) {
+    if (is_first_alltoallv) {
       t += platform_.first_alltoallv_setup_s_per_peer * static_cast<double>(P);
     }
     if (per_rank_seconds) (*per_rank_seconds)[static_cast<std::size_t>(r)] = t;
@@ -217,16 +207,13 @@ TimingReport CostModel::evaluate(
       call[static_cast<std::size_t>(r)] = records[static_cast<std::size_t>(r)][seq];
       ++c;
     }
-    bool is_first = false;
-    if (call[0].op == comm::CollectiveOp::kExchange && !seen_alltoallv) {
-      is_first = true;
-      seen_alltoallv = true;
-    }
+    const bool is_first = !seen_alltoallv;
+    seen_alltoallv = true;
     std::vector<double> per_rank_secs;
     double t = exchange_time(call, is_first, &per_rank_secs);
     // Exposed cost: each rank's modeled cost minus the virtual compute it
-    // ran while this exchange was in flight (0 for blocking collectives, so
-    // exposed == full there). BSP semantics: the collective costs the max.
+    // ran while this exchange was in flight (0 for an exchange with no start
+    // marker, so exposed == full there). BSP semantics: the collective costs the max.
     double exposed = 0.0;
     for (int r = 0; r < P; ++r) {
       double e = std::max(0.0, per_rank_secs[static_cast<std::size_t>(r)] -

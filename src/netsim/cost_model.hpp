@@ -15,7 +15,6 @@
 ///    with bw_rank = node injection bandwidth / ranks-per-node; the
 ///    collective costs max_r t_r. The first exchange additionally pays a
 ///    per-peer setup cost (the paper's observed first-call anomaly, §6/§10).
-///  * Barrier: a log2(P)-depth latency tree.
 ///  * Overlap: a nonblocking exchange (kExchangeStart ... kExchange trace
 ///    bracket) hides its modeled time behind the virtual compute recorded
 ///    inside the bracket, per rank; only the remainder is *exposed*. Stage
@@ -38,11 +37,11 @@ struct StageTiming {
   /// Modeled exchange time the ranks actually waited for: for a nonblocking
   /// exchange (kExchangeStart ... kExchange trace bracket), each rank's
   /// modeled cost is reduced by the virtual compute it ran while the
-  /// exchange was in flight; a blocking collective is fully exposed. Always
+  /// exchange was in flight; one with no start marker is fully exposed. Always
   /// <= exchange_virtual, equal when nothing overlaps.
   double exchange_exposed_virtual = 0.0;
   u64 exchange_bytes = 0;         ///< total bytes over all ranks and calls
-  u64 exchange_calls = 0;         ///< number of collectives attributed to this stage
+  u64 exchange_calls = 0;         ///< number of exchanges attributed to this stage
 
   /// Modeled exchange time hidden behind concurrent compute.
   double exchange_hidden_virtual() const {

@@ -98,10 +98,8 @@ ProfileReport build_profile(const Trace& trace, double calibration_s,
         case SpanEvent::Phase::kComplete: {
           const double dur_s = static_cast<double>(ev.dur_ns) * 1e-9;
           observe(ev.name, dur_s);
-          // Blocked-in-collective wallclock: the exposed half of the split.
-          if ((has_prefix(ev.name, "collective:") ||
-               std::strcmp(ev.name, "exchange:exposed") == 0) &&
-              !stage_stack.empty()) {
+          // Blocked-in-wait() wallclock: the exposed half of the split.
+          if (std::strcmp(ev.name, "exchange:exposed") == 0 && !stage_stack.empty()) {
             stage_slot(stage_stack.back()).rank_exposed_s[rank] += dur_s;
           }
           break;

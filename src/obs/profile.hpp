@@ -12,7 +12,7 @@
 ///   * per-rank load-imbalance factors: max/mean of the per-rank stage
 ///     walls (1.0 = perfect), plus which rank was critical;
 ///   * exposed vs hidden exchange wallclock per stage — exposed is time
-///     blocked in wait()/blocking collectives, hidden is the flush->wait
+///     blocked in wait(), hidden is the flush->wait
 ///     in-flight window — cross-checked against the netsim cost model's
 ///     *virtual* exposed/hidden split when a TimingReport is supplied;
 ///   * top-k hottest span names by aggregate duration across all ranks.

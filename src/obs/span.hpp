@@ -28,7 +28,6 @@
 ///                         flush_async to wait-return (args bytes, retries,
 ///                         exposed_us, hidden_us, seq)
 ///   exchange:exposed      the blocked portion of wait() (complete event)
-///   collective:<op>       a blocking collective (complete event)
 ///   spill:write / checkpoint:write / checkpoint:read   I/O sections
 ///
 /// Thread safety: each RankTimeline takes a mutex per push, so concurrent

@@ -13,6 +13,9 @@ namespace dibella::sgraph {
 
 namespace {
 
+/// Bytes per destination per exchange batch of the stage-5 byte streams.
+constexpr std::size_t kBatchBytes = std::size_t{1} << 20;
+
 /// Irregular all-to-all of raw byte streams in bounded batches on
 /// comm::Exchanger. Returns each source rank's received stream separately —
 /// a byte slice may split a record across batches, so each source's stream
@@ -33,7 +36,7 @@ std::vector<std::vector<u8>> exchange_byte_streams(
       [&] {
         auto k = ctx.kernel("sgraph:pack");
         u64 before = ex.pending_bytes();
-        bool more = comm::post_slices(ex, outbound, cursors, cfg.batch_bytes);
+        bool more = comm::post_slices(ex, outbound, cursors, kBatchBytes);
         u64 packed = ex.pending_bytes() - before;
         k.units("bytes", packed, &core::KernelCosts::per_byte_copy).working_set(packed);
         return more;

@@ -72,7 +72,6 @@ struct StringGraphConfig {
   /// Schedule of the fused and ghost exchanges.
   /// Outputs are bitwise-identical either way.
   comm::Exchanger::Config exchange;
-  u64 batch_bytes = 1u << 20;  ///< bytes per destination per exchange batch
 };
 
 /// Per-rank stage counters. Ownership rules make each global quantity a

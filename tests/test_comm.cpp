@@ -1,6 +1,6 @@
-// Tests for the comm substrate: the threads-as-ranks World, its barrier,
-// and the Exchanger rounds every payload travels. These are the
-// MPI-semantics contracts the pipeline depends on (see README
+// Tests for the comm substrate: the threads-as-ranks World and the
+// Exchanger rounds every payload and every synchronization travels. These
+// are the MPI-semantics contracts the pipeline depends on (see README
 // "Communication substrate").
 
 #include <gtest/gtest.h>
@@ -38,6 +38,14 @@ std::vector<std::vector<T>> exchange_round(dc::Communicator& comm,
   return recv;
 }
 
+/// An empty Exchanger round, the substrate's barrier: no rank's wait()
+/// returns before every rank has flushed.
+void empty_round(dc::Communicator& comm) {
+  dc::Exchanger ex(comm);
+  ex.flush_async(/*done=*/true);
+  ex.wait();
+}
+
 /// Every rank's `v`, in rank order (the allgather pattern: one round in
 /// which each rank sends the same payload to every rank).
 template <class T>
@@ -72,7 +80,7 @@ TEST(World, AllRanksRunConcurrently) {
     int expected = peak.load();
     while (now > expected && !peak.compare_exchange_weak(expected, now)) {
     }
-    comm.barrier();  // all ranks must be alive simultaneously to pass this
+    empty_round(comm);  // all ranks must be alive simultaneously to pass this
     --concurrent;
   });
   EXPECT_EQ(peak.load(), P);
@@ -85,7 +93,7 @@ TEST(World, BarrierOrdersPhases) {
   std::atomic<bool> violated{false};
   world.run([&](dc::Communicator& comm) {
     ++phase1;
-    comm.barrier();
+    empty_round(comm);
     if (phase1.load() != P) violated = true;
   });
   EXPECT_FALSE(violated.load());
@@ -93,19 +101,19 @@ TEST(World, BarrierOrdersPhases) {
 
 TEST(World, ExceptionPropagatesAndSiblingsUnwind) {
   const int P = 4;
-  dc::World world(P, /*barrier_timeout_seconds=*/30.0);
+  dc::World world(P, /*timeout_seconds=*/30.0);
   EXPECT_THROW(
       world.run([&](dc::Communicator& comm) {
         if (comm.rank() == 2) throw dibella::Error("rank 2 exploded");
-        // Other ranks block in a barrier; poisoning must wake them.
-        comm.barrier();
-        comm.barrier();
+        // Other ranks block in an empty round; poisoning must wake them.
+        empty_round(comm);
+        empty_round(comm);
       }),
       dibella::Error);
   // The world is reusable after a failure.
   int ok = 0;
   world.run([&](dc::Communicator& comm) {
-    comm.barrier();
+    empty_round(comm);
     if (comm.rank() == 0) ++ok;
   });
   EXPECT_EQ(ok, 1);
@@ -273,7 +281,7 @@ TEST(Comm, ExchangeRecordsAlignedAndAccurate) {
     }
     exchange_round(comm, send);
     comm.set_stage("phase_two");
-    comm.barrier();
+    empty_round(comm);
   });
   auto records = world.exchange_records();
   ASSERT_EQ(records.size(), static_cast<std::size_t>(P));
@@ -281,14 +289,14 @@ TEST(Comm, ExchangeRecordsAlignedAndAccurate) {
     const auto& log = records[static_cast<std::size_t>(r)];
     ASSERT_EQ(log.size(), 2u);
     EXPECT_EQ(log[0].seq, 0u);
-    EXPECT_EQ(log[0].op, dc::CollectiveOp::kExchange);
     EXPECT_EQ(log[0].stage, "phase_one");
     // Rank r sent (r+1) u64s to each of P-1 peers; the self-destination
     // payload never touches the wire and is excluded from the record.
     EXPECT_EQ(log[0].total_bytes(), static_cast<u64>((r + 1) * 8 * (P - 1)));
     EXPECT_EQ(log[0].bytes_to_peer[static_cast<std::size_t>(r)], 0u);
-    EXPECT_EQ(log[1].op, dc::CollectiveOp::kBarrier);
+    EXPECT_EQ(log[1].seq, 1u);
     EXPECT_EQ(log[1].stage, "phase_two");
+    EXPECT_EQ(log[1].total_bytes(), 0u);
     EXPECT_GE(log[0].wall_seconds, 0.0);
   }
   world.clear_exchange_records();
@@ -298,23 +306,23 @@ TEST(Comm, ExchangeRecordsAlignedAndAccurate) {
 TEST(Comm, RecordSinkObservesCalls) {
   const int P = 2;
   dc::World world(P);
-  std::atomic<int> exchanges{0}, barriers{0};
+  std::atomic<int> records{0}, empty{0};
   world.run([&](dc::Communicator& comm) {
     comm.set_record_sink([&](const dc::ExchangeRecord& rec) {
-      if (rec.op == dc::CollectiveOp::kExchange) ++exchanges;
-      if (rec.op == dc::CollectiveOp::kBarrier) ++barriers;
+      ++records;
+      if (rec.total_bytes() == 0) ++empty;
     });
     gather_all(comm, std::vector<u64>{1});
-    comm.barrier();
+    empty_round(comm);
     gather_all(comm, std::vector<u64>{2});
   });
-  EXPECT_EQ(exchanges.load(), 2 * P);
-  EXPECT_EQ(barriers.load(), P);
+  EXPECT_EQ(records.load(), 3 * P);
+  EXPECT_EQ(empty.load(), P);
 }
 
 TEST(Comm, ManySuccessiveCollectivesStayAligned) {
   // Stress: exchange rounds with data-dependent sizes, interleaved with
-  // barriers.
+  // empty rounds.
   const int P = 4;
   dc::World world(P);
   world.run([&](dc::Communicator& comm) {
@@ -332,7 +340,7 @@ TEST(Comm, ManySuccessiveCollectivesStayAligned) {
       for (const auto& v : recv) sum += std::accumulate(v.begin(), v.end(), u64{0});
       const auto sums = gather_all(comm, std::vector<u64>{sum});
       acc = *std::max_element(sums.begin(), sums.end());
-      if (round % 7 == 0) comm.barrier();
+      if (round % 7 == 0) empty_round(comm);
     }
     // All ranks converge to the same value because every input to acc is a
     // round's result (plus the rank term removed by the final max).
@@ -371,7 +379,7 @@ TEST(Comm, LargePayloadIntegrity) {
 
 TEST(Comm, RecordsExcludeSelfBytesEverywhere) {
   // Self bytes never touch the wire, so every record — exchange rounds of
-  // any shape and the barrier — must have bytes_to_peer[self] == 0.
+  // any shape, empty ones included — must have bytes_to_peer[self] == 0.
   const int P = 4;
   dc::World world(P);
   world.run([&](dc::Communicator& comm) {
@@ -382,7 +390,7 @@ TEST(Comm, RecordsExcludeSelfBytesEverywhere) {
     std::vector<std::vector<u64>> to_root(P);
     to_root[2] = {5};
     exchange_round(comm, to_root);
-    comm.barrier();
+    empty_round(comm);
   });
   auto records = world.exchange_records();
   for (int r = 0; r < P; ++r) {
@@ -390,14 +398,12 @@ TEST(Comm, RecordsExcludeSelfBytesEverywhere) {
     ASSERT_EQ(log.size(), 4u);
     for (const auto& rec : log) {
       EXPECT_EQ(rec.bytes_to_peer[static_cast<std::size_t>(r)], 0u)
-          << dc::collective_op_name(rec.op) << " recorded self bytes on rank " << r;
+          << "record " << rec.seq << " recorded self bytes on rank " << r;
     }
     // 3 u64s to each of P-1 wire peers.
-    EXPECT_EQ(log[0].op, dc::CollectiveOp::kExchange);
     EXPECT_EQ(log[0].total_bytes(), static_cast<u64>(3 * 8 * (P - 1)));
     EXPECT_EQ(log[1].total_bytes(), static_cast<u64>(2 * 8 * (P - 1)));
     EXPECT_EQ(log[2].total_bytes(), r == 2 ? 0u : 8u);
-    EXPECT_EQ(log[3].op, dc::CollectiveOp::kBarrier);
     EXPECT_EQ(log[3].total_bytes(), 0u);
   }
 }
@@ -591,9 +597,9 @@ TEST(Exchanger, RecordsHiddenWindowAndInterleavesWithCollectives) {
     std::vector<u32> v{1, 2, 3};
     for (int d = 0; d < P; ++d) ex.post(d, v);
     ex.flush_async(true);
-    // A barrier while the batch is in flight must coexist with the pending
-    // exchange (distinct epoch tags).
-    comm.barrier();
+    // An empty round on a second Exchanger while the batch is in flight
+    // must coexist with the pending exchange (distinct epoch tags).
+    empty_round(comm);
     auto got = ex.wait();
     std::vector<u32> items;
     got.for_each_item<u32>([&](u32 v) { items.push_back(v); });
@@ -602,10 +608,10 @@ TEST(Exchanger, RecordsHiddenWindowAndInterleavesWithCollectives) {
   auto records = world.exchange_records();
   for (int r = 0; r < P; ++r) {
     const auto& log = records[static_cast<std::size_t>(r)];
-    // The barrier finishes before the exchange's wait().
+    // The empty round finishes before the exchange's wait().
     ASSERT_EQ(log.size(), 2u);
-    EXPECT_EQ(log[0].op, dc::CollectiveOp::kBarrier);
-    EXPECT_EQ(log[1].op, dc::CollectiveOp::kExchange);
+    EXPECT_EQ(log[0].total_bytes(), 0u);
+    EXPECT_EQ(log[1].total_bytes(), static_cast<u64>(3 * sizeof(u32) * (P - 1)));
     EXPECT_EQ(log[1].stage, "overlap_test");
     EXPECT_GE(log[1].hidden_wall_seconds, 0.0);
     EXPECT_GE(log[1].wall_seconds, 0.0);
@@ -615,78 +621,57 @@ TEST(Exchanger, RecordsHiddenWindowAndInterleavesWithCollectives) {
 // --- collective misuse paths -------------------------------------------------
 
 TEST(CommFailure, BarrierTimeoutAbortsRun) {
-  // Rank 0 skips the second barrier entirely and leaves the region; the
-  // stragglers' barrier must time out and abort instead of hanging.
-  dc::World world(3, /*barrier_timeout_seconds=*/1.0);
-  EXPECT_THROW(world.run([&](dc::Communicator& comm) {
-                 comm.barrier();
-                 if (comm.rank() != 0) comm.barrier();
-               }),
-               dibella::Error);
+  // Rank 0 skips the second empty round entirely and leaves the region; the
+  // stragglers wait for its flush, which must time out and abort with a
+  // mismatched-sequence error instead of hanging.
+  dc::World world(3, /*timeout_seconds=*/1.0);
+  try {
+    world.run([&](dc::Communicator& comm) {
+      empty_round(comm);
+      if (comm.rank() != 0) empty_round(comm);
+    });
+    FAIL() << "mismatched exchange counts must throw";
+  } catch (const dibella::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("mismatched collective sequences"),
+              std::string::npos)
+        << e.what();
+  }
   // The world stays usable afterwards.
   int ok = 0;
   world.run([&](dc::Communicator& comm) {
-    comm.barrier();
+    empty_round(comm);
     if (comm.rank() == 0) ++ok;
   });
   EXPECT_EQ(ok, 1);
 }
 
 TEST(CommFailure, CompletedBarrierReturnsDespiteALaterAbort) {
-  // The last rank to arrive completes the fence and fails right after it.
-  // The rank already waiting in the fence must still return from it (the
-  // barrier did complete) and see the failure only at its next collective.
+  // Rank 1 completes an empty round and fails right after it. Rank 0
+  // flushed before rank 1's wait() and reaches its own wait() only after the
+  // failure has poisoned the world; both messages of the round are already
+  // in its mailboxes, so its wait() must still return (the round did
+  // complete) and it sees the failure only at its next round. This is what
+  // lets rank 0 mark a checkpoint whose payloads are all durable.
   for (int trial = 0; trial < 20; ++trial) {
-    dc::World world(2, /*barrier_timeout_seconds=*/5.0);
-    bool passed_fence = false;
+    dc::World world(2, /*timeout_seconds=*/5.0);
+    std::atomic<bool> failing{false};
+    bool passed_round = false;
     EXPECT_THROW(world.run([&](dc::Communicator& comm) {
+                   dc::Exchanger ex(comm);
+                   ex.flush_async(/*done=*/true);
                    if (comm.rank() == 1) {
-                     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-                     comm.barrier();
-                     throw dibella::Error("rank 1 fails after the fence");
+                     ex.wait();
+                     failing = true;
+                     throw dibella::Error("rank 1 fails after the round");
                    }
-                   comm.barrier();
-                   passed_fence = true;
-                   comm.barrier();
+                   while (!failing) std::this_thread::yield();
+                   // Let the throw reach World::run and poison the world.
+                   std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                   ex.wait();
+                   passed_round = true;
+                   empty_round(comm);
                  }),
                  dibella::Error);
-    EXPECT_TRUE(passed_fence) << "trial " << trial;
-  }
-}
-
-TEST(CommFailure, MismatchedCollectiveKindsPoisonTheWorld) {
-  // Rank 0 enters a barrier while the others run an exchange round at the
-  // same epoch: neither can complete, which must abort the run with a
-  // mismatched-sequence error instead of deadlocking.
-  dc::World world(3, /*barrier_timeout_seconds=*/0.5);
-  try {
-    world.run([&](dc::Communicator& comm) {
-      if (comm.rank() == 0) {
-        comm.barrier();
-      } else {
-        exchange_round(comm, std::vector<std::vector<u64>>(3, std::vector<u64>{1}));
-      }
-    });
-    FAIL() << "mismatched collectives must throw";
-  } catch (const dibella::Error& e) {
-    EXPECT_NE(std::string(e.what()).find("mismatch"), std::string::npos) << e.what();
-  }
-}
-
-TEST(CommFailure, MismatchedBarrierEpochPoisonsTheWorld) {
-  // Rank 0 flushes once before its barrier, the other rank does not: both
-  // ranks meet at the fence but disagree on the epoch — a mismatched
-  // sequence that must abort, not silently desynchronize the record logs.
-  dc::World world(2, /*barrier_timeout_seconds=*/1.5);
-  try {
-    world.run([&](dc::Communicator& comm) {
-      dc::Exchanger ex(comm);
-      if (comm.rank() == 0) ex.flush_async(/*done=*/true);
-      comm.barrier();
-      ex.wait();
-    });
-    FAIL() << "mismatched barrier epochs must throw";
-  } catch (const dibella::Error& e) {
-    EXPECT_NE(std::string(e.what()).find("mismatch"), std::string::npos) << e.what();
+    EXPECT_TRUE(passed_round) << "trial " << trial;
   }
 }

@@ -155,14 +155,24 @@ TEST(EdgeCases, BaselineSingleBlockOfOne) {
 // --- failure injection -------------------------------------------------------
 
 TEST(FailureInjection, MismatchedCollectivesAbortInsteadOfDeadlocking) {
-  // Rank 0 calls one barrier; the others call two. Without the timeout
-  // poison this would hang forever.
-  dibella::comm::World world(3, /*barrier_timeout_seconds=*/1.5);
-  EXPECT_THROW(world.run([&](dibella::comm::Communicator& comm) {
-                 comm.barrier();
-                 if (comm.rank() != 0) comm.barrier();
-               }),
-               dibella::Error);
+  // Rank 0 runs one empty exchange round; the others run two. Without the
+  // timeout poison the others would wait for rank 0's second flush forever.
+  dibella::comm::World world(3, /*timeout_seconds=*/1.5);
+  try {
+    world.run([&](dibella::comm::Communicator& comm) {
+      const int rounds = comm.rank() == 0 ? 1 : 2;
+      for (int i = 0; i < rounds; ++i) {
+        dibella::comm::Exchanger ex(comm);
+        ex.flush_async(/*done=*/true);
+        ex.wait();
+      }
+    });
+    FAIL() << "mismatched exchange counts must throw";
+  } catch (const dibella::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("mismatched collective sequences"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(FailureInjection, ExceptionDuringExchangeUnwindsAllRanks) {

@@ -1137,6 +1137,27 @@ TEST_F(FaultCli, StageFiveSelfPayloadCrossesTheFaultLayer) {
   EXPECT_GE(counters.at("comm_chunk_retries"), 1u);
 }
 
+TEST_F(FaultCli, CheckpointRoundCrossesTheFaultLayer) {
+  // At two ranks the tiny preset's stage 1 runs one exchange, so bloom's
+  // flush 1 is the empty round that closes its checkpoint. A message
+  // dropped there is replayed like any other, and the outputs are the
+  // fault-free ones.
+  const fs::path ref_dir = dir_ / "ref";
+  DriverResult ref = run_driver(
+      {"--preset=tiny", "--ranks=2", "--eval=on", "--out-dir=" + ref_dir.string()});
+  ASSERT_EQ(ref.exit_code, dibella::cli::kExitOk) << ref.err;
+
+  const fs::path fault_dir = dir_ / "fault";
+  DriverResult faulted = run_driver(
+      {"--preset=tiny", "--ranks=2", "--eval=on", "--inject-fault=drop@bloom:1",
+       "--checkpoint-dir=" + (dir_ / "ckpt").string(), "--out-dir=" + fault_dir.string()});
+  ASSERT_EQ(faulted.exit_code, dibella::cli::kExitOk) << faulted.err;
+
+  expect_outputs_equal(outputs_of(ref_dir), outputs_of(fault_dir));
+  auto counters = parse_counters(load(fault_dir / dibella::cli::kCountersFile));
+  EXPECT_GE(counters.at("comm_chunk_retries"), 1u);
+}
+
 // --- graceful degradation ----------------------------------------------------
 
 TEST_F(FaultCli, DegradeFinishesWithHonestlyReducedEval) {

@@ -23,7 +23,6 @@ std::vector<dc::ExchangeRecord> make_alltoallv(
     const std::vector<std::vector<u64>>& bytes, const std::string& stage = "s") {
   std::vector<dc::ExchangeRecord> recs(bytes.size());
   for (std::size_t r = 0; r < bytes.size(); ++r) {
-    recs[r].op = dc::CollectiveOp::kExchange;
     recs[r].stage = stage;
     recs[r].bytes_to_peer = bytes[r];
     recs[r].seq = 0;
@@ -136,18 +135,6 @@ TEST(CostModel, FirstAlltoallvPaysSetup) {
   EXPECT_NEAR(first - plain, p.first_alltoallv_setup_s_per_peer * 4, 1e-12);
 }
 
-TEST(CostModel, BarrierIsLatencyTree) {
-  auto p = dn::edison();
-  dn::CostModel model(p, dn::Topology{4, 2});
-  std::vector<dc::ExchangeRecord> recs(8);
-  for (auto& r : recs) {
-    r.op = dc::CollectiveOp::kBarrier;
-    r.bytes_to_peer.assign(8, 0);
-  }
-  double t = model.exchange_time(recs, false);
-  EXPECT_NEAR(t, 2.0 * 3.0 * p.inter_latency_s, 1e-12);  // log2(8) = 3
-}
-
 TEST(CostModel, SlowerNetworkCostsMore) {
   dn::Topology topo{4, 4};
   std::vector<std::vector<u64>> bytes(16, std::vector<u64>(16, 4096));
@@ -176,7 +163,6 @@ TEST(CostModel, EvaluateAggregatesSuperstepsBspStyle) {
   std::vector<std::vector<dc::ExchangeRecord>> records(2);
   for (int r = 0; r < 2; ++r) {
     dc::ExchangeRecord rec;
-    rec.op = dc::CollectiveOp::kExchange;
     rec.stage = "alpha";
     rec.seq = 0;
     rec.bytes_to_peer = {0, 0};
@@ -271,7 +257,6 @@ TEST(CostModel, OverlappedExchangeSplitsExposedAndHidden) {
   std::vector<std::vector<dc::ExchangeRecord>> records(2);
   for (int r = 0; r < 2; ++r) {
     dc::ExchangeRecord rec;
-    rec.op = dc::CollectiveOp::kExchange;
     rec.stage = "alpha";
     rec.seq = 0;
     rec.bytes_to_peer = {0, 0};

@@ -533,7 +533,7 @@ bool is_kernel_span(const char* name) {
   static const std::set<std::string> wrappers = {
       "align:read_exchange", "sgraph:edge_exchange", "sgraph:ghost_exchange"};
   if (std::strchr(name, ':') == nullptr || wrappers.count(name) != 0) return false;
-  for (const char* prefix : {"stage:", "exchange:", "collective:", "spill:", "checkpoint:"}) {
+  for (const char* prefix : {"stage:", "exchange:", "spill:", "checkpoint:"}) {
     if (std::strncmp(name, prefix, std::strlen(prefix)) == 0) return false;
   }
   return true;
