@@ -17,7 +17,7 @@ namespace {
 // ---- on-disk cache of ScalingRun vectors --------------------------------
 // A simple versioned little-endian binary format; bump kCacheVersion when
 // any serialized structure changes.
-constexpr u64 kCacheVersion = 5;
+constexpr u64 kCacheVersion = 6;
 
 void put_u64(std::ostream& os, u64 v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -28,6 +28,15 @@ void put_f64(std::ostream& os, double v) {
 void put_str(std::ostream& os, const std::string& s) {
   put_u64(os, s.size());
   os.write(s.data(), static_cast<std::streamsize>(s.size()));
+}
+void put_record(std::ostream& os, const comm::ExchangeRecord& rec) {
+  put_u64(os, rec.seq);
+  put_str(os, rec.stage);
+  put_f64(os, rec.wall_seconds);
+  put_f64(os, rec.hidden_wall_seconds);
+  put_u64(os, rec.retries);
+  put_u64(os, rec.bytes_to_peer.size());
+  for (u64 b : rec.bytes_to_peer) put_u64(os, b);
 }
 
 void save_runs(const std::string& path, const std::vector<ScalingRun>& runs) {
@@ -51,24 +60,21 @@ void save_runs(const std::string& path, const std::vector<ScalingRun>& runs) {
     put_u64(os, run.out.traces.size());
     for (const auto& trace : run.out.traces) {
       put_u64(os, trace.events().size());
+      // Each event is its kind, then that kind's fields.
       for (const auto& ev : trace.events()) {
         put_u64(os, static_cast<u64>(ev.kind));
-        put_str(os, ev.stage);
-        put_f64(os, ev.cpu_seconds);
-        put_u64(os, ev.working_set_bytes);
-        put_u64(os, ev.exchange_seq);
-      }
-    }
-    put_u64(os, run.out.exchange_log.size());
-    for (const auto& log : run.out.exchange_log) {
-      put_u64(os, log.size());
-      for (const auto& rec : log) {
-        put_u64(os, rec.seq);
-        put_str(os, rec.stage);
-        put_f64(os, rec.wall_seconds);
-        put_f64(os, rec.hidden_wall_seconds);
-        put_u64(os, rec.bytes_to_peer.size());
-        for (u64 b : rec.bytes_to_peer) put_u64(os, b);
+        switch (ev.kind) {
+          case netsim::TraceEvent::Kind::kCompute:
+            put_str(os, ev.stage);
+            put_f64(os, ev.cpu_seconds);
+            put_u64(os, ev.working_set_bytes);
+            break;
+          case netsim::TraceEvent::Kind::kExchange:
+            put_record(os, ev.exchange);
+            break;
+          case netsim::TraceEvent::Kind::kExchangeStart:
+            break;
+        }
       }
     }
   }
@@ -93,32 +99,32 @@ std::string get_str(comm::ByteReader& in) {
   return std::string(reinterpret_cast<const char*>(in.take(n)), n);
 }
 
-/// Smallest serialized run (nodes, ranks, 14 counters, three per-rank
-/// counts), trace event and exchange record (empty strings, no peers): the
-/// per-item floors get_count checks counts against.
-constexpr u64 kMinRunBytes = 19 * sizeof(u64);
-constexpr u64 kMinEventBytes = 5 * sizeof(u64);
-constexpr u64 kMinRecordBytes = 5 * sizeof(u64);
+comm::ExchangeRecord get_record(comm::ByteReader& in, int ranks) {
+  comm::ExchangeRecord rec;
+  rec.seq = in.read<u64>();
+  rec.stage = get_str(in);
+  rec.wall_seconds = in.read<double>();
+  rec.hidden_wall_seconds = in.read<double>();
+  rec.retries = in.read<u64>();
+  rec.bytes_to_peer.resize(get_rank_count(in, ranks));
+  for (auto& b : rec.bytes_to_peer) b = in.read<u64>();
+  return rec;
+}
+
+/// Smallest serialized run (nodes, ranks, 14 counters, two per-rank counts)
+/// and trace event (an exchange start: its kind alone): the per-item floors
+/// get_count checks counts against.
+constexpr u64 kMinRunBytes = 18 * sizeof(u64);
+constexpr u64 kMinEventBytes = sizeof(u64);
 
 /// The invariants run_scaling's runs hold and the cost model checks: the
-/// run's rank count is its node count times the ranks per node, and on
-/// every rank the i-th exchange event and the i-th record both carry seq i,
-/// with the same number of exchanges on every rank.
+/// run's rank count is its node count times the ranks per node, and every
+/// rank's trace holds the same number of exchanges.
 bool consistent(const ScalingRun& run) {
   if (i64{run.nodes} * bench_ranks_per_node() != run.ranks) return false;
-  const std::size_t calls = run.out.exchange_log.front().size();
-  for (std::size_t r = 0; r < run.out.traces.size(); ++r) {
-    const auto& log = run.out.exchange_log[r];
-    u64 seq = 0;
-    for (const auto& ev : run.out.traces[r].events()) {
-      if (ev.kind == netsim::TraceEvent::Kind::kExchange && ev.exchange_seq != seq++) {
-        return false;
-      }
-    }
-    if (seq != calls || log.size() != calls) return false;
-    for (std::size_t i = 0; i < log.size(); ++i) {
-      if (log[i].seq != i) return false;
-    }
+  const std::size_t calls = run.out.traces.front().exchange_count();
+  for (const auto& trace : run.out.traces) {
+    if (trace.exchange_count() != calls) return false;
   }
   return true;
 }
@@ -147,35 +153,22 @@ std::vector<ScalingRun> read_runs(comm::ByteReader& in) {
       const std::size_t events = get_count(in, kMinEventBytes);
       for (std::size_t e = 0; e < events; ++e) {
         const u64 kind = in.read<u64>();
-        std::string stage = get_str(in);
-        const double cpu = in.read<double>();
-        const u64 ws = in.read<u64>();
-        const u64 seq = in.read<u64>();
+        DIBELLA_CHECK(kind <= static_cast<u64>(netsim::TraceEvent::Kind::kExchangeStart),
+                      "bench cache: unknown trace event kind");
         switch (static_cast<netsim::TraceEvent::Kind>(kind)) {
-          case netsim::TraceEvent::Kind::kCompute:
-            trace.add_compute(std::move(stage), cpu, ws);
+          case netsim::TraceEvent::Kind::kCompute: {
+            std::string stage = get_str(in);
+            const double cpu = in.read<double>();
+            trace.add_compute(std::move(stage), cpu, in.read<u64>());
             break;
+          }
           case netsim::TraceEvent::Kind::kExchange:
-            trace.add_exchange(seq);
+            trace.add_exchange(get_record(in, run.ranks));
             break;
           case netsim::TraceEvent::Kind::kExchangeStart:
             trace.add_exchange_start();
             break;
-          default:
-            throw Error("bench cache: unknown trace event kind");
         }
-      }
-    }
-    run.out.exchange_log.resize(get_rank_count(in, run.ranks));
-    for (auto& log : run.out.exchange_log) {
-      log.resize(get_count(in, kMinRecordBytes));
-      for (auto& rec : log) {
-        rec.seq = in.read<u64>();
-        rec.stage = get_str(in);
-        rec.wall_seconds = in.read<double>();
-        rec.hidden_wall_seconds = in.read<double>();
-        rec.bytes_to_peer.resize(get_rank_count(in, run.ranks));
-        for (auto& b : rec.bytes_to_peer) b = in.read<u64>();
       }
     }
     DIBELLA_CHECK(consistent(run), "bench cache: inconsistent run");

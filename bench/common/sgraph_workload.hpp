@@ -209,7 +209,7 @@ inline SgraphBenchResult measure_sgraph_reduction(const SgraphWorkload& w, int r
           if (ranks % d == 0) rpn = d;
         }
         netsim::CostModel model(netsim::cori(), netsim::Topology{ranks / rpn, rpn});
-        auto report = model.evaluate(traces, world.exchange_records());
+        auto report = model.evaluate(traces);
         out.modeled_virtual_s = report.stage("sgraph").total_virtual();
       }
     }

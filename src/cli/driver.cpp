@@ -1,9 +1,11 @@
 #include "cli/driver.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <set>
@@ -218,11 +220,26 @@ i64 parse_i64(const util::Args& args, const std::string& key, i64 fallback) {
   if (!args.has(key)) return fallback;
   const std::string v = args.get(key, "");
   char* end = nullptr;
+  errno = 0;
   i64 parsed = static_cast<i64>(std::strtoll(v.c_str(), &end, 10));
-  if (v.empty() || end != v.c_str() + v.size()) {
+  if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE) {
     throw UsageError("--" + key + "=" + v + " is not an integer");
   }
   return parsed;
+}
+
+/// An integer option narrowed to T only after a check against [lo, hi]
+/// (default: all of T), so an out-of-range value is a usage error instead
+/// of wrapping (--ranks=4294967298 would otherwise run 2 ranks).
+template <class T>
+T parse_int(const util::Args& args, const std::string& key, T fallback,
+            T lo = std::numeric_limits<T>::min(), T hi = std::numeric_limits<T>::max()) {
+  const i64 v = parse_i64(args, key, fallback);
+  if (v < static_cast<i64>(lo) || v > static_cast<i64>(hi)) {
+    throw UsageError("--" + key + " must be in [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "]");
+  }
+  return static_cast<T>(v);
 }
 
 double parse_double(const util::Args& args, const std::string& key, double fallback) {
@@ -246,13 +263,18 @@ bool parse_on_off(const util::Args& args, const std::string& key, bool fallback)
   return v == "on";
 }
 
-/// Byte sizes with optional K/M/G binary suffix: "64M" -> 64 * 2^20.
+/// Byte sizes with optional K/M/G binary suffix: "64M" -> 64 * 2^20. Digits
+/// first (strtoull would take a sign or blanks, and wrap "-1" to 2^64 - 1),
+/// and the product must fit in 64 bits.
 u64 parse_size(const util::Args& args, const std::string& key, u64 fallback) {
   if (!args.has(key)) return fallback;
   const std::string v = args.get(key, "");
   char* end = nullptr;
+  errno = 0;
   const u64 parsed = static_cast<u64>(std::strtoull(v.c_str(), &end, 10));
-  if (end == v.c_str()) throw UsageError("--" + key + "=" + v + " is not a byte size");
+  if (v.empty() || v[0] < '0' || v[0] > '9' || errno == ERANGE) {
+    throw UsageError("--" + key + "=" + v + " is not a byte size");
+  }
   u64 scale = 1;
   if (end != v.c_str() + v.size() && end == v.c_str() + v.size() - 1) {
     switch (*end) {
@@ -262,8 +284,11 @@ u64 parse_size(const util::Args& args, const std::string& key, u64 fallback) {
       default: break;
     }
   }
-  if (v.empty() || end != v.c_str() + v.size()) {
+  if (end != v.c_str() + v.size()) {
     throw UsageError("--" + key + "=" + v + " is not a byte size (try 64M)");
+  }
+  if (parsed > std::numeric_limits<u64>::max() / scale) {
+    throw UsageError("--" + key + "=" + v + " does not fit in 64 bits");
   }
   return parsed * scale;
 }
@@ -451,19 +476,16 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
                      "' (options are --key=value)");
   }
 
-  const int ranks = static_cast<int>(parse_i64(args, "ranks", 4));
-  if (ranks < 1) throw UsageError("--ranks must be >= 1");
+  const int ranks = parse_int<int>(args, "ranks", 4, 1);
   // Default ranks-per-node: the largest divisor of ranks that is <= 4, so an
   // explicit --ranks=6 doesn't trip the divisibility check below.
-  i64 default_rpn = 1;
-  for (i64 d = 2; d <= std::min<i64>(4, ranks); ++d) {
+  int default_rpn = 1;
+  for (int d = 2; d <= std::min(4, ranks); ++d) {
     if (ranks % d == 0) default_rpn = d;
   }
-  int ranks_per_node = static_cast<int>(args.has("ranks-per-node")
-                                            ? parse_i64(args, "ranks-per-node", 0)
-                                            : default_rpn);
-  if (ranks_per_node < 1 || ranks % ranks_per_node != 0) {
-    throw UsageError("--ranks-per-node must be >= 1 and divide --ranks");
+  const int ranks_per_node = parse_int<int>(args, "ranks-per-node", default_rpn, 1);
+  if (ranks % ranks_per_node != 0) {
+    throw UsageError("--ranks-per-node must divide --ranks");
   }
 
   // --- input: user file or simulated preset.
@@ -510,30 +532,22 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
 
   // --- pipeline configuration.
   core::PipelineConfig cfg;
-  cfg.k = static_cast<int>(parse_i64(args, "k", 17));
+  cfg.k = parse_int<int>(args, "k", 17);
   // The table stores up to m + 1 occurrences per key, so m itself stops at
   // 2^32 - 2; a wrapped value would silently purge every k-mer.
-  const i64 min_kmer_count = parse_i64(args, "min-kmer-count", 2);
-  if (min_kmer_count < 0 || min_kmer_count > i64{0xFFFFFFFF}) {
-    throw UsageError("--min-kmer-count must be in [0, 4294967295]");
-  }
-  const i64 max_kmer_count = parse_i64(args, "max-kmer-count", 0);
-  if (max_kmer_count < 0 || max_kmer_count > i64{0xFFFFFFFE}) {
-    throw UsageError("--max-kmer-count must be in [0, 4294967294]");
-  }
-  cfg.min_kmer_count = static_cast<u32>(min_kmer_count);
-  cfg.max_kmer_count = static_cast<u32>(max_kmer_count);
+  cfg.min_kmer_count = parse_int<u32>(args, "min-kmer-count", 2);
+  cfg.max_kmer_count = parse_int<u32>(args, "max-kmer-count", 0, 0, 0xFFFFFFFE);
   cfg.assumed_coverage = coverage;
   cfg.assumed_error_rate = error_rate;
   cfg.bloom_fpr = parse_double(args, "bloom-fpr", cfg.bloom_fpr);
-  cfg.xdrop = static_cast<int>(parse_i64(args, "xdrop", cfg.xdrop));
-  cfg.min_report_score = static_cast<int>(parse_i64(args, "min-score", 0));
+  cfg.xdrop = parse_int<int>(args, "xdrop", cfg.xdrop);
+  cfg.min_report_score = parse_int<int>(args, "min-score", 0);
   const std::string policy = args.get("seed-policy", "one");
   if (policy == "one") {
     cfg.seed_filter = overlap::SeedFilterConfig::one_seed();
   } else if (policy == "spaced") {
-    cfg.seed_filter = overlap::SeedFilterConfig::spaced(
-        static_cast<u32>(parse_i64(args, "spacing", 1000)));
+    cfg.seed_filter =
+        overlap::SeedFilterConfig::spaced(parse_int<u32>(args, "spacing", 1000));
   } else if (policy == "all") {
     cfg.seed_filter = overlap::SeedFilterConfig::all_seeds(cfg.k);
   } else {
@@ -542,12 +556,7 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
   // Sketching defaults on (w = 10) for simulated presets, where the issue's
   // density/recall trade-off is pinned by the eval tier; user-supplied input
   // stays dense unless asked.
-  const i64 default_w = simulated ? 10 : 0;
-  const i64 minimizer_w = parse_i64(args, "minimizer-w", default_w);
-  if (minimizer_w < 0 || minimizer_w > 255) {
-    throw UsageError("--minimizer-w must be in [0, 255]");
-  }
-  cfg.minimizer_w = static_cast<u32>(minimizer_w);
+  cfg.minimizer_w = parse_int<u32>(args, "minimizer-w", simulated ? 10 : 0, 0, 255);
   cfg.syncmer = parse_on_off(args, "syncmer", false);
   if (cfg.syncmer &&
       (cfg.minimizer_w < 2 || cfg.minimizer_w > static_cast<u32>(cfg.k) - 1)) {
@@ -557,14 +566,11 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
   cfg.chain = parse_on_off(args, "chain", true);
   cfg.overlap_comm = parse_on_off(args, "overlap-comm", true);
   cfg.stage5 = parse_on_off(args, "stage5", true);
-  cfg.min_overlap_score =
-      static_cast<i32>(parse_i64(args, "min-overlap-score", cfg.min_overlap_score));
+  cfg.min_overlap_score = parse_int<i32>(args, "min-overlap-score", cfg.min_overlap_score);
   if (args.has("gfa") && !cfg.stage5) {
     throw UsageError("--gfa requires --stage5=on");
   }
-  const i64 blocks = parse_i64(args, "blocks", 1);
-  if (blocks < 1) throw UsageError("--blocks must be >= 1");
-  cfg.blocks = static_cast<u32>(blocks);
+  cfg.blocks = parse_int<u32>(args, "blocks", 1, 1);
   cfg.memory_budget_bytes = parse_size(args, "memory-budget", 0);
   if (cfg.memory_budget_bytes > 0 && cfg.blocks < 2) {
     throw UsageError("--memory-budget requires --blocks >= 2 (nothing to evict)");

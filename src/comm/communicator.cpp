@@ -16,17 +16,10 @@ u64 Communicator::fault_point() {
   return index;
 }
 
-ExchangeRecord Communicator::start_record() {
-  ExchangeRecord rec;
+void Communicator::record_exchange(ExchangeRecord rec) {
+  rec.seq = exchanges_++;
   rec.stage = stage_;
-  rec.bytes_to_peer.assign(static_cast<std::size_t>(size_), 0);
-  return rec;
-}
-
-void Communicator::finish_record(ExchangeRecord rec, double wall_seconds) {
-  rec.wall_seconds = wall_seconds;
-  const ExchangeRecord& stored = state_.append_record(rank_, std::move(rec));
-  if (sink_) sink_(stored);
+  if (sink_) sink_(rec);
 }
 
 }  // namespace dibella::comm

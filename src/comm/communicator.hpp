@@ -44,8 +44,9 @@ class Communicator {
   void set_stage(std::string stage) { stage_ = std::move(stage); }
   const std::string& stage() const { return stage_; }
 
-  /// Optional per-record callback (used by the pipeline to interleave
-  /// exchange events with compute events in its rank trace).
+  /// Optional per-record callback, the only consumer of exchange records
+  /// (the pipeline stores each one in its rank trace, interleaved with the
+  /// compute events).
   void set_record_sink(std::function<void(const ExchangeRecord&)> sink) {
     sink_ = std::move(sink);
   }
@@ -68,8 +69,10 @@ class Communicator {
   /// match transport faults against it.
   u64 fault_point();
 
-  ExchangeRecord start_record();
-  void finish_record(ExchangeRecord rec, double wall_seconds);
+  /// Every Exchanger wait() ends here: stamp the record with this rank's
+  /// exchange index and the stage tag, then hand it to the record sink.
+  /// Nothing else keeps it.
+  void record_exchange(ExchangeRecord rec);
 
   /// Move to the next collective epoch; every Exchanger flush consumes
   /// exactly one epoch on every rank, which is what keeps mailbox tags
@@ -80,6 +83,7 @@ class Communicator {
   int rank_;
   int size_;
   u64 epoch_ = 0;
+  u64 exchanges_ = 0;  ///< record_exchange() calls so far (the next record's seq)
   std::string stage_;
   std::function<void(const ExchangeRecord&)> sink_;
   std::function<void()> start_sink_;

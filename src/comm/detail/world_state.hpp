@@ -12,7 +12,6 @@
 #include <optional>
 #include <vector>
 
-#include "comm/exchange_record.hpp"
 #include "comm/fault.hpp"
 #include "comm/world.hpp"
 #include "util/checksum.hpp"
@@ -39,8 +38,9 @@ struct MailboxMessage {
 };
 
 /// Shared state of all ranks of a World: per-peer mailbox slots used to move
-/// payload bytes between ranks, the poison flag, and the per-rank
-/// exchange-record logs.
+/// payload bytes between ranks, the replay copies and fault tallies of the
+/// self-healing protocol, and the poison flag. Exchange records are not kept
+/// here: each rank's Communicator hands them to its record sink.
 ///
 /// One deposit path and one consume path move every payload: a sender's
 /// Exchanger flush deposits one epoch-tagged, framed message into each
@@ -77,7 +77,6 @@ class WorldState {
         next_seq_(static_cast<std::size_t>(ranks) * static_cast<std::size_t>(ranks), 0),
         replay_(static_cast<std::size_t>(ranks) * static_cast<std::size_t>(ranks)),
         fault_stats_(static_cast<std::size_t>(ranks)),
-        records_(static_cast<std::size_t>(ranks)),
         rank_cv_(static_cast<std::size_t>(ranks)) {}
 
   int ranks() const { return ranks_; }
@@ -311,21 +310,6 @@ class WorldState {
     for (auto& s : fault_stats_) s = CommFaultStats{};
   }
 
-  /// Append a completed exchange record for `rank`, assigning the rank-local
-  /// sequence number (aligned across ranks because execution is SPMD).
-  const ExchangeRecord& append_record(int rank, ExchangeRecord rec) {
-    auto& log = records_[static_cast<std::size_t>(rank)];
-    rec.seq = log.size();
-    log.push_back(std::move(rec));
-    return log.back();
-  }
-
-  std::vector<std::vector<ExchangeRecord>> copy_records() const { return records_; }
-
-  void clear_records() {
-    for (auto& log : records_) log.clear();
-  }
-
  private:
   std::size_t pair_index(int src, int dst) const {
     return static_cast<std::size_t>(src) * static_cast<std::size_t>(ranks_) +
@@ -358,7 +342,6 @@ class WorldState {
   /// receiver acks the epoch. Populated only while a FaultPlan is installed.
   std::vector<std::map<u64, MailboxMessage>> replay_;
   std::vector<CommFaultStats> fault_stats_;  ///< per receiving rank
-  std::vector<std::vector<ExchangeRecord>> records_;  // written by owner rank only
 
   mutable std::mutex mutex_;
   /// Per-destination-rank mailbox waiters: rank r's thread is the only

@@ -79,17 +79,14 @@ RecvBatch Exchanger::wait() {
   comm_.state_.ack_exchange_epoch(comm_.rank(), flight_epoch_);
   in_flight_ = false;
 
-  ExchangeRecord rec = comm_.start_record();
-  for (int d = 0; d < P; ++d) {
-    if (d != comm_.rank()) {
-      rec.bytes_to_peer[static_cast<std::size_t>(d)] =
-          flushed_bytes_[static_cast<std::size_t>(d)];
-    }
-  }
+  ExchangeRecord rec;
+  rec.bytes_to_peer = flushed_bytes_;
+  rec.bytes_to_peer[static_cast<std::size_t>(comm_.rank())] = 0;  // never on the wire
+  rec.wall_seconds = exposed_timer.seconds();
   rec.hidden_wall_seconds = hidden;
   rec.retries =
       comm_.state_.rank_fault_stats(comm_.rank()).retries - retries_before_;
-  comm_.finish_record(std::move(rec), exposed_timer.seconds());
+  comm_.record_exchange(std::move(rec));
   return batch;
 }
 

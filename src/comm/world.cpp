@@ -42,12 +42,6 @@ void World::run(const std::function<void(Communicator&)>& fn) {
   }
 }
 
-std::vector<std::vector<ExchangeRecord>> World::exchange_records() const {
-  return state_->copy_records();
-}
-
-void World::clear_exchange_records() { state_->clear_records(); }
-
 void World::set_fault_plan(std::shared_ptr<const FaultPlan> plan) {
   state_->set_fault_plan(std::move(plan));
 }

@@ -23,7 +23,6 @@
 #include <memory>
 #include <vector>
 
-#include "comm/exchange_record.hpp"
 #include "util/common.hpp"
 
 namespace dibella::comm {
@@ -77,17 +76,10 @@ class World {
 
   /// Run `fn(comm)` on every rank concurrently; returns when all ranks
   /// complete. Rethrows the first rank exception, if any. A World can run
-  /// multiple successive SPMD regions; collective sequence numbers continue
-  /// across them.
+  /// multiple successive SPMD regions; each gives every rank a fresh
+  /// Communicator, so collective epochs, fault indices and exchange record
+  /// seqs restart at 0.
   void run(const std::function<void(Communicator&)>& fn);
-
-  /// All exchange records accumulated so far, indexed [rank][call].
-  /// Records are aligned: records[r][i] across ranks r describe the same
-  /// exchange (same seq).
-  std::vector<std::vector<ExchangeRecord>> exchange_records() const;
-
-  /// Drop accumulated exchange records (e.g. between benchmark repetitions).
-  void clear_exchange_records();
 
   /// Install a deterministic fault plan (fault.hpp): injected transport
   /// faults and rank aborts fire during subsequent run() calls. Faults are

@@ -25,7 +25,7 @@ u32 PipelineConfig::resolved_max_kmer_count() const {
 netsim::TimingReport PipelineOutput::evaluate(const netsim::Platform& platform,
                                               const netsim::Topology& topology) const {
   netsim::CostModel model(platform, topology);
-  return model.evaluate(traces, exchange_log);
+  return model.evaluate(traces);
 }
 
 void PipelineOutput::write_counters_tsv(std::ostream& os) const {
@@ -237,7 +237,6 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
   // Every stage's exchanges run on one schedule.
   const comm::Exchanger::Config exchange{config.overlap_comm};
 
-  world.clear_exchange_records();
   world.run([&](comm::Communicator& comm) {
     const auto rank = static_cast<std::size_t>(comm.rank());
     StageContext ctx{comm, traces[rank], span_trace.get()};
@@ -449,7 +448,6 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
   out.calibration_s = calibration_s;
   out.partition = partition;
   out.traces = std::move(traces);
-  out.exchange_log = world.exchange_records();
   out.spill = spill;
   if (span_trace) {
     span_trace->finalize();  // an unclosed span would corrupt later pairing

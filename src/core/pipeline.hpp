@@ -97,8 +97,8 @@ struct PipelineOutput {
   /// assembled from every rank's shard by finalize_string_graph; empty
   /// unless config.stage5.
   sgraph::StringGraphOutput string_graph;
-  std::vector<netsim::RankTrace> traces;                       ///< per rank
-  std::vector<std::vector<comm::ExchangeRecord>> exchange_log;  ///< per rank
+  /// Per rank: compute segments and exchange records, in execution order.
+  std::vector<netsim::RankTrace> traces;
   /// Checkpoint payload I/O over every rank and stage; set iff the run had
   /// a checkpoint_dir.
   std::optional<CheckpointSet::IoStats> checkpoint_io;

@@ -118,7 +118,7 @@ struct StageContext {
       }
     });
     comm.set_record_sink([this](const comm::ExchangeRecord& rec) {
-      trace.add_exchange(rec.seq);
+      trace.add_exchange(rec);
       observe_exchange(rec);
     });
   }

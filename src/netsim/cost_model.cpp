@@ -121,12 +121,9 @@ double CostModel::exchange_time(const std::vector<comm::ExchangeRecord>& per_ran
   return worst;
 }
 
-TimingReport CostModel::evaluate(
-    const std::vector<RankTrace>& traces,
-    const std::vector<std::vector<comm::ExchangeRecord>>& records) const {
+TimingReport CostModel::evaluate(const std::vector<RankTrace>& traces) const {
   const int P = topology_.total_ranks();
   DIBELLA_CHECK(static_cast<int>(traces.size()) == P, "evaluate: trace count != ranks");
-  DIBELLA_CHECK(static_cast<int>(records.size()) == P, "evaluate: record count != ranks");
 
   TimingReport report;
   auto touch_stage = [&](const std::string& name) -> StageTiming& {
@@ -201,10 +198,7 @@ TimingReport CostModel::evaluate(
       auto& c = cursor[static_cast<std::size_t>(r)];
       DIBELLA_CHECK(c < events.size() && events[c].kind == TraceEvent::Kind::kExchange,
                     "evaluate: superstep misalignment");
-      u64 seq = events[c].exchange_seq;
-      DIBELLA_CHECK(seq < records[static_cast<std::size_t>(r)].size(),
-                    "evaluate: exchange seq out of range");
-      call[static_cast<std::size_t>(r)] = records[static_cast<std::size_t>(r)][seq];
+      call[static_cast<std::size_t>(r)] = events[c].exchange;
       ++c;
     }
     const bool is_first = !seen_alltoallv;

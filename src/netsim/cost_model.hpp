@@ -1,8 +1,9 @@
 #pragma once
 /// \file cost_model.hpp
-/// The network/compute cost model: replays per-rank traces and exchange
-/// records against a Platform + Topology, producing the virtual (simulated)
-/// per-stage timings the figure benches report.
+/// The network/compute cost model: replays per-rank traces — compute
+/// segments and the exchange records they carry — against a Platform +
+/// Topology, producing the virtual (simulated) per-stage timings the figure
+/// benches report.
 ///
 /// Model summary (parameters in platform.hpp):
 ///  * Compute: each segment's work-based cpu seconds (exact unit counts x
@@ -86,18 +87,16 @@ class CostModel {
   /// core_time_factor x cache penalty.
   double compute_scale(u64 working_set_bytes) const;
 
-  /// Modeled time of one collective, given every rank's record for the same
-  /// seq. `per_rank_seconds`, when non-null, receives each rank's own cost.
+  /// Modeled time of one collective, given every rank's record of it. `per_rank_seconds`, when non-null, receives each rank's own cost.
   /// `is_first_alltoallv` applies the first-call setup surcharge.
   double exchange_time(const std::vector<comm::ExchangeRecord>& per_rank,
                        bool is_first_alltoallv,
                        std::vector<double>* per_rank_seconds = nullptr) const;
 
-  /// Replay traces + records into a report. `traces[r]` and `records[r]`
-  /// describe rank r; records must be seq-aligned across ranks (the World
-  /// guarantees this for SPMD programs).
-  TimingReport evaluate(const std::vector<RankTrace>& traces,
-                        const std::vector<std::vector<comm::ExchangeRecord>>& records) const;
+  /// Replay traces into a report; `traces[r]` describes rank r. The i-th
+  /// exchange event of every trace is the same collective (SPMD), so every
+  /// trace must hold the same number of exchange events.
+  TimingReport evaluate(const std::vector<RankTrace>& traces) const;
 
  private:
   Platform platform_;

@@ -4,11 +4,14 @@
 /// collective (exchange) events. The pipeline records one trace per rank;
 /// the cost model replays traces superstep-by-superstep to produce
 /// platform-scaled stage timings (BSP semantics: a superstep's duration is
-/// the max over ranks).
+/// the max over ranks). Each exchange event carries the rank's
+/// comm::ExchangeRecord of that exchange: the trace is the only place an
+/// exchange is recorded.
 
 #include <string>
 #include <vector>
 
+#include "comm/exchange_record.hpp"
 #include "util/common.hpp"
 
 namespace dibella::netsim {
@@ -31,7 +34,7 @@ struct TraceEvent {
   u64 working_set_bytes = 0;   ///< approximate bytes touched (cache model input)
 
   // kExchange fields:
-  u64 exchange_seq = 0;  ///< aligns with ExchangeRecord::seq in the world log
+  comm::ExchangeRecord exchange;  ///< this rank's record of the exchange
 };
 
 /// Ordered trace of one rank's execution.
@@ -47,11 +50,11 @@ class RankTrace {
     events_.push_back(std::move(ev));
   }
 
-  /// Record that the rank participated in collective `seq`.
-  void add_exchange(u64 seq) {
+  /// Record a completed exchange: this rank's record of it.
+  void add_exchange(comm::ExchangeRecord rec) {
     TraceEvent ev;
     ev.kind = TraceEvent::Kind::kExchange;
-    ev.exchange_seq = seq;
+    ev.exchange = std::move(rec);
     events_.push_back(std::move(ev));
   }
 

@@ -11,6 +11,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "align/alignment_stage.hpp"
@@ -225,6 +226,39 @@ TEST(CliUsage, MalformedNumericValueIsAUsageError) {
             dibella::cli::kExitUsageError);
   EXPECT_EQ(run_driver({"--preset=tiny", "--k=1x7"}).exit_code,
             dibella::cli::kExitUsageError);
+}
+
+TEST(CliUsage, OutOfRangeIntegerOptionsAreUsageErrors) {
+  // Each value would wrap or narrow into a valid one if cast unchecked
+  // (--ranks=4294967298 ran 2 ranks; 17179869184G is 2^64, which wrapped to
+  // a zero budget and slipped past the --blocks >= 2 check; -1 parsed as
+  // 2^64 - 1).
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases = {
+      {"ranks", {"--ranks=4294967298"}},
+      {"ranks", {"--ranks=-4294967295"}},
+      {"ranks-per-node", {"--ranks=4", "--ranks-per-node=4294967298"}},
+      {"k", {"--k=4294967313"}},
+      {"k", {"--k=99999999999999999999"}},
+      {"xdrop", {"--xdrop=4294967321"}},
+      {"min-score", {"--min-score=4294967296"}},
+      {"spacing", {"--seed-policy=spaced", "--spacing=4294967296"}},
+      {"min-overlap-score", {"--min-overlap-score=4294967296"}},
+      {"blocks", {"--blocks=4294967298"}},
+      {"memory-budget", {"--memory-budget=17179869184G", "--blocks=1"}},
+      {"memory-budget", {"--memory-budget=17179869184G", "--blocks=2"}},
+      {"memory-budget", {"--memory-budget=18446744073709551616", "--blocks=2"}},
+      {"memory-budget", {"--memory-budget=-1", "--blocks=2"}},
+      {"memory-budget", {"--memory-budget=+64M", "--blocks=2"}},
+      {"memory-budget", {"--memory-budget= 64M", "--blocks=2"}},
+  };
+  for (const auto& [key, options] : cases) {
+    std::vector<std::string> argv = {"--preset=tiny", "--no-output"};
+    argv.insert(argv.end(), options.begin(), options.end());
+    if (key != "ranks" && key != "ranks-per-node") argv.push_back("--ranks=1");
+    DriverResult r = run_driver(argv);
+    EXPECT_EQ(r.exit_code, dibella::cli::kExitUsageError) << options.front();
+    EXPECT_NE(r.err.find("--" + key), std::string::npos) << options.front() << ": " << r.err;
+  }
 }
 
 TEST_F(CliSmoke, OverlapCommSchedulesProduceIdenticalOutputs) {

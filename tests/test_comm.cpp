@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <thread>
@@ -56,6 +57,20 @@ std::vector<T> gather_all(dc::Communicator& comm, const std::vector<T>& v) {
     out.insert(out.end(), part.begin(), part.end());
   }
   return out;
+}
+
+/// Run `fn` on every rank and return each rank's exchange records in
+/// completion order, as its record sink saw them (the Communicator keeps
+/// none).
+std::vector<std::vector<dc::ExchangeRecord>> run_recording(
+    dc::World& world, const std::function<void(dc::Communicator&)>& fn) {
+  std::vector<std::vector<dc::ExchangeRecord>> records(static_cast<std::size_t>(world.size()));
+  world.run([&](dc::Communicator& comm) {
+    auto& mine = records[static_cast<std::size_t>(comm.rank())];
+    comm.set_record_sink([&mine](const dc::ExchangeRecord& rec) { mine.push_back(rec); });
+    fn(comm);
+  });
+  return records;
 }
 
 }  // namespace
@@ -273,7 +288,7 @@ TEST(Comm, BroadcastAndGather) {
 TEST(Comm, ExchangeRecordsAlignedAndAccurate) {
   const int P = 3;
   dc::World world(P);
-  world.run([&](dc::Communicator& comm) {
+  auto records = run_recording(world, [&](dc::Communicator& comm) {
     comm.set_stage("phase_one");
     std::vector<std::vector<u64>> send(P);
     for (int d = 0; d < P; ++d) {
@@ -283,7 +298,6 @@ TEST(Comm, ExchangeRecordsAlignedAndAccurate) {
     comm.set_stage("phase_two");
     empty_round(comm);
   });
-  auto records = world.exchange_records();
   ASSERT_EQ(records.size(), static_cast<std::size_t>(P));
   for (int r = 0; r < P; ++r) {
     const auto& log = records[static_cast<std::size_t>(r)];
@@ -299,8 +313,12 @@ TEST(Comm, ExchangeRecordsAlignedAndAccurate) {
     EXPECT_EQ(log[1].total_bytes(), 0u);
     EXPECT_GE(log[0].wall_seconds, 0.0);
   }
-  world.clear_exchange_records();
-  EXPECT_TRUE(world.exchange_records()[0].empty());
+  // The next region's records start afresh on every rank.
+  records = run_recording(world, [](dc::Communicator& comm) { empty_round(comm); });
+  for (const auto& log : records) {
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_EQ(log[0].seq, 0u);
+  }
 }
 
 TEST(Comm, RecordSinkObservesCalls) {
@@ -382,7 +400,7 @@ TEST(Comm, RecordsExcludeSelfBytesEverywhere) {
   // any shape, empty ones included — must have bytes_to_peer[self] == 0.
   const int P = 4;
   dc::World world(P);
-  world.run([&](dc::Communicator& comm) {
+  auto records = run_recording(world, [&](dc::Communicator& comm) {
     std::vector<std::vector<u64>> send(P);
     for (int d = 0; d < P; ++d) send[static_cast<std::size_t>(d)].assign(3, 7);
     exchange_round(comm, send);
@@ -392,7 +410,6 @@ TEST(Comm, RecordsExcludeSelfBytesEverywhere) {
     exchange_round(comm, to_root);
     empty_round(comm);
   });
-  auto records = world.exchange_records();
   for (int r = 0; r < P; ++r) {
     const auto& log = records[static_cast<std::size_t>(r)];
     ASSERT_EQ(log.size(), 4u);
@@ -591,7 +608,7 @@ TEST(Exchanger, OverlappedLoopMatchesBlockingLoop) {
 TEST(Exchanger, RecordsHiddenWindowAndInterleavesWithCollectives) {
   const int P = 2;
   dc::World world(P);
-  world.run([&](dc::Communicator& comm) {
+  auto records = run_recording(world, [&](dc::Communicator& comm) {
     comm.set_stage("overlap_test");
     dc::Exchanger ex(comm);
     std::vector<u32> v{1, 2, 3};
@@ -605,7 +622,6 @@ TEST(Exchanger, RecordsHiddenWindowAndInterleavesWithCollectives) {
     got.for_each_item<u32>([&](u32 v) { items.push_back(v); });
     ASSERT_EQ(items.size(), static_cast<std::size_t>(P) * 3);
   });
-  auto records = world.exchange_records();
   for (int r = 0; r < P; ++r) {
     const auto& log = records[static_cast<std::size_t>(r)];
     // The empty round finishes before the exchange's wait().

@@ -155,12 +155,6 @@ TEST(CostModel, EvaluateAggregatesSuperstepsBspStyle) {
   std::vector<dn::RankTrace> traces(2);
   traces[0].add_compute("alpha", 1.0, 0);
   traces[1].add_compute("alpha", 3.0, 0);  // slow rank dominates superstep
-  traces[0].add_exchange(0);
-  traces[1].add_exchange(0);
-  traces[0].add_compute("beta", 2.0, 0);
-  traces[1].add_compute("beta", 1.0, 0);
-
-  std::vector<std::vector<dc::ExchangeRecord>> records(2);
   for (int r = 0; r < 2; ++r) {
     dc::ExchangeRecord rec;
     rec.stage = "alpha";
@@ -168,10 +162,12 @@ TEST(CostModel, EvaluateAggregatesSuperstepsBspStyle) {
     rec.bytes_to_peer = {0, 0};
     rec.bytes_to_peer[static_cast<std::size_t>(1 - r)] = 500;
     rec.wall_seconds = 0.25;
-    records[static_cast<std::size_t>(r)].push_back(rec);
+    traces[static_cast<std::size_t>(r)].add_exchange(rec);
   }
+  traces[0].add_compute("beta", 2.0, 0);
+  traces[1].add_compute("beta", 1.0, 0);
 
-  auto report = model.evaluate(traces, records);
+  auto report = model.evaluate(traces);
   ASSERT_TRUE(report.has_stage("alpha"));
   ASSERT_TRUE(report.has_stage("beta"));
   EXPECT_DOUBLE_EQ(report.stage("alpha").compute_virtual, 3.0);  // max over ranks
@@ -196,8 +192,7 @@ TEST(CostModel, EvaluateSubStagesTracked) {
   std::vector<dn::RankTrace> traces(1);
   traces[0].add_compute("bloom:pack", 1.0, 0);
   traces[0].add_compute("bloom:local", 2.0, 0);
-  std::vector<std::vector<dc::ExchangeRecord>> records(1);
-  auto report = model.evaluate(traces, records);
+  auto report = model.evaluate(traces);
   EXPECT_DOUBLE_EQ(report.stage("bloom").compute_virtual, 3.0);
   EXPECT_DOUBLE_EQ(report.stage("bloom:pack").compute_virtual, 1.0);
   EXPECT_DOUBLE_EQ(report.stage("bloom:local").compute_virtual, 2.0);
@@ -209,20 +204,20 @@ TEST(CostModel, EvaluateSubStagesTracked) {
 TEST(CostModel, EvaluateRejectsMisalignedTraces) {
   dn::CostModel model(dn::local_host(), dn::Topology{2, 1});
   std::vector<dn::RankTrace> traces(2);
-  traces[0].add_exchange(0);  // rank 1 has no exchange: SPMD violation
-  std::vector<std::vector<dc::ExchangeRecord>> records(2);
-  EXPECT_THROW(model.evaluate(traces, records), dibella::Error);
+  // Rank 1 has no exchange: SPMD violation.
+  traces[0].add_exchange(make_alltoallv({{0, 0}, {0, 0}})[0]);
+  EXPECT_THROW(model.evaluate(traces), dibella::Error);
 }
 
 TEST(CostModel, EndToEndWithRealWorldRecords) {
-  // Drive a real World, feed its records + traces through the model.
+  // Drive a real World, feed the traces its records land in through the model.
   const int P = 4;
   dc::World world(P);
   std::vector<dn::RankTrace> traces(P);
   world.run([&](dc::Communicator& comm) {
     auto& trace = traces[static_cast<std::size_t>(comm.rank())];
     comm.set_record_sink(
-        [&trace](const dc::ExchangeRecord& rec) { trace.add_exchange(rec.seq); });
+        [&trace](const dc::ExchangeRecord& rec) { trace.add_exchange(rec); });
     comm.set_stage("work");
     trace.add_compute("work", 0.001 * (comm.rank() + 1), 1 << 20);
     dc::Exchanger ex(comm);
@@ -231,7 +226,7 @@ TEST(CostModel, EndToEndWithRealWorldRecords) {
     ex.wait();
   });
   dn::CostModel model(dn::titan(), dn::Topology{2, 2});
-  auto report = model.evaluate(traces, world.exchange_records());
+  auto report = model.evaluate(traces);
   ASSERT_TRUE(report.has_stage("work"));
   // Compute: max cpu = 0.004 scaled by at least the core factor.
   EXPECT_GE(report.stage("work").compute_virtual, 0.004 * dn::titan().core_time_factor * 0.99);
@@ -250,21 +245,17 @@ TEST(CostModel, OverlappedExchangeSplitsExposedAndHidden) {
   std::vector<dn::RankTrace> traces(2);
   traces[0].add_exchange_start();
   traces[0].add_compute("alpha", 2.0, 0);
-  traces[0].add_exchange(0);
   traces[1].add_exchange_start();
-  traces[1].add_exchange(0);
-
-  std::vector<std::vector<dc::ExchangeRecord>> records(2);
   for (int r = 0; r < 2; ++r) {
     dc::ExchangeRecord rec;
     rec.stage = "alpha";
     rec.seq = 0;
     rec.bytes_to_peer = {0, 0};
     rec.bytes_to_peer[static_cast<std::size_t>(1 - r)] = 4'000'000;
-    records[static_cast<std::size_t>(r)].push_back(rec);
+    traces[static_cast<std::size_t>(r)].add_exchange(rec);
   }
 
-  auto report = model.evaluate(traces, records);
+  auto report = model.evaluate(traces);
   const auto& st = report.stage("alpha");
   EXPECT_GT(st.exchange_virtual, 0.0);
   // Rank 1 had no compute in the window, so its full cost stays exposed;
@@ -283,16 +274,12 @@ TEST(CostModel, BlockingCollectivesStayFullyExposed) {
   dn::Topology topo{2, 1};
   dn::CostModel model(dn::local_host(), topo);
   std::vector<dn::RankTrace> traces(2);
+  auto recs = make_alltoallv({{0, 1'000'000}, {1'000'000, 0}});
   for (int r = 0; r < 2; ++r) {
     traces[static_cast<std::size_t>(r)].add_compute("s", 1.0, 0);
-    traces[static_cast<std::size_t>(r)].add_exchange(0);
+    traces[static_cast<std::size_t>(r)].add_exchange(recs[static_cast<std::size_t>(r)]);
   }
-  auto recs = make_alltoallv({{0, 1'000'000}, {1'000'000, 0}});
-  std::vector<std::vector<dc::ExchangeRecord>> records(2);
-  records[0] = {recs[0]};
-  records[1] = {recs[1]};
-  for (auto& log : records) log[0].stage = "s";
-  auto report = model.evaluate(traces, records);
+  auto report = model.evaluate(traces);
   EXPECT_DOUBLE_EQ(report.stage("s").exchange_exposed_virtual,
                    report.stage("s").exchange_virtual);
   EXPECT_GT(report.stage("s").exchange_virtual, 0.0);

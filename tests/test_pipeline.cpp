@@ -344,4 +344,14 @@ TEST(Pipeline, OverlappedScheduleHidesExchangeTime) {
   // The overlapped schedule's exposed exchange beats the blocking schedule's.
   EXPECT_LT(rep_on.total_exchange_exposed_virtual(),
             rep_off.total_exchange_exposed_virtual());
+  // The schedule moves only when each exchange runs, never what it carries:
+  // every stage's wire bytes, rounds and full modeled exchange time match.
+  ASSERT_EQ(rep_on.stage_order, rep_off.stage_order);
+  for (const auto& name : rep_on.stage_order) {
+    const auto& st_on = rep_on.stage(name);
+    const auto& st_off = rep_off.stage(name);
+    EXPECT_EQ(st_on.exchange_bytes, st_off.exchange_bytes) << name;
+    EXPECT_EQ(st_on.exchange_calls, st_off.exchange_calls) << name;
+    EXPECT_DOUBLE_EQ(st_on.exchange_virtual, st_off.exchange_virtual) << name;
+  }
 }
