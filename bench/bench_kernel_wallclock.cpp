@@ -30,8 +30,9 @@
 //                   beside its wall seconds as in alignment_stage_pool
 //   * overlap_consolidate: overlap-stage task consolidation on many pairs
 //                   with a few seeds each, the former sort-then-group
-//                   consolidation vs the stage's pair runs: encode -> decode
-//                   -> merge -> filter, tasks asserted equal (tasks/s). Pair
+//                   consolidation vs the stage's pair runs: encode ->
+//                   validate -> merge + decode -> filter, tasks asserted
+//                   equal (tasks/s). Pair
 //                   runs lose here (speedup < 1): they pay off on many seeds
 //                   per pair, not one or two
 //   * pair_runs:    the same on dense seeding's shape (hundreds of seeds per
@@ -415,8 +416,8 @@ std::vector<overlap::OverlapTask> random_overlap_tasks(std::size_t n_tasks, u64 
 
 /// The overlap stage's consolidation without the exchange: each slice of
 /// `batch` tasks is one sender's payload of one batch (encode); the
-/// receiver decodes every payload, merges them by pair and filters each
-/// pair.
+/// receiver validates every payload, then merges them by pair, decoding
+/// each seed there, and filters each pair.
 std::vector<overlap::AlignmentTask> consolidate_pair_runs(
     const std::vector<overlap::OverlapTask>& tasks, const overlap::SeedFilterConfig& policy,
     std::size_t batch) {

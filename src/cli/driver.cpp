@@ -21,6 +21,7 @@
 #include "eval/report.hpp"
 #include "io/fastx.hpp"
 #include "io/truth.hpp"
+#include "kmer/kmer.hpp"
 #include "netsim/cost_model.hpp"
 #include "netsim/platform.hpp"
 #include "obs/profile.hpp"
@@ -487,6 +488,11 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
   if (ranks % ranks_per_node != 0) {
     throw UsageError("--ranks-per-node must divide --ranks");
   }
+  // Ranges that need no reads, checked before any are loaded or simulated.
+  core::PipelineConfig cfg;
+  cfg.k = parse_int<int>(args, "k", 17, 1, kmer::Kmer::max_k());
+  cfg.xdrop = parse_int<int>(args, "xdrop", cfg.xdrop, 0);
+  const u32 spacing = parse_int<u32>(args, "spacing", 1000, 1);
 
   // --- input: user file or simulated preset.
   std::vector<io::Read> reads;
@@ -531,8 +537,6 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
   if (reads.empty()) throw Error("no reads to process");
 
   // --- pipeline configuration.
-  core::PipelineConfig cfg;
-  cfg.k = parse_int<int>(args, "k", 17);
   // The table stores up to m + 1 occurrences per key, so m itself stops at
   // 2^32 - 2; a wrapped value would silently purge every k-mer.
   cfg.min_kmer_count = parse_int<u32>(args, "min-kmer-count", 2);
@@ -540,14 +544,12 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
   cfg.assumed_coverage = coverage;
   cfg.assumed_error_rate = error_rate;
   cfg.bloom_fpr = parse_double(args, "bloom-fpr", cfg.bloom_fpr);
-  cfg.xdrop = parse_int<int>(args, "xdrop", cfg.xdrop);
   cfg.min_report_score = parse_int<int>(args, "min-score", 0);
   const std::string policy = args.get("seed-policy", "one");
   if (policy == "one") {
     cfg.seed_filter = overlap::SeedFilterConfig::one_seed();
   } else if (policy == "spaced") {
-    cfg.seed_filter =
-        overlap::SeedFilterConfig::spaced(parse_int<u32>(args, "spacing", 1000));
+    cfg.seed_filter = overlap::SeedFilterConfig::spaced(spacing);
   } else if (policy == "all") {
     cfg.seed_filter = overlap::SeedFilterConfig::all_seeds(cfg.k);
   } else {

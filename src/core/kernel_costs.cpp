@@ -235,9 +235,9 @@ double time_pair_consolidate() {
 }
 
 /// Stage-3 consolidation through pair runs: each payload is encoded
-/// (overlap::encode_pair_runs) and decoded, then the runs are merged by pair
-/// and filtered (overlap::PairSeedTable). Pairs over 2,000 reads, so most
-/// carry one seed.
+/// (overlap::encode_pair_runs) and validated, then the payloads are merged
+/// by pair, decoded and filtered (overlap::PairSeedTable). Pairs over 2,000
+/// reads, so most carry one seed.
 double time_pair_runs() {
   volatile u64 sink = 0;
   std::vector<overlap::OverlapTask> tasks(kPairRunTasks * kPairRunPayloads);

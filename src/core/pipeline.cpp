@@ -295,7 +295,7 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
       bcfg.exchange = exchange;
       bcfg.workers = workers;
       {
-        obs::Span stage_span = ctx.span("stage:bloom");
+        StageSpan stage_span = ctx.stage_span("stage:bloom");
         bloom_res[rank] = bloom::run_bloom_stage(ctx, store, bcfg, table);
       }
       checkpoint_stage(CheckpointStage::kBloom, [&] {
@@ -319,7 +319,7 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
       hcfg.exchange = exchange;
       hcfg.workers = workers;
       {
-        obs::Span stage_span = ctx.span("stage:ht");
+        StageSpan stage_span = ctx.stage_span("stage:ht");
         ht_res[rank] = dht::run_hashtable_stage(ctx, store, hcfg, table);
       }
       checkpoint_stage(CheckpointStage::kHashTable, [&] {
@@ -345,7 +345,7 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
       ocfg.exchange = exchange;
       ocfg.batch_tasks = config.batch_overlap_tasks;
       {
-        obs::Span stage_span = ctx.span("stage:overlap");
+        StageSpan stage_span = ctx.stage_span("stage:overlap");
         tasks = overlap::run_overlap_stage(ctx, table, partition, ocfg, &ov_res[rank]);
       }
       checkpoint_stage(CheckpointStage::kOverlap, [&] {
@@ -382,7 +382,7 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
       acfg.chain = config.chain;
       acfg.workers = workers;
       {
-        obs::Span stage_span = ctx.span("stage:align");
+        StageSpan stage_span = ctx.stage_span("stage:align");
         std::vector<std::vector<overlap::AlignmentTask>> rounds(B);
         for (auto& t : tasks) {
           const u64 round_gid = !store.is_local(t.rid_a) ? t.rid_a : t.rid_b;
@@ -434,7 +434,7 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
       scfg.min_overlap_score = config.min_overlap_score;
       scfg.fuzz = config.sgraph_fuzz;
       scfg.exchange = exchange;
-      obs::Span stage_span = ctx.span("stage:sgraph");
+      StageSpan stage_span = ctx.stage_span("stage:sgraph");
       SpillMergeSource local_stream(spill->rank_runs(comm.rank()));
       sg_out[rank] = sgraph::run_string_graph_stage(ctx, store, local_stream, scfg,
                                                     &sg_res[rank]);

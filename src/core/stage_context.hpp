@@ -9,6 +9,8 @@
 /// returns them in its result, and run_pipeline sums them into
 /// PipelineCounters.
 
+#include <sys/resource.h>
+
 #include <exception>
 
 #include "comm/communicator.hpp"
@@ -78,6 +80,27 @@ class KernelBatch {
   u64 working_set_bytes_ = 0;
 };
 
+/// One `stage:<name>` span. It closes with arg `rss_hwm_kb`: the process's
+/// peak resident set so far (getrusage ru_maxrss; the ranks are threads of
+/// one process), so a run's peak RSS can be attributed to the stage that
+/// set it.
+class StageSpan {
+ public:
+  StageSpan(obs::Trace* spans, int rank, const char* name) : span_(spans, rank, name) {}
+
+  StageSpan(const StageSpan&) = delete;
+  StageSpan& operator=(const StageSpan&) = delete;
+
+  ~StageSpan() {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    span_.arg("rss_hwm_kb", static_cast<u64>(usage.ru_maxrss));
+  }
+
+ private:
+  obs::Span span_;
+};
+
 /// Everything a stage needs from its rank.
 struct StageContext {
   comm::Communicator& comm;
@@ -86,6 +109,9 @@ struct StageContext {
 
   /// Open a wallclock span on this rank's lane (no-op when tracing is off).
   obs::Span span(const char* name) { return obs::Span(spans, comm.rank(), name); }
+
+  /// Open the `stage:<name>` span of one pipeline stage.
+  StageSpan stage_span(const char* name) { return StageSpan(spans, comm.rank(), name); }
 
   /// Open one kernel batch: a `<stage>:<kernel>` span named `name` whose
   /// compute segment is recorded under `tag` (default: `name`).

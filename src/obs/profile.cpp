@@ -89,7 +89,13 @@ ProfileReport build_profile(const Trace& trace, double calibration_s,
           const double dur_s = ev.t_ns >= bt ? static_cast<double>(ev.t_ns - bt) * 1e-9 : 0.0;
           if (has_prefix(bname, "stage:")) {
             if (!stage_stack.empty()) stage_stack.pop_back();
-            stage_slot(bname + 6).rank_wall_s[rank] += dur_s;
+            StageProfile& sp = stage_slot(bname + 6);
+            sp.rank_wall_s[rank] += dur_s;
+            for (u8 i = 0; i < ev.n_args; ++i) {
+              if (std::strcmp(ev.args[i].key, "rss_hwm_kb") == 0) {
+                sp.rss_hwm_kb = std::max(sp.rss_hwm_kb, ev.args[i].value);
+              }
+            }
           } else {
             observe(bname, dur_s);
           }
@@ -174,6 +180,7 @@ void write_profile_tsv(std::ostream& os, const ProfileReport& rep) {
     row("stage", sp.name, "crit_rank", std::to_string(sp.crit_rank));
     row("stage", sp.name, "exchange_exposed_wall_s", fmt_s(sp.exposed_max_s()));
     row("stage", sp.name, "exchange_hidden_wall_s", fmt_s(sp.hidden_max_s()));
+    row("stage", sp.name, "rss_hwm_mb", fmt_s(static_cast<double>(sp.rss_hwm_kb) / 1024.0));
     if (sp.model_exposed_s >= 0.0) {
       row("stage", sp.name, "model_exposed_virtual_s", fmt_s(sp.model_exposed_s));
       row("stage", sp.name, "model_hidden_virtual_s", fmt_s(sp.model_hidden_s));

@@ -11,6 +11,8 @@
 ///     perfectly-balanced bound, so the gap is time lost to imbalance;
 ///   * per-rank load-imbalance factors: max/mean of the per-rank stage
 ///     walls (1.0 = perfect), plus which rank was critical;
+///   * the process's peak RSS as each stage closed, so a peak can be
+///     attributed to the stage that set it;
 ///   * exposed vs hidden exchange wallclock per stage — exposed is time
 ///     blocked in wait(), hidden is the flush->wait
 ///     in-flight window — cross-checked against the netsim cost model's
@@ -54,6 +56,9 @@ struct StageProfile {
   double wall_max_s = 0.0;           ///< critical-path contribution
   double wall_mean_s = 0.0;
   int crit_rank = 0;                 ///< argmax rank
+  /// Max over ranks of the process's peak RSS (KiB) as the stage span
+  /// closed: its `rss_hwm_kb` arg (0 when the spans carry none).
+  u64 rss_hwm_kb = 0;
   /// Modeled (virtual) exposed/hidden exchange seconds from the netsim cost
   /// model, for cross-checking schedule quality; -1 when no model report was
   /// supplied or the model has no such stage.

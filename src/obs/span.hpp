@@ -15,7 +15,8 @@
 /// Span taxonomy (names are string literals; the hierarchy is positional —
 /// a span nests inside whichever spans are open on its rank):
 ///   stage:<name>          one per pipeline stage per rank (bloom, ht,
-///                         overlap, align, sgraph)
+///                         overlap, align, sgraph; arg rss_hwm_kb, the
+///                         process's peak RSS as it closed)
 ///   round                 one stage-4 block round (arg block=i)
 ///   <stage>:<kernel>      a kernel batch inside a stage (bloom:pack,
 ///                         bloom:insert, align:extend, sgraph:reduce, ...),

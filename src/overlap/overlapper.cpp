@@ -90,23 +90,12 @@ void encode_pair_runs(std::vector<OverlapTask>& tasks, std::vector<u8>& out) {
 }
 
 void PairSeedTable::add_runs(const u8* data, std::size_t size) {
-  const Payload before{runs_.size(), seeds_.size()};
-  try {
-    decode_runs(data, size);
-  } catch (...) {
-    // A rejected payload adds nothing.
-    runs_.resize(before.run);
-    seeds_.resize(before.seed);
-    throw;
-  }
-  if (size > 0) payloads_.push_back(before);
-}
-
-void PairSeedTable::decode_runs(const u8* data, std::size_t size) {
+  // Validate the whole payload before keeping any of it, so a rejected
+  // payload adds nothing.
   const u8* p = data;
   const u8* const end = data + size;
   bool first = true;
-  u64 rid_a = 0, rid_b = 0;
+  u64 rid_a = 0, rid_b = 0, seeds = 0;
   while (p != end) {
     const u64 delta = get_varint(p, end);
     DIBELLA_CHECK(delta <= ~u64{0} - rid_a, "pair run: rid_a overflows the pair key");
@@ -118,48 +107,66 @@ void PairSeedTable::decode_runs(const u8* data, std::size_t size) {
     rid_a = next_a;
     rid_b = next_b;
     const u64 count = get_varint(p, end);
-    // A seed is at least two bytes: bound the count before any append.
+    // A seed is at least two bytes: bound the count before reading seeds.
     DIBELLA_CHECK(count >= 1 && count <= static_cast<u64>(end - p) / 2,
                   "pair run: seed count does not fit the payload");
-    runs_.push_back(Run{rid_a, rid_b, count});
     for (u64 i = 0; i < count; ++i) {
       const u64 pos_a = get_varint(p, end);
       const u64 pos_b = get_varint(p, end);
       DIBELLA_CHECK(pos_a <= ~u32{0} && (pos_b >> 33) == 0,
                     "pair run: seed position out of range");
-      seeds_.push_back(SeedPair{static_cast<u32>(pos_a), static_cast<u32>(pos_b >> 1),
-                                static_cast<u8>(pos_b & 1u)});
     }
+    seeds += count;
   }
+  if (size > 0) payloads_.emplace_back(data, end);
+  seeds_ += seeds;
+}
+
+u64 PairSeedTable::held_bytes() const {
+  u64 bytes = payloads_.capacity() * sizeof(std::vector<u8>);
+  for (const auto& payload : payloads_) bytes += payload.capacity();
+  return bytes;
 }
 
 std::vector<AlignmentTask> PairSeedTable::consolidate(const SeedFilterConfig& seed_filter,
                                                       OverlapStageResult* result) {
-  std::vector<Run> runs = std::move(runs_);
-  std::vector<SeedPair> seeds = std::move(seeds_);
-  std::vector<Payload> bounds = std::move(payloads_);
-  runs_.clear();
-  seeds_.clear();
+  const std::vector<std::vector<u8>> payloads = std::move(payloads_);
+  const u64 seeds = seeds_;
   payloads_.clear();
-  bounds.push_back(Payload{runs.size(), seeds.size()});
+  seeds_ = 0;
 
   // K-way merge of the payloads, each ascending by pair: a min-heap of one
-  // cursor per payload yields every run of a pair consecutively, and reads
-  // each payload's runs and seeds front to back.
+  // cursor per payload yields every run of a pair consecutively, and decodes
+  // each payload front to back. add_runs validated every byte, so the
+  // decoder here reads without bounds checks.
   struct Cursor {
     u64 rid_a = 0;
     u64 rid_b = 0;
-    std::size_t run = 0;   ///< the payload's next run
-    std::size_t end = 0;   ///< past the payload's last run
-    std::size_t seed = 0;  ///< first seed of `run`
+    u64 count = 0;             ///< seeds of the current run
+    const u8* p = nullptr;     ///< the current run's first seed
+    const u8* end = nullptr;   ///< past the payload's last byte
+  };
+  const auto read_varint = [](const u8*& p) {
+    u64 v = 0;
+    for (int shift = 0;; shift += 7) {
+      const u8 byte = *p++;
+      v |= static_cast<u64>(byte & 0x7F) << shift;
+      if ((byte & 0x80) == 0) return v;
+    }
+  };
+  const auto read_header = [&read_varint](Cursor& c) {
+    c.rid_a += read_varint(c.p);
+    c.rid_b = read_varint(c.p);
+    c.count = read_varint(c.p);
   };
   const auto later = [](const Cursor& x, const Cursor& y) {
     return x.rid_a != y.rid_a ? x.rid_a > y.rid_a : x.rid_b > y.rid_b;
   };
   std::vector<Cursor> heap;
-  for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
-    const Run& r = runs[bounds[i].run];
-    heap.push_back(Cursor{r.rid_a, r.rid_b, bounds[i].run, bounds[i + 1].run, bounds[i].seed});
+  heap.reserve(payloads.size());
+  for (const auto& payload : payloads) {
+    heap.push_back(Cursor{0, 0, 0, payload.data(), payload.data() + payload.size()});
+    read_header(heap.back());
   }
   std::make_heap(heap.begin(), heap.end(), later);
 
@@ -173,13 +180,14 @@ std::vector<AlignmentTask> PairSeedTable::consolidate(const SeedFilterConfig& se
     while (!heap.empty() && heap.front().rid_a == rid_a && heap.front().rid_b == rid_b) {
       std::pop_heap(heap.begin(), heap.end(), later);
       Cursor& cur = heap.back();
-      const auto first = seeds.begin() + static_cast<std::ptrdiff_t>(cur.seed);
-      cur.seed += runs[cur.run].count;
-      pair_seeds.insert(pair_seeds.end(), first,
-                        seeds.begin() + static_cast<std::ptrdiff_t>(cur.seed));
-      if (++cur.run < cur.end) {
-        cur.rid_a = runs[cur.run].rid_a;
-        cur.rid_b = runs[cur.run].rid_b;
+      for (u64 i = 0; i < cur.count; ++i) {
+        const u64 pos_a = read_varint(cur.p);
+        const u64 pos_b = read_varint(cur.p);
+        pair_seeds.push_back(SeedPair{static_cast<u32>(pos_a), static_cast<u32>(pos_b >> 1),
+                                      static_cast<u8>(pos_b & 1u)});
+      }
+      if (cur.p != cur.end) {
+        read_header(cur);
         std::push_heap(heap.begin(), heap.end(), later);
       } else {
         heap.pop_back();
@@ -189,9 +197,9 @@ std::vector<AlignmentTask> PairSeedTable::consolidate(const SeedFilterConfig& se
     after += tasks.back().seeds.size();
   }
   if (result) {
-    result->pair_tasks_received = seeds.size();
+    result->pair_tasks_received = seeds;
     result->distinct_pairs = tasks.size();
-    result->seeds_before_filter = seeds.size();
+    result->seeds_before_filter = seeds;
     result->seeds_after_filter = after;
   }
   return tasks;
@@ -269,8 +277,8 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
         return slot_cursor < table.capacity();
       },
       [&](const comm::RecvBatch& batch) {
-        // Each source's payload is a whole number of runs, decoded and
-        // validated here (overlapped: while the next batch is in flight).
+        // Each source's payload is a whole number of runs, validated and
+        // kept here (overlapped: while the next batch is in flight).
         auto k = ctx.kernel("overlap:recv");
         for (int src = 0; src < ex.size(); ++src) {
           received.add_runs(batch.src_data(src), batch.src_size_bytes(src));
@@ -282,7 +290,7 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
   // --- merge the payloads by pair, then apply the seed policy per pair.
   auto consolidate = ctx.kernel("overlap:consolidate");
   consolidate.units("tasks", received.seeds(), &core::KernelCosts::pair_runs)
-      .working_set(received.seeds() * sizeof(SeedPair));
+      .working_set(received.held_bytes());
   std::vector<AlignmentTask> tasks = received.consolidate(cfg.seed_filter, &res);
   consolidate.close();
 

@@ -24,9 +24,10 @@
 /// previous run's rid_a (the first run's is rid_a itself). A dense-seed
 /// pair (hundreds of shared k-mers) costs one header per batch and ~4-6
 /// bytes per seed instead of a fixed-width record per seed. The receiver
-/// validates every byte while decoding each payload into run records and a
-/// flat seed array (PairSeedTable). At the end, a k-way merge of the
-/// payloads gathers each pair's seeds, which are sorted and deduplicated
+/// validates every byte of each payload on arrival and keeps the validated
+/// bytes as they are (PairSeedTable), so received seeds stay at wire
+/// density until consolidation. At the end, a k-way merge of the payloads
+/// decodes and gathers each pair's seeds, which are sorted and deduplicated
 /// under filter_seeds' total order before the seed policy runs once per
 /// pair, so the tasks do not depend on the order seeds arrive in.
 
@@ -89,21 +90,25 @@ int task_owner_read(u64 ra, u64 rb);
 /// seeds in their input order.
 void encode_pair_runs(std::vector<OverlapTask>& tasks, std::vector<u8>& out);
 
-/// Receiver side of stage 3: decoded pair runs, kept as they arrive (one
-/// record per run, the seeds in one flat array) and merged by pair only at
-/// consolidation. Each payload's runs ascend by pair, so consolidation is a
-/// k-way merge of the payloads that reads each one's seeds in order.
+/// Receiver side of stage 3: each sender's pair runs, validated on receipt
+/// and kept as they arrived, at wire density (one owned copy of each
+/// payload's bytes, ~4-6 bytes per seed). Each payload's runs ascend by
+/// pair, so consolidation is a k-way merge of the payloads that decodes each
+/// one front to back; no seed is decoded before then.
 class PairSeedTable {
  public:
-  /// Decode one sender's pair runs and keep their seeds. Every byte is
-  /// validated before it is used: a truncated or overlong varint, a count
+  /// Validate one sender's pair runs and keep a copy of them. Every byte is
+  /// checked before any is kept: a truncated or overlong varint, a count
   /// larger than the remaining bytes could hold, a rid or position out of
   /// range, rid_a >= rid_b, or runs out of order throw dibella::Error, and
   /// leave the table as it was.
   void add_runs(const u8* data, std::size_t size);
 
   /// Seeds kept so far, over all pairs.
-  u64 seeds() const { return seeds_.size(); }
+  u64 seeds() const { return seeds_; }
+
+  /// Heap bytes the table holds: the kept payloads and their index.
+  u64 held_bytes() const;
 
   /// The pairs ascending by (rid_a, rid_b), each with the seed policy
   /// applied. When `result` is given, fills pair_tasks_received /
@@ -113,22 +118,8 @@ class PairSeedTable {
                                          OverlapStageResult* result = nullptr);
 
  private:
-  /// One decoded run; its seeds follow the previous run's in seeds_.
-  struct Run {
-    u64 rid_a = 0;
-    u64 rid_b = 0;
-    u64 count = 0;
-  };
-  /// Where one payload starts: its first run and its first seed.
-  struct Payload {
-    std::size_t run = 0;
-    std::size_t seed = 0;
-  };
-  void decode_runs(const u8* data, std::size_t size);
-
-  std::vector<Run> runs_;
-  std::vector<Payload> payloads_;
-  std::vector<SeedPair> seeds_;
+  std::vector<std::vector<u8>> payloads_;  ///< validated, one per add_runs
+  u64 seeds_ = 0;
 };
 
 /// Run stage 3 for this rank. Returns the alignment tasks this rank owns.

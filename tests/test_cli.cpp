@@ -18,6 +18,7 @@
 #include "cli/driver.hpp"
 #include "io/fastx.hpp"
 #include "io/truth.hpp"
+#include "kmer/kmer.hpp"
 
 namespace fs = std::filesystem;
 using dibella::u64;
@@ -560,6 +561,42 @@ TEST(CliUsage, BadChainValueIsAUsageError) {
                                "--chain=maybe"});
   EXPECT_EQ(r.exit_code, dibella::cli::kExitUsageError);
   EXPECT_NE(r.err.find("chain"), std::string::npos);
+}
+
+namespace {
+
+/// Run with `bad` and expect a usage error naming `key`, raised before any
+/// read is simulated.
+void expect_early_usage_error(const std::string& bad, const std::string& key) {
+  DriverResult r = run_driver({"--preset=tiny", "--ranks=1", "--no-output", bad});
+  EXPECT_EQ(r.exit_code, dibella::cli::kExitUsageError) << bad << ": " << r.err;
+  EXPECT_NE(r.err.find("--" + key), std::string::npos) << bad << ": " << r.err;
+  EXPECT_EQ(r.out.find("simulated"), std::string::npos) << bad;
+}
+
+}  // namespace
+
+TEST(CliUsage, KOutsideTheKmerRangeIsAUsageError) {
+  // k = 0 or k > max_k used to simulate the reads and then fail a runtime
+  // check (exit 1) inside the pipeline.
+  for (const std::string& bad :
+       {std::string("--k=0"), std::string("--k=-5"),
+        "--k=" + std::to_string(dibella::kmer::Kmer::max_k() + 1)}) {
+    expect_early_usage_error(bad, "k");
+  }
+  DriverResult top = run_driver({"--preset=tiny", "--ranks=1", "--no-output",
+                                 "--k=" + std::to_string(dibella::kmer::Kmer::max_k())});
+  EXPECT_EQ(top.exit_code, dibella::cli::kExitOk) << top.err;
+}
+
+TEST(CliUsage, NegativeXdropIsAUsageError) {
+  // A negative X used to run as if every extension stopped at once.
+  expect_early_usage_error("--xdrop=-1", "xdrop");
+}
+
+TEST(CliUsage, ZeroSpacingIsAUsageError) {
+  // --spacing=0 used to run as the default run, silently.
+  expect_early_usage_error("--spacing=0", "spacing");
 }
 
 TEST_F(CliSmoke, MinimizerModeWritesSketchCounters) {

@@ -426,6 +426,16 @@ TEST(ObsPipeline, ProfileReportCoversStagesAndCriticalPath) {
   EXPECT_NE(text.find("run\tall\tcritical_path_s\t"), std::string::npos);
   EXPECT_NE(text.find("stage\tbloom\twall_max_s\t"), std::string::npos);
   EXPECT_NE(text.find("stage_rank\tbloom.r0\twall_s\t"), std::string::npos);
+
+  // Each stage span closes with the process's peak RSS so far: positive,
+  // and never lower for a later stage.
+  u64 previous = 0;
+  for (const auto& s : report.stages) {
+    EXPECT_GE(s.rss_hwm_kb, previous) << s.name;
+    EXPECT_GT(s.rss_hwm_kb, 0u) << s.name;
+    previous = s.rss_hwm_kb;
+    EXPECT_NE(text.find("stage\t" + s.name + "\trss_hwm_mb\t"), std::string::npos) << s.name;
+  }
 }
 
 TEST(ObsPipeline, CalibrationSecondsReachTheProfile) {

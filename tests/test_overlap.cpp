@@ -574,21 +574,76 @@ TEST(PairRuns, DecoderRejectsEachMalformedField) {
 }
 
 TEST(PairRuns, RejectedPayloadLeavesTheTableUnchanged) {
-  // A payload that fails validation part-way adds nothing: the table still
-  // consolidates exactly the payloads accepted before it.
+  // A payload that fails validation part-way (a flipped bit, or a flip and
+  // a cut), arriving between two accepted ones, adds nothing: the table
+  // holds the same bytes and seeds, and consolidates exactly the accepted
+  // payloads, as if it had never arrived.
   dibella::util::Xoshiro256 rng(8);
-  const auto kept = random_tasks(rng, 300, 40, 5'000);
-  auto bad = encode(random_tasks(rng, 300, 40, 5'000));
-  bad.resize(bad.size() - 1);  // cuts the last seed's varint
-  dov::PairSeedTable table;
-  const auto good = encode(kept);
-  table.add_runs(good.data(), good.size());
-  EXPECT_THROW(table.add_runs(bad.data(), bad.size()), dibella::Error);
-  EXPECT_EQ(table.seeds(), kept.size());
-  dov::OverlapStageResult want_res, got_res;
-  const auto policy = dov::SeedFilterConfig::all_seeds(17);
-  expect_same_tasks(table.consolidate(policy, &got_res), oracle_consolidate(kept, policy, &want_res));
-  EXPECT_EQ(got_res.pair_tasks_received, want_res.pair_tasks_received);
+  int rejected = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto first = random_tasks(rng, 300, 40, 5'000);
+    const auto second = random_tasks(rng, 300, 40, 5'000);
+    const auto a = encode(first), b = encode(second);
+    auto bad = encode(random_tasks(rng, 300, 40, 5'000));
+    bad[rng.uniform_below(bad.size())] ^= static_cast<u8>(1u << rng.uniform_below(8));
+    if (trial % 2) bad.resize(rng.uniform_below(bad.size()));
+    if (decodes(bad)) continue;  // the mutation happened to keep the stream valid
+    ++rejected;
+
+    dov::PairSeedTable clean, hit;
+    clean.add_runs(a.data(), a.size());
+    clean.add_runs(b.data(), b.size());
+    hit.add_runs(a.data(), a.size());
+    EXPECT_THROW(hit.add_runs(bad.data(), bad.size()), dibella::Error);
+    hit.add_runs(b.data(), b.size());
+    EXPECT_EQ(hit.held_bytes(), clean.held_bytes());
+    EXPECT_EQ(hit.seeds(), first.size() + second.size());
+    const auto policy = dov::SeedFilterConfig::all_seeds(17);
+    auto kept = first;
+    kept.insert(kept.end(), second.begin(), second.end());
+    dov::OverlapStageResult want_res, got_res;
+    const auto want = oracle_consolidate(kept, policy, &want_res);
+    expect_same_tasks(clean.consolidate(policy), want);
+    expect_same_tasks(hit.consolidate(policy, &got_res), want);
+    EXPECT_EQ(got_res.pair_tasks_received, want_res.pair_tasks_received);
+  }
+  EXPECT_GE(rejected, 5);
+}
+
+TEST(PairRuns, TableHoldsTheValidatedPayloadsAtWireDensity) {
+  // Dense pairs (few reads, so hundreds of seeds per pair) over many
+  // payloads: the table keeps the payload bytes and a small index per
+  // payload, well under the 12-byte SeedPair per seed a decoded table would
+  // hold, and still consolidates to the oracle's tasks.
+  dibella::util::Xoshiro256 rng(30);
+  for (const u64 reads : {u64{6}, u64{40}}) {
+    const auto all = random_tasks(rng, 20'000, reads, 10'000);
+    const std::size_t payloads = 12;
+    std::vector<std::vector<dov::OverlapTask>> slices(payloads);
+    for (const auto& t : all) slices[rng.uniform_below(payloads)].push_back(t);
+    dov::PairSeedTable table;
+    u64 bytes = 0;
+    for (auto& slice : slices) {
+      const auto b = encode(slice);
+      table.add_runs(b.data(), b.size());
+      bytes += b.size();
+    }
+    EXPECT_EQ(table.seeds(), all.size());
+    // The index is one vector per payload, grown by doubling.
+    EXPECT_GE(table.held_bytes(), bytes);
+    EXPECT_LE(table.held_bytes(), bytes + 2 * payloads * sizeof(std::vector<u8>) + 64);
+    EXPECT_LT(table.held_bytes(), all.size() * sizeof(dov::SeedPair) / 2);
+
+    const auto policy = dov::SeedFilterConfig::all_seeds(17);
+    dov::OverlapStageResult want_res, got_res;
+    expect_same_tasks(table.consolidate(policy, &got_res),
+                      oracle_consolidate(all, policy, &want_res));
+    EXPECT_EQ(got_res.pair_tasks_received, want_res.pair_tasks_received);
+    EXPECT_EQ(got_res.seeds_after_filter, want_res.seeds_after_filter);
+    // Consolidation empties the table.
+    EXPECT_EQ(table.seeds(), 0u);
+    EXPECT_EQ(table.held_bytes(), 0u);
+  }
 }
 
 TEST(PairRuns, SeededMutationsEndInErrorOrAValidDecode) {
