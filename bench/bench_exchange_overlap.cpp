@@ -69,8 +69,9 @@ void write_json(const std::string& path, const benchx::ExchangeOverlapResult& r,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Args args(argc, argv);
+  args.reject_unknown({"smoke", "ranks", "ranks-per-node", "scale", "batch-kmers", "out"});
   const bool smoke = args.get_bool("smoke", false);
   const int ranks = static_cast<int>(args.get_i64("ranks", smoke ? 4 : 8));
   const int rpn = static_cast<int>(args.get_i64("ranks-per-node", smoke ? 2 : 4));
@@ -122,4 +123,7 @@ int main(int argc, char** argv) {
   write_json(out_path, r, smoke, ranks, rpn, scale);
   std::cout << "wrote " << out_path << "\n";
   return 0;
+} catch (const util::UsageError& e) {
+  std::cerr << "bench_exchange_overlap: " << e.what() << "\n";
+  return 2;
 }

@@ -30,8 +30,7 @@ int main() {
 
   util::Table t({"nodes", "Packing", "Exchanging", "Local Processing", "Overall"});
   for (const auto& run : runs) {
-    auto report =
-        run.out.evaluate(platform, netsim::Topology{run.nodes, bench_ranks_per_node()});
+    auto report = run.evaluate(platform);
     double t_pack = report.stage("bloom:pack").compute_virtual;
     double t_local = report.stage("bloom:local").compute_virtual;
     double t_exch = report.stage("bloom").exchange_virtual;

@@ -24,8 +24,7 @@ int main() {
     t.start_row();
     t.cell(static_cast<i64>(run.nodes));
     for (const auto& platform : netsim::table1_platforms()) {
-      auto report = run.out.evaluate(
-          platform, netsim::Topology{run.nodes, bench_ranks_per_node()});
+      auto report = run.evaluate(platform);
       double secs = report.stage("ht").total_virtual();
       t.cell(mrate(run.out.counters.kmers_parsed, secs), 1);
     }
@@ -34,8 +33,7 @@ int main() {
 
   // The cross-stage comparison the paper draws in §7 / §10.
   const auto& last = runs.back();
-  auto cori_report = last.out.evaluate(
-      netsim::cori(), netsim::Topology{last.nodes, bench_ranks_per_node()});
+  auto cori_report = last.evaluate(netsim::cori());
   std::printf("\ncross-stage check at %d nodes (Cori): HT exchange bytes / BF "
               "exchange bytes = %.2f (paper: ~2.5x, §7)\n",
               last.nodes,

@@ -24,8 +24,7 @@ int main() {
     t.start_row();
     t.cell(static_cast<i64>(run.nodes));
     for (const auto& platform : netsim::table1_platforms()) {
-      auto report = run.out.evaluate(
-          platform, netsim::Topology{run.nodes, bench_ranks_per_node()});
+      auto report = run.evaluate(platform);
       double secs = report.stage("overlap").total_virtual();
       t.cell(mrate(run.out.counters.retained_kmers, secs), 2);
     }

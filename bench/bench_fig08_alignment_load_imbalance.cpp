@@ -29,8 +29,7 @@ int main() {
     // Paper's legend order for this figure: AWS, Titan, Edison, Cori.
     for (const auto& platform :
          {netsim::aws(), netsim::titan(), netsim::edison(), netsim::cori()}) {
-      auto report = run.out.evaluate(
-          platform, netsim::Topology{run.nodes, bench_ranks_per_node()});
+      auto report = run.evaluate(platform);
       const auto& per_rank = report.per_rank_stage_seconds.at("align");
       t.cell(util::load_imbalance(per_rank), 3);
     }

@@ -24,8 +24,7 @@ int main() {
   util::Table t({"nodes", "BloomFilter", "BF Exchange", "HashTable", "HT Exchange",
                  "Overlap", "Ov Exchange", "Alignment", "Al Exchange"});
   for (const auto& run : runs) {
-    auto report =
-        run.out.evaluate(platform, netsim::Topology{run.nodes, bench_ranks_per_node()});
+    auto report = run.evaluate(platform);
     double total = report.total_virtual();
     auto pct = [&](double v) { return 100.0 * v / total; };
     t.start_row();
@@ -39,8 +38,7 @@ int main() {
 
   // The first-Alltoallv anomaly, quantified.
   const auto& mid = runs[runs.size() / 2];
-  auto report =
-      mid.out.evaluate(platform, netsim::Topology{mid.nodes, bench_ranks_per_node()});
+  auto report = mid.evaluate(platform);
   std::printf("\nfirst-call anomaly at %d nodes: BF exchange %.4fs vs HT exchange "
               "%.4fs, although HT moves %.1fx the bytes — the gap is narrowed by "
               "the first MPI_Alltoallv's setup charge, which lands in the Bloom "

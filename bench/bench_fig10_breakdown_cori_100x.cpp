@@ -26,8 +26,7 @@ int main() {
                  "Overlap", "Ov Exchange", "Alignment", "Al Exchange"});
   double align_share_1 = 0.0;
   for (const auto& run : runs) {
-    auto report =
-        run.out.evaluate(platform, netsim::Topology{run.nodes, bench_ranks_per_node()});
+    auto report = run.evaluate(platform);
     double total = report.total_virtual();
     auto pct = [&](double v) { return 100.0 * v / total; };
     if (run.nodes == 1) align_share_1 = pct(report.stage("align").compute_virtual);

@@ -49,8 +49,7 @@ int main() {
     auto cfg = config_for(workloads[w].preset, workloads[w].filter);
     const auto& runs = run_scaling(workloads[w].preset, cfg, workloads[w].key);
     for (const auto& run : runs) {
-      auto report = run.out.evaluate(
-          platform, netsim::Topology{run.nodes, bench_ranks_per_node()});
+      auto report = run.evaluate(platform);
       totals[w].push_back(report.total_virtual());
     }
   }

@@ -29,8 +29,7 @@ int main() {
     t.start_row();
     t.cell(static_cast<i64>(run.nodes));
     for (std::size_t p = 0; p < platforms.size(); ++p) {
-      auto report = run.out.evaluate(
-          platforms[p], netsim::Topology{run.nodes, bench_ranks_per_node()});
+      auto report = run.evaluate(platforms[p]);
       double total = report.total_virtual();
       double exch = report.total_exchange_virtual();
       if (run.nodes == 1) {

@@ -53,9 +53,10 @@
 //                   baseline) vs overlapped (optimized) — virtual
 //                   cost-model time from exact work counts and wire bytes.
 //                   The overlapped side hides modeled exchange time behind
-//                   compute charged at this process's calibrated kernel
-//                   costs (core::KernelCosts), so it moves with the host
-//                   and the calibration from run to run (see
+//                   compute: exact work units priced at the kernel costs
+//                   this process measures once (benchx::bench_costs), so
+//                   the row moves with the host and that measurement from
+//                   run to run, not with the run's own wall time (see
 //                   bench_exchange_overlap for the per-stage breakdown)
 //   * sgraph_reduction: stage-5 string-graph transitive reduction,
 //                   sequential graph::OverlapGraph oracle (baseline) vs the
@@ -684,11 +685,11 @@ int main(int argc, char** argv) {
     std::cout << kUsage;
     return 0;
   }
-  for (const auto& key : args.keys()) {
-    if (key != "smoke" && key != "reps" && key != "out") {
-      std::cerr << "bench_kernel_wallclock: unknown option --" << key << "\n" << kUsage;
-      return kExitUsageError;
-    }
+  try {
+    args.reject_unknown({"smoke", "reps", "out"});
+  } catch (const util::UsageError& e) {
+    std::cerr << "bench_kernel_wallclock: " << e.what() << "\n" << kUsage;
+    return kExitUsageError;
   }
   if (!args.positional().empty()) {
     std::cerr << "bench_kernel_wallclock: unexpected argument '" << args.positional()[0]

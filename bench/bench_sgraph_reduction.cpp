@@ -74,8 +74,9 @@ void write_json(const std::string& path, const std::vector<Row>& rows, bool smok
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Args args(argc, argv);
+  args.reject_unknown({"smoke", "ranks", "reps", "out"});
   const bool smoke = args.get_bool("smoke", false);
   const int ranks = static_cast<int>(args.get_i64("ranks", 4));
   const int reps = static_cast<int>(args.get_i64("reps", smoke ? 2 : 3));
@@ -127,4 +128,7 @@ int main(int argc, char** argv) {
   write_json(out_path, rows, smoke, ranks, reps);
   std::cout << "\nwrote " << out_path << "\n";
   return 0;
+} catch (const util::UsageError& e) {
+  std::cerr << "bench_sgraph_reduction: " << e.what() << "\n";
+  return 2;
 }

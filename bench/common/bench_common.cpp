@@ -1,5 +1,6 @@
 #include "common/bench_common.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -8,6 +9,8 @@
 
 #include "comm/exchanger.hpp"
 #include "comm/world.hpp"
+#include "core/kernel_costs.hpp"
+#include "util/cpus.hpp"
 #include "util/env.hpp"
 
 namespace dibella::benchx {
@@ -17,7 +20,7 @@ namespace {
 // ---- on-disk cache of ScalingRun vectors --------------------------------
 // A simple versioned little-endian binary format; bump kCacheVersion when
 // any serialized structure changes.
-constexpr u64 kCacheVersion = 6;
+constexpr u64 kCacheVersion = 7;
 
 void put_u64(std::ostream& os, u64 v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -39,10 +42,12 @@ void put_record(std::ostream& os, const comm::ExchangeRecord& rec) {
   for (u64 b : rec.bytes_to_peer) put_u64(os, b);
 }
 
+/// Every run of a file shares the costs stored in its header.
 void save_runs(const std::string& path, const std::vector<ScalingRun>& runs) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os.good()) return;  // cache is best-effort
+  if (!os.good() || runs.empty()) return;  // cache is best-effort
   put_u64(os, kCacheVersion);
+  for (double cost : runs.front().costs) put_f64(os, cost);
   put_u64(os, runs.size());
   for (const auto& run : runs) {
     put_u64(os, static_cast<u64>(run.nodes));
@@ -66,7 +71,7 @@ void save_runs(const std::string& path, const std::vector<ScalingRun>& runs) {
         switch (ev.kind) {
           case netsim::TraceEvent::Kind::kCompute:
             put_str(os, ev.stage);
-            put_f64(os, ev.cpu_seconds);
+            for (u64 n : ev.units) put_u64(os, n);
             put_u64(os, ev.working_set_bytes);
             break;
           case netsim::TraceEvent::Kind::kExchange:
@@ -132,8 +137,14 @@ bool consistent(const ScalingRun& run) {
 /// Parse a whole cache file; any failed check throws Error.
 std::vector<ScalingRun> read_runs(comm::ByteReader& in) {
   DIBELLA_CHECK(in.read<u64>() == kCacheVersion, "bench cache: version");
+  netsim::KernelCosts costs{};
+  for (double& cost : costs) {
+    cost = in.read<double>();
+    DIBELLA_CHECK(std::isfinite(cost) && cost > 0.0, "bench cache: kernel cost");
+  }
   std::vector<ScalingRun> runs(get_count(in, kMinRunBytes));
   for (auto& run : runs) {
+    run.costs = costs;
     run.nodes = static_cast<int>(in.read<u64>());
     // Every rank has at least its per_rank_pairs_aligned entry below.
     run.ranks = static_cast<int>(get_count(in, sizeof(u64)));
@@ -158,8 +169,9 @@ std::vector<ScalingRun> read_runs(comm::ByteReader& in) {
         switch (static_cast<netsim::TraceEvent::Kind>(kind)) {
           case netsim::TraceEvent::Kind::kCompute: {
             std::string stage = get_str(in);
-            const double cpu = in.read<double>();
-            trace.add_compute(std::move(stage), cpu, in.read<u64>());
+            netsim::KernelUnits units{};
+            for (u64& n : units) n = in.read<u64>();
+            trace.add_compute(std::move(stage), units, in.read<u64>());
             break;
           }
           case netsim::TraceEvent::Kind::kExchange:
@@ -206,6 +218,16 @@ std::string cache_path(const std::string& key) {
 bool cache_enabled() { return util::env_i64("DIBELLA_BENCH_CACHE", 1) != 0; }
 
 }  // namespace
+
+const netsim::KernelCosts& bench_costs() {
+  static const netsim::KernelCosts costs =
+      core::measure_kernel_costs(static_cast<std::size_t>(util::available_cpus()));
+  return costs;
+}
+
+netsim::TimingReport ScalingRun::evaluate(const netsim::Platform& platform) const {
+  return out.evaluate(platform, netsim::Topology{nodes, bench_ranks_per_node()}, costs);
+}
 
 double bench_scale() { return util::env_double("DIBELLA_BENCH_SCALE", 1.0); }
 
@@ -303,12 +325,13 @@ const std::vector<ScalingRun>& run_scaling(const simgen::DatasetPreset& preset,
   const auto& reads = dataset(preset);
   std::vector<ScalingRun> runs;
   // Compute accounting is work-based (core/kernel_costs.hpp): every segment
-  // is exact unit counts x per-unit costs cached once per process, so one
-  // run per node count is the measurement.
+  // holds exact unit counts, priced at this process's costs, so one run per
+  // node count is the measurement.
   for (int nodes : bench_node_counts()) {
     ScalingRun run;
     run.nodes = nodes;
     run.ranks = nodes * bench_ranks_per_node();
+    run.costs = bench_costs();
     comm::World world(run.ranks);
     run.out = run_pipeline(world, reads, cfg);
     runs.push_back(std::move(run));

@@ -45,19 +45,32 @@ const std::vector<io::Read>& dataset(const simgen::DatasetPreset& preset);
 core::PipelineConfig config_for(const simgen::DatasetPreset& preset,
                                 const overlap::SeedFilterConfig& seeds);
 
+/// Per-unit kernel costs, measured once in this process, on the first call
+/// (make it outside any World::run).
+const netsim::KernelCosts& bench_costs();
+
 /// One pipeline execution at a node count.
 struct ScalingRun {
   int nodes = 0;
   int ranks = 0;
   core::PipelineOutput out;
+  /// The costs that price out's work units: bench_costs() for a run measured
+  /// by this process, or the costs stored with a cached one.
+  netsim::KernelCosts costs{};
+
+  /// out's traces priced at `costs` on `platform`, at `nodes` nodes of
+  /// bench_ranks_per_node() ranks.
+  netsim::TimingReport evaluate(const netsim::Platform& platform) const;
 };
 
 /// Run the pipeline at every node count (ranks = nodes x ranks-per-node).
 /// Results are cached in-process AND on disk under
 /// $DIBELLA_BENCH_CACHE_DIR (default .dibella_bench_cache/) so the figure
 /// binaries that share a workload (Figs 3-9, 12, 13 all use E30 one-seed)
-/// measure once and replay many times. Delete the cache directory (or set
-/// DIBELLA_BENCH_CACHE=0) to force re-measurement.
+/// measure once and replay many times. A cache file stores the runs' work
+/// units and the costs that priced them, so a cached figure reprints
+/// identically. Delete the cache directory (or set DIBELLA_BENCH_CACHE=0) to
+/// force re-measurement.
 const std::vector<ScalingRun>& run_scaling(const simgen::DatasetPreset& preset,
                                            const core::PipelineConfig& cfg,
                                            const std::string& cache_key);

@@ -77,8 +77,8 @@ inline ExchangeOverlapResult measure_exchange_overlap(double scale, int ranks,
   const netsim::Platform platform = netsim::cori();
   const netsim::Topology topo{ranks / ranks_per_node, ranks_per_node};
   ExchangeOverlapResult result;
-  result.report_off = off.evaluate(platform, topo);
-  result.report_on = on.evaluate(platform, topo);
+  result.report_off = off.evaluate(platform, topo, bench_costs());
+  result.report_on = on.evaluate(platform, topo, bench_costs());
   for (const auto& name : result.report_off.stage_order) {
     result.batches_off += result.report_off.stage(name).exchange_calls;
   }

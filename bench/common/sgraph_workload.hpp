@@ -11,8 +11,8 @@
 #include <set>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "comm/world.hpp"
-#include "core/kernel_costs.hpp"
 #include "core/stage_context.hpp"
 #include "graph/overlap_graph.hpp"
 #include "io/read_store.hpp"
@@ -108,7 +108,6 @@ inline SgraphBenchResult measure_sgraph_reduction(const SgraphWorkload& w, int r
                                                   int reps,
                                                   const sgraph::StringGraphConfig& cfg) {
   SgraphBenchResult out;
-  core::KernelCosts::get();  // calibrate outside the timed regions
 
   // --- sequential oracle, timed end to end: classify the raw records, drop
   // contained endpoints, consolidate to the best record per pair
@@ -209,7 +208,7 @@ inline SgraphBenchResult measure_sgraph_reduction(const SgraphWorkload& w, int r
           if (ranks % d == 0) rpn = d;
         }
         netsim::CostModel model(netsim::cori(), netsim::Topology{ranks / rpn, rpn});
-        auto report = model.evaluate(traces);
+        auto report = model.evaluate(traces, bench_costs());
         out.modeled_virtual_s = report.stage("sgraph").total_virtual();
       }
     }

@@ -21,9 +21,10 @@
 #include "util/args.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dibella;
   util::Args args(argc, argv);
+  args.reject_unknown({"ranks", "scale", "min-score", "coverage"});
   const int ranks = static_cast<int>(args.get_i64("ranks", 4));
   const double scale = args.get_double("scale", 0.01);
   const int min_score = static_cast<int>(args.get_i64("min-score", 100));
@@ -101,4 +102,7 @@ int main(int argc, char** argv) {
                    1)
             << "% recall)\n";
   return 0;
+} catch (const dibella::util::UsageError& e) {
+  std::cerr << "assembly_overlap_graph: " << e.what() << "\n";
+  return 2;
 }

@@ -11,15 +11,18 @@
 #include <iostream>
 
 #include "comm/world.hpp"
+#include "core/kernel_costs.hpp"
 #include "core/pipeline.hpp"
 #include "netsim/platform.hpp"
 #include "simgen/presets.hpp"
 #include "util/args.hpp"
+#include "util/cpus.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dibella;
   util::Args args(argc, argv);
+  args.reject_unknown({"scale", "ranks-per-node", "max-nodes", "workload"});
   const double scale = args.get_double("scale", 0.01);
   const int rpn = static_cast<int>(args.get_i64("ranks-per-node", 4));
   const int max_nodes = static_cast<int>(args.get_i64("max-nodes", 8));
@@ -33,6 +36,9 @@ int main(int argc, char** argv) {
   core::PipelineConfig cfg;
   cfg.assumed_error_rate = preset.reads.error_rate;
   cfg.assumed_coverage = preset.reads.coverage;
+  // Every run's work units are priced at one measurement of this host.
+  const netsim::KernelCosts costs =
+      core::measure_kernel_costs(static_cast<std::size_t>(util::available_cpus()));
 
   for (int nodes = 1; nodes <= max_nodes; nodes *= 2) {
     const int ranks = nodes * rpn;
@@ -42,7 +48,7 @@ int main(int argc, char** argv) {
     util::Table t({"platform", "bloom", "ht", "overlap", "align", "exchange", "total",
                    "aligns/s"});
     for (const auto& platform : netsim::table1_platforms()) {
-      auto report = out.evaluate(platform, netsim::Topology{nodes, rpn});
+      auto report = out.evaluate(platform, netsim::Topology{nodes, rpn}, costs);
       t.start_row();
       t.cell(platform.name);
       for (const char* stage : {"bloom", "ht", "overlap", "align"}) {
@@ -58,8 +64,12 @@ int main(int argc, char** argv) {
             " ranks — virtual seconds per stage");
     std::cout << "\n";
   }
-  std::cout << "(virtual seconds: per-rank work units x calibrated kernel costs\n"
-               " x platform core factor, plus the alpha-beta network model over\n"
-               " recorded exchanges; see netsim/platform.hpp and netsim/cost_model.hpp)\n";
+  std::cout << "(virtual seconds: per-rank work units x kernel costs measured once\n"
+               " on this host before the runs, x platform core factor, plus the\n"
+               " alpha-beta network model over recorded exchanges; see\n"
+               " netsim/platform.hpp and netsim/cost_model.hpp)\n";
   return 0;
+} catch (const dibella::util::UsageError& e) {
+  std::cerr << "cross_platform_sim: " << e.what() << "\n";
+  return 2;
 }

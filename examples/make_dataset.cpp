@@ -18,9 +18,10 @@
 #include "simgen/presets.hpp"
 #include "util/args.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dibella;
   util::Args args(argc, argv);
+  args.reject_unknown({"preset", "scale", "out", "coverage", "error-rate", "seed"});
   const std::string out = args.get("out", "dataset");
   const double scale = args.get_double("scale", 0.01);
 
@@ -61,4 +62,7 @@ int main(int argc, char** argv) {
             << " bp genome, " << 100 * preset.reads.error_rate << "% error)\n"
             << "      " << out << ".truth.tsv, " << out << ".ref.fa\n";
   return 0;
+} catch (const dibella::util::UsageError& e) {
+  std::cerr << "make_dataset: " << e.what() << "\n";
+  return 2;
 }

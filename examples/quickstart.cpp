@@ -20,9 +20,11 @@
 #include "util/args.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dibella;
   util::Args args(argc, argv);
+  args.reject_unknown(
+      {"ranks", "k", "scale", "fastq", "coverage", "error-rate", "seed-policy", "paf"});
   const int ranks = static_cast<int>(args.get_i64("ranks", 4));
   const double scale = args.get_double("scale", 0.01);
 
@@ -96,4 +98,7 @@ int main(int argc, char** argv) {
               << args.get("paf", "out.paf") << "\n";
   }
   return 0;
+} catch (const dibella::util::UsageError& e) {
+  std::cerr << "quickstart: " << e.what() << "\n";
+  return 2;
 }

@@ -16,9 +16,10 @@
 #include "util/args.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dibella;
   util::Args args(argc, argv);
+  args.reject_unknown({"ranks", "scale", "min-overlap"});
   const int ranks = static_cast<int>(args.get_i64("ranks", 4));
   const double scale = args.get_double("scale", 0.004);
   const u64 min_overlap = static_cast<u64>(args.get_i64("min-overlap", 1000));
@@ -90,4 +91,7 @@ int main(int argc, char** argv) {
   std::cout << "\nmore seeds explored -> more DP work, slightly higher recall;\n"
                "the paper's one-seed setting is the cheapest useful configuration.\n";
   return 0;
+} catch (const dibella::util::UsageError& e) {
+  std::cerr << "seed_policy_explorer: " << e.what() << "\n";
+  return 2;
 }

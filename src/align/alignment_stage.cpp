@@ -165,8 +165,8 @@ std::vector<AlignmentRecord> run_alignment_stage(
   // independent of their number) preserve the data-dependent load imbalance
   // the paper studies.
   extend.arg("pairs", res.pairs_aligned)
-      .units("cells", res.dp_cells, &core::KernelCosts::xdrop_per_cell)
-      .units("bytes", revcomp_bytes + touched_bytes, &core::KernelCosts::per_byte_copy)
+      .units("cells", res.dp_cells, netsim::Kernel::kXdropCell)
+      .units("bytes", revcomp_bytes + touched_bytes, netsim::Kernel::kByteCopy)
       .arg("lanes", static_cast<u64>(xdrop_kernel_lanes(cfg.scoring, cfg.xdrop)))
       .arg("restarts", restarts)
       .arg("workers", workers)

@@ -28,7 +28,7 @@ ReadExchangeResult run_read_exchange(core::StageContext& ctx, io::ReadStore& sto
   std::vector<std::vector<u64>> requests(static_cast<std::size_t>(P));
   {
     auto k = ctx.kernel("align:pack");
-    k.units("tasks", tasks.size(), &core::KernelCosts::pair_consolidate)
+    k.units("tasks", tasks.size(), netsim::Kernel::kPairConsolidate)
         .working_set(tasks.size() * sizeof(overlap::AlignmentTask));
     std::set<u64> needed;
     for (const auto& t : tasks) {
@@ -92,7 +92,7 @@ ReadExchangeResult run_read_exchange(core::StageContext& ctx, io::ReadStore& sto
           packed += packed_dest;
           if (cur < gids.size()) remaining = true;
         }
-        k.units("bytes", packed, &core::KernelCosts::per_byte_copy).working_set(packed);
+        k.units("bytes", packed, netsim::Kernel::kByteCopy).working_set(packed);
         return remaining;
       },
       [&](const comm::RecvBatch& batch) {
@@ -113,7 +113,7 @@ ReadExchangeResult run_read_exchange(core::StageContext& ctx, io::ReadStore& sto
             fetched.push_back(std::move(r));
           }
         }
-        k.units("bytes", batch_bytes, &core::KernelCosts::per_byte_copy)
+        k.units("bytes", batch_bytes, netsim::Kernel::kByteCopy)
             .working_set(batch_bytes);
       });
   store.cache_remote_bulk(std::move(fetched));

@@ -63,7 +63,7 @@ BloomStageResult run_bloom_stage(core::StageContext& ctx, const io::ReadStore& r
         result.windows_scanned += filled.windows;
         // Parse work is per window scanned, not per seed kept — sketching
         // still rolls every k-mer, it just posts fewer of them.
-        k.units("windows", filled.windows, &core::KernelCosts::parse_per_kmer)
+        k.units("windows", filled.windows, netsim::Kernel::kParse)
             .arg("workers", filled.workers)
             .working_set(ex.pending_bytes());
         return stream.more();
@@ -78,8 +78,8 @@ BloomStageResult run_bloom_stage(core::StageContext& ctx, const io::ReadStore& r
           }
         });
         result.received_instances += kmers;
-        k.units("kmers", kmers, &core::KernelCosts::bloom_insert)
-            .units("hits", hits, &core::KernelCosts::table_insert)
+        k.units("kmers", kmers, netsim::Kernel::kBloomInsert)
+            .units("hits", hits, netsim::Kernel::kTableInsert)
             .working_set(filter.memory_bytes() + table.memory_bytes());
       });
 

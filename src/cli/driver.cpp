@@ -16,6 +16,7 @@
 #include "comm/fault.hpp"
 #include "comm/world.hpp"
 #include "core/checkpoint.hpp"
+#include "core/kernel_costs.hpp"
 #include "core/output.hpp"
 #include "core/pipeline.hpp"
 #include "eval/report.hpp"
@@ -29,7 +30,9 @@
 #include "sgraph/unitig.hpp"
 #include "simgen/presets.hpp"
 #include "util/args.hpp"
+#include "util/cpus.hpp"
 #include "util/table.hpp"
+#include "util/timer.hpp"
 
 namespace dibella::cli {
 
@@ -211,9 +214,7 @@ const std::set<std::string>& known_options() {
   return opts;
 }
 
-struct UsageError : Error {
-  using Error::Error;
-};
+using util::UsageError;
 
 /// Strict numeric option parsing: Args::get_i64/get_double silently fall
 /// back on garbage, which would let --ranks=abc run with the default.
@@ -467,11 +468,7 @@ void print_timings(std::ostream& out, const netsim::TimingReport& report,
 }
 
 int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
-  for (const auto& key : args.keys()) {
-    if (known_options().count(key) == 0) {
-      throw UsageError("unknown option --" + key + " (see --help)");
-    }
-  }
+  args.reject_unknown(known_options());
   if (!args.positional().empty()) {
     throw UsageError("unexpected positional argument '" + args.positional()[0] +
                      "' (options are --key=value)");
@@ -678,7 +675,12 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
       << "  overlap-comm=" << (cfg.overlap_comm ? "on" : "off")
       << "  blocks=" << cfg.blocks << "\n\n";
 
-  // --- run.
+  // --- run. The kernel costs that price the run's work units are measured
+  // before any rank starts, so no rank thread runs beside the calibration.
+  util::WallTimer calibration_timer;
+  const netsim::KernelCosts costs =
+      core::measure_kernel_costs(static_cast<std::size_t>(util::available_cpus()));
+  const double calibration_s = calibration_timer.seconds();
   core::PipelineOutput result;
   try {
     comm::World world(ranks);
@@ -712,12 +714,12 @@ int run_checked(const util::Args& args, std::ostream& out, std::ostream& err) {
   if (result.eval_ran) print_eval(out, result.eval);
 
   const netsim::Topology topo{ranks / ranks_per_node, ranks_per_node};
-  const netsim::TimingReport report = result.evaluate(platform, topo);
+  const netsim::TimingReport report = result.evaluate(platform, topo, costs);
   print_timings(out, report, platform, topo);
 
   obs::ProfileReport profile;
   if (result.span_trace) {
-    profile = obs::build_profile(*result.span_trace, result.calibration_s, &report);
+    profile = obs::build_profile(*result.span_trace, calibration_s, &report);
     if (profile_report) obs::print_profile(out, profile);
   }
 

@@ -15,7 +15,6 @@
 #include "kmer/parser.hpp"
 #include "overlap/overlapper.hpp"
 #include "util/chunk_pool.hpp"
-#include "util/cpus.hpp"
 #include "util/random.hpp"
 #include "util/timer.hpp"
 
@@ -320,48 +319,43 @@ double time_copy() {
 }
 
 struct Job {
-  double KernelCosts::*cost;
+  netsim::Kernel kernel;
   double (*time)();
 };
 
 // Longest first, so the pool's last claims are the short jobs. Wall
 // milliseconds per job, setup included, run alone on a 4-vCPU Xeon (KVM):
 // 19-22, 17-19, 16-17, 16-17, 13-14, 12-13, 10-12, 3-4, 2.
-constexpr std::array<Job, 9> kJobs{{
-    {&KernelCosts::parse_per_kmer, time_parse},
-    {&KernelCosts::bloom_insert, time_bloom_insert},
-    {&KernelCosts::table_traverse, time_table_traverse},
-    {&KernelCosts::pair_consolidate, time_pair_consolidate},
-    {&KernelCosts::table_insert, time_table_insert},
-    {&KernelCosts::graph_probe, time_graph_probe},
-    {&KernelCosts::per_byte_copy, time_copy},
-    {&KernelCosts::pair_runs, time_pair_runs},
-    {&KernelCosts::xdrop_per_cell, time_xdrop},
+constexpr std::array<Job, netsim::kKernelCount> kJobs{{
+    {netsim::Kernel::kParse, time_parse},
+    {netsim::Kernel::kBloomInsert, time_bloom_insert},
+    {netsim::Kernel::kTableTraverse, time_table_traverse},
+    {netsim::Kernel::kPairConsolidate, time_pair_consolidate},
+    {netsim::Kernel::kTableInsert, time_table_insert},
+    {netsim::Kernel::kGraphProbe, time_graph_probe},
+    {netsim::Kernel::kByteCopy, time_copy},
+    {netsim::Kernel::kPairRuns, time_pair_runs},
+    {netsim::Kernel::kXdropCell, time_xdrop},
 }};
 
 struct NoState {};
 
 }  // namespace
 
-KernelCosts KernelCosts::measure(std::size_t workers) {
+netsim::KernelCosts measure_kernel_costs(std::size_t workers) {
   // Run the pool from a fresh thread, so that no job, not even the ones the
-  // pool's calling thread claims, allocates from glibc's main arena. No
-  // rank does either: World::run starts one thread per rank.
+  // pool's calling thread claims, allocates from glibc's main arena (a job
+  // on the main thread read pair_runs a few percent low). No rank does
+  // either: World::run starts one thread per rank.
   return std::async(std::launch::async, [workers] {
-           KernelCosts costs;
+           netsim::KernelCosts costs{};
            util::ChunkPool<NoState> pool(std::min(workers, kJobs.size()));
            pool.run(kJobs.size(), [&](NoState&, std::size_t j) {
-             costs.*kJobs[j].cost = kJobs[j].time();
+             costs[kJobs[j].kernel] = kJobs[j].time();
            });
            return costs;
          })
       .get();
-}
-
-const KernelCosts& KernelCosts::get() {
-  static const KernelCosts costs =
-      measure(static_cast<std::size_t>(util::available_cpus()));
-  return costs;
 }
 
 }  // namespace dibella::core

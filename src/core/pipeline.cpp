@@ -7,13 +7,11 @@
 #include "bella/model.hpp"
 #include "comm/exchanger.hpp"
 #include "core/checkpoint.hpp"
-#include "core/kernel_costs.hpp"
 #include "core/stage_context.hpp"
 #include "io/read_block.hpp"
 #include "obs/profile.hpp"
 #include "util/cpus.hpp"
 #include "util/radix_sort.hpp"
-#include "util/timer.hpp"
 
 namespace dibella::core {
 
@@ -23,9 +21,9 @@ u32 PipelineConfig::resolved_max_kmer_count() const {
 }
 
 netsim::TimingReport PipelineOutput::evaluate(const netsim::Platform& platform,
-                                              const netsim::Topology& topology) const {
-  netsim::CostModel model(platform, topology);
-  return model.evaluate(traces);
+                                              const netsim::Topology& topology,
+                                              const netsim::KernelCosts& costs) const {
+  return netsim::CostModel(platform, topology).evaluate(traces, costs);
 }
 
 void PipelineOutput::write_counters_tsv(std::ostream& os) const {
@@ -222,12 +220,6 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
   // resident; ranks (threads) append runs concurrently. A resume past the
   // alignment stage adopts the checkpointed runs instead.
   auto spill = std::make_shared<AlignmentSpillSet>(config.spill_dir);
-
-  // Calibrate the per-unit kernel costs (once per process) before the ranks
-  // start, so no stage span is charged for it.
-  util::WallTimer calibration_timer;
-  KernelCosts::get();
-  const double calibration_s = calibration_timer.seconds();
 
   // Stages 1, 2 and 4 run on every CPU a rank owns. With B > 1 the store's
   // read lookups update its shared LRU state, so packed stores keep one
@@ -445,7 +437,6 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
   // --- merge per-rank outputs. The records' merge is the spill k-way merge,
   // streamed on demand via alignment_source().
   PipelineOutput out;
-  out.calibration_s = calibration_s;
   out.partition = partition;
   out.traces = std::move(traces);
   out.spill = spill;

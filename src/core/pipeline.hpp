@@ -105,10 +105,6 @@ struct PipelineOutput {
   /// Wallclock span trace (finalized); non-null iff config.collect_spans.
   std::shared_ptr<obs::Trace> span_trace;
   io::ReadPartition partition;
-  /// Wall seconds this call spent in KernelCosts::get() before the ranks
-  /// started: the one-time calibration, or ~0 when the process already had
-  /// the costs cached.
-  double calibration_s = 0.0;
   /// Alignment tasks each rank owned — the paper's §9 point that the count
   /// balance is near perfect even when the time balance is not (Fig 8).
   std::vector<u64> per_rank_pairs_aligned;
@@ -126,10 +122,12 @@ struct PipelineOutput {
   /// run and byte-identical across comm schedules.
   void write_counters_tsv(std::ostream& os) const;
 
-  /// Per-rank alignment-stage virtual seconds under a cost model — the Fig 8
-  /// load-imbalance input.
+  /// The traces replayed on a platform, their work units priced at `costs`
+  /// (per-stage and per-rank virtual seconds; the latter are Fig 8's
+  /// load-imbalance input).
   netsim::TimingReport evaluate(const netsim::Platform& platform,
-                                const netsim::Topology& topology) const;
+                                const netsim::Topology& topology,
+                                const netsim::KernelCosts& costs) const;
 
   /// The merged (rid_a, rid_b)-ordered record stream: the k-way merge of
   /// `spill`'s runs. The PipelineOutput must outlive the returned source.

@@ -14,18 +14,16 @@
 #include <exception>
 
 #include "comm/communicator.hpp"
-#include "core/kernel_costs.hpp"
 #include "netsim/rank_trace.hpp"
 #include "obs/span.hpp"
 
 namespace dibella::core {
 
 /// One kernel batch, instrumented once. Compute accounting is work-based
-/// (core/kernel_costs.hpp): the batch reports exact work units whose
-/// per-unit costs were calibrated once per process. On close it emits its
-/// span, with every unit count as an arg, and appends one compute segment
-/// to the rank's trace: cpu seconds = sum of n x cost over the units()
-/// calls, in call order. A batch unwound by an exception records no segment.
+/// (core/kernel_costs.hpp): the batch counts exact work units per kernel.
+/// On close it emits its span, with every unit count as an arg, and appends
+/// one compute segment holding the same counts to the rank's trace. A batch
+/// unwound by an exception records no segment.
 class KernelBatch {
  public:
   KernelBatch(netsim::RankTrace& trace, obs::Trace* spans, int rank, const char* name,
@@ -33,16 +31,15 @@ class KernelBatch {
       : trace_(trace),
         span_(spans, rank, name),
         tag_(tag != nullptr ? tag : name),
-        costs_(KernelCosts::get()),
         exceptions_(std::uncaught_exceptions()) {}
 
   KernelBatch(const KernelBatch&) = delete;
   KernelBatch& operator=(const KernelBatch&) = delete;
 
-  /// `n` units of work at `cost` seconds each (span arg `key` = n).
-  KernelBatch& units(const char* key, u64 n, double KernelCosts::*cost) {
+  /// `n` units of `kernel`'s work (span arg `key` = n).
+  KernelBatch& units(const char* key, u64 n, netsim::Kernel kernel) {
     span_.arg(key, n);
-    cpu_seconds_ += static_cast<double>(n) * (costs_.*cost);
+    units_[kernel] += n;
     return *this;
   }
 
@@ -63,7 +60,7 @@ class KernelBatch {
     if (tag_ == nullptr) return;
     span_.close();
     if (std::uncaught_exceptions() == exceptions_) {
-      trace_.add_compute(tag_, cpu_seconds_, working_set_bytes_);
+      trace_.add_compute(tag_, units_, working_set_bytes_);
     }
     tag_ = nullptr;
   }
@@ -74,9 +71,8 @@ class KernelBatch {
   netsim::RankTrace& trace_;
   obs::Span span_;
   const char* tag_;  ///< null once closed
-  const KernelCosts& costs_;
   int exceptions_;
-  double cpu_seconds_ = 0.0;
+  netsim::KernelUnits units_{};
   u64 working_set_bytes_ = 0;
 };
 

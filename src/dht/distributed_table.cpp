@@ -38,7 +38,7 @@ HashTableStageResult run_hashtable_stage(core::StageContext& ctx,
         result.parsed_instances += filled.seeds;
         // As in stage 1: parse work scales with windows scanned, not with
         // the (sketched) subset that gets posted.
-        k.units("windows", filled.windows, &core::KernelCosts::parse_per_kmer)
+        k.units("windows", filled.windows, netsim::Kernel::kParse)
             .arg("workers", filled.workers)
             .working_set(ex.pending_bytes());
         return stream.more();
@@ -50,14 +50,14 @@ HashTableStageResult run_hashtable_stage(core::StageContext& ctx,
           if (table.add_occurrence(inst.km, occ)) ++result.inserted_occurrences;
         });
         result.received_instances += instances;
-        k.units("instances", instances, &core::KernelCosts::table_insert)
+        k.units("instances", instances, netsim::Kernel::kTableInsert)
             .working_set(table.memory_bytes());
       });
 
   // Purge: false-positive singletons and high-frequency k-mers (> m). The
   // partitions are traversed independently in parallel — no communication.
   auto purge = ctx.kernel("ht:purge", "ht:local");
-  purge.units("keys", table.size(), &core::KernelCosts::table_traverse);
+  purge.units("keys", table.size(), netsim::Kernel::kTableTraverse);
   result.purged_keys = table.purge_outside(cfg.min_count, cfg.max_count);
   purge.working_set(table.memory_bytes()).close();
   result.retained_keys = table.size();

@@ -1,6 +1,7 @@
 #include "netsim/cost_model.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 namespace dibella::netsim {
 
@@ -121,7 +122,8 @@ double CostModel::exchange_time(const std::vector<comm::ExchangeRecord>& per_ran
   return worst;
 }
 
-TimingReport CostModel::evaluate(const std::vector<RankTrace>& traces) const {
+TimingReport CostModel::evaluate(const std::vector<RankTrace>& traces,
+                                 const KernelCosts& costs) const {
   const int P = topology_.total_ranks();
   DIBELLA_CHECK(static_cast<int>(traces.size()) == P, "evaluate: trace count != ranks");
 
@@ -171,7 +173,9 @@ TimingReport CostModel::evaluate(const std::vector<RankTrace>& traces) const {
         if (ev.kind == TraceEvent::Kind::kExchangeStart) {
           in_flight = true;
         } else {
-          double virt = ev.cpu_seconds * compute_scale(ev.working_set_bytes);
+          const double cpu_seconds =
+              std::inner_product(ev.units.begin(), ev.units.end(), costs.begin(), 0.0);
+          double virt = cpu_seconds * compute_scale(ev.working_set_bytes);
           mine[ev.stage] += virt;
           if (in_flight) window += virt;
         }

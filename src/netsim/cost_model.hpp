@@ -6,10 +6,10 @@
 /// benches report.
 ///
 /// Model summary (parameters in platform.hpp):
-///  * Compute: each segment's work-based cpu seconds (exact unit counts x
-///    per-unit kernel costs, core/kernel_costs.hpp) x core_time_factor x
-///    cache_penalty(working_set / per-rank cache share). BSP semantics —
-///    each superstep costs the max over ranks.
+///  * Compute: each segment's exact work units priced at the per-unit
+///    kernel costs handed to evaluate (sum of units x cost), x
+///    core_time_factor x cache_penalty(working_set / per-rank cache share).
+///    BSP semantics — each superstep costs the max over ranks.
 ///  * Exchange (one Exchanger flush, an irregular all-to-all): per rank r,
 ///        t_r = sum_msgs latency + max(send_inter, recv_inter)/bw_rank
 ///              + (send_intra + recv_intra)/intra_bw
@@ -51,6 +51,8 @@ struct StageTiming {
   /// Stage makespan: compute plus only the exchange time that was exposed
   /// (hidden exchange time already elapsed inside the compute term).
   double total_virtual() const { return compute_virtual + exchange_exposed_virtual; }
+
+  bool operator==(const StageTiming&) const = default;
 };
 
 /// Full evaluation result for one run.
@@ -71,6 +73,8 @@ struct TimingReport {
 
   const StageTiming& stage(const std::string& name) const;
   bool has_stage(const std::string& name) const { return stages.count(name) > 0; }
+
+  bool operator==(const TimingReport&) const = default;
 };
 
 /// Strip a ":sub" suffix: top_level_stage("bloom:pack") == "bloom".
@@ -93,10 +97,12 @@ class CostModel {
                        bool is_first_alltoallv,
                        std::vector<double>* per_rank_seconds = nullptr) const;
 
-  /// Replay traces into a report; `traces[r]` describes rank r. The i-th
-  /// exchange event of every trace is the same collective (SPMD), so every
-  /// trace must hold the same number of exchange events.
-  TimingReport evaluate(const std::vector<RankTrace>& traces) const;
+  /// Replay traces into a report, pricing their compute units at `costs`;
+  /// `traces[r]` describes rank r. The i-th exchange event of every trace
+  /// is the same collective (SPMD), so every trace must hold the same
+  /// number of exchange events.
+  TimingReport evaluate(const std::vector<RankTrace>& traces,
+                        const KernelCosts& costs) const;
 
  private:
   Platform platform_;

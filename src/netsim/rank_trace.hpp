@@ -6,8 +6,12 @@
 /// platform-scaled stage timings (BSP semantics: a superstep's duration is
 /// the max over ranks). Each exchange event carries the rank's
 /// comm::ExchangeRecord of that exchange: the trace is the only place an
-/// exchange is recorded.
+/// exchange is recorded. A compute segment holds exact work units per
+/// kernel, not seconds: the cost model prices them with the KernelCosts it
+/// is handed, so a trace is priced the same whenever and wherever it is.
 
+#include <array>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -15,6 +19,27 @@
 #include "util/common.hpp"
 
 namespace dibella::netsim {
+
+/// The kernels whose work a compute segment counts, each with one per-unit
+/// cost (core/kernel_costs.hpp measures them on this host). Unscoped, so a
+/// Kernel indexes KernelUnits and KernelCosts.
+enum Kernel : u8 {
+  kParse,            ///< rolling canonical parse + buffer push, per k-mer window
+  kBloomInsert,      ///< Bloom filter test_and_insert
+  kTableInsert,      ///< hash table insert/add_occurrence
+  kTableTraverse,    ///< per-key traversal (overlap stage)
+  kPairConsolidate,  ///< per-record sort-then-group consolidation
+  kPairRuns,         ///< per-task pair-run encode, decode, merge, filter
+  kXdropCell,        ///< per DP cell of x-drop extension
+  kByteCopy,         ///< bulk byte marshalling
+  kGraphProbe,       ///< per witness lookup of transitive reduction
+};
+inline constexpr std::size_t kKernelCount = kGraphProbe + 1;
+
+/// Exact work units of each kernel.
+using KernelUnits = std::array<u64, kKernelCount>;
+/// Seconds per unit of each kernel.
+using KernelCosts = std::array<double, kKernelCount>;
 
 /// One element of a rank's trace.
 ///
@@ -30,7 +55,7 @@ struct TraceEvent {
 
   // kCompute fields:
   std::string stage;           ///< pipeline stage tag, may contain a ":sub" suffix
-  double cpu_seconds = 0.0;    ///< work-based: unit counts x calibrated per-unit costs
+  KernelUnits units{};         ///< exact work units, priced by the cost model
   u64 working_set_bytes = 0;   ///< approximate bytes touched (cache model input)
 
   // kExchange fields:
@@ -41,11 +66,11 @@ struct TraceEvent {
 class RankTrace {
  public:
   /// Record a compute segment (stages record through core::KernelBatch).
-  void add_compute(std::string stage, double cpu_seconds, u64 working_set_bytes) {
+  void add_compute(std::string stage, const KernelUnits& units, u64 working_set_bytes) {
     TraceEvent ev;
     ev.kind = TraceEvent::Kind::kCompute;
     ev.stage = std::move(stage);
-    ev.cpu_seconds = cpu_seconds;
+    ev.units = units;
     ev.working_set_bytes = working_set_bytes;
     events_.push_back(std::move(ev));
   }

@@ -79,9 +79,9 @@ struct ProfileReport {
   std::vector<StageProfile> stages;  ///< pipeline (first-appearance) order
   double critical_path_s = 0.0;      ///< sum over stages of wall_max
   double balanced_path_s = 0.0;      ///< sum over stages of wall_mean
-  /// Seconds spent calibrating kernel costs before the ranks started (~0
-  /// when the process had them cached). Outside every stage span, so it is
-  /// not part of critical_path_s.
+  /// Seconds the run's caller spent calibrating kernel costs before the
+  /// ranks started. Outside every stage span, so it is not part of
+  /// critical_path_s.
   double calibration_s = 0.0;
   std::vector<SpanStat> hottest;     ///< top-k by total_s (stage roots excluded)
   u64 unclosed_spans = 0;            ///< spans force-closed at finalize
@@ -89,9 +89,9 @@ struct ProfileReport {
   u64 dropped_events = 0;            ///< ring-overflow losses (profile is partial)
 };
 
-/// Distill `trace` (finalized) into a report. `calibration_s` is the run's
-/// core::PipelineOutput::calibration_s. `model`, when non-null, fills the
-/// per-stage model_exposed_s/model_hidden_s cross-check columns.
+/// Distill `trace` (finalized) into a report. `calibration_s` is the wall
+/// time of the caller's kernel-cost calibration. `model`, when non-null,
+/// fills the per-stage model_exposed_s/model_hidden_s cross-check columns.
 ProfileReport build_profile(const Trace& trace, double calibration_s,
                             const netsim::TimingReport* model = nullptr,
                             std::size_t top_k = 10);

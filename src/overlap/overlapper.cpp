@@ -270,9 +270,9 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
           ex.post_bytes(d, runs.data(), runs.size());
           posted += runs.size();
         }
-        k.units("keys", res.retained_kmers - keys_before, &core::KernelCosts::table_traverse)
+        k.units("keys", res.retained_kmers - keys_before, netsim::Kernel::kTableTraverse)
             .arg("tasks", res.pair_tasks_formed - formed_before)
-            .units("bytes", posted, &core::KernelCosts::per_byte_copy)
+            .units("bytes", posted, netsim::Kernel::kByteCopy)
             .working_set(table.memory_bytes() + posted);
         return slot_cursor < table.capacity();
       },
@@ -284,12 +284,12 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
           received.add_runs(batch.src_data(src), batch.src_size_bytes(src));
         }
         const u64 bytes = batch.total_bytes();
-        k.units("bytes", bytes, &core::KernelCosts::per_byte_copy).working_set(bytes);
+        k.units("bytes", bytes, netsim::Kernel::kByteCopy).working_set(bytes);
       });
 
   // --- merge the payloads by pair, then apply the seed policy per pair.
   auto consolidate = ctx.kernel("overlap:consolidate");
-  consolidate.units("tasks", received.seeds(), &core::KernelCosts::pair_runs)
+  consolidate.units("tasks", received.seeds(), netsim::Kernel::kPairRuns)
       .working_set(received.held_bytes());
   std::vector<AlignmentTask> tasks = received.consolidate(cfg.seed_filter, &res);
   consolidate.close();

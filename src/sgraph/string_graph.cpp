@@ -38,7 +38,7 @@ std::vector<std::vector<u8>> exchange_byte_streams(
         u64 before = ex.pending_bytes();
         bool more = comm::post_slices(ex, outbound, cursors, kBatchBytes);
         u64 packed = ex.pending_bytes() - before;
-        k.units("bytes", packed, &core::KernelCosts::per_byte_copy).working_set(packed);
+        k.units("bytes", packed, netsim::Kernel::kByteCopy).working_set(packed);
         return more;
       },
       [&](const comm::RecvBatch& batch) {
@@ -46,7 +46,7 @@ std::vector<std::vector<u8>> exchange_byte_streams(
         for (int s = 0; s < P; ++s) {
           batch.append_from(s, per_source[static_cast<std::size_t>(s)]);
         }
-        k.units("bytes", batch.total_bytes(), &core::KernelCosts::per_byte_copy)
+        k.units("bytes", batch.total_bytes(), netsim::Kernel::kByteCopy)
             .working_set(batch.total_bytes());
       });
   return per_source;
@@ -158,7 +158,7 @@ StringGraphShard run_string_graph_stage(
         break;
     }
   }
-  classify.units("records", res.records_in, &core::KernelCosts::pair_consolidate)
+  classify.units("records", res.records_in, netsim::Kernel::kPairConsolidate)
       .working_set(res.records_in * sizeof(align::AlignmentRecord))
       .close();
 
@@ -287,7 +287,7 @@ StringGraphShard run_string_graph_stage(
   // per-vertex vectors cost more in allocator traffic than the adjacency
   // itself. Row i spans [own_off[i], own_off[i + 1]) of own_entries.
   auto build = ctx.kernel("sgraph:build");
-  build.units("edges", incident.size(), &core::KernelCosts::pair_consolidate)
+  build.units("edges", incident.size(), netsim::Kernel::kPairConsolidate)
       .working_set(incident.size() * sizeof(DovetailEdge));
   std::vector<u64> own_off(static_cast<std::size_t>(owned_count) + 1, 0);
   for (const auto& e : incident) {
@@ -375,7 +375,7 @@ StringGraphShard run_string_graph_stage(
     }
     adj.seal();
     csr.arg("rows", adj.rows())
-        .units("nonzeros", adj.nonzeros(), &core::KernelCosts::pair_consolidate)
+        .units("nonzeros", adj.nonzeros(), netsim::Kernel::kPairConsolidate)
         .working_set(adj.nonzeros() * sizeof(CsrEntry));
   }
 
@@ -407,7 +407,7 @@ StringGraphShard run_string_graph_stage(
     }
   }
   res.edges_surviving = shard.surviving_edges.size();
-  reduce.units("probes", res.triangle_probes, &core::KernelCosts::graph_probe)
+  reduce.units("probes", res.triangle_probes, netsim::Kernel::kGraphProbe)
       .working_set(incident.size() * sizeof(DovetailEdge))
       .close();
 
@@ -422,7 +422,7 @@ StringGraphShard run_string_graph_stage(
     for (const auto& row : reduced) reduced_vertices += row.empty() ? 0 : 1;
     walk.arg("terminals", shard.walk.terminals.size())
         .arg("runs", shard.walk.runs.size())
-        .units("vertices", reduced_vertices, &core::KernelCosts::pair_consolidate)
+        .units("vertices", reduced_vertices, netsim::Kernel::kPairConsolidate)
         .working_set(reduced_vertices * sizeof(u64));
   }
 

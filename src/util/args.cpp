@@ -24,11 +24,10 @@ Args::Args(int argc, const char* const* argv) {
 
 bool Args::has(const std::string& key) const { return values_.count(key) > 0; }
 
-std::vector<std::string> Args::keys() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [key, value] : values_) out.push_back(key);
-  return out;
+void Args::reject_unknown(const std::set<std::string>& known) const {
+  for (const auto& [key, value] : values_) {
+    if (known.count(key) == 0) throw UsageError("unknown option --" + key);
+  }
 }
 
 std::string Args::get(const std::string& key, const std::string& fallback) const {

@@ -6,12 +6,18 @@
 /// arguments following a boolean flag.)
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "util/common.hpp"
 
 namespace dibella::util {
+
+/// A command line the program cannot run (unknown or inconsistent options).
+struct UsageError : Error {
+  using Error::Error;
+};
 
 class Args {
  public:
@@ -26,8 +32,9 @@ class Args {
   /// Positional (non --key) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// All --key names seen, sorted; lets callers reject unknown options.
-  std::vector<std::string> keys() const;
+  /// Throw UsageError naming the first --key (in sorted order) outside
+  /// `known`.
+  void reject_unknown(const std::set<std::string>& known) const;
 
   /// Program name (argv[0]).
   const std::string& program() const { return program_; }

@@ -1,7 +1,7 @@
 #pragma once
 /// \file timer.hpp
 /// Stopwatches. Modeled compute time comes from work counts times per-unit
-/// kernel costs (core::KernelCosts), not from clocks: WallTimer times runs
+/// kernel costs (netsim::KernelCosts), not from clocks: WallTimer times runs
 /// and spans, and ThreadCpuTimer times the calibration reps that measure
 /// those per-unit costs.
 

@@ -143,7 +143,7 @@ void expect_identical(const StageRun& want, const StageRun& got, const std::stri
   ASSERT_EQ(ge.size(), we.size()) << what;
   for (std::size_t i = 0; i < we.size(); ++i) {
     EXPECT_EQ(ge[i].stage, we[i].stage) << what;
-    EXPECT_EQ(ge[i].cpu_seconds, we[i].cpu_seconds) << what;  // exact: unit counts
+    EXPECT_TRUE(ge[i].units == we[i].units) << what;
     EXPECT_EQ(ge[i].working_set_bytes, we[i].working_set_bytes) << what;
   }
 }

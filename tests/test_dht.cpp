@@ -322,7 +322,7 @@ namespace {
 struct StageDigest {
   std::vector<std::tuple<u64, u32, std::vector<std::tuple<u64, u32, dibella::u8>>>> table;
   std::vector<u64> results;
-  std::vector<std::tuple<std::string, double, u64>> compute;
+  std::vector<std::tuple<std::string, dibella::netsim::KernelUnits, u64>> compute;
 
   friend bool operator==(const StageDigest&, const StageDigest&) = default;
 };
@@ -368,7 +368,7 @@ std::vector<StageDigest> run_stages_on_workers(int P, int workers, bool overlap,
     });
     for (const auto& ev : traces[rank].events()) {
       if (ev.kind == dibella::netsim::TraceEvent::Kind::kCompute) {
-        d.compute.emplace_back(ev.stage, ev.cpu_seconds, ev.working_set_bytes);
+        d.compute.emplace_back(ev.stage, ev.units, ev.working_set_bytes);
       }
     }
   });

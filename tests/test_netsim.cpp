@@ -30,6 +30,22 @@ std::vector<dc::ExchangeRecord> make_alltoallv(
   return recs;
 }
 
+/// `n` units of one kernel; priced at kSecondPerUnit, n seconds.
+dn::KernelUnits units(u64 n) {
+  dn::KernelUnits u{};
+  u[dn::Kernel::kParse] = n;
+  return u;
+}
+
+/// Every kernel's units priced at `seconds` each.
+dn::KernelCosts costs_of(double seconds) {
+  dn::KernelCosts c{};
+  c.fill(seconds);
+  return c;
+}
+
+const dn::KernelCosts kSecondPerUnit = costs_of(1.0);
+
 }  // namespace
 
 TEST(Platform, Table1PresetsMatchPaper) {
@@ -153,8 +169,8 @@ TEST(CostModel, EvaluateAggregatesSuperstepsBspStyle) {
   dn::CostModel model(dn::local_host(), topo);
 
   std::vector<dn::RankTrace> traces(2);
-  traces[0].add_compute("alpha", 1.0, 0);
-  traces[1].add_compute("alpha", 3.0, 0);  // slow rank dominates superstep
+  traces[0].add_compute("alpha", units(1), 0);
+  traces[1].add_compute("alpha", units(3), 0);  // slow rank dominates superstep
   for (int r = 0; r < 2; ++r) {
     dc::ExchangeRecord rec;
     rec.stage = "alpha";
@@ -164,10 +180,10 @@ TEST(CostModel, EvaluateAggregatesSuperstepsBspStyle) {
     rec.wall_seconds = 0.25;
     traces[static_cast<std::size_t>(r)].add_exchange(rec);
   }
-  traces[0].add_compute("beta", 2.0, 0);
-  traces[1].add_compute("beta", 1.0, 0);
+  traces[0].add_compute("beta", units(2), 0);
+  traces[1].add_compute("beta", units(1), 0);
 
-  auto report = model.evaluate(traces);
+  auto report = model.evaluate(traces, kSecondPerUnit);
   ASSERT_TRUE(report.has_stage("alpha"));
   ASSERT_TRUE(report.has_stage("beta"));
   EXPECT_DOUBLE_EQ(report.stage("alpha").compute_virtual, 3.0);  // max over ranks
@@ -190,9 +206,9 @@ TEST(CostModel, EvaluateSubStagesTracked) {
   dn::Topology topo{1, 1};
   dn::CostModel model(dn::local_host(), topo);
   std::vector<dn::RankTrace> traces(1);
-  traces[0].add_compute("bloom:pack", 1.0, 0);
-  traces[0].add_compute("bloom:local", 2.0, 0);
-  auto report = model.evaluate(traces);
+  traces[0].add_compute("bloom:pack", units(1), 0);
+  traces[0].add_compute("bloom:local", units(2), 0);
+  auto report = model.evaluate(traces, kSecondPerUnit);
   EXPECT_DOUBLE_EQ(report.stage("bloom").compute_virtual, 3.0);
   EXPECT_DOUBLE_EQ(report.stage("bloom:pack").compute_virtual, 1.0);
   EXPECT_DOUBLE_EQ(report.stage("bloom:local").compute_virtual, 2.0);
@@ -206,7 +222,7 @@ TEST(CostModel, EvaluateRejectsMisalignedTraces) {
   std::vector<dn::RankTrace> traces(2);
   // Rank 1 has no exchange: SPMD violation.
   traces[0].add_exchange(make_alltoallv({{0, 0}, {0, 0}})[0]);
-  EXPECT_THROW(model.evaluate(traces), dibella::Error);
+  EXPECT_THROW(model.evaluate(traces, kSecondPerUnit), dibella::Error);
 }
 
 TEST(CostModel, EndToEndWithRealWorldRecords) {
@@ -219,14 +235,14 @@ TEST(CostModel, EndToEndWithRealWorldRecords) {
     comm.set_record_sink(
         [&trace](const dc::ExchangeRecord& rec) { trace.add_exchange(rec); });
     comm.set_stage("work");
-    trace.add_compute("work", 0.001 * (comm.rank() + 1), 1 << 20);
+    trace.add_compute("work", units(static_cast<u64>(comm.rank() + 1)), 1 << 20);
     dc::Exchanger ex(comm);
     for (int d = 0; d < P; ++d) ex.post(d, std::vector<u64>(100, 1));
     ex.flush_async(/*done=*/true);
     ex.wait();
   });
   dn::CostModel model(dn::titan(), dn::Topology{2, 2});
-  auto report = model.evaluate(traces);
+  auto report = model.evaluate(traces, costs_of(0.001));
   ASSERT_TRUE(report.has_stage("work"));
   // Compute: max cpu = 0.004 scaled by at least the core factor.
   EXPECT_GE(report.stage("work").compute_virtual, 0.004 * dn::titan().core_time_factor * 0.99);
@@ -244,7 +260,7 @@ TEST(CostModel, OverlappedExchangeSplitsExposedAndHidden) {
 
   std::vector<dn::RankTrace> traces(2);
   traces[0].add_exchange_start();
-  traces[0].add_compute("alpha", 2.0, 0);
+  traces[0].add_compute("alpha", units(2), 0);
   traces[1].add_exchange_start();
   for (int r = 0; r < 2; ++r) {
     dc::ExchangeRecord rec;
@@ -255,7 +271,7 @@ TEST(CostModel, OverlappedExchangeSplitsExposedAndHidden) {
     traces[static_cast<std::size_t>(r)].add_exchange(rec);
   }
 
-  auto report = model.evaluate(traces);
+  auto report = model.evaluate(traces, kSecondPerUnit);
   const auto& st = report.stage("alpha");
   EXPECT_GT(st.exchange_virtual, 0.0);
   // Rank 1 had no compute in the window, so its full cost stays exposed;
@@ -276,11 +292,60 @@ TEST(CostModel, BlockingCollectivesStayFullyExposed) {
   std::vector<dn::RankTrace> traces(2);
   auto recs = make_alltoallv({{0, 1'000'000}, {1'000'000, 0}});
   for (int r = 0; r < 2; ++r) {
-    traces[static_cast<std::size_t>(r)].add_compute("s", 1.0, 0);
+    traces[static_cast<std::size_t>(r)].add_compute("s", units(1), 0);
     traces[static_cast<std::size_t>(r)].add_exchange(recs[static_cast<std::size_t>(r)]);
   }
-  auto report = model.evaluate(traces);
+  auto report = model.evaluate(traces, kSecondPerUnit);
   EXPECT_DOUBLE_EQ(report.stage("s").exchange_exposed_virtual,
                    report.stage("s").exchange_virtual);
   EXPECT_GT(report.stage("s").exchange_virtual, 0.0);
+}
+
+TEST(CostModel, EvaluateIsLinearInTheKernelCosts) {
+  // Each segment is priced as sum(units x cost) x compute_scale(working
+  // set): a rank's modeled compute is the sum of its kernels' units times
+  // their costs, so the report is linear in the costs it is handed. Rank 1's
+  // working set outgrows its cache share, so the cache penalty scales too.
+  dn::Topology topo{1, 2};
+  dn::CostModel model(dn::cori(), topo);
+  dn::KernelUnits a{};
+  a[dn::Kernel::kParse] = 1'000;
+  a[dn::Kernel::kXdropCell] = 250'000;
+  dn::KernelUnits b{};
+  b[dn::Kernel::kByteCopy] = u64{1} << 20;
+  b[dn::Kernel::kGraphProbe] = 77;
+  b[dn::Kernel::kParse] = 3;
+  std::vector<dn::RankTrace> traces(2);
+  traces[0].add_compute("s:x", a, u64{1} << 10);
+  traces[1].add_compute("s:x", b, u64{1} << 30);
+
+  dn::KernelCosts c1{}, c2{}, sum{}, twice{};
+  for (std::size_t k = 0; k < dn::kKernelCount; ++k) {
+    c1[k] = 1e-9 * static_cast<double>(k + 1);
+    c2[k] = 3e-10 * static_cast<double>(dn::kKernelCount - k);
+    sum[k] = c1[k] + c2[k];
+    twice[k] = 2.0 * c1[k];
+  }
+  const auto r1 = model.evaluate(traces, c1);
+  const auto r2 = model.evaluate(traces, c2);
+  const auto rs = model.evaluate(traces, sum);
+  const auto r2x = model.evaluate(traces, twice);
+  const auto& p1 = r1.per_rank_stage_seconds.at("s");
+  const auto& p2 = r2.per_rank_stage_seconds.at("s");
+  const auto& ps = rs.per_rank_stage_seconds.at("s");
+  const auto& p2x = r2x.per_rank_stage_seconds.at("s");
+  for (std::size_t r = 0; r < 2; ++r) {
+    EXPECT_GT(p1[r], 0.0) << r;
+    EXPECT_NEAR(ps[r], p1[r] + p2[r], 1e-12 * ps[r]) << r;
+    EXPECT_NEAR(p2x[r], 2.0 * p1[r], 1e-12 * p2x[r]) << r;
+  }
+  EXPECT_NEAR(p1[0],
+              (1'000 * c1[dn::Kernel::kParse] + 250'000 * c1[dn::Kernel::kXdropCell]) *
+                  model.compute_scale(u64{1} << 10),
+              1e-12 * p1[0]);
+  EXPECT_GT(model.compute_scale(u64{1} << 30), model.compute_scale(u64{1} << 10));
+  EXPECT_NEAR(r2x.stage("s").compute_virtual, 2.0 * r1.stage("s").compute_virtual,
+              1e-12 * r2x.stage("s").compute_virtual);
+  EXPECT_NEAR(r2x.stage("s:x").compute_virtual, 2.0 * r1.stage("s:x").compute_virtual,
+              1e-12 * r2x.stage("s:x").compute_virtual);
 }

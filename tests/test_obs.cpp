@@ -3,12 +3,10 @@
 // Chrome-trace export's structure, the profile report,
 // the pin that pipeline outputs are byte-identical with span collection on
 // or off, across rank counts, schedules, and block counts, and the pin that
-// every kernel span carries exactly the units its modeled compute segment
-// was costed from.
+// every kernel span carries exactly the units its compute segment holds.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -27,6 +25,7 @@
 #include "obs/trace_export.hpp"
 #include "sgraph/unitig.hpp"
 #include "simgen/presets.hpp"
+#include "util/timer.hpp"
 
 namespace obs = dibella::obs;
 namespace dc = dibella::core;
@@ -396,7 +395,7 @@ TEST(ObsPipeline, ProfileReportCoversStagesAndCriticalPath) {
                 &out);
   ASSERT_TRUE(out.span_trace != nullptr);
   const auto report = out.span_trace
-                          ? obs::build_profile(*out.span_trace, out.calibration_s)
+                          ? obs::build_profile(*out.span_trace, 0.0)
                           : obs::ProfileReport{};
   EXPECT_EQ(report.ranks, 3);
   ASSERT_EQ(report.stages.size(), 5u);  // bloom, ht, overlap, align, sgraph
@@ -442,44 +441,25 @@ TEST(ObsPipeline, CalibrationSecondsReachTheProfile) {
   auto sim = dibella::simgen::make_dataset(dibella::simgen::tiny_test());
   auto truth = std::make_shared<const dibella::io::TruthTable>(
       dibella::simgen::truth_table(sim));
-  dc::PipelineOutput first;
-  dc::PipelineOutput second;
-  run_artifacts(sim.reads, truth, 2, /*overlap_comm=*/true, /*spans=*/true, 1, &first);
-  run_artifacts(sim.reads, truth, 2, /*overlap_comm=*/true, /*spans=*/true, 1, &second);
-  // The costs are cached for the process after the first call.
-  EXPECT_LT(second.calibration_s, 1e-3);
+  dibella::util::WallTimer timer;
+  dc::measure_kernel_costs(2);
+  const double calibration_s = timer.seconds();
+  dc::PipelineOutput out;
+  run_artifacts(sim.reads, truth, 2, /*overlap_comm=*/true, /*spans=*/true, 1, &out);
 
-  ASSERT_TRUE(first.span_trace != nullptr);
-  const auto report = obs::build_profile(*first.span_trace, first.calibration_s);
-  EXPECT_EQ(report.calibration_s, first.calibration_s);
+  ASSERT_TRUE(out.span_trace != nullptr);
+  const auto report = obs::build_profile(*out.span_trace, calibration_s);
+  EXPECT_EQ(report.calibration_s, calibration_s);
   std::ostringstream tsv;
   obs::write_profile_tsv(tsv, report);
   const std::string key = "run\tall\tcalibration_s\t";
   const std::string text = tsv.str();
   const auto at = text.find(key);
   ASSERT_NE(at, std::string::npos);
-  EXPECT_NEAR(std::stod(text.substr(at + key.size())), first.calibration_s, 1e-6);
+  EXPECT_NEAR(std::stod(text.substr(at + key.size())), calibration_s, 1e-6);
   std::ostringstream table;
   obs::print_profile(table, report);
   EXPECT_NE(table.str().find("calibration"), std::string::npos);
-}
-
-TEST(ObsPipelineDeathTest, FirstPipelineOfAProcessTimesTheCalibration) {
-  // The "threadsafe" style re-executes the test binary for the statement, so
-  // it runs in a process whose kernel costs are not cached yet, whatever ran
-  // before this test.
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_EXIT(
-      {
-        auto sim = dibella::simgen::make_dataset(dibella::simgen::tiny_test());
-        auto truth = std::make_shared<const dibella::io::TruthTable>(
-            dibella::simgen::truth_table(sim));
-        dc::PipelineOutput out;
-        run_artifacts(sim.reads, truth, 2, /*overlap_comm=*/true, /*spans=*/false, 1, &out);
-        // Fixed-work calibration takes ~0.1 s; a cached lookup takes ns.
-        std::exit(out.calibration_s > 1e-3 ? 0 : 1);
-      },
-      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(ObsPipeline, SpansOffMeansNoTraceAllocated) {
@@ -499,40 +479,40 @@ TEST(ObsPipeline, SpansOffMeansNoTraceAllocated) {
 
 namespace {
 
-using Cost = double dc::KernelCosts::*;
+using dibella::netsim::Kernel;
 
-/// A kernel span's modeled tag and the per-unit cost of each of its unit
-/// args (any other arg is a plain annotation).
+/// A kernel span's modeled tag and the kernel each of its unit args counts
+/// (any other arg is a plain annotation).
 struct KernelSpec {
   std::string tag;
-  std::map<std::string, Cost> units;
+  std::map<std::string, Kernel> units;
 };
 
 const std::map<std::string, KernelSpec>& kernel_specs() {
-  using K = dc::KernelCosts;
+  using K = Kernel;
   static const std::map<std::string, KernelSpec> specs = {
-      {"bloom:pack", {"bloom:pack", {{"windows", &K::parse_per_kmer}}}},
+      {"bloom:pack", {"bloom:pack", {{"windows", K::kParse}}}},
       {"bloom:insert",
-       {"bloom:local", {{"kmers", &K::bloom_insert}, {"hits", &K::table_insert}}}},
-      {"ht:pack", {"ht:pack", {{"windows", &K::parse_per_kmer}}}},
-      {"ht:insert", {"ht:local", {{"instances", &K::table_insert}}}},
-      {"ht:purge", {"ht:local", {{"keys", &K::table_traverse}}}},
+       {"bloom:local", {{"kmers", K::kBloomInsert}, {"hits", K::kTableInsert}}}},
+      {"ht:pack", {"ht:pack", {{"windows", K::kParse}}}},
+      {"ht:insert", {"ht:local", {{"instances", K::kTableInsert}}}},
+      {"ht:purge", {"ht:local", {{"keys", K::kTableTraverse}}}},
       {"overlap:traverse",
-       {"overlap:traverse", {{"keys", &K::table_traverse}, {"bytes", &K::per_byte_copy}}}},
-      {"overlap:recv", {"overlap:recv", {{"bytes", &K::per_byte_copy}}}},
-      {"overlap:consolidate", {"overlap:consolidate", {{"tasks", &K::pair_runs}}}},
+       {"overlap:traverse", {{"keys", K::kTableTraverse}, {"bytes", K::kByteCopy}}}},
+      {"overlap:recv", {"overlap:recv", {{"bytes", K::kByteCopy}}}},
+      {"overlap:consolidate", {"overlap:consolidate", {{"tasks", K::kPairRuns}}}},
       {"align:pack",
-       {"align:pack", {{"tasks", &K::pair_consolidate}, {"bytes", &K::per_byte_copy}}}},
-      {"align:cache", {"align:cache", {{"bytes", &K::per_byte_copy}}}},
+       {"align:pack", {{"tasks", K::kPairConsolidate}, {"bytes", K::kByteCopy}}}},
+      {"align:cache", {"align:cache", {{"bytes", K::kByteCopy}}}},
       {"align:extend",
-       {"align:compute", {{"cells", &K::xdrop_per_cell}, {"bytes", &K::per_byte_copy}}}},
-      {"sgraph:classify", {"sgraph:classify", {{"records", &K::pair_consolidate}}}},
-      {"sgraph:pack", {"sgraph:pack", {{"bytes", &K::per_byte_copy}}}},
+       {"align:compute", {{"cells", K::kXdropCell}, {"bytes", K::kByteCopy}}}},
+      {"sgraph:classify", {"sgraph:classify", {{"records", K::kPairConsolidate}}}},
+      {"sgraph:pack", {"sgraph:pack", {{"bytes", K::kByteCopy}}}},
       {"sgraph:build",
-       {"sgraph:build", {{"bytes", &K::per_byte_copy}, {"edges", &K::pair_consolidate}}}},
-      {"sgraph:csr", {"sgraph:csr", {{"nonzeros", &K::pair_consolidate}}}},
-      {"sgraph:reduce", {"sgraph:reduce", {{"probes", &K::graph_probe}}}},
-      {"sgraph:walk", {"sgraph:walk", {{"vertices", &K::pair_consolidate}}}},
+       {"sgraph:build", {{"bytes", K::kByteCopy}, {"edges", K::kPairConsolidate}}}},
+      {"sgraph:csr", {"sgraph:csr", {{"nonzeros", K::kPairConsolidate}}}},
+      {"sgraph:reduce", {"sgraph:reduce", {{"probes", K::kGraphProbe}}}},
+      {"sgraph:walk", {"sgraph:walk", {{"vertices", K::kPairConsolidate}}}},
   };
   return specs;
 }
@@ -550,12 +530,11 @@ bool is_kernel_span(const char* name) {
 }
 
 /// The rank's kernel spans map one-to-one, in order, onto its compute
-/// segments, and each segment's cpu seconds are exactly the sum of the
-/// span's unit args times their per-unit costs, summed in arg order.
+/// segments, and each segment holds exactly the units of its span's unit
+/// args, each under the kernel it counts.
 void expect_spans_match_segments(const obs::RankTimeline& lane,
                                  const dibella::netsim::RankTrace& trace,
                                  const std::string& where) {
-  const dc::KernelCosts& costs = dc::KernelCosts::get();
   std::vector<obs::SpanEvent> kernels;
   for (const obs::SpanEvent& ev : lane.snapshot()) {
     if (ev.phase != obs::SpanEvent::Phase::kEnd || !is_kernel_span(ev.name)) continue;
@@ -571,17 +550,16 @@ void expect_spans_match_segments(const obs::RankTimeline& lane,
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     const KernelSpec& spec = kernel_specs().at(kernels[i].name);
     EXPECT_EQ(segments[i].stage, spec.tag) << where << " #" << i << " " << kernels[i].name;
-    double cpu_seconds = 0.0;
+    dibella::netsim::KernelUnits units{};
     int unit_args = 0;
     for (int a = 0; a < kernels[i].n_args; ++a) {
       const auto it = spec.units.find(kernels[i].args[a].key);
       if (it == spec.units.end()) continue;
-      cpu_seconds += static_cast<double>(kernels[i].args[a].value) * (costs.*(it->second));
+      units[it->second] += kernels[i].args[a].value;
       ++unit_args;
     }
     EXPECT_GE(unit_args, 1) << where << " #" << i << " " << kernels[i].name;
-    EXPECT_EQ(segments[i].cpu_seconds, cpu_seconds)
-        << where << " #" << i << " " << kernels[i].name;
+    EXPECT_TRUE(segments[i].units == units) << where << " #" << i << " " << kernels[i].name;
   }
 }
 

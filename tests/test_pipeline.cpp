@@ -14,6 +14,8 @@
 #include "netsim/platform.hpp"
 #include "simgen/presets.hpp"
 
+#include "fixed_costs.hpp"
+
 namespace dc = dibella::core;
 using dibella::u32;
 using dibella::u64;
@@ -180,7 +182,8 @@ TEST(Pipeline, CostModelEvaluationHasAllStages) {
   dibella::comm::World world(8);
   auto out = run_pipeline(world, sim.reads, tiny_config());
 
-  auto report = out.evaluate(dibella::netsim::cori(), dibella::netsim::Topology{2, 4});
+  auto report = out.evaluate(dibella::netsim::cori(), dibella::netsim::Topology{2, 4},
+                             fixed_kernel_costs());
   for (const char* stage : {"bloom", "ht", "overlap", "align"}) {
     ASSERT_TRUE(report.has_stage(stage)) << stage;
     EXPECT_GT(report.stage(stage).compute_virtual, 0.0) << stage;
@@ -197,12 +200,41 @@ TEST(Pipeline, CostModelEvaluationHasAllStages) {
   EXPECT_EQ(report.per_rank_stage_seconds.at("align").size(), 8u);
 }
 
+TEST(Pipeline, FixedCostsPriceARepeatedRunIdentically) {
+  // A trace holds exact work units, so one config run twice and priced with
+  // one KernelCosts value gives identical modeled reports, whatever the rank
+  // count, schedule or block count.
+  auto sim = dibella::simgen::make_dataset(dibella::simgen::tiny_test());
+  const auto costs = fixed_kernel_costs();
+  for (int ranks : {1, 3, 4}) {
+    for (bool overlap_comm : {true, false}) {
+      for (u32 blocks : {1u, 2u}) {
+        const std::string where = "ranks=" + std::to_string(ranks) +
+                                  " overlap_comm=" + std::to_string(overlap_comm) +
+                                  " blocks=" + std::to_string(blocks);
+        auto cfg = tiny_config();
+        cfg.overlap_comm = overlap_comm;
+        cfg.blocks = blocks;
+        const auto cori = dibella::netsim::cori();
+        const dibella::netsim::Topology topo{1, ranks};
+        dibella::comm::World world(ranks);
+        const auto first = run_pipeline(world, sim.reads, cfg).evaluate(cori, topo, costs);
+        const auto second = run_pipeline(world, sim.reads, cfg).evaluate(cori, topo, costs);
+        EXPECT_GT(first.total_compute_virtual(), 0.0) << where;
+        EXPECT_TRUE(first == second) << where;
+      }
+    }
+  }
+}
+
 TEST(Pipeline, MoreNodesRaiseExchangeCost) {
   auto sim = dibella::simgen::make_dataset(dibella::simgen::tiny_test(41));
   dibella::comm::World world(8);
   auto out = run_pipeline(world, sim.reads, tiny_config());
-  auto one_node = out.evaluate(dibella::netsim::cori(), dibella::netsim::Topology{1, 8});
-  auto eight_nodes = out.evaluate(dibella::netsim::cori(), dibella::netsim::Topology{8, 1});
+  const auto costs = fixed_kernel_costs();
+  const auto cori = dibella::netsim::cori();
+  auto one_node = out.evaluate(cori, dibella::netsim::Topology{1, 8}, costs);
+  auto eight_nodes = out.evaluate(cori, dibella::netsim::Topology{8, 1}, costs);
   EXPECT_GT(eight_nodes.total_exchange_virtual(), 2.0 * one_node.total_exchange_virtual());
 }
 
@@ -327,8 +359,8 @@ TEST(Pipeline, OverlappedScheduleHidesExchangeTime) {
   auto off = run_pipeline(world, sim.reads, cfg);
 
   auto topo = dibella::netsim::Topology{2, 2};
-  auto rep_on = on.evaluate(dibella::netsim::cori(), topo);
-  auto rep_off = off.evaluate(dibella::netsim::cori(), topo);
+  auto rep_on = on.evaluate(dibella::netsim::cori(), topo, fixed_kernel_costs());
+  auto rep_off = off.evaluate(dibella::netsim::cori(), topo, fixed_kernel_costs());
 
   // Blocking: nothing is hidden.
   EXPECT_DOUBLE_EQ(rep_off.total_exchange_exposed_virtual(),

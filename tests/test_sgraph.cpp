@@ -25,6 +25,7 @@
 #include "simgen/presets.hpp"
 #include "util/random.hpp"
 
+#include "fixed_costs.hpp"
 #include "mutation.hpp"
 
 namespace dsg = dibella::sgraph;
@@ -514,7 +515,7 @@ TEST(StringGraphStage, CostModelReportsSgraphStage) {
   dibella::comm::World world(3);
   auto out = run_pipeline(world, sim.reads, cfg);
   auto report = out.evaluate(dibella::netsim::cori(),
-                             dibella::netsim::Topology{1, 3});
+                             dibella::netsim::Topology{1, 3}, fixed_kernel_costs());
   ASSERT_TRUE(report.has_stage("sgraph"));
   const auto& s = report.stage("sgraph");
   EXPECT_GT(s.exchange_calls, 0u);
@@ -536,7 +537,7 @@ TEST(StringGraphStage, Stage5OffLeavesOutputEmpty) {
   EXPECT_TRUE(out.string_graph.surviving_edges.empty());
   EXPECT_EQ(out.counters.sg_unitigs, 0u);
   auto report = out.evaluate(dibella::netsim::local_host(),
-                             dibella::netsim::Topology{1, 2});
+                             dibella::netsim::Topology{1, 2}, fixed_kernel_costs());
   EXPECT_FALSE(report.has_stage("sgraph"));
 }
 

@@ -178,6 +178,22 @@ TEST(Args, ParsesAllForms) {
   EXPECT_EQ(args.program(), "prog");
 }
 
+TEST(Args, RejectUnknownNamesTheFirstKeyOutsideTheKnownSet) {
+  const char* argv[] = {"prog", "--k=17", "--verbose", "--help", "--zeta=1", "input.fq"};
+  du::Args args(6, argv);
+  EXPECT_NO_THROW(args.reject_unknown({"k", "verbose", "help", "zeta", "unused"}));
+  try {
+    args.reject_unknown({"k", "verbose"});
+    FAIL() << "expected UsageError";
+  } catch (const du::UsageError& e) {
+    EXPECT_STREQ(e.what(), "unknown option --help");
+  }
+  EXPECT_THROW(args.reject_unknown({}), du::UsageError);
+  // Positional arguments are not options.
+  const char* bare[] = {"prog", "input.fq"};
+  EXPECT_NO_THROW(du::Args(2, bare).reject_unknown({}));
+}
+
 TEST(Env, FallbacksAndParsing) {
   ::unsetenv("DIBELLA_TEST_ENV");
   EXPECT_EQ(du::env_i64("DIBELLA_TEST_ENV", 5), 5);
