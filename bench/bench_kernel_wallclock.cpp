@@ -396,64 +396,78 @@ BenchRow bench_sketch_pack(bool smoke, int reps) {
   return row;
 }
 
-/// Random wire tasks: pairs over `n_reads` reads (either rid order, never a
-/// self pair), positions below 20k, 70% same-orientation.
-std::vector<overlap::OverlapTask> random_overlap_tasks(std::size_t n_tasks, u64 n_reads,
-                                                       util::Xoshiro256& rng) {
-  std::vector<overlap::OverlapTask> tasks;
-  tasks.reserve(n_tasks);
-  for (std::size_t i = 0; i < n_tasks; ++i) {
-    overlap::OverlapTask t;
+/// One (pair, seed) discovery, unpacked: the sort-then-group baseline's
+/// record. Canonical: rid_a < rid_b.
+struct WireSeed {
+  u64 rid_a = 0;
+  u64 rid_b = 0;
+  u32 pos_a = 0;
+  u32 pos_b = 0;
+  u8 same_orientation = 1;
+};
+
+/// Random seeds: pairs over `n_reads` reads (never a self pair), positions
+/// below 20k, 70% same-orientation.
+std::vector<WireSeed> random_wire_seeds(std::size_t n_seeds, u64 n_reads,
+                                        util::Xoshiro256& rng) {
+  std::vector<WireSeed> seeds;
+  seeds.reserve(n_seeds);
+  for (std::size_t i = 0; i < n_seeds; ++i) {
+    WireSeed t;
     t.rid_a = rng.uniform_below(n_reads);
     t.rid_b = rng.uniform_below(n_reads);
     if (t.rid_a == t.rid_b) t.rid_b = (t.rid_a + 1) % n_reads;
+    if (t.rid_a > t.rid_b) std::swap(t.rid_a, t.rid_b);
     t.pos_a = static_cast<u32>(rng.uniform_below(20'000));
     t.pos_b = static_cast<u32>(rng.uniform_below(20'000));
     t.same_orientation = rng.bernoulli(0.7) ? 1 : 0;
-    tasks.push_back(t);
+    seeds.push_back(t);
   }
-  return tasks;
+  return seeds;
 }
 
 /// The overlap stage's consolidation without the exchange: each slice of
-/// `batch` tasks is one sender's payload of one batch (encode); the
+/// `batch` staged tasks is one sender's payload of one batch (encode); the
 /// receiver validates every payload, then merges them by pair, decoding
 /// each seed there, and filters each pair.
 std::vector<overlap::AlignmentTask> consolidate_pair_runs(
-    const std::vector<overlap::OverlapTask>& tasks, const overlap::SeedFilterConfig& policy,
-    std::size_t batch) {
+    const std::vector<overlap::OverlapTask>& tasks, const overlap::PairKeys& keys,
+    const overlap::SeedFilterConfig& policy, std::size_t batch) {
   overlap::PairSeedTable table;
   std::vector<overlap::OverlapTask> payload;
   std::vector<u8> bytes;
+  util::RadixScratch<overlap::OverlapTask> scratch;
   for (std::size_t at = 0; at < tasks.size(); at += batch) {
     payload.assign(tasks.begin() + static_cast<std::ptrdiff_t>(at),
                    tasks.begin() + static_cast<std::ptrdiff_t>(std::min(tasks.size(), at + batch)));
     bytes.clear();
-    overlap::encode_pair_runs(payload, bytes);
+    overlap::encode_pair_runs(payload, keys, bytes, scratch);
     table.add_runs(bytes.data(), bytes.size());
   }
   return table.consolidate(policy);
 }
 
 /// One consolidation row: baseline = the sort-then-group consolidation the
-/// pair runs replaced (canonicalize, full-tuple sort, group, filter);
-/// optimized = consolidate_pair_runs. The tasks are asserted equal.
-BenchRow bench_pair_runs(std::string name, const std::vector<overlap::OverlapTask>& wire,
+/// pair runs replaced (full-tuple sort, group, filter); optimized =
+/// consolidate_pair_runs of the same seeds, staged as the stage stages them
+/// (16-byte overlap::OverlapTask over `n_reads` reads). The tasks are
+/// asserted equal.
+BenchRow bench_pair_runs(std::string name, const std::vector<WireSeed>& wire, u64 n_reads,
                          const overlap::SeedFilterConfig& policy, int reps) {
   BenchRow row;
   row.name = std::move(name);
   row.unit = "tasks/s";
   row.items = wire.size();
+  const overlap::PairKeys keys(n_reads);
+  std::vector<overlap::OverlapTask> staged;
+  staged.reserve(wire.size());
+  for (const WireSeed& t : wire) {
+    staged.push_back({keys.key(t.rid_a, t.rid_b, t.same_orientation), t.pos_a, t.pos_b});
+  }
   std::vector<overlap::AlignmentTask> ref, opt;
   row.baseline_s = best_of(reps, [&] {
     auto v = wire;
-    for (auto& t : v) {
-      if (t.rid_a > t.rid_b) {
-        std::swap(t.rid_a, t.rid_b);
-        std::swap(t.pos_a, t.pos_b);
-      }
-    }
-    std::sort(v.begin(), v.end(), [](const overlap::OverlapTask& x, const overlap::OverlapTask& y) {
+    std::sort(v.begin(), v.end(), [](const WireSeed& x, const WireSeed& y) {
       return std::tie(x.rid_a, x.rid_b, x.pos_a, x.pos_b, x.same_orientation) <
              std::tie(y.rid_a, y.rid_b, y.pos_a, y.pos_b, y.same_orientation);
     });
@@ -465,11 +479,12 @@ BenchRow bench_pair_runs(std::string name, const std::vector<overlap::OverlapTas
            ++end) {
         seeds.push_back({v[end].pos_a, v[end].pos_b, v[end].same_orientation});
       }
-      ref.push_back({v[run].rid_a, v[run].rid_b, overlap::filter_seeds(std::move(seeds), policy)});
+      ref.push_back({v[run].rid_a, v[run].rid_b, overlap::filter_seeds(seeds, policy)});
       run = end;
     }
   });
-  row.optimized_s = best_of(reps, [&] { opt = consolidate_pair_runs(wire, policy, kPairRunBatch); });
+  row.optimized_s =
+      best_of(reps, [&] { opt = consolidate_pair_runs(staged, keys, policy, kPairRunBatch); });
   DIBELLA_CHECK(ref.size() == opt.size(), "pair runs lost or invented a pair");
   for (std::size_t i = 0; i < ref.size(); ++i) {
     DIBELLA_CHECK(ref[i].rid_a == opt[i].rid_a && ref[i].rid_b == opt[i].rid_b &&
@@ -484,19 +499,20 @@ BenchRow bench_consolidate(std::size_t n_tasks, std::size_t n_reads, int reps) {
   // Wire-task mix shaped like a sparse overlap stage: many pairs with a
   // handful of shared seeds each.
   util::Xoshiro256 rng(20261101);
-  return bench_pair_runs("overlap_consolidate", random_overlap_tasks(n_tasks, n_reads, rng),
-                         overlap::SeedFilterConfig::all_seeds(17), reps);
+  return bench_pair_runs("overlap_consolidate", random_wire_seeds(n_tasks, n_reads, rng),
+                         n_reads, overlap::SeedFilterConfig::all_seeds(17), reps);
 }
 
 BenchRow bench_dense_consolidate(std::size_t n_tasks, std::size_t n_pairs, int reps) {
   // Dense seeding's shape (hifi-dense: ~280 reads, hundreds of seeds per
   // pair): n_pairs pairs of 280 reads share the tasks.
+  constexpr u64 kReads = 280;
   util::Xoshiro256 rng(20261102);
   std::vector<std::pair<u64, u64>> pairs;
-  for (const auto& t : random_overlap_tasks(n_pairs, 280, rng)) pairs.emplace_back(t.rid_a, t.rid_b);
-  auto wire = random_overlap_tasks(n_tasks, 280, rng);
+  for (const auto& t : random_wire_seeds(n_pairs, kReads, rng)) pairs.emplace_back(t.rid_a, t.rid_b);
+  auto wire = random_wire_seeds(n_tasks, kReads, rng);
   for (auto& t : wire) std::tie(t.rid_a, t.rid_b) = pairs[rng.uniform_below(pairs.size())];
-  return bench_pair_runs("pair_runs", wire, overlap::SeedFilterConfig::one_seed(), reps);
+  return bench_pair_runs("pair_runs", wire, kReads, overlap::SeedFilterConfig::one_seed(), reps);
 }
 
 BenchRow bench_minimizer_sketch(bool smoke, int reps) {

@@ -233,24 +233,30 @@ double time_pair_consolidate() {
   });
 }
 
-/// Stage-3 consolidation through pair runs: each payload is encoded
+/// Stage-3 consolidation through pair runs: each payload is staged as the
+/// stage stages it (16-byte overlap::OverlapTask), encoded
 /// (overlap::encode_pair_runs) and validated, then the payloads are merged
 /// by pair, decoded and filtered (overlap::PairSeedTable). Pairs over 2,000
 /// reads, so most carry one seed.
 double time_pair_runs() {
   volatile u64 sink = 0;
+  constexpr u64 kReads = 2'000;
+  const overlap::PairKeys keys(kReads);
   std::vector<overlap::OverlapTask> tasks(kPairRunTasks * kPairRunPayloads);
   util::Xoshiro256 rng(5);
   for (auto& t : tasks) {
-    t.rid_a = rng.uniform_below(2'000);
-    t.rid_b = rng.uniform_below(2'000);
-    if (t.rid_a == t.rid_b) t.rid_b = (t.rid_a + 1) % 2'000;
+    u64 rid_a = rng.uniform_below(kReads);
+    u64 rid_b = rng.uniform_below(kReads);
+    if (rid_a == rid_b) rid_b = (rid_a + 1) % kReads;
+    if (rid_a > rid_b) std::swap(rid_a, rid_b);
+    t.key = keys.key(rid_a, rid_b, 1);
     t.pos_a = static_cast<u32>(rng.uniform_below(20'000));
     t.pos_b = static_cast<u32>(rng.uniform_below(20'000));
   }
   // Each payload's tasks are staged by copy, as the stage stages them.
   std::vector<overlap::OverlapTask> staged;
   std::vector<u8> bytes;
+  util::RadixScratch<overlap::OverlapTask> scratch;
   return fastest_rep([&] {
     overlap::PairSeedTable table;
     for (int payload = 0; payload < kPairRunPayloads; ++payload) {
@@ -258,7 +264,7 @@ double time_pair_runs() {
                                              static_cast<std::ptrdiff_t>(kPairRunTasks);
       staged.assign(first, first + static_cast<std::ptrdiff_t>(kPairRunTasks));
       bytes.clear();
-      overlap::encode_pair_runs(staged, bytes);
+      overlap::encode_pair_runs(staged, keys, bytes, scratch);
       table.add_runs(bytes.data(), bytes.size());
     }
     sink = sink + table.consolidate(overlap::SeedFilterConfig::one_seed()).size();

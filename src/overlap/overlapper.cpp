@@ -1,9 +1,9 @@
 #include "overlap/overlapper.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "comm/exchanger.hpp"
-#include "util/radix_sort.hpp"
 
 namespace dibella::overlap {
 
@@ -49,23 +49,21 @@ u64 get_varint(const u8*& p, const u8* end) {
 
 }  // namespace
 
-void encode_pair_runs(std::vector<OverlapTask>& tasks, std::vector<u8>& out) {
-  for (auto& t : tasks) {
-    DIBELLA_CHECK(t.rid_a != t.rid_b, "overlap task pairs a read with itself");
-    DIBELLA_CHECK(t.same_orientation <= 1, "overlap task orientation is not 0 or 1");
-    if (t.rid_a > t.rid_b) {
-      std::swap(t.rid_a, t.rid_b);
-      std::swap(t.pos_a, t.pos_b);
-    }
-  }
-  // Group by pair: two stable LSD radix calls, least significant component
-  // first. Constant key bytes are skipped, so dense read ids cost only the
-  // digits they use.
-  util::radix_sort_u64(tasks, [](const OverlapTask& t) { return t.rid_b; });
-  util::radix_sort_u64(tasks, [](const OverlapTask& t) { return t.rid_a; });
+PairKeys::PairKeys(u64 reads) : reads_(reads) {
+  DIBELLA_CHECK(reads <= kMaxReads, "overlap stage: " + std::to_string(reads) +
+                                        " reads exceed the pair key's limit of " +
+                                        std::to_string(kMaxReads));
+}
+
+void encode_pair_runs(std::vector<OverlapTask>& tasks, const PairKeys& keys,
+                      std::vector<u8>& out, util::RadixScratch<OverlapTask>& scratch) {
+  DIBELLA_CHECK(tasks.empty() || keys.reads() >= 2, "overlap task keyed over fewer than 2 reads");
+  // Group by pair in one stable LSD radix call. Bits constant across the
+  // keys get no digit, so a small read count costs only the digits it uses.
+  util::radix_sort_u64(tasks, [](const OverlapTask& t) { return t.key; }, scratch);
 
   const auto same_pair = [&tasks](std::size_t i, std::size_t j) {
-    return tasks[i].rid_a == tasks[j].rid_a && tasks[i].rid_b == tasks[j].rid_b;
+    return PairKeys::pair(tasks[i].key) == PairKeys::pair(tasks[j].key);
   };
   std::size_t runs = tasks.empty() ? 0 : 1;
   for (std::size_t i = 1; i < tasks.size(); ++i) runs += same_pair(i, i - 1) ? 0 : 1;
@@ -76,14 +74,18 @@ void encode_pair_runs(std::vector<OverlapTask>& tasks, std::vector<u8>& out) {
   for (std::size_t run = 0; run < tasks.size();) {
     std::size_t end = run + 1;
     while (end < tasks.size() && same_pair(end, run)) ++end;
-    p = put_varint(p, tasks[run].rid_a - prev_rid_a);
-    p = put_varint(p, tasks[run].rid_b);
+    const u64 rid_a = keys.rid_a(tasks[run].key);
+    const u64 rid_b = keys.rid_b(tasks[run].key);
+    DIBELLA_CHECK(rid_a < rid_b, "overlap task key is not a pair rid_a < rid_b < reads");
+    p = put_varint(p, rid_a - prev_rid_a);
+    p = put_varint(p, rid_b);
     p = put_varint(p, end - run);
     for (std::size_t i = run; i < end; ++i) {
       p = put_varint(p, tasks[i].pos_a);
-      p = put_varint(p, (static_cast<u64>(tasks[i].pos_b) << 1) | tasks[i].same_orientation);
+      p = put_varint(p, (static_cast<u64>(tasks[i].pos_b) << 1) |
+                            PairKeys::same_orientation(tasks[i].key));
     }
-    prev_rid_a = tasks[run].rid_a;
+    prev_rid_a = rid_a;
     run = end;
   }
   out.resize(static_cast<std::size_t>(p - out.data()));
@@ -170,21 +172,21 @@ std::vector<AlignmentTask> PairSeedTable::consolidate(const SeedFilterConfig& se
   }
   std::make_heap(heap.begin(), heap.end(), later);
 
-  // Per pair, its seeds from every payload go through filter_seeds, which
-  // sorts and deduplicates them, so the arrival order does not matter.
+  // Per pair, its seeds from every payload are decoded into one SeedSorter,
+  // which sorts and deduplicates them, so the arrival order does not matter.
   std::vector<AlignmentTask> tasks;
+  SeedSorter sorter;
   u64 after = 0;
   while (!heap.empty()) {
     const u64 rid_a = heap.front().rid_a, rid_b = heap.front().rid_b;
-    std::vector<SeedPair> pair_seeds;
     while (!heap.empty() && heap.front().rid_a == rid_a && heap.front().rid_b == rid_b) {
       std::pop_heap(heap.begin(), heap.end(), later);
       Cursor& cur = heap.back();
       for (u64 i = 0; i < cur.count; ++i) {
         const u64 pos_a = read_varint(cur.p);
         const u64 pos_b = read_varint(cur.p);
-        pair_seeds.push_back(SeedPair{static_cast<u32>(pos_a), static_cast<u32>(pos_b >> 1),
-                                      static_cast<u8>(pos_b & 1u)});
+        sorter.add(static_cast<u32>(pos_a), static_cast<u32>(pos_b >> 1),
+                   static_cast<u8>(pos_b & 1u));
       }
       if (cur.p != cur.end) {
         read_header(cur);
@@ -193,7 +195,7 @@ std::vector<AlignmentTask> PairSeedTable::consolidate(const SeedFilterConfig& se
         heap.pop_back();
       }
     }
-    tasks.push_back(AlignmentTask{rid_a, rid_b, filter_seeds(std::move(pair_seeds), seed_filter)});
+    tasks.push_back(AlignmentTask{rid_a, rid_b, sorter.filter(seed_filter)});
     after += tasks.back().seeds.size();
   }
   if (result) {
@@ -220,25 +222,33 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
   // ~batch_tasks tasks (overlapped: while the previous batch is in flight),
   // stages them per destination and posts them as pair runs.
   comm::Exchanger ex(comm, cfg.exchange);
+  const PairKeys keys(partition.total_reads());
   std::vector<std::vector<OverlapTask>> staged(static_cast<std::size_t>(ex.size()));
-  auto visit = [&res, &partition, &staged](const kmer::Kmer& /*km*/, u32 /*count*/,
-                                           std::vector<dht::ReadOccurrence>& occs) {
+  std::vector<std::size_t> owners;  // per occurrence of the visited key
+  auto visit = [&res, &partition, &keys, &staged, &owners](
+                   const kmer::Kmer& /*km*/, u32 /*count*/,
+                   std::vector<dht::ReadOccurrence>& occs) {
     ++res.retained_kmers;
     // Deterministic pair formation independent of arrival order; `occs` is
     // the traversal's reusable scratch, sorted in place (no per-key copy).
+    // Sorted by rid, every pair below has rid_a < rid_b, as its key needs.
     std::sort(occs.begin(), occs.end(),
               [](const dht::ReadOccurrence& x, const dht::ReadOccurrence& y) {
                 return x.rid != y.rid ? x.rid < y.rid : x.pos < y.pos;
               });
+    owners.clear();
+    for (const auto& occ : occs) {
+      owners.push_back(static_cast<std::size_t>(partition.owner_of(occ.rid)));
+    }
     for (std::size_t i = 0; i + 1 < occs.size(); ++i) {
       for (std::size_t j = i + 1; j < occs.size(); ++j) {
         const auto& oa = occs[i];
         const auto& ob = occs[j];
         if (oa.rid == ob.rid) continue;  // a repeat within one read is not an overlap
-        const u64 owner_rid = task_owner_read(oa.rid, ob.rid) == 0 ? oa.rid : ob.rid;
-        staged[static_cast<std::size_t>(partition.owner_of(owner_rid))].push_back(
-            OverlapTask{oa.rid, ob.rid, oa.pos, ob.pos,
-                        static_cast<u8>(oa.is_forward == ob.is_forward ? 1 : 0)});
+        const std::size_t owner = task_owner_read(oa.rid, ob.rid) == 0 ? owners[i] : owners[j];
+        staged[owner].push_back(OverlapTask{
+            keys.key(oa.rid, ob.rid, static_cast<u8>(oa.is_forward == ob.is_forward ? 1 : 0)),
+            oa.pos, ob.pos});
         ++res.pair_tasks_formed;
       }
     }
@@ -246,6 +256,7 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
 
   PairSeedTable received;
   std::vector<u8> runs;
+  util::RadixScratch<OverlapTask> sort_scratch;
   std::vector<dht::ReadOccurrence> scratch;
   std::size_t slot_cursor = 0;
   comm::run_exchange(
@@ -265,7 +276,7 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
         for (int d = 0; d < ex.size(); ++d) {
           auto& tasks = staged[static_cast<std::size_t>(d)];
           runs.clear();
-          encode_pair_runs(tasks, runs);
+          encode_pair_runs(tasks, keys, runs, sort_scratch);
           tasks.clear();
           ex.post_bytes(d, runs.data(), runs.size());
           posted += runs.size();

@@ -11,6 +11,14 @@
 /// all-to-alls; the receiving rank groups seeds per pair and applies the
 /// seed policy.
 ///
+/// Staging: each (pair, seed) discovery is one 16-byte OverlapTask, a u64
+/// sort key and the two positions. The key packs the read pair and the
+/// orientation as ((rid_a * R + rid_b) << 1) | (same_orientation ^ 1), with
+/// R the total read count (PairKeys), so one stable radix sort of the keys
+/// groups a destination's batch by pair, each pair's same-orientation seeds
+/// first. The key bounds the read count: R < 2^31, checked once per stage
+/// run; positions keep their full u32 range.
+///
 /// Wire format: pair runs. Each pack call stages the batch's tasks per
 /// destination, groups them by read pair, and posts one run per pair. Every
 /// field is an unsigned LEB128 varint (7 bits per byte, low group first, at
@@ -27,9 +35,10 @@
 /// validates every byte of each payload on arrival and keeps the validated
 /// bytes as they are (PairSeedTable), so received seeds stay at wire
 /// density until consolidation. At the end, a k-way merge of the payloads
-/// decodes and gathers each pair's seeds, which are sorted and deduplicated
-/// under filter_seeds' total order before the seed policy runs once per
-/// pair, so the tasks do not depend on the order seeds arrive in.
+/// decodes each pair's seeds straight into packed sort keys (SeedSorter),
+/// which are sorted and deduplicated under filter_seeds' total order before
+/// the seed policy runs once per pair, so the tasks do not depend on the
+/// order seeds arrive in.
 
 #include <vector>
 
@@ -39,6 +48,7 @@
 #include "io/read_store.hpp"
 #include "overlap/seed_filter.hpp"
 #include "util/common.hpp"
+#include "util/radix_sort.hpp"
 
 namespace dibella::overlap {
 
@@ -50,14 +60,44 @@ struct AlignmentTask {
   std::vector<SeedPair> seeds;
 };
 
-/// One (pair, seed) discovery of pair formation, before consolidation.
+/// The staged task's sort key over a fixed read count R:
+/// ((rid_a * R + rid_b) << 1) | (same_orientation ^ 1), for rid_a < rid_b <
+/// R. Keys ascend by (rid_a, rid_b), then same orientation first; the
+/// largest fits 63 bits while R < 2^31.
+class PairKeys {
+ public:
+  static constexpr u64 kMaxReads = (u64{1} << 31) - 1;
+
+  /// Keys over `reads` reads. More than kMaxReads throws dibella::Error.
+  explicit PairKeys(u64 reads);
+
+  u64 reads() const { return reads_; }
+
+  /// The key of a pair and orientation. The caller guarantees
+  /// rid_a < rid_b < reads() and same_orientation <= 1.
+  u64 key(u64 rid_a, u64 rid_b, u8 same_orientation) const {
+    return ((rid_a * reads_ + rid_b) << 1) | (same_orientation ^ 1u);
+  }
+  /// Keys of one pair share this value; it ascends with (rid_a, rid_b).
+  static u64 pair(u64 key) { return key >> 1; }
+  u64 rid_a(u64 key) const { return pair(key) / reads_; }
+  u64 rid_b(u64 key) const { return pair(key) % reads_; }
+  static u8 same_orientation(u64 key) { return static_cast<u8>((key & 1u) ^ 1u); }
+
+ private:
+  u64 reads_;
+};
+
+/// One (pair, seed) discovery of pair formation, staged for its owner: the
+/// pair and orientation as a PairKeys key, and the seed's position in each
+/// read. 16 bytes, so a batch's radix passes move half what a task of two
+/// u64 read ids would.
 struct OverlapTask {
-  u64 rid_a = 0;
-  u64 rid_b = 0;
+  u64 key = 0;
   u32 pos_a = 0;
   u32 pos_b = 0;
-  u8 same_orientation = 1;
 };
+static_assert(sizeof(OverlapTask) == 16);
 
 struct OverlapStageConfig {
   SeedFilterConfig seed_filter = SeedFilterConfig::one_seed();
@@ -83,12 +123,13 @@ struct OverlapStageResult {
 /// of ra or rb such that, over unordered random IDs, tasks spread evenly.
 int task_owner_read(u64 ra, u64 rb);
 
-/// Append `tasks` (one destination's share of a batch) to `out` as pair
-/// runs. Each task is taken as rid_a < rid_b (positions swap with the rids
-/// where needed); rid_a == rid_b, or an orientation other than 0 or 1, is
-/// an error. Reorders `tasks`: canonical and grouped by pair, each pair's
-/// seeds in their input order.
-void encode_pair_runs(std::vector<OverlapTask>& tasks, std::vector<u8>& out);
+/// Append `tasks` (one destination's share of a batch, keyed by `keys`) to
+/// `out` as pair runs. A key whose pair is not rid_a < rid_b < keys.reads()
+/// is an error. Sorts `tasks` by key with one stable radix call in
+/// `scratch`'s buffers: grouped by pair, each pair's same-orientation seeds
+/// first, each orientation's seeds in their input order.
+void encode_pair_runs(std::vector<OverlapTask>& tasks, const PairKeys& keys,
+                      std::vector<u8>& out, util::RadixScratch<OverlapTask>& scratch);
 
 /// Receiver side of stage 3: each sender's pair runs, validated on receipt
 /// and kept as they arrived, at wire density (one owned copy of each

@@ -2,81 +2,79 @@
 
 #include <algorithm>
 
-#include "util/radix_sort.hpp"
-
 namespace dibella::overlap {
 
 namespace {
 
-/// Seeds per pair above which the sort runs radix passes. Per seed, on a
-/// Xeon core: 128 seeds sort in 55 ns by comparison vs 70 ns by radix, 192
-/// in 62 vs 55 ns, 640 (dense seeding's mean) in 73 vs 30 ns.
-constexpr std::size_t kRadixSeeds = 160;
+/// Seeds per orientation group above which the sort runs radix passes on
+/// pos_a in reused buffers (sort_unique). Per seed, on a Xeon core: 48
+/// seeds sort in 17 ns by comparison vs 24 ns by radix, 64 in 27 vs 20 ns,
+/// 640 (dense seeding's mean) in 59 vs 11 ns.
+constexpr std::size_t kRadixSeeds = 56;
 
-/// Order a pair's seeds: the same_orientation = 1 group first, each group
-/// ascending by (pos_a, pos_b).
-void sort_seeds(std::vector<SeedPair>& seeds) {
-  if (seeds.size() <= kRadixSeeds) {
-    std::sort(seeds.begin(), seeds.end(), [](const SeedPair& x, const SeedPair& y) {
-      if (x.same_orientation != y.same_orientation)
-        return x.same_orientation > y.same_orientation;
-      if (x.pos_a != y.pos_a) return x.pos_a < y.pos_a;
-      return x.pos_b < y.pos_b;
-    });
-    return;
-  }
-  // Each orientation group as packed (pos_a, pos_b) keys.
-  std::vector<u64> keys[2];
-  for (const auto& s : seeds) {
-    DIBELLA_CHECK(s.same_orientation <= 1, "seed orientation is not 0 or 1");
-    keys[s.same_orientation].push_back(static_cast<u64>(s.pos_a) << 32 | s.pos_b);
-  }
-  seeds.clear();
-  for (const u8 orientation : {u8{1}, u8{0}}) {
-    util::radix_sort_u64(keys[orientation], [](u64 key) { return key; });
-    for (const u64 key : keys[orientation]) {
-      seeds.push_back(SeedPair{static_cast<u32>(key >> 32), static_cast<u32>(key), orientation});
+/// Sort one orientation group's keys ascending and drop duplicates.
+void sort_unique(std::vector<u64>& keys, util::RadixScratch<u64>& scratch) {
+  if (keys.size() <= kRadixSeeds) {
+    std::sort(keys.begin(), keys.end());
+  } else {
+    // Radix passes on pos_a alone, then order each run of one pos_a by
+    // pos_b. Such runs are a k-mer repeated within read b, so they are
+    // short and rare, and the passes over pos_b would be wasted.
+    util::radix_sort_u64(keys, [](u64 key) { return key >> 32; }, scratch);
+    for (auto run = keys.begin(); run != keys.end();) {
+      auto end = run + 1;
+      while (end != keys.end() && (*end >> 32) == (*run >> 32)) ++end;
+      if (end - run > 1) std::sort(run, end);
+      run = end;
     }
   }
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+}
+
+SeedPair seed_of(u64 key, u8 same_orientation) {
+  return SeedPair{static_cast<u32>(key >> 32), static_cast<u32>(key), same_orientation};
 }
 
 }  // namespace
 
-std::vector<SeedPair> filter_seeds(std::vector<SeedPair> seeds,
-                                   const SeedFilterConfig& cfg) {
-  if (seeds.empty()) return seeds;
-  sort_seeds(seeds);
-  seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
+std::vector<SeedPair> SeedSorter::filter(const SeedFilterConfig& cfg) {
+  for (auto& keys : keys_) sort_unique(keys, scratch_);
+  const std::vector<u64>& fwd = keys_[1];
+  const std::vector<u64>& rev = keys_[0];
 
   std::vector<SeedPair> out;
   if (cfg.policy == SeedFilterConfig::Policy::kOneSeed) {
     // Prefer the dominant orientation group, take its median seed.
-    std::size_t fwd = 0;
-    while (fwd < seeds.size() && seeds[fwd].same_orientation) ++fwd;
-    std::size_t rev = seeds.size() - fwd;
-    std::size_t begin = fwd >= rev ? 0 : fwd;
-    std::size_t len = fwd >= rev ? fwd : rev;
-    if (len == 0) {  // single orientation only
-      begin = 0;
-      len = seeds.size();
+    if (!fwd.empty() || !rev.empty()) {
+      const u8 group = fwd.size() >= rev.size() ? 1 : 0;
+      const std::vector<u64>& keys = keys_[group];
+      out.push_back(seed_of(keys[keys.size() / 2], group));
     }
-    out.push_back(seeds[begin + len / 2]);
   } else {
-    u8 group = 2;  // sentinel distinct from 0/1
-    u64 next_ok = 0;
-    for (const auto& s : seeds) {
-      if (s.same_orientation != group) {
-        group = s.same_orientation;
-        next_ok = 0;
-      }
-      if (s.pos_a >= next_ok) {
-        out.push_back(s);
-        next_ok = static_cast<u64>(s.pos_a) + cfg.min_distance;
+    for (const u8 group : {u8{1}, u8{0}}) {
+      u64 next_ok = 0;
+      for (const u64 key : keys_[group]) {
+        const u64 pos_a = key >> 32;
+        if (pos_a >= next_ok) {
+          out.push_back(seed_of(key, group));
+          next_ok = pos_a + cfg.min_distance;
+        }
       }
     }
   }
   if (cfg.max_seeds > 0 && out.size() > cfg.max_seeds) out.resize(cfg.max_seeds);
+  for (auto& keys : keys_) keys.clear();
   return out;
+}
+
+std::vector<SeedPair> filter_seeds(const std::vector<SeedPair>& seeds,
+                                   const SeedFilterConfig& cfg) {
+  SeedSorter sorter;
+  for (const auto& s : seeds) {
+    DIBELLA_CHECK(s.same_orientation <= 1, "seed orientation is not 0 or 1");
+    sorter.add(s.pos_a, s.pos_b, s.same_orientation);
+  }
+  return sorter.filter(cfg);
 }
 
 }  // namespace dibella::overlap

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "util/common.hpp"
+#include "util/radix_sort.hpp"
 
 namespace dibella::overlap {
 
@@ -38,11 +39,33 @@ struct SeedFilterConfig {
 };
 
 /// Apply a policy to a pair's seed list. Input order is irrelevant; output
-/// is deterministic: seeds are sorted by (pos_a, pos_b), deduplicated, then
+/// is deterministic: seeds are sorted by (pos_a, pos_b) within each
+/// orientation group (same_orientation = 1 first), deduplicated, then
 ///   * one-seed: the median-by-pos_a seed (central seeds extend both ways)
+///     of the group with more distinct seeds (same orientation on a tie)
 ///   * min-distance: greedy left-to-right selection with pos_a gaps >= d,
 ///     applied independently per orientation group.
-std::vector<SeedPair> filter_seeds(std::vector<SeedPair> seeds,
+std::vector<SeedPair> filter_seeds(const std::vector<SeedPair>& seeds,
                                    const SeedFilterConfig& cfg);
+
+/// filter_seeds for a caller that filters many pairs in turn (stage 3's
+/// consolidation): each pair's seeds are added as packed pos_a << 32 | pos_b
+/// keys, one vector per orientation group, and sorted in buffers kept
+/// across pairs, so a pair costs no allocation beyond its output.
+class SeedSorter {
+ public:
+  /// Add one seed of the current pair. `same_orientation` must be 0 or 1.
+  void add(u32 pos_a, u32 pos_b, u8 same_orientation) {
+    keys_[same_orientation].push_back(static_cast<u64>(pos_a) << 32 | pos_b);
+  }
+
+  /// filter_seeds of the seeds added since the last call; empties the
+  /// sorter for the next pair.
+  std::vector<SeedPair> filter(const SeedFilterConfig& cfg);
+
+ private:
+  std::vector<u64> keys_[2];  ///< indexed by same_orientation
+  util::RadixScratch<u64> scratch_;
+};
 
 }  // namespace dibella::overlap

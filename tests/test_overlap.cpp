@@ -83,7 +83,7 @@ TEST(SeedFilter, SortOrderHoldsOnBothSidesOfTheRadixCutover) {
   // deduplicated input: same orientation first, then (pos_a, pos_b). Sizes
   // straddle the switch from comparison to radix sorting.
   dibella::util::Xoshiro256 rng(31);
-  for (std::size_t n : {1u, 2u, 100u, 160u, 161u, 300u, 2000u}) {
+  for (std::size_t n : {1u, 2u, 56u, 57u, 100u, 160u, 161u, 300u, 2000u}) {
     std::vector<dov::SeedPair> seeds;
     for (std::size_t i = 0; i < n; ++i) {
       const u32 high = rng.bernoulli(0.1) ? u32{1} << 31 : 0;
@@ -100,6 +100,97 @@ TEST(SeedFilter, SortOrderHoldsOnBothSidesOfTheRadixCutover) {
     expected.erase(std::unique(expected.begin(), expected.end()), expected.end());
     EXPECT_EQ(dov::filter_seeds(seeds, dov::SeedFilterConfig::spaced(0)), expected) << n;
   }
+}
+
+namespace {
+
+/// Independent oracle of filter_seeds: each orientation group as a std::set
+/// (sorted, deduplicated), then the policy over the sets.
+std::vector<dov::SeedPair> set_oracle(const std::vector<dov::SeedPair>& seeds,
+                                      const dov::SeedFilterConfig& cfg) {
+  std::set<std::pair<u32, u32>> groups[2];
+  for (const auto& s : seeds) groups[s.same_orientation].insert({s.pos_a, s.pos_b});
+  std::vector<dov::SeedPair> out;
+  if (cfg.policy == dov::SeedFilterConfig::Policy::kOneSeed) {
+    if (seeds.empty()) return out;
+    const u8 o = groups[1].size() >= groups[0].size() ? 1 : 0;
+    const auto median = std::next(groups[o].begin(),
+                                  static_cast<std::ptrdiff_t>(groups[o].size() / 2));
+    out.push_back({median->first, median->second, o});
+  } else {
+    for (const u8 o : {u8{1}, u8{0}}) {
+      u64 next_ok = 0;
+      for (const auto& [a, b] : groups[o]) {
+        if (a < next_ok) continue;
+        out.push_back({a, b, o});
+        next_ok = u64{a} + cfg.min_distance;
+      }
+    }
+  }
+  if (cfg.max_seeds > 0 && out.size() > cfg.max_seeds) out.resize(cfg.max_seeds);
+  return out;
+}
+
+}  // namespace
+
+TEST(SeedFilter, MatchesSetOracleOnDuplicateHeavySeeds) {
+  // Seed sets drawn from small pools of distinct seeds, so most seeds are
+  // duplicates, with group sizes on both sides of the radix cutover (56
+  // seeds per orientation group) and of the former one (160 per pair),
+  // one orientation only, and forward and reverse groups with equal distinct
+  // counts (the one-seed tie). Every policy must equal the set oracle.
+  dibella::util::Xoshiro256 rng(160);
+  std::vector<dov::SeedFilterConfig> policies = {
+      dov::SeedFilterConfig::one_seed(), dov::SeedFilterConfig::spaced(50),
+      dov::SeedFilterConfig::spaced(0), dov::SeedFilterConfig::all_seeds(17)};
+  for (std::size_t i = 0, n = policies.size(); i < n; ++i) {
+    auto capped = policies[i];
+    capped.max_seeds = 2;
+    policies.push_back(capped);
+  }
+  // Raw (fwd, rev) group sizes, duplicates included.
+  const std::vector<std::pair<std::size_t, std::size_t>> sizes = {
+      {1, 0},     {0, 1},     {5, 5},     {55, 0},    {0, 56},    {57, 0},
+      {56, 57},   {57, 56},   {55, 58},   {159, 0},   {0, 160},   {161, 0},
+      {160, 161}, {161, 160}, {300, 300}, {640, 0},   {0, 641},   {650, 12},
+      {12, 650},  {2000, 3},  {170, 170}, {1000, 1000}};
+  int ties = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    for (const auto& [n_fwd, n_rev] : sizes) {
+      // Equal pools give groups of similar distinct counts; when both
+      // groups draw every pool seed at least once they tie exactly.
+      const std::size_t pool = 1 + rng.uniform_below(trial % 2 ? 8 : 64);
+      const u32 span = trial % 3 == 0 ? 200 : 40'000;
+      // Many seeds sharing a pos_a (a k-mer repeated within read b).
+      const u32 span_a = trial % 3 == 2 ? 3 : span;
+      std::vector<dov::SeedPair> distinct[2];
+      for (u8 o : {u8{0}, u8{1}}) {
+        std::set<std::pair<u32, u32>> seen;
+        while (seen.size() < pool) {
+          seen.insert({static_cast<u32>(rng.uniform_below(span_a)),
+                       static_cast<u32>(rng.uniform_below(span))});
+        }
+        for (const auto& [a, b] : seen) distinct[o].push_back({a, b, o});
+      }
+      std::vector<dov::SeedPair> seeds;
+      for (u8 o : {u8{1}, u8{0}}) {
+        const std::size_t n = o ? n_fwd : n_rev;
+        // Every pool seed once (when n allows), then duplicates.
+        for (std::size_t i = 0; i < n; ++i) {
+          seeds.push_back(i < pool ? distinct[o][i] : distinct[o][rng.uniform_below(pool)]);
+        }
+      }
+      for (std::size_t i = seeds.size(); i > 1; --i) {
+        std::swap(seeds[i - 1], seeds[rng.uniform_below(i)]);
+      }
+      if (n_fwd >= pool && n_rev >= pool) ++ties;
+      for (const auto& policy : policies) {
+        EXPECT_EQ(dov::filter_seeds(seeds, policy), set_oracle(seeds, policy))
+            << n_fwd << " fwd, " << n_rev << " rev, pool " << pool;
+      }
+    }
+  }
+  EXPECT_GT(ties, 20);
 }
 
 TEST(OwnerHeuristic, DeterministicAndBalanced) {
@@ -282,25 +373,27 @@ TEST(OverlapStage, SeedPolicyControlsSeedVolume) {
 
 namespace {
 
-/// Reference oracle, the consolidation the pair runs replaced: canonicalize
-/// every task to rid_a < rid_b, sort the flat vector by the full
-/// (rid_a, rid_b, pos_a, pos_b, same_orientation) tuple, group equal-pair
-/// runs, and apply the seed policy per group.
-std::vector<dov::AlignmentTask> oracle_consolidate(std::vector<dov::OverlapTask> incoming,
+/// One (pair, seed) discovery, unpacked: the oracle's record and the
+/// tests' input. Canonical: rid_a < rid_b.
+struct WireSeed {
+  u64 rid_a = 0;
+  u64 rid_b = 0;
+  u32 pos_a = 0;
+  u32 pos_b = 0;
+  u8 same_orientation = 1;
+};
+
+/// Reference oracle, the consolidation the pair runs replaced: sort the flat
+/// vector by the full (rid_a, rid_b, pos_a, pos_b, same_orientation) tuple,
+/// group equal-pair runs, and apply the seed policy per group.
+std::vector<dov::AlignmentTask> oracle_consolidate(std::vector<WireSeed> incoming,
                                                    const dov::SeedFilterConfig& seed_filter,
                                                    dov::OverlapStageResult* result) {
   result->pair_tasks_received = incoming.size();
-  for (auto& t : incoming) {
-    if (t.rid_a > t.rid_b) {
-      std::swap(t.rid_a, t.rid_b);
-      std::swap(t.pos_a, t.pos_b);
-    }
-  }
-  std::sort(incoming.begin(), incoming.end(),
-            [](const dov::OverlapTask& x, const dov::OverlapTask& y) {
-              return std::tie(x.rid_a, x.rid_b, x.pos_a, x.pos_b, x.same_orientation) <
-                     std::tie(y.rid_a, y.rid_b, y.pos_a, y.pos_b, y.same_orientation);
-            });
+  std::sort(incoming.begin(), incoming.end(), [](const WireSeed& x, const WireSeed& y) {
+    return std::tie(x.rid_a, x.rid_b, x.pos_a, x.pos_b, x.same_orientation) <
+           std::tie(y.rid_a, y.rid_b, y.pos_a, y.pos_b, y.same_orientation);
+  });
   std::vector<dov::AlignmentTask> tasks;
   for (std::size_t run = 0; run < incoming.size();) {
     std::size_t end = run;
@@ -313,7 +406,7 @@ std::vector<dov::AlignmentTask> oracle_consolidate(std::vector<dov::OverlapTask>
     }
     result->seeds_before_filter += seeds.size();
     dov::AlignmentTask task{incoming[run].rid_a, incoming[run].rid_b,
-                            dov::filter_seeds(std::move(seeds), seed_filter)};
+                            dov::filter_seeds(seeds, seed_filter)};
     result->seeds_after_filter += task.seeds.size();
     tasks.push_back(std::move(task));
     run = end;
@@ -322,21 +415,30 @@ std::vector<dov::AlignmentTask> oracle_consolidate(std::vector<dov::OverlapTask>
   return tasks;
 }
 
-std::vector<u8> encode(std::vector<dov::OverlapTask> tasks) {
+/// Stage `seeds` as the overlap stage stages them, keyed over `reads` reads
+/// (default: one past the largest rid), and encode them as pair runs.
+std::vector<u8> encode(const std::vector<WireSeed>& seeds, u64 reads = 0) {
+  for (const auto& s : seeds) reads = std::max(reads, s.rid_b + 1);
+  const dov::PairKeys keys(reads);
+  std::vector<dov::OverlapTask> tasks;
+  for (const auto& s : seeds) {
+    tasks.push_back({keys.key(s.rid_a, s.rid_b, s.same_orientation), s.pos_a, s.pos_b});
+  }
   std::vector<u8> bytes;
-  dov::encode_pair_runs(tasks, bytes);
+  dibella::util::RadixScratch<dov::OverlapTask> scratch;
+  dov::encode_pair_runs(tasks, keys, bytes, scratch);
   return bytes;
 }
 
 /// The stage's path without the exchange: split the tasks into `payloads`
 /// random slices (one sender's share of one batch each), encode every slice
 /// as pair runs, decode the payloads in a shuffled order, consolidate.
-std::vector<dov::AlignmentTask> consolidate_via_runs(const std::vector<dov::OverlapTask>& all,
+std::vector<dov::AlignmentTask> consolidate_via_runs(const std::vector<WireSeed>& all,
                                                      const dov::SeedFilterConfig& seed_filter,
                                                      std::size_t payloads,
                                                      dibella::util::Xoshiro256& rng,
                                                      dov::OverlapStageResult* result) {
-  std::vector<std::vector<dov::OverlapTask>> slices(payloads);
+  std::vector<std::vector<WireSeed>> slices(payloads);
   for (const auto& t : all) slices[rng.uniform_below(payloads)].push_back(t);
   std::vector<std::vector<u8>> bytes(payloads);
   for (std::size_t i = 0; i < payloads; ++i) bytes[i] = encode(slices[i]);
@@ -346,16 +448,21 @@ std::vector<dov::AlignmentTask> consolidate_via_runs(const std::vector<dov::Over
   return table.consolidate(seed_filter, result);
 }
 
-std::vector<dov::OverlapTask> random_tasks(dibella::util::Xoshiro256& rng, int n, u64 reads,
-                                           u32 max_pos) {
-  std::vector<dov::OverlapTask> tasks;
+/// Random seeds over `reads` reads (at least 2), canonical rid_a < rid_b.
+std::vector<WireSeed> random_tasks(dibella::util::Xoshiro256& rng, int n, u64 reads,
+                                   u32 max_pos) {
+  std::vector<WireSeed> tasks;
   for (int i = 0; i < n; ++i) {
-    dov::OverlapTask t;
+    WireSeed t;
     t.rid_a = rng.uniform_below(reads);
-    t.rid_b = rng.uniform_below(reads);
-    if (t.rid_a == t.rid_b) t.rid_b = t.rid_a + 1;  // rid_a > rid_b stays in the mix
+    t.rid_b = rng.uniform_below(reads - 1);
+    if (t.rid_b >= t.rid_a) ++t.rid_b;  // never a self pair
     t.pos_a = static_cast<u32>(rng.uniform_below(max_pos));
     t.pos_b = static_cast<u32>(rng.uniform_below(max_pos));
+    if (t.rid_a > t.rid_b) {
+      std::swap(t.rid_a, t.rid_b);
+      std::swap(t.pos_a, t.pos_b);
+    }
     t.same_orientation = rng.bernoulli(0.7) ? 1 : 0;
     tasks.push_back(t);
     if (rng.bernoulli(0.1)) tasks.push_back(t);  // exact duplicate seed
@@ -430,13 +537,7 @@ TEST(ConsolidateTasks, MatchesMapBasedOracle) {
     // Map-based oracle (the pre-refactor consolidation).
     std::map<std::pair<u64, u64>, std::vector<dov::SeedPair>> oracle;
     for (const auto& t : wire) {
-      u64 a = t.rid_a, b = t.rid_b;
-      u32 pa = t.pos_a, pb = t.pos_b;
-      if (a > b) {
-        std::swap(a, b);
-        std::swap(pa, pb);
-      }
-      oracle[{a, b}].push_back(dov::SeedPair{pa, pb, t.same_orientation});
+      oracle[{t.rid_a, t.rid_b}].push_back(dov::SeedPair{t.pos_a, t.pos_b, t.same_orientation});
     }
 
     dov::OverlapStageResult res;
@@ -459,8 +560,8 @@ TEST(ConsolidateTasks, MatchesMapBasedOracle) {
 }
 
 TEST(PairRuns, MatchSortThenGroupOracle) {
-  // Differential: random task sets (duplicates, both orientations,
-  // rid_a > rid_b inputs, dense and sparse pairs) split over 1..9 payloads,
+  // Differential: random task sets (duplicates, both orientations, dense
+  // and sparse pairs) split over 1..9 payloads,
   // under every seed policy with and without a seed cap. Tasks and all four
   // consolidation counters must equal the sort-then-group oracle's.
   dibella::util::Xoshiro256 rng(2026);
@@ -496,16 +597,17 @@ TEST(PairRuns, MatchSortThenGroupOracle) {
 }
 
 TEST(PairRuns, RoundTripWideRidsAndPositions) {
-  // Read ids >= 2^32 and positions >= 2^31, which a packed 64-bit sort key
-  // cannot hold, round-trip through the varint codec; so do the extremes.
-  const u64 big = u64{1} << 40;
+  // Staged tasks carry rids up to the pair key's read-count limit and
+  // positions over the full u32 range; both ends round-trip.
+  const u64 reads = dov::PairKeys::kMaxReads;
+  const u64 top = reads - 1;
   const u32 max32 = ~u32{0};
-  std::vector<dov::OverlapTask> tasks = {
-      {big + 7, big + 3, u32{1} << 31, max32, 1},
-      {big + 3, big + 7, 5, max32 - 1, 0},
-      {0, ~u64{0}, max32, 0, 0},
-      {~u64{0} - 1, ~u64{0}, 0, max32, 1},
-      {u64{1} << 32, 1, 0x80000000u, 0x7FFFFFFFu, 1},
+  std::vector<WireSeed> tasks = {
+      {top - 7, top - 3, u32{1} << 31, max32, 1},
+      {top - 7, top - 3, 5, max32 - 1, 0},
+      {0, top, max32, 0, 0},
+      {top - 1, top, 0, max32, 1},
+      {u64{1} << 30, top, 0x80000000u, 0x7FFFFFFFu, 1},
   };
   dov::OverlapStageResult want_res, got_res;
   auto want = oracle_consolidate(tasks, dov::SeedFilterConfig::all_seeds(17), &want_res);
@@ -515,14 +617,15 @@ TEST(PairRuns, RoundTripWideRidsAndPositions) {
   expect_same_tasks(got, want);
   ASSERT_EQ(got.size(), 4u);
   EXPECT_EQ(got[0].rid_a, 0u);
-  EXPECT_EQ(got[0].rid_b, ~u64{0});
+  EXPECT_EQ(got[0].rid_b, top);
   EXPECT_EQ(got[0].seeds, (std::vector<dov::SeedPair>{{max32, 0, 0}}));
   EXPECT_EQ(got_res.seeds_after_filter, want_res.seeds_after_filter);
 
-  // Every bit width of rids and positions, across the varint length steps.
-  std::vector<dov::OverlapTask> widths;
-  for (int bits = 1; bits <= 64; ++bits) {
-    const u64 hi = bits == 64 ? ~u64{0} : (u64{1} << bits) - 1;
+  // Every bit width of rids (up to the limit) and positions, across the
+  // varint length steps.
+  std::vector<WireSeed> widths;
+  for (int bits = 1; bits <= 32; ++bits) {
+    const u64 hi = std::min(top, (u64{1} << bits) - 1);
     const u32 pos = static_cast<u32>(bits >= 32 ? ~u32{0} : (u32{1} << bits) - 1);
     widths.push_back({hi - 1, hi, pos, pos / 3, static_cast<u8>(bits % 2)});
     widths.push_back({hi / 2, hi, pos / 5, pos, 1});
@@ -531,8 +634,94 @@ TEST(PairRuns, RoundTripWideRidsAndPositions) {
   got = consolidate_via_runs(widths, dov::SeedFilterConfig::all_seeds(1), 3, rng, &got_res);
   expect_same_tasks(got, want);
 
-  EXPECT_THROW(encode({{4, 4, 0, 0, 1}}), dibella::Error);
-  EXPECT_THROW(encode({{4, 5, 0, 0, 2}}), dibella::Error);
+  // The wire grammar itself carries 64-bit rids: runs written field by
+  // field, beyond any staged key, decode to the oracle's tasks.
+  const std::vector<WireSeed> wide = {
+      {0, ~u64{0}, max32, 0, 0},
+      {u64{1} << 32, u64{1} << 40, 7, max32, 1},
+      {u64{1} << 32, u64{1} << 40, 3, 9, 1},
+      {~u64{0} - 1, ~u64{0}, 0, max32, 1},
+  };
+  std::vector<u8> bytes;
+  u64 prev_a = 0;
+  for (std::size_t i = 0; i < wide.size();) {
+    std::size_t end = i;
+    while (end < wide.size() && wide[end].rid_a == wide[i].rid_a &&
+           wide[end].rid_b == wide[i].rid_b) {
+      ++end;
+    }
+    put_varint(bytes, wide[i].rid_a - prev_a);
+    put_varint(bytes, wide[i].rid_b);
+    put_varint(bytes, end - i);
+    for (std::size_t j = i; j < end; ++j) {
+      put_varint(bytes, wide[j].pos_a);
+      put_varint(bytes, (u64{wide[j].pos_b} << 1) | wide[j].same_orientation);
+    }
+    prev_a = wide[i].rid_a;
+    i = end;
+  }
+  dov::PairSeedTable table;
+  table.add_runs(bytes.data(), bytes.size());
+  expect_same_tasks(table.consolidate(dov::SeedFilterConfig::all_seeds(1)),
+                    oracle_consolidate(wide, dov::SeedFilterConfig::all_seeds(1), &want_res));
+
+  // A key whose pair is not rid_a < rid_b is refused.
+  const dov::PairKeys keys(10);
+  std::vector<u8> out;
+  dibella::util::RadixScratch<dov::OverlapTask> scratch;
+  for (const auto& [a, b] : {std::pair<u64, u64>{4, 4}, {5, 4}}) {
+    std::vector<dov::OverlapTask> bad = {{keys.key(a, b, 1), 0, 0}};
+    EXPECT_THROW(dov::encode_pair_runs(bad, keys, out, scratch), dibella::Error);
+  }
+}
+
+TEST(PairKeys, RoundTripAtTheReadCountLimit) {
+  // Unit test of the staged key: rids at both ends of the largest read
+  // count, both orientations. Keys fit 63 bits, decode to their fields and
+  // ascend by (rid_a, rid_b, same orientation first).
+  const u64 reads = dov::PairKeys::kMaxReads;
+  EXPECT_EQ(reads, (u64{1} << 31) - 1);
+  const dov::PairKeys keys(reads);
+  const u64 top = reads - 1;
+  const std::vector<std::pair<u64, u64>> pairs = {
+      {0, 1}, {0, top}, {1, 2}, {u64{1} << 30, top}, {top - 2, top - 1}, {top - 1, top}};
+  u64 prev = 0;
+  bool first = true;
+  for (const auto& [a, b] : pairs) {
+    for (const u8 o : {u8{1}, u8{0}}) {
+      const u64 key = keys.key(a, b, o);
+      EXPECT_LT(key, u64{1} << 63);
+      EXPECT_EQ(keys.rid_a(key), a);
+      EXPECT_EQ(keys.rid_b(key), b);
+      EXPECT_EQ(dov::PairKeys::same_orientation(key), o);
+      if (!first) {
+        EXPECT_GT(key, prev) << a << "," << b << "," << int{o};
+      }
+      prev = key;
+      first = false;
+    }
+  }
+  // Positions 0 and 2^32 - 1 with those keys come back through the encoder
+  // and the decoder unchanged.
+  const u32 max32 = ~u32{0};
+  std::vector<WireSeed> seeds;
+  for (const auto& [a, b] : pairs) {
+    for (const u8 o : {u8{1}, u8{0}}) {
+      seeds.push_back({a, b, 0, max32, o});
+      seeds.push_back({a, b, max32, 0, o});
+    }
+  }
+  dov::PairSeedTable table;
+  const auto bytes = encode(seeds, reads);
+  table.add_runs(bytes.data(), bytes.size());
+  dov::OverlapStageResult want_res;
+  expect_same_tasks(table.consolidate(dov::SeedFilterConfig::all_seeds(1)),
+                    oracle_consolidate(seeds, dov::SeedFilterConfig::all_seeds(1), &want_res));
+
+  // Above the limit is a typed error; fewer reads are fine.
+  EXPECT_THROW(dov::PairKeys(reads + 1), dibella::Error);
+  EXPECT_THROW(dov::PairKeys(~u64{0}), dibella::Error);
+  EXPECT_NO_THROW(dov::PairKeys(0));
 }
 
 TEST(PairRuns, DecoderRejectsEachMalformedField) {
@@ -619,7 +808,7 @@ TEST(PairRuns, TableHoldsTheValidatedPayloadsAtWireDensity) {
   for (const u64 reads : {u64{6}, u64{40}}) {
     const auto all = random_tasks(rng, 20'000, reads, 10'000);
     const std::size_t payloads = 12;
-    std::vector<std::vector<dov::OverlapTask>> slices(payloads);
+    std::vector<std::vector<WireSeed>> slices(payloads);
     for (const auto& t : all) slices[rng.uniform_below(payloads)].push_back(t);
     dov::PairSeedTable table;
     u64 bytes = 0;
@@ -654,7 +843,7 @@ TEST(PairRuns, SeededMutationsEndInErrorOrAValidDecode) {
   dibella::util::Xoshiro256 rng(4242);
   for (int trial = 0; trial < 40; ++trial) {
     auto tasks = random_tasks(rng, 1 + static_cast<int>(rng.uniform_below(200)),
-                              trial % 2 ? 20 : (u64{1} << 36), 50'000);
+                              trial % 2 ? 20 : dov::PairKeys::kMaxReads, 50'000);
     const auto bytes = encode(tasks);
     const auto boundaries = run_boundaries(bytes);
     ASSERT_EQ(boundaries.back(), bytes.size());

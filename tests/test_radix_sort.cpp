@@ -168,3 +168,29 @@ TEST(RadixSort, LargeRandomMatchesOracle) {
   radix_sort_u64(keys, [](u64 k) { return k; });
   EXPECT_EQ(keys, expect);
 }
+
+TEST(RadixSort, OneScratchServesManyCallsOfEverySize) {
+  // A caller that sorts one pair's seeds at a time keeps one scratch: every
+  // call, growing or shrinking, odd or even pass count, equals the oracle
+  // (stability included).
+  dibella::util::Xoshiro256 rng(11);
+  dibella::util::RadixScratch<Keyed> scratch;
+  for (int call = 0; call < 200; ++call) {
+    const std::size_t n = rng.uniform_below(call % 7 == 0 ? 3'000 : 400);
+    std::vector<u64> keys(n);
+    const int bytes = 1 + static_cast<int>(rng.uniform_below(8));
+    for (auto& k : keys) {
+      k = bytes == 8 ? rng.next() : rng.next() & ((u64{1} << (8 * bytes)) - 1);
+    }
+    auto expect = tag(keys);
+    auto got = tag(keys);
+    std::stable_sort(expect.begin(), expect.end(),
+                     [](const Keyed& a, const Keyed& b) { return a.key < b.key; });
+    radix_sort_u64(got, [](const Keyed& e) { return e.key; }, scratch);
+    ASSERT_EQ(got.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(got[i].key, expect[i].key) << "call " << call << " at " << i;
+      ASSERT_EQ(got[i].tag, expect[i].tag) << "call " << call << " at " << i;
+    }
+  }
+}
