@@ -431,8 +431,8 @@ std::vector<WireSeed> random_wire_seeds(std::size_t n_seeds, u64 n_reads,
 /// receiver validates every payload, then merges them by pair, decoding
 /// each seed there, and filters each pair.
 std::vector<overlap::AlignmentTask> consolidate_pair_runs(
-    const std::vector<overlap::OverlapTask>& tasks, const overlap::PairKeys& keys,
-    const overlap::SeedFilterConfig& policy, std::size_t batch) {
+    const std::vector<overlap::OverlapTask>& tasks, const overlap::SeedFilterConfig& policy,
+    std::size_t batch) {
   overlap::PairSeedTable table;
   std::vector<overlap::OverlapTask> payload;
   std::vector<u8> bytes;
@@ -441,7 +441,7 @@ std::vector<overlap::AlignmentTask> consolidate_pair_runs(
     payload.assign(tasks.begin() + static_cast<std::ptrdiff_t>(at),
                    tasks.begin() + static_cast<std::ptrdiff_t>(std::min(tasks.size(), at + batch)));
     bytes.clear();
-    overlap::encode_pair_runs(payload, keys, bytes, scratch);
+    overlap::encode_pair_runs(payload, bytes, scratch);
     table.add_runs(bytes.data(), bytes.size());
   }
   return table.consolidate(policy);
@@ -450,19 +450,18 @@ std::vector<overlap::AlignmentTask> consolidate_pair_runs(
 /// One consolidation row: baseline = the sort-then-group consolidation the
 /// pair runs replaced (full-tuple sort, group, filter); optimized =
 /// consolidate_pair_runs of the same seeds, staged as the stage stages them
-/// (16-byte overlap::OverlapTask over `n_reads` reads). The tasks are
-/// asserted equal.
-BenchRow bench_pair_runs(std::string name, const std::vector<WireSeed>& wire, u64 n_reads,
+/// (16-byte overlap::OverlapTask). The tasks are asserted equal.
+BenchRow bench_pair_runs(std::string name, const std::vector<WireSeed>& wire,
                          const overlap::SeedFilterConfig& policy, int reps) {
   BenchRow row;
   row.name = std::move(name);
   row.unit = "tasks/s";
   row.items = wire.size();
-  const overlap::PairKeys keys(n_reads);
   std::vector<overlap::OverlapTask> staged;
   staged.reserve(wire.size());
   for (const WireSeed& t : wire) {
-    staged.push_back({keys.key(t.rid_a, t.rid_b, t.same_orientation), t.pos_a, t.pos_b});
+    staged.push_back(
+        {overlap::PairKeys::key(t.rid_a, t.rid_b, t.same_orientation), t.pos_a, t.pos_b});
   }
   std::vector<overlap::AlignmentTask> ref, opt;
   row.baseline_s = best_of(reps, [&] {
@@ -484,7 +483,7 @@ BenchRow bench_pair_runs(std::string name, const std::vector<WireSeed>& wire, u6
     }
   });
   row.optimized_s =
-      best_of(reps, [&] { opt = consolidate_pair_runs(staged, keys, policy, kPairRunBatch); });
+      best_of(reps, [&] { opt = consolidate_pair_runs(staged, policy, kPairRunBatch); });
   DIBELLA_CHECK(ref.size() == opt.size(), "pair runs lost or invented a pair");
   for (std::size_t i = 0; i < ref.size(); ++i) {
     DIBELLA_CHECK(ref[i].rid_a == opt[i].rid_a && ref[i].rid_b == opt[i].rid_b &&
@@ -500,7 +499,7 @@ BenchRow bench_consolidate(std::size_t n_tasks, std::size_t n_reads, int reps) {
   // handful of shared seeds each.
   util::Xoshiro256 rng(20261101);
   return bench_pair_runs("overlap_consolidate", random_wire_seeds(n_tasks, n_reads, rng),
-                         n_reads, overlap::SeedFilterConfig::all_seeds(17), reps);
+                         overlap::SeedFilterConfig::all_seeds(17), reps);
 }
 
 BenchRow bench_dense_consolidate(std::size_t n_tasks, std::size_t n_pairs, int reps) {
@@ -512,7 +511,7 @@ BenchRow bench_dense_consolidate(std::size_t n_tasks, std::size_t n_pairs, int r
   for (const auto& t : random_wire_seeds(n_pairs, kReads, rng)) pairs.emplace_back(t.rid_a, t.rid_b);
   auto wire = random_wire_seeds(n_tasks, kReads, rng);
   for (auto& t : wire) std::tie(t.rid_a, t.rid_b) = pairs[rng.uniform_below(pairs.size())];
-  return bench_pair_runs("pair_runs", wire, kReads, overlap::SeedFilterConfig::one_seed(), reps);
+  return bench_pair_runs("pair_runs", wire, overlap::SeedFilterConfig::one_seed(), reps);
 }
 
 BenchRow bench_minimizer_sketch(bool smoke, int reps) {

@@ -241,7 +241,6 @@ double time_pair_consolidate() {
 double time_pair_runs() {
   volatile u64 sink = 0;
   constexpr u64 kReads = 2'000;
-  const overlap::PairKeys keys(kReads);
   std::vector<overlap::OverlapTask> tasks(kPairRunTasks * kPairRunPayloads);
   util::Xoshiro256 rng(5);
   for (auto& t : tasks) {
@@ -249,7 +248,7 @@ double time_pair_runs() {
     u64 rid_b = rng.uniform_below(kReads);
     if (rid_a == rid_b) rid_b = (rid_a + 1) % kReads;
     if (rid_a > rid_b) std::swap(rid_a, rid_b);
-    t.key = keys.key(rid_a, rid_b, 1);
+    t.key = overlap::PairKeys::key(rid_a, rid_b, 1);
     t.pos_a = static_cast<u32>(rng.uniform_below(20'000));
     t.pos_b = static_cast<u32>(rng.uniform_below(20'000));
   }
@@ -264,7 +263,7 @@ double time_pair_runs() {
                                              static_cast<std::ptrdiff_t>(kPairRunTasks);
       staged.assign(first, first + static_cast<std::ptrdiff_t>(kPairRunTasks));
       bytes.clear();
-      overlap::encode_pair_runs(staged, keys, bytes, scratch);
+      overlap::encode_pair_runs(staged, bytes, scratch);
       table.add_runs(bytes.data(), bytes.size());
     }
     sink = sink + table.consolidate(overlap::SeedFilterConfig::one_seed()).size();

@@ -146,20 +146,19 @@ std::vector<u8> ht_payload(const dht::LocalKmerTable& table) {
   return payload_bytes(records);
 }
 
-/// Stage 3: the owned tasks as pair runs over `reads` reads. filter_seeds
-/// maps its own output to itself, so consolidating them again gives back
-/// the same tasks.
-std::vector<u8> overlap_payload(const std::vector<overlap::AlignmentTask>& tasks, u64 reads) {
-  const overlap::PairKeys keys(reads);
+/// Stage 3: the owned tasks as pair runs. filter_seeds maps its own output
+/// to itself, so consolidating them again gives back the same tasks.
+std::vector<u8> overlap_payload(const std::vector<overlap::AlignmentTask>& tasks) {
   std::vector<overlap::OverlapTask> seeds;
   for (const overlap::AlignmentTask& t : tasks) {
     for (const overlap::SeedPair& s : t.seeds) {
-      seeds.push_back({keys.key(t.rid_a, t.rid_b, s.same_orientation), s.pos_a, s.pos_b});
+      seeds.push_back(
+          {overlap::PairKeys::key(t.rid_a, t.rid_b, s.same_orientation), s.pos_a, s.pos_b});
     }
   }
   std::vector<u8> bytes;
   util::RadixScratch<overlap::OverlapTask> scratch;
-  overlap::encode_pair_runs(seeds, keys, bytes, scratch);
+  overlap::encode_pair_runs(seeds, bytes, scratch);
   return bytes;
 }
 
@@ -344,8 +343,7 @@ PipelineOutput run_pipeline(comm::World& world, const std::vector<io::Read>& rea
         tasks = overlap::run_overlap_stage(ctx, table, partition, ocfg, &ov_res[rank]);
       }
       checkpoint_stage(CheckpointStage::kOverlap, [&] {
-        ckpt->write_payload(CheckpointStage::kOverlap, comm.rank(),
-                            overlap_payload(tasks, partition.total_reads()));
+        ckpt->write_payload(CheckpointStage::kOverlap, comm.rank(), overlap_payload(tasks));
       });
     } else if (resume_from == CheckpointStage::kOverlap && !degraded_me) {
       restore_stage(CheckpointStage::kOverlap, [&](const std::vector<u8>& bytes) {

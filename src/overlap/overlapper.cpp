@@ -49,15 +49,14 @@ u64 get_varint(const u8*& p, const u8* end) {
 
 }  // namespace
 
-PairKeys::PairKeys(u64 reads) : reads_(reads) {
+void PairKeys::check_reads(u64 reads) {
   DIBELLA_CHECK(reads <= kMaxReads, "overlap stage: " + std::to_string(reads) +
                                         " reads exceed the pair key's limit of " +
                                         std::to_string(kMaxReads));
 }
 
-void encode_pair_runs(std::vector<OverlapTask>& tasks, const PairKeys& keys,
-                      std::vector<u8>& out, util::RadixScratch<OverlapTask>& scratch) {
-  DIBELLA_CHECK(tasks.empty() || keys.reads() >= 2, "overlap task keyed over fewer than 2 reads");
+void encode_pair_runs(std::vector<OverlapTask>& tasks, std::vector<u8>& out,
+                      util::RadixScratch<OverlapTask>& scratch) {
   // Group by pair in one stable LSD radix call. Bits constant across the
   // keys get no digit, so a small read count costs only the digits it uses.
   util::radix_sort_u64(tasks, [](const OverlapTask& t) { return t.key; }, scratch);
@@ -74,9 +73,9 @@ void encode_pair_runs(std::vector<OverlapTask>& tasks, const PairKeys& keys,
   for (std::size_t run = 0; run < tasks.size();) {
     std::size_t end = run + 1;
     while (end < tasks.size() && same_pair(end, run)) ++end;
-    const u64 rid_a = keys.rid_a(tasks[run].key);
-    const u64 rid_b = keys.rid_b(tasks[run].key);
-    DIBELLA_CHECK(rid_a < rid_b, "overlap task key is not a pair rid_a < rid_b < reads");
+    const u64 rid_a = PairKeys::rid_a(tasks[run].key);
+    const u64 rid_b = PairKeys::rid_b(tasks[run].key);
+    DIBELLA_CHECK(rid_a < rid_b, "overlap task key is not a pair rid_a < rid_b");
     p = put_varint(p, rid_a - prev_rid_a);
     p = put_varint(p, rid_b);
     p = put_varint(p, end - run);
@@ -222,10 +221,10 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
   // ~batch_tasks tasks (overlapped: while the previous batch is in flight),
   // stages them per destination and posts them as pair runs.
   comm::Exchanger ex(comm, cfg.exchange);
-  const PairKeys keys(partition.total_reads());
+  PairKeys::check_reads(partition.total_reads());
   std::vector<std::vector<OverlapTask>> staged(static_cast<std::size_t>(ex.size()));
   std::vector<std::size_t> owners;  // per occurrence of the visited key
-  auto visit = [&res, &partition, &keys, &staged, &owners](
+  auto visit = [&res, &partition, &staged, &owners](
                    const kmer::Kmer& /*km*/, u32 /*count*/,
                    std::vector<dht::ReadOccurrence>& occs) {
     ++res.retained_kmers;
@@ -246,9 +245,8 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
         const auto& ob = occs[j];
         if (oa.rid == ob.rid) continue;  // a repeat within one read is not an overlap
         const std::size_t owner = task_owner_read(oa.rid, ob.rid) == 0 ? owners[i] : owners[j];
-        staged[owner].push_back(OverlapTask{
-            keys.key(oa.rid, ob.rid, static_cast<u8>(oa.is_forward == ob.is_forward ? 1 : 0)),
-            oa.pos, ob.pos});
+        const u8 same = oa.is_forward == ob.is_forward ? 1 : 0;
+        staged[owner].push_back(OverlapTask{PairKeys::key(oa.rid, ob.rid, same), oa.pos, ob.pos});
         ++res.pair_tasks_formed;
       }
     }
@@ -276,7 +274,7 @@ std::vector<AlignmentTask> run_overlap_stage(core::StageContext& ctx,
         for (int d = 0; d < ex.size(); ++d) {
           auto& tasks = staged[static_cast<std::size_t>(d)];
           runs.clear();
-          encode_pair_runs(tasks, keys, runs, sort_scratch);
+          encode_pair_runs(tasks, runs, sort_scratch);
           tasks.clear();
           ex.post_bytes(d, runs.data(), runs.size());
           posted += runs.size();

@@ -13,11 +13,11 @@
 ///
 /// Staging: each (pair, seed) discovery is one 16-byte OverlapTask, a u64
 /// sort key and the two positions. The key packs the read pair and the
-/// orientation as ((rid_a * R + rid_b) << 1) | (same_orientation ^ 1), with
-/// R the total read count (PairKeys), so one stable radix sort of the keys
-/// groups a destination's batch by pair, each pair's same-orientation seeds
-/// first. The key bounds the read count: R < 2^31, checked once per stage
-/// run; positions keep their full u32 range.
+/// orientation as (rid_a << 33) | (rid_b << 1) | (same_orientation ^ 1)
+/// (PairKeys), so one stable radix sort of the keys groups a destination's
+/// batch by pair, each pair's same-orientation seeds first. The key bounds
+/// the read count below 2^31, checked once per stage run; positions keep
+/// their full u32 range.
 ///
 /// Wire format: pair runs. Each pack call stages the batch's tasks per
 /// destination, groups them by read pair, and posts one run per pair. Every
@@ -60,32 +60,28 @@ struct AlignmentTask {
   std::vector<SeedPair> seeds;
 };
 
-/// The staged task's sort key over a fixed read count R:
-/// ((rid_a * R + rid_b) << 1) | (same_orientation ^ 1), for rid_a < rid_b <
-/// R. Keys ascend by (rid_a, rid_b), then same orientation first; the
-/// largest fits 63 bits while R < 2^31.
-class PairKeys {
- public:
+/// The staged task's sort key: (rid_a << 33) | (rid_b << 1) |
+/// (same_orientation ^ 1), for rid_a < rid_b < kMaxReads. Keys ascend by
+/// (rid_a, rid_b), then same orientation first. rid_a takes the top 31 bits
+/// and rid_b the 32 below it, so a run's read count is bounded (check_reads);
+/// the radix sort gives no digit to the bits every key of a batch leaves
+/// constant, so a small read count costs only the bits it uses.
+struct PairKeys {
   static constexpr u64 kMaxReads = (u64{1} << 31) - 1;
 
-  /// Keys over `reads` reads. More than kMaxReads throws dibella::Error.
-  explicit PairKeys(u64 reads);
-
-  u64 reads() const { return reads_; }
+  /// Throws dibella::Error when `reads` exceeds kMaxReads.
+  static void check_reads(u64 reads);
 
   /// The key of a pair and orientation. The caller guarantees
-  /// rid_a < rid_b < reads() and same_orientation <= 1.
-  u64 key(u64 rid_a, u64 rid_b, u8 same_orientation) const {
-    return ((rid_a * reads_ + rid_b) << 1) | (same_orientation ^ 1u);
+  /// rid_a < rid_b < kMaxReads and same_orientation <= 1.
+  static u64 key(u64 rid_a, u64 rid_b, u8 same_orientation) {
+    return (rid_a << 33) | (rid_b << 1) | (same_orientation ^ 1u);
   }
   /// Keys of one pair share this value; it ascends with (rid_a, rid_b).
   static u64 pair(u64 key) { return key >> 1; }
-  u64 rid_a(u64 key) const { return pair(key) / reads_; }
-  u64 rid_b(u64 key) const { return pair(key) % reads_; }
+  static u64 rid_a(u64 key) { return key >> 33; }
+  static u64 rid_b(u64 key) { return (key >> 1) & 0xFFFFFFFFu; }
   static u8 same_orientation(u64 key) { return static_cast<u8>((key & 1u) ^ 1u); }
-
- private:
-  u64 reads_;
 };
 
 /// One (pair, seed) discovery of pair formation, staged for its owner: the
@@ -123,13 +119,13 @@ struct OverlapStageResult {
 /// of ra or rb such that, over unordered random IDs, tasks spread evenly.
 int task_owner_read(u64 ra, u64 rb);
 
-/// Append `tasks` (one destination's share of a batch, keyed by `keys`) to
-/// `out` as pair runs. A key whose pair is not rid_a < rid_b < keys.reads()
-/// is an error. Sorts `tasks` by key with one stable radix call in
-/// `scratch`'s buffers: grouped by pair, each pair's same-orientation seeds
-/// first, each orientation's seeds in their input order.
-void encode_pair_runs(std::vector<OverlapTask>& tasks, const PairKeys& keys,
-                      std::vector<u8>& out, util::RadixScratch<OverlapTask>& scratch);
+/// Append `tasks` (one destination's share of a batch) to `out` as pair
+/// runs. A key whose pair is not rid_a < rid_b is an error. Sorts `tasks`
+/// by key with one stable radix call in `scratch`'s buffers: grouped by
+/// pair, each pair's same-orientation seeds first, each orientation's seeds
+/// in their input order.
+void encode_pair_runs(std::vector<OverlapTask>& tasks, std::vector<u8>& out,
+                      util::RadixScratch<OverlapTask>& scratch);
 
 /// Receiver side of stage 3: each sender's pair runs, validated on receipt
 /// and kept as they arrived, at wire density (one owned copy of each

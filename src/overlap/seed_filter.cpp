@@ -69,11 +69,13 @@ std::vector<SeedPair> SeedSorter::filter(const SeedFilterConfig& cfg) {
 
 std::vector<SeedPair> filter_seeds(const std::vector<SeedPair>& seeds,
                                    const SeedFilterConfig& cfg) {
-  SeedSorter sorter;
   for (const auto& s : seeds) {
     DIBELLA_CHECK(s.same_orientation <= 1, "seed orientation is not 0 or 1");
-    sorter.add(s.pos_a, s.pos_b, s.same_orientation);
   }
+  // One sorter per thread, so a caller filtering pair after pair allocates
+  // no sort buffers once they have grown. filter() empties it.
+  thread_local SeedSorter sorter;
+  for (const auto& s : seeds) sorter.add(s.pos_a, s.pos_b, s.same_orientation);
   return sorter.filter(cfg);
 }
 

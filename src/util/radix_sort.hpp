@@ -66,10 +66,13 @@ void radix_sort_u64(std::vector<T>& v, KeyFn&& key, RadixScratch<T>& scratch) {
     while (end < 64 && ((varying >> end) & 1u)) ++end;
     const int digits = (end - bit + max_bits - 1) / max_bits;
     const int width = (end - bit + digits - 1) / digits;
-    for (; bit < end; bit += width) {
-      shifts[passes] = bit;
-      sizes[passes++] = std::size_t{1} << std::min(width, end - bit);
+    // The last digit may be narrower; the next run starts at `end`, not
+    // where the digits' stride would land past it.
+    for (int b = bit; b < end; b += width) {
+      shifts[passes] = b;
+      sizes[passes++] = std::size_t{1} << std::min(width, end - b);
     }
+    bit = end;
   }
   if (passes == 0) return;
 

@@ -415,18 +415,16 @@ std::vector<dov::AlignmentTask> oracle_consolidate(std::vector<WireSeed> incomin
   return tasks;
 }
 
-/// Stage `seeds` as the overlap stage stages them, keyed over `reads` reads
-/// (default: one past the largest rid), and encode them as pair runs.
-std::vector<u8> encode(const std::vector<WireSeed>& seeds, u64 reads = 0) {
-  for (const auto& s : seeds) reads = std::max(reads, s.rid_b + 1);
-  const dov::PairKeys keys(reads);
+/// Stage `seeds` as the overlap stage stages them and encode them as pair
+/// runs. Every rid must be below PairKeys::kMaxReads.
+std::vector<u8> encode(const std::vector<WireSeed>& seeds) {
   std::vector<dov::OverlapTask> tasks;
   for (const auto& s : seeds) {
-    tasks.push_back({keys.key(s.rid_a, s.rid_b, s.same_orientation), s.pos_a, s.pos_b});
+    tasks.push_back({dov::PairKeys::key(s.rid_a, s.rid_b, s.same_orientation), s.pos_a, s.pos_b});
   }
   std::vector<u8> bytes;
   dibella::util::RadixScratch<dov::OverlapTask> scratch;
-  dov::encode_pair_runs(tasks, keys, bytes, scratch);
+  dov::encode_pair_runs(tasks, bytes, scratch);
   return bytes;
 }
 
@@ -486,6 +484,34 @@ void put_varint(std::vector<u8>& out, u64 v) {
     v >>= 7;
   }
   out.push_back(static_cast<u8>(v));
+}
+
+/// Pair runs written field by field from the wire grammar, for rids of any
+/// width (the staged key stops at PairKeys::kMaxReads): `seeds` grouped by
+/// (rid_a, rid_b) ascending, each pair's seeds in their input order.
+std::vector<u8> write_runs(std::vector<WireSeed> seeds) {
+  std::stable_sort(seeds.begin(), seeds.end(), [](const WireSeed& x, const WireSeed& y) {
+    return std::tie(x.rid_a, x.rid_b) < std::tie(y.rid_a, y.rid_b);
+  });
+  std::vector<u8> bytes;
+  u64 prev_a = 0;
+  for (std::size_t i = 0; i < seeds.size();) {
+    std::size_t end = i;
+    while (end < seeds.size() && seeds[end].rid_a == seeds[i].rid_a &&
+           seeds[end].rid_b == seeds[i].rid_b) {
+      ++end;
+    }
+    put_varint(bytes, seeds[i].rid_a - prev_a);
+    put_varint(bytes, seeds[i].rid_b);
+    put_varint(bytes, end - i);
+    for (std::size_t j = i; j < end; ++j) {
+      put_varint(bytes, seeds[j].pos_a);
+      put_varint(bytes, (u64{seeds[j].pos_b} << 1) | seeds[j].same_orientation);
+    }
+    prev_a = seeds[i].rid_a;
+    i = end;
+  }
+  return bytes;
 }
 
 u64 get_varint(const std::vector<u8>& in, std::size_t& at) {
@@ -642,46 +668,27 @@ TEST(PairRuns, RoundTripWideRidsAndPositions) {
       {u64{1} << 32, u64{1} << 40, 3, 9, 1},
       {~u64{0} - 1, ~u64{0}, 0, max32, 1},
   };
-  std::vector<u8> bytes;
-  u64 prev_a = 0;
-  for (std::size_t i = 0; i < wide.size();) {
-    std::size_t end = i;
-    while (end < wide.size() && wide[end].rid_a == wide[i].rid_a &&
-           wide[end].rid_b == wide[i].rid_b) {
-      ++end;
-    }
-    put_varint(bytes, wide[i].rid_a - prev_a);
-    put_varint(bytes, wide[i].rid_b);
-    put_varint(bytes, end - i);
-    for (std::size_t j = i; j < end; ++j) {
-      put_varint(bytes, wide[j].pos_a);
-      put_varint(bytes, (u64{wide[j].pos_b} << 1) | wide[j].same_orientation);
-    }
-    prev_a = wide[i].rid_a;
-    i = end;
-  }
+  const std::vector<u8> bytes = write_runs(wide);
   dov::PairSeedTable table;
   table.add_runs(bytes.data(), bytes.size());
   expect_same_tasks(table.consolidate(dov::SeedFilterConfig::all_seeds(1)),
                     oracle_consolidate(wide, dov::SeedFilterConfig::all_seeds(1), &want_res));
 
   // A key whose pair is not rid_a < rid_b is refused.
-  const dov::PairKeys keys(10);
   std::vector<u8> out;
   dibella::util::RadixScratch<dov::OverlapTask> scratch;
   for (const auto& [a, b] : {std::pair<u64, u64>{4, 4}, {5, 4}}) {
-    std::vector<dov::OverlapTask> bad = {{keys.key(a, b, 1), 0, 0}};
-    EXPECT_THROW(dov::encode_pair_runs(bad, keys, out, scratch), dibella::Error);
+    std::vector<dov::OverlapTask> bad = {{dov::PairKeys::key(a, b, 1), 0, 0}};
+    EXPECT_THROW(dov::encode_pair_runs(bad, out, scratch), dibella::Error);
   }
 }
 
 TEST(PairKeys, RoundTripAtTheReadCountLimit) {
   // Unit test of the staged key: rids at both ends of the largest read
-  // count, both orientations. Keys fit 63 bits, decode to their fields and
-  // ascend by (rid_a, rid_b, same orientation first).
+  // count, both orientations. Keys decode to their fields and ascend by
+  // (rid_a, rid_b, same orientation first).
   const u64 reads = dov::PairKeys::kMaxReads;
   EXPECT_EQ(reads, (u64{1} << 31) - 1);
-  const dov::PairKeys keys(reads);
   const u64 top = reads - 1;
   const std::vector<std::pair<u64, u64>> pairs = {
       {0, 1}, {0, top}, {1, 2}, {u64{1} << 30, top}, {top - 2, top - 1}, {top - 1, top}};
@@ -689,11 +696,11 @@ TEST(PairKeys, RoundTripAtTheReadCountLimit) {
   bool first = true;
   for (const auto& [a, b] : pairs) {
     for (const u8 o : {u8{1}, u8{0}}) {
-      const u64 key = keys.key(a, b, o);
-      EXPECT_LT(key, u64{1} << 63);
-      EXPECT_EQ(keys.rid_a(key), a);
-      EXPECT_EQ(keys.rid_b(key), b);
+      const u64 key = dov::PairKeys::key(a, b, o);
+      EXPECT_EQ(dov::PairKeys::rid_a(key), a);
+      EXPECT_EQ(dov::PairKeys::rid_b(key), b);
       EXPECT_EQ(dov::PairKeys::same_orientation(key), o);
+      EXPECT_EQ(dov::PairKeys::pair(key), dov::PairKeys::pair(dov::PairKeys::key(a, b, o ^ 1)));
       if (!first) {
         EXPECT_GT(key, prev) << a << "," << b << "," << int{o};
       }
@@ -712,16 +719,17 @@ TEST(PairKeys, RoundTripAtTheReadCountLimit) {
     }
   }
   dov::PairSeedTable table;
-  const auto bytes = encode(seeds, reads);
+  const auto bytes = encode(seeds);
   table.add_runs(bytes.data(), bytes.size());
   dov::OverlapStageResult want_res;
   expect_same_tasks(table.consolidate(dov::SeedFilterConfig::all_seeds(1)),
                     oracle_consolidate(seeds, dov::SeedFilterConfig::all_seeds(1), &want_res));
 
   // Above the limit is a typed error; fewer reads are fine.
-  EXPECT_THROW(dov::PairKeys(reads + 1), dibella::Error);
-  EXPECT_THROW(dov::PairKeys(~u64{0}), dibella::Error);
-  EXPECT_NO_THROW(dov::PairKeys(0));
+  EXPECT_THROW(dov::PairKeys::check_reads(reads + 1), dibella::Error);
+  EXPECT_THROW(dov::PairKeys::check_reads(~u64{0}), dibella::Error);
+  EXPECT_NO_THROW(dov::PairKeys::check_reads(reads));
+  EXPECT_NO_THROW(dov::PairKeys::check_reads(0));
 }
 
 TEST(PairRuns, DecoderRejectsEachMalformedField) {
@@ -842,9 +850,12 @@ TEST(PairRuns, SeededMutationsEndInErrorOrAValidDecode) {
   // never more seeds than half the bytes. Cuts inside a run must throw.
   dibella::util::Xoshiro256 rng(4242);
   for (int trial = 0; trial < 40; ++trial) {
+    // Odd trials go through the staged encoder; even ones carry rids up to
+    // 2^36, past the staged key's limit but not the decoder's, written field
+    // by field so that 6-byte rid varints are cut, flipped and spliced too.
     auto tasks = random_tasks(rng, 1 + static_cast<int>(rng.uniform_below(200)),
-                              trial % 2 ? 20 : dov::PairKeys::kMaxReads, 50'000);
-    const auto bytes = encode(tasks);
+                              trial % 2 ? 20 : (u64{1} << 36), 50'000);
+    const auto bytes = trial % 2 ? encode(tasks) : write_runs(tasks);
     const auto boundaries = run_boundaries(bytes);
     ASSERT_EQ(boundaries.back(), bytes.size());
     u64 seeds = 0;

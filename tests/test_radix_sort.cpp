@@ -194,3 +194,23 @@ TEST(RadixSort, OneScratchServesManyCallsOfEverySize) {
     }
   }
 }
+
+TEST(RadixSort, VaryingBitsAfterAGapAreSorted) {
+  // Keys whose varying bits form a run of `len` low bits, one constant bit,
+  // then a few more varying bits. Each run is cut into equal digits; a
+  // digit stride that steps past the run's end must not skip the bits after
+  // the gap ({2^20, 2^19 - 1} at len 19 is the smallest such case). Both
+  // digit widths: 8 bits below 2^14 keys, 11 bits from there on.
+  dibella::util::Xoshiro256 rng(12);
+  for (const std::size_t n : {std::size_t{2}, std::size_t{1'000}, std::size_t{1} << 14}) {
+    for (int len = 1; len <= 60; ++len) {
+      const u64 low = (u64{1} << len) - 1;
+      std::vector<u64> keys = {u64{1} << (len + 1), low};
+      while (keys.size() < n) {
+        keys.push_back((rng.next() & low) | ((rng.uniform_below(8) << (len + 1))));
+      }
+      SCOPED_TRACE(testing::Message() << "n " << n << ", run of " << len << " bits");
+      check_against_oracle(std::move(keys));
+    }
+  }
+}
